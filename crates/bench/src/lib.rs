@@ -1,22 +1,17 @@
 //! # mvtl-bench
 //!
-//! Benchmark harness for the MVTL reproduction.
+//! Figure, ablation and soak binaries for the MVTL reproduction
+//! (`src/bin/fig1.rs` … `fig7.rs`, `ablation.rs`, `soak.rs`). The figure
+//! binaries print the full data series for each figure of the paper. Pass
+//! `--paper` for paper-scale parameter sweeps, `--smoke` for the smallest
+//! runs; the default is the `Quick` scale.
 //!
-//! Two kinds of targets live here:
-//!
-//! * **Criterion benches** (`benches/`): micro-benchmarks of the lock table and
-//!   the centralized engines, plus one bench per figure of the paper that runs
-//!   a smoke-scale version of the corresponding experiment so that regressions
-//!   in the simulated protocols are caught by `cargo bench`.
-//! * **Figure binaries** (`src/bin/fig1.rs` … `fig7.rs`, `ablation.rs`): print
-//!   the full data series for each figure. Pass `--paper` for paper-scale
-//!   parameter sweeps, `--smoke` for the smallest runs; the default is the
-//!   `Quick` scale.
+//! Performance is measured by the repo benchmark under `benchmark/` (see
+//! `BENCHMARK.json`), not here.
 //!
 //! ```bash
 //! cargo run -p mvtl-bench --release --bin fig1            # quick sweep
 //! cargo run -p mvtl-bench --release --bin fig1 -- --paper # paper-scale sweep
-//! cargo bench -p mvtl-bench                               # all benches
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,7 +39,7 @@ pub fn scale_from_args<I: IntoIterator<Item = String>>(args: I) -> Scale {
 /// Parses the workload RNG seed from the command line: `--seed N` or
 /// `--seed=N`, falling back to `default` when absent or unparsable.
 ///
-/// The figure/soak/report binaries thread this seed into every
+/// The figure and soak binaries thread this seed into every
 /// `RunnerOptions`/`SoakOptions` they build, so CI smoke runs are exactly
 /// reproducible across reruns (`--seed 42` twice generates the same
 /// transaction streams).

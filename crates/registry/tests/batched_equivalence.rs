@@ -5,9 +5,9 @@
 //! one call) commits with a result equivalent to executing the same sequence
 //! op-by-op on a fresh engine of the same spec — the values every read
 //! returns match, the committed write set matches, and the final committed
-//! state matches. This is the contract that lets the workload runner and the
-//! `bench_report` grid flip batching on without changing what an engine
-//! computes, only what it costs.
+//! state matches. This is the contract that lets a caller switch to the
+//! batched surface without changing what an engine computes, only what it
+//! costs.
 
 use mvtl_common::{Engine, EngineExt, Key, ProcessId};
 use mvtl_registry::all_specs;

@@ -8,24 +8,11 @@ use crate::wire::{
     self, decode_response, push_frame, read_frame, write_frame, Request, Response, WireError,
     DEFAULT_MAX_FRAME,
 };
-use mvtl_common::{
-    AbortReason, CommitInfo, Engine, Key, ProcessId, StoreStats, Timestamp, TxError, TxHandle,
-};
-use mvtl_workload::TxTemplate;
+use mvtl_common::{CommitInfo, Engine, Key, ProcessId, StoreStats, Timestamp, TxError, TxHandle};
 use parking_lot::Mutex;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU32, Ordering};
-
-/// How one pipelined transaction ended.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TxnOutcome {
-    /// The transaction committed.
-    Committed(CommitInfo),
-    /// The transaction aborted — either an operation aborted it server-side or
-    /// commit found no serialization point.
-    Aborted(AbortReason),
-}
 
 /// A framed client connection: handshake state plus buffered reader/writer
 /// halves of one [`TcpStream`].
@@ -88,9 +75,10 @@ impl Connection {
     }
 
     /// Sends every request in one write, then reads exactly one response per
-    /// request, in order. This is the open-loop driver's fast path: a whole
-    /// transaction (begin + operations + commit) costs one round trip instead
-    /// of one per operation.
+    /// request, in order: a whole transaction (begin + operations + commit)
+    /// costs one round trip instead of one per operation. Once an operation
+    /// aborts the transaction server-side, the server answers the remaining
+    /// frames for that id with `Finished`.
     ///
     /// # Errors
     ///
@@ -108,106 +96,6 @@ impl Connection {
             responses.push(decode_response(&payload)?);
         }
         Ok(responses)
-    }
-
-    /// Runs one generated transaction over the pipelined path: begin, the
-    /// template's operations (grouped into `read_many`/`write_many` runs of
-    /// at most `batch`, exactly as the in-process runner batches them), and
-    /// commit — all in a single write.
-    ///
-    /// Once an operation aborts the transaction server-side, the server
-    /// answers the remaining pipelined frames for that id with `Finished`;
-    /// this method reports the first abort reason as the outcome.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on stream failure, a malformed or mismatched
-    /// response, or a server-reported internal/protocol error.
-    pub fn run_template(
-        &mut self,
-        txn: u32,
-        process: ProcessId,
-        template: &TxTemplate,
-        batch: usize,
-        mut next_value: impl FnMut() -> u64,
-    ) -> Result<TxnOutcome, WireError> {
-        let mut reqs = Vec::with_capacity(template.ops.len() + 2);
-        reqs.push(Request::Begin {
-            txn,
-            process,
-            pinned: None,
-        });
-        let batch = batch.max(1);
-        let ops = &template.ops;
-        let mut start = 0;
-        while start < ops.len() {
-            let write = ops[start].1;
-            let mut end = start + 1;
-            while end < ops.len() && ops[end].1 == write && end - start < batch {
-                end += 1;
-            }
-            let run = &ops[start..end];
-            reqs.push(match (write, run) {
-                (true, [(key, _)]) => Request::Write {
-                    txn,
-                    key: *key,
-                    value: next_value(),
-                },
-                (false, [(key, _)]) => Request::Read { txn, key: *key },
-                (true, run) => Request::WriteMany {
-                    txn,
-                    entries: run.iter().map(|(key, _)| (*key, next_value())).collect(),
-                },
-                (false, run) => Request::ReadMany {
-                    txn,
-                    keys: run.iter().map(|(key, _)| *key).collect(),
-                },
-            });
-            start = end;
-        }
-        reqs.push(Request::Commit { txn });
-
-        let responses = self.pipeline(&reqs)?;
-        let mut aborted: Option<AbortReason> = None;
-        for (req, resp) in reqs.iter().zip(&responses) {
-            match (req, resp) {
-                (_, Response::Aborted(reason)) => {
-                    aborted.get_or_insert_with(|| reason.clone());
-                }
-                // Later frames of an already-torn-down transaction.
-                (_, Response::Finished) if aborted.is_some() => {}
-                (Request::Begin { .. }, Response::Begun)
-                | (Request::Read { .. }, Response::Value(_))
-                | (Request::Write { .. }, Response::Written)
-                | (Request::ReadMany { .. }, Response::Values(_))
-                | (Request::WriteMany { .. }, Response::Written) => {}
-                (Request::Commit { .. }, Response::Committed(info)) => {
-                    return Ok(TxnOutcome::Committed(info.clone()));
-                }
-                (_, Response::Internal(msg)) => {
-                    return Err(WireError::Io(io::Error::other(format!(
-                        "server internal error: {msg}"
-                    ))));
-                }
-                (_, Response::Protocol(msg)) => {
-                    return Err(WireError::Io(io::Error::other(format!(
-                        "server protocol error: {msg}"
-                    ))));
-                }
-                (req, resp) => {
-                    let _ = (req, resp);
-                    return Err(WireError::Malformed("response kind does not match request"));
-                }
-            }
-        }
-        match aborted {
-            Some(reason) => Ok(TxnOutcome::Aborted(reason)),
-            // Every frame acknowledged but no commit response — the server
-            // violated the one-response-per-request contract.
-            None => Err(WireError::Malformed(
-                "pipeline ended without a commit response",
-            )),
-        }
     }
 
     /// Samples the server engine's [`StoreStats`] (one round trip).
@@ -236,9 +124,9 @@ fn wire_to_tx_error(err: WireError) -> TxError {
 /// unchanged, which is what the in-process/served equivalence test leans on.
 ///
 /// Handles serialize on one shared connection, matching the engine layer's
-/// `&self` concurrency contract; for throughput measurements use the
-/// open-loop driver, which pipelines whole transactions over one connection
-/// per worker instead of paying one round trip per operation.
+/// `&self` concurrency contract; for throughput use one [`Connection`] per
+/// worker and [`Connection::pipeline`], which sends a whole transaction in
+/// one round trip instead of one per operation.
 pub struct RemoteEngine {
     conn: Mutex<Connection>,
     /// Leaked once per connected engine: [`Engine::name`] returns

@@ -15,24 +15,13 @@
 //!   whole-transaction fast path, and [`RemoteEngine`], which implements
 //!   [`Engine`](mvtl_common::Engine) so the verifier's replay and every other
 //!   `dyn Engine` consumer runs over TCP unchanged.
-//! * [`driver`] — an open-loop load generator: seeded Poisson or bursty
-//!   arrival schedules at a fixed offered rate, a bounded in-flight queue
-//!   (overflow is shed and counted, never back-pressured), latency measured
-//!   from the scheduled arrival instant so queueing delay is part of the
-//!   number.
-//! * [`hist`] — the HDR-style log-linear [`LatencyHistogram`] behind the
-//!   driver's p50/p99/p999 columns.
 //!
 //! ```no_run
-//! use mvtl_server::{DriverOptions, Server};
+//! use mvtl_server::{RemoteEngine, Server};
 //!
 //! let server = Server::spawn("mvtil-early", "127.0.0.1:0")?;
-//! let metrics = mvtl_server::run_open_loop(server.addr(), &DriverOptions::default())?;
-//! println!(
-//!     "committed {} at p99 {} µs",
-//!     metrics.committed,
-//!     metrics.histogram.p99()
-//! );
+//! let engine = RemoteEngine::connect(server.addr())?;
+//! println!("connected to {}", engine.engine_spec());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -40,13 +29,9 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod driver;
-pub use mvtl_common::hist;
 pub mod server;
 pub mod wire;
 
-pub use client::{Connection, RemoteEngine, TxnOutcome};
-pub use driver::{run_open_loop, ArrivalProcess, DriverMetrics, DriverOptions};
-pub use hist::LatencyHistogram;
+pub use client::{Connection, RemoteEngine};
 pub use server::{Server, ServerConfig};
 pub use wire::WireError;

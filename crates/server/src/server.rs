@@ -9,9 +9,9 @@
 //! therefore never leave locks held.
 //!
 //! The handler flushes its response buffer only when the request stream runs
-//! dry, so a pipelining client (the open-loop driver sends a whole
-//! transaction in one write) pays one syscall round per burst, not per
-//! request.
+//! dry, so a pipelining client ([`Connection::pipeline`](crate::Connection::pipeline)
+//! sends a whole transaction in one write) pays one syscall round per burst,
+//! not per request.
 
 use crate::wire::{
     self, is_clean_eof, read_frame, write_frame, Request, Response, WireError, DEFAULT_MAX_FRAME,

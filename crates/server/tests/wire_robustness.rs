@@ -5,7 +5,7 @@
 //! client library entirely and write hand-crafted byte sequences, because the
 //! client cannot be coaxed into producing the malformed traffic we need.
 
-use mvtl_common::{Key, ProcessId};
+use mvtl_common::{Key, ProcessId, Timestamp};
 use mvtl_server::wire::{self, Request, Response};
 use mvtl_server::{Connection, Server};
 use std::io::Write;
@@ -290,4 +290,77 @@ fn disconnect_mid_frame_aborts_and_releases_locks() {
     stream.flush().expect("flush");
     drop(stream);
     wait_for_lock_release(&server);
+}
+
+/// The path `served_oneshot` measures: a whole transaction in one
+/// [`Connection::pipeline`] burst, answered positionally.
+#[test]
+fn pipelined_burst_answers_every_frame_across_a_server_side_abort() {
+    let begin = |process, pinned| Request::Begin {
+        txn: 1,
+        process: ProcessId(process),
+        pinned,
+    };
+    let write = |key, value| Request::Write {
+        txn: 1,
+        key: Key(key),
+        value,
+    };
+    let read = |key| Request::Read {
+        txn: 1,
+        key: Key(key),
+    };
+    let commit = Request::Commit { txn: 1 };
+
+    let server = spawn_server();
+    // Both transactions are pinned to the same clock value, so they draw the
+    // same MVTIL interval and the holder's write lock on key 5 covers all of
+    // it: the burst's write to key 5 has no timestamp left to lock.
+    let pinned = Some(Timestamp::at(100));
+    let mut holder = Connection::connect(server.addr()).expect("connect holder");
+    let held = holder
+        .pipeline(&[begin(1, pinned), write(5, 1)])
+        .expect("holder burst");
+    assert_eq!(held, [Response::Begun, Response::Written]);
+
+    let mut conn = Connection::connect(server.addr()).expect("connect");
+    let responses = conn
+        .pipeline(&[
+            begin(2, pinned),
+            read(6),
+            write(5, 2),
+            read(7),
+            commit.clone(),
+        ])
+        .expect("aborting burst");
+    assert!(
+        matches!(
+            responses[..],
+            [
+                Response::Begun,
+                Response::Value(None),
+                Response::Aborted(_),
+                Response::Finished,
+                Response::Finished
+            ]
+        ),
+        "got {responses:?}"
+    );
+
+    // The abort released the burst's read lock although its connection is
+    // still open; the holder's lock goes with its connection.
+    drop(holder);
+    wait_for_lock_release(&server);
+
+    // Same connection, same (now free) transaction id: a clean burst commits.
+    let responses = conn
+        .pipeline(&[begin(2, None), write(5, 3), read(5), commit])
+        .expect("committing burst");
+    match &responses[..] {
+        [Response::Begun, Response::Written, Response::Value(Some(3)), Response::Committed(info)] =>
+        {
+            assert_eq!(info.writes, [Key(5)]);
+        }
+        other => panic!("got {other:?}"),
+    }
 }

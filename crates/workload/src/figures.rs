@@ -14,7 +14,7 @@ use std::time::Duration;
 
 /// How big an experiment to run.
 ///
-/// * `Smoke` — seconds-long runs for tests and Criterion benchmarks;
+/// * `Smoke` — seconds-long runs for tests and CI smokes;
 /// * `Quick` — the default for the `fig*` binaries: small but large enough for
 ///   the qualitative shape (who wins, where curves bend) to be visible;
 /// * `Paper` — parameter ranges matching the paper's plots (minutes of virtual

@@ -3,7 +3,7 @@
 //! Workload generation, closed-loop runners and the figure harness that
 //! regenerates the paper's evaluation (§8).
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`spec`] — statistical workload descriptions (§8.3 parameters: operations
 //!   per transaction, write fraction, key-space size) and a generator that
@@ -11,8 +11,7 @@
 //! * [`runner`] — a multi-threaded closed-loop runner that drives any
 //!   `dyn` [`Engine`](mvtl_common::Engine) (the centralized MVTL policies and
 //!   the baselines, usually built from a `mvtl-registry` string spec) and
-//!   reports throughput / commit rate. This is the harness used by the
-//!   Criterion micro-benchmarks.
+//!   reports throughput / commit rate.
 //! * [`figures`] — one function per figure of the paper (Figures 1–7) plus the
 //!   ablations called out in `DESIGN.md`, built on the distributed simulator
 //!   ([`mvtl_sim`]), and [`figures::engine_grid`], the registry-driven sweep
@@ -21,10 +20,6 @@
 //! * [`soak`] — the GC soak: the same sustained workload run GC-off and
 //!   GC-on against a real engine, asserting the §6 claim that the garbage
 //!   collector keeps versions + lock entries bounded ([`soak::gc_soak`]).
-//! * [`report`] — the machine-readable benchmark report: the registry grid
-//!   (uniform + zipf, batched + unbatched) serialized to a versioned
-//!   `BENCH_<name>.json` artifact ([`report::bench_report`]), which CI
-//!   uploads and future changes diff against.
 //!
 //! Every figure function takes a [`figures::Scale`]: `Quick` keeps runs small
 //! enough for CI and benchmarks, `Paper` uses parameter ranges matching the
@@ -34,17 +29,11 @@
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod report;
 pub mod runner;
 pub mod soak;
 pub mod spec;
 
 pub use figures::{FigureRow, FigureTable, Scale};
-pub use report::{
-    bench_report, check_bench_report, compare_to_baseline, confirm_regressions, run_grid_cell,
-    BaselineComparison, BaselineDelta, BenchReport, BenchRow, ReportOptions, BASELINE_ALLOWED_DROP,
-    BENCH_SCHEMA_VERSION, MODE_CLOSED, MODE_OPEN,
-};
 pub use runner::{execute_template, run_closed_loop, RunnerMetrics, RunnerOptions};
 pub use soak::{gc_soak, SoakOptions, SoakReport};
 pub use spec::{KeyDist, KeySampler, TxTemplate, WorkloadSpec};

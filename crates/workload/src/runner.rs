@@ -4,26 +4,19 @@
 //! (§8.3); this runner does the same against any `dyn`
 //! [`Engine`] — every engine in the workspace, usually obtained from the
 //! `mvtl-registry` string-spec factory — with one thread per client. It is the
-//! harness behind the Criterion micro-benchmarks and the in-process examples
-//! (the distributed experiments use `mvtl-sim` instead).
+//! harness behind the engine grid and the GC soak (the distributed
+//! experiments use `mvtl-sim` instead).
 
 use crate::spec::{TxTemplate, WorkloadSpec};
 use mvtl_common::hist::LatencyHistogram;
-use mvtl_common::{Engine, EngineExt, Key, ProcessId, StoreStats, Transaction, TxError};
+use mvtl_common::{Engine, EngineExt, ProcessId, StoreStats, Transaction, TxError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Executes one generated transaction body against an open transaction.
-///
-/// With `batch <= 1` this is the classic op-by-op loop. With a larger batch,
-/// maximal runs of consecutive same-kind operations (up to `batch` operations
-/// each) are issued through the engine's batched `read_many` / `write_many`
-/// surface. The template's operation order is preserved — a run boundary
-/// falls exactly where the operation kind flips — so the observable semantics
-/// match the op-by-op execution of the same template on the same engine;
-/// what changes is the per-key overhead the engine pays.
+/// Executes one generated transaction body against an open transaction,
+/// operation by operation in template order.
 ///
 /// # Errors
 ///
@@ -32,38 +25,14 @@ use std::time::{Duration, Instant};
 pub fn execute_template<V>(
     tx: &mut Transaction<'_, V>,
     template: &TxTemplate,
-    batch: usize,
     mut next_value: impl FnMut() -> V,
 ) -> Result<(), TxError> {
-    if batch <= 1 {
-        for (key, write) in &template.ops {
-            if *write {
-                tx.write(*key, next_value())?;
-            } else {
-                tx.read(*key)?;
-            }
-        }
-        return Ok(());
-    }
-    let ops = &template.ops;
-    let mut start = 0;
-    while start < ops.len() {
-        let write = ops[start].1;
-        let mut end = start + 1;
-        while end < ops.len() && ops[end].1 == write && end - start < batch {
-            end += 1;
-        }
-        if write {
-            let entries: Vec<(Key, V)> = ops[start..end]
-                .iter()
-                .map(|(key, _)| (*key, next_value()))
-                .collect();
-            tx.write_many(entries)?;
+    for (key, write) in &template.ops {
+        if *write {
+            tx.write(*key, next_value())?;
         } else {
-            let keys: Vec<Key> = ops[start..end].iter().map(|(key, _)| *key).collect();
-            tx.read_many(&keys)?;
+            tx.read(*key)?;
         }
-        start = end;
     }
     Ok(())
 }
@@ -108,8 +77,8 @@ pub struct RunnerMetrics {
     /// bounded; without it, it grows with every committed write.
     pub stats_end: StoreStats,
     /// Per-attempt latency (begin through commit or abort, microseconds),
-    /// merged across all client threads — the same measurement the open-loop
-    /// driver makes, minus queueing (a closed loop has no arrival schedule).
+    /// merged across all client threads. A closed loop has no arrival
+    /// schedule, so there is no queueing delay in it.
     pub latency: LatencyHistogram,
 }
 
@@ -176,7 +145,7 @@ pub fn run_closed_loop<V>(
                     let template = spec.generate_with(&sampler, &mut rng);
                     let attempt = Instant::now();
                     let mut txn = engine.begin(process);
-                    let result = execute_template(&mut txn, &template, spec.batch, || {
+                    let result = execute_template(&mut txn, &template, || {
                         counter += 1;
                         make_value(counter)
                     });
@@ -259,50 +228,6 @@ mod tests {
         );
         assert!(metrics.latency.p50() <= metrics.latency.p99());
         assert!(metrics.latency.p99() <= metrics.latency.p999());
-    }
-
-    #[test]
-    fn batched_runner_commits_on_the_batched_path() {
-        let engine = mvtl_registry::build("mvtil-early").expect("registry spec");
-        let mut opts = options();
-        opts.spec = opts.spec.with_batch(8);
-        let metrics = run_closed_loop(engine.as_ref(), &opts, |v| v);
-        assert!(metrics.committed > 0);
-        assert!(metrics.commit_rate() > 0.5);
-    }
-
-    #[test]
-    fn execute_template_splits_runs_at_kind_flips_and_batch_bounds() {
-        use mvtl_common::Key;
-        let engine = mvtl_registry::build("mvtl-to").expect("registry spec");
-        let template = TxTemplate {
-            ops: vec![
-                (Key(1), true),
-                (Key(2), true),
-                (Key(3), true),
-                (Key(1), false),
-                (Key(4), false),
-                (Key(1), true),
-            ],
-        };
-        let mut values = 0u64;
-        let mut tx = EngineExt::begin(engine.as_ref(), ProcessId(1));
-        execute_template(&mut tx, &template, 2, || {
-            values += 1;
-            values * 10
-        })
-        .unwrap();
-        let info = tx.commit().unwrap();
-        // 4 write values were drawn (3 + the trailing one); the write-key
-        // set deduplicates the re-written Key(1).
-        assert_eq!(values, 4);
-        assert_eq!(info.writes.len(), 3);
-        // The final value of Key(1) is the trailing write, as op-by-op.
-        let mut tx = EngineExt::begin(engine.as_ref(), ProcessId(2));
-        assert_eq!(tx.read(Key(1)).unwrap(), Some(40));
-        assert_eq!(tx.read(Key(2)).unwrap(), Some(20));
-        assert_eq!(tx.read(Key(3)).unwrap(), Some(30));
-        tx.commit().unwrap();
     }
 
     #[test]

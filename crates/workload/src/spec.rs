@@ -148,11 +148,6 @@ pub struct WorkloadSpec {
     /// How keys are drawn from the key space (uniform, as in the paper, by
     /// default).
     pub dist: KeyDist,
-    /// Maximum operations issued per batched call: runs of consecutive
-    /// same-kind operations are grouped into `read_many`/`write_many` calls
-    /// of at most this many operations. `1` (the default) runs the classic
-    /// op-by-op loop.
-    pub batch: usize,
 }
 
 impl Default for WorkloadSpec {
@@ -162,7 +157,6 @@ impl Default for WorkloadSpec {
             write_fraction: 0.25,
             keys: 10_000,
             dist: KeyDist::Uniform,
-            batch: 1,
         }
     }
 }
@@ -176,7 +170,6 @@ impl WorkloadSpec {
             write_fraction: write_fraction.clamp(0.0, 1.0),
             keys: keys.max(1),
             dist: KeyDist::Uniform,
-            batch: 1,
         }
     }
 
@@ -184,14 +177,6 @@ impl WorkloadSpec {
     #[must_use]
     pub fn with_dist(mut self, dist: KeyDist) -> Self {
         self.dist = dist;
-        self
-    }
-
-    /// Returns the specification with the given batch size (clamped to ≥ 1).
-    /// Batch size 1 keeps the op-by-op execution path.
-    #[must_use]
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
         self
     }
 

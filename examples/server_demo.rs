@@ -1,7 +1,7 @@
 //! End-to-end tour of the TCP serve path: a real server fronting a sharded
 //! engine, a hand-driven wire-protocol transaction, the `RemoteEngine`
-//! adapter feeding the MVSG serializability checker over the network, and an
-//! open-loop load sweep across the saturation knee.
+//! adapter feeding the MVSG serializability checker over the network, and a
+//! one-off RAII read through the same adapter.
 //!
 //! ```bash
 //! cargo run --release --example server_demo
@@ -9,13 +9,9 @@
 
 use mvtl::common::{EngineExt, Key, ProcessId};
 use mvtl::server::wire::{Request, Response};
-use mvtl::server::{
-    run_open_loop, ArrivalProcess, Connection, DriverOptions, RemoteEngine, Server,
-};
+use mvtl::server::{Connection, RemoteEngine, Server};
 use mvtl::verify::{check_serializable, replay};
-use mvtl::workload::WorkloadSpec;
 use mvtl_common::ops::{Op, Workload};
-use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Serve any registry spec over TCP. serve_-prefixed params configure
@@ -26,8 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!("serving {} on {}", server.engine_spec(), server.addr());
 
-    // 2. Talk the wire protocol directly: one pipelining connection, one
-    //    cross-shard transaction. The hello frame names the engine.
+    // 2. Talk the wire protocol directly: one connection, one cross-shard
+    //    transaction. The hello frame names the engine.
     let mut conn = Connection::connect(server.addr())?;
     println!("hello: engine `{}`", conn.engine_name());
     conn.request(&Request::Begin {
@@ -78,35 +74,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut tx = remote.begin(ProcessId(9));
     println!("key 1 reads back {:?}", tx.read(Key(1))?);
     tx.commit()?;
-
-    // 4. Open-loop load generation: offered load is an *input*. Arrivals are
-    //    scheduled by a seeded Poisson process and latency is measured from
-    //    the scheduled arrival instant, so overload shows up as queueing
-    //    delay in the tail, not as silently throttled clients.
-    for offered_tps in [2_000.0, 20_000.0] {
-        let metrics = run_open_loop(
-            server.addr(),
-            &DriverOptions {
-                connections: 2,
-                offered_tps,
-                duration: Duration::from_millis(250),
-                spec: WorkloadSpec::new(4, 0.5, 128),
-                seed: 42,
-                arrivals: ArrivalProcess::Poisson,
-                queue_cap: 256,
-            },
-        )?;
-        println!(
-            "offered {:>6.0} tps: achieved {:>6.0} tps, committed {}, shed {}, \
-             p50 {} µs, p99 {} µs",
-            offered_tps,
-            metrics.achieved_tps(),
-            metrics.committed,
-            metrics.shed,
-            metrics.histogram.p50(),
-            metrics.histogram.p99(),
-        );
-    }
 
     Ok(())
 }

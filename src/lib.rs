@@ -16,7 +16,7 @@
 //! | [`gc`] | `mvtl-gc` | watermark-safe background garbage collection (§6's timestamp service for the real engines) |
 //! | [`baselines`] | `mvtl-baselines` | MVTO+ and strict 2PL |
 //! | [`registry`] | `mvtl-registry` | string-spec engine factory (`"mvtil-early?delta=1000"` → `Box<dyn Engine>`) |
-//! | [`server`] | `mvtl-server` | TCP serve path: wire protocol, threaded server, client, open-loop load driver |
+//! | [`server`] | `mvtl-server` | TCP serve path: wire protocol, threaded server, pipelining client |
 //! | [`shard`] | `mvtl-shard` | partitioned engine: hash-routed shards, §7 cross-shard interval-intersection commit |
 //! | [`verify`] | `mvtl-verify` | MVSG serializability checking, canonical schedules |
 //! | [`wal`] | `mvtl-wal` | durability: checksummed write-ahead log with group commit, crash recovery, persistent prepare state |
