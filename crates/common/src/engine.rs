@@ -203,26 +203,6 @@ pub trait Engine<V>: Send + Sync {
     fn low_watermark(&self) -> Option<Timestamp> {
         None
     }
-
-    /// Re-installs one recovered committed write set at its original commit
-    /// timestamp (see [`TransactionalKV::recover_install`]); the WAL replay
-    /// path drives `dyn Engine<V>` through this mirror. The default refuses.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TxError::Internal`] when the engine does not support
-    /// recovery.
-    fn recover_install(
-        &self,
-        writes: Vec<(Key, V)>,
-        commit_ts: Option<Timestamp>,
-    ) -> Result<(), TxError> {
-        let _ = (writes, commit_ts);
-        Err(TxError::Internal(format!(
-            "engine '{}' does not support WAL recovery",
-            self.name()
-        )))
-    }
 }
 
 /// Adapter giving every [`TransactionalKV`] engine the object-safe [`Engine`]
@@ -291,14 +271,6 @@ where
 
     fn low_watermark(&self) -> Option<Timestamp> {
         TransactionalKV::low_watermark(self)
-    }
-
-    fn recover_install(
-        &self,
-        writes: Vec<(Key, V)>,
-        commit_ts: Option<Timestamp>,
-    ) -> Result<(), TxError> {
-        TransactionalKV::recover_install(self, writes, commit_ts)
     }
 }
 

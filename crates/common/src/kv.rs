@@ -266,7 +266,7 @@ pub trait TransactionalKV<V>: Send + Sync {
     /// # Errors
     ///
     /// The default returns [`TxError::Internal`]: the engine does not support
-    /// recovery, and the registry refuses to build `wal=` specs over it.
+    /// recovery, so replaying a non-empty log into it fails.
     fn recover_install(
         &self,
         writes: Vec<(Key, V)>,

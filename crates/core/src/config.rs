@@ -15,18 +15,6 @@ pub struct MvtlConfig {
     /// Number of shards in the key → cell map. More shards reduce contention on
     /// the map itself (the per-key latch is separate).
     pub shards: usize,
-    /// How often a garbage-collection service attached to this store should
-    /// sweep (purge old versions and lock entries). `None` — the default —
-    /// means no background GC; state grows until `purge_below` is called
-    /// manually. The store itself never spawns a thread: pass the config to
-    /// `mvtl_gc::GcConfig::from_store_config` and spawn a `GcService` with
-    /// the result (the registry does exactly that for `gc_ms` specs).
-    pub gc_interval: Option<Duration>,
-    /// Extra wall-clock slack a garbage collector keeps behind the current
-    /// clock reading: the purge bound is `min(low_watermark, now − gc_lag)`,
-    /// so recently committed versions stay readable by transactions that
-    /// begin shortly after a sweep (§6's "timestamp service" lag).
-    pub gc_lag: Duration,
 }
 
 impl Default for MvtlConfig {
@@ -34,8 +22,6 @@ impl Default for MvtlConfig {
         MvtlConfig {
             lock_wait_timeout: Duration::from_millis(100),
             shards: 64,
-            gc_interval: None,
-            gc_lag: Duration::from_millis(50),
         }
     }
 }
@@ -54,22 +40,6 @@ impl MvtlConfig {
         self.shards = shards.max(1);
         self
     }
-
-    /// Returns a configuration asking for background GC sweeps every
-    /// `interval` (`None` disables background GC).
-    #[must_use]
-    pub fn with_gc_interval(mut self, interval: Option<Duration>) -> Self {
-        self.gc_interval = interval;
-        self
-    }
-
-    /// Returns a configuration with the given GC lag (slack kept behind the
-    /// clock when computing the purge bound).
-    #[must_use]
-    pub fn with_gc_lag(mut self, lag: Duration) -> Self {
-        self.gc_lag = lag;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -81,20 +51,14 @@ mod tests {
         let c = MvtlConfig::default();
         assert!(c.lock_wait_timeout > Duration::ZERO);
         assert!(c.shards >= 1);
-        assert_eq!(c.gc_interval, None, "GC is opt-in");
-        assert!(c.gc_lag > Duration::ZERO);
     }
 
     #[test]
     fn builders() {
         let c = MvtlConfig::default()
             .with_lock_wait_timeout(Duration::from_secs(1))
-            .with_shards(0)
-            .with_gc_interval(Some(Duration::from_millis(100)))
-            .with_gc_lag(Duration::from_millis(20));
+            .with_shards(0);
         assert_eq!(c.lock_wait_timeout, Duration::from_secs(1));
         assert_eq!(c.shards, 1);
-        assert_eq!(c.gc_interval, Some(Duration::from_millis(100)));
-        assert_eq!(c.gc_lag, Duration::from_millis(20));
     }
 }

@@ -29,9 +29,10 @@
 //!   `GcService` and delegates the whole transactional surface, so it *is*
 //!   an engine (including the object-safe `Engine` layer via the blanket
 //!   impl). This is what the `mvtl-registry` crate hands out for specs like
-//!   `"mvtil-early?gc_ms=100&gc_lag_ms=50"` (and
-//!   `"sharded?shards=8&gc_ms=100"`, where one service sweeps all shards
-//!   through the sharded store's aggregated watermark).
+//!   `"mvtil-early?gc_ms=100&gc_lag_ms=50"` or `"sharded?shards=8&gc_ms=100"`:
+//!   every spec's engine is a `ShardedStore` (of one shard, or `shards`), and
+//!   one service sweeps all its shards through the store's aggregated
+//!   watermark.
 //!
 //! # Example
 //!
@@ -101,20 +102,6 @@ impl Default for GcConfig {
 }
 
 impl GcConfig {
-    /// The service configuration an [`MvtlConfig`](mvtl_core::MvtlConfig)
-    /// asks for, when it asks for one: `None` when `gc_interval` is unset
-    /// (no background GC), otherwise the store's interval and lag. This is
-    /// how the store-level knobs become the single source of truth for the
-    /// service — the registry derives the spawned service's configuration
-    /// from the store config it built.
-    #[must_use]
-    pub fn from_store_config(config: &mvtl_core::MvtlConfig) -> Option<GcConfig> {
-        config.gc_interval.map(|interval| GcConfig {
-            interval,
-            lag: config.gc_lag,
-        })
-    }
-
     /// Returns a configuration with the given sweep interval.
     #[must_use]
     pub fn with_interval(mut self, interval: Duration) -> Self {
@@ -145,8 +132,8 @@ pub struct GcStats {
 
 /// What the sweeper needs from an engine: its watermark and its purge hook.
 ///
-/// Blanket-provided for `Arc<dyn Engine<V>>`; [`GcService::spawn_for`] and
-/// [`GcEngine::spawn`] adapt any [`TransactionalKV`] store internally.
+/// Provided for `Arc<dyn Engine<V>>`, which every [`TransactionalKV`] store
+/// coerces to ([`GcEngine::spawn`] does exactly that).
 pub trait SweepTarget: Send + Sync + 'static {
     /// The smallest timestamp any in-flight transaction may still anchor a
     /// read on, or `None` when nothing is active (or untracked).
@@ -164,26 +151,6 @@ impl<V: 'static> SweepTarget for Arc<dyn Engine<V>> {
 
     fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
         Engine::purge_below(self.as_ref(), bound)
-    }
-}
-
-/// Adapter from a concrete [`TransactionalKV`] store to a [`SweepTarget`].
-struct KvTarget<V, S> {
-    engine: Arc<S>,
-    _values: PhantomData<fn() -> V>,
-}
-
-impl<V, S> SweepTarget for KvTarget<V, S>
-where
-    V: 'static,
-    S: TransactionalKV<V> + 'static,
-{
-    fn low_watermark(&self) -> Option<Timestamp> {
-        self.engine.low_watermark()
-    }
-
-    fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
-        self.engine.purge_below(bound)
     }
 }
 
@@ -239,28 +206,6 @@ impl GcService {
             shared,
             handle: Some(handle),
         }
-    }
-
-    /// Spawns the sweeper for a shared [`TransactionalKV`] store (any real
-    /// engine: `MvtlStore`, `ShardedStore`, the baselines).
-    #[must_use]
-    pub fn spawn_for<V, S>(
-        engine: Arc<S>,
-        clock: Arc<dyn ClockSource>,
-        config: GcConfig,
-    ) -> GcService
-    where
-        V: 'static,
-        S: TransactionalKV<V> + 'static,
-    {
-        GcService::spawn(
-            Box::new(KvTarget {
-                engine,
-                _values: PhantomData,
-            }),
-            clock,
-            config,
-        )
     }
 
     fn run(shared: &GcShared, target: &dyn SweepTarget, clock: &dyn ClockSource, config: GcConfig) {
@@ -367,11 +312,13 @@ impl<V, S> GcEngine<V, S>
 where
     V: 'static,
     S: TransactionalKV<V> + 'static,
+    S::Txn: 'static,
 {
     /// Wraps `inner` and spawns its sweeper.
     #[must_use]
     pub fn spawn(inner: Arc<S>, clock: Arc<dyn ClockSource>, config: GcConfig) -> GcEngine<V, S> {
-        let service = GcService::spawn_for(Arc::clone(&inner), clock, config);
+        let target: Arc<dyn Engine<V>> = inner.clone();
+        let service = GcService::spawn(Box::new(target), clock, config);
         GcEngine {
             inner,
             service,
@@ -444,14 +391,6 @@ where
 
     fn low_watermark(&self) -> Option<Timestamp> {
         self.inner.low_watermark()
-    }
-
-    fn recover_install(
-        &self,
-        writes: Vec<(Key, V)>,
-        commit_ts: Option<Timestamp>,
-    ) -> Result<(), TxError> {
-        self.inner.recover_install(writes, commit_ts)
     }
 }
 
@@ -596,21 +535,6 @@ mod tests {
         // must not degrade batches into per-key loops.
         assert_eq!(probe.write_many_calls.load(Ordering::Relaxed), 1);
         assert_eq!(probe.read_many_calls.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn service_config_derives_from_the_store_config() {
-        assert_eq!(GcConfig::from_store_config(&MvtlConfig::default()), None);
-        let config = MvtlConfig::default()
-            .with_gc_interval(Some(Duration::from_millis(25)))
-            .with_gc_lag(Duration::from_millis(7));
-        assert_eq!(
-            GcConfig::from_store_config(&config),
-            Some(GcConfig {
-                interval: Duration::from_millis(25),
-                lag: Duration::from_millis(7),
-            })
-        );
     }
 
     #[test]

@@ -33,8 +33,14 @@
 //! [`build`] turns a spec into a ready `Box<dyn Engine<u64>>` ([`build_for`]
 //! for other value types), and [`all_specs`] enumerates one canonical spec per
 //! engine so sweeps (benchmarks, figure binaries, CI smoke runs) pick up new
-//! engines automatically. Adding an engine to the workspace is now a one-line
-//! change here, not an edit to every consumer.
+//! engines automatically. Adding an engine to the workspace is a change here
+//! (a name and a `match` arm), not an edit to every consumer.
+//!
+//! Every spec is composed one way: a [`ShardedStore`] of one or more shard
+//! backends — one unless the spec is `sharded` — each optionally wrapped in
+//! fault injection and a write-ahead log, and the store optionally wrapped
+//! in a GC service (see [`build_for`]). The paper's single server is the
+//! one-participant case of its §7 protocol, and the code is built that way.
 //!
 //! # Example
 //!
@@ -53,19 +59,21 @@
 #![warn(missing_docs)]
 
 use mvtl_baselines::{MvtoStore, TwoPhaseLockingStore};
-use mvtl_clock::{BatchedClock, GlobalClock};
-use mvtl_common::{Engine, TempDir, Timestamp};
+use mvtl_clock::{BatchedClock, ClockSource, GlobalClock};
+use mvtl_common::{Engine, TempDir};
 use mvtl_core::policy::{
     EpsilonPolicy, GhostbusterPolicy, LockingPolicy, MvtilPolicy, PessimisticPolicy, PrefPolicy,
     PrioPolicy, ToPolicy,
 };
-use mvtl_core::{MvtlConfig, MvtlStore};
+use mvtl_core::MvtlConfig;
 use mvtl_faults::{FaultPlan, FaultSpec};
 use mvtl_gc::{GcConfig, GcEngine};
-use mvtl_shard::{FaultyBackend, IntersectionPick, MvtlBackend, ShardBackend, ShardedStore};
-use mvtl_wal::{FsyncMode, Recovery, Wal, WalBackend, WalEngine, WalOptions, WalValue};
+use mvtl_shard::{
+    FaultyBackend, IntersectionPick, KvBackend, MvtlBackend, ShardBackend, ShardedStore,
+};
+use mvtl_wal::{FsyncMode, Recovery, Wal, WalBackend, WalOptions, WalValue};
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -354,10 +362,10 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 /// `min(low watermark, now − gc_lag)` every `gc_ms` — for the `sharded`
 /// engine one service sweeps all shards. Shared parameters for all MVTL-core
 /// engines: `timeout_ms` (lock-wait timeout, default 100) and `shards`
-/// (key-map shard count, default 64). Engine-specific parameters: `delta`
-/// (MVTIL, ticks), `eps` (`mvtl-epsilon-clock`, ticks), `offset`
-/// (`mvtl-pref`, comma-separated signed tick offsets), `timeout_ms` (2PL,
-/// milliseconds).
+/// (key-map shard count, default 64, at least 1). Engine-specific
+/// parameters: `delta` (MVTIL, ticks), `eps` (`mvtl-epsilon-clock`, ticks),
+/// `offset` (`mvtl-pref`, comma-separated signed tick offsets), `timeout_ms`
+/// (2PL, milliseconds).
 ///
 /// Durability, for every engine: `wal=<dir>` attaches a `mvtl-wal`
 /// write-ahead log in `<dir>` (`wal=tmp` for a fresh temporary directory
@@ -373,6 +381,15 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 /// presumed abort. The value type must implement [`WalValue`] (as `u64` and
 /// `String`, the types the workspace measures, both do).
 ///
+/// Every spec is composed the same way: `count` copies of one shard backend
+/// (the named engine, or `sharded`'s `inner` one), each wrapped in a
+/// [`FaultyBackend`] (`sharded` specs with `fault=`) and then a
+/// [`WalBackend`] (`wal=`), put in one [`ShardedStore`] named after the
+/// spec's base name, which a [`GcEngine`] wraps when `gc_ms` is set.
+/// `count` is `sharded`'s `shards` and 1 for every other engine; a one-shard
+/// store behaves exactly like the bare engine. Every parameter is validated
+/// before any log is opened, so a rejected spec never touches the disk.
+///
 /// # Errors
 ///
 /// Returns a [`SpecError`] when the spec is malformed, names an unknown
@@ -382,71 +399,92 @@ where
     V: WalValue + Clone + Send + Sync + 'static,
 {
     let mut parsed = EngineSpec::parse(spec)?;
+    let name = ENGINES
+        .into_iter()
+        .find(|name| *name == parsed.name)
+        .ok_or_else(|| SpecError::UnknownEngine {
+            name: parsed.name.clone(),
+        })?;
     let clock_start = parsed.take_parsed::<u64>("clock_start")?;
-    let wal_config = take_wal_config(&mut parsed)?;
-    // The log opens before the clock exists: recovery reports the largest
-    // committed timestamp, and the clock must start past it so post-crash
-    // transactions serialize after the recovered state.
-    let wal = open_wals::<V>(wal_config, &parsed)?;
-    let base = clock_start.unwrap_or(1);
-    let start = wal
-        .max_commit_ts()
-        .map_or(base, |ts| base.max(ts.value + 1));
-    let clock = take_clock(&mut parsed, start)?;
+    let clock_block = take_clock(&mut parsed)?;
     let gc = take_gc_config(&mut parsed)?;
-    let engine: Box<dyn Engine<V>> = match parsed.name.as_str() {
-        "mvtil-early" | "mvtil-late" => {
-            let delta = parsed.take_parsed("delta")?.unwrap_or(DEFAULT_DELTA);
-            let policy = if parsed.name == "mvtil-early" {
-                MvtilPolicy::early(delta)
-            } else {
-                MvtilPolicy::late(delta)
-            };
-            mvtl_engine(policy, clock, &mut parsed, gc, wal)?
-        }
-        "mvtl-to" => mvtl_engine(ToPolicy::new(), clock, &mut parsed, gc, wal)?,
-        "mvtl-ghostbuster" => mvtl_engine(GhostbusterPolicy::new(), clock, &mut parsed, gc, wal)?,
-        "mvtl-epsilon-clock" => {
-            let eps = parsed.take_parsed("eps")?.unwrap_or(DEFAULT_EPSILON);
-            mvtl_engine(EpsilonPolicy::new(eps), clock, &mut parsed, gc, wal)?
-        }
-        "mvtl-pref" => {
-            let policy = match parsed.take("offset") {
-                None => PrefPolicy::new(),
-                Some(list) => PrefPolicy::with_offsets(parse_offsets(&list)?),
-            };
-            mvtl_engine(policy, clock, &mut parsed, gc, wal)?
-        }
-        "mvtl-prio" => mvtl_engine(PrioPolicy::new(), clock, &mut parsed, gc, wal)?,
-        "mvtl-pessimistic" => mvtl_engine(PessimisticPolicy::new(), clock, &mut parsed, gc, wal)?,
-        "mvto+" => wal_then_gc(MvtoStore::<V>::new(Arc::clone(&clock)), clock, gc, wal)?,
-        "2pl" => {
-            let timeout_ms = parsed
-                .take_parsed("timeout_ms")?
-                .unwrap_or(DEFAULT_2PL_TIMEOUT_MS);
-            wal_then_gc(
-                TwoPhaseLockingStore::<V>::new(
-                    Arc::clone(&clock),
-                    Duration::from_millis(timeout_ms),
-                ),
-                clock,
-                gc,
-                wal,
-            )?
-        }
-        "sharded" => sharded_engine(clock, &mut parsed, gc, wal)?,
-        other => {
-            return Err(SpecError::UnknownEngine {
-                name: other.to_string(),
-            })
+    let wal = take_wal_config(&mut parsed)?;
+    let sharded = name == "sharded";
+    let layout = if sharded {
+        take_sharded_layout(&mut parsed)?
+    } else {
+        Layout {
+            inner: name.to_string(),
+            count: 1,
+            pick: IntersectionPick::default(),
+            fault: None,
+            commit_timeout: None,
         }
     };
+    let map_param = if sharded { "map_shards" } else { "shards" };
+    let backend = take_backend::<V>(&layout.inner, &mut parsed, map_param)?;
     parsed.finish()?;
-    Ok(engine)
+
+    // The logs open before the clock exists: recovery reports the largest
+    // committed timestamp, and the clock must start past it so post-crash
+    // transactions serialize after the recovered state.
+    let logs = open_logs::<V>(wal, layout.count, sharded)?;
+    let base = clock_start.unwrap_or(1);
+    let start = logs
+        .iter()
+        .filter_map(|(_, recovery)| recovery.max_commit_ts())
+        .max()
+        .map_or(base, |ts| base.max(ts.value + 1));
+    let clock: Arc<dyn ClockSource> = match clock_block {
+        None => Arc::new(GlobalClock::starting_at(start)),
+        Some(block) => Arc::new(BatchedClock::starting_at(start, block)),
+    };
+    let mut logs = logs.into_iter();
+    let mut shards = Vec::with_capacity(layout.count);
+    for i in 0..layout.count {
+        let mut shard = backend(Arc::clone(&clock));
+        if let Some(plan) = &layout.fault {
+            shard = FaultyBackend::wrap(shard, Arc::clone(plan), i);
+        }
+        // The log wraps outside the fault layer: recovery replays through it
+        // into the real backend, while live prepares/decisions reach the log
+        // only after surviving injected faults — so the log never records an
+        // ack the coordinator did not see.
+        if let Some((wal, recovery)) = logs.next() {
+            shard = WalBackend::with_recovery(shard, wal, recovery)
+                .map_err(wal_spec_err)?
+                .0;
+        }
+        shards.push(shard);
+    }
+    let mut store = ShardedStore::new(shards, Arc::clone(&clock), layout.pick).with_name(name);
+    if let Some(timeout) = layout.commit_timeout {
+        store = store.with_commit_timeout(timeout);
+    }
+    Ok(match gc {
+        None => Box::new(store),
+        Some(config) => Box::new(GcEngine::spawn(Arc::new(store), clock, config)),
+    })
 }
 
-/// Consumes the `clock` / `clock_block` parameters and builds the spec's
-/// clock source, starting at `start` (past any recovered commit).
+/// Every engine base name the registry builds.
+const ENGINES: [&str; 11] = [
+    "mvtil-early",
+    "mvtil-late",
+    "mvtl-to",
+    "mvtl-ghostbuster",
+    "mvtl-epsilon-clock",
+    "mvtl-pref",
+    "mvtl-prio",
+    "mvtl-pessimistic",
+    "mvto+",
+    "2pl",
+    "sharded",
+];
+
+/// Consumes the `clock` / `clock_block` parameters: `None` is the global
+/// clock, `Some(block)` a batched clock drawing `block` timestamps per
+/// refill.
 ///
 /// `clock=global` (the default) is the strictly monotonic shared counter.
 /// `clock=batched` hands each process blocks of `clock_block` timestamps
@@ -456,10 +494,7 @@ where
 /// only the MVTIL engines tolerate (their interval policy assumes nothing
 /// about clock synchronization, §8.1); every other engine would suffer the
 /// §5.3 serial aborts, so the spec is rejected for them.
-fn take_clock(
-    parsed: &mut EngineSpec,
-    start: u64,
-) -> Result<Arc<dyn mvtl_clock::ClockSource>, SpecError> {
+fn take_clock(parsed: &mut EngineSpec) -> Result<Option<u64>, SpecError> {
     let mode = parsed.take("clock");
     let block = parsed.take_parsed::<u64>("clock_block")?;
     if block.is_some() && mode.as_deref() != Some("batched") {
@@ -469,7 +504,7 @@ fn take_clock(
         });
     }
     match mode.as_deref() {
-        None | Some("global") => Ok(Arc::new(GlobalClock::starting_at(start))),
+        None | Some("global") => Ok(None),
         Some("batched") => {
             if !matches!(parsed.name.as_str(), "mvtil-early" | "mvtil-late") {
                 return Err(SpecError::Malformed {
@@ -487,30 +522,12 @@ fn take_clock(
                     value: block.to_string(),
                 });
             }
-            Ok(Arc::new(BatchedClock::starting_at(start, block)))
+            Ok(Some(block))
         }
         Some(other) => Err(SpecError::InvalidValue {
             param: "clock".to_string(),
             value: other.to_string(),
         }),
-    }
-}
-
-/// Boxes `store` as a `dyn Engine`, attaching a background [`GcEngine`]
-/// sweeper when the spec carried `gc_ms`.
-fn maybe_gc<V, S>(
-    store: S,
-    clock: Arc<dyn mvtl_clock::ClockSource>,
-    gc: Option<GcConfig>,
-) -> Box<dyn Engine<V>>
-where
-    V: Clone + Send + Sync + 'static,
-    S: mvtl_common::TransactionalKV<V> + 'static,
-    S::Txn: 'static,
-{
-    match gc {
-        None => Box::new(store),
-        Some(config) => Box::new(GcEngine::spawn(Arc::new(store), clock, config)),
     }
 }
 
@@ -536,30 +553,16 @@ fn take_gc_config(parsed: &mut EngineSpec) -> Result<Option<GcConfig>, SpecError
     }
 }
 
-/// Where a spec's write-ahead log lives: a caller-named directory, or a
-/// throwaway temporary directory (`wal=tmp`) removed with the engine.
-enum WalDir {
-    Named(PathBuf),
-    Temp(TempDir),
-}
-
-impl WalDir {
-    fn path(&self) -> &Path {
-        match self {
-            WalDir::Named(path) => path,
-            WalDir::Temp(dir) => dir.path(),
-        }
-    }
-}
-
 /// The consumed `wal` / `fsync` / `wal_segment_kb` parameters.
 struct WalConfig {
-    dir: WalDir,
+    /// The log directory; `None` for `wal=tmp`, a throwaway temporary
+    /// directory created when the log opens and removed with the engine.
+    dir: Option<PathBuf>,
     options: WalOptions,
 }
 
 /// Consumes the shared `wal` / `fsync` / `wal_segment_kb` parameters. `Some`
-/// means "open a log there and wrap the engine in it".
+/// means "open a log there and wrap every shard in it".
 fn take_wal_config(parsed: &mut EngineSpec) -> Result<Option<WalConfig>, SpecError> {
     let wal = parsed.take("wal");
     let fsync = parsed.take("fsync");
@@ -596,36 +599,8 @@ fn take_wal_config(parsed: &mut EngineSpec) -> Result<Option<WalConfig>, SpecErr
         fsync,
         segment_bytes: segment_kb.unwrap_or(DEFAULT_WAL_SEGMENT_KB) * 1024,
     };
-    let dir = if dir == "tmp" {
-        WalDir::Temp(TempDir::new("mvtl-wal"))
-    } else {
-        WalDir::Named(PathBuf::from(dir))
-    };
+    let dir = (dir != "tmp").then(|| PathBuf::from(dir));
     Ok(Some(WalConfig { dir, options }))
-}
-
-/// The opened log(s) of a spec, ready to attach: one for a single-store
-/// engine, or one per shard for the `sharded` engine.
-enum WalHandles<V> {
-    None,
-    Single(Wal, Recovery<V>),
-    PerShard(Vec<(Wal, Recovery<V>)>),
-}
-
-impl<V> WalHandles<V> {
-    /// The largest commit timestamp any log recovered — the global clock
-    /// must start past it so post-crash transactions order after the
-    /// recovered state.
-    fn max_commit_ts(&self) -> Option<Timestamp> {
-        match self {
-            WalHandles::None => None,
-            WalHandles::Single(_, recovery) => recovery.max_commit_ts(),
-            WalHandles::PerShard(handles) => handles
-                .iter()
-                .filter_map(|(_, recovery)| recovery.max_commit_ts())
-                .max(),
-        }
-    }
 }
 
 fn wal_spec_err(err: mvtl_wal::WalError) -> SpecError {
@@ -634,123 +609,64 @@ fn wal_spec_err(err: mvtl_wal::WalError) -> SpecError {
     }
 }
 
-/// Opens (scanning and truncating torn tails, but not yet replaying) the
-/// log(s) a [`WalConfig`] describes: the `sharded` engine logs per shard
-/// under `<dir>/shard-<i>`, everything else logs into the directory itself.
-/// For `wal=tmp`, the temporary directory's lifetime is handed to the log
-/// that drops last, so the whole tree disappears with the engine.
-fn open_wals<V: WalValue>(
+/// Opens (scanning and truncating torn tails, but not yet replaying) one log
+/// per shard, or none without `wal=`: shard `i` of a `sharded` spec logs
+/// under `<dir>/shard-<i>`, the one shard of every other spec into `<dir>`
+/// itself. For `wal=tmp`, the temporary directory's lifetime is handed to
+/// the last shard's log — shards drop in index order, so it drops last and
+/// the whole tree disappears with the engine.
+fn open_logs<V: WalValue>(
     config: Option<WalConfig>,
-    parsed: &EngineSpec,
-) -> Result<WalHandles<V>, SpecError> {
+    count: usize,
+    per_shard_dirs: bool,
+) -> Result<Vec<(Wal, Recovery<V>)>, SpecError> {
     let Some(WalConfig { dir, options }) = config else {
-        return Ok(WalHandles::None);
+        return Ok(Vec::new());
     };
-    if parsed.name == "sharded" {
-        // Peek the shard count non-destructively: `sharded_engine` consumes
-        // (and validates) the parameter itself later.
-        let count = parsed
-            .get("shards")
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_SHARD_COUNT)
-            .max(1);
-        let mut handles = Vec::with_capacity(count);
-        for i in 0..count {
-            let shard_dir = dir.path().join(format!("shard-{i}"));
-            handles.push(Wal::open::<V>(&shard_dir, options).map_err(wal_spec_err)?);
+    let (root, tmp) = match dir {
+        Some(dir) => (dir, None),
+        None => {
+            let tmp = TempDir::new("mvtl-wal");
+            (tmp.path().to_path_buf(), Some(tmp))
         }
-        if let WalDir::Temp(tmp) = dir {
-            // Shard backends drop in index order, so the last shard's log
-            // outlives its siblings and can own the shared parent directory.
-            if let Some((wal, _)) = handles.last_mut() {
-                wal.retain_dir(tmp);
-            }
-        }
-        Ok(WalHandles::PerShard(handles))
-    } else {
-        let (mut wal, recovery) = Wal::open::<V>(dir.path(), options).map_err(wal_spec_err)?;
-        if let WalDir::Temp(tmp) = dir {
-            wal.retain_dir(tmp);
-        }
-        Ok(WalHandles::Single(wal, recovery))
+    };
+    let mut logs = (0..count)
+        .map(|i| {
+            let dir = if per_shard_dirs {
+                root.join(format!("shard-{i}"))
+            } else {
+                root.clone()
+            };
+            Wal::open::<V>(&dir, options).map_err(wal_spec_err)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    if let (Some(tmp), Some((wal, _))) = (tmp, logs.last_mut()) {
+        wal.retain_dir(tmp);
     }
+    Ok(logs)
 }
 
-/// Wraps `store` in a [`WalEngine`] when the spec carried `wal=` (replaying
-/// whatever the log already held), then boxes it with [`maybe_gc`].
-fn wal_then_gc<V, S>(
-    store: S,
-    clock: Arc<dyn mvtl_clock::ClockSource>,
-    gc: Option<GcConfig>,
-    wal: WalHandles<V>,
-) -> Result<Box<dyn Engine<V>>, SpecError>
-where
-    V: WalValue + Clone + Send + Sync + 'static,
-    S: mvtl_common::TransactionalKV<V> + 'static,
-    S::Txn: 'static,
-{
-    match wal {
-        WalHandles::None => Ok(maybe_gc(store, clock, gc)),
-        WalHandles::Single(w, recovery) => {
-            let (engine, _report) =
-                WalEngine::with_recovery(Arc::new(store), w, recovery).map_err(wal_spec_err)?;
-            Ok(maybe_gc(engine, clock, gc))
-        }
-        WalHandles::PerShard(_) => Err(SpecError::Malformed {
-            detail: "per-shard logs only apply to the sharded engine".to_string(),
-        }),
-    }
+/// How many copies of which engine a spec composes, and how the copies'
+/// store coordinates them.
+struct Layout {
+    /// The engine each shard runs: the spec's own, or `sharded`'s `inner`.
+    inner: String,
+    count: usize,
+    pick: IntersectionPick,
+    fault: Option<Arc<FaultPlan>>,
+    commit_timeout: Option<Duration>,
 }
 
-/// Builds an `MvtlStore` around `policy`, consuming the shared MVTL
-/// parameters (`timeout_ms`, `shards`) from the spec. The GC knobs are
-/// recorded in the store's [`MvtlConfig`] so embedders that reach through to
-/// the store see the requested maintenance policy; the service itself is
-/// attached by [`build_for`].
-fn mvtl_engine<V, P>(
-    policy: P,
-    clock: Arc<dyn mvtl_clock::ClockSource>,
-    parsed: &mut EngineSpec,
-    gc: Option<GcConfig>,
-    wal: WalHandles<V>,
-) -> Result<Box<dyn Engine<V>>, SpecError>
-where
-    V: WalValue + Clone + Send + Sync + 'static,
-    P: LockingPolicy + 'static,
-{
-    let mut config = MvtlConfig::default();
-    if let Some(timeout_ms) = parsed.take_parsed::<u64>("timeout_ms")? {
-        config = config.with_lock_wait_timeout(Duration::from_millis(timeout_ms));
-    }
-    if let Some(shards) = parsed.take_parsed::<usize>("shards")? {
-        config = config.with_shards(shards);
-    }
-    if let Some(gc) = gc {
-        config = config
-            .with_gc_interval(Some(gc.interval))
-            .with_gc_lag(gc.lag);
-    }
-    // The store config is the source of truth for the service from here on:
-    // the spawned sweeper's configuration is read back out of it.
-    let service = GcConfig::from_store_config(&config);
-    let store = MvtlStore::<V, P>::new(policy, Arc::clone(&clock), config);
-    wal_then_gc(store, clock, service, wal)
-}
-
-/// Builds the partitioned `sharded` engine: `shards` hash partitions, each an
-/// `MvtlStore` under the `inner` policy, all sharing one clock so that
-/// cross-shard transactions reason from a common timestamp base.
-///
-/// Parameters consumed here: `shards` (partition count, default
-/// [`DEFAULT_SHARD_COUNT`]), `inner` (partition policy, default
-/// [`DEFAULT_SHARD_INNER`]; any MVTL-core engine name — the baselines cannot
-/// freeze intervals and are rejected), `pick` (`min` | `max`, which end of
-/// the interval intersection a cross-shard commit uses; defaults to the
-/// inner engine's own bias: `max` for `mvtil-late`, `min` otherwise),
-/// `map_shards` (each partition's key→cell map shard count), plus the inner
-/// engine's own parameters (`delta`, `eps`, `offset`, `timeout_ms`). With
-/// `gc_ms` set (consumed by [`build_for`]), the single service attached to
-/// the returned engine sweeps *all* shards through
+/// Consumes the `sharded` engine's own parameters: `shards` (partition
+/// count, default [`DEFAULT_SHARD_COUNT`], at least 1), `inner` (partition
+/// engine, default [`DEFAULT_SHARD_INNER`]; any MVTL-core engine name — the
+/// baselines cannot freeze intervals and are rejected), `pick` (`min` |
+/// `max`, which end of the interval intersection a cross-shard commit uses;
+/// defaults to the inner engine's own bias: `max` for `mvtil-late`, `min`
+/// otherwise). `map_shards` (each partition's key→cell map shard count) and
+/// the inner engine's own parameters (`delta`, `eps`, `offset`,
+/// `timeout_ms`) are consumed with the inner engine. With `gc_ms` set, the
+/// single service attached to the store sweeps *all* shards through
 /// [`ShardedStore::purge_below`] under the store's aggregated low watermark.
 ///
 /// Fault injection: `fault` (a `mvtl-faults` schedule string such as
@@ -761,31 +677,22 @@ where
 /// commits unresolved within it are presumed aborted; standalone use is fine,
 /// and schedules whose faults can outlast the coordinator's patience —
 /// `drop`/`stall` clauses — arm [`DEFAULT_COMMIT_TIMEOUT_MS`] automatically).
-fn sharded_engine<V>(
-    clock: Arc<dyn mvtl_clock::ClockSource>,
-    parsed: &mut EngineSpec,
-    gc: Option<GcConfig>,
-    wal: WalHandles<V>,
-) -> Result<Box<dyn Engine<V>>, SpecError>
-where
-    V: WalValue + Clone + Send + Sync + 'static,
-{
-    let count = parsed
-        .take_parsed::<usize>("shards")?
-        .unwrap_or(DEFAULT_SHARD_COUNT)
-        .max(1);
+fn take_sharded_layout(parsed: &mut EngineSpec) -> Result<Layout, SpecError> {
+    let count = take_count(parsed, "shards")?.unwrap_or(DEFAULT_SHARD_COUNT);
     let inner = parsed
         .take("inner")
         .unwrap_or_else(|| DEFAULT_SHARD_INNER.to_string());
+    if matches!(inner.as_str(), "mvto+" | "2pl") {
+        // The baselines cannot freeze a commit interval, so they cannot
+        // participate in the §7 protocol.
+        return Err(SpecError::InvalidValue {
+            param: "inner".to_string(),
+            value: inner,
+        });
+    }
     let pick = match parsed.take("pick").as_deref() {
-        None => {
-            if inner == "mvtil-late" {
-                IntersectionPick::Max
-            } else {
-                IntersectionPick::Min
-            }
-        }
-        Some("min") => IntersectionPick::Min,
+        None if inner == "mvtil-late" => IntersectionPick::Max,
+        None | Some("min") => IntersectionPick::Min,
         Some("max") => IntersectionPick::Max,
         Some(other) => {
             return Err(SpecError::InvalidValue {
@@ -808,7 +715,7 @@ where
             value: "0".to_string(),
         });
     }
-    let fault_plan = match fault {
+    let fault = match fault {
         None => None,
         Some(schedule) => {
             let spec = FaultSpec::parse(&schedule).map_err(|err| SpecError::InvalidValue {
@@ -821,118 +728,115 @@ where
             )))
         }
     };
+    // Arm the coordinator's presumed-abort timeout when asked for explicitly,
+    // or when the schedule can withhold a prepare past any finite patience.
+    let commit_timeout = commit_timeout_ms
+        .or_else(|| {
+            fault
+                .as_ref()
+                .filter(|plan| plan.spec().needs_commit_timeout())
+                .map(|_| DEFAULT_COMMIT_TIMEOUT_MS)
+        })
+        .map(Duration::from_millis);
+    Ok(Layout {
+        inner,
+        count,
+        pick,
+        fault,
+        commit_timeout,
+    })
+}
+
+/// Consumes a count parameter, which must be at least 1.
+fn take_count(parsed: &mut EngineSpec, key: &str) -> Result<Option<usize>, SpecError> {
+    match parsed.take_parsed::<usize>(key)? {
+        Some(0) => Err(SpecError::InvalidValue {
+            param: key.to_string(),
+            value: "0".to_string(),
+        }),
+        count => Ok(count),
+    }
+}
+
+/// Builds one shard backend reading the given clock.
+type BackendFactory<V> = Box<dyn Fn(Arc<dyn ClockSource>) -> Arc<dyn ShardBackend<V>>>;
+
+/// Consumes engine `name`'s own parameters and returns a factory for one
+/// shard of it — the registry's one `match` over engine names. `map_param`
+/// names the MVTL engines' key-map size parameter (`shards`, or
+/// `map_shards` inside a `sharded` spec, where `shards` is the partition
+/// count).
+fn take_backend<V>(
+    name: &str,
+    parsed: &mut EngineSpec,
+    map_param: &str,
+) -> Result<BackendFactory<V>, SpecError>
+where
+    V: Clone + Send + Sync + 'static,
+{
+    let delta = |parsed: &mut EngineSpec| -> Result<u64, SpecError> {
+        Ok(parsed.take_parsed("delta")?.unwrap_or(DEFAULT_DELTA))
+    };
+    Ok(match name {
+        "mvtil-early" => mvtl(MvtilPolicy::early(delta(parsed)?), parsed, map_param)?,
+        "mvtil-late" => mvtl(MvtilPolicy::late(delta(parsed)?), parsed, map_param)?,
+        "mvtl-to" => mvtl(ToPolicy::new(), parsed, map_param)?,
+        "mvtl-ghostbuster" => mvtl(GhostbusterPolicy::new(), parsed, map_param)?,
+        "mvtl-epsilon-clock" => {
+            let eps = parsed.take_parsed("eps")?.unwrap_or(DEFAULT_EPSILON);
+            mvtl(EpsilonPolicy::new(eps), parsed, map_param)?
+        }
+        "mvtl-pref" => {
+            let policy = match parsed.take("offset") {
+                None => PrefPolicy::new(),
+                Some(list) => PrefPolicy::with_offsets(parse_offsets(&list)?),
+            };
+            mvtl(policy, parsed, map_param)?
+        }
+        "mvtl-prio" => mvtl(PrioPolicy::new(), parsed, map_param)?,
+        "mvtl-pessimistic" => mvtl(PessimisticPolicy::new(), parsed, map_param)?,
+        "mvto+" => Box::new(|clock| KvBackend::build(MvtoStore::<V>::new(clock))),
+        "2pl" => {
+            let timeout = Duration::from_millis(
+                parsed
+                    .take_parsed("timeout_ms")?
+                    .unwrap_or(DEFAULT_2PL_TIMEOUT_MS),
+            );
+            Box::new(move |clock| KvBackend::build(TwoPhaseLockingStore::<V>::new(clock, timeout)))
+        }
+        // Top-level names were checked against `ENGINES`, so only a
+        // `sharded` spec's `inner` can name something else.
+        other => {
+            return Err(SpecError::InvalidValue {
+                param: "inner".to_string(),
+                value: other.to_string(),
+            })
+        }
+    })
+}
+
+/// A factory for [`MvtlBackend`] shards under `policy`, consuming the shared
+/// MVTL parameters: `timeout_ms` (lock-wait timeout) and `map_param` (the
+/// key-map shard count).
+fn mvtl<V, P>(
+    policy: P,
+    parsed: &mut EngineSpec,
+    map_param: &str,
+) -> Result<BackendFactory<V>, SpecError>
+where
+    V: Clone + Send + Sync + 'static,
+    P: LockingPolicy + Clone + 'static,
+{
     let mut config = MvtlConfig::default();
     if let Some(timeout_ms) = parsed.take_parsed::<u64>("timeout_ms")? {
         config = config.with_lock_wait_timeout(Duration::from_millis(timeout_ms));
     }
-    if let Some(map_shards) = parsed.take_parsed::<usize>("map_shards")? {
-        config = config.with_shards(map_shards);
+    if let Some(shards) = take_count(parsed, map_param)? {
+        config = config.with_shards(shards);
     }
-    if let Some(gc) = gc {
-        config = config
-            .with_gc_interval(Some(gc.interval))
-            .with_gc_lag(gc.lag);
-    }
-    let service = GcConfig::from_store_config(&config);
-    let backend = |policy_for: &dyn Fn() -> Arc<dyn ShardBackend<V>>| {
-        (0..count).map(|_| policy_for()).collect::<Vec<_>>()
-    };
-    let backends: Vec<Arc<dyn ShardBackend<V>>> = match inner.as_str() {
-        "mvtil-early" | "mvtil-late" => {
-            let delta = parsed.take_parsed("delta")?.unwrap_or(DEFAULT_DELTA);
-            let late = inner == "mvtil-late";
-            backend(&|| {
-                MvtlBackend::build(
-                    if late {
-                        MvtilPolicy::late(delta)
-                    } else {
-                        MvtilPolicy::early(delta)
-                    },
-                    Arc::clone(&clock),
-                    config.clone(),
-                )
-            })
-        }
-        "mvtl-to" => {
-            backend(&|| MvtlBackend::build(ToPolicy::new(), Arc::clone(&clock), config.clone()))
-        }
-        "mvtl-ghostbuster" => backend(&|| {
-            MvtlBackend::build(GhostbusterPolicy::new(), Arc::clone(&clock), config.clone())
-        }),
-        "mvtl-epsilon-clock" => {
-            let eps = parsed.take_parsed("eps")?.unwrap_or(DEFAULT_EPSILON);
-            backend(&|| {
-                MvtlBackend::build(EpsilonPolicy::new(eps), Arc::clone(&clock), config.clone())
-            })
-        }
-        "mvtl-pref" => {
-            let offsets = match parsed.take("offset") {
-                None => None,
-                Some(list) => Some(parse_offsets(&list)?),
-            };
-            backend(&|| {
-                let policy = match &offsets {
-                    None => PrefPolicy::new(),
-                    Some(offsets) => PrefPolicy::with_offsets(offsets.clone()),
-                };
-                MvtlBackend::build(policy, Arc::clone(&clock), config.clone())
-            })
-        }
-        "mvtl-prio" => {
-            backend(&|| MvtlBackend::build(PrioPolicy::new(), Arc::clone(&clock), config.clone()))
-        }
-        "mvtl-pessimistic" => backend(&|| {
-            MvtlBackend::build(PessimisticPolicy::new(), Arc::clone(&clock), config.clone())
-        }),
-        other => {
-            // The baselines (mvto+, 2pl) cannot freeze a commit interval, so
-            // they cannot participate in the §7 protocol.
-            return Err(SpecError::InvalidValue {
-                param: "inner".to_string(),
-                value: other.to_string(),
-            });
-        }
-    };
-    let backends = match &fault_plan {
-        None => backends,
-        Some(plan) => FaultyBackend::wrap_all(backends, plan),
-    };
-    // The log wraps outside the fault layer: recovery replays through it into
-    // the real backend, while live prepares/decisions reach the log only
-    // after surviving injected faults — so the log never records an ack the
-    // coordinator did not see.
-    let backends = match wal {
-        WalHandles::None => backends,
-        WalHandles::PerShard(handles) => {
-            // `open_wals` sized the handle list off the same peeked count.
-            debug_assert_eq!(handles.len(), backends.len());
-            let mut logged = Vec::with_capacity(backends.len());
-            for (backend, (w, recovery)) in backends.into_iter().zip(handles) {
-                let (backend, _report) =
-                    WalBackend::with_recovery(backend, w, recovery).map_err(wal_spec_err)?;
-                logged.push(backend);
-            }
-            logged
-        }
-        WalHandles::Single(..) => {
-            return Err(SpecError::Malformed {
-                detail: "the sharded engine logs per shard, not into one log".to_string(),
-            })
-        }
-    };
-    let mut store = ShardedStore::new(backends, Arc::clone(&clock), pick);
-    // Arm the coordinator's presumed-abort timeout when asked for explicitly,
-    // or when the schedule can withhold a prepare past any finite patience.
-    let timeout_ms = commit_timeout_ms.or_else(|| {
-        fault_plan
-            .as_ref()
-            .filter(|plan| plan.spec().needs_commit_timeout())
-            .map(|_| DEFAULT_COMMIT_TIMEOUT_MS)
-    });
-    if let Some(ms) = timeout_ms {
-        store = store.with_commit_timeout(Duration::from_millis(ms));
-    }
-    Ok(maybe_gc(store, clock, service))
+    Ok(Box::new(move |clock| {
+        MvtlBackend::build(policy.clone(), clock, config.clone())
+    }))
 }
 
 fn parse_offsets(list: &str) -> Result<Vec<i64>, SpecError> {
@@ -1240,6 +1144,109 @@ mod tests {
             let mut tx = engine.begin(ProcessId(1));
             tx.write(Key(7), 7).unwrap();
             tx.commit().unwrap_or_else(|e| panic!("{spec}: {e}"));
+        }
+    }
+
+    #[test]
+    fn baseline_wal_specs_recover_committed_values() {
+        use mvtl_common::{EngineExt, Key, ProcessId};
+        for base in ["mvto+", "2pl"] {
+            let dir = TempDir::new("registry-baseline-wal");
+            let spec = format!("{base}?wal={}", dir.path().display());
+            let engine = build(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            for (key, value) in [(1, 10), (2, 20), (1, 11)] {
+                let mut tx = engine.begin(ProcessId(1));
+                tx.write(Key(key), value).unwrap();
+                tx.commit().unwrap_or_else(|e| panic!("{spec}: {e}"));
+            }
+            drop(engine); // crash: only the log survives
+
+            let engine = build(&spec).unwrap_or_else(|e| panic!("{spec}: rebuild: {e}"));
+            let mut tx = engine.begin(ProcessId(2));
+            assert_eq!(tx.read(Key(1)).unwrap(), Some(11), "{spec}");
+            assert_eq!(tx.read(Key(2)).unwrap(), Some(20), "{spec}");
+            // Post-crash writes order after the recovered ones.
+            tx.write(Key(2), 21).unwrap();
+            tx.commit().unwrap_or_else(|e| panic!("{spec}: {e}"));
+            drop(engine);
+
+            let engine = build(&spec).unwrap();
+            let mut tx = engine.begin(ProcessId(3));
+            assert_eq!(tx.read(Key(2)).unwrap(), Some(21), "{spec}");
+            tx.commit().unwrap();
+        }
+    }
+
+    #[test]
+    fn rejected_specs_never_touch_the_disk() {
+        use mvtl_common::{EngineExt, Key, ProcessId};
+        let root = TempDir::new("registry-rejected");
+        // A named log directory that does not exist yet stays absent.
+        let fresh = root.path().join("fresh");
+        for params in ["delta=banana", "shards=0", "frobnicate=1"] {
+            let spec = format!("mvtil-early?wal={}&{params}", fresh.display());
+            assert!(build(&spec).is_err(), "{spec} must be rejected");
+        }
+        for params in ["shards=abc", "shards=0", "inner=2pl", "pick=median"] {
+            let spec = format!("sharded?wal={}&{params}", fresh.display());
+            assert!(build(&spec).is_err(), "{spec} must be rejected");
+        }
+        assert!(!fresh.exists(), "a rejected spec created its log directory");
+
+        // An existing log with a torn tail — which opening it would truncate
+        // — keeps every byte when the spec over it is rejected.
+        let existing = root.path().join("existing");
+        let spec = format!("mvtil-early?wal={}", existing.display());
+        {
+            let engine = build(&spec).unwrap();
+            let mut tx = engine.begin(ProcessId(0));
+            tx.write(Key(1), 1).unwrap();
+            tx.commit().unwrap();
+        }
+        let segments = || {
+            let mut files: Vec<_> = std::fs::read_dir(&existing)
+                .unwrap()
+                .map(|entry| {
+                    let path = entry.unwrap().path();
+                    let bytes = std::fs::read(&path).unwrap();
+                    (path, bytes)
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        {
+            use std::io::Write as _;
+            let (segment, _) = segments().pop().expect("one segment");
+            let mut file = std::fs::OpenOptions::new()
+                .append(true)
+                .open(segment)
+                .unwrap();
+            file.write_all(&[0xAB; 13]).unwrap();
+        }
+        let before = segments();
+        for params in ["delta=banana", "shards=0", "gc_lag_ms=5", "fsync=sometimes"] {
+            let rejected = format!("{spec}&{params}");
+            assert!(build(&rejected).is_err(), "{rejected} must be rejected");
+            assert_eq!(segments(), before, "{rejected} rewrote the log");
+        }
+        // The check has teeth: a spec that builds does truncate the tear.
+        drop(build(&spec).unwrap());
+        assert_ne!(segments(), before);
+    }
+
+    #[test]
+    fn zero_counts_are_rejected() {
+        for spec in [
+            "sharded?shards=0",
+            "sharded?map_shards=0",
+            "mvtil-early?shards=0",
+            "mvtl-to?shards=0",
+        ] {
+            assert!(
+                matches!(build(spec).map(|_| ()), Err(SpecError::InvalidValue { .. })),
+                "{spec} must be rejected"
+            );
         }
     }
 

@@ -1,17 +1,18 @@
 //! The object-safe participant interface a shard must offer to the
-//! cross-shard commit coordinator, and its implementation over
-//! [`MvtlStore`].
+//! cross-shard commit coordinator, and its implementations: [`MvtlBackend`]
+//! over [`MvtlStore`], and [`KvBackend`] over any other
+//! [`TransactionalKV`] engine.
 //!
 //! [`ShardedStore`](crate::ShardedStore) holds its shards as
 //! `Arc<dyn ShardBackend<V>>`, so one coordinator drives shards built from
-//! *any* MVTL policy. The three traits mirror the participant life cycle of
-//! §7: open a transaction, run operations, then either commit alone
+//! *any* engine. The three traits mirror the participant life cycle of §7:
+//! open a transaction, run operations, then either commit alone
 //! (single-shard fast path), or **prepare** — freeze the interval of
 //! timestamps the shard guarantees the transaction can commit at — and wait
 //! for the coordinator's `commit-at` / `abort` decision.
 
 use mvtl_clock::ClockSource;
-use mvtl_common::{CommitInfo, Key, ProcessId, Timestamp, TsSet, TxError};
+use mvtl_common::{CommitInfo, Key, ProcessId, Timestamp, TransactionalKV, TsSet, TxError};
 use mvtl_core::policy::LockingPolicy;
 use mvtl_core::{MvtlConfig, MvtlStore, MvtlTransaction, PreparedCommit, StoreStats};
 use std::sync::Arc;
@@ -19,10 +20,11 @@ use std::sync::Arc;
 /// One partition of a [`ShardedStore`](crate::ShardedStore): a full
 /// transactional engine that additionally speaks the §7 participant protocol.
 pub trait ShardBackend<V>: Send + Sync {
-    /// Opens a transaction on this shard. The coordinator always pins the
-    /// clock reading, so that every shard of one distributed transaction
-    /// reasons from the same timestamp base (the client-side policy state of
-    /// §7, split across participants).
+    /// Opens a transaction on this shard. A multi-shard coordinator always
+    /// pins the clock reading, so that every shard of one distributed
+    /// transaction reasons from the same timestamp base (the client-side
+    /// policy state of §7, split across participants); a one-shard store
+    /// passes its caller's pin through unchanged.
     fn begin(&self, process: ProcessId, pinned: Option<Timestamp>) -> Box<dyn ShardTxn<V>>;
 
     /// Aggregate state-size statistics of the shard (locks, versions), used
@@ -44,7 +46,7 @@ pub trait ShardBackend<V>: Send + Sync {
 
     /// Re-installs one recovered committed transaction's write set at its
     /// original commit timestamp (crash recovery; see
-    /// [`TransactionalKV::recover_install`](mvtl_common::TransactionalKV::recover_install)).
+    /// [`TransactionalKV::recover_install`]).
     ///
     /// # Errors
     ///
@@ -211,10 +213,7 @@ where
     P: LockingPolicy,
 {
     fn begin(&self, process: ProcessId, pinned: Option<Timestamp>) -> Box<dyn ShardTxn<V>> {
-        Box::new(MvtlShardTxn {
-            store: Arc::clone(&self.store),
-            txn: Some(self.store.begin_with(process, pinned, false)),
-        })
+        StoreTxn::begin(&self.store, process, pinned, prepare_mvtl)
     }
 
     fn stats(&self) -> StoreStats {
@@ -230,7 +229,6 @@ where
     }
 
     fn recover_commit(&self, writes: Vec<(Key, V)>, commit_ts: Timestamp) -> Result<(), TxError> {
-        use mvtl_common::TransactionalKV as _;
         self.store.recover_install(writes, Some(commit_ts))
     }
 
@@ -247,76 +245,21 @@ where
     }
 }
 
-/// [`ShardTxn`] over an [`MvtlStore`]. Owns an `Arc` to the store so handles
-/// are `'static` and can be held across the coordinator's shard vector. The
-/// inner transaction is an `Option` so `Drop` can abort a handle that was
-/// neither committed nor explicitly aborted.
-struct MvtlShardTxn<V, P>
+/// [`MvtlBackend`]'s prepare: freeze the interval of timestamps this shard
+/// guarantees the transaction can commit at.
+fn prepare_mvtl<V, P>(
+    store: &Arc<MvtlStore<V, P>>,
+    txn: MvtlTransaction<V>,
+) -> Result<Box<dyn PreparedShardTxn<V>>, TxError>
 where
     V: Clone + Send + Sync + 'static,
     P: LockingPolicy,
 {
-    store: Arc<MvtlStore<V, P>>,
-    txn: Option<MvtlTransaction<V>>,
-}
-
-impl<V, P> ShardTxn<V> for MvtlShardTxn<V, P>
-where
-    V: Clone + Send + Sync + 'static,
-    P: LockingPolicy,
-{
-    fn read(&mut self, key: Key) -> Result<Option<V>, TxError> {
-        let txn = self.txn.as_mut().expect("shard txn present until finished");
-        self.store.read(txn, key)
-    }
-
-    fn write(&mut self, key: Key, value: V) -> Result<(), TxError> {
-        let txn = self.txn.as_mut().expect("shard txn present until finished");
-        self.store.write(txn, key, value)
-    }
-
-    fn read_many(&mut self, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
-        let txn = self.txn.as_mut().expect("shard txn present until finished");
-        self.store.read_many(txn, keys)
-    }
-
-    fn write_many(&mut self, entries: Vec<(Key, V)>) -> Result<(), TxError> {
-        let txn = self.txn.as_mut().expect("shard txn present until finished");
-        self.store.write_many(txn, entries)
-    }
-
-    fn commit(mut self: Box<Self>) -> Result<CommitInfo, TxError> {
-        let txn = self.txn.take().expect("shard txn present until finished");
-        self.store.commit(txn)
-    }
-
-    fn prepare(mut self: Box<Self>) -> Result<Box<dyn PreparedShardTxn<V>>, TxError> {
-        let txn = self.txn.take().expect("shard txn present until finished");
-        let store = Arc::clone(&self.store);
-        let prepared = store.prepare_commit(txn)?;
-        Ok(Box::new(MvtlPreparedShardTxn {
-            store,
-            prepared: Some(prepared),
-        }))
-    }
-
-    fn abort(mut self: Box<Self>) {
-        if let Some(txn) = self.txn.take() {
-            self.store.abort(txn);
-        }
-    }
-}
-
-impl<V, P> Drop for MvtlShardTxn<V, P>
-where
-    V: Clone + Send + Sync + 'static,
-    P: LockingPolicy,
-{
-    fn drop(&mut self) {
-        if let Some(txn) = self.txn.take() {
-            self.store.abort(txn);
-        }
-    }
+    let prepared = store.prepare_commit(txn)?;
+    Ok(Box::new(MvtlPreparedShardTxn {
+        store: Arc::clone(store),
+        prepared: Some(prepared),
+    }))
 }
 
 /// [`PreparedShardTxn`] over an [`MvtlStore`].
@@ -364,6 +307,156 @@ where
     fn drop(&mut self) {
         if let Some(prepared) = self.prepared.take() {
             self.store.abort_prepared(prepared);
+        }
+    }
+}
+
+/// [`ShardBackend`] over any [`TransactionalKV`] engine — in practice the
+/// MVTO+ and 2PL baselines, which the registry runs as one-shard stores.
+///
+/// Such an engine has no commit interval to freeze, so it cannot take part
+/// in a cross-shard commit: [`ShardTxn::prepare`] aborts the transaction and
+/// returns [`TxError::Internal`]. Everything else — operations, the
+/// single-shard commit, GC and WAL replay through
+/// [`TransactionalKV::recover_install`] — forwards to the engine.
+pub struct KvBackend<S> {
+    store: Arc<S>,
+}
+
+impl<S> KvBackend<S> {
+    /// Wraps `store`, type-erased — the form
+    /// [`ShardedStore::new`](crate::ShardedStore::new) consumes.
+    #[must_use]
+    pub fn build<V>(store: S) -> Arc<dyn ShardBackend<V>>
+    where
+        V: 'static,
+        S: TransactionalKV<V> + 'static,
+    {
+        Arc::new(KvBackend {
+            store: Arc::new(store),
+        })
+    }
+}
+
+impl<V, S> ShardBackend<V> for KvBackend<S>
+where
+    V: 'static,
+    S: TransactionalKV<V> + 'static,
+{
+    fn begin(&self, process: ProcessId, pinned: Option<Timestamp>) -> Box<dyn ShardTxn<V>> {
+        StoreTxn::begin(&self.store, process, pinned, refuse_prepare)
+    }
+
+    fn stats(&self) -> StoreStats {
+        self.store.stats()
+    }
+
+    fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
+        self.store.purge_below(bound)
+    }
+
+    fn low_watermark(&self) -> Option<Timestamp> {
+        self.store.low_watermark()
+    }
+
+    fn recover_commit(&self, writes: Vec<(Key, V)>, commit_ts: Timestamp) -> Result<(), TxError> {
+        self.store.recover_install(writes, Some(commit_ts))
+    }
+}
+
+/// [`KvBackend`]'s prepare: the engine has no commit interval to freeze, so
+/// the transaction aborts.
+fn refuse_prepare<V, S: TransactionalKV<V>>(
+    store: &Arc<S>,
+    txn: S::Txn,
+) -> Result<Box<dyn PreparedShardTxn<V>>, TxError> {
+    store.abort(txn);
+    Err(TxError::Internal(format!(
+        "engine '{}' cannot prepare a cross-shard commit: it has no commit interval to freeze",
+        store.name()
+    )))
+}
+
+/// How a [`StoreTxn`] runs the participant side of the §7 commit.
+type PrepareFn<V, S> =
+    fn(&Arc<S>, <S as TransactionalKV<V>>::Txn) -> Result<Box<dyn PreparedShardTxn<V>>, TxError>;
+
+/// The [`ShardTxn`] of both [`MvtlBackend`] and [`KvBackend`], which differ
+/// only in how they prepare. Owns an `Arc` to the store so handles are
+/// `'static` and can be held across the coordinator's shard vector. The
+/// inner transaction is an `Option` so `Drop` can abort a handle that was
+/// neither committed nor explicitly aborted.
+struct StoreTxn<V, S: TransactionalKV<V>> {
+    store: Arc<S>,
+    txn: Option<S::Txn>,
+    prepare: PrepareFn<V, S>,
+}
+
+impl<V, S> StoreTxn<V, S>
+where
+    V: 'static,
+    S: TransactionalKV<V> + 'static,
+{
+    fn begin(
+        store: &Arc<S>,
+        process: ProcessId,
+        pinned: Option<Timestamp>,
+        prepare: PrepareFn<V, S>,
+    ) -> Box<dyn ShardTxn<V>> {
+        Box::new(StoreTxn {
+            txn: Some(store.begin_at(process, pinned)),
+            store: Arc::clone(store),
+            prepare,
+        })
+    }
+}
+
+impl<V, S> ShardTxn<V> for StoreTxn<V, S>
+where
+    V: 'static,
+    S: TransactionalKV<V> + 'static,
+{
+    fn read(&mut self, key: Key) -> Result<Option<V>, TxError> {
+        let txn = self.txn.as_mut().expect("shard txn present until finished");
+        self.store.read(txn, key)
+    }
+
+    fn write(&mut self, key: Key, value: V) -> Result<(), TxError> {
+        let txn = self.txn.as_mut().expect("shard txn present until finished");
+        self.store.write(txn, key, value)
+    }
+
+    fn read_many(&mut self, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
+        let txn = self.txn.as_mut().expect("shard txn present until finished");
+        self.store.read_many(txn, keys)
+    }
+
+    fn write_many(&mut self, entries: Vec<(Key, V)>) -> Result<(), TxError> {
+        let txn = self.txn.as_mut().expect("shard txn present until finished");
+        self.store.write_many(txn, entries)
+    }
+
+    fn commit(mut self: Box<Self>) -> Result<CommitInfo, TxError> {
+        let txn = self.txn.take().expect("shard txn present until finished");
+        self.store.commit(txn)
+    }
+
+    fn prepare(mut self: Box<Self>) -> Result<Box<dyn PreparedShardTxn<V>>, TxError> {
+        let txn = self.txn.take().expect("shard txn present until finished");
+        (self.prepare)(&self.store, txn)
+    }
+
+    fn abort(mut self: Box<Self>) {
+        if let Some(txn) = self.txn.take() {
+            self.store.abort(txn);
+        }
+    }
+}
+
+impl<V, S: TransactionalKV<V>> Drop for StoreTxn<V, S> {
+    fn drop(&mut self) {
+        if let Some(txn) = self.txn.take() {
+            self.store.abort(txn);
         }
     }
 }

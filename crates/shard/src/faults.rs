@@ -68,20 +68,6 @@ where
             begin_seq: AtomicU64::new(0),
         })
     }
-
-    /// Wraps every backend of `shards` with one shared plan, preserving shard
-    /// indexes.
-    #[must_use]
-    pub fn wrap_all(
-        shards: Vec<Arc<dyn ShardBackend<V>>>,
-        plan: &Arc<FaultPlan>,
-    ) -> Vec<Arc<dyn ShardBackend<V>>> {
-        shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| FaultyBackend::wrap(s, Arc::clone(plan), i))
-            .collect()
-    }
 }
 
 impl<V> ShardBackend<V> for FaultyBackend<V>
@@ -195,11 +181,7 @@ where
     }
 
     fn prepare(mut self: Box<Self>) -> Result<Box<dyn PreparedShardTxn<V>>, TxError> {
-        let seq = self.next_seq();
-        let shard = self.shard;
-        let fault = self.plan.prepare_fault(shard, seq);
-        let plan = Arc::clone(&self.plan);
-        let seq_counter = Arc::clone(&self.seq);
+        let fault = self.plan.prepare_fault(self.shard, self.next_seq());
         let inner = self.inner.take().expect("faulty txn present");
         match fault {
             Some(PrepareFault::Crash) => {
@@ -210,44 +192,27 @@ where
                 if let Ok(prepared) = inner.prepare() {
                     prepared.abort();
                 }
-                Err(TxError::aborted(AbortReason::ParticipantCrashed {
-                    shard: shard as u32,
-                }))
+                return Err(TxError::aborted(AbortReason::ParticipantCrashed {
+                    shard: self.shard as u32,
+                }));
             }
-            Some(PrepareFault::DropResponse(hold)) => {
-                // The prepare succeeds and the shard holds its frozen locks,
-                // but the response is withheld: the coordinator only learns
-                // by timing out, and this late response resolves by presumed
-                // abort (the coordinator's slot sweep aborts it on arrival).
-                let prepared = inner.prepare()?;
-                thread::sleep(hold);
-                Ok(Box::new(FaultyPrepared {
-                    inner: Some(prepared),
-                    plan,
-                    shard,
-                    seq: seq_counter,
-                }))
-            }
-            Some(PrepareFault::Stall(stall)) => {
-                thread::sleep(stall);
-                let prepared = inner.prepare()?;
-                Ok(Box::new(FaultyPrepared {
-                    inner: Some(prepared),
-                    plan,
-                    shard,
-                    seq: seq_counter,
-                }))
-            }
-            None => {
-                let prepared = inner.prepare()?;
-                Ok(Box::new(FaultyPrepared {
-                    inner: Some(prepared),
-                    plan,
-                    shard,
-                    seq: seq_counter,
-                }))
-            }
+            Some(PrepareFault::Stall(stall)) => thread::sleep(stall),
+            Some(PrepareFault::DropResponse(_)) | None => {}
         }
+        let prepared = inner.prepare()?;
+        if let Some(PrepareFault::DropResponse(hold)) = fault {
+            // The prepare succeeded and the shard holds its frozen locks, but
+            // the response is withheld: the coordinator only learns by timing
+            // out, and this late response resolves by presumed abort (the
+            // coordinator's slot sweep aborts it on arrival).
+            thread::sleep(hold);
+        }
+        Ok(Box::new(FaultyPrepared {
+            inner: Some(prepared),
+            plan: Arc::clone(&self.plan),
+            shard: self.shard,
+            seq: Arc::clone(&self.seq),
+        }))
     }
 
     fn abort(mut self: Box<Self>) {

@@ -16,7 +16,10 @@
 //!   [`LockingPolicy`](mvtl_core::policy::LockingPolicy)).
 //! * A transaction opens shard sub-transactions lazily; one that touches a
 //!   single shard commits through the shard policy's own timestamp pick, with
-//!   no coordination.
+//!   no coordination. A one-shard store skips even the routing: its
+//!   transactions are the shard's own, so it behaves exactly like the bare
+//!   engine — which is how `mvtl-registry` builds every non-`sharded` spec,
+//!   the baselines included (through [`KvBackend`]).
 //! * A cross-shard commit runs prepare → intersect → commit-at/abort:
 //!   [`ShardTxn::prepare`] freezes the shard's interval
 //!   ([`LockingPolicy::prepared_interval`](mvtl_core::policy::LockingPolicy::prepared_interval)
@@ -59,7 +62,7 @@ mod backend;
 mod faults;
 mod store;
 
-pub use backend::{MvtlBackend, PreparedShardTxn, ShardBackend, ShardTxn};
+pub use backend::{KvBackend, MvtlBackend, PreparedShardTxn, ShardBackend, ShardTxn};
 pub use faults::FaultyBackend;
 pub use store::{IntersectionPick, ShardedStore, ShardedTxn};
 
@@ -210,6 +213,62 @@ mod tests {
         let (versions_removed, _) = s.purge_below(Timestamp::MAX);
         assert_eq!(versions_removed, 12, "one version per key survives");
         assert_eq!(s.stats().versions, 12);
+    }
+
+    #[test]
+    fn one_shard_store_behaves_exactly_like_the_bare_engine() {
+        use mvtl_core::MvtlStore;
+        let bare: MvtlStore<u64, MvtilPolicy> = MvtlStore::new(
+            MvtilPolicy::early(100),
+            Arc::new(GlobalClock::starting_at(1000)),
+            MvtlConfig::default(),
+        );
+        let one = store(1);
+        // Same pinned schedule on both: an empty transaction, a blind write,
+        // a read of it. The commit infos agree on everything but the runtime
+        // transaction id — including the empty commit's timestamp.
+        type Seen = (Option<Timestamp>, Vec<(Key, Timestamp)>, Vec<Key>);
+        fn schedule(engine: &dyn Engine<u64>) -> Vec<Seen> {
+            let pin = |t| engine.begin_pinned(ProcessId(1), Timestamp::at(t));
+            let empty = pin(1000).commit().unwrap();
+            let mut tx = pin(1010);
+            tx.write(Key(1), 7).unwrap();
+            let write = tx.commit().unwrap();
+            let mut tx = pin(1020);
+            assert_eq!(tx.read(Key(1)).unwrap(), Some(7));
+            let read = tx.commit().unwrap();
+            [empty, write, read]
+                .into_iter()
+                .map(|info| (info.commit_ts, info.reads, info.writes))
+                .collect()
+        }
+        assert_eq!(schedule(&bare), schedule(&one));
+        // No coordinator state: no base timestamp, the shard opened at once.
+        let tx = one.begin_at(ProcessId(1), None);
+        assert_eq!(tx.base_timestamp(), None);
+        assert_eq!(tx.touched_shards(), vec![0]);
+        one.abort(tx);
+    }
+
+    #[test]
+    fn kv_backend_refuses_to_prepare_and_releases_its_locks() {
+        use mvtl_core::policy::PessimisticPolicy;
+        use mvtl_core::MvtlStore;
+        let backend: Arc<dyn ShardBackend<u64>> = KvBackend::build(MvtlStore::new(
+            PessimisticPolicy::new(),
+            Arc::new(GlobalClock::new()),
+            MvtlConfig::default(),
+        ));
+        let mut tx = backend.begin(ProcessId(1), None);
+        tx.write(Key(1), 1).unwrap();
+        assert!(backend.stats().lock_entries > 0);
+        let err = tx.prepare().map(|_| ()).unwrap_err();
+        assert!(matches!(err, mvtl_common::TxError::Internal(_)), "{err}");
+        assert_eq!(backend.stats().lock_entries, 0, "prepare aborted the txn");
+        // The single-shard commit path works as usual.
+        let mut tx = backend.begin(ProcessId(2), None);
+        tx.write(Key(1), 2).unwrap();
+        assert!(tx.commit().unwrap().commit_ts.is_some());
     }
 
     #[test]

@@ -37,9 +37,11 @@ pub enum IntersectionPick {
 /// participant when the intersection is empty.
 ///
 /// `ShardedStore` implements [`TransactionalKV`], so the blanket impl in
-/// `mvtl-common` gives it the object-safe `Engine` surface, and the
-/// `mvtl-registry` crate builds it from specs like
-/// `"sharded?shards=8&inner=mvtil-early"`.
+/// `mvtl-common` gives it the object-safe `Engine` surface. It is the one
+/// composition seam of the `mvtl-registry` crate: every spec builds one,
+/// `"sharded?shards=8&inner=mvtil-early"` with eight shards and every other
+/// spec (`"mvtil-early"`, `"mvto+"`, ...) with one, which behaves exactly
+/// like the bare engine (see [`ShardedTxn`]).
 ///
 /// # Why timestamp locks compose
 ///
@@ -52,10 +54,12 @@ pub struct ShardedStore<V> {
     shards: Vec<Arc<dyn ShardBackend<V>>>,
     clock: Arc<dyn ClockSource>,
     pick: IntersectionPick,
-    /// Coordinator-level registry: a transaction is pinned at its base
-    /// timestamp from `begin` until commit/abort, covering the window before
-    /// its lazily opened sub-transactions register with the shard-level
-    /// registries (and any shard it never touches).
+    /// What [`TransactionalKV::name`] reports.
+    name: &'static str,
+    /// Coordinator-level registry: a multi-shard transaction is pinned at
+    /// its base timestamp from `begin` until commit/abort, covering the
+    /// window before its lazily opened sub-transactions register with the
+    /// shard-level registries (and any shard it never touches).
     active: ActiveTxnRegistry,
     /// How long the coordinator waits for all participants' `prepare`
     /// responses before resolving the commit by presumed abort. `None`
@@ -98,9 +102,18 @@ where
             shards,
             clock,
             pick,
+            name: "sharded",
             active: ActiveTxnRegistry::new(),
             commit_timeout: None,
         }
+    }
+
+    /// Names the store (default `"sharded"`): the registry names a one-shard
+    /// store after the engine it wraps.
+    #[must_use]
+    pub fn with_name(mut self, name: &'static str) -> Self {
+        self.name = name;
+        self
     }
 
     /// Arms the coordinator's prepare timeout: a cross-shard commit whose
@@ -201,11 +214,11 @@ where
     }
 
     /// The GC low watermark: the minimum over the coordinator-level registry
-    /// (every open transaction is pinned at its base timestamp from `begin`
-    /// to commit/abort — sub-transactions open *lazily*, so the shard-level
-    /// registries alone would leave a begun-but-idle transaction unprotected)
-    /// and every shard's own watermark. One sweep below this bound is safe
-    /// on every shard.
+    /// (every open multi-shard transaction is pinned at its base timestamp
+    /// from `begin` to commit/abort — sub-transactions open *lazily*, so the
+    /// shard-level registries alone would leave a begun-but-idle transaction
+    /// unprotected) and every shard's own watermark. One sweep below this
+    /// bound is safe on every shard.
     #[must_use]
     pub fn low_watermark(&self) -> Option<Timestamp> {
         self.active
@@ -428,12 +441,26 @@ where
     }
 }
 
-/// A transaction spanning one or more shards of a [`ShardedStore`].
+/// A transaction on a [`ShardedStore`].
 ///
-/// Shard sub-transactions open lazily on first access, so a transaction that
-/// happens to touch one shard pays no coordination cost and commits through
-/// the shard policy's own timestamp pick.
-pub struct ShardedTxn<V> {
+/// On a one-shard store it *is* the shard's transaction, opened at `begin`
+/// with the caller's pin: no routing, no coordinator pin, nothing to
+/// coordinate, so the store behaves exactly like the bare engine. On a
+/// multi-shard store, shard sub-transactions open lazily on first access, so
+/// a transaction that happens to touch one shard pays no coordination cost
+/// and commits through the shard policy's own timestamp pick.
+pub struct ShardedTxn<V>(Route<V>);
+
+enum Route<V> {
+    /// The only shard's transaction.
+    Direct(Box<dyn ShardTxn<V>>),
+    /// A multi-shard transaction.
+    Routed(RoutedTxn<V>),
+}
+
+struct RoutedTxn<V> {
+    /// The coordinator-side transaction id (the one reported in
+    /// [`CommitInfo`]).
     id: TxId,
     process: ProcessId,
     /// The clock reading every shard sub-transaction is pinned to, so all
@@ -447,35 +474,60 @@ pub struct ShardedTxn<V> {
 }
 
 impl<V> ShardedTxn<V> {
-    /// The coordinator-side transaction id (the one reported in
-    /// [`CommitInfo`]).
+    /// The clock reading shared by every shard sub-transaction, or `None` on
+    /// a one-shard store (its only shard reads the clock itself).
     #[must_use]
-    pub fn id(&self) -> TxId {
-        self.id
-    }
-
-    /// The pinned clock reading shared by every shard sub-transaction.
-    #[must_use]
-    pub fn base_timestamp(&self) -> Timestamp {
-        self.base
+    pub fn base_timestamp(&self) -> Option<Timestamp> {
+        match &self.0 {
+            Route::Direct(_) => None,
+            Route::Routed(txn) => Some(txn.base),
+        }
     }
 
     /// The shard indexes this transaction has touched so far.
     #[must_use]
     pub fn touched_shards(&self) -> Vec<usize> {
-        self.subs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i))
-            .collect()
+        match &self.0 {
+            Route::Direct(_) => vec![0],
+            Route::Routed(txn) => txn
+                .subs
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| s.as_ref().map(|_| i))
+                .collect(),
+        }
+    }
+}
+
+impl<V> RoutedTxn<V> {
+    fn check_live(&self) -> Result<(), TxError> {
+        if self.poisoned {
+            Err(TxError::TransactionFinished)
+        } else {
+            Ok(())
+        }
     }
 
-    fn poison(&mut self) {
+    /// The sub-transaction on `shard`, opened (pinned at the base timestamp)
+    /// on first access.
+    fn sub(&mut self, shards: &[Arc<dyn ShardBackend<V>>], shard: usize) -> &mut dyn ShardTxn<V> {
+        let (process, base) = (self.process, self.base);
+        self.subs[shard]
+            .get_or_insert_with(|| shards[shard].begin(process, Some(base)))
+            .as_mut()
+    }
+
+    /// A shard failed an operation and released its own state; release the
+    /// rest eagerly rather than waiting for the caller's abort.
+    fn fail<T>(&mut self, err: TxError) -> Result<T, TxError> {
         self.poisoned = true;
-        for sub in &mut self.subs {
-            if let Some(sub) = sub.take() {
-                sub.abort();
-            }
+        self.abort_subs();
+        Err(err)
+    }
+
+    fn abort_subs(&mut self) {
+        for sub in self.subs.iter_mut().filter_map(Option::take) {
+            sub.abort();
         }
     }
 }
@@ -487,51 +539,46 @@ where
     type Txn = ShardedTxn<V>;
 
     fn begin_at(&self, process: ProcessId, pinned: Option<Timestamp>) -> Self::Txn {
+        if let [shard] = self.shards.as_slice() {
+            return ShardedTxn(Route::Direct(shard.begin(process, pinned)));
+        }
         // One clock reading per transaction, shared by all its shards: this
         // is the client-side policy state of §7, split across participants
         // (and it is what lets point-timestamp policies like MVTL-TO agree
         // on a commit timestamp across shards).
         let base = pinned.unwrap_or_else(|| self.clock.timestamp(process));
-        ShardedTxn {
+        ShardedTxn(Route::Routed(RoutedTxn {
             id: TxId::fresh(),
             process,
             base,
             subs: (0..self.shards.len()).map(|_| None).collect(),
             poisoned: false,
             gc_pin: Some(self.active.register(base)),
-        }
+        }))
     }
 
     fn read(&self, txn: &mut Self::Txn, key: Key) -> Result<Option<V>, TxError> {
-        if txn.poisoned {
-            return Err(TxError::TransactionFinished);
-        }
-        let shard = self.shard_of(key);
-        let sub = txn.subs[shard]
-            .get_or_insert_with(|| self.shards[shard].begin(txn.process, Some(txn.base)));
-        match sub.read(key) {
-            Ok(value) => Ok(value),
-            Err(err) => {
-                // The failing shard released its own state; release the rest
-                // eagerly rather than waiting for the caller's abort.
-                txn.poison();
-                Err(err)
+        match &mut txn.0 {
+            Route::Direct(sub) => sub.read(key),
+            Route::Routed(txn) => {
+                txn.check_live()?;
+                let shard = self.shard_of(key);
+                txn.sub(&self.shards, shard)
+                    .read(key)
+                    .or_else(|err| txn.fail(err))
             }
         }
     }
 
     fn write(&self, txn: &mut Self::Txn, key: Key, value: V) -> Result<(), TxError> {
-        if txn.poisoned {
-            return Err(TxError::TransactionFinished);
-        }
-        let shard = self.shard_of(key);
-        let sub = txn.subs[shard]
-            .get_or_insert_with(|| self.shards[shard].begin(txn.process, Some(txn.base)));
-        match sub.write(key, value) {
-            Ok(()) => Ok(()),
-            Err(err) => {
-                txn.poison();
-                Err(err)
+        match &mut txn.0 {
+            Route::Direct(sub) => sub.write(key, value),
+            Route::Routed(txn) => {
+                txn.check_live()?;
+                let shard = self.shard_of(key);
+                txn.sub(&self.shards, shard)
+                    .write(key, value)
+                    .or_else(|err| txn.fail(err))
             }
         }
     }
@@ -542,9 +589,11 @@ where
     /// coordination instead of O(keys). Sub-transactions still open lazily —
     /// only shards that actually own batch keys are touched.
     fn read_many(&self, txn: &mut Self::Txn, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
-        if txn.poisoned {
-            return Err(TxError::TransactionFinished);
-        }
+        let txn = match &mut txn.0 {
+            Route::Direct(sub) => return sub.read_many(keys),
+            Route::Routed(txn) => txn,
+        };
+        txn.check_live()?;
         // Group key positions by shard, preserving input order within each
         // group so results scatter back into place.
         let mut groups: Vec<(Vec<Key>, Vec<usize>)> =
@@ -559,18 +608,13 @@ where
             if shard_keys.is_empty() {
                 continue;
             }
-            let sub = txn.subs[shard]
-                .get_or_insert_with(|| self.shards[shard].begin(txn.process, Some(txn.base)));
-            match sub.read_many(&shard_keys) {
+            match txn.sub(&self.shards, shard).read_many(&shard_keys) {
                 Ok(values) => {
                     for (pos, value) in positions.into_iter().zip(values) {
                         out[pos] = value;
                     }
                 }
-                Err(err) => {
-                    txn.poison();
-                    return Err(err);
-                }
+                Err(err) => return txn.fail(err),
             }
         }
         Ok(out)
@@ -581,9 +625,11 @@ where
     /// [`read_many`](TransactionalKV::read_many); order within a shard group
     /// is preserved, so last-value-wins semantics match sequential writes).
     fn write_many(&self, txn: &mut Self::Txn, entries: Vec<(Key, V)>) -> Result<(), TxError> {
-        if txn.poisoned {
-            return Err(TxError::TransactionFinished);
-        }
+        let txn = match &mut txn.0 {
+            Route::Direct(sub) => return sub.write_many(entries),
+            Route::Routed(txn) => txn,
+        };
+        txn.check_live()?;
         let mut groups: Vec<Vec<(Key, V)>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (key, value) in entries {
             groups[self.shard_of(key)].push((key, value));
@@ -592,26 +638,25 @@ where
             if group.is_empty() {
                 continue;
             }
-            let sub = txn.subs[shard]
-                .get_or_insert_with(|| self.shards[shard].begin(txn.process, Some(txn.base)));
-            if let Err(err) = sub.write_many(group) {
-                txn.poison();
-                return Err(err);
+            if let Err(err) = txn.sub(&self.shards, shard).write_many(group) {
+                return txn.fail(err);
             }
         }
         Ok(())
     }
 
-    fn commit(&self, mut txn: Self::Txn) -> Result<CommitInfo, TxError> {
+    fn commit(&self, txn: Self::Txn) -> Result<CommitInfo, TxError> {
+        let mut txn = match txn.0 {
+            Route::Direct(sub) => return sub.commit(),
+            Route::Routed(txn) => txn,
+        };
         // The coordinator pin only has to cover the window in which new
         // sub-transactions can still open; from here on every touched shard
         // holds its own (shard-level) pin, so release before coordinating.
         if let Some(pin) = txn.gc_pin.take() {
             self.active.deregister(pin);
         }
-        if txn.poisoned {
-            return Err(TxError::TransactionFinished);
-        }
+        txn.check_live()?;
         let mut participants: Vec<(usize, Box<dyn ShardTxn<V>>)> = txn
             .subs
             .iter_mut()
@@ -641,19 +686,19 @@ where
         }
     }
 
-    fn abort(&self, mut txn: Self::Txn) {
+    fn abort(&self, txn: Self::Txn) {
+        let mut txn = match txn.0 {
+            Route::Direct(sub) => return sub.abort(),
+            Route::Routed(txn) => txn,
+        };
         if let Some(pin) = txn.gc_pin.take() {
             self.active.deregister(pin);
         }
-        for sub in &mut txn.subs {
-            if let Some(sub) = sub.take() {
-                sub.abort();
-            }
-        }
+        txn.abort_subs();
     }
 
     fn name(&self) -> &'static str {
-        "sharded"
+        self.name
     }
 
     fn stats(&self) -> StoreStats {
@@ -666,30 +711,5 @@ where
 
     fn low_watermark(&self) -> Option<Timestamp> {
         ShardedStore::low_watermark(self)
-    }
-
-    fn recover_install(
-        &self,
-        writes: Vec<(Key, V)>,
-        commit_ts: Option<Timestamp>,
-    ) -> Result<(), TxError> {
-        // Route each write to its shard and replay there. Sharded specs
-        // normally log per shard (each backend wears its own `WalBackend`),
-        // but a log written by a non-sharded engine replays fine through the
-        // same hash routing.
-        let ts = commit_ts.ok_or_else(|| {
-            TxError::Internal("sharded recovery requires the original commit timestamp".into())
-        })?;
-        let mut per_shard: Vec<Vec<(Key, V)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (key, value) in writes {
-            per_shard[self.shard_of(key)].push((key, value));
-        }
-        for (shard, shard_writes) in per_shard.into_iter().enumerate() {
-            if !shard_writes.is_empty() {
-                self.shards[shard].recover_commit(shard_writes, ts)?;
-            }
-        }
-        Ok(())
     }
 }

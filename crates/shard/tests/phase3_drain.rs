@@ -206,7 +206,7 @@ fn begin_pins_the_gc_watermark_before_the_first_access() {
     let wm = store
         .low_watermark()
         .expect("begin pins the coordinator watermark");
-    assert!(wm <= txn.base_timestamp());
+    assert!(wm <= txn.base_timestamp().expect("multi-shard txns have a base"));
     store.abort(txn);
     assert_eq!(store.low_watermark(), None);
 

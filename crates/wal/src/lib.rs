@@ -1,8 +1,8 @@
 //! # mvtl-wal
 //!
 //! The durability subsystem: an append-only, length-prefixed, checksummed
-//! write-ahead log with group commit, plus the wrappers that bolt it onto
-//! the workspace's engines.
+//! write-ahead log with group commit, plus the shard decorator that bolts it
+//! onto every engine the registry builds.
 //!
 //! * [`record`] — log records ([`WalRecord`]: commit / prepare / decision)
 //!   and their framed on-disk encoding (`[len][crc32][payload]`, the same
@@ -12,16 +12,20 @@
 //!   batches concurrent appends into one fsync (group commit), and
 //!   [`Wal::open`] scans existing segments on startup, stopping at the
 //!   first torn or corrupted frame and truncating the tail.
-//! * [`engine`] — [`WalEngine`], a [`mvtl_common::TransactionalKV`] wrapper
-//!   logging every commit's write set after the inner engine commits and
-//!   acknowledging only once the record is durable; on open it replays the
-//!   log into the inner engine via
-//!   [`mvtl_common::TransactionalKV::recover_install`].
-//! * [`backend`] — [`WalBackend`], the same decoration for one shard of the
-//!   cross-shard protocol: prepares and coordinator decisions are logged
-//!   durably *before* they are acknowledged, so presumed-abort recovery
-//!   gives every prepared sub-transaction exactly one decision across a
-//!   crash.
+//! * [`backend`] — [`WalBackend`], a [`mvtl_shard::ShardBackend`] decorator.
+//!   A single-shard commit's write set is logged after the shard commits and
+//!   acknowledged only once the record is durable; prepares and coordinator
+//!   decisions are logged durably *before* they are acknowledged, so
+//!   presumed-abort recovery gives every prepared sub-transaction exactly
+//!   one decision across a crash. On open, [`WalBackend::with_recovery`]
+//!   replays the log into the shard at the original commit timestamps
+//!   ([`mvtl_shard::ShardBackend::recover_commit`] /
+//!   [`recover_prepared`](mvtl_shard::ShardBackend::recover_prepared)).
+//!
+//! Every registry spec is a [`ShardedStore`](mvtl_shard::ShardedStore) of
+//! one or more shards, so this one decorator makes any engine durable: a
+//! non-`sharded` spec's single shard logs into `wal=<dir>` itself, a
+//! `sharded` spec's shards under `<dir>/shard-<i>`.
 //!
 //! # Example
 //!
@@ -48,12 +52,10 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod engine;
 pub mod log;
 pub mod record;
 
-pub use backend::WalBackend;
-pub use engine::{RecoveryReport, WalEngine, WalTxn};
+pub use backend::{RecoveryReport, WalBackend};
 pub use log::{
     FsyncMode, RecoveredCommit, RecoveredPrepare, Recovery, ResolvedRecovery, Wal, WalError,
     WalOptions,

@@ -1,7 +1,9 @@
 //! Durability demo: write-ahead logging, a simulated crash, and recovery.
 //!
-//! A [`WalEngine`] wraps an MVTIL store so that every commit is appended to a
-//! checksummed log and acknowledged only once durable. Dropping the engine
+//! A [`WalBackend`] wraps an MVTIL shard so that every commit is appended to
+//! a checksummed log and acknowledged only once durable, and a one-shard
+//! [`ShardedStore`] turns the shard into an engine — the same composition
+//! the registry builds for `mvtil-early?wal=<dir>`. Dropping the engine
 //! discards all in-memory state — the multiversion store, the lock tables,
 //! the clock — exactly like a process crash. Reopening the log replays the
 //! committed write sets at their *original* timestamps and restarts the clock
@@ -12,25 +14,32 @@
 //! cargo run --example crash_recovery
 //! ```
 
-use mvtl::clock::GlobalClock;
+use mvtl::clock::{ClockSource, GlobalClock};
 use mvtl::common::{Engine, EngineExt, Key, ProcessId, TempDir};
 use mvtl::core::policy::MvtilPolicy;
-use mvtl::core::{MvtlConfig, MvtlStore};
-use mvtl::wal::{RecoveryReport, Wal, WalError, WalOptions};
+use mvtl::core::MvtlConfig;
+use mvtl::shard::{IntersectionPick, MvtlBackend, ShardedStore};
+use mvtl::wal::{RecoveryReport, Wal, WalBackend, WalError, WalOptions};
 use std::path::Path;
 use std::sync::Arc;
 
 /// Opens the log in `dir`, sizes a fresh clock past whatever it recovered,
-/// and replays the log into a fresh MVTIL-early store.
+/// and replays the log into a fresh MVTIL-early shard.
 fn open_engine(dir: &Path) -> Result<(Box<dyn Engine<u64>>, RecoveryReport), WalError> {
     let (wal, recovery) = Wal::open::<u64>(dir, WalOptions::default())?;
     // The clock must start past every recovered commit timestamp, or new
     // transactions could serialize *before* state that already exists.
     let start = recovery.max_commit_ts().map_or(1, |ts| ts.value + 1);
-    let clock = Arc::new(GlobalClock::starting_at(start));
-    let store = MvtlStore::new(MvtilPolicy::early(1_000), clock as _, MvtlConfig::default());
-    let (engine, report) = mvtl::wal::WalEngine::with_recovery(Arc::new(store), wal, recovery)?;
-    Ok((Box::new(engine), report))
+    let clock: Arc<dyn ClockSource> = Arc::new(GlobalClock::starting_at(start));
+    let shard = MvtlBackend::build(
+        MvtilPolicy::early(1_000),
+        Arc::clone(&clock),
+        MvtlConfig::default(),
+    );
+    let (shard, report) = WalBackend::with_recovery(shard, wal, recovery)?;
+    let store =
+        ShardedStore::new(vec![shard], clock, IntersectionPick::Min).with_name("mvtil-early");
+    Ok((Box::new(store), report))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
