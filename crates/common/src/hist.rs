@@ -1,12 +1,12 @@
 //! An HDR-style log-linear latency histogram with fixed buckets.
 //!
-//! Values (microseconds in the driver, but the histogram is unit-agnostic)
-//! are binned into 32 sub-buckets per power-of-two octave, so every recorded
-//! value is represented with at most 1/32 ≈ 3.1% relative error while the
-//! whole `u64` range fits in a fixed ~1.9k-bucket table. Recording is O(1)
-//! with no allocation; histograms from concurrent workers merge by bucket-wise
-//! addition, which is how the open-loop driver aggregates per-connection
-//! tails.
+//! Values (per-attempt microseconds in the closed-loop workload runner, but
+//! the histogram is unit-agnostic) are binned into 32 sub-buckets per
+//! power-of-two octave, so every recorded value is represented with at most
+//! 1/32 ≈ 3.1% relative error while the whole `u64` range fits in a fixed
+//! ~1.9k-bucket table. Recording is O(1) with no allocation; histograms from
+//! concurrent workers merge by bucket-wise addition, which is how the runner
+//! aggregates its clients' latencies.
 
 /// log2 of the sub-bucket count per octave.
 const SUB_BITS: u32 = 5;

@@ -498,25 +498,57 @@ where
     /// [`MvtlStore::commit_prepared`]: installs versions, freezes write locks
     /// at `commit_ts` and garbage collects per policy. `commit_ts` must be a
     /// member of the transaction's commit candidates.
+    ///
+    /// One pass over the keys the transaction holds locks on, one stripe
+    /// latch per key; without commit-time GC only the written keys need one.
+    /// Every written key is among them: `commit_ts` is write-locked on each
+    /// written key.
     fn finish_commit(&self, mut txn: MvtlTransaction<V>, commit_ts: Timestamp) -> CommitInfo {
-        // Lines 17-19: freeze the write locks at the commit timestamp and
-        // expose the committed values. Both happen under the stripe's latch so
-        // that observers never see a frozen write lock without its version.
-        for (key, value) in std::mem::take(&mut txn.write_values) {
+        // Line 21: optional garbage collection (Algorithm 1, `gc`).
+        let gc = self.policy.commit_gc(&txn.state);
+        let MvtlTransaction {
+            state: tx,
+            write_values,
+        } = &mut txn;
+        for (key, _) in tx.held.iter() {
+            let value = write_values
+                .iter()
+                .position(|(k, _)| *k == key)
+                .map(|i| write_values.swap_remove(i).1);
+            if value.is_none() && !gc {
+                continue;
+            }
             self.with_cell_notify(key, |data, arena| {
-                data.locks
-                    .freeze(txn.state.id, LockMode::Write, TsRange::point(commit_ts));
-                data.versions.install(commit_ts, value, arena);
+                // Lines 17-19: freeze the write lock at the commit timestamp
+                // and expose the committed value under the same latch, so
+                // observers never see a frozen write lock without its version.
+                if let Some(value) = value {
+                    data.locks
+                        .freeze(tx.id, LockMode::Write, TsRange::point(commit_ts));
+                    data.versions.install(commit_ts, value, arena);
+                }
+                if gc {
+                    // Freeze the read locks between each version read and the
+                    // commit timestamp, then release every other unfrozen lock.
+                    for (_, version) in tx.read_set.iter().filter(|(k, _)| *k == key) {
+                        let start = version.succ();
+                        if start <= commit_ts {
+                            data.locks.freeze(
+                                tx.id,
+                                LockMode::Read,
+                                TsRange::new(start, commit_ts),
+                            );
+                        }
+                    }
+                    data.locks.release_unfrozen(tx.id);
+                }
             });
         }
+        assert!(write_values.is_empty(), "a written key holds no lock");
         txn.state.status = TxStatus::Committed;
         txn.state.commit_ts = Some(commit_ts);
         if let Some(pin) = txn.state.gc_pin.take() {
             self.active.deregister(pin);
-        }
-        // Line 21: optional garbage collection.
-        if self.policy.commit_gc(&txn.state) {
-            self.gc_transaction(&txn.state, commit_ts);
         }
         // The transaction is consumed: move the read/write sets out instead
         // of cloning them.
@@ -532,27 +564,6 @@ where
     pub fn abort(&self, mut txn: MvtlTransaction<V>) {
         if txn.state.is_active() {
             self.abort_internal(&mut txn.state);
-        }
-    }
-
-    /// Garbage collection for an ended transaction (Algorithm 1, `gc`): freeze
-    /// the read locks between each version read and the commit timestamp, then
-    /// release every remaining unfrozen lock.
-    fn gc_transaction(&self, tx: &TxState, commit_ts: Timestamp) {
-        for (key, version) in &tx.read_set {
-            let start = version.succ();
-            if start > commit_ts {
-                continue;
-            }
-            self.with_cell_notify(*key, |data, _| {
-                data.locks
-                    .freeze(tx.id, LockMode::Read, TsRange::new(start, commit_ts));
-            });
-        }
-        for (key, _) in tx.held.iter() {
-            self.with_cell_notify(key, |data, _| {
-                data.locks.release_unfrozen(tx.id);
-            });
         }
     }
 
@@ -1125,6 +1136,140 @@ mod tests {
         assert_eq!(s.read(&mut tx, Key(1)).unwrap(), Some(7));
         assert_eq!(s.read(&mut tx, Key(2)).unwrap(), None);
         s.commit(tx).unwrap();
+    }
+
+    /// The timestamps `owner` holds on `key` in `mode`, frozen or not.
+    fn owned<P: LockingPolicy>(
+        s: &MvtlStore<u64, P>,
+        key: Key,
+        owner: mvtl_common::TxId,
+        mode: LockMode,
+        frozen: bool,
+    ) -> TsSet {
+        let guard = s.cells.stripe_for(key).data.lock();
+        let Some(data) = guard.map.get(key) else {
+            return TsSet::new();
+        };
+        TsSet::from_ranges(
+            data.locks
+                .entries()
+                .iter()
+                .filter(|e| e.owner == owner && e.mode == mode && e.frozen == frozen)
+                .map(|e| e.range),
+        )
+    }
+
+    /// Commits one transaction through the prepare path (so the lock mirror
+    /// includes commit-time locks) and checks what it leaves on every key it
+    /// touched against Algorithm 1's commit and `gc`, computed from the
+    /// mirror: the frozen write point on each written key; with `commit_gc`
+    /// the frozen read run `[version+1, commit_ts]` of each read and nothing
+    /// unfrozen; without it every other lock untouched.
+    fn check_commit_end_state<P: LockingPolicy>(
+        s: &MvtlStore<u64, P>,
+        process: ProcessId,
+        body: impl FnOnce(&mut MvtlTransaction<u64>),
+    ) {
+        let mut tx = s.begin(process);
+        body(&mut tx);
+        let prepared = s.prepare_commit(tx).expect("prepare");
+        let before = prepared.txn.state.clone();
+        let commit_ts = s
+            .policy()
+            .commit_ts(&before, prepared.interval())
+            .expect("a commit timestamp");
+        s.commit_prepared(prepared, commit_ts).expect("commit");
+        let gc = s.policy().commit_gc(&before);
+        let point = TsSet::from_point(commit_ts);
+        let mut keys: Vec<Key> = before.held.iter().map(|(k, _)| k).collect();
+        keys.extend(before.read_set.iter().map(|(k, _)| *k));
+        keys.extend(before.write_keys.iter().copied());
+        for key in keys {
+            let held = before.locks_on(key).cloned().unwrap_or_default();
+            let written = before.write_keys.contains(&key);
+            let read_run = before
+                .read_set
+                .iter()
+                .filter(|(k, v)| *k == key && v.succ() <= commit_ts)
+                .fold(TsSet::new(), |run, (_, v)| {
+                    run.union(&TsSet::from_range(TsRange::new(v.succ(), commit_ts)))
+                });
+            let (frozen_read, unfrozen_read, unfrozen_write) = if gc {
+                (
+                    held.read.intersection(&read_run),
+                    TsSet::new(),
+                    TsSet::new(),
+                )
+            } else {
+                (
+                    TsSet::new(),
+                    held.read.clone(),
+                    held.write.difference(&point),
+                )
+            };
+            if gc && !written {
+                assert_eq!(frozen_read, read_run, "{key:?}: read run not fully held");
+            }
+            let id = before.id;
+            let name = s.policy().name();
+            let frozen_write = if written { point.clone() } else { TsSet::new() };
+            assert_eq!(
+                owned(s, key, id, LockMode::Write, true),
+                frozen_write,
+                "{name} {key:?}: frozen write"
+            );
+            assert_eq!(
+                owned(s, key, id, LockMode::Read, true),
+                frozen_read,
+                "{name} {key:?}: frozen read"
+            );
+            assert_eq!(
+                owned(s, key, id, LockMode::Write, false),
+                unfrozen_write,
+                "{name} {key:?}: unfrozen write"
+            );
+            assert_eq!(
+                owned(s, key, id, LockMode::Read, false),
+                unfrozen_read,
+                "{name} {key:?}: unfrozen read"
+            );
+        }
+    }
+
+    fn check_policy_commit_end_state<P: LockingPolicy>(policy: P) {
+        let s = MvtlStore::new(policy, Arc::new(GlobalClock::new()), MvtlConfig::default());
+        // A blind preload, then a transaction that reads only (1, 5), reads
+        // and writes (2) and writes only (4); key 5 was never written.
+        check_commit_end_state(&s, ProcessId(0), |tx| {
+            for k in 1..=3u64 {
+                s.write(tx, Key(k), k).unwrap();
+            }
+        });
+        check_commit_end_state(&s, ProcessId(1), |tx| {
+            assert_eq!(s.read(tx, Key(1)).unwrap(), Some(1));
+            assert_eq!(s.read(tx, Key(2)).unwrap(), Some(2));
+            s.write(tx, Key(2), 20).unwrap();
+            s.write(tx, Key(4), 40).unwrap();
+            assert_eq!(s.read(tx, Key(5)).unwrap(), None);
+        });
+        assert_eq!(s.snapshot_read(Key(2), Timestamp::MAX), Some(20));
+        assert_eq!(s.snapshot_read(Key(4), Timestamp::MAX), Some(40));
+    }
+
+    #[test]
+    fn commit_leaves_frozen_write_points_and_read_runs_only() {
+        use crate::policy::{
+            EpsilonPolicy, GhostbusterPolicy, MvtilPolicy, PessimisticPolicy, PrefPolicy,
+            PrioPolicy,
+        };
+        check_policy_commit_end_state(MvtilPolicy::early(1_000));
+        check_policy_commit_end_state(MvtilPolicy::late(1_000));
+        check_policy_commit_end_state(EpsilonPolicy::new(50));
+        check_policy_commit_end_state(GhostbusterPolicy::new());
+        check_policy_commit_end_state(PessimisticPolicy::new());
+        check_policy_commit_end_state(PrioPolicy::new());
+        check_policy_commit_end_state(PrefPolicy::new());
+        check_policy_commit_end_state(ToPolicy::new());
     }
 
     #[test]

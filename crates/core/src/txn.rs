@@ -25,9 +25,10 @@ impl HeldLocks {
 
 /// The per-key lock mirror of one transaction: a small linear-scan vector.
 ///
-/// Transactions touch a handful of keys (the benchmark default is 4 ops), so
-/// a `Vec` probe beats a `HashMap` — no hashing, no bucket allocation, and
-/// the buffer's capacity is reused across the transaction's operations.
+/// Transactions touch a handful of keys (the benchmark's workloads run 4 to
+/// 16 ops), so a `Vec` probe beats a `HashMap` — no hashing, no bucket
+/// allocation, and the buffer's capacity is reused across the transaction's
+/// operations.
 #[derive(Debug, Clone, Default)]
 pub struct HeldMap {
     entries: Vec<(Key, HeldLocks)>,

@@ -12,6 +12,8 @@
 //!   never block.
 //! * `Condvar::wait_until` takes a `&mut MutexGuard` and an [`Instant`]
 //!   deadline and reports timeouts through [`WaitTimeoutResult`].
+//! * `Condvar::notify_one` / `notify_all` with no thread parked return
+//!   without a syscall.
 //!
 //! Swap this shim for the real crate by pointing the `parking_lot` entry of
 //! `[workspace.dependencies]` back at crates.io; no source changes needed.
@@ -25,8 +27,10 @@
 //! static name plus a documentation rank) so that held→acquiring order edges
 //! and actual waits-for cycles are reported with real names. With the
 //! feature **off** (the default) those constructors discard their arguments
-//! at compile time and every method is the plain zero-overhead `std::sync`
-//! wrapper below — no atomics, no thread-locals, no extra branches.
+//! at compile time and every `Mutex` / `RwLock` method is the plain
+//! zero-overhead `std::sync` wrapper below — no atomics, no thread-locals, no
+//! extra branches. [`Condvar`] carries one atomic either way: its count of
+//! parked waiters, which lets a notify skip the syscall when nobody waits.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +43,7 @@ use lock_order::SiteSpec;
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Casts a (possibly wide) reference to its thin address, used as the lock's
@@ -444,9 +449,19 @@ impl WaitTimeoutResult {
 }
 
 /// A condition variable, API-compatible with `parking_lot::Condvar`.
+///
+/// A notify with no thread parked returns without a syscall, as in
+/// `parking_lot`: `std`'s futex condvar issues a `FUTEX_WAKE` on every
+/// notify, waiter or not. `waiters` counts the threads inside
+/// [`Condvar::wait`] / [`Condvar::wait_until`]. A waiter increments it while it
+/// still holds its mutex, before the `std` wait releases that mutex, so a
+/// notifier that changed the waited-for predicate under the same mutex always
+/// sees the waiter counted. A predicate changed outside the waiter's mutex
+/// could lose its wakeup here, as it can with `std`.
 #[derive(Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -454,17 +469,22 @@ impl Condvar {
     pub const fn new() -> Self {
         Condvar {
             inner: std::sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
     /// Wakes one thread blocked on this condition variable.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_one();
+        }
     }
 
     /// Wakes every thread blocked on this condition variable.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_all();
+        }
     }
 
     /// Blocks the current thread until notified, releasing `guard` while
@@ -475,7 +495,9 @@ impl Condvar {
         #[cfg(feature = "lock-order")]
         guard.tracked.suspend();
         let inner = guard.inner.take().expect("guard present");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let inner = self.inner.wait(inner).unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
         #[cfg(feature = "lock-order")]
         guard.tracked.resume();
@@ -492,10 +514,12 @@ impl Condvar {
         guard.tracked.suspend();
         let inner = guard.inner.take().expect("guard present");
         let timeout = deadline.saturating_duration_since(Instant::now());
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let (inner, result) = self
             .inner
             .wait_timeout(inner, timeout)
             .unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
         #[cfg(feature = "lock-order")]
         guard.tracked.resume();
@@ -609,5 +633,146 @@ mod tests {
         *m.lock() = true;
         cv.notify_all();
         handle.join().unwrap();
+    }
+
+    /// Lost-wakeup checks for the parked-waiter count: a notify skips the
+    /// syscall only when no waiter is counted, so a miscounted waiter would
+    /// sleep until its deadline.
+    mod wakeups {
+        use super::*;
+        use std::sync::mpsc;
+
+        const HANDOFFS: u64 = 10_000;
+
+        /// Two threads pass a turn counter back and forth `HANDOFFS` times
+        /// each, every hand-off through one shared condvar. With a deadline,
+        /// a hand-off that times out is a lost wakeup; without one, a lost
+        /// wakeup hangs, so the whole exchange runs under a watchdog (a hung
+        /// thread is left detached and the test fails).
+        fn ping_pong(deadline: Option<Duration>) {
+            let shared = Arc::new((Mutex::new(0u64), Condvar::new()));
+            let (done_tx, done_rx) = mpsc::channel();
+            let handles: Vec<_> = (0..2u64)
+                .map(|parity| {
+                    let shared = Arc::clone(&shared);
+                    let done_tx = done_tx.clone();
+                    std::thread::spawn(move || {
+                        let (m, cv) = &*shared;
+                        let mut timeouts = 0u64;
+                        for _ in 0..HANDOFFS {
+                            let mut turn = m.lock();
+                            while *turn % 2 != parity {
+                                match deadline {
+                                    Some(d) => {
+                                        if cv.wait_until(&mut turn, Instant::now() + d).timed_out()
+                                        {
+                                            timeouts += 1;
+                                        }
+                                    }
+                                    None => cv.wait(&mut turn),
+                                }
+                            }
+                            *turn += 1;
+                            drop(turn);
+                            if parity == 0 {
+                                cv.notify_one();
+                            } else {
+                                cv.notify_all();
+                            }
+                        }
+                        done_tx.send(timeouts).expect("receiver alive");
+                    })
+                })
+                .collect();
+            for _ in 0..2 {
+                let timeouts = done_rx
+                    .recv_timeout(Duration::from_secs(120))
+                    .expect("ping-pong hung: a wakeup was lost");
+                assert_eq!(timeouts, 0, "a hand-off timed out: a wakeup was lost");
+            }
+            for handle in handles {
+                handle.join().unwrap();
+            }
+            assert_eq!(*shared.0.lock(), 2 * HANDOFFS);
+        }
+
+        #[test]
+        fn ping_pong_through_wait_loses_no_wakeup() {
+            ping_pong(None);
+        }
+
+        #[test]
+        fn ping_pong_through_wait_until_loses_no_wakeup() {
+            ping_pong(Some(Duration::from_secs(10)));
+        }
+
+        #[test]
+        fn notify_without_a_waiter_is_not_remembered() {
+            let m = Mutex::new(());
+            let cv = Condvar::new();
+            cv.notify_all();
+            cv.notify_one();
+            let mut g = m.lock();
+            let res = cv.wait_until(&mut g, Instant::now() + Duration::from_millis(20));
+            assert!(
+                res.timed_out(),
+                "an earlier notify must not wake a later wait"
+            );
+            assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+        }
+
+        #[test]
+        fn notify_one_wakes_one_of_two_parked_waiters() {
+            // (tokens handed out, waiters that consumed one)
+            let shared = Arc::new((Mutex::new((0u32, 0u32)), Condvar::new()));
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    let shared = Arc::clone(&shared);
+                    std::thread::spawn(move || {
+                        let (m, cv) = &*shared;
+                        let mut state = m.lock();
+                        while state.0 == 0 {
+                            let deadline = Instant::now() + Duration::from_secs(10);
+                            assert!(!cv.wait_until(&mut state, deadline).timed_out());
+                        }
+                        state.0 -= 1;
+                        state.1 += 1;
+                    })
+                })
+                .collect();
+            let (m, cv) = &*shared;
+            // A waiter is counted while it still holds the mutex, so once the
+            // count reads 2 and the mutex is free, both are parked.
+            let start = Instant::now();
+            while cv.waiters.load(Ordering::SeqCst) < 2 {
+                assert!(
+                    start.elapsed() < Duration::from_secs(5),
+                    "waiters not counted"
+                );
+                std::thread::yield_now();
+            }
+            m.lock().0 = 1;
+            cv.notify_one();
+            let start = Instant::now();
+            while m.lock().1 == 0 {
+                assert!(start.elapsed() < Duration::from_secs(5), "nobody woke");
+                std::thread::yield_now();
+            }
+            // The other waiter re-checks its predicate on any spurious wakeup
+            // and parks again: one token wakes exactly one waiter. Under the
+            // mutex it is either parked or still counted.
+            std::thread::sleep(Duration::from_millis(50));
+            {
+                let mut state = m.lock();
+                assert_eq!(*state, (0, 1));
+                assert_eq!(cv.waiters.load(Ordering::SeqCst), 1);
+                state.0 = 1;
+            }
+            cv.notify_one();
+            for handle in handles {
+                handle.join().unwrap();
+            }
+            assert_eq!(*m.lock(), (0, 2));
+        }
     }
 }
