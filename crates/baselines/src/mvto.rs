@@ -367,18 +367,11 @@ where
         MvtoStore::low_watermark(self)
     }
 
-    fn recover_install(
-        &self,
-        writes: Vec<(Key, V)>,
-        commit_ts: Option<Timestamp>,
-    ) -> Result<(), TxError> {
+    fn recover_install(&self, writes: Vec<(Key, V)>, commit_ts: Timestamp) -> Result<(), TxError> {
         // MVTO+ serializes by timestamp, so recovery re-installs each version
         // at the timestamp the pre-crash commit chose.
-        let ts = commit_ts.ok_or_else(|| {
-            TxError::Internal("mvto+ recovery requires the original commit timestamp".into())
-        })?;
         for (key, value) in writes {
-            self.cell(key).lock().install(ts, value);
+            self.cell(key).lock().install(commit_ts, value);
         }
         Ok(())
     }

@@ -335,18 +335,11 @@ where
         "2pl"
     }
 
-    fn recover_install(
-        &self,
-        writes: Vec<(Key, V)>,
-        commit_ts: Option<Timestamp>,
-    ) -> Result<(), TxError> {
+    fn recover_install(&self, writes: Vec<(Key, V)>, ts: Timestamp) -> Result<(), TxError> {
         // The single committed version per key is tagged with the commit
         // sequence number, and the log carries it, so recovery keeps the
         // newest committed value per key even if records were logged out of
-        // commit order. Logs written by engines without a timestamp replay in
-        // log order under a fresh sequence number.
-        let ts = commit_ts
-            .unwrap_or_else(|| Timestamp::new(self.commit_seq.fetch_add(1, Ordering::SeqCst), 0));
+        // commit order.
         for (key, value) in writes {
             let cell = self.cell(key);
             let mut state = cell.state.lock();

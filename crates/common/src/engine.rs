@@ -1,15 +1,17 @@
-//! The object-safe engine layer: `dyn`-friendly handles over any
-//! [`TransactionalKV`] engine.
+//! The object-safe consumer layer: one engine trait and one transaction
+//! handle trait, usable as trait objects.
 //!
-//! [`TransactionalKV`] has an associated `Txn` type, which makes it precise but
-//! not object-safe: every consumer (workload runner, verifier, benchmarks) had
-//! to be monomorphized per engine. This module adds the uniform surface the
-//! paper's comparisons call for:
+//! [`TransactionalKV`](crate::TransactionalKV) has an associated `Txn` type,
+//! which makes it precise but not object-safe. This module is the uniform
+//! surface the paper's comparisons call for:
 //!
+//! * [`TxHandle`] — a boxed in-flight transaction. It is the only handle
+//!   trait in the workspace: a shard of a `ShardedStore` (`mvtl-shard`) hands
+//!   out the same handles, and [`TxHandle::prepare`] is its side of the §7
+//!   cross-shard commit ([`PreparedTxn`]).
 //! * [`Engine`] — an object-safe trait whose `begin_handle` returns a boxed
-//!   [`TxHandle`]. A blanket impl derives it for **every** `TransactionalKV`
-//!   engine, so the MVTL policies, MVTO+ and 2PL all become `Box<dyn Engine<V>>`
-//!   for free.
+//!   [`TxHandle`]. `ShardedStore` (every registry spec) and the TCP client's
+//!   `RemoteEngine` implement it.
 //! * [`Transaction`] — an owned RAII guard around a handle: `read`/`write`/
 //!   `commit` methods, and **abort on drop**. Forgetting to abort can no longer
 //!   leak lock-table entries.
@@ -22,15 +24,15 @@
 //! `Box<dyn Engine<V>>` values from specs like `"mvtil-early?delta=1000"`.
 
 use crate::kv::{CommitInfo, StoreStats};
-use crate::{Key, ProcessId, Timestamp, TransactionalKV, TxError};
-use std::marker::PhantomData;
+use crate::{Key, ProcessId, Timestamp, TsSet, TxError};
 use std::time::Duration;
 
 /// An in-flight transaction, detached from the engine's concrete `Txn` type.
 ///
-/// Handles are produced by [`Engine::begin_handle`] and are usually consumed
-/// through the [`Transaction`] RAII guard rather than directly; `commit` and
-/// `abort` take `self: Box<Self>` so that a finished handle cannot be reused.
+/// Handles are produced by [`Engine::begin_handle`] (and by the shards of a
+/// `ShardedStore`) and are usually consumed through the [`Transaction`] RAII
+/// guard rather than directly; `commit`, `prepare` and `abort` take
+/// `self: Box<Self>` so that a finished handle cannot be reused.
 pub trait TxHandle<V>: Send {
     /// Reads `key` within the transaction. `Ok(None)` is the initial `⊥`
     /// version.
@@ -50,10 +52,10 @@ pub trait TxHandle<V>: Send {
 
     /// Reads every key of `keys`, returning values in input order.
     ///
-    /// The default loops over [`TxHandle::read`]; the blanket impl over
-    /// [`TransactionalKV`] forwards to the engine's native
-    /// [`read_many`](TransactionalKV::read_many), so batch-aware engines keep
-    /// their fast path through the object-safe layer.
+    /// The default loops over [`TxHandle::read`]; handles over a
+    /// [`TransactionalKV`](crate::TransactionalKV) store forward to the
+    /// store's native `read_many`, so batch-aware engines keep their fast
+    /// path through the object-safe layer.
     ///
     /// # Errors
     ///
@@ -65,8 +67,8 @@ pub trait TxHandle<V>: Send {
     /// Writes every `(key, value)` pair of `entries`, in order (last value
     /// wins for repeated keys).
     ///
-    /// The default loops over [`TxHandle::write`]; the blanket impl forwards
-    /// to the engine's native [`write_many`](TransactionalKV::write_many).
+    /// The default loops over [`TxHandle::write`]; store handles forward to
+    /// the store's native `write_many`.
     ///
     /// # Errors
     ///
@@ -86,17 +88,59 @@ pub trait TxHandle<V>: Send {
     /// transaction is fully cleaned up in that case.
     fn commit(self: Box<Self>) -> Result<CommitInfo, TxError>;
 
+    /// Runs the participant side of the §7 cross-shard commit: acquires
+    /// commit-time locks and freezes the interval of timestamps this
+    /// transaction is guaranteed to be able to commit at, then waits for the
+    /// coordinator's decision as a [`PreparedTxn`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TxError::Aborted`] when commit-time locking fails or the
+    /// frozen interval is empty; the transaction's state is released. The
+    /// default aborts the transaction and returns [`TxError::Internal`]:
+    /// handles without a commit interval to freeze (a remote engine, a
+    /// multi-shard transaction, the single-version baselines) cannot take
+    /// part in a cross-shard commit.
+    fn prepare(self: Box<Self>) -> Result<Box<dyn PreparedTxn<V>>, TxError> {
+        self.abort();
+        Err(TxError::Internal(
+            "this transaction cannot prepare a cross-shard commit".into(),
+        ))
+    }
+
     /// Aborts the transaction, releasing any engine state it holds.
+    fn abort(self: Box<Self>);
+}
+
+/// A transaction in the prepared state of the §7 commit: its frozen interval
+/// is immutable (the transaction still holds every backing lock) until the
+/// coordinator decides. Dropping a prepared transaction without a decision
+/// aborts it.
+pub trait PreparedTxn<V>: Send {
+    /// The frozen interval reported to the coordinator. Never empty.
+    fn interval(&self) -> &TsSet;
+
+    /// Commits at the coordinator-chosen timestamp, which must lie inside
+    /// [`PreparedTxn::interval`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TxError::Aborted`] when `ts` lies outside the frozen
+    /// interval (a coordinator bug); a timestamp inside always succeeds.
+    fn commit_at(self: Box<Self>, ts: Timestamp) -> Result<CommitInfo, TxError>;
+
+    /// Aborts the prepared transaction (the coordinator's empty-intersection
+    /// decision), releasing its locks.
     fn abort(self: Box<Self>);
 }
 
 /// An object-safe transactional key-value engine.
 ///
-/// Unlike [`TransactionalKV`] this trait has no associated types, so
-/// `Box<dyn Engine<V>>` works and one call site can drive every protocol in
-/// the workspace. A blanket impl covers all `TransactionalKV` engines; the
-/// convenience methods ([`begin`](EngineExt::begin), [`run`](EngineExt::run))
-/// live on [`EngineExt`] so this trait stays object-safe.
+/// Unlike [`TransactionalKV`](crate::TransactionalKV) this trait has no
+/// associated types, so `Box<dyn Engine<V>>` works and one call site can
+/// drive every protocol in the workspace. The convenience methods
+/// ([`begin`](EngineExt::begin), [`run`](EngineExt::run)) live on
+/// [`EngineExt`] so this trait stays object-safe.
 ///
 /// # Example
 ///
@@ -104,33 +148,33 @@ pub trait TxHandle<V>: Send {
 /// through [`EngineExt::run`] until it commits:
 ///
 /// ```
-/// # use mvtl_common::{CommitInfo, Key, ProcessId, Timestamp, TransactionalKV, TxError, TxId};
+/// # use mvtl_common::{CommitInfo, Key, ProcessId, Timestamp, TxError, TxHandle, TxId};
 /// # use std::collections::HashMap;
 /// # use parking_lot::Mutex;
 /// # #[derive(Default)]
 /// # struct Toy { data: Mutex<HashMap<Key, u64>> }
-/// # struct ToyTxn { reads: Vec<(Key, Timestamp)>, writes: Vec<(Key, u64)> }
-/// # impl TransactionalKV<u64> for Toy {
-/// #     type Txn = ToyTxn;
-/// #     fn begin_at(&self, _p: ProcessId, _t: Option<Timestamp>) -> ToyTxn {
-/// #         ToyTxn { reads: Vec::new(), writes: Vec::new() }
+/// # struct ToyTxn<'a> { toy: &'a Toy, writes: Vec<(Key, u64)> }
+/// # impl TxHandle<u64> for ToyTxn<'_> {
+/// #     fn read(&mut self, key: Key) -> Result<Option<u64>, TxError> {
+/// #         Ok(self.writes.iter().rev().find(|(k, _)| *k == key).map(|(_, v)| *v)
+/// #             .or_else(|| self.toy.data.lock().get(&key).copied()))
 /// #     }
-/// #     fn read(&self, txn: &mut ToyTxn, key: Key) -> Result<Option<u64>, TxError> {
-/// #         txn.reads.push((key, Timestamp::ZERO));
-/// #         Ok(txn.writes.iter().rev().find(|(k, _)| *k == key).map(|(_, v)| *v)
-/// #             .or_else(|| self.data.lock().get(&key).copied()))
-/// #     }
-/// #     fn write(&self, txn: &mut ToyTxn, key: Key, value: u64) -> Result<(), TxError> {
-/// #         txn.writes.push((key, value));
+/// #     fn write(&mut self, key: Key, value: u64) -> Result<(), TxError> {
+/// #         self.writes.push((key, value));
 /// #         Ok(())
 /// #     }
-/// #     fn commit(&self, txn: ToyTxn) -> Result<CommitInfo, TxError> {
-/// #         let mut data = self.data.lock();
-/// #         let writes: Vec<Key> = txn.writes.iter().map(|(k, _)| *k).collect();
-/// #         for (k, v) in txn.writes { data.insert(k, v); }
-/// #         Ok(CommitInfo { tx: TxId(0), commit_ts: None, reads: txn.reads, writes })
+/// #     fn commit(self: Box<Self>) -> Result<CommitInfo, TxError> {
+/// #         let ToyTxn { toy, writes } = *self;
+/// #         let keys: Vec<Key> = writes.iter().map(|(k, _)| *k).collect();
+/// #         toy.data.lock().extend(writes);
+/// #         Ok(CommitInfo { tx: TxId(0), commit_ts: None, reads: Vec::new(), writes: keys })
 /// #     }
-/// #     fn abort(&self, _txn: ToyTxn) {}
+/// #     fn abort(self: Box<Self>) {}
+/// # }
+/// # impl Engine<u64> for Toy {
+/// #     fn begin_handle(&self, _: ProcessId, _: Option<Timestamp>) -> Box<dyn TxHandle<u64> + '_> {
+/// #         Box::new(ToyTxn { toy: self, writes: Vec::new() })
+/// #     }
 /// #     fn name(&self) -> &'static str { "toy" }
 /// # }
 /// use mvtl_common::{Engine, EngineExt, RetryOptions};
@@ -152,7 +196,7 @@ pub trait TxHandle<V>: Send {
 /// }
 ///
 /// let store = Toy::default();
-/// let engine: &dyn Engine<u64> = &store; // blanket impl: any TransactionalKV
+/// let engine: &dyn Engine<u64> = &store;
 /// let attempts = transfer(engine, Key(1), Key(2), 10)?;
 /// assert_eq!(attempts, 1);
 ///
@@ -179,10 +223,10 @@ pub trait Engine<V>: Send + Sync {
 
     // --- Maintenance surface (§6 / §8.1) ------------------------------------
     //
-    // Mirrors [`TransactionalKV`]'s maintenance methods through the
-    // object-safe layer, so a garbage collector (`mvtl-gc`) can drive any
-    // `dyn Engine<V>` without knowing the concrete store type. The blanket
-    // impl forwards to the engine's `TransactionalKV` implementation.
+    // Mirrors `TransactionalKV`'s maintenance methods through the
+    // object-safe layer, so state-size experiments and tests can inspect any
+    // `dyn Engine<V>`. A `ShardedStore` aggregates them over its shards, and
+    // its own GC sweeper purges through the same aggregate.
 
     /// Aggregate state-size statistics (keys, versions, lock entries).
     fn stats(&self) -> StoreStats {
@@ -202,75 +246,6 @@ pub trait Engine<V>: Send + Sync {
     /// read on, or `None` when no transaction is active (or untracked).
     fn low_watermark(&self) -> Option<Timestamp> {
         None
-    }
-}
-
-/// Adapter giving every [`TransactionalKV`] engine the object-safe [`Engine`]
-/// surface: the handle pairs the store reference with the concrete `Txn`.
-struct KvHandle<'a, V, S: TransactionalKV<V>> {
-    store: &'a S,
-    txn: S::Txn,
-    _values: PhantomData<fn() -> V>,
-}
-
-impl<V, S: TransactionalKV<V>> TxHandle<V> for KvHandle<'_, V, S> {
-    fn read(&mut self, key: Key) -> Result<Option<V>, TxError> {
-        self.store.read(&mut self.txn, key)
-    }
-
-    fn write(&mut self, key: Key, value: V) -> Result<(), TxError> {
-        self.store.write(&mut self.txn, key, value)
-    }
-
-    fn read_many(&mut self, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
-        self.store.read_many(&mut self.txn, keys)
-    }
-
-    fn write_many(&mut self, entries: Vec<(Key, V)>) -> Result<(), TxError> {
-        self.store.write_many(&mut self.txn, entries)
-    }
-
-    fn commit(self: Box<Self>) -> Result<CommitInfo, TxError> {
-        self.store.commit(self.txn)
-    }
-
-    fn abort(self: Box<Self>) {
-        self.store.abort(self.txn);
-    }
-}
-
-impl<V, S> Engine<V> for S
-where
-    V: 'static,
-    S: TransactionalKV<V>,
-    S::Txn: 'static,
-{
-    fn begin_handle(
-        &self,
-        process: ProcessId,
-        pinned: Option<Timestamp>,
-    ) -> Box<dyn TxHandle<V> + '_> {
-        Box::new(KvHandle {
-            store: self,
-            txn: self.begin_at(process, pinned),
-            _values: PhantomData,
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        TransactionalKV::name(self)
-    }
-
-    fn stats(&self) -> StoreStats {
-        TransactionalKV::stats(self)
-    }
-
-    fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
-        TransactionalKV::purge_below(self, bound)
-    }
-
-    fn low_watermark(&self) -> Option<Timestamp> {
-        TransactionalKV::low_watermark(self)
     }
 }
 
@@ -468,13 +443,6 @@ fn backoff_duration(options: &RetryOptions, attempt: u32, jitter: &mut u64) -> D
 /// as a trait object itself, which is what lets its methods be generic.
 pub trait EngineExt<V>: Engine<V> {
     /// Begins a transaction guarded by the RAII [`Transaction`] wrapper.
-    ///
-    /// Note for engine authors: on a *concrete* store type this method shares
-    /// its name with [`TransactionalKV::begin`], so a module that imports both
-    /// traits must disambiguate (`EngineExt::begin(&store, ..)`) or coerce to
-    /// `&dyn Engine<V>` first. Consumers of the dyn layer — the normal case —
-    /// never hit this, because `dyn Engine<V>` does not implement
-    /// `TransactionalKV`.
     fn begin(&self, process: ProcessId) -> Transaction<'_, V> {
         Transaction::from_handle(self.begin_handle(process, None))
     }
@@ -563,66 +531,74 @@ mod tests {
         fail_commits: AtomicU64,
     }
 
-    struct CountingTxn {
+    struct CountingTxn<'a> {
+        store: &'a CountingStore,
         reads: Vec<(Key, Timestamp)>,
         writes: Vec<(Key, u64)>,
     }
 
-    impl TransactionalKV<u64> for CountingStore {
-        type Txn = CountingTxn;
-
-        fn begin_at(&self, _process: ProcessId, _pinned: Option<Timestamp>) -> Self::Txn {
+    impl Engine<u64> for CountingStore {
+        fn begin_handle(
+            &self,
+            _process: ProcessId,
+            _pinned: Option<Timestamp>,
+        ) -> Box<dyn TxHandle<u64> + '_> {
             self.begins.fetch_add(1, Ordering::Relaxed);
-            CountingTxn {
+            Box::new(CountingTxn {
+                store: self,
                 reads: Vec::new(),
                 writes: Vec::new(),
-            }
+            })
         }
 
-        fn read(&self, txn: &mut Self::Txn, key: Key) -> Result<Option<u64>, TxError> {
-            txn.reads.push((key, Timestamp::ZERO));
-            Ok(txn
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    impl TxHandle<u64> for CountingTxn<'_> {
+        fn read(&mut self, key: Key) -> Result<Option<u64>, TxError> {
+            self.reads.push((key, Timestamp::ZERO));
+            Ok(self
                 .writes
                 .iter()
                 .rev()
                 .find(|(k, _)| *k == key)
                 .map(|(_, v)| *v)
-                .or_else(|| self.data.lock().get(&key).copied()))
+                .or_else(|| self.store.data.lock().get(&key).copied()))
         }
 
-        fn write(&self, txn: &mut Self::Txn, key: Key, value: u64) -> Result<(), TxError> {
-            txn.writes.push((key, value));
+        fn write(&mut self, key: Key, value: u64) -> Result<(), TxError> {
+            self.writes.push((key, value));
             Ok(())
         }
 
-        fn commit(&self, txn: Self::Txn) -> Result<CommitInfo, TxError> {
-            if self
+        fn commit(self: Box<Self>) -> Result<CommitInfo, TxError> {
+            let CountingTxn {
+                store,
+                reads,
+                writes,
+            } = *self;
+            if store
                 .fail_commits
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
                 .is_ok()
             {
                 return Err(TxError::aborted(AbortReason::NoCommonTimestamp));
             }
-            self.commits.fetch_add(1, Ordering::Relaxed);
-            let mut data = self.data.lock();
-            let writes: Vec<Key> = txn.writes.iter().map(|(k, _)| *k).collect();
-            for (k, v) in txn.writes {
-                data.insert(k, v);
-            }
+            store.commits.fetch_add(1, Ordering::Relaxed);
+            let keys: Vec<Key> = writes.iter().map(|(k, _)| *k).collect();
+            store.data.lock().extend(writes);
             Ok(CommitInfo {
                 tx: TxId(0),
                 commit_ts: None,
-                reads: txn.reads,
-                writes,
+                reads,
+                writes: keys,
             })
         }
 
-        fn abort(&self, _txn: Self::Txn) {
-            self.aborts.fetch_add(1, Ordering::Relaxed);
-        }
-
-        fn name(&self) -> &'static str {
-            "counting"
+        fn abort(self: Box<Self>) {
+            self.store.aborts.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -631,7 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn blanket_impl_provides_the_dyn_surface() {
+    fn dyn_surface_reads_writes_and_commits() {
         let store = CountingStore::default();
         let e = engine(&store);
         assert_eq!(e.name(), "counting");
@@ -695,6 +671,15 @@ mod tests {
         tx.write(Key(9), 1).unwrap();
         tx.commit().unwrap();
         assert_eq!(store.aborts.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn default_prepare_aborts_the_handle_and_refuses() {
+        let store = CountingStore::default();
+        let handle = engine(&store).begin_handle(ProcessId(1), None);
+        let err = handle.prepare().map(|_| ()).unwrap_err();
+        assert!(matches!(err, TxError::Internal(_)), "{err}");
+        assert_eq!(store.aborts.load(Ordering::Relaxed), 1);
     }
 
     #[test]

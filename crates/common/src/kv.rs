@@ -2,10 +2,12 @@
 //!
 //! The paper studies multiversion algorithms "in their broadest scope" (§1); we
 //! model the transactional storage system of §2 as a key-value store with
-//! `begin` / `read` / `write` / `commit` and drive every concurrency-control
-//! engine in the workspace (all MVTL policies, MVTO+, 2PL) through this single
-//! trait. That is what lets the workload harness, the serializability checker
-//! and the benchmarks compare protocols on identical inputs.
+//! `begin` / `read` / `write` / `commit`, and every concurrency-control engine
+//! in the workspace (all MVTL policies, MVTO+, 2PL) implements this single
+//! trait. `mvtl-shard` adapts any of them into the object-safe
+//! [`Engine`](crate::Engine) that the workload harness, the serializability
+//! checker and the benchmarks drive, so they compare protocols on identical
+//! inputs.
 
 use crate::{AbortReason, Key, ProcessId, Timestamp, TxError, TxId};
 
@@ -108,16 +110,18 @@ impl TxOutcome {
 
 /// A serializable transactional key-value store.
 ///
-/// All engines in the workspace implement this trait. `V` is the value type;
-/// the paper's evaluation uses small strings, the benchmarks here use `u64`.
+/// The concurrency-control engines (`MvtlStore` under every policy, MVTO+
+/// and 2PL) implement this trait. `V` is the value type; the paper's
+/// evaluation uses small strings, the benchmarks here use `u64`.
 ///
 /// This trait has an associated `Txn` type and is therefore not object-safe;
-/// it is the surface an *engine author* implements. Consumers (workload
-/// runners, the verifier, benchmarks) should program against the object-safe
-/// [`Engine`](crate::Engine) layer instead, which every `TransactionalKV`
-/// engine gets for free via a blanket impl — see the
-/// [`EngineExt::run`](crate::EngineExt::run) retry loop for the idiomatic
-/// transfer example.
+/// it is the surface an *engine author* implements, and what a caller uses
+/// to drive one store statically. Consumers (workload runners, the verifier,
+/// benchmarks) program against the object-safe [`Engine`](crate::Engine)
+/// trait instead: the `mvtl-shard` crate adapts a `TransactionalKV` store
+/// into a shard, and every registry spec is a `ShardedStore` of such shards
+/// — see the [`EngineExt::run`](crate::EngineExt::run) retry loop for the
+/// idiomatic transfer example.
 pub trait TransactionalKV<V>: Send + Sync {
     /// Per-transaction handle.
     type Txn: Send;
@@ -161,8 +165,7 @@ pub trait TransactionalKV<V>: Send + Sync {
     // (latch round-trips, interval negotiation) across a whole multi-key
     // operation. The defaults are plain loops, so every engine keeps working
     // unchanged; engines with a cheaper native path (`MvtlStore`'s sorted
-    // deduplicated lock pass, `ShardedStore`'s one-round-per-shard routing)
-    // override them.
+    // deduplicated lock pass, 2PL's sorted lock order) override them.
 
     /// Reads every key of `keys` within the transaction, returning the values
     /// in input order (`None` for the initial `⊥` version).
@@ -259,25 +262,12 @@ pub trait TransactionalKV<V>: Send + Sync {
     /// fresh transaction whose policy would pick new ones — so that
     /// post-crash reads reference the same `(key, commit_ts)` versions the
     /// pre-crash history committed and the combined history stays checkable
-    /// by the multiversion serialization graph. Engines that serialize by
-    /// timestamp receive `Some(commit_ts)`; single-version engines receive
-    /// `None` and apply the writes in replay (log) order.
+    /// by the multiversion serialization graph.
     ///
     /// # Errors
     ///
-    /// The default returns [`TxError::Internal`]: the engine does not support
-    /// recovery, so replaying a non-empty log into it fails.
-    fn recover_install(
-        &self,
-        writes: Vec<(Key, V)>,
-        commit_ts: Option<Timestamp>,
-    ) -> Result<(), TxError> {
-        let _ = (writes, commit_ts);
-        Err(TxError::Internal(format!(
-            "engine '{}' does not support WAL recovery",
-            self.name()
-        )))
-    }
+    /// Returns an error when the engine cannot install the write set.
+    fn recover_install(&self, writes: Vec<(Key, V)>, commit_ts: Timestamp) -> Result<(), TxError>;
 }
 
 #[cfg(test)]

@@ -18,12 +18,13 @@
 //! * [`TxError`] / [`AbortReason`] — the error vocabulary shared by every engine.
 //! * [`ops`] — the workload model of §2 (sequences of reads/writes/commits
 //!   indexed by transaction), used by the verifier and the workload generators.
-//! * [`kv`] — the `TransactionalKV` trait implemented by every engine in the
-//!   workspace (all MVTL policies, MVTO+, 2PL), so benchmarks, tests and the
-//!   serializability checker can drive them uniformly.
-//! * [`engine`] — the object-safe [`Engine`] layer over `TransactionalKV`:
-//!   boxed [`TxHandle`]s, the RAII [`Transaction`] guard (abort on drop), and
-//!   the [`EngineExt::run`] retry loop. `Box<dyn Engine<V>>` is what the
+//! * [`kv`] — the `TransactionalKV` trait an engine author implements (all
+//!   MVTL policies, MVTO+, 2PL): the static, per-store transaction surface.
+//! * [`engine`] — the object-safe consumer layer: the [`Engine`] trait, the
+//!   boxed [`TxHandle`] (the one handle trait, shared with the shards of a
+//!   sharded store, whose [`TxHandle::prepare`] yields a [`PreparedTxn`]),
+//!   the RAII [`Transaction`] guard (abort on drop), and the
+//!   [`EngineExt::run`] retry loop. `Box<dyn Engine<V>>` is what the
 //!   string-spec registry (`mvtl-registry`) hands out and what every consumer
 //!   drives.
 //! * [`watermark`] — the [`ActiveTxnRegistry`]: in-flight transactions pin the
@@ -57,7 +58,7 @@ mod timestamp;
 mod tsset;
 pub mod watermark;
 
-pub use engine::{Engine, EngineExt, RetryOptions, RunReport, Transaction, TxHandle};
+pub use engine::{Engine, EngineExt, PreparedTxn, RetryOptions, RunReport, Transaction, TxHandle};
 pub use error::{AbortReason, TxError};
 pub use ids::{Key, ProcessId, TxId};
 pub use kv::{CommitInfo, StoreStats, TransactionalKV, TxOutcome};

@@ -906,16 +906,9 @@ where
         MvtlStore::low_watermark(self)
     }
 
-    fn recover_install(
-        &self,
-        writes: Vec<(Key, V)>,
-        commit_ts: Option<Timestamp>,
-    ) -> Result<(), TxError> {
-        let ts = commit_ts.ok_or_else(|| {
-            TxError::Internal("mvtl recovery requires the original commit timestamp".into())
-        })?;
-        let prepared = self.recover_prepared(writes, &TsSet::from_point(ts))?;
-        self.commit_prepared(prepared, ts).map(|_| ())
+    fn recover_install(&self, writes: Vec<(Key, V)>, commit_ts: Timestamp) -> Result<(), TxError> {
+        let prepared = self.recover_prepared(writes, &TsSet::from_point(commit_ts))?;
+        self.commit_prepared(prepared, commit_ts).map(|_| ())
     }
 }
 

@@ -3,7 +3,7 @@
 //! `mvtl-verify`, which builds the multiversion serialization graph).
 
 use mvtl_clock::GlobalClock;
-use mvtl_common::{AbortReason, Engine, Key, ProcessId, RetryOptions, TransactionalKV, TxError};
+use mvtl_common::{AbortReason, Key, ProcessId, TransactionalKV, TxError};
 use mvtl_core::policy::{
     EpsilonPolicy, GhostbusterPolicy, LockingPolicy, MvtilPolicy, PessimisticPolicy, PrefPolicy,
     PrioPolicy, ToPolicy,
@@ -146,41 +146,53 @@ fn pref_preserves_balance_invariant() {
 
 #[test]
 fn concurrent_blind_writers_all_commit_under_mvtil() {
-    use mvtl_common::EngineExt as _;
     // Multiversion protocols commit blind writes without conflicts (§8.4.2).
     // A blind writer never conflicts on *values*, but MVTIL can still run out
     // of timestamps: its write lock must fit inside `[t, t + Δ]`, and an
     // earlier writer's locked interval plus a later one's can together cover
     // all of it. That is a legitimate `IntervalExhausted` abort (slow,
     // instrumented builds widen the overlap window), and a retry with a fresh
-    // interval gets through. So every write must commit through the retry
-    // loop, and every abort on the way must be an exhausted interval.
+    // interval gets through. So every write must commit within a few
+    // attempts, every commit must succeed, and every abort on the way must be
+    // an exhausted interval. Retries back off like `RetryOptions::default()`
+    // (50 µs doubling per attempt up to 5 ms, jittered per writer), so the
+    // writers do not retry in lockstep on the same keys.
     let store: MvtlStore<u64, MvtilPolicy> = MvtlStore::new(
         MvtilPolicy::early(10_000),
         Arc::new(GlobalClock::new()),
         MvtlConfig::default(),
     );
-    let engine: &dyn Engine<u64> = &store;
+    let store = &store;
     std::thread::scope(|scope| {
         for w in 0..8u32 {
             scope.spawn(move || {
-                let options = RetryOptions::default().with_seed(u64::from(w));
+                let mut jitter = (u64::from(w) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 for i in 0..100u64 {
                     let mut aborts = Vec::new();
-                    let report = engine
-                        .run(ProcessId(w + 1), &options, |tx| {
-                            let result = tx.write(Key(i % 16), u64::from(w) * 1000 + i);
-                            if let Err(err) = &result {
-                                aborts.push(err.clone());
+                    let committed = (0..16u32).any(|attempt| {
+                        let mut tx = store.begin(ProcessId(w + 1));
+                        match store.write(&mut tx, Key(i % 16), u64::from(w) * 1000 + i) {
+                            Ok(()) => {
+                                store.commit(tx).unwrap_or_else(|e| {
+                                    panic!("a blind writer's commit aborted: {e}")
+                                });
+                                true
                             }
-                            result
-                        })
-                        .unwrap_or_else(|e| panic!("blind write never committed: {e}"));
-                    assert_eq!(
-                        report.attempts as usize,
-                        aborts.len() + 1,
-                        "a blind writer's commit aborted"
-                    );
+                            Err(err) => {
+                                store.abort(tx);
+                                aborts.push(err);
+                                let cap_us = (50u64 << attempt).min(5_000);
+                                jitter ^= jitter << 13;
+                                jitter ^= jitter >> 7;
+                                jitter ^= jitter << 17;
+                                std::thread::sleep(Duration::from_micros(
+                                    cap_us / 2 + jitter % (cap_us / 2 + 1),
+                                ));
+                                false
+                            }
+                        }
+                    });
+                    assert!(committed, "blind write never committed: {aborts:?}");
                     for err in aborts {
                         assert!(
                             matches!(

@@ -25,24 +25,40 @@
 //!     transactions that begin right after a sweep.
 //!
 //!   The thread shuts down cleanly when the service is dropped.
-//! * [`GcEngine`] — pairs any [`TransactionalKV`] engine with its
-//!   `GcService` and delegates the whole transactional surface, so it *is*
-//!   an engine (including the object-safe `Engine` layer via the blanket
-//!   impl). This is what the `mvtl-registry` crate hands out for specs like
-//!   `"mvtil-early?gc_ms=100&gc_lag_ms=50"` or `"sharded?shards=8&gc_ms=100"`:
-//!   every spec's engine is a `ShardedStore` (of one shard, or `shards`), and
-//!   one service sweeps all its shards through the store's aggregated
-//!   watermark.
+//!
+//! The service knows nothing about engines: a [`SweepTarget`] is just a
+//! watermark and a purge hook. The one production target is a
+//! `ShardedStore` (`mvtl-shard`): `ShardedStore::with_gc` spawns a service
+//! whose target shares the store's shard list and its coordinator-level
+//! active-transaction registry, and the store joins the service when it is
+//! dropped. That is what the `mvtl-registry` crate builds for specs like
+//! `"mvtil-early?gc_ms=100&gc_lag_ms=50"` or `"sharded?shards=8&gc_ms=100"`:
+//! every spec's engine is a `ShardedStore` (of one shard, or `shards`), and
+//! one service sweeps all its shards through the store's aggregated
+//! watermark.
 //!
 //! # Example
 //!
+//! A bare store swept through its §6 maintenance surface:
+//!
 //! ```
 //! use mvtl_clock::{ClockSource, GlobalClock};
-//! use mvtl_common::{EngineExt, Key, ProcessId};
+//! use mvtl_common::{Key, ProcessId, Timestamp, TransactionalKV};
 //! use mvtl_core::{policy::ToPolicy, MvtlConfig, MvtlStore};
-//! use mvtl_gc::{GcConfig, GcEngine};
+//! use mvtl_gc::{GcConfig, GcService, SweepTarget};
 //! use std::sync::Arc;
 //! use std::time::Duration;
+//!
+//! struct Sweep(Arc<MvtlStore<u64, ToPolicy>>);
+//!
+//! impl SweepTarget for Sweep {
+//!     fn low_watermark(&self) -> Option<Timestamp> {
+//!         self.0.low_watermark()
+//!     }
+//!     fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
+//!         self.0.purge_below(bound)
+//!     }
+//! }
 //!
 //! let clock = Arc::new(GlobalClock::new());
 //! let store = Arc::new(MvtlStore::new(
@@ -50,27 +66,24 @@
 //!     clock.clone() as Arc<dyn ClockSource>,
 //!     MvtlConfig::default(),
 //! ));
-//! let engine = GcEngine::spawn(
-//!     store,
+//! let service = GcService::spawn(
+//!     Arc::new(Sweep(Arc::clone(&store))),
 //!     clock,
 //!     GcConfig::default().with_interval(Duration::from_millis(5)),
 //! );
-//! let mut tx = EngineExt::begin(&engine, ProcessId(1));
-//! tx.write(Key(1), 42u64).unwrap();
-//! tx.commit().unwrap();
-//! // Dropping `engine` stops the background sweeper.
+//! let mut tx = store.begin(ProcessId(1));
+//! store.write(&mut tx, Key(1), 42).unwrap();
+//! store.commit(tx).unwrap();
+//! drop(service); // stops and joins the background sweeper
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use mvtl_clock::ClockSource;
-use mvtl_common::{
-    CommitInfo, Engine, Key, ProcessId, StoreStats, Timestamp, TransactionalKV, TxError,
-};
+use mvtl_common::{ProcessId, Timestamp};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -131,9 +144,6 @@ pub struct GcStats {
 }
 
 /// What the sweeper needs from an engine: its watermark and its purge hook.
-///
-/// Provided for `Arc<dyn Engine<V>>`, which every [`TransactionalKV`] store
-/// coerces to ([`GcEngine::spawn`] does exactly that).
 pub trait SweepTarget: Send + Sync + 'static {
     /// The smallest timestamp any in-flight transaction may still anchor a
     /// read on, or `None` when nothing is active (or untracked).
@@ -142,16 +152,6 @@ pub trait SweepTarget: Send + Sync + 'static {
     /// Purges versions and lock state older than `bound`. Returns
     /// `(versions_removed, lock_entries_removed)`.
     fn purge_below(&self, bound: Timestamp) -> (usize, usize);
-}
-
-impl<V: 'static> SweepTarget for Arc<dyn Engine<V>> {
-    fn low_watermark(&self) -> Option<Timestamp> {
-        Engine::low_watermark(self.as_ref())
-    }
-
-    fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
-        Engine::purge_below(self.as_ref(), bound)
-    }
 }
 
 struct GcShared {
@@ -187,12 +187,13 @@ impl GcService {
     /// Spawns the sweeper over an explicit [`SweepTarget`], reading purge
     /// bounds from `clock`.
     ///
-    /// The target is owned by the thread, so whatever it references stays
-    /// alive at least as long as the service; dropping the service stops the
-    /// thread before it could observe a half-dropped engine.
+    /// The thread holds a share of the target, so it stays alive at least as
+    /// long as the service, and the engine that owns the service can share
+    /// it; dropping the service stops and joins the thread, releasing that
+    /// share before the engine's own.
     #[must_use]
     pub fn spawn(
-        target: Box<dyn SweepTarget>,
+        target: Arc<dyn SweepTarget>,
         clock: Arc<dyn ClockSource>,
         config: GcConfig,
     ) -> GcService {
@@ -294,123 +295,25 @@ impl std::fmt::Debug for GcService {
     }
 }
 
-/// An engine paired with the [`GcService`] that sweeps it: state stays
-/// bounded for as long as the wrapper lives, and the sweeper stops when the
-/// wrapper is dropped.
-///
-/// `GcEngine` delegates the whole [`TransactionalKV`] surface to the wrapped
-/// store, so the blanket impl in `mvtl-common` gives it the object-safe
-/// `Engine` layer for free — `Box<dyn Engine<V>>` works, which is how the
-/// registry returns it for specs carrying `gc_ms`.
-pub struct GcEngine<V, S> {
-    inner: Arc<S>,
-    service: GcService,
-    _values: PhantomData<fn() -> V>,
-}
-
-impl<V, S> GcEngine<V, S>
-where
-    V: 'static,
-    S: TransactionalKV<V> + 'static,
-    S::Txn: 'static,
-{
-    /// Wraps `inner` and spawns its sweeper.
-    #[must_use]
-    pub fn spawn(inner: Arc<S>, clock: Arc<dyn ClockSource>, config: GcConfig) -> GcEngine<V, S> {
-        let target: Arc<dyn Engine<V>> = inner.clone();
-        let service = GcService::spawn(Box::new(target), clock, config);
-        GcEngine {
-            inner,
-            service,
-            _values: PhantomData,
-        }
-    }
-
-    /// The garbage-collection service sweeping this engine.
-    #[must_use]
-    pub fn service(&self) -> &GcService {
-        &self.service
-    }
-
-    /// The wrapped engine.
-    #[must_use]
-    pub fn inner(&self) -> &Arc<S> {
-        &self.inner
-    }
-}
-
-impl<V, S> TransactionalKV<V> for GcEngine<V, S>
-where
-    V: 'static,
-    S: TransactionalKV<V> + 'static,
-{
-    type Txn = S::Txn;
-
-    fn begin_at(&self, process: ProcessId, pinned: Option<Timestamp>) -> Self::Txn {
-        self.inner.begin_at(process, pinned)
-    }
-
-    fn read(&self, txn: &mut Self::Txn, key: Key) -> Result<Option<V>, TxError> {
-        self.inner.read(txn, key)
-    }
-
-    fn write(&self, txn: &mut Self::Txn, key: Key, value: V) -> Result<(), TxError> {
-        self.inner.write(txn, key, value)
-    }
-
-    // The batched surface must forward too: the trait defaults loop over
-    // `read`/`write`, which would silently strip the inner engine's native
-    // batched path from every GC-wrapped spec.
-    fn read_many(&self, txn: &mut Self::Txn, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
-        self.inner.read_many(txn, keys)
-    }
-
-    fn write_many(&self, txn: &mut Self::Txn, entries: Vec<(Key, V)>) -> Result<(), TxError> {
-        self.inner.write_many(txn, entries)
-    }
-
-    fn commit(&self, txn: Self::Txn) -> Result<CommitInfo, TxError> {
-        self.inner.commit(txn)
-    }
-
-    fn abort(&self, txn: Self::Txn) {
-        self.inner.abort(txn);
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
-        self.inner.purge_below(bound)
-    }
-
-    fn low_watermark(&self) -> Option<Timestamp> {
-        self.inner.low_watermark()
-    }
-}
-
-impl<V, S: TransactionalKV<V>> std::fmt::Debug for GcEngine<V, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GcEngine")
-            .field("engine", &self.inner.name())
-            .field("service", &self.service)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvtl_common::{EngineExt, Key};
+    use mvtl_common::{Key, TransactionalKV};
     use mvtl_core::policy::ToPolicy;
     use mvtl_core::{MvtlConfig, MvtlStore};
 
     type Store = MvtlStore<u64, ToPolicy>;
+
+    /// A bare store is its own sweep target.
+    impl SweepTarget for Store {
+        fn low_watermark(&self) -> Option<Timestamp> {
+            MvtlStore::low_watermark(self)
+        }
+
+        fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
+            MvtlStore::purge_below(self, bound)
+        }
+    }
 
     fn store_and_clock() -> (Arc<Store>, Arc<mvtl_clock::GlobalClock>) {
         let clock = Arc::new(mvtl_clock::GlobalClock::new());
@@ -420,6 +323,14 @@ mod tests {
             MvtlConfig::default(),
         ));
         (store, clock)
+    }
+
+    fn spawn(
+        store: &Arc<Store>,
+        clock: Arc<mvtl_clock::GlobalClock>,
+        config: GcConfig,
+    ) -> GcService {
+        GcService::spawn(store.clone(), clock, config)
     }
 
     fn wait_until(mut predicate: impl FnMut() -> bool) -> bool {
@@ -432,11 +343,11 @@ mod tests {
         false
     }
 
-    fn churn(engine: &dyn Engine<u64>, key: Key, rounds: u64) {
+    fn churn(store: &Store, key: Key, rounds: u64) {
         for round in 0..rounds {
-            let mut tx = engine.begin(ProcessId(1));
-            tx.write(key, round).unwrap();
-            tx.commit().unwrap();
+            let mut tx = store.begin(ProcessId(1));
+            store.write(&mut tx, key, round).unwrap();
+            store.commit(tx).unwrap();
         }
     }
 
@@ -448,163 +359,62 @@ mod tests {
     }
 
     #[test]
-    fn gc_engine_forwards_the_batched_surface() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        /// Counts batched calls so a wrapper that falls back to the default
-        /// per-key loops is caught.
-        struct Probe {
-            inner: Store,
-            read_many_calls: AtomicUsize,
-            write_many_calls: AtomicUsize,
-        }
-
-        impl TransactionalKV<u64> for Probe {
-            type Txn = <Store as TransactionalKV<u64>>::Txn;
-
-            fn begin_at(&self, process: ProcessId, pinned: Option<Timestamp>) -> Self::Txn {
-                self.inner.begin_at(process, pinned)
-            }
-
-            fn read(&self, txn: &mut Self::Txn, key: Key) -> Result<Option<u64>, TxError> {
-                self.inner.read(txn, key)
-            }
-
-            fn write(&self, txn: &mut Self::Txn, key: Key, value: u64) -> Result<(), TxError> {
-                self.inner.write(txn, key, value)
-            }
-
-            fn read_many(
-                &self,
-                txn: &mut Self::Txn,
-                keys: &[Key],
-            ) -> Result<Vec<Option<u64>>, TxError> {
-                self.read_many_calls.fetch_add(1, Ordering::Relaxed);
-                self.inner.read_many(txn, keys)
-            }
-
-            fn write_many(
-                &self,
-                txn: &mut Self::Txn,
-                entries: Vec<(Key, u64)>,
-            ) -> Result<(), TxError> {
-                self.write_many_calls.fetch_add(1, Ordering::Relaxed);
-                self.inner.write_many(txn, entries)
-            }
-
-            fn commit(&self, txn: Self::Txn) -> Result<CommitInfo, TxError> {
-                self.inner.commit(txn)
-            }
-
-            fn abort(&self, txn: Self::Txn) {
-                self.inner.abort(txn);
-            }
-
-            fn name(&self) -> &'static str {
-                "probe"
-            }
-        }
-
-        let clock = Arc::new(mvtl_clock::GlobalClock::new());
-        let probe = Arc::new(Probe {
-            inner: MvtlStore::new(
-                ToPolicy::new(),
-                clock.clone() as Arc<dyn ClockSource>,
-                MvtlConfig::default(),
-            ),
-            read_many_calls: AtomicUsize::new(0),
-            write_many_calls: AtomicUsize::new(0),
-        });
-        let engine = GcEngine::spawn(
-            Arc::clone(&probe),
-            clock as Arc<dyn ClockSource>,
-            GcConfig::default(),
-        );
-        let engine: &dyn Engine<u64> = &engine;
-
-        let mut tx = engine.begin(ProcessId(1));
-        tx.write_many(vec![(Key(1), 1), (Key(2), 2), (Key(3), 3)])
-            .unwrap();
-        assert_eq!(
-            tx.read_many(&[Key(1), Key(2), Key(3)]).unwrap(),
-            vec![Some(1), Some(2), Some(3)]
-        );
-        tx.commit().unwrap();
-
-        // One batched call each reached the wrapped store — the GC wrapper
-        // must not degrade batches into per-key loops.
-        assert_eq!(probe.write_many_calls.load(Ordering::Relaxed), 1);
-        assert_eq!(probe.read_many_calls.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
     fn service_purges_old_versions_down_to_one() {
         let (store, clock) = store_and_clock();
-        let engine: Arc<dyn Engine<u64>> = store.clone();
-        let service = GcService::spawn(
-            Box::new(Arc::clone(&engine)),
-            clock as Arc<dyn ClockSource>,
-            fast_gc(),
-        );
-        churn(engine.as_ref(), Key(1), 32);
+        let service = spawn(&store, clock, fast_gc());
+        churn(&store, Key(1), 32);
         assert!(
-            wait_until(|| engine.stats().versions <= 1),
+            wait_until(|| store.stats().versions <= 1),
             "GC must shrink the chain to the latest version, stats: {:?}",
-            engine.stats()
+            store.stats()
         );
         assert!(service.stats().versions_purged >= 31);
         assert!(service.stats().purges > 0);
         // The latest value survives.
-        let mut tx = engine.as_ref().begin(ProcessId(2));
-        assert_eq!(tx.read(Key(1)).unwrap(), Some(31));
-        tx.commit().unwrap();
+        let mut tx = store.begin(ProcessId(2));
+        assert_eq!(store.read(&mut tx, Key(1)).unwrap(), Some(31));
+        store.commit(tx).unwrap();
     }
 
     #[test]
     fn watermark_protects_versions_needed_by_active_transactions() {
         let (store, clock) = store_and_clock();
-        let engine: Arc<dyn Engine<u64>> = store.clone();
-        let _service = GcService::spawn(
-            Box::new(Arc::clone(&engine)),
-            clock as Arc<dyn ClockSource>,
-            fast_gc(),
-        );
-        churn(engine.as_ref(), Key(1), 4);
+        let _service = spawn(&store, clock, fast_gc());
+        churn(&store, Key(1), 4);
         // An in-flight reader anchors the watermark before further churn.
-        let mut reader = TransactionalKV::begin(store.as_ref(), ProcessId(7));
+        let mut reader = store.begin(ProcessId(7));
         assert_eq!(store.read(&mut reader, Key(1)).unwrap(), Some(3));
-        churn(engine.as_ref(), Key(1), 8);
+        churn(&store, Key(1), 8);
         // Sweeps run, but the bound is capped at the reader's pin: the three
         // versions strictly below the reader's anchor are purged, while the
         // anchor itself and everything above it must survive.
         assert!(
-            wait_until(|| engine.stats().purged_versions >= 3),
+            wait_until(|| store.stats().purged_versions >= 3),
             "stats: {:?}",
-            engine.stats()
+            store.stats()
         );
         assert!(
-            engine.stats().versions >= 9,
+            store.stats().versions >= 9,
             "versions the reader may re-read were purged: {:?}",
-            engine.stats()
+            store.stats()
         );
         // A re-read under the same transaction still sees its version.
         assert_eq!(store.read(&mut reader, Key(1)).unwrap(), Some(3));
         store.commit(reader).unwrap();
         // With the pin gone the chain shrinks to the latest version.
         assert!(
-            wait_until(|| engine.stats().versions <= 1),
+            wait_until(|| store.stats().versions <= 1),
             "stats: {:?}",
-            engine.stats()
+            store.stats()
         );
     }
 
     #[test]
     fn drop_stops_the_sweeper() {
         let (store, clock) = store_and_clock();
-        let engine: Arc<dyn Engine<u64>> = store;
-        let service = GcService::spawn(
-            Box::new(Arc::clone(&engine)),
-            clock as Arc<dyn ClockSource>,
+        let service = spawn(
+            &store,
+            clock,
             GcConfig {
                 interval: Duration::from_millis(1),
                 lag: Duration::ZERO,
@@ -612,54 +422,30 @@ mod tests {
         );
         assert!(wait_until(|| service.stats().sweeps > 2));
         drop(service);
-        // The thread has joined; no further sweeps can touch the engine.
-        churn(engine.as_ref(), Key(1), 8);
-        let resident = engine.stats().versions;
+        // The thread has joined and released its share of the target.
+        assert_eq!(Arc::strong_count(&store), 1);
+        // No further sweeps can touch the engine.
+        churn(&store, Key(1), 8);
+        let resident = store.stats().versions;
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(engine.stats().versions, resident, "sweeper kept running");
+        assert_eq!(store.stats().versions, resident, "sweeper kept running");
     }
 
     #[test]
     fn lag_defers_purging_of_recent_state() {
         let (store, clock) = store_and_clock();
-        let engine: Arc<dyn Engine<u64>> = store;
-        let service = GcService::spawn(
-            Box::new(Arc::clone(&engine)),
-            clock as Arc<dyn ClockSource>,
+        let service = spawn(
+            &store,
+            clock,
             GcConfig {
                 interval: Duration::from_millis(2),
                 lag: Duration::from_secs(3600),
             },
         );
-        churn(engine.as_ref(), Key(1), 8);
+        churn(&store, Key(1), 8);
         assert!(wait_until(|| service.stats().sweeps > 3));
         // With an hour of lag nothing is old enough to purge.
-        assert_eq!(engine.stats().versions, 8);
+        assert_eq!(store.stats().versions, 8);
         assert_eq!(service.stats().purges, 0);
-    }
-
-    #[test]
-    fn gc_engine_delegates_and_sweeps() {
-        let (store, clock) = store_and_clock();
-        let engine = GcEngine::spawn(store.clone(), clock as Arc<dyn ClockSource>, fast_gc());
-        assert_eq!(TransactionalKV::name(&engine), "mvtl-to");
-        let dyn_engine: &dyn Engine<u64> = &engine;
-        churn(dyn_engine, Key(9), 16);
-        // Wait for the steady state (latest version kept, all purgeable lock
-        // entries gone) so the stats snapshots below cannot race a sweep.
-        assert!(
-            wait_until(|| {
-                let s = dyn_engine.stats();
-                s.versions <= 1 && s.lock_entries == 0
-            }),
-            "stats: {:?}",
-            dyn_engine.stats()
-        );
-        assert_eq!(
-            TransactionalKV::stats(store.as_ref()),
-            dyn_engine.stats(),
-            "wrapper reports the inner engine's stats"
-        );
-        assert!(engine.service().stats().versions_purged >= 15);
     }
 }

@@ -38,8 +38,8 @@
 //!
 //! Every spec is composed one way: a [`ShardedStore`] of one or more shard
 //! backends — one unless the spec is `sharded` — each optionally wrapped in
-//! fault injection and a write-ahead log, and the store optionally wrapped
-//! in a GC service (see [`build_for`]). The paper's single server is the
+//! fault injection and a write-ahead log, and the store optionally given its
+//! own GC sweeper (see [`build_for`]). The paper's single server is the
 //! one-participant case of its §7 protocol, and the code is built that way.
 //!
 //! # Example
@@ -67,7 +67,7 @@ use mvtl_core::policy::{
 };
 use mvtl_core::MvtlConfig;
 use mvtl_faults::{FaultPlan, FaultSpec};
-use mvtl_gc::{GcConfig, GcEngine};
+use mvtl_gc::GcConfig;
 use mvtl_shard::{
     FaultyBackend, IntersectionPick, KvBackend, MvtlBackend, ShardBackend, ShardedStore,
 };
@@ -357,10 +357,10 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 /// `clock=batched`), `gc_ms` (background GC sweep interval in
 /// milliseconds; absent — the default — means no GC thread) and `gc_lag_ms`
 /// (purge-bound lag behind the clock, default [`DEFAULT_GC_LAG_MS`]; requires
-/// `gc_ms`). With `gc_ms` set the returned engine is wrapped in a
-/// [`mvtl_gc::GcEngine`] whose background service purges the engine below
-/// `min(low watermark, now − gc_lag)` every `gc_ms` — for the `sharded`
-/// engine one service sweeps all shards. Shared parameters for all MVTL-core
+/// `gc_ms`). With `gc_ms` set the store runs its own background sweeper
+/// ([`ShardedStore::with_gc`]), which purges every shard below
+/// `min(low watermark, now − gc_lag)` every `gc_ms` and is joined when the
+/// engine drops. Shared parameters for all MVTL-core
 /// engines: `timeout_ms` (lock-wait timeout, default 100) and `shards`
 /// (key-map shard count, default 64, at least 1). Engine-specific
 /// parameters: `delta` (MVTIL, ticks), `eps` (`mvtl-epsilon-clock`, ticks),
@@ -385,7 +385,7 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 /// (the named engine, or `sharded`'s `inner` one), each wrapped in a
 /// [`FaultyBackend`] (`sharded` specs with `fault=`) and then a
 /// [`WalBackend`] (`wal=`), put in one [`ShardedStore`] named after the
-/// spec's base name, which a [`GcEngine`] wraps when `gc_ms` is set.
+/// spec's base name, which runs its own GC sweeper when `gc_ms` is set.
 /// `count` is `sharded`'s `shards` and 1 for every other engine; a one-shard
 /// store behaves exactly like the bare engine. Every parameter is validated
 /// before any log is opened, so a rejected spec never touches the disk.
@@ -461,10 +461,10 @@ where
     if let Some(timeout) = layout.commit_timeout {
         store = store.with_commit_timeout(timeout);
     }
-    Ok(match gc {
-        None => Box::new(store),
-        Some(config) => Box::new(GcEngine::spawn(Arc::new(store), clock, config)),
-    })
+    if let Some(config) = gc {
+        store = store.with_gc(config);
+    }
+    Ok(Box::new(store))
 }
 
 /// Every engine base name the registry builds.
@@ -531,8 +531,8 @@ fn take_clock(parsed: &mut EngineSpec) -> Result<Option<u64>, SpecError> {
     }
 }
 
-/// Consumes the shared `gc_ms` / `gc_lag_ms` parameters. `Some` means "wrap
-/// the engine in a [`GcEngine`] with this configuration".
+/// Consumes the shared `gc_ms` / `gc_lag_ms` parameters. `Some` means "give
+/// the store a GC sweeper with this configuration".
 fn take_gc_config(parsed: &mut EngineSpec) -> Result<Option<GcConfig>, SpecError> {
     let gc_ms = parsed.take_parsed::<u64>("gc_ms")?;
     let gc_lag_ms = parsed.take_parsed::<u64>("gc_lag_ms")?;
@@ -666,8 +666,8 @@ struct Layout {
 /// otherwise). `map_shards` (each partition's key→cell map shard count) and
 /// the inner engine's own parameters (`delta`, `eps`, `offset`,
 /// `timeout_ms`) are consumed with the inner engine. With `gc_ms` set, the
-/// single service attached to the store sweeps *all* shards through
-/// [`ShardedStore::purge_below`] under the store's aggregated low watermark.
+/// store's one sweeper purges *all* shards under the store's aggregated low
+/// watermark.
 ///
 /// Fault injection: `fault` (a `mvtl-faults` schedule string such as
 /// `delay:0.4:200|crash:0.1`; every shard backend is wrapped in a
@@ -1118,6 +1118,51 @@ mod tests {
         let mut tx = engine.begin(ProcessId(2));
         assert_eq!(tx.read(Key(1)).unwrap(), Some(15));
         tx.commit().unwrap();
+    }
+
+    #[test]
+    fn idle_multi_shard_transaction_survives_a_live_sweep() {
+        use mvtl_common::{EngineExt, Key, ProcessId, Timestamp};
+        // MVTL-TO reads at exactly the transaction's base, so an idle
+        // transaction pinned just above K's first version must read that
+        // version however many sweeps run before it touches any shard.
+        let engine = build("sharded?shards=2&inner=mvtl-to&gc_ms=1&gc_lag_ms=0").unwrap();
+        let (k, j) = (Key(1), Key(2));
+        let mut tx = engine.begin(ProcessId(1));
+        tx.write(k, 10).unwrap();
+        let first = tx.commit().unwrap().commit_ts.unwrap();
+        // Process 0 orders the idle transaction before any writer that
+        // draws the same clock value.
+        let mut idle = engine.begin_pinned(ProcessId(0), Timestamp::at(first.value + 1));
+        for round in 0..8u64 {
+            let mut tx = engine.begin(ProcessId(2));
+            tx.write(k, 100 + round).unwrap();
+            tx.commit().unwrap();
+        }
+        // Two versions of J between K's first version and the pin, written
+        // after every newer version of K: the sweep that purges the older one
+        // runs with a bound past all of K's versions, unless the idle
+        // transaction's coordinator pin caps it.
+        for (process, value) in [(3, 1), (4, 2)] {
+            let at = Timestamp::new(first.value, process);
+            let mut tx = engine.begin_pinned(ProcessId(process), at);
+            tx.write(j, value).unwrap();
+            tx.commit().unwrap();
+        }
+        let swept = (0..500).any(|_| {
+            if engine.stats().purged_versions > 0 {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+            false
+        });
+        assert!(
+            swept,
+            "the store's sweeper never purged: {:?}",
+            engine.stats()
+        );
+        assert_eq!(idle.read(k).unwrap(), Some(10));
+        idle.commit().unwrap();
     }
 
     #[test]

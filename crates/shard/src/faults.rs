@@ -1,4 +1,4 @@
-//! Fault-injecting decorators over the shard participant traits.
+//! Fault-injecting decorators over the shard participant seam.
 //!
 //! [`FaultyBackend`] wraps any [`ShardBackend`] and consults a seeded
 //! [`FaultPlan`] (`mvtl-faults`) before forwarding each call, injecting the
@@ -27,8 +27,11 @@
 //! * **Skew** — the pinned begin timestamp is offset by a constant per-shard
 //!   tick count, the ε-clock scenario of the skewed-clock schedule.
 
-use crate::backend::{PreparedShardTxn, ShardBackend, ShardTxn};
-use mvtl_common::{AbortReason, CommitInfo, Key, ProcessId, StoreStats, Timestamp, TsSet, TxError};
+use crate::backend::ShardBackend;
+use mvtl_common::{
+    AbortReason, CommitInfo, Key, PreparedTxn, ProcessId, StoreStats, Timestamp, TsSet, TxError,
+    TxHandle,
+};
 use mvtl_faults::{FaultPlan, PrepareFault};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -74,7 +77,7 @@ impl<V> ShardBackend<V> for FaultyBackend<V>
 where
     V: Clone + Send + Sync + 'static,
 {
-    fn begin(&self, process: ProcessId, pinned: Option<Timestamp>) -> Box<dyn ShardTxn<V>> {
+    fn begin(&self, process: ProcessId, pinned: Option<Timestamp>) -> Box<dyn TxHandle<V>> {
         let offset = self.plan.shard_skew(self.shard);
         let pinned = match (pinned, offset) {
             (Some(ts), skew) if skew != 0 => {
@@ -90,7 +93,7 @@ where
             (pinned, _) => pinned,
         };
         Box::new(FaultyTxn {
-            inner: Some(self.inner.begin(process, pinned)),
+            inner: self.inner.begin(process, pinned),
             plan: Arc::clone(&self.plan),
             shard: self.shard,
             seq: Arc::clone(&self.seq),
@@ -119,15 +122,15 @@ where
         &self,
         writes: Vec<(Key, V)>,
         interval: &TsSet,
-    ) -> Result<Box<dyn PreparedShardTxn<V>>, TxError> {
+    ) -> Result<Box<dyn PreparedTxn<V>>, TxError> {
         self.inner.recover_prepared(writes, interval)
     }
 }
 
-/// [`ShardTxn`] decorator: delays operations and perturbs `prepare` per the
+/// [`TxHandle`] decorator: delays operations and perturbs `prepare` per the
 /// plan's decisions.
 struct FaultyTxn<V> {
-    inner: Option<Box<dyn ShardTxn<V>>>,
+    inner: Box<dyn TxHandle<V>>,
     plan: Arc<FaultPlan>,
     shard: usize,
     seq: Arc<AtomicU64>,
@@ -143,46 +146,46 @@ impl<V> FaultyTxn<V> {
             thread::sleep(delay);
         }
     }
-
-    fn inner_mut(&mut self) -> &mut Box<dyn ShardTxn<V>> {
-        self.inner
-            .as_mut()
-            .expect("faulty txn present until finished")
-    }
 }
 
-impl<V> ShardTxn<V> for FaultyTxn<V>
+impl<V> TxHandle<V> for FaultyTxn<V>
 where
     V: Clone + Send + Sync + 'static,
 {
     fn read(&mut self, key: Key) -> Result<Option<V>, TxError> {
         self.maybe_delay();
-        self.inner_mut().read(key)
+        self.inner.read(key)
     }
 
     fn write(&mut self, key: Key, value: V) -> Result<(), TxError> {
         self.maybe_delay();
-        self.inner_mut().write(key, value)
+        self.inner.write(key, value)
     }
 
     fn read_many(&mut self, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
         self.maybe_delay();
-        self.inner_mut().read_many(keys)
+        self.inner.read_many(keys)
     }
 
     fn write_many(&mut self, entries: Vec<(Key, V)>) -> Result<(), TxError> {
         self.maybe_delay();
-        self.inner_mut().write_many(entries)
+        self.inner.write_many(entries)
     }
 
-    fn commit(mut self: Box<Self>) -> Result<CommitInfo, TxError> {
+    fn commit(self: Box<Self>) -> Result<CommitInfo, TxError> {
         self.maybe_delay();
-        self.inner.take().expect("faulty txn present").commit()
+        let FaultyTxn { inner, .. } = *self;
+        inner.commit()
     }
 
-    fn prepare(mut self: Box<Self>) -> Result<Box<dyn PreparedShardTxn<V>>, TxError> {
+    fn prepare(self: Box<Self>) -> Result<Box<dyn PreparedTxn<V>>, TxError> {
         let fault = self.plan.prepare_fault(self.shard, self.next_seq());
-        let inner = self.inner.take().expect("faulty txn present");
+        let FaultyTxn {
+            inner,
+            plan,
+            shard,
+            seq,
+        } = *self;
         match fault {
             Some(PrepareFault::Crash) => {
                 // The shard dies between `prepare` and the decision: whatever
@@ -193,7 +196,7 @@ where
                     prepared.abort();
                 }
                 return Err(TxError::aborted(AbortReason::ParticipantCrashed {
-                    shard: self.shard as u32,
+                    shard: shard as u32,
                 }));
             }
             Some(PrepareFault::Stall(stall)) => thread::sleep(stall),
@@ -208,54 +211,49 @@ where
             thread::sleep(hold);
         }
         Ok(Box::new(FaultyPrepared {
-            inner: Some(prepared),
-            plan: Arc::clone(&self.plan),
-            shard: self.shard,
-            seq: Arc::clone(&self.seq),
+            inner: prepared,
+            plan,
+            shard,
+            seq,
         }))
     }
 
-    fn abort(mut self: Box<Self>) {
-        if let Some(inner) = self.inner.take() {
-            inner.abort();
-        }
+    fn abort(self: Box<Self>) {
+        self.inner.abort();
     }
 }
 
-/// [`PreparedShardTxn`] decorator: delays the coordinated commit (aborts stay
+/// [`PreparedTxn`] decorator: delays the coordinated commit (aborts stay
 /// prompt so recovery drains fast).
 struct FaultyPrepared<V> {
-    inner: Option<Box<dyn PreparedShardTxn<V>>>,
+    inner: Box<dyn PreparedTxn<V>>,
     plan: Arc<FaultPlan>,
     shard: usize,
     seq: Arc<AtomicU64>,
 }
 
-impl<V> PreparedShardTxn<V> for FaultyPrepared<V>
+impl<V> PreparedTxn<V> for FaultyPrepared<V>
 where
     V: Clone + Send + Sync + 'static,
 {
     fn interval(&self) -> &TsSet {
-        self.inner
-            .as_ref()
-            .expect("faulty prepared present until decided")
-            .interval()
+        self.inner.interval()
     }
 
-    fn commit_at(mut self: Box<Self>, ts: Timestamp) -> Result<CommitInfo, TxError> {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        if let Some(delay) = self.plan.op_delay(self.shard, seq) {
+    fn commit_at(self: Box<Self>, ts: Timestamp) -> Result<CommitInfo, TxError> {
+        let FaultyPrepared {
+            inner,
+            plan,
+            shard,
+            seq,
+        } = *self;
+        if let Some(delay) = plan.op_delay(shard, seq.fetch_add(1, Ordering::Relaxed)) {
             thread::sleep(delay);
         }
-        self.inner
-            .take()
-            .expect("faulty prepared present")
-            .commit_at(ts)
+        inner.commit_at(ts)
     }
 
-    fn abort(mut self: Box<Self>) {
-        if let Some(inner) = self.inner.take() {
-            inner.abort();
-        }
+    fn abort(self: Box<Self>) {
+        self.inner.abort();
     }
 }

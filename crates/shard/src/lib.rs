@@ -17,19 +17,28 @@
 //! * A transaction opens shard sub-transactions lazily; one that touches a
 //!   single shard commits through the shard policy's own timestamp pick, with
 //!   no coordination. A one-shard store skips even the routing: its
-//!   transactions are the shard's own, so it behaves exactly like the bare
-//!   engine — which is how `mvtl-registry` builds every non-`sharded` spec,
-//!   the baselines included (through [`KvBackend`]).
+//!   transactions are the shard's own handles, so it behaves exactly like the
+//!   bare engine — which is how `mvtl-registry` builds every non-`sharded`
+//!   spec, the baselines included (through [`KvBackend`]).
 //! * A cross-shard commit runs prepare → intersect → commit-at/abort:
-//!   [`ShardTxn::prepare`] freezes the shard's interval
+//!   [`TxHandle::prepare`](mvtl_common::TxHandle::prepare) freezes the
+//!   shard's interval
 //!   ([`LockingPolicy::prepared_interval`](mvtl_core::policy::LockingPolicy::prepared_interval)
 //!   over the Algorithm 1 line 13 candidates), the coordinator intersects the
 //!   [`TsSet`](mvtl_common::TsSet)s, and either every shard commits at the
-//!   same timestamp ([`PreparedShardTxn::commit_at`]) or every shard aborts.
+//!   same timestamp
+//!   ([`PreparedTxn::commit_at`](mvtl_common::PreparedTxn::commit_at)) or
+//!   every shard aborts.
+//! * [`ShardedStore::with_gc`] gives the store its own `mvtl-gc` sweeper
+//!   over all shards, stopped and joined when the store drops.
 //!
-//! [`ShardedStore`] implements [`TransactionalKV`](mvtl_common::TransactionalKV),
-//! so it gets the object-safe `Engine` / RAII `Transaction` surface from the
-//! blanket impl, and `mvtl-registry` builds it from string specs:
+//! There is one transaction-handle trait on both sides of the shard seam:
+//! a [`ShardBackend`] opens [`TxHandle`](mvtl_common::TxHandle)s, and
+//! [`ShardedStore`] implements [`Engine`](mvtl_common::Engine) by handing out
+//! either its only shard's handle or a routed one over several. Decorators
+//! ([`FaultyBackend`], and the write-ahead log of `mvtl-wal`) wrap a shard
+//! backend and its handles; `mvtl-registry` builds the whole stack from
+//! string specs:
 //!
 //! ```
 //! use mvtl_common::{EngineExt, Key, ProcessId};
@@ -62,9 +71,9 @@ mod backend;
 mod faults;
 mod store;
 
-pub use backend::{KvBackend, MvtlBackend, PreparedShardTxn, ShardBackend, ShardTxn};
+pub use backend::{KvBackend, MvtlBackend, ShardBackend};
 pub use faults::FaultyBackend;
-pub use store::{IntersectionPick, ShardedStore, ShardedTxn};
+pub use store::{IntersectionPick, ShardedStore};
 
 #[cfg(test)]
 mod tests {
@@ -97,16 +106,16 @@ mod tests {
     fn cross_shard_commit_installs_one_timestamp_everywhere() {
         let s = store(4);
         let (a, b) = cross_shard_keys(&s);
-        let mut tx = s.begin_at(ProcessId(1), None);
-        s.write(&mut tx, a, 1).unwrap();
-        s.write(&mut tx, b, 2).unwrap();
-        let info = s.commit(tx).unwrap();
+        let mut tx = s.begin(ProcessId(1));
+        tx.write(a, 1).unwrap();
+        tx.write(b, 2).unwrap();
+        let info = tx.commit().unwrap();
         let ts = info.commit_ts.expect("cross-shard commit has a timestamp");
         // Both versions are visible at (and only from) the common timestamp.
-        let mut tx = s.begin_at(ProcessId(2), None);
-        assert_eq!(s.read(&mut tx, a).unwrap(), Some(1));
-        assert_eq!(s.read(&mut tx, b).unwrap(), Some(2));
-        s.commit(tx).unwrap();
+        let mut tx = s.begin(ProcessId(2));
+        assert_eq!(tx.read(a).unwrap(), Some(1));
+        assert_eq!(tx.read(b).unwrap(), Some(2));
+        tx.commit().unwrap();
         assert!(ts > Timestamp::ZERO);
     }
 
@@ -114,18 +123,23 @@ mod tests {
     fn single_shard_transactions_take_the_fast_path() {
         let s = store(4);
         let a = s.key_on_shard(2, 0);
-        let mut tx = s.begin_at(ProcessId(1), None);
-        s.write(&mut tx, a, 7).unwrap();
-        assert_eq!(tx.touched_shards(), vec![2]);
-        let info = s.commit(tx).unwrap();
+        let mut tx = s.begin(ProcessId(1));
+        tx.write(a, 7).unwrap();
+        // Only the touched shard opened a sub-transaction.
+        let locked: Vec<bool> = s
+            .shard_stats()
+            .iter()
+            .map(|st| st.lock_entries > 0)
+            .collect();
+        assert_eq!(locked, vec![false, false, true, false]);
+        let info = tx.commit().unwrap();
         assert!(info.commit_ts.is_some());
     }
 
     #[test]
     fn empty_transactions_commit() {
         let s = store(4);
-        let tx = s.begin_at(ProcessId(1), None);
-        let info = s.commit(tx).unwrap();
+        let info = s.begin(ProcessId(1)).commit().unwrap();
         assert!(info.reads.is_empty() && info.writes.is_empty());
     }
 
@@ -134,11 +148,11 @@ mod tests {
         let s = store(4);
         let (a, b) = cross_shard_keys(&s);
         let baseline = s.stats().lock_entries;
-        let mut tx = s.begin_at(ProcessId(1), None);
-        s.write(&mut tx, a, 1).unwrap();
-        s.write(&mut tx, b, 2).unwrap();
+        let mut tx = s.begin(ProcessId(1));
+        tx.write(a, 1).unwrap();
+        tx.write(b, 2).unwrap();
         assert!(s.stats().lock_entries > baseline);
-        s.abort(tx);
+        tx.abort();
         assert_eq!(s.stats().lock_entries, baseline);
     }
 
@@ -182,31 +196,30 @@ mod tests {
         // read locks over a lower writer's whole interval on one shard.
         let s = store(2);
         let key = s.key_on_shard(0, 0);
-        let mut reader = s.begin_at(ProcessId(1), Some(Timestamp::at(500)));
-        let _ = s.read(&mut reader, key).unwrap();
-        s.commit(reader).unwrap();
+        let mut reader = s.begin_pinned(ProcessId(1), Timestamp::at(500));
+        let _ = reader.read(key).unwrap();
+        reader.commit().unwrap();
 
-        let mut writer = s.begin_at(ProcessId(2), Some(Timestamp::at(100)));
-        let err = s.write(&mut writer, key, 1).unwrap_err();
+        let mut writer = s.begin_pinned(ProcessId(2), Timestamp::at(100));
+        let err = writer.write(key, 1).unwrap_err();
         assert_eq!(
             err.abort_reason(),
             Some(&AbortReason::IntervalExhausted { key })
         );
         // Every further operation fails fast, and commit refuses too.
-        assert!(s.write(&mut writer, Key(99), 1).is_err());
-        assert!(s.commit(writer).is_err());
+        assert!(writer.write(Key(99), 1).is_err());
+        assert!(writer.commit().is_err());
     }
 
     #[test]
     fn purge_and_stats_aggregate_across_shards() {
         let s = store(4);
         for k in 0..12u64 {
-            let mut tx = s.begin_at(ProcessId(1), None);
-            s.write(&mut tx, Key(k), k).unwrap();
-            s.commit(tx).unwrap();
-            let mut tx = s.begin_at(ProcessId(1), None);
-            s.write(&mut tx, Key(k), k + 100).unwrap();
-            s.commit(tx).unwrap();
+            for value in [k, k + 100] {
+                let mut tx = s.begin(ProcessId(1));
+                tx.write(Key(k), value).unwrap();
+                tx.commit().unwrap();
+            }
         }
         assert_eq!(s.stats().versions, 24);
         assert_eq!(s.shard_stats().len(), 4);
@@ -227,27 +240,35 @@ mod tests {
         // Same pinned schedule on both: an empty transaction, a blind write,
         // a read of it. The commit infos agree on everything but the runtime
         // transaction id — including the empty commit's timestamp.
-        type Seen = (Option<Timestamp>, Vec<(Key, Timestamp)>, Vec<Key>);
-        fn schedule(engine: &dyn Engine<u64>) -> Vec<Seen> {
-            let pin = |t| engine.begin_pinned(ProcessId(1), Timestamp::at(t));
+        let seen = |info: mvtl_common::CommitInfo| (info.commit_ts, info.reads, info.writes);
+        let on_bare = {
+            let pin = |t| bare.begin_at(ProcessId(1), Some(Timestamp::at(t)));
+            let empty = bare.commit(pin(1000)).unwrap();
+            let mut tx = pin(1010);
+            bare.write(&mut tx, Key(1), 7).unwrap();
+            let write = bare.commit(tx).unwrap();
+            let mut tx = pin(1020);
+            assert_eq!(bare.read(&mut tx, Key(1)).unwrap(), Some(7));
+            [empty, write, bare.commit(tx).unwrap()].map(seen)
+        };
+        let on_one = {
+            let pin = |t| one.begin_pinned(ProcessId(1), Timestamp::at(t));
             let empty = pin(1000).commit().unwrap();
             let mut tx = pin(1010);
             tx.write(Key(1), 7).unwrap();
             let write = tx.commit().unwrap();
             let mut tx = pin(1020);
             assert_eq!(tx.read(Key(1)).unwrap(), Some(7));
-            let read = tx.commit().unwrap();
-            [empty, write, read]
-                .into_iter()
-                .map(|info| (info.commit_ts, info.reads, info.writes))
-                .collect()
-        }
-        assert_eq!(schedule(&bare), schedule(&one));
-        // No coordinator state: no base timestamp, the shard opened at once.
-        let tx = one.begin_at(ProcessId(1), None);
-        assert_eq!(tx.base_timestamp(), None);
-        assert_eq!(tx.touched_shards(), vec![0]);
-        one.abort(tx);
+            [empty, write, tx.commit().unwrap()].map(seen)
+        };
+        assert_eq!(on_bare, on_one);
+        // No coordinator in between: the handle is the shard's own, so it
+        // can even act as a §7 participant and prepare.
+        let baseline = one.stats().lock_entries;
+        let mut tx = one.begin_handle(ProcessId(1), None);
+        tx.write(Key(2), 1).unwrap();
+        tx.prepare().unwrap().abort();
+        assert_eq!(one.stats().lock_entries, baseline);
     }
 
     #[test]
@@ -274,11 +295,45 @@ mod tests {
     #[test]
     fn shard_count_one_degenerates_to_the_inner_engine() {
         let s = store(1);
-        let mut tx = s.begin_at(ProcessId(1), None);
-        s.write(&mut tx, Key(1), 1).unwrap();
-        s.write(&mut tx, Key(2), 2).unwrap();
-        let info = s.commit(tx).unwrap();
+        let mut tx = s.begin(ProcessId(1));
+        tx.write(Key(1), 1).unwrap();
+        tx.write(Key(2), 2).unwrap();
+        let info = tx.commit().unwrap();
         assert!(info.commit_ts.is_some());
         assert_eq!(info.writes.len(), 2);
+    }
+
+    #[test]
+    fn store_owned_sweeper_purges_every_shard_and_joins_on_drop() {
+        use mvtl_core::policy::ToPolicy;
+        use std::time::Duration;
+        let clock = Arc::new(GlobalClock::starting_at(1000));
+        let shards: Vec<Arc<dyn ShardBackend<u64>>> = (0..2)
+            .map(|_| MvtlBackend::build(ToPolicy::new(), clock.clone(), MvtlConfig::default()))
+            .collect();
+        let probes = shards.clone();
+        let s = ShardedStore::new(shards, clock, IntersectionPick::Min).with_gc(
+            mvtl_gc::GcConfig::default()
+                .with_interval(Duration::from_millis(1))
+                .with_lag(Duration::ZERO),
+        );
+        let (a, b) = cross_shard_keys(&s);
+        for round in 0..16u64 {
+            let mut tx = s.begin(ProcessId(1));
+            tx.write_many(vec![(a, round), (b, round)]).unwrap();
+            tx.commit().unwrap();
+        }
+        let swept = (0..500).any(|_| {
+            let per_shard = s.shard_stats();
+            if per_shard.iter().all(|st| st.versions == 1) {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+            false
+        });
+        assert!(swept, "stats: {:?}", s.shard_stats());
+        drop(s);
+        // The sweeper was joined and released its share of every shard.
+        assert!(probes.iter().all(|shard| Arc::strong_count(shard) == 1));
     }
 }

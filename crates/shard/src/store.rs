@@ -1,13 +1,14 @@
 //! The partitioned engine and its cross-shard commit coordinator.
 
-use crate::backend::{PreparedShardTxn, ShardBackend, ShardTxn};
+use crate::backend::ShardBackend;
 use mvtl_clock::ClockSource;
 use mvtl_common::{
-    AbortReason, ActiveTxnRegistry, CommitInfo, Key, ProcessId, StoreStats, Timestamp,
-    TransactionalKV, TsSet, TxError, TxId, TxnPin,
+    AbortReason, ActiveTxnRegistry, CommitInfo, Engine, Key, PreparedTxn, ProcessId, StoreStats,
+    Timestamp, TsSet, TxError, TxHandle, TxId, TxnPin,
 };
 use mvtl_core::policy::LockingPolicy;
 use mvtl_core::MvtlConfig;
+use mvtl_gc::{GcConfig, GcService, SweepTarget};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -36,12 +37,18 @@ pub enum IntersectionPick {
 /// commits at one timestamp of a non-empty intersection, and aborts every
 /// participant when the intersection is empty.
 ///
-/// `ShardedStore` implements [`TransactionalKV`], so the blanket impl in
-/// `mvtl-common` gives it the object-safe `Engine` surface. It is the one
-/// composition seam of the `mvtl-registry` crate: every spec builds one,
+/// `ShardedStore` implements [`Engine`], and it is the one composition seam
+/// of the `mvtl-registry` crate: every spec builds one,
 /// `"sharded?shards=8&inner=mvtil-early"` with eight shards and every other
-/// spec (`"mvtil-early"`, `"mvto+"`, ...) with one, which behaves exactly
-/// like the bare engine (see [`ShardedTxn`]).
+/// spec (`"mvtil-early"`, `"mvto+"`, ...) with one. A one-shard store hands
+/// out its shard's own transaction handles unchanged — no routing, no
+/// coordinator pin — so it behaves exactly like the bare engine. On a
+/// multi-shard store, shard sub-transactions open lazily on first access,
+/// so a transaction that happens to touch one shard pays no coordination
+/// cost and commits through the shard policy's own timestamp pick.
+///
+/// [`ShardedStore::with_gc`] attaches the store's own background garbage
+/// collector, which the store stops and joins when it is dropped.
 ///
 /// # Why timestamp locks compose
 ///
@@ -51,21 +58,49 @@ pub enum IntersectionPick {
 /// servers"), executed here with real threads rather than in the
 /// discrete-event simulator of `mvtl-sim`.
 pub struct ShardedStore<V> {
-    shards: Vec<Arc<dyn ShardBackend<V>>>,
+    /// The store's own sweeper. Declared first so that it drops first:
+    /// joining the sweeper thread releases its share of `shards`, so every
+    /// shard — and its write-ahead log — is closed by the time dropping the
+    /// store returns.
+    gc: Option<GcService>,
+    shards: Arc<Shards<V>>,
     clock: Arc<dyn ClockSource>,
     pick: IntersectionPick,
-    /// What [`TransactionalKV::name`] reports.
+    /// What [`Engine::name`] reports.
     name: &'static str,
-    /// Coordinator-level registry: a multi-shard transaction is pinned at
-    /// its base timestamp from `begin` until commit/abort, covering the
-    /// window before its lazily opened sub-transactions register with the
-    /// shard-level registries (and any shard it never touches).
-    active: ActiveTxnRegistry,
     /// How long the coordinator waits for all participants' `prepare`
     /// responses before resolving the commit by presumed abort. `None`
     /// (the default) runs prepares inline with no timeout — the friendly-
     /// machine fast path with zero threading overhead.
     commit_timeout: Option<Duration>,
+}
+
+/// Everything a GC sweep of a [`ShardedStore`] reaches, shared between the
+/// store and its sweeper thread.
+struct Shards<V> {
+    list: Vec<Arc<dyn ShardBackend<V>>>,
+    /// Coordinator-level registry: a multi-shard transaction is pinned at
+    /// its base timestamp from `begin` until commit/abort, covering the
+    /// window before its lazily opened sub-transactions register with the
+    /// shard-level registries (and any shard it never touches).
+    active: ActiveTxnRegistry,
+}
+
+impl<V: 'static> SweepTarget for Shards<V> {
+    fn low_watermark(&self) -> Option<Timestamp> {
+        self.active
+            .low_watermark()
+            .into_iter()
+            .chain(self.list.iter().filter_map(|s| s.low_watermark()))
+            .min()
+    }
+
+    fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
+        self.list.iter().fold((0, 0), |(versions, locks), shard| {
+            let (v, l) = shard.purge_below(bound);
+            (versions + v, locks + l)
+        })
+    }
 }
 
 /// The coordinator's view of one participant's in-flight `prepare` when a
@@ -76,7 +111,7 @@ enum PrepareSlot<V> {
     /// The helper thread has not delivered yet.
     Pending,
     /// The helper delivered its prepare result; the coordinator takes it.
-    Delivered(Result<Box<dyn PreparedShardTxn<V>>, TxError>),
+    Delivered(Result<Box<dyn PreparedTxn<V>>, TxError>),
     /// The coordinator gave up (timeout or another shard's failure) before
     /// delivery: a late-arriving successful prepare must abort itself.
     Abandoned,
@@ -99,11 +134,14 @@ where
     ) -> Self {
         assert!(!shards.is_empty(), "a sharded store needs at least 1 shard");
         ShardedStore {
-            shards,
+            gc: None,
+            shards: Arc::new(Shards {
+                list: shards,
+                active: ActiveTxnRegistry::new(),
+            }),
             clock,
             pick,
             name: "sharded",
-            active: ActiveTxnRegistry::new(),
             commit_timeout: None,
         }
     }
@@ -130,10 +168,17 @@ where
         self
     }
 
-    /// The armed coordinator prepare timeout, if any.
+    /// Attaches the store's own background garbage collector (§6): one
+    /// [`GcService`] reading the store's clock, which every `config.interval`
+    /// purges all shards below `min(low watermark, now − config.lag)`. The
+    /// watermark is [`Engine::low_watermark`]'s: the coordinator-level pins
+    /// of open multi-shard transactions and every shard's own. Dropping the
+    /// store stops and joins the sweeper.
     #[must_use]
-    pub fn commit_timeout(&self) -> Option<Duration> {
-        self.commit_timeout
+    pub fn with_gc(mut self, config: GcConfig) -> Self {
+        let target = Arc::clone(&self.shards);
+        self.gc = Some(GcService::spawn(target, Arc::clone(&self.clock), config));
+        self
     }
 
     /// Builds a sharded store whose shards are [`MvtlStore`]s sharing one
@@ -164,7 +209,7 @@ where
     /// Number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shards.list.len()
     }
 
     /// The shard index `key` routes to.
@@ -172,70 +217,34 @@ where
     pub fn shard_of(&self, key: Key) -> usize {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
-        (hasher.finish() as usize) % self.shards.len()
+        (hasher.finish() as usize) % self.shard_count()
     }
 
     /// Any key that routes to `shard` — handy for tests and examples that
     /// need keys on specific shards. Scans upward from `start`.
     #[must_use]
     pub fn key_on_shard(&self, shard: usize, start: u64) -> Key {
-        (start..)
-            .map(Key)
-            .find(|k| self.shard_of(*k) == shard % self.shards.len())
-            .expect("hash routing reaches every shard")
-    }
-
-    /// Aggregate state-size statistics summed across all shards.
-    #[must_use]
-    pub fn stats(&self) -> StoreStats {
-        self.shards
-            .iter()
-            .map(|s| s.stats())
-            .fold(StoreStats::default(), StoreStats::merge)
+        let shard = shard % self.shard_count();
+        let mut key = Key(start);
+        while self.shard_of(key) != shard {
+            key = Key(key.0.wrapping_add(1));
+        }
+        key
     }
 
     /// Per-shard state-size statistics, in shard order.
     #[must_use]
     pub fn shard_stats(&self) -> Vec<StoreStats> {
-        self.shards.iter().map(|s| s.stats()).collect()
-    }
-
-    /// Purges versions and lock state older than `bound` on every shard.
-    /// Returns the totals `(versions_removed, lock_entries_removed)`.
-    pub fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
-        let mut versions = 0;
-        let mut locks = 0;
-        for shard in &self.shards {
-            let (v, l) = shard.purge_below(bound);
-            versions += v;
-            locks += l;
-        }
-        (versions, locks)
-    }
-
-    /// The GC low watermark: the minimum over the coordinator-level registry
-    /// (every open multi-shard transaction is pinned at its base timestamp
-    /// from `begin` to commit/abort — sub-transactions open *lazily*, so the
-    /// shard-level registries alone would leave a begun-but-idle transaction
-    /// unprotected) and every shard's own watermark. One sweep below this
-    /// bound is safe on every shard.
-    #[must_use]
-    pub fn low_watermark(&self) -> Option<Timestamp> {
-        self.active
-            .low_watermark()
-            .into_iter()
-            .chain(self.shards.iter().filter_map(|s| s.low_watermark()))
-            .min()
+        self.shards.list.iter().map(|s| s.stats()).collect()
     }
 
     /// Phase 1 without a timeout: prepare participants inline, one after the
     /// other. A failing shard has already released its own state; the
     /// coordinator releases everyone else's.
     fn prepare_inline(
-        participants: Vec<(usize, Box<dyn ShardTxn<V>>)>,
-    ) -> Result<Vec<Box<dyn PreparedShardTxn<V>>>, TxError> {
-        let mut prepared: Vec<Box<dyn PreparedShardTxn<V>>> =
-            Vec::with_capacity(participants.len());
+        participants: Vec<(usize, Box<dyn TxHandle<V>>)>,
+    ) -> Result<Vec<Box<dyn PreparedTxn<V>>>, TxError> {
+        let mut prepared: Vec<Box<dyn PreparedTxn<V>>> = Vec::with_capacity(participants.len());
         let mut participants = participants.into_iter();
         for (_, sub) in participants.by_ref() {
             match sub.prepare() {
@@ -263,9 +272,9 @@ where
     /// Every prepared sub-transaction therefore receives an *explicit*
     /// decision: nothing is leaked, nothing is dropped undecided.
     fn prepare_with_timeout(
-        participants: Vec<(usize, Box<dyn ShardTxn<V>>)>,
+        participants: Vec<(usize, Box<dyn TxHandle<V>>)>,
         timeout: Duration,
-    ) -> Result<Vec<Box<dyn PreparedShardTxn<V>>>, TxError> {
+    ) -> Result<Vec<Box<dyn PreparedTxn<V>>>, TxError> {
         let count = participants.len();
         let shard_ids: Vec<usize> = participants.iter().map(|(shard, _)| *shard).collect();
         let slots: Vec<Arc<Mutex<PrepareSlot<V>>>> = (0..count)
@@ -295,8 +304,7 @@ where
         drop(done_tx);
 
         let deadline = Instant::now() + timeout;
-        let mut prepared: Vec<Option<Box<dyn PreparedShardTxn<V>>>> =
-            (0..count).map(|_| None).collect();
+        let mut prepared: Vec<Option<Box<dyn PreparedTxn<V>>>> = (0..count).map(|_| None).collect();
         let mut remaining = count;
         let mut failure: Option<TxError> = None;
         while remaining > 0 {
@@ -361,10 +369,11 @@ where
             }
             return Err(err);
         }
-        Ok(prepared
+        // Every slot delivered: `remaining` reached zero.
+        prepared
             .into_iter()
-            .map(|p| p.expect("all slots delivered on success"))
-            .collect())
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| TxError::Internal("a prepare slot was never delivered".into()))
     }
 
     /// The §7 coordinator: prepare every participant, intersect the frozen
@@ -373,7 +382,7 @@ where
     fn commit_cross_shard(
         &self,
         tx: TxId,
-        participants: Vec<(usize, Box<dyn ShardTxn<V>>)>,
+        participants: Vec<(usize, Box<dyn TxHandle<V>>)>,
     ) -> Result<CommitInfo, TxError> {
         // Phase 1: freeze each participant's interval — inline on the
         // friendly path, with timeout + presumed-abort recovery when armed.
@@ -441,24 +450,11 @@ where
     }
 }
 
-/// A transaction on a [`ShardedStore`].
-///
-/// On a one-shard store it *is* the shard's transaction, opened at `begin`
-/// with the caller's pin: no routing, no coordinator pin, nothing to
-/// coordinate, so the store behaves exactly like the bare engine. On a
-/// multi-shard store, shard sub-transactions open lazily on first access, so
-/// a transaction that happens to touch one shard pays no coordination cost
-/// and commits through the shard policy's own timestamp pick.
-pub struct ShardedTxn<V>(Route<V>);
-
-enum Route<V> {
-    /// The only shard's transaction.
-    Direct(Box<dyn ShardTxn<V>>),
-    /// A multi-shard transaction.
-    Routed(RoutedTxn<V>),
-}
-
-struct RoutedTxn<V> {
+/// A transaction on a multi-shard [`ShardedStore`]: shard sub-transactions
+/// open lazily on first access, all pinned at one base timestamp, and the
+/// store's coordinator-level registry pins that base until commit or abort.
+struct RoutedTxn<'a, V> {
+    store: &'a ShardedStore<V>,
     /// The coordinator-side transaction id (the one reported in
     /// [`CommitInfo`]).
     id: TxId,
@@ -466,40 +462,14 @@ struct RoutedTxn<V> {
     /// The clock reading every shard sub-transaction is pinned to, so all
     /// participants of one transaction reason from the same timestamp base.
     base: Timestamp,
-    subs: Vec<Option<Box<dyn ShardTxn<V>>>>,
+    subs: Vec<Option<Box<dyn TxHandle<V>>>>,
     poisoned: bool,
     /// Ticket in the coordinator's active-transaction registry; taken back
     /// when the transaction is committed or aborted.
     gc_pin: Option<TxnPin>,
 }
 
-impl<V> ShardedTxn<V> {
-    /// The clock reading shared by every shard sub-transaction, or `None` on
-    /// a one-shard store (its only shard reads the clock itself).
-    #[must_use]
-    pub fn base_timestamp(&self) -> Option<Timestamp> {
-        match &self.0 {
-            Route::Direct(_) => None,
-            Route::Routed(txn) => Some(txn.base),
-        }
-    }
-
-    /// The shard indexes this transaction has touched so far.
-    #[must_use]
-    pub fn touched_shards(&self) -> Vec<usize> {
-        match &self.0 {
-            Route::Direct(_) => vec![0],
-            Route::Routed(txn) => txn
-                .subs
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.as_ref().map(|_| i))
-                .collect(),
-        }
-    }
-}
-
-impl<V> RoutedTxn<V> {
+impl<V> RoutedTxn<'_, V> {
     fn check_live(&self) -> Result<(), TxError> {
         if self.poisoned {
             Err(TxError::TransactionFinished)
@@ -510,10 +480,11 @@ impl<V> RoutedTxn<V> {
 
     /// The sub-transaction on `shard`, opened (pinned at the base timestamp)
     /// on first access.
-    fn sub(&mut self, shards: &[Arc<dyn ShardBackend<V>>], shard: usize) -> &mut dyn ShardTxn<V> {
+    fn sub(&mut self, shard: usize) -> &mut dyn TxHandle<V> {
         let (process, base) = (self.process, self.base);
+        let backend = &self.store.shards.list[shard];
         self.subs[shard]
-            .get_or_insert_with(|| shards[shard].begin(process, Some(base)))
+            .get_or_insert_with(|| backend.begin(process, Some(base)))
             .as_mut()
     }
 
@@ -530,76 +501,46 @@ impl<V> RoutedTxn<V> {
             sub.abort();
         }
     }
+
+    /// Releases the coordinator pin.
+    fn unpin(&mut self) {
+        if let Some(pin) = self.gc_pin.take() {
+            self.store.shards.active.deregister(pin);
+        }
+    }
 }
 
-impl<V> TransactionalKV<V> for ShardedStore<V>
+impl<V> TxHandle<V> for RoutedTxn<'_, V>
 where
     V: Clone + Send + Sync + 'static,
 {
-    type Txn = ShardedTxn<V>;
-
-    fn begin_at(&self, process: ProcessId, pinned: Option<Timestamp>) -> Self::Txn {
-        if let [shard] = self.shards.as_slice() {
-            return ShardedTxn(Route::Direct(shard.begin(process, pinned)));
-        }
-        // One clock reading per transaction, shared by all its shards: this
-        // is the client-side policy state of §7, split across participants
-        // (and it is what lets point-timestamp policies like MVTL-TO agree
-        // on a commit timestamp across shards).
-        let base = pinned.unwrap_or_else(|| self.clock.timestamp(process));
-        ShardedTxn(Route::Routed(RoutedTxn {
-            id: TxId::fresh(),
-            process,
-            base,
-            subs: (0..self.shards.len()).map(|_| None).collect(),
-            poisoned: false,
-            gc_pin: Some(self.active.register(base)),
-        }))
+    fn read(&mut self, key: Key) -> Result<Option<V>, TxError> {
+        self.check_live()?;
+        let shard = self.store.shard_of(key);
+        self.sub(shard).read(key).or_else(|err| self.fail(err))
     }
 
-    fn read(&self, txn: &mut Self::Txn, key: Key) -> Result<Option<V>, TxError> {
-        match &mut txn.0 {
-            Route::Direct(sub) => sub.read(key),
-            Route::Routed(txn) => {
-                txn.check_live()?;
-                let shard = self.shard_of(key);
-                txn.sub(&self.shards, shard)
-                    .read(key)
-                    .or_else(|err| txn.fail(err))
-            }
-        }
-    }
-
-    fn write(&self, txn: &mut Self::Txn, key: Key, value: V) -> Result<(), TxError> {
-        match &mut txn.0 {
-            Route::Direct(sub) => sub.write(key, value),
-            Route::Routed(txn) => {
-                txn.check_live()?;
-                let shard = self.shard_of(key);
-                txn.sub(&self.shards, shard)
-                    .write(key, value)
-                    .or_else(|err| txn.fail(err))
-            }
-        }
+    fn write(&mut self, key: Key, value: V) -> Result<(), TxError> {
+        self.check_live()?;
+        let shard = self.store.shard_of(key);
+        self.sub(shard)
+            .write(key, value)
+            .or_else(|err| self.fail(err))
     }
 
     /// The batch-native sharded read: the batch is grouped by shard and each
     /// participating shard serves its whole group in **one**
-    /// [`ShardTxn::read_many`] round, so an N-key batch costs O(shards)
+    /// [`TxHandle::read_many`] round, so an N-key batch costs O(shards)
     /// coordination instead of O(keys). Sub-transactions still open lazily —
     /// only shards that actually own batch keys are touched.
-    fn read_many(&self, txn: &mut Self::Txn, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
-        let txn = match &mut txn.0 {
-            Route::Direct(sub) => return sub.read_many(keys),
-            Route::Routed(txn) => txn,
-        };
-        txn.check_live()?;
+    fn read_many(&mut self, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
+        self.check_live()?;
         // Group key positions by shard, preserving input order within each
         // group so results scatter back into place.
         let mut groups: Vec<(Vec<Key>, Vec<usize>)> =
-            vec![(Vec::new(), Vec::new()); self.shards.len()];
+            vec![(Vec::new(), Vec::new()); self.subs.len()];
         for (pos, key) in keys.iter().enumerate() {
-            let (shard_keys, positions) = &mut groups[self.shard_of(*key)];
+            let (shard_keys, positions) = &mut groups[self.store.shard_of(*key)];
             shard_keys.push(*key);
             positions.push(pos);
         }
@@ -608,108 +549,137 @@ where
             if shard_keys.is_empty() {
                 continue;
             }
-            match txn.sub(&self.shards, shard).read_many(&shard_keys) {
+            match self.sub(shard).read_many(&shard_keys) {
                 Ok(values) => {
                     for (pos, value) in positions.into_iter().zip(values) {
                         out[pos] = value;
                     }
                 }
-                Err(err) => return txn.fail(err),
+                Err(err) => return self.fail(err),
             }
         }
         Ok(out)
     }
 
-    /// The batch-native sharded write: one [`ShardTxn::write_many`] round per
-    /// participating shard (same O(shards) argument as
-    /// [`read_many`](TransactionalKV::read_many); order within a shard group
-    /// is preserved, so last-value-wins semantics match sequential writes).
-    fn write_many(&self, txn: &mut Self::Txn, entries: Vec<(Key, V)>) -> Result<(), TxError> {
-        let txn = match &mut txn.0 {
-            Route::Direct(sub) => return sub.write_many(entries),
-            Route::Routed(txn) => txn,
-        };
-        txn.check_live()?;
-        let mut groups: Vec<Vec<(Key, V)>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
+    /// The batch-native sharded write: one [`TxHandle::write_many`] round
+    /// per participating shard (same O(shards) argument as
+    /// [`read_many`](TxHandle::read_many); order within a shard group is
+    /// preserved, so last-value-wins semantics match sequential writes).
+    fn write_many(&mut self, entries: Vec<(Key, V)>) -> Result<(), TxError> {
+        self.check_live()?;
+        let mut groups: Vec<Vec<(Key, V)>> = (0..self.subs.len()).map(|_| Vec::new()).collect();
         for (key, value) in entries {
-            groups[self.shard_of(key)].push((key, value));
+            groups[self.store.shard_of(key)].push((key, value));
         }
         for (shard, group) in groups.into_iter().enumerate() {
             if group.is_empty() {
                 continue;
             }
-            if let Err(err) = txn.sub(&self.shards, shard).write_many(group) {
-                return txn.fail(err);
+            if let Err(err) = self.sub(shard).write_many(group) {
+                return self.fail(err);
             }
         }
         Ok(())
     }
 
-    fn commit(&self, txn: Self::Txn) -> Result<CommitInfo, TxError> {
-        let mut txn = match txn.0 {
-            Route::Direct(sub) => return sub.commit(),
-            Route::Routed(txn) => txn,
-        };
+    fn commit(mut self: Box<Self>) -> Result<CommitInfo, TxError> {
         // The coordinator pin only has to cover the window in which new
         // sub-transactions can still open; from here on every touched shard
         // holds its own (shard-level) pin, so release before coordinating.
-        if let Some(pin) = txn.gc_pin.take() {
-            self.active.deregister(pin);
-        }
-        txn.check_live()?;
-        let mut participants: Vec<(usize, Box<dyn ShardTxn<V>>)> = txn
+        self.unpin();
+        self.check_live()?;
+        let mut participants: Vec<(usize, Box<dyn TxHandle<V>>)> = self
             .subs
             .iter_mut()
             .enumerate()
             .filter_map(|(shard, sub)| sub.take().map(|sub| (shard, sub)))
             .collect();
-        match participants.len() {
+        if participants.len() > 1 {
+            return self.store.commit_cross_shard(self.id, participants);
+        }
+        match participants.pop() {
             // A transaction that touched nothing commits trivially.
-            0 => Ok(CommitInfo {
-                tx: txn.id,
+            None => Ok(CommitInfo {
+                tx: self.id,
                 commit_ts: None,
                 reads: Vec::new(),
                 writes: Vec::new(),
             }),
             // Single-shard fast path: the shard policy picks the timestamp,
             // exactly as in the non-partitioned engine.
-            1 => participants
-                .pop()
-                .expect("one participant")
-                .1
-                .commit()
-                .map(|mut info| {
-                    info.tx = txn.id;
-                    info
-                }),
-            _ => self.commit_cross_shard(txn.id, participants),
+            Some((_, sub)) => sub.commit().map(|mut info| {
+                info.tx = self.id;
+                info
+            }),
         }
     }
 
-    fn abort(&self, txn: Self::Txn) {
-        let mut txn = match txn.0 {
-            Route::Direct(sub) => return sub.abort(),
-            Route::Routed(txn) => txn,
-        };
-        if let Some(pin) = txn.gc_pin.take() {
-            self.active.deregister(pin);
+    fn abort(self: Box<Self>) {
+        // Dropping an open transaction aborts it.
+    }
+}
+
+impl<V> Drop for RoutedTxn<'_, V> {
+    fn drop(&mut self) {
+        self.unpin();
+        self.abort_subs();
+    }
+}
+
+impl<V> Engine<V> for ShardedStore<V>
+where
+    V: Clone + Send + Sync + 'static,
+{
+    fn begin_handle(
+        &self,
+        process: ProcessId,
+        pinned: Option<Timestamp>,
+    ) -> Box<dyn TxHandle<V> + '_> {
+        if let [shard] = self.shards.list.as_slice() {
+            return shard.begin(process, pinned);
         }
-        txn.abort_subs();
+        // One clock reading per transaction, shared by all its shards: this
+        // is the client-side policy state of §7, split across participants
+        // (and it is what lets point-timestamp policies like MVTL-TO agree
+        // on a commit timestamp across shards).
+        let base = pinned.unwrap_or_else(|| self.clock.timestamp(process));
+        Box::new(RoutedTxn {
+            store: self,
+            id: TxId::fresh(),
+            process,
+            base,
+            subs: (0..self.shard_count()).map(|_| None).collect(),
+            poisoned: false,
+            gc_pin: Some(self.shards.active.register(base)),
+        })
     }
 
     fn name(&self) -> &'static str {
         self.name
     }
 
+    /// Aggregate state-size statistics summed across all shards.
     fn stats(&self) -> StoreStats {
-        ShardedStore::stats(self)
+        self.shards
+            .list
+            .iter()
+            .map(|s| s.stats())
+            .fold(StoreStats::default(), StoreStats::merge)
     }
 
+    /// Purges versions and lock state older than `bound` on every shard.
+    /// Returns the totals `(versions_removed, lock_entries_removed)`.
     fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
-        ShardedStore::purge_below(self, bound)
+        self.shards.purge_below(bound)
     }
 
+    /// The minimum over the coordinator-level registry (every open
+    /// multi-shard transaction is pinned at its base timestamp from `begin`
+    /// to commit/abort — sub-transactions open *lazily*, so the shard-level
+    /// registries alone would leave a begun-but-idle transaction
+    /// unprotected) and every shard's own watermark. One sweep below this
+    /// bound is safe on every shard.
     fn low_watermark(&self) -> Option<Timestamp> {
-        ShardedStore::low_watermark(self)
+        self.shards.low_watermark()
     }
 }

@@ -4,12 +4,12 @@
 //! never one call per key. Asserted with an instrumented [`ShardBackend`]
 //! that counts every participant-protocol call the coordinator makes.
 
-use mvtl_common::{CommitInfo, Key, ProcessId, StoreStats, Timestamp, TransactionalKV, TxError};
+use mvtl_common::{
+    CommitInfo, EngineExt, Key, PreparedTxn, ProcessId, StoreStats, Timestamp, TxError, TxHandle,
+};
 use mvtl_core::policy::MvtilPolicy;
 use mvtl_core::MvtlConfig;
-use mvtl_shard::{
-    IntersectionPick, MvtlBackend, PreparedShardTxn, ShardBackend, ShardTxn, ShardedStore,
-};
+use mvtl_shard::{IntersectionPick, MvtlBackend, ShardBackend, ShardedStore};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -38,7 +38,7 @@ struct ProbeBackend {
 }
 
 impl ShardBackend<u64> for ProbeBackend {
-    fn begin(&self, process: ProcessId, pinned: Option<Timestamp>) -> Box<dyn ShardTxn<u64>> {
+    fn begin(&self, process: ProcessId, pinned: Option<Timestamp>) -> Box<dyn TxHandle<u64>> {
         self.counters.begins.fetch_add(1, Ordering::Relaxed);
         Box::new(ProbeTxn {
             inner: self.inner.begin(process, pinned),
@@ -60,11 +60,11 @@ impl ShardBackend<u64> for ProbeBackend {
 }
 
 struct ProbeTxn {
-    inner: Box<dyn ShardTxn<u64>>,
+    inner: Box<dyn TxHandle<u64>>,
     counters: Arc<ShardCounters>,
 }
 
-impl ShardTxn<u64> for ProbeTxn {
+impl TxHandle<u64> for ProbeTxn {
     fn read(&mut self, key: Key) -> Result<Option<u64>, TxError> {
         self.counters.single_reads.fetch_add(1, Ordering::Relaxed);
         self.inner.read(key)
@@ -89,7 +89,7 @@ impl ShardTxn<u64> for ProbeTxn {
         self.inner.commit()
     }
 
-    fn prepare(self: Box<Self>) -> Result<Box<dyn PreparedShardTxn<u64>>, TxError> {
+    fn prepare(self: Box<Self>) -> Result<Box<dyn PreparedTxn<u64>>, TxError> {
         let this = *self;
         this.counters.prepares.fetch_add(1, Ordering::Relaxed);
         this.inner.prepare()
@@ -146,16 +146,11 @@ fn cross_shard_write_many_opens_one_sub_txn_and_one_round_per_shard() {
     let (store, counters) = probed_store();
     let keys = keys_across_shards(&store, 3); // K = 9 keys on S = 3 shards
 
-    let mut tx = store.begin_at(ProcessId(1), None);
-    store
-        .write_many(&mut tx, keys.iter().map(|k| (*k, k.0 + 100)).collect())
+    let mut tx = store.begin(ProcessId(1));
+    tx.write_many(keys.iter().map(|k| (*k, k.0 + 100)).collect())
         .unwrap();
-    assert_eq!(
-        tx.touched_shards().len(),
-        SHARDS,
-        "9 keys on 3 shards open exactly 3 sub-transactions"
-    );
     for (shard, c) in counters.iter().enumerate() {
+        // 9 keys on 3 shards open exactly 3 sub-transactions.
         assert_eq!(c.get(&c.begins), 1, "shard {shard}: exactly one sub-txn");
         assert_eq!(
             c.get(&c.write_rounds),
@@ -169,7 +164,7 @@ fn cross_shard_write_many_opens_one_sub_txn_and_one_round_per_shard() {
         );
     }
 
-    let info = store.commit(tx).unwrap();
+    let info = tx.commit().unwrap();
     assert_eq!(info.writes.len(), keys.len());
     assert!(info.commit_ts.is_some());
     for c in &counters {
@@ -185,20 +180,19 @@ fn cross_shard_write_many_opens_one_sub_txn_and_one_round_per_shard() {
 fn cross_shard_read_many_issues_one_round_per_shard_and_scatters_in_order() {
     let (store, counters) = probed_store();
     let keys = keys_across_shards(&store, 3);
-    let mut setup = store.begin_at(ProcessId(1), None);
-    store
-        .write_many(&mut setup, keys.iter().map(|k| (*k, k.0 + 100)).collect())
+    let mut setup = store.begin(ProcessId(1));
+    setup
+        .write_many(keys.iter().map(|k| (*k, k.0 + 100)).collect())
         .unwrap();
-    store.commit(setup).unwrap();
+    setup.commit().unwrap();
 
-    let mut tx = store.begin_at(ProcessId(2), None);
-    let values = store.read_many(&mut tx, &keys).unwrap();
+    let mut tx = store.begin(ProcessId(2));
+    let values = tx.read_many(&keys).unwrap();
     assert_eq!(
         values,
         keys.iter().map(|k| Some(k.0 + 100)).collect::<Vec<_>>(),
         "values scatter back into input order"
     );
-    assert_eq!(tx.touched_shards().len(), SHARDS);
     for (shard, c) in counters.iter().enumerate() {
         assert_eq!(
             c.get(&c.begins),
@@ -212,7 +206,7 @@ fn cross_shard_read_many_issues_one_round_per_shard_and_scatters_in_order() {
         );
         assert_eq!(c.get(&c.single_reads), 0, "shard {shard}: no per-key reads");
     }
-    store.commit(tx).unwrap();
+    tx.commit().unwrap();
 }
 
 #[test]
@@ -223,14 +217,12 @@ fn single_shard_batches_skip_coordination_entirely() {
     let b = store.key_on_shard(0, a.0 + 1);
     let c = store.key_on_shard(0, b.0 + 1);
 
-    let mut tx = store.begin_at(ProcessId(1), None);
-    store
-        .write_many(&mut tx, vec![(a, 1), (b, 2), (c, 3)])
-        .unwrap();
-    assert_eq!(tx.touched_shards(), vec![0], "one shard, one sub-txn");
-    let info = store.commit(tx).unwrap();
+    let mut tx = store.begin(ProcessId(1));
+    tx.write_many(vec![(a, 1), (b, 2), (c, 3)]).unwrap();
+    let info = tx.commit().unwrap();
     assert!(info.commit_ts.is_some());
 
+    // One shard, one sub-txn.
     assert_eq!(counters[0].get(&counters[0].begins), 1);
     assert_eq!(counters[0].get(&counters[0].write_rounds), 1);
     // Single-shard fast path: the shard committed alone, no prepare phase.

@@ -15,122 +15,20 @@
 //! no prepared sub-transaction is dropped undecided, and once the system
 //! quiesces no shard still pins the GC watermark (no leaked sub-transaction).
 
+mod support;
+
 use mvtl_clock::GlobalClock;
 use mvtl_common::ops::{Op, Workload};
-use mvtl_common::{
-    AbortReason, CommitInfo, Key, ProcessId, StoreStats, Timestamp, TransactionalKV, TsSet, TxError,
-};
+use mvtl_common::{AbortReason, Engine, EngineExt, Key, ProcessId};
 use mvtl_core::policy::MvtilPolicy;
 use mvtl_core::MvtlConfig;
 use mvtl_faults::{named_schedule, named_schedules, FaultKind, FaultPlan, FaultSpec};
-use mvtl_shard::{
-    FaultyBackend, IntersectionPick, MvtlBackend, PreparedShardTxn, ShardBackend, ShardTxn,
-    ShardedStore,
-};
+use mvtl_shard::{FaultyBackend, IntersectionPick, MvtlBackend, ShardBackend, ShardedStore};
 use mvtl_verify::{check_serializable, replay};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Shared instrumentation: how prepared participants were disposed of.
-#[derive(Default)]
-struct Probe {
-    /// Explicit `abort()` calls on prepared participants.
-    explicit_aborts: AtomicU64,
-    /// Explicit `commit_at` decisions on prepared participants.
-    commits: AtomicU64,
-    /// Prepared participants dropped without an explicit decision — the lock
-    /// leak the coordinator must never cause, under any fault schedule.
-    dropped_undecided: AtomicU64,
-}
-
-struct ProbedBackend {
-    inner: Arc<dyn ShardBackend<u64>>,
-    probe: Arc<Probe>,
-}
-
-impl ShardBackend<u64> for ProbedBackend {
-    fn begin(&self, process: ProcessId, pinned: Option<Timestamp>) -> Box<dyn ShardTxn<u64>> {
-        Box::new(ProbedTxn {
-            inner: self.inner.begin(process, pinned),
-            probe: Arc::clone(&self.probe),
-        })
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
-        self.inner.purge_below(bound)
-    }
-
-    fn low_watermark(&self) -> Option<Timestamp> {
-        self.inner.low_watermark()
-    }
-}
-
-struct ProbedTxn {
-    inner: Box<dyn ShardTxn<u64>>,
-    probe: Arc<Probe>,
-}
-
-impl ShardTxn<u64> for ProbedTxn {
-    fn read(&mut self, key: Key) -> Result<Option<u64>, TxError> {
-        self.inner.read(key)
-    }
-
-    fn write(&mut self, key: Key, value: u64) -> Result<(), TxError> {
-        self.inner.write(key, value)
-    }
-
-    fn commit(self: Box<Self>) -> Result<CommitInfo, TxError> {
-        self.inner.commit()
-    }
-
-    fn prepare(self: Box<Self>) -> Result<Box<dyn PreparedShardTxn<u64>>, TxError> {
-        let this = *self;
-        let prepared = this.inner.prepare()?;
-        Ok(Box::new(ProbedPrepared {
-            inner: Some(prepared),
-            probe: this.probe,
-        }))
-    }
-
-    fn abort(self: Box<Self>) {
-        self.inner.abort();
-    }
-}
-
-struct ProbedPrepared {
-    inner: Option<Box<dyn PreparedShardTxn<u64>>>,
-    probe: Arc<Probe>,
-}
-
-impl PreparedShardTxn<u64> for ProbedPrepared {
-    fn interval(&self) -> &TsSet {
-        self.inner.as_ref().expect("undecided").interval()
-    }
-
-    fn commit_at(mut self: Box<Self>, ts: Timestamp) -> Result<CommitInfo, TxError> {
-        self.probe.commits.fetch_add(1, Ordering::Relaxed);
-        self.inner.take().expect("undecided").commit_at(ts)
-    }
-
-    fn abort(mut self: Box<Self>) {
-        self.probe.explicit_aborts.fetch_add(1, Ordering::Relaxed);
-        self.inner.take().expect("undecided").abort();
-    }
-}
-
-impl Drop for ProbedPrepared {
-    fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
-            self.probe.dropped_undecided.fetch_add(1, Ordering::Relaxed);
-            inner.abort();
-        }
-    }
-}
+use support::{probed, Probe};
 
 /// The probe-outside-fault sandwich over real MVTIL shards.
 fn faulty_store(
@@ -152,10 +50,7 @@ fn faulty_store(
                 Arc::clone(&clock),
                 MvtlConfig::default(),
             );
-            Arc::new(ProbedBackend {
-                inner: FaultyBackend::wrap(inner, Arc::clone(&plan), shard),
-                probe: Arc::clone(&probe),
-            }) as Arc<dyn ShardBackend<u64>>
+            probed(FaultyBackend::wrap(inner, Arc::clone(&plan), shard), &probe)
         })
         .collect();
     let mut store = ShardedStore::new(backends, clock, IntersectionPick::Min);
@@ -336,13 +231,11 @@ fn stalled_shard_is_resolved_by_coordinator_timeout() {
     let (store, probe, plan) = faulty_store(2, "stall:1.0:1500", 1, Some(Duration::from_millis(5)));
     let a = store.key_on_shard(0, 0);
     let b = store.key_on_shard(1, 0);
-    let mut txn = store.begin_at(ProcessId(1), None);
-    store.write(&mut txn, a, 1).unwrap();
-    store.write(&mut txn, b, 2).unwrap();
+    let mut txn = store.begin(ProcessId(1));
+    txn.write(a, 1).unwrap();
+    txn.write(b, 2).unwrap();
     let started = Instant::now();
-    let err = store
-        .commit(txn)
-        .expect_err("stalled prepare cannot commit");
+    let err = txn.commit().expect_err("stalled prepare cannot commit");
     let elapsed = started.elapsed();
     assert!(
         matches!(
@@ -375,12 +268,10 @@ fn withheld_prepare_response_resolves_by_presumed_abort() {
     let (store, probe, plan) = faulty_store(2, "drop:1.0:60", 2, Some(Duration::from_millis(5)));
     let a = store.key_on_shard(0, 0);
     let b = store.key_on_shard(1, 0);
-    let mut txn = store.begin_at(ProcessId(1), None);
-    store.write(&mut txn, a, 1).unwrap();
-    store.write(&mut txn, b, 2).unwrap();
-    let err = store
-        .commit(txn)
-        .expect_err("withheld prepares cannot commit");
+    let mut txn = store.begin(ProcessId(1));
+    txn.write(a, 1).unwrap();
+    txn.write(b, 2).unwrap();
+    let err = txn.commit().expect_err("withheld prepares cannot commit");
     assert!(
         matches!(
             err.abort_reason(),
@@ -399,10 +290,10 @@ fn withheld_prepare_response_resolves_by_presumed_abort() {
     // With the locks released, the same keys commit again through a
     // fault-free store sharing nothing with the failed attempt.
     let (clean, _, _) = faulty_store(2, "", 0, None);
-    let mut txn = clean.begin_at(ProcessId(2), None);
-    clean.write(&mut txn, a, 10).unwrap();
-    clean.write(&mut txn, b, 20).unwrap();
-    clean.commit(txn).expect("fault-free cross-shard commit");
+    let mut txn = clean.begin(ProcessId(2));
+    txn.write(a, 10).unwrap();
+    txn.write(b, 20).unwrap();
+    txn.commit().expect("fault-free cross-shard commit");
 }
 
 #[test]
@@ -414,12 +305,10 @@ fn crash_mid_prepare_aborts_the_whole_transaction() {
     let a = store.key_on_shard(0, 0);
     let b = store.key_on_shard(1, 0);
     let baseline = store.stats();
-    let mut txn = store.begin_at(ProcessId(1), None);
-    store.write(&mut txn, a, 1).unwrap();
-    store.write(&mut txn, b, 2).unwrap();
-    let err = store
-        .commit(txn)
-        .expect_err("crashed participant cannot commit");
+    let mut txn = store.begin(ProcessId(1));
+    txn.write(a, 1).unwrap();
+    txn.write(b, 2).unwrap();
+    let err = txn.commit().expect_err("crashed participant cannot commit");
     assert!(
         matches!(
             err.abort_reason(),

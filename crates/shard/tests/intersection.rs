@@ -4,7 +4,7 @@
 //! intervals are disjoint.
 
 use mvtl_clock::GlobalClock;
-use mvtl_common::{AbortReason, Key, ProcessId, Timestamp, TransactionalKV, TxError};
+use mvtl_common::{AbortReason, EngineExt, Key, ProcessId, Timestamp, TxError};
 use mvtl_core::policy::MvtilPolicy;
 use mvtl_core::MvtlConfig;
 use mvtl_shard::{IntersectionPick, ShardedStore};
@@ -35,10 +35,10 @@ fn cross_shard_commit_happens_at_the_intersection_minimum() {
     let (a, b) = keys(&s);
     // Pinned at 125 with Δ = 50: both shards freeze [125, 175]; the
     // intersection is the full interval and Min picks its bottom.
-    let mut tx = s.begin_at(ProcessId(1), Some(Timestamp::at(125)));
-    s.write(&mut tx, a, 1).unwrap();
-    s.write(&mut tx, b, 2).unwrap();
-    let info = s.commit(tx).unwrap();
+    let mut tx = s.begin_pinned(ProcessId(1), Timestamp::at(125));
+    tx.write(a, 1).unwrap();
+    tx.write(b, 2).unwrap();
+    let info = tx.commit().unwrap();
     assert_eq!(info.commit_ts, Some(Timestamp::new(125, 0)));
 }
 
@@ -46,10 +46,10 @@ fn cross_shard_commit_happens_at_the_intersection_minimum() {
 fn cross_shard_commit_happens_at_the_intersection_maximum_with_pick_max() {
     let s = store(IntersectionPick::Max);
     let (a, b) = keys(&s);
-    let mut tx = s.begin_at(ProcessId(1), Some(Timestamp::at(125)));
-    s.write(&mut tx, a, 1).unwrap();
-    s.write(&mut tx, b, 2).unwrap();
-    let info = s.commit(tx).unwrap();
+    let mut tx = s.begin_pinned(ProcessId(1), Timestamp::at(125));
+    tx.write(a, 1).unwrap();
+    tx.write(b, 2).unwrap();
+    let info = tx.commit().unwrap();
     assert_eq!(info.commit_ts, Some(Timestamp::new(125 + DELTA, u32::MAX)));
 }
 
@@ -69,18 +69,18 @@ fn disjoint_shard_intervals_abort_the_cross_shard_commit() {
     let s = store(IntersectionPick::Min);
     let (a, b) = keys(&s);
 
-    let mut w0 = s.begin_at(ProcessId(1), Some(Timestamp::at(140)));
-    s.write(&mut w0, a, 100).unwrap();
-    let mut w1 = s.begin_at(ProcessId(2), Some(Timestamp::at(110)));
-    s.write(&mut w1, b, 200).unwrap();
+    let mut w0 = s.begin_pinned(ProcessId(1), Timestamp::at(140));
+    w0.write(a, 100).unwrap();
+    let mut w1 = s.begin_pinned(ProcessId(2), Timestamp::at(110));
+    w1.write(b, 200).unwrap();
 
     // Lock footprint with only the two blockers in flight.
     let baseline: Vec<_> = s.shard_stats().iter().map(|st| st.lock_entries).collect();
 
-    let mut t = s.begin_at(ProcessId(3), Some(Timestamp::at(125)));
-    s.write(&mut t, a, 1).unwrap();
-    s.write(&mut t, b, 2).unwrap();
-    let err = s.commit(t).unwrap_err();
+    let mut t = s.begin_pinned(ProcessId(3), Timestamp::at(125));
+    t.write(a, 1).unwrap();
+    t.write(b, 2).unwrap();
+    let err = t.commit().unwrap_err();
     assert_eq!(
         err,
         TxError::Aborted(AbortReason::NoCommonTimestamp),
@@ -93,12 +93,12 @@ fn disjoint_shard_intervals_abort_the_cross_shard_commit() {
     assert_eq!(after, baseline, "abort must release locks on every shard");
 
     // And T's writes are invisible.
-    s.abort(w0);
-    s.abort(w1);
-    let mut check = s.begin_at(ProcessId(4), Some(Timestamp::at(300)));
-    assert_eq!(s.read(&mut check, a).unwrap(), None);
-    assert_eq!(s.read(&mut check, b).unwrap(), None);
-    s.commit(check).unwrap();
+    w0.abort();
+    w1.abort();
+    let mut check = s.begin_pinned(ProcessId(4), Timestamp::at(300));
+    assert_eq!(check.read(a).unwrap(), None);
+    assert_eq!(check.read(b).unwrap(), None);
+    check.commit().unwrap();
 }
 
 /// Same schedule, but with the blockers released before the doomed commit
@@ -109,22 +109,22 @@ fn retrying_after_the_blockers_release_commits() {
     let s = store(IntersectionPick::Min);
     let (a, b) = keys(&s);
 
-    let mut w0 = s.begin_at(ProcessId(1), Some(Timestamp::at(140)));
-    s.write(&mut w0, a, 100).unwrap();
-    let mut w1 = s.begin_at(ProcessId(2), Some(Timestamp::at(110)));
-    s.write(&mut w1, b, 200).unwrap();
+    let mut w0 = s.begin_pinned(ProcessId(1), Timestamp::at(140));
+    w0.write(a, 100).unwrap();
+    let mut w1 = s.begin_pinned(ProcessId(2), Timestamp::at(110));
+    w1.write(b, 200).unwrap();
 
-    let mut t = s.begin_at(ProcessId(3), Some(Timestamp::at(125)));
-    s.write(&mut t, a, 1).unwrap();
-    s.write(&mut t, b, 2).unwrap();
-    assert!(s.commit(t).is_err());
+    let mut t = s.begin_pinned(ProcessId(3), Timestamp::at(125));
+    t.write(a, 1).unwrap();
+    t.write(b, 2).unwrap();
+    assert!(t.commit().is_err());
 
-    s.abort(w0);
-    s.abort(w1);
+    w0.abort();
+    w1.abort();
 
-    let mut t = s.begin_at(ProcessId(3), Some(Timestamp::at(125)));
-    s.write(&mut t, a, 1).unwrap();
-    s.write(&mut t, b, 2).unwrap();
-    let info = s.commit(t).unwrap();
+    let mut t = s.begin_pinned(ProcessId(3), Timestamp::at(125));
+    t.write(a, 1).unwrap();
+    t.write(b, 2).unwrap();
+    let info = t.commit().unwrap();
     assert_eq!(info.commit_ts, Some(Timestamp::new(125, 0)));
 }

@@ -22,8 +22,10 @@
 
 use crate::log::{Recovery, Wal, WalError, WalOptions};
 use crate::record::{WalRecord, WalValue};
-use mvtl_common::{CommitInfo, Key, ProcessId, StoreStats, Timestamp, TsSet, TxError};
-use mvtl_shard::{PreparedShardTxn, ShardBackend, ShardTxn};
+use mvtl_common::{
+    CommitInfo, Key, PreparedTxn, ProcessId, StoreStats, Timestamp, TsSet, TxError, TxHandle,
+};
+use mvtl_shard::ShardBackend;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -135,7 +137,7 @@ impl<V> ShardBackend<V> for WalBackend<V>
 where
     V: WalValue + Clone + Send + Sync + 'static,
 {
-    fn begin(&self, process: ProcessId, pinned: Option<Timestamp>) -> Box<dyn ShardTxn<V>> {
+    fn begin(&self, process: ProcessId, pinned: Option<Timestamp>) -> Box<dyn TxHandle<V>> {
         Box::new(WalShardTxn {
             inner: self.inner.begin(process, pinned),
             wal: Arc::clone(&self.wal),
@@ -173,7 +175,7 @@ where
         &self,
         writes: Vec<(Key, V)>,
         interval: &TsSet,
-    ) -> Result<Box<dyn PreparedShardTxn<V>>, TxError> {
+    ) -> Result<Box<dyn PreparedTxn<V>>, TxError> {
         let prepared = self.inner.recover_prepared(writes.clone(), interval)?;
         let id = self.wal.fresh_id();
         if let Err(e) = self.wal.append(&WalRecord::Prepare {
@@ -192,14 +194,14 @@ where
     }
 }
 
-/// [`ShardTxn`] decorator: captures the write set and logs the outcome.
+/// [`TxHandle`] decorator: captures the write set and logs the outcome.
 struct WalShardTxn<V> {
-    inner: Box<dyn ShardTxn<V>>,
+    inner: Box<dyn TxHandle<V>>,
     wal: Arc<Wal>,
     writes: Vec<(Key, V)>,
 }
 
-impl<V> ShardTxn<V> for WalShardTxn<V>
+impl<V> TxHandle<V> for WalShardTxn<V>
 where
     V: WalValue + Clone + Send + Sync + 'static,
 {
@@ -239,7 +241,7 @@ where
         Ok(info)
     }
 
-    fn prepare(self: Box<Self>) -> Result<Box<dyn PreparedShardTxn<V>>, TxError> {
+    fn prepare(self: Box<Self>) -> Result<Box<dyn PreparedTxn<V>>, TxError> {
         let WalShardTxn { inner, wal, writes } = *self;
         let prepared = inner.prepare()?;
         let id = wal.fresh_id();
@@ -267,15 +269,15 @@ where
     }
 }
 
-/// [`PreparedShardTxn`] decorator: the decision is durable before it takes
+/// [`PreparedTxn`] decorator: the decision is durable before it takes
 /// effect.
 struct WalPrepared<V> {
-    inner: Box<dyn PreparedShardTxn<V>>,
+    inner: Box<dyn PreparedTxn<V>>,
     wal: Arc<Wal>,
     id: u64,
 }
 
-impl<V> PreparedShardTxn<V> for WalPrepared<V>
+impl<V> PreparedTxn<V> for WalPrepared<V>
 where
     V: WalValue + Clone + Send + Sync + 'static,
 {
