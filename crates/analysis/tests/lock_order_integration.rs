@@ -4,10 +4,10 @@
 //! persist it as a DOT artifact for CI.
 //!
 //! Also the satellite regression for the two historically scary teardown
-//! paths: GC shutdown (stop-flag + condvar + thread join) and WAL flusher
-//! drain (shutdown + wake + join with pending appends) run repeatedly under
-//! the waits-for watchdog — an inversion or a real deadlock in either path
-//! fails this test instead of wedging the suite.
+//! paths: GC shutdown (stop-flag + condvar + thread join) and WAL teardown
+//! right after concurrent appenders drained each other's records run
+//! repeatedly under the waits-for watchdog — an inversion or a real deadlock
+//! in either path fails this test instead of wedging the suite.
 //!
 //! Deliberate-violation tests live in separate binaries
 //! (`lock_order_violations`, `lock_order_watchdog`): the site graph is global
@@ -51,7 +51,7 @@ fn full_stack_lock_order_is_acyclic_and_rank_consistent() {
         "2pl",
         // commit_timeout_ms arms the prepare-slot coordinator path.
         "sharded?shards=4&inner=mvtil-early&commit_timeout_ms=200",
-        "mvtil-early?wal=tmp&fsync=group",
+        "mvtil-early?wal=tmp&fsync=always",
         "mvtil-early?gc_ms=1&gc_lag_ms=1",
     ] {
         let engine = mvtl_registry::build(spec).expect("registry spec");
@@ -67,13 +67,13 @@ fn full_stack_lock_order_is_acyclic_and_rank_consistent() {
         churn(&remote);
     }
 
-    // 3. Teardown-path regression (GC shutdown and WAL flusher drain): build,
+    // 3. Teardown-path regression (GC shutdown and WAL group commit): build,
     //    churn briefly, drop immediately so shutdown overlaps fresh activity.
     //    A lock-order inversion shows up in the graph; an actual deadlock is
     //    converted into a panic by the watchdog instead of hanging.
     for _ in 0..10 {
         let gc = mvtl_registry::build("mvtil-early?gc_ms=1&gc_lag_ms=1").expect("gc spec");
-        let wal = mvtl_registry::build("mvtil-early?wal=tmp&fsync=group").expect("wal spec");
+        let wal = mvtl_registry::build("mvtil-early?wal=tmp&fsync=always").expect("wal spec");
         replay_concurrent(gc.as_ref(), 2, 3, |_, i, txn| {
             txn.write(Key(i as u64 % KEYS), i as u64)?;
             Ok(())

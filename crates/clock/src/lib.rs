@@ -1,7 +1,6 @@
 //! # mvtl-clock
 //!
-//! Clock sources for timestamp-based concurrency control, plus the timestamp
-//! service of §8.1.
+//! Clock sources for timestamp-based concurrency control.
 //!
 //! The paper's algorithms differ in what they assume about clocks:
 //!
@@ -23,23 +22,17 @@
 //! * [`SkewedClock`] — a per-process view of the global clock with a constant
 //!   offset per process (can violate monotonicity across processes, provoking
 //!   serial aborts);
-//! * [`EpsilonClock`] — a skewed clock whose offsets are bounded by ε;
 //! * [`ManualClock`] — scripted readings, used by the verifier to replay the
-//!   paper's schedules with pinned timestamps;
-//! * [`SystemClock`] — wall-clock microseconds, for the threaded benchmarks.
+//!   paper's schedules with pinned timestamps.
 //!
-//! [`TimestampService`] reproduces the purge broadcaster of §8.1: it
-//! periodically announces a time `T = now − K`; servers purge versions older
-//! than `T` and clients advance slow clocks to `T`.
+//! The purge side of §8.1's timestamp service (`T = now − K`) lives in
+//! `mvtl-gc`, which reads its clock through [`ClockSource`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod service;
 mod sources;
 
-pub use service::TimestampService;
 pub use sources::{
-    BatchedClock, ClockSource, EpsilonClock, GlobalClock, ManualClock, SkewedClock, SystemClock,
-    MAX_CLOCK_BLOCK,
+    BatchedClock, ClockSource, GlobalClock, ManualClock, SkewedClock, MAX_CLOCK_BLOCK,
 };

@@ -5,7 +5,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A source of clock readings for transactions.
 ///
@@ -21,9 +20,9 @@ pub trait ClockSource: Send + Sync {
     }
 
     /// Advances the clock of `process` to at least `to`, if the source supports
-    /// it. Used by the timestamp service: "clients advance their local clocks
-    /// to T if they are behind" (§8.1). The default implementation does
-    /// nothing.
+    /// it — the client side of §8.1's timestamp service: "clients advance
+    /// their local clocks to T if they are behind". The default
+    /// implementation does nothing.
     fn advance_to(&self, process: ProcessId, to: u64) {
         let _ = (process, to);
     }
@@ -252,52 +251,6 @@ impl<C: ClockSource> ClockSource for SkewedClock<C> {
     }
 }
 
-/// An ε-synchronized clock: a skewed clock whose per-process offsets are
-/// bounded by ε in absolute value (§2, §5.3).
-pub struct EpsilonClock<C> {
-    inner: SkewedClock<C>,
-    epsilon: u64,
-}
-
-impl<C: ClockSource> EpsilonClock<C> {
-    /// Wraps `inner` with the given per-process offsets, all of which must be
-    /// within `[-epsilon, +epsilon]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any offset exceeds ε in absolute value — that would violate
-    /// the algorithm's assumption and silently produce wrong conclusions.
-    #[must_use]
-    pub fn new(inner: C, epsilon: u64, offsets: HashMap<u32, i64>) -> Self {
-        for (p, off) in &offsets {
-            assert!(
-                off.unsigned_abs() <= epsilon,
-                "offset {off} of process {p} exceeds epsilon {epsilon}"
-            );
-        }
-        EpsilonClock {
-            inner: SkewedClock::new(inner, offsets),
-            epsilon,
-        }
-    }
-
-    /// The synchronization bound ε.
-    #[must_use]
-    pub fn epsilon(&self) -> u64 {
-        self.epsilon
-    }
-}
-
-impl<C: ClockSource> ClockSource for EpsilonClock<C> {
-    fn now(&self, process: ProcessId) -> u64 {
-        self.inner.now(process)
-    }
-
-    fn advance_to(&self, process: ProcessId, to: u64) {
-        self.inner.advance_to(process, to);
-    }
-}
-
 /// A scripted clock: each process has a queue of readings to return, after
 /// which the last reading repeats. Used by the verifier to pin the timestamps
 /// of the paper's schedules ("T1 gets timestamp 1, T2 gets timestamp 2, ...").
@@ -337,36 +290,6 @@ impl ClockSource for ManualClock {
             }
             _ => self.fallback.fetch_add(1, Ordering::SeqCst),
         }
-    }
-}
-
-/// Wall-clock microseconds since the clock was created. Used by the threaded
-/// benchmarks where real elapsed time matters.
-#[derive(Debug)]
-pub struct SystemClock {
-    origin: Instant,
-}
-
-impl Default for SystemClock {
-    fn default() -> Self {
-        SystemClock::new()
-    }
-}
-
-impl SystemClock {
-    /// Creates a wall-clock source anchored at "now".
-    #[must_use]
-    pub fn new() -> Self {
-        SystemClock {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl ClockSource for SystemClock {
-    fn now(&self, _process: ProcessId) -> u64 {
-        // +1 so that no transaction ever observes the reserved value 0.
-        self.origin.elapsed().as_micros() as u64 + 1
     }
 }
 
@@ -493,24 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn epsilon_clock_enforces_bound() {
-        let mut offsets = HashMap::new();
-        offsets.insert(0u32, 3i64);
-        offsets.insert(1u32, -4i64);
-        let clock = EpsilonClock::new(GlobalClock::new(), 5, offsets);
-        assert_eq!(clock.epsilon(), 5);
-        let _ = clock.now(P0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds epsilon")]
-    fn epsilon_clock_rejects_large_offsets() {
-        let mut offsets = HashMap::new();
-        offsets.insert(0u32, 10i64);
-        let _ = EpsilonClock::new(GlobalClock::new(), 5, offsets);
-    }
-
-    #[test]
     fn manual_clock_returns_script_then_repeats() {
         let clock = ManualClock::new();
         clock.script(P0, vec![5, 9]);
@@ -521,15 +426,6 @@ mod tests {
         let a = clock.now(P1);
         let b = clock.now(P1);
         assert!(b > a);
-    }
-
-    #[test]
-    fn system_clock_is_nondecreasing() {
-        let clock = SystemClock::new();
-        let a = clock.now(P0);
-        let b = clock.now(P0);
-        assert!(b >= a);
-        assert!(a >= 1);
     }
 
     #[test]

@@ -221,14 +221,6 @@ impl TsRange {
             other.end.succ() == self.start
         }
     }
-
-    /// Number of points in the range if it is small enough to count within the
-    /// same `(value)` granularity; returns `None` for ranges wider than
-    /// `u64::MAX` clock ticks. Used only for statistics.
-    #[must_use]
-    pub fn approx_width(&self) -> Option<u64> {
-        self.end.value.checked_sub(self.start.value)
-    }
 }
 
 impl fmt::Debug for TsRange {

@@ -305,16 +305,6 @@ impl TsSet {
             end: r.end,
         })
     }
-
-    /// Number of points in the set, saturating; only meaningful for sets whose
-    /// ranges are narrow (statistics and tests).
-    #[must_use]
-    pub fn approx_len(&self) -> u64 {
-        self.ranges()
-            .iter()
-            .map(|r| r.approx_width().unwrap_or(u64::MAX).saturating_add(1))
-            .fold(0u64, u64::saturating_add)
-    }
 }
 
 struct PointIter {

@@ -12,16 +12,12 @@ pub struct MvtlConfig {
     /// §4.3 ("standard techniques for deadlock detection can be used ...
     /// timeout") and also what the paper's 2PL baseline does (§8.4.1).
     pub lock_wait_timeout: Duration,
-    /// Number of shards in the key → cell map. More shards reduce contention on
-    /// the map itself (the per-key latch is separate).
-    pub shards: usize,
 }
 
 impl Default for MvtlConfig {
     fn default() -> Self {
         MvtlConfig {
             lock_wait_timeout: Duration::from_millis(100),
-            shards: 64,
         }
     }
 }
@@ -31,13 +27,6 @@ impl MvtlConfig {
     #[must_use]
     pub fn with_lock_wait_timeout(mut self, timeout: Duration) -> Self {
         self.lock_wait_timeout = timeout;
-        self
-    }
-
-    /// Returns a configuration with the given shard count (minimum 1).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 }
@@ -50,15 +39,11 @@ mod tests {
     fn default_is_sensible() {
         let c = MvtlConfig::default();
         assert!(c.lock_wait_timeout > Duration::ZERO);
-        assert!(c.shards >= 1);
     }
 
     #[test]
     fn builders() {
-        let c = MvtlConfig::default()
-            .with_lock_wait_timeout(Duration::from_secs(1))
-            .with_shards(0);
+        let c = MvtlConfig::default().with_lock_wait_timeout(Duration::from_secs(1));
         assert_eq!(c.lock_wait_timeout, Duration::from_secs(1));
-        assert_eq!(c.shards, 1);
     }
 }

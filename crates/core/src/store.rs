@@ -19,6 +19,9 @@ use std::time::Instant;
 /// reach it.
 const RECOVERY_PROCESS: ProcessId = ProcessId(u32::MAX);
 
+/// Stripes of the key → cell table, each behind its own latch.
+const STRIPES: usize = 64;
+
 /// A transaction that passed the participant half of the §7 distributed
 /// commit on one [`MvtlStore`]: commit-time locks are acquired and the
 /// interval the policy is willing to commit at is frozen.
@@ -79,7 +82,7 @@ where
     /// Creates a store with the given policy, clock source and configuration.
     #[must_use]
     pub fn new(policy: P, clock: Arc<dyn ClockSource>, config: MvtlConfig) -> Self {
-        let cells = StripedTable::build(config.shards.max(1), |stripe| {
+        let cells = StripedTable::build(STRIPES, |stripe| {
             Mutex::named("core.store.stripe", 60, stripe)
         });
         MvtlStore {

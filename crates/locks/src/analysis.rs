@@ -36,12 +36,6 @@ impl AcquireAnalysis {
         self.blocked_unfrozen.is_empty() && self.frozen_conflicts.is_empty()
     }
 
-    /// Whether nothing at all can be granted.
-    #[must_use]
-    pub fn nothing_grantable(&self) -> bool {
-        self.grantable.is_empty()
-    }
-
     /// Whether some timestamp of the request hit a frozen conflicting lock.
     #[must_use]
     pub fn hit_frozen(&self) -> bool {
@@ -83,9 +77,8 @@ mod tests {
     fn predicates() {
         let mut a = AcquireAnalysis::default();
         assert!(a.fully_grantable());
-        assert!(a.nothing_grantable());
         a.grantable.insert_range(TsRange::new(ts(1), ts(5)));
-        assert!(!a.nothing_grantable());
+        assert!(a.fully_grantable());
         a.blocked_unfrozen.insert(ts(6));
         assert!(!a.fully_grantable());
         assert!(!a.hit_frozen());

@@ -11,14 +11,10 @@
 //! intervals, because every algorithm in the paper only ever acquires locks on
 //! a few points or intervals.
 //!
-//! This crate provides both views:
-//!
-//! * [`FreezableLock`] — the textbook single-object freezable readers-writer
-//!   lock of §4.2, useful for understanding and for small tests.
-//! * [`KeyLockState`] — the production representation: the complete lock state
-//!   of one key stored as a list of `(owner, mode, interval, frozen)` entries.
-//!   This is the "interval compression" of §6. All MVTL engines and the
-//!   distributed simulation build on it.
+//! This crate provides that compressed form: [`KeyLockState`], the complete
+//! lock state of one key stored as a list of `(owner, mode, interval,
+//! frozen)` entries. This is the "interval compression" of §6. All MVTL
+//! engines and the distributed simulation build on it.
 //!
 //! `KeyLockState` is a plain data structure with no internal synchronization;
 //! callers (the engines) wrap it in a per-key latch, exactly like the paper's
@@ -51,10 +47,8 @@
 
 mod analysis;
 mod entry;
-mod freezable;
 mod table;
 
 pub use analysis::AcquireAnalysis;
 pub use entry::LockEntry;
-pub use freezable::{FreezableLock, FreezableLockError};
 pub use table::{KeyLockState, LockStateStats};

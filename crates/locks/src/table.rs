@@ -210,44 +210,6 @@ impl KeyLockState {
         )
     }
 
-    /// The set of timestamps `owner` holds in either mode.
-    #[must_use]
-    pub fn held_any(&self, owner: TxId) -> TsSet {
-        TsSet::from_ranges(
-            self.entries
-                .iter()
-                .filter(|e| e.owner == owner)
-                .map(|e| e.range),
-        )
-    }
-
-    /// The smallest timestamp in `range` covered by a *frozen write* lock of a
-    /// transaction other than `owner`, if any. Reads use this to detect that a
-    /// newer version has been committed in the interval they are trying to
-    /// read-lock ("if found frozen write-lock then ... retry").
-    #[must_use]
-    pub fn first_frozen_write_in(&self, owner: TxId, range: TsRange) -> Option<Timestamp> {
-        self.entries
-            .iter()
-            .filter(|e| {
-                e.frozen
-                    && e.mode == LockMode::Write
-                    && e.owner != owner
-                    && e.range.overlaps(&range)
-            })
-            .filter_map(|e| e.overlap(&range).map(|r| r.start))
-            .min()
-    }
-
-    /// Whether any transaction other than `owner` holds an *unfrozen* lock
-    /// conflicting with `mode` somewhere in `range`.
-    #[must_use]
-    pub fn has_unfrozen_conflict(&self, owner: TxId, mode: LockMode, range: TsRange) -> bool {
-        self.entries
-            .iter()
-            .any(|e| !e.frozen && e.conflicts_with(owner, mode, &range))
-    }
-
     /// Removes lock entries that lie entirely below `bound`; called when the
     /// versions below `bound` are purged (§6: "this state can be discarded when
     /// the associated version of the object is purged").
@@ -359,8 +321,6 @@ mod tests {
         assert!(a.frozen_conflicts.contains(ts(5)));
         assert!(a.grantable.contains(ts(4)));
         assert!(a.grantable.contains(ts(6)));
-        assert_eq!(s.first_frozen_write_in(T2, r(1, 10)), Some(ts(5)));
-        assert_eq!(s.first_frozen_write_in(T1, r(1, 10)), None);
     }
 
     #[test]
@@ -416,17 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn held_any_merges_modes() {
-        let mut s = KeyLockState::new();
-        s.acquire(T1, LockMode::Read, &TsSet::from_range(r(1, 4)));
-        s.acquire(T1, LockMode::Write, &TsSet::from_range(r(5, 8)));
-        let any = s.held_any(T1);
-        assert!(any.contains(ts(2)));
-        assert!(any.contains(ts(6)));
-        assert!(!any.contains(ts(9)));
-    }
-
-    #[test]
     fn multiple_writers_on_disjoint_timestamps() {
         let mut s = KeyLockState::new();
         let a1 = s.acquire_grantable(T1, LockMode::Write, r(5, 5));
@@ -441,13 +390,20 @@ mod tests {
 
     #[test]
     fn unfrozen_conflict_predicate() {
+        // `blocked_unfrozen` is non-empty exactly when another transaction
+        // holds an unfrozen lock conflicting with the request.
+        let blocked = |s: &KeyLockState, owner, range| {
+            !s.analyze(owner, LockMode::Read, range)
+                .blocked_unfrozen
+                .is_empty()
+        };
         let mut s = KeyLockState::new();
         s.acquire_grantable(T1, LockMode::Write, r(5, 9));
-        assert!(s.has_unfrozen_conflict(T2, LockMode::Read, r(7, 12)));
-        assert!(!s.has_unfrozen_conflict(T2, LockMode::Read, r(10, 12)));
-        assert!(!s.has_unfrozen_conflict(T1, LockMode::Read, r(5, 9)));
+        assert!(blocked(&s, T2, r(7, 12)));
+        assert!(!blocked(&s, T2, r(10, 12)));
+        assert!(!blocked(&s, T1, r(5, 9)));
         s.freeze(T1, LockMode::Write, r(5, 9));
-        assert!(!s.has_unfrozen_conflict(T2, LockMode::Read, r(7, 12)));
+        assert!(!blocked(&s, T2, r(7, 12)));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!                                any engine + background GC: a `mvtl-gc`
 //!                                service purges below
 //!                                min(low watermark, now − gc_lag) every gc_ms
-//! "mvtil-early?wal=/data/log&fsync=group"
+//! "mvtil-early?wal=/data/log&fsync=always"
 //!                                any engine + durability: a `mvtl-wal`
 //!                                write-ahead log in the given directory
 //!                                (`wal=tmp` for a fresh throwaway dir),
@@ -196,18 +196,6 @@ impl EngineSpec {
         }
     }
 
-    /// Peeks the value of parameter `key` without consuming it. Report and
-    /// sweep tooling uses this to record the knobs a spec carries (shard
-    /// count, Δ, GC interval) next to the measurements taken from the engine
-    /// it built.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.params
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
     /// Splits `spec` into the parameters whose keys start with `prefix` (with
     /// the prefix stripped) and the remaining spec string, ready for
     /// [`build`].
@@ -330,7 +318,7 @@ pub fn all_specs() -> Vec<&'static str> {
         "2pl",
         "sharded?shards=8&inner=mvtil-early",
         "sharded?shards=2&inner=mvtl-to",
-        "mvtil-early?wal=tmp&fsync=group",
+        "mvtil-early?wal=tmp&fsync=always",
     ]
 }
 
@@ -360,9 +348,8 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 /// `gc_ms`). With `gc_ms` set the store runs its own background sweeper
 /// ([`ShardedStore::with_gc`]), which purges every shard below
 /// `min(low watermark, now − gc_lag)` every `gc_ms` and is joined when the
-/// engine drops. Shared parameters for all MVTL-core
-/// engines: `timeout_ms` (lock-wait timeout, default 100) and `shards`
-/// (key-map shard count, default 64, at least 1). Engine-specific
+/// engine drops. Shared parameter for all MVTL-core engines: `timeout_ms`
+/// (lock-wait timeout, default 100). Engine-specific
 /// parameters: `delta` (MVTIL, ticks), `eps` (`mvtl-epsilon-clock`, ticks),
 /// `offset` (`mvtl-pref`, comma-separated signed tick offsets), `timeout_ms`
 /// (2PL, milliseconds).
@@ -372,8 +359,9 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 /// removed when the engine drops), replaying whatever the log already holds
 /// before the engine is returned — committed write sets reappear at their
 /// original timestamps and the clock starts past the largest recovered
-/// commit. `fsync=always|group|off` picks the log's sync policy (default
-/// `group`: batched fsyncs, commits acknowledged once durable) and
+/// commit. `fsync=always|off` picks the log's sync policy (default `always`:
+/// commits acknowledged once durable, concurrent commits sharing one fsync;
+/// `group` is accepted as another name for it) and
 /// `wal_segment_kb` the segment-roll size (default
 /// [`DEFAULT_WAL_SEGMENT_KB`]); both require `wal`. The `sharded` engine
 /// logs per shard under `<dir>/shard-<i>`, where recovery also re-creates
@@ -387,7 +375,9 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 /// [`WalBackend`] (`wal=`), put in one [`ShardedStore`] named after the
 /// spec's base name, which runs its own GC sweeper when `gc_ms` is set.
 /// `count` is `sharded`'s `shards` and 1 for every other engine; a one-shard
-/// store behaves exactly like the bare engine. Every parameter is validated
+/// store behaves exactly like the bare engine. A cross-shard commit picks
+/// the largest timestamp of the shards' common interval when the shards run
+/// `mvtil-late` and the smallest otherwise. Every parameter is validated
 /// before any log is opened, so a rejected spec never touches the disk.
 ///
 /// # Errors
@@ -416,13 +406,11 @@ where
         Layout {
             inner: name.to_string(),
             count: 1,
-            pick: IntersectionPick::default(),
             fault: None,
             commit_timeout: None,
         }
     };
-    let map_param = if sharded { "map_shards" } else { "shards" };
-    let backend = take_backend::<V>(&layout.inner, &mut parsed, map_param)?;
+    let backend = take_backend::<V>(&layout.inner, &mut parsed)?;
     parsed.finish()?;
 
     // The logs open before the clock exists: recovery reports the largest
@@ -457,7 +445,12 @@ where
         }
         shards.push(shard);
     }
-    let mut store = ShardedStore::new(shards, Arc::clone(&clock), layout.pick).with_name(name);
+    let pick = if layout.inner == "mvtil-late" {
+        IntersectionPick::Max
+    } else {
+        IntersectionPick::Min
+    };
+    let mut store = ShardedStore::new(shards, Arc::clone(&clock), pick).with_name(name);
     if let Some(timeout) = layout.commit_timeout {
         store = store.with_commit_timeout(timeout);
     }
@@ -583,7 +576,7 @@ fn take_wal_config(parsed: &mut EngineSpec) -> Result<Option<WalConfig>, SpecErr
         };
     };
     let fsync = match fsync {
-        None => FsyncMode::Group,
+        None => FsyncMode::Always,
         Some(mode) => FsyncMode::parse(&mode).ok_or(SpecError::InvalidValue {
             param: "fsync".to_string(),
             value: mode.clone(),
@@ -652,22 +645,17 @@ struct Layout {
     /// The engine each shard runs: the spec's own, or `sharded`'s `inner`.
     inner: String,
     count: usize,
-    pick: IntersectionPick,
     fault: Option<Arc<FaultPlan>>,
     commit_timeout: Option<Duration>,
 }
 
 /// Consumes the `sharded` engine's own parameters: `shards` (partition
-/// count, default [`DEFAULT_SHARD_COUNT`], at least 1), `inner` (partition
-/// engine, default [`DEFAULT_SHARD_INNER`]; any MVTL-core engine name — the
-/// baselines cannot freeze intervals and are rejected), `pick` (`min` |
-/// `max`, which end of the interval intersection a cross-shard commit uses;
-/// defaults to the inner engine's own bias: `max` for `mvtil-late`, `min`
-/// otherwise). `map_shards` (each partition's key→cell map shard count) and
-/// the inner engine's own parameters (`delta`, `eps`, `offset`,
-/// `timeout_ms`) are consumed with the inner engine. With `gc_ms` set, the
-/// store's one sweeper purges *all* shards under the store's aggregated low
-/// watermark.
+/// count, default [`DEFAULT_SHARD_COUNT`], at least 1) and `inner`
+/// (partition engine, default [`DEFAULT_SHARD_INNER`]; any MVTL-core engine
+/// name — the baselines cannot freeze intervals and are rejected). The inner
+/// engine's own parameters (`delta`, `eps`, `offset`, `timeout_ms`) are
+/// consumed with the inner engine. With `gc_ms` set, the store's one sweeper
+/// purges *all* shards under the store's aggregated low watermark.
 ///
 /// Fault injection: `fault` (a `mvtl-faults` schedule string such as
 /// `delay:0.4:200|crash:0.1`; every shard backend is wrapped in a
@@ -678,7 +666,16 @@ struct Layout {
 /// and schedules whose faults can outlast the coordinator's patience —
 /// `drop`/`stall` clauses — arm [`DEFAULT_COMMIT_TIMEOUT_MS`] automatically).
 fn take_sharded_layout(parsed: &mut EngineSpec) -> Result<Layout, SpecError> {
-    let count = take_count(parsed, "shards")?.unwrap_or(DEFAULT_SHARD_COUNT);
+    let count = match parsed.take_parsed::<usize>("shards")? {
+        None => DEFAULT_SHARD_COUNT,
+        Some(0) => {
+            return Err(SpecError::InvalidValue {
+                param: "shards".to_string(),
+                value: "0".to_string(),
+            })
+        }
+        Some(count) => count,
+    };
     let inner = parsed
         .take("inner")
         .unwrap_or_else(|| DEFAULT_SHARD_INNER.to_string());
@@ -690,17 +687,6 @@ fn take_sharded_layout(parsed: &mut EngineSpec) -> Result<Layout, SpecError> {
             value: inner,
         });
     }
-    let pick = match parsed.take("pick").as_deref() {
-        None if inner == "mvtil-late" => IntersectionPick::Max,
-        None | Some("min") => IntersectionPick::Min,
-        Some("max") => IntersectionPick::Max,
-        Some(other) => {
-            return Err(SpecError::InvalidValue {
-                param: "pick".to_string(),
-                value: other.to_string(),
-            })
-        }
-    };
     let fault = parsed.take("fault");
     let fault_seed = parsed.take_parsed::<u64>("fault_seed")?;
     let commit_timeout_ms = parsed.take_parsed::<u64>("commit_timeout_ms")?;
@@ -741,36 +727,17 @@ fn take_sharded_layout(parsed: &mut EngineSpec) -> Result<Layout, SpecError> {
     Ok(Layout {
         inner,
         count,
-        pick,
         fault,
         commit_timeout,
     })
-}
-
-/// Consumes a count parameter, which must be at least 1.
-fn take_count(parsed: &mut EngineSpec, key: &str) -> Result<Option<usize>, SpecError> {
-    match parsed.take_parsed::<usize>(key)? {
-        Some(0) => Err(SpecError::InvalidValue {
-            param: key.to_string(),
-            value: "0".to_string(),
-        }),
-        count => Ok(count),
-    }
 }
 
 /// Builds one shard backend reading the given clock.
 type BackendFactory<V> = Box<dyn Fn(Arc<dyn ClockSource>) -> Arc<dyn ShardBackend<V>>>;
 
 /// Consumes engine `name`'s own parameters and returns a factory for one
-/// shard of it — the registry's one `match` over engine names. `map_param`
-/// names the MVTL engines' key-map size parameter (`shards`, or
-/// `map_shards` inside a `sharded` spec, where `shards` is the partition
-/// count).
-fn take_backend<V>(
-    name: &str,
-    parsed: &mut EngineSpec,
-    map_param: &str,
-) -> Result<BackendFactory<V>, SpecError>
+/// shard of it — the registry's one `match` over engine names.
+fn take_backend<V>(name: &str, parsed: &mut EngineSpec) -> Result<BackendFactory<V>, SpecError>
 where
     V: Clone + Send + Sync + 'static,
 {
@@ -778,23 +745,23 @@ where
         Ok(parsed.take_parsed("delta")?.unwrap_or(DEFAULT_DELTA))
     };
     Ok(match name {
-        "mvtil-early" => mvtl(MvtilPolicy::early(delta(parsed)?), parsed, map_param)?,
-        "mvtil-late" => mvtl(MvtilPolicy::late(delta(parsed)?), parsed, map_param)?,
-        "mvtl-to" => mvtl(ToPolicy::new(), parsed, map_param)?,
-        "mvtl-ghostbuster" => mvtl(GhostbusterPolicy::new(), parsed, map_param)?,
+        "mvtil-early" => mvtl(MvtilPolicy::early(delta(parsed)?), parsed)?,
+        "mvtil-late" => mvtl(MvtilPolicy::late(delta(parsed)?), parsed)?,
+        "mvtl-to" => mvtl(ToPolicy::new(), parsed)?,
+        "mvtl-ghostbuster" => mvtl(GhostbusterPolicy::new(), parsed)?,
         "mvtl-epsilon-clock" => {
             let eps = parsed.take_parsed("eps")?.unwrap_or(DEFAULT_EPSILON);
-            mvtl(EpsilonPolicy::new(eps), parsed, map_param)?
+            mvtl(EpsilonPolicy::new(eps), parsed)?
         }
         "mvtl-pref" => {
             let policy = match parsed.take("offset") {
                 None => PrefPolicy::new(),
                 Some(list) => PrefPolicy::with_offsets(parse_offsets(&list)?),
             };
-            mvtl(policy, parsed, map_param)?
+            mvtl(policy, parsed)?
         }
-        "mvtl-prio" => mvtl(PrioPolicy::new(), parsed, map_param)?,
-        "mvtl-pessimistic" => mvtl(PessimisticPolicy::new(), parsed, map_param)?,
+        "mvtl-prio" => mvtl(PrioPolicy::new(), parsed)?,
+        "mvtl-pessimistic" => mvtl(PessimisticPolicy::new(), parsed)?,
         "mvto+" => Box::new(|clock| KvBackend::build(MvtoStore::<V>::new(clock))),
         "2pl" => {
             let timeout = Duration::from_millis(
@@ -816,13 +783,8 @@ where
 }
 
 /// A factory for [`MvtlBackend`] shards under `policy`, consuming the shared
-/// MVTL parameters: `timeout_ms` (lock-wait timeout) and `map_param` (the
-/// key-map shard count).
-fn mvtl<V, P>(
-    policy: P,
-    parsed: &mut EngineSpec,
-    map_param: &str,
-) -> Result<BackendFactory<V>, SpecError>
+/// MVTL parameter `timeout_ms` (lock-wait timeout).
+fn mvtl<V, P>(policy: P, parsed: &mut EngineSpec) -> Result<BackendFactory<V>, SpecError>
 where
     V: Clone + Send + Sync + 'static,
     P: LockingPolicy + Clone + 'static,
@@ -830,9 +792,6 @@ where
     let mut config = MvtlConfig::default();
     if let Some(timeout_ms) = parsed.take_parsed::<u64>("timeout_ms")? {
         config = config.with_lock_wait_timeout(Duration::from_millis(timeout_ms));
-    }
-    if let Some(shards) = take_count(parsed, map_param)? {
-        config = config.with_shards(shards);
     }
     Ok(Box::new(move |clock| {
         MvtlBackend::build(policy.clone(), clock, config.clone())
@@ -868,16 +827,6 @@ mod tests {
             ]
         );
         assert_eq!(EngineSpec::parse("2pl").unwrap().params, vec![]);
-    }
-
-    #[test]
-    fn get_peeks_parameters_without_consuming() {
-        let spec = EngineSpec::parse("sharded?shards=8&inner=mvtil-early").unwrap();
-        assert_eq!(spec.get("shards"), Some("8"));
-        assert_eq!(spec.get("inner"), Some("mvtil-early"));
-        assert_eq!(spec.get("delta"), None);
-        // Peeking twice works: nothing was removed.
-        assert_eq!(spec.get("shards"), Some("8"));
     }
 
     #[test]
@@ -984,9 +933,9 @@ mod tests {
             let engine = build(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
             assert_eq!(engine.name(), "sharded", "{spec}");
         }
-        // Defaults and the pick/map_shards knobs parse.
+        // Defaults and the inner engine's own knobs parse.
         assert!(build("sharded").is_ok());
-        assert!(build("sharded?shards=2&inner=mvtil-late&delta=500&pick=max&map_shards=4").is_ok());
+        assert!(build("sharded?shards=2&inner=mvtil-late&delta=500").is_ok());
         assert!(build_for::<String>("sharded?shards=2").is_ok());
     }
 
@@ -1236,6 +1185,17 @@ mod tests {
             let spec = format!("sharded?wal={}&{params}", fresh.display());
             assert!(build(&spec).is_err(), "{spec} must be rejected");
         }
+        // `shards` is `sharded`'s knob alone, and the cross-shard pick
+        // follows the inner engine: neither is a parameter there.
+        for spec in [
+            format!("mvtil-early?wal={}&shards=0", fresh.display()),
+            format!("sharded?wal={}&pick=median", fresh.display()),
+        ] {
+            assert!(
+                matches!(build(&spec), Err(SpecError::UnknownParam { .. })),
+                "{spec} must be an unknown parameter"
+            );
+        }
         assert!(!fresh.exists(), "a rejected spec created its log directory");
 
         // An existing log with a torn tail — which opening it would truncate
@@ -1282,14 +1242,14 @@ mod tests {
 
     #[test]
     fn zero_counts_are_rejected() {
-        for spec in [
-            "sharded?shards=0",
-            "sharded?map_shards=0",
-            "mvtil-early?shards=0",
-            "mvtl-to?shards=0",
-        ] {
+        assert!(matches!(
+            build("sharded?shards=0").map(|_| ()),
+            Err(SpecError::InvalidValue { .. })
+        ));
+        // Only `sharded` has a count: elsewhere `shards` is not a parameter.
+        for spec in ["mvtil-early?shards=0", "mvtl-to?shards=0"] {
             assert!(
-                matches!(build(spec).map(|_| ()), Err(SpecError::InvalidValue { .. })),
+                matches!(build(spec).map(|_| ()), Err(SpecError::UnknownParam { .. })),
                 "{spec} must be rejected"
             );
         }
@@ -1384,7 +1344,7 @@ mod tests {
         ));
         assert!(matches!(
             build("sharded?pick=median").map(|_| ()),
-            Err(SpecError::InvalidValue { .. })
+            Err(SpecError::UnknownParam { .. })
         ));
         assert!(matches!(
             build("sharded?shards=8&frobnicate=1").map(|_| ()),

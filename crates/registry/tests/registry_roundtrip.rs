@@ -31,18 +31,17 @@ fn every_spec_builds_and_name_matches() {
 
 #[test]
 fn every_spec_accepts_shared_parameters() {
-    // The MVTL engines share timeout/shard knobs; the baselines have their own.
+    // The MVTL engines share the timeout knob; the baselines have their own.
     for spec in all_specs() {
         let parameterized = match base(spec) {
             "mvto+" => spec.to_string(),
             "2pl" => with_params(spec, "timeout_ms=25"),
-            "mvtil-early" | "mvtil-late" => with_params(spec, "delta=5000&timeout_ms=25&shards=8"),
+            "mvtil-early" | "mvtil-late" => with_params(spec, "delta=5000&timeout_ms=25"),
             // `delta` only parses when the inner engine is MVTIL.
             "sharded" if spec.contains("inner=mvtil") => {
-                with_params(spec, "delta=5000&timeout_ms=25&map_shards=8&pick=min")
+                with_params(spec, "delta=5000&timeout_ms=25")
             }
-            "sharded" => with_params(spec, "timeout_ms=25&map_shards=8&pick=min"),
-            _ => with_params(spec, "timeout_ms=25&shards=8"),
+            _ => with_params(spec, "timeout_ms=25"),
         };
         build(&parameterized).unwrap_or_else(|e| panic!("{parameterized}: failed to build: {e}"));
     }

@@ -1,7 +1,6 @@
 //! Simulation configuration: the experimental parameters of §8.3.
 
 use crate::NetworkProfile;
-use mvtl_faults::FaultSpec;
 
 /// Which concurrency-control protocol the simulated system runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -191,22 +190,6 @@ impl SimConfig {
     #[must_use]
     pub fn coordinator_failures(mut self, probability: f64) -> Self {
         self.coordinator_failure_probability = probability.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Mirrors a fault schedule onto the simulation, matching the real
-    /// engine's `FaultyBackend` semantics: `delay`/`drop`/`stall`/`skew`
-    /// clauses map onto the network profile
-    /// ([`NetworkProfile::with_faults`]) and `crash:` maps onto the
-    /// coordinator-failure probability (a coordinator dying mid-commit is
-    /// the sim's analogue of a participant losing its volatile prepare
-    /// state — both are resolved by the §H timeout + presumed abort).
-    #[must_use]
-    pub fn with_fault_spec(mut self, spec: &FaultSpec) -> Self {
-        self.network = self.network.with_faults(spec);
-        if let Some(p) = spec.crash_mid_prepare {
-            self.coordinator_failure_probability = p.clamp(0.0, 1.0);
-        }
         self
     }
 

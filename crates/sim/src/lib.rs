@@ -22,7 +22,9 @@
 //! * a **timestamp service** periodically broadcasts `T = now − K`, purging old
 //!   versions and lock state (§8.1);
 //! * a **commitment object** per transaction decides commit/abort, and
-//!   coordinator-failure injection exercises the timeout path of §H.
+//!   coordinator-failure injection exercises the timeout path of §H. That
+//!   is the only fault the simulator injects; the `mvtl-faults` schedules
+//!   apply to the real engines.
 //!
 //! Three protocols are simulated, matching §8: distributed MVTIL (early/late),
 //! MVTO+, and 2PL. The simulator reports the metrics the paper plots:

@@ -1,6 +1,5 @@
 //! Network and machine profiles standing in for the paper's test beds (§8.2).
 
-use mvtl_faults::FaultSpec;
 use rand::Rng;
 
 /// Latency / capacity profile of a simulated deployment.
@@ -33,27 +32,6 @@ pub struct NetworkProfile {
     /// Maximum clock skew between client machines, in microseconds (clients
     /// stamp their MVTIL intervals with these imperfect clocks).
     pub clock_skew_us: u64,
-    /// Probability that a request message is **lost** in flight: it never
-    /// reaches the server (no server-side effect), and the client discovers
-    /// the loss only when its per-operation deadline passes. Mirrors the
-    /// fault layer's `drop:` clause.
-    pub loss_probability: f64,
-    /// Probability of an extra per-message **delay** (the fault layer's
-    /// `delay:` clause), on top of the ordinary latency distribution.
-    pub delay_probability: f64,
-    /// Maximum extra delay in microseconds; the injected delay is sampled
-    /// uniformly from `[1, delay_max_us]`.
-    pub delay_max_us: u64,
-    /// Probability that a server **stalls** while serving a request (the
-    /// fault layer's `stall:` clause).
-    pub stall_probability: f64,
-    /// Stall length in microseconds.
-    pub stall_us: u64,
-    /// Probability that a message crosses a transient **partition** and pays
-    /// `partition_us` of extra one-way latency.
-    pub partition_probability: f64,
-    /// Extra one-way latency across a partition, in microseconds.
-    pub partition_us: u64,
 }
 
 impl NetworkProfile {
@@ -69,13 +47,6 @@ impl NetworkProfile {
             service_time_us: 25.0,
             server_cores: 16,
             clock_skew_us: 500,
-            loss_probability: 0.0,
-            delay_probability: 0.0,
-            delay_max_us: 0,
-            stall_probability: 0.0,
-            stall_us: 0,
-            partition_probability: 0.0,
-            partition_us: 0,
         }
     }
 
@@ -91,76 +62,24 @@ impl NetworkProfile {
             service_time_us: 60.0,
             server_cores: 1,
             clock_skew_us: 2_000,
-            loss_probability: 0.0,
-            delay_probability: 0.0,
-            delay_max_us: 0,
-            stall_probability: 0.0,
-            stall_us: 0,
-            partition_probability: 0.0,
-            partition_us: 0,
         }
     }
 
-    /// Maps a fault schedule onto this profile, mirroring the real engine's
-    /// `FaultyBackend` semantics in network terms: `delay:` becomes extra
-    /// per-message latency, `drop:` becomes request loss (discovered by the
-    /// client's operation timeout), `stall:` becomes server-side stalls, and
-    /// `skew:` widens the client clock-skew bound (ticks read as µs here).
-    /// `crash:` is a coordinator-side fault and is mapped by
-    /// [`SimConfig::with_fault_spec`](crate::SimConfig::with_fault_spec).
-    #[must_use]
-    pub fn with_faults(mut self, spec: &FaultSpec) -> Self {
-        if let Some((p, max_us)) = spec.delay {
-            self.delay_probability = p;
-            self.delay_max_us = max_us.max(1);
-        }
-        if let Some((p, _hold_ms)) = spec.drop_prepare {
-            // The hold time is irrelevant here: a lost request is simply
-            // never answered, and the op deadline plays the coordinator-
-            // timeout role.
-            self.loss_probability = p;
-        }
-        if let Some((p, stall_ms)) = spec.stall {
-            self.stall_probability = p;
-            self.stall_us = stall_ms.saturating_mul(1_000);
-        }
-        if spec.skew_ticks > 0 {
-            self.clock_skew_us = spec.skew_ticks;
-        }
-        self
-    }
-
-    /// Samples a one-way message latency in microseconds, including any
-    /// injected delay and partition crossings.
+    /// Samples a one-way message latency in microseconds.
     pub fn sample_latency<R: Rng>(&self, rng: &mut R) -> u64 {
         let base = self.mean_latency_us + rng.gen_range(-self.jitter_us..=self.jitter_us);
-        let mut total = if rng.gen_bool(self.spike_probability) {
+        let total = if rng.gen_bool(self.spike_probability) {
             base * self.spike_factor
         } else {
             base
         };
-        if self.delay_probability > 0.0 && rng.gen_bool(self.delay_probability) {
-            total += rng.gen_range(1..=self.delay_max_us.max(1)) as f64;
-        }
-        if self.partition_probability > 0.0 && rng.gen_bool(self.partition_probability) {
-            total += self.partition_us as f64;
-        }
         total.max(1.0) as u64
     }
 
-    /// Samples a server-side service time in microseconds, including any
-    /// injected stall.
+    /// Samples a server-side service time in microseconds.
     pub fn sample_service<R: Rng>(&self, rng: &mut R) -> u64 {
-        let mut t = self.service_time_us * rng.gen_range(0.7..1.5);
-        if self.stall_probability > 0.0 && rng.gen_bool(self.stall_probability) {
-            t += self.stall_us as f64;
-        }
+        let t = self.service_time_us * rng.gen_range(0.7..1.5);
         t.max(1.0) as u64
-    }
-
-    /// Whether a request message is lost in flight.
-    pub fn sample_loss<R: Rng>(&self, rng: &mut R) -> bool {
-        self.loss_probability > 0.0 && rng.gen_bool(self.loss_probability)
     }
 
     /// Samples a per-client constant clock skew in microseconds (signed).

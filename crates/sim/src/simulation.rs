@@ -357,24 +357,6 @@ impl Simulation {
     fn issue_request(&mut self, client_id: usize, op: PlannedOp) {
         let attempt = self.clients[client_id].attempt;
         let tx_id = self.clients[client_id].tx_id;
-        if self.config.network.sample_loss(&mut self.rng) {
-            // The request is lost in flight: the server never sees it (no
-            // server-side effect), and the client only discovers the loss
-            // when its per-operation deadline passes — the same timeout +
-            // presumed-abort discovery the real coordinator uses for a
-            // dropped prepare response.
-            self.messages += 1;
-            let deadline = self.clients[client_id].op_deadline.max(self.now);
-            self.queue.push(
-                deadline + 1,
-                EventKind::OpResponse {
-                    client: client_id,
-                    attempt,
-                    outcome: OpResult::Abort,
-                },
-            );
-            return;
-        }
         let latency_out = self.config.network.sample_latency(&mut self.rng);
         let latency_back = self.config.network.sample_latency(&mut self.rng);
         let service = self.config.network.sample_service(&mut self.rng);

@@ -127,12 +127,6 @@ impl MvsgChecker {
         self.edges.entry(from).or_default().insert(to);
     }
 
-    /// Number of edges in the graph.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edges.values().map(HashSet::len).sum()
-    }
-
     /// Searches for a cycle; returns it if one exists.
     #[must_use]
     pub fn find_cycle(&self) -> Option<Vec<TxId>> {

@@ -14,8 +14,9 @@
 //!   coordinator — a promise the shard must remember across a crash;
 //! * the coordinator's **commit decision** is logged durably *before* the
 //!   versions are installed — once decided, the outcome must not flip;
-//! * **aborts log a decision record** too (without blocking on it), but a
-//!   missing decision already means abort: that is the presumed-abort rule,
+//! * **aborts log a decision record** too (best effort: a failed append is
+//!   ignored), but a missing decision already means abort: that is the
+//!   presumed-abort rule,
 //!   and it is what [`WalBackend::attach`] applies to any prepare whose
 //!   decision never reached the log — the recovered prepared state gets
 //!   exactly one decision (an abort), which is then logged.

@@ -8,8 +8,9 @@
 //!   and their framed on-disk encoding (`[len][crc32][payload]`, the same
 //!   idiom as the server wire protocol).
 //! * [`log`] — the segmented log itself: [`Wal`] appends with an fsync
-//!   policy ([`FsyncMode`]: `always` / `group` / `off`), a flusher thread
-//!   batches concurrent appends into one fsync (group commit), and
+//!   policy ([`FsyncMode`]: `always` / `off`); the first appender to find
+//!   records queued writes and syncs them for everyone queued (group
+//!   commit, on the appending threads — the log owns no thread), and
 //!   [`Wal::open`] scans existing segments on startup, stopping at the
 //!   first torn or corrupted frame and truncating the tail.
 //! * [`backend`] — [`WalBackend`], a [`mvtl_shard::ShardBackend`] decorator.
@@ -41,7 +42,7 @@
 //!     commit_ts: Some(Timestamp::new(7, 0)),
 //!     writes: vec![(Key(1), 42u64)],
 //! })
-//! .unwrap(); // durable on return: the default policy is group commit
+//! .unwrap(); // durable on return: the default policy syncs
 //! drop(wal);
 //!
 //! let (_wal, recovered) = Wal::open::<u64>(dir.path(), WalOptions::default()).unwrap();

@@ -2,17 +2,16 @@
 //!
 //! A log is a directory of segment files `wal-NNNNNN.log`, each opened with
 //! an 8-byte header (magic + format version) and otherwise holding a pure
-//! sequence of frames ([`crate::record`]). Appenders serialize records into a
-//! pending buffer and a dedicated flusher thread drains it: one `write` +
-//! `fsync` covers every record that arrived while the previous flush was in
-//! flight, which is the group commit that amortizes fsync under load. The
-//! fsync policy is [`FsyncMode`]:
+//! sequence of frames ([`crate::record`]). An appender queues its frame in a
+//! pending buffer and then waits for it to be written: the first waiter to
+//! find frames pending drains them all — one `fsync` for every record queued
+//! so far — which is the group commit that amortizes fsync under load. No
+//! background thread is involved. The fsync policy is [`FsyncMode`]:
 //!
-//! * `Always` — each append writes and syncs inline before returning,
-//! * `Group` — appends wait until the flusher has synced a batch containing
-//!   their record (the default; durability with amortized fsync),
-//! * `Off` — appends return immediately; the flusher still writes but never
-//!   syncs (testing / throwaway data).
+//! * `Always` — an append returns once its record is written and synced
+//!   (the default),
+//! * `Off` — an append returns once its record is written; nothing is ever
+//!   synced (testing / throwaway data).
 //!
 //! Recovery ([`Wal::open`]) scans the segments in order and stops at the
 //! first frame whose length or checksum does not verify: everything before
@@ -28,28 +27,24 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// When the durability layer acknowledges an append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncMode {
-    /// Write and sync inline on the appending thread, one fsync per record.
+    /// Acknowledge once the record is synced. Every record one drain takes
+    /// shares its fsync (group commit).
     Always,
-    /// Group commit: the flusher batches concurrent appends into one fsync
-    /// and appenders block until their record's batch is durable.
-    Group,
-    /// Never sync; appends return as soon as the record is buffered.
+    /// Never sync; acknowledge once the record is written.
     Off,
 }
 
 impl FsyncMode {
-    /// Parses the registry's `fsync=` parameter value.
+    /// Parses the registry's `fsync=` parameter value. `group` is accepted
+    /// as a spelling of `always`: every synced append already groups.
     #[must_use]
     pub fn parse(s: &str) -> Option<FsyncMode> {
         match s {
-            "always" => Some(FsyncMode::Always),
-            "group" => Some(FsyncMode::Group),
+            "always" | "group" => Some(FsyncMode::Always),
             "off" => Some(FsyncMode::Off),
             _ => None,
         }
@@ -68,7 +63,7 @@ pub struct WalOptions {
 impl Default for WalOptions {
     fn default() -> Self {
         WalOptions {
-            fsync: FsyncMode::Group,
+            fsync: FsyncMode::Always,
             segment_bytes: 1024 * 1024,
         }
     }
@@ -220,22 +215,21 @@ pub struct ResolvedRecovery<V> {
     pub discarded_bytes: u64,
 }
 
-/// Shared state between appenders and the flusher thread.
+/// The append queue every appender shares.
 struct Flush {
-    /// Encoded frames not yet handed to the operating system.
+    /// Encoded frames no drain has taken yet.
     pending: Vec<Vec<u8>>,
     /// Sequence number of the last record appended to `pending`.
     appended_seq: u64,
     /// Sequence number through which records are durable (or, under
     /// `FsyncMode::Off`, written).
     durable_seq: u64,
-    /// First flush failure; poisons the log.
+    /// First drain failure; poisons the log.
     error: Option<WalError>,
-    shutdown: bool,
 }
 
 /// The current segment file and its rotation bookkeeping. Held under its own
-/// mutex so file I/O never blocks appenders that are only buffering.
+/// mutex so file I/O never blocks appenders that are only queueing.
 struct Segments {
     dir: PathBuf,
     file: File,
@@ -290,19 +284,24 @@ impl Segments {
     }
 
     /// Appends whole frames, rolling to a fresh segment between frames when
-    /// the current one is over budget.
-    fn write_frames(&mut self, frames: &[Vec<u8>]) -> Result<(), WalError> {
+    /// the current one is over budget. With `sync` set, every segment
+    /// written to is synced: a finished one before the roll, the current one
+    /// at the end.
+    fn write_frames(&mut self, frames: &[Vec<u8>], sync: bool) -> Result<(), WalError> {
         for frame in frames {
             if self.len >= self.segment_bytes {
-                self.file
-                    .sync_data()
-                    .map_err(|e| io_err("syncing finished segment", e))?;
+                if sync {
+                    self.sync()?;
+                }
                 *self = Segments::open_at(&self.dir, self.index + 1, self.segment_bytes)?;
             }
             self.file
                 .write_all(frame)
                 .map_err(|e| io_err("appending frame", e))?;
             self.len += frame.len() as u64;
+        }
+        if sync {
+            self.sync()?;
         }
         Ok(())
     }
@@ -312,91 +311,20 @@ impl Segments {
     }
 }
 
-struct Shared {
+/// The write-ahead log. Appenders drain the queue themselves (see
+/// [`Wal::append`]), so the log owns no thread and dropping it has nothing
+/// left to flush.
+pub struct Wal {
     flush: Mutex<Flush>,
-    /// Wakes the flusher when records are pending or shutdown is requested.
-    flusher_wake: Condvar,
     /// Wakes appenders when `durable_seq` advances (or an error lands).
     durable: Condvar,
     segments: Mutex<Segments>,
     fsync: FsyncMode,
-}
-
-impl Shared {
-    /// Drains `pending` once: writes every buffered frame, syncs when the
-    /// policy asks for it, and publishes the new durable sequence number.
-    /// Returns `false` when there was nothing to do.
-    ///
-    /// The segment lock is taken *before* the pending batch, so concurrent
-    /// drains (flusher thread plus `Always`-mode appenders) write their
-    /// batches in the order they were taken — log order always matches
-    /// append order.
-    fn flush_once(&self) -> bool {
-        let mut segments = self.segments.lock();
-        let (frames, last_seq) = {
-            let mut flush = self.flush.lock();
-            if flush.pending.is_empty() {
-                return false;
-            }
-            (std::mem::take(&mut flush.pending), flush.appended_seq)
-        };
-        let result = segments.write_frames(&frames).and_then(|()| {
-            if self.fsync == FsyncMode::Off {
-                Ok(())
-            } else {
-                segments.sync()
-            }
-        });
-        drop(segments);
-        let mut flush = self.flush.lock();
-        match result {
-            Ok(()) => flush.durable_seq = flush.durable_seq.max(last_seq),
-            Err(e) => {
-                if flush.error.is_none() {
-                    flush.error = Some(e);
-                }
-            }
-        }
-        self.durable.notify_all();
-        true
-    }
-
-    /// Blocks until `durable_seq` covers `seq`, draining batches as needed
-    /// (whichever of the flusher thread or this thread gets there first).
-    fn wait_durable(&self, seq: u64) -> Result<(), WalError> {
-        let mut flush = self.flush.lock();
-        loop {
-            if let Some(e) = &flush.error {
-                return Err(e.clone());
-            }
-            if flush.durable_seq >= seq {
-                return Ok(());
-            }
-            if flush.pending.is_empty() {
-                // `seq` was appended and is no longer pending, so some drain
-                // holds the batch containing it; it publishes `durable_seq`
-                // under this lock and notifies, so the wait cannot miss it.
-                self.durable.wait(&mut flush);
-            } else {
-                drop(flush);
-                self.flush_once();
-                flush = self.flush.lock();
-            }
-        }
-    }
-}
-
-/// The write-ahead log: a handle for appending records plus the flusher
-/// thread that makes them durable. Dropping the log flushes whatever is
-/// still buffered (and syncs it, unless the policy is `Off`).
-pub struct Wal {
-    shared: Arc<Shared>,
-    flusher: Option<JoinHandle<()>>,
     /// Source of log-local transaction ids, continuing past recovered ones.
     next_id: AtomicU64,
     /// A temporary log directory whose lifetime is tied to this log (see
-    /// [`Wal::retain_dir`]). Declared last: `Drop` drains and joins the
-    /// flusher before the directory is removed.
+    /// [`Wal::retain_dir`]). Declared last, so the segment file closes
+    /// before the directory is removed.
     owned_dir: Option<TempDir>,
 }
 
@@ -494,46 +422,22 @@ impl Wal {
 
         let start_index = last_valid.map_or(1, |(index, _)| index);
         let segments = Segments::open_at(dir, start_index, options.segment_bytes.max(64))?;
-        let shared = Arc::new(Shared {
-            flush: Mutex::named(
-                "wal.flush",
-                82,
-                Flush {
-                    pending: Vec::new(),
-                    appended_seq: 0,
-                    durable_seq: 0,
-                    error: None,
-                    shutdown: false,
-                },
-            ),
-            flusher_wake: Condvar::new(),
-            durable: Condvar::new(),
-            segments: Mutex::named("wal.segments", 80, segments),
-            fsync: options.fsync,
-        });
-        let flusher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("mvtl-wal-flusher".into())
-                .spawn(move || loop {
-                    {
-                        let mut flush = shared.flush.lock();
-                        while flush.pending.is_empty() && !flush.shutdown {
-                            shared.flusher_wake.wait(&mut flush);
-                        }
-                        if flush.pending.is_empty() && flush.shutdown {
-                            return;
-                        }
-                    }
-                    shared.flush_once();
-                })
-                .map_err(|e| WalError(format!("spawning flusher: {e}")))?
-        };
         let max_seen_id = recovery.records.iter().map(WalRecord::id).max();
         Ok((
             Wal {
-                shared,
-                flusher: Some(flusher),
+                flush: Mutex::named(
+                    "wal.flush",
+                    82,
+                    Flush {
+                        pending: Vec::new(),
+                        appended_seq: 0,
+                        durable_seq: 0,
+                        error: None,
+                    },
+                ),
+                durable: Condvar::new(),
+                segments: Mutex::named("wal.segments", 80, segments),
+                fsync: options.fsync,
                 next_id: AtomicU64::new(max_seen_id.map_or(1, |m| m + 1)),
                 owned_dir: None,
             },
@@ -542,9 +446,9 @@ impl Wal {
     }
 
     /// Ties the lifetime of a temporary log directory to this log: the
-    /// directory is removed once the log has drained and shut down. Used by
-    /// the registry's `wal=tmp` mode, where the log should leave nothing
-    /// behind when its engine is dropped.
+    /// directory is removed when the log is dropped. Used by the registry's
+    /// `wal=tmp` mode, where the log should leave nothing behind when its
+    /// engine is dropped.
     pub fn retain_dir(&mut self, dir: TempDir) {
         self.owned_dir = Some(dir);
     }
@@ -556,19 +460,18 @@ impl Wal {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The configured fsync policy.
-    #[must_use]
-    pub fn fsync_mode(&self) -> FsyncMode {
-        self.shared.fsync
-    }
-
-    /// Appends `record`, acknowledging according to the fsync policy: under
-    /// `Always` and `Group` the record is durable when this returns; under
-    /// `Off` it has merely been buffered.
+    /// Appends `record` and returns once it is written — and, under
+    /// `FsyncMode::Always`, synced.
+    ///
+    /// The frame is queued, then this thread waits for it: if frames are
+    /// pending it drains them itself, writing (and syncing) its own record
+    /// together with every record queued before the drain took the batch;
+    /// otherwise another appender's drain holds the record and this thread
+    /// waits for that drain to publish.
     ///
     /// # Errors
     ///
-    /// Returns the first flush failure once the log is poisoned; the record
+    /// Returns the first drain failure once the log is poisoned; the record
     /// may or may not have reached the disk in that case.
     pub fn append<V: WalValue>(&self, record: &WalRecord<V>) -> Result<(), WalError> {
         let frame = record.encode_frame();
@@ -577,7 +480,7 @@ impl Wal {
             "record exceeds the frame cap"
         );
         let seq = {
-            let mut flush = self.shared.flush.lock();
+            let mut flush = self.flush.lock();
             if let Some(e) = &flush.error {
                 return Err(e.clone());
             }
@@ -585,63 +488,79 @@ impl Wal {
             flush.pending.push(frame);
             flush.appended_seq
         };
-        match self.shared.fsync {
-            FsyncMode::Off => {
-                self.shared.flusher_wake.notify_one();
-                Ok(())
-            }
-            FsyncMode::Always => {
-                // Inline write + sync on the appending thread; concurrent
-                // appenders' pending records ride along in the same drain.
-                self.shared.wait_durable(seq)
-            }
-            FsyncMode::Group => {
-                self.shared.flusher_wake.notify_one();
-                self.shared.wait_durable(seq)
-            }
-        }
+        self.wait_durable(seq)
     }
 
     /// Blocks until everything appended so far is written (and synced,
-    /// unless the policy is `Off`).
+    /// unless the policy is `Off`) — appends still in flight on other
+    /// threads included.
     ///
     /// # Errors
     ///
-    /// Returns the first flush failure when the log is poisoned.
+    /// Returns the first drain failure when the log is poisoned.
     pub fn sync(&self) -> Result<(), WalError> {
-        let target = {
-            let flush = self.shared.flush.lock();
+        let target = self.flush.lock().appended_seq;
+        self.wait_durable(target)
+    }
+
+    /// Blocks until `durable_seq` covers `seq`, draining the queue whenever
+    /// frames are pending.
+    fn wait_durable(&self, seq: u64) -> Result<(), WalError> {
+        let mut flush = self.flush.lock();
+        loop {
             if let Some(e) = &flush.error {
                 return Err(e.clone());
             }
-            flush.appended_seq
-        };
-        self.shared.wait_durable(target)
+            if flush.durable_seq >= seq {
+                return Ok(());
+            }
+            if flush.pending.is_empty() {
+                // `seq` was appended and is no longer pending, so some drain
+                // holds the batch containing it; it publishes `durable_seq`
+                // under this lock and notifies, so the wait cannot miss it.
+                self.durable.wait(&mut flush);
+            } else {
+                drop(flush);
+                self.drain();
+                flush = self.flush.lock();
+            }
+        }
     }
-}
 
-impl Drop for Wal {
-    fn drop(&mut self) {
+    /// Takes every pending frame, writes them, syncs unless the policy is
+    /// `Off`, and publishes the new durable sequence number.
+    ///
+    /// The segment lock is held from taking the batch to publishing it, so
+    /// drains write and publish in the order they took their batches: log
+    /// order matches append order, `durable_seq` only moves forward, and a
+    /// failed drain poisons the log before any later batch is written.
+    fn drain(&self) {
+        let mut segments = self.segments.lock();
+        let (frames, last_seq) = {
+            let mut flush = self.flush.lock();
+            if flush.pending.is_empty() || flush.error.is_some() {
+                return;
+            }
+            (std::mem::take(&mut flush.pending), flush.appended_seq)
+        };
+        let result = segments.write_frames(&frames, self.fsync == FsyncMode::Always);
         {
-            let mut flush = self.shared.flush.lock();
-            flush.shutdown = true;
+            let mut flush = self.flush.lock();
+            match result {
+                Ok(()) => flush.durable_seq = last_seq,
+                Err(e) => flush.error = Some(e),
+            }
         }
-        self.shared.flusher_wake.notify_all();
-        if let Some(handle) = self.flusher.take() {
-            let _ = handle.join();
-        }
-        // The flusher exits as soon as it sees the shutdown flag with an
-        // empty queue; anything raced in after its last drain is flushed
-        // here so a graceful drop never loses buffered records.
-        while self.shared.flush_once() {}
+        drop(segments);
+        self.durable.notify_all();
     }
 }
 
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let flush = self.shared.flush.lock();
+        let flush = self.flush.lock();
         f.debug_struct("Wal")
-            .field("fsync", &self.shared.fsync)
+            .field("fsync", &self.fsync)
             .field("appended_seq", &flush.appended_seq)
             .field("durable_seq", &flush.durable_seq)
             .field("poisoned", &flush.error.is_some())
@@ -662,13 +581,15 @@ mod tests {
         }
     }
 
+    const MODES: [FsyncMode; 2] = [FsyncMode::Always, FsyncMode::Off];
+
     fn reopen(dir: &Path, options: WalOptions) -> (Wal, Recovery<u64>) {
         Wal::open::<u64>(dir, options).expect("log opens")
     }
 
     #[test]
     fn append_then_recover_roundtrip() {
-        for fsync in [FsyncMode::Always, FsyncMode::Group, FsyncMode::Off] {
+        for fsync in MODES {
             let dir = TempDir::new("wal-roundtrip");
             let options = WalOptions {
                 fsync,
@@ -701,53 +622,80 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_batches_concurrent_appenders() {
-        let dir = TempDir::new("wal-group");
-        let (wal, _) = reopen(
-            dir.path(),
-            WalOptions {
-                fsync: FsyncMode::Group,
+    fn appended_records_are_on_disk_when_append_returns() {
+        for fsync in MODES {
+            let dir = TempDir::new("wal-on-return");
+            let options = WalOptions {
+                fsync,
                 ..WalOptions::default()
-            },
-        );
-        let wal = std::sync::Arc::new(wal);
-        std::thread::scope(|scope| {
-            for t in 0..8u64 {
-                let wal = std::sync::Arc::clone(&wal);
-                scope.spawn(move || {
-                    for i in 0..25u64 {
-                        wal.append(&commit(t * 100 + i + 1, t, i)).unwrap();
-                    }
-                });
+            };
+            let (wal, _) = reopen(dir.path(), options);
+            for i in 1..=5u64 {
+                wal.append(&commit(i, i, i)).unwrap();
+                // No `sync()` and no drop: the segment already decodes to
+                // every record appended so far, and to nothing else.
+                let bytes = std::fs::read(segment_path(dir.path(), 1)).unwrap();
+                let mut offset = SEGMENT_HEADER.len();
+                let mut ids = Vec::new();
+                while let Some((record, consumed)) = decode_frame::<u64>(&bytes[offset..]) {
+                    ids.push(record.id());
+                    offset += consumed;
+                }
+                assert_eq!(offset, bytes.len(), "fsync={fsync:?}: trailing bytes");
+                assert_eq!(ids, (1..=i).collect::<Vec<_>>(), "fsync={fsync:?}");
             }
-        });
-        drop(std::sync::Arc::try_unwrap(wal).expect("sole owner"));
-        let (_wal, recovery) = reopen(dir.path(), WalOptions::default());
-        assert_eq!(recovery.records.len(), 200);
+        }
+    }
+
+    #[test]
+    fn group_commit_batches_concurrent_appenders() {
+        for fsync in MODES {
+            let dir = TempDir::new("wal-group");
+            let options = WalOptions {
+                fsync,
+                ..WalOptions::default()
+            };
+            let (wal, _) = reopen(dir.path(), options);
+            std::thread::scope(|scope| {
+                for t in 0..8u64 {
+                    let wal = &wal;
+                    scope.spawn(move || {
+                        for i in 0..25u64 {
+                            wal.append(&commit(t * 100 + i + 1, t, i)).unwrap();
+                        }
+                    });
+                }
+            });
+            drop(wal);
+            let (_wal, recovery) = reopen(dir.path(), options);
+            assert_eq!(recovery.records.len(), 200, "fsync={fsync:?}");
+        }
     }
 
     #[test]
     fn segments_roll_and_recover_in_order() {
-        let dir = TempDir::new("wal-segments");
-        let options = WalOptions {
-            fsync: FsyncMode::Group,
-            segment_bytes: 128, // tiny: force many rolls
-        };
-        let (wal, _) = reopen(dir.path(), options);
-        for i in 1..=50u64 {
-            wal.append(&commit(i, i, i)).unwrap();
+        for fsync in MODES {
+            let dir = TempDir::new("wal-segments");
+            let options = WalOptions {
+                fsync,
+                segment_bytes: 128, // tiny: force many rolls
+            };
+            let (wal, _) = reopen(dir.path(), options);
+            for i in 1..=50u64 {
+                wal.append(&commit(i, i, i)).unwrap();
+            }
+            drop(wal);
+            let segment_files = std::fs::read_dir(dir.path())
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .filter(|e| segment_index(&e.file_name().to_string_lossy()).is_some())
+                .count();
+            assert!(segment_files > 1, "tiny segments must have rolled");
+            let (_wal, recovery) = reopen(dir.path(), options);
+            assert_eq!(recovery.records.len(), 50, "fsync={fsync:?}");
+            let ids: Vec<u64> = recovery.records.iter().map(WalRecord::id).collect();
+            assert_eq!(ids, (1..=50).collect::<Vec<_>>(), "append order preserved");
         }
-        drop(wal);
-        let segment_files = std::fs::read_dir(dir.path())
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| segment_index(&e.file_name().to_string_lossy()).is_some())
-            .count();
-        assert!(segment_files > 1, "tiny segments must have rolled");
-        let (_wal, recovery) = reopen(dir.path(), options);
-        assert_eq!(recovery.records.len(), 50);
-        let ids: Vec<u64> = recovery.records.iter().map(WalRecord::id).collect();
-        assert_eq!(ids, (1..=50).collect::<Vec<_>>(), "append order preserved");
     }
 
     #[test]
@@ -810,7 +758,7 @@ mod tests {
     fn corruption_in_an_early_segment_discards_later_segments() {
         let dir = TempDir::new("wal-cascade");
         let options = WalOptions {
-            fsync: FsyncMode::Group,
+            fsync: FsyncMode::Always,
             segment_bytes: 128,
         };
         let (wal, _) = reopen(dir.path(), options);

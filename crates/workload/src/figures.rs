@@ -396,9 +396,9 @@ pub fn engine_grid(scale: Scale) -> FigureTable {
 }
 
 /// [`engine_grid`] under an arbitrary key distribution: the skew axis of the
-/// sweep. Uniform reproduces the paper's setup; `zipf(0.99)` / hot-set runs
-/// put every engine (including the partitioned `sharded` ones) under the
-/// contention regime where concurrency-control protocols differentiate.
+/// sweep. Uniform reproduces the paper's setup; `zipf(0.99)` runs put every
+/// engine (including the partitioned `sharded` ones) under the contention
+/// regime where concurrency-control protocols differentiate.
 #[must_use]
 pub fn engine_grid_with_skew(scale: Scale, dist: KeyDist) -> FigureTable {
     let (clients_list, duration_ms): (&[usize], u64) = match scale {
@@ -409,7 +409,6 @@ pub fn engine_grid_with_skew(scale: Scale, dist: KeyDist) -> FigureTable {
     let x_label: &'static str = match dist {
         KeyDist::Uniform => "clients",
         KeyDist::Zipf { .. } => "clients(zipf)",
-        KeyDist::HotSet { .. } => "clients(hot)",
     };
     let mut rows = Vec::new();
     for &clients in clients_list {

@@ -21,28 +21,15 @@ pub enum KeyDist {
         /// The skew exponent θ ≥ 0 (0 degenerates to uniform).
         theta: f64,
     },
-    /// A hot set: with probability `hot_fraction` the access goes to one of
-    /// the first `hot_keys` keys (uniformly), otherwise to the rest of the
-    /// key space (uniformly).
-    HotSet {
-        /// Number of keys in the hot set (clamped to the key space).
-        hot_keys: u64,
-        /// Probability that an access targets the hot set, in `[0, 1]`.
-        hot_fraction: f64,
-    },
 }
 
 impl KeyDist {
-    /// A short label for reports ("uniform", "zipf(0.99)", "hot(8@90%)").
+    /// A short label for reports ("uniform", "zipf(0.99)").
     #[must_use]
     pub fn label(&self) -> String {
         match self {
             KeyDist::Uniform => "uniform".to_string(),
             KeyDist::Zipf { theta } => format!("zipf({theta})"),
-            KeyDist::HotSet {
-                hot_keys,
-                hot_fraction,
-            } => format!("hot({hot_keys}@{:.0}%)", hot_fraction * 100.0),
         }
     }
 }
@@ -63,7 +50,6 @@ pub struct KeySampler {
 enum SamplerKind {
     Uniform,
     Zipf(Zipf),
-    HotSet { hot: u64, hot_fraction: f64 },
 }
 
 impl KeySampler {
@@ -73,13 +59,6 @@ impl KeySampler {
             KeyDist::Zipf { theta } => match Zipf::new(keys, theta.max(0.0)) {
                 Ok(zipf) => SamplerKind::Zipf(zipf),
                 Err(_) => SamplerKind::Uniform,
-            },
-            KeyDist::HotSet {
-                hot_keys,
-                hot_fraction,
-            } => SamplerKind::HotSet {
-                hot: hot_keys.clamp(1, keys),
-                hot_fraction: hot_fraction.clamp(0.0, 1.0),
             },
         };
         KeySampler { keys, kind }
@@ -92,13 +71,6 @@ impl KeySampler {
             // Rank r ∈ [1, keys]: map the most popular rank to key 0 so hot
             // keys are stable across transaction templates.
             SamplerKind::Zipf(zipf) => zipf.sample_index(rng) - 1,
-            SamplerKind::HotSet { hot, hot_fraction } => {
-                if hot == self.keys || rng.gen_bool(hot_fraction) {
-                    rng.gen_range(0..hot)
-                } else {
-                    rng.gen_range(hot..self.keys)
-                }
-            }
         }
     }
 }
@@ -280,22 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_set_respects_the_configured_fraction() {
-        let spec = WorkloadSpec::new(10, 0.5, 1_000).with_dist(KeyDist::HotSet {
-            hot_keys: 10,
-            hot_fraction: 0.9,
-        });
-        let counts = key_histogram(&spec, 4, 1_000);
-        let total: u64 = counts.iter().sum();
-        let hot: u64 = counts[..10].iter().sum();
-        let fraction = hot as f64 / total as f64;
-        assert!(
-            (fraction - 0.9).abs() < 0.03,
-            "hot-set fraction {fraction} should be ~0.9"
-        );
-    }
-
-    #[test]
     fn zipf_theta_zero_and_uniform_agree_statistically() {
         let uniform = key_histogram(&WorkloadSpec::new(10, 0.5, 50), 5, 2_000);
         let zipf0 = key_histogram(&WorkloadSpec::new(10, 0.5, 50).with_zipf(0.0), 5, 2_000);
@@ -314,23 +270,5 @@ mod tests {
     fn dist_labels_render() {
         assert_eq!(KeyDist::Uniform.label(), "uniform");
         assert_eq!(KeyDist::Zipf { theta: 0.99 }.label(), "zipf(0.99)");
-        assert_eq!(
-            KeyDist::HotSet {
-                hot_keys: 8,
-                hot_fraction: 0.9
-            }
-            .label(),
-            "hot(8@90%)"
-        );
-    }
-
-    #[test]
-    fn degenerate_hot_set_covers_the_whole_key_space() {
-        let spec = WorkloadSpec::new(4, 0.5, 5).with_dist(KeyDist::HotSet {
-            hot_keys: 100,
-            hot_fraction: 0.5,
-        });
-        let counts = key_histogram(&spec, 6, 500);
-        assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
     }
 }

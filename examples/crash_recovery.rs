@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The registry spells the same setup as a one-line spec; `wal=tmp` uses
     // a self-cleaning temporary directory instead of a named one.
-    let spec = format!("mvtil-early?wal={}&fsync=group", dir.path().display());
+    let spec = format!("mvtil-early?wal={}&fsync=always", dir.path().display());
     let from_spec = mvtl::registry::build(&spec)?;
     println!("via `{spec}`:");
     println!(

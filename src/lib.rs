@@ -10,7 +10,7 @@
 //! | [`common`] | `mvtl-common` | timestamps, interval sets, ids, errors, the `TransactionalKV` trait and the object-safe `Engine` layer |
 //! | [`locks`] | `mvtl-locks` | freezable interval lock tables (§4.2, §6) |
 //! | [`storage`] | `mvtl-storage` | multiversion value store with purging |
-//! | [`clock`] | `mvtl-clock` | clock sources and the timestamp service |
+//! | [`clock`] | `mvtl-clock` | clock sources: global, batched, skewed, scripted |
 //! | [`core`] | `mvtl-core` | the generic MVTL engine and every policy of §5 |
 //! | [`faults`] | `mvtl-faults` | deterministic, seeded fault-injection plans (the `fault=` schedules) |
 //! | [`gc`] | `mvtl-gc` | watermark-safe background garbage collection (§6's timestamp service for the real engines) |

@@ -86,7 +86,7 @@ fn assert_state_matches(engine: &dyn Engine<u64>, expected: &HashMap<Key, u64>) 
 #[test]
 fn committed_state_survives_kill_and_recover_serializably() {
     let dir = TempDir::new("crash-recovery");
-    let spec = format!("mvtil-early?wal={}&fsync=group", dir.path().display());
+    let spec = format!("mvtil-early?wal={}&fsync=always", dir.path().display());
     let mut history = History::new();
     let mut expected = HashMap::new();
 
