@@ -1134,14 +1134,23 @@ mod tests {
         s.commit(tx).unwrap();
     }
 
-    /// The timestamps `owner` holds on `key` in `mode`, frozen or not.
+    /// The timestamps `owner` holds unfrozen on `key` in `mode`.
     fn owned<P: LockingPolicy>(
         s: &MvtlStore<u64, P>,
         key: Key,
         owner: mvtl_common::TxId,
         mode: LockMode,
-        frozen: bool,
     ) -> TsSet {
+        let guard = s.cells.stripe_for(key).data.lock();
+        guard
+            .map
+            .get(key)
+            .map(|data| data.locks.held(owner, mode))
+            .unwrap_or_default()
+    }
+
+    /// The timestamps of `key`'s ownerless frozen runs in `mode`.
+    fn frozen<P: LockingPolicy>(s: &MvtlStore<u64, P>, key: Key, mode: LockMode) -> TsSet {
         let guard = s.cells.stripe_for(key).data.lock();
         let Some(data) = guard.map.get(key) else {
             return TsSet::new();
@@ -1150,7 +1159,7 @@ mod tests {
             data.locks
                 .entries()
                 .iter()
-                .filter(|e| e.owner == owner && e.mode == mode && e.frozen == frozen)
+                .filter(|e| e.frozen && e.mode == mode)
                 .map(|e| e.range),
         )
     }
@@ -1174,13 +1183,22 @@ mod tests {
             .policy()
             .commit_ts(&before, prepared.interval())
             .expect("a commit timestamp");
-        s.commit_prepared(prepared, commit_ts).expect("commit");
-        let gc = s.policy().commit_gc(&before);
-        let point = TsSet::from_point(commit_ts);
         let mut keys: Vec<Key> = before.held.iter().map(|(k, _)| k).collect();
         keys.extend(before.read_set.iter().map(|(k, _)| *k));
         keys.extend(before.write_keys.iter().copied());
-        for key in keys {
+        let prefix_before: Vec<[TsSet; 2]> = keys
+            .iter()
+            .map(|k| {
+                [
+                    frozen(s, *k, LockMode::Write),
+                    frozen(s, *k, LockMode::Read),
+                ]
+            })
+            .collect();
+        s.commit_prepared(prepared, commit_ts).expect("commit");
+        let gc = s.policy().commit_gc(&before);
+        let point = TsSet::from_point(commit_ts);
+        for (key, [write_before, read_before]) in keys.into_iter().zip(prefix_before) {
             let held = before.locks_on(key).cloned().unwrap_or_default();
             let written = before.write_keys.contains(&key);
             let read_run = before
@@ -1209,23 +1227,26 @@ mod tests {
             let id = before.id;
             let name = s.policy().name();
             let frozen_write = if written { point.clone() } else { TsSet::new() };
+            // What the commit adds to the ownerless prefix; a frozen write
+            // hides the frozen read at the same timestamp.
+            let write_after = write_before.union(&frozen_write);
             assert_eq!(
-                owned(s, key, id, LockMode::Write, true),
-                frozen_write,
+                frozen(s, key, LockMode::Write),
+                write_after,
                 "{name} {key:?}: frozen write"
             );
             assert_eq!(
-                owned(s, key, id, LockMode::Read, true),
-                frozen_read,
+                frozen(s, key, LockMode::Read),
+                read_before.union(&frozen_read).difference(&write_after),
                 "{name} {key:?}: frozen read"
             );
             assert_eq!(
-                owned(s, key, id, LockMode::Write, false),
+                owned(s, key, id, LockMode::Write),
                 unfrozen_write,
                 "{name} {key:?}: unfrozen write"
             );
             assert_eq!(
-                owned(s, key, id, LockMode::Read, false),
+                owned(s, key, id, LockMode::Read),
                 unfrozen_read,
                 "{name} {key:?}: unfrozen read"
             );
@@ -1266,6 +1287,28 @@ mod tests {
         check_policy_commit_end_state(PrioPolicy::new());
         check_policy_commit_end_state(PrefPolicy::new());
         check_policy_commit_end_state(ToPolicy::new());
+    }
+
+    #[test]
+    fn committed_readers_of_one_version_share_one_frozen_run() {
+        use crate::policy::MvtilPolicy;
+        let s = MvtlStore::new(
+            MvtilPolicy::early(1_000),
+            Arc::new(GlobalClock::new()),
+            MvtlConfig::default(),
+        );
+        let mut tx = s.begin(ProcessId(0));
+        s.write(&mut tx, Key(1), 7).unwrap();
+        s.commit(tx).unwrap();
+        for _ in 0..256 {
+            let mut tx = s.begin(ProcessId(1));
+            assert_eq!(s.read(&mut tx, Key(1)).unwrap(), Some(7));
+            s.commit(tx).unwrap();
+        }
+        // The version's frozen write point and one merged read run, not one
+        // entry per reader.
+        let stats = s.stats();
+        assert_eq!((stats.lock_entries, stats.frozen_lock_entries), (2, 2));
     }
 
     #[test]

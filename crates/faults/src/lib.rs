@@ -1,7 +1,7 @@
 //! # mvtl-faults
 //!
 //! Deterministic, seeded fault-injection plans for the §7 cross-shard
-//! protocol and its `mvtl-sim` mirror.
+//! protocol.
 //!
 //! The cross-shard interval-intersection commit only proves itself on an
 //! unfriendly machine: shards that answer late, drop their prepare response,
@@ -23,11 +23,8 @@
 //!   fault regression tests and the CI fault-matrix step replay through the
 //!   MVSG checker.
 //!
-//! The *enforcement* side lives with each consumer: `mvtl-shard`'s
-//! `FaultyBackend` decorator injects these faults between the coordinator and
-//! a real shard, and `mvtl-sim` maps the same spec onto its network model
-//! (message loss, server stalls, partitions, clock skew) so the simulator and
-//! the real engine validate each other on the same schedules.
+//! The *enforcement* side is `mvtl-shard`'s `FaultyBackend` decorator, which
+//! injects these faults between the coordinator and a real shard.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,7 +11,9 @@ use serde::{Deserialize, Serialize};
 /// an entire interval".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LockEntry {
-    /// Transaction holding the lock.
+    /// Transaction holding the lock. Meaningless on a frozen entry: frozen
+    /// runs of different transactions merge, so they belong to no one (see
+    /// [`crate::KeyLockState`]).
     pub owner: TxId,
     /// Read or write mode.
     pub mode: LockMode,

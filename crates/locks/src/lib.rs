@@ -16,6 +16,14 @@
 //! frozen)` entries. This is the "interval compression" of §6. All MVTL
 //! engines and the distributed simulation build on it.
 //!
+//! Frozen locks are kept ownerless, merged and sorted at the front of that
+//! list. No transaction acquires a lock after freezing one, so nobody needs
+//! to know who owns a frozen lock, and all committed readers of a version
+//! share one frozen read run — §3's reading of MVTO+'s per-version read
+//! timestamp as one frozen read lock. A lock operation on a hot key then
+//! costs a binary search over the frozen runs plus a scan of the live
+//! entries, which are bounded by the transactions in flight.
+//!
 //! `KeyLockState` is a plain data structure with no internal synchronization;
 //! callers (the engines) wrap it in a per-key latch, exactly like the paper's
 //! implementation keeps "a latch per entry in the hash table" (§8.1).

@@ -10,9 +10,10 @@ use serde::{Deserialize, Serialize};
 /// counters are what the state-size experiment (Figure 6) reads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LockStateStats {
-    /// Number of interval lock entries currently stored.
+    /// Number of interval lock entries currently stored: frozen runs plus
+    /// live entries.
     pub entries: usize,
-    /// How many of those entries are frozen.
+    /// How many of those entries are frozen runs.
     pub frozen_entries: usize,
 }
 
@@ -27,12 +28,32 @@ impl LockStateStats {
     }
 }
 
+/// The owner recorded on frozen runs, which belong to no transaction.
+const NO_OWNER: TxId = TxId(0);
+
 /// The complete lock state of one key: a list of interval lock entries.
 ///
 /// Conceptually this is one freezable lock per timestamp (an infinite family);
 /// concretely it stores only the intervals that transactions actually locked,
-/// which §6 argues is "at most one lock interval per committed transaction" for
-/// the algorithms in the paper.
+/// in two parts of one vector:
+///
+/// * `entries[..f]`, the **frozen prefix** (`f` is the number of entries
+///   with `frozen` set): ownerless runs, sorted by start and pairwise
+///   disjoint, each in one mode. Touching runs of the same mode are merged,
+///   and where a frozen write meets a frozen read the write wins, because it
+///   blocks a superset. So every committed reader of a version extends one
+///   read run instead of leaving an entry of its own, and a lookup is a
+///   binary search.
+/// * `entries[f..]`, the **live suffix**: unfrozen entries, each owned by an
+///   in-flight transaction (or, under policies without commit-time GC, by a
+///   committed one), in no particular order.
+///
+/// Dropping the owner of a frozen lock relies on one precondition: **no
+/// transaction acquires a lock after it freezes one** (every engine freezes
+/// only while committing). So nobody asks who owns a frozen lock; a
+/// transaction's own frozen locks would block it like anyone else's. Both
+/// parts share the one vector on purpose: a key's lock state stays 24 bytes
+/// inline, which matters for stores holding many mostly idle keys.
 ///
 /// The structure is intentionally free of synchronization: engines wrap it in a
 /// per-key latch (mutex) and, where the paper's algorithms *wait* for unfrozen
@@ -57,18 +78,27 @@ impl KeyLockState {
     /// blocked by frozen conflicting locks (waiting can never help).
     #[must_use]
     pub fn analyze(&self, owner: TxId, mode: LockMode, desired: TsRange) -> AcquireAnalysis {
+        let (frozen, live) = self.entries.split_at(self.frozen_len());
         let mut blocked_unfrozen = TsSet::new();
-        let mut frozen_conflicts = TsSet::new();
-        for entry in &self.entries {
+        for entry in live {
             if !entry.conflicts_with(owner, mode, &desired) {
                 continue;
             }
             // The conflict is limited to the overlap with the request.
             if let Some(overlap) = entry.overlap(&desired) {
-                if entry.frozen {
+                blocked_unfrozen.insert_range(overlap);
+            }
+        }
+        // The runs overlapping `desired` are consecutive in the prefix.
+        let mut frozen_conflicts = TsSet::new();
+        let first = frozen.partition_point(|run| run.range.end < desired.start);
+        for run in frozen[first..]
+            .iter()
+            .take_while(|run| run.range.start <= desired.end)
+        {
+            if run.mode.conflicts_with(mode) {
+                if let Some(overlap) = run.overlap(&desired) {
                     frozen_conflicts.insert_range(overlap);
-                } else {
-                    blocked_unfrozen.insert_range(overlap);
                 }
             }
         }
@@ -116,42 +146,15 @@ impl KeyLockState {
 
     /// Freezes the locks `owner` holds in `mode` on the timestamps of `range`.
     ///
-    /// Entries partially covered by `range` are split so that only the covered
-    /// part becomes frozen. Freezing timestamps the owner does not hold is a
-    /// no-op (the generic algorithm only freezes what it acquired).
+    /// The covered part leaves the owner's live entries (split as needed) for
+    /// the ownerless frozen prefix. Freezing timestamps the owner does not
+    /// hold is a no-op (the generic algorithm only freezes what it acquired).
+    /// The owner must not acquire anything afterwards (see [`KeyLockState`]).
     pub fn freeze(&mut self, owner: TxId, mode: LockMode, range: TsRange) {
-        // In place: overwrite the covered slice of each matching entry with
-        // its frozen middle and append the unfrozen remainders at the end.
-        // Entry order carries no meaning, and the appended remainders are
-        // disjoint from `range` by construction, so they need no re-check.
-        let n = self.entries.len();
-        for i in 0..n {
-            let entry = self.entries[i];
-            if entry.owner != owner || entry.mode != mode || entry.frozen {
-                continue;
-            }
-            let Some(mid) = entry.range.intersection(&range) else {
-                continue;
-            };
-            self.entries[i] = LockEntry {
-                owner,
-                mode,
-                range: mid,
-                frozen: true,
-            };
-            if entry.range.start < mid.start {
-                self.entries.push(LockEntry::new(
-                    owner,
-                    mode,
-                    TsRange::new(entry.range.start, mid.start.pred()),
-                ));
-            }
-            if entry.range.end > mid.end {
-                self.entries.push(LockEntry::new(
-                    owner,
-                    mode,
-                    TsRange::new(mid.end.succ(), entry.range.end),
-                ));
+        while let Some(taken) = self.take_live(owner, mode, range) {
+            match mode {
+                LockMode::Write => self.insert_run(mode, taken),
+                LockMode::Read => self.insert_read_run(taken),
             }
         }
     }
@@ -159,51 +162,29 @@ impl KeyLockState {
     /// Releases every unfrozen lock of `owner` (both modes). Frozen locks stay
     /// forever (until purged together with their versions).
     pub fn release_unfrozen(&mut self, owner: TxId) {
-        self.entries.retain(|e| e.owner != owner || e.frozen);
+        let mut i = self.frozen_len();
+        while i < self.entries.len() {
+            if self.entries[i].owner == owner {
+                self.entries.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
     }
 
     /// Releases the unfrozen locks of `owner` in `mode` restricted to `range`,
     /// splitting entries as needed. Used e.g. when a read backs off after
     /// discovering a frozen write lock ("release read-locks acquired above").
     pub fn release_unfrozen_range(&mut self, owner: TxId, mode: LockMode, range: TsRange) {
-        // In place: swap-remove each covered entry and append its unfrozen
-        // remainders. After a removal the index is re-examined (it now holds
-        // the swapped-in entry); appended remainders are disjoint from
-        // `range`, so reaching them is a harmless no-op.
-        let mut i = 0;
-        while i < self.entries.len() {
-            let entry = self.entries[i];
-            if entry.owner != owner || entry.mode != mode || entry.frozen {
-                i += 1;
-                continue;
-            }
-            let Some(mid) = entry.range.intersection(&range) else {
-                i += 1;
-                continue;
-            };
-            self.entries.swap_remove(i);
-            if entry.range.start < mid.start {
-                self.entries.push(LockEntry::new(
-                    owner,
-                    mode,
-                    TsRange::new(entry.range.start, mid.start.pred()),
-                ));
-            }
-            if entry.range.end > mid.end {
-                self.entries.push(LockEntry::new(
-                    owner,
-                    mode,
-                    TsRange::new(mid.end.succ(), entry.range.end),
-                ));
-            }
-        }
+        while self.take_live(owner, mode, range).is_some() {}
     }
 
-    /// The set of timestamps `owner` holds in `mode` (frozen or not).
+    /// The set of timestamps `owner` holds unfrozen in `mode`. What it froze
+    /// is part of the ownerless frozen prefix and not reported.
     #[must_use]
     pub fn held(&self, owner: TxId, mode: LockMode) -> TsSet {
         TsSet::from_ranges(
-            self.entries
+            self.live()
                 .iter()
                 .filter(|e| e.owner == owner && e.mode == mode)
                 .map(|e| e.range),
@@ -212,7 +193,8 @@ impl KeyLockState {
 
     /// Removes lock entries that lie entirely below `bound`; called when the
     /// versions below `bound` are purged (§6: "this state can be discarded when
-    /// the associated version of the object is purged").
+    /// the associated version of the object is purged"). In the frozen prefix
+    /// these are the leading runs; a run reaching `bound` stays whole.
     ///
     /// Returns the number of entries removed.
     pub fn purge_below(&mut self, bound: Timestamp) -> usize {
@@ -226,11 +208,12 @@ impl KeyLockState {
     pub fn stats(&self) -> LockStateStats {
         LockStateStats {
             entries: self.entries.len(),
-            frozen_entries: self.entries.iter().filter(|e| e.frozen).count(),
+            frozen_entries: self.frozen_len(),
         }
     }
 
-    /// All entries, for inspection and debugging.
+    /// All entries, for inspection and debugging: the frozen prefix (sorted,
+    /// ownerless) followed by the live entries.
     #[must_use]
     pub fn entries(&self) -> &[LockEntry] {
         &self.entries
@@ -242,13 +225,113 @@ impl KeyLockState {
         self.entries.is_empty()
     }
 
+    /// Length of the frozen prefix.
+    fn frozen_len(&self) -> usize {
+        self.entries.partition_point(|e| e.frozen)
+    }
+
+    fn live(&self) -> &[LockEntry] {
+        &self.entries[self.frozen_len()..]
+    }
+
+    /// Removes the part inside `range` of one live entry of `owner` in `mode`
+    /// and returns it; the entry's remainders stay live. `None` when no such
+    /// entry overlaps `range`.
+    fn take_live(&mut self, owner: TxId, mode: LockMode, range: TsRange) -> Option<TsRange> {
+        let f = self.frozen_len();
+        let i = f + self.entries[f..]
+            .iter()
+            .position(|e| e.owner == owner && e.mode == mode && e.range.overlaps(&range))?;
+        // Live entries are unordered, and the last entry is live as well.
+        let entry = self.entries.swap_remove(i);
+        let taken = entry.range.intersection(&range)?;
+        if entry.range.start < taken.start {
+            self.entries.push(LockEntry::new(
+                owner,
+                mode,
+                TsRange::new(entry.range.start, taken.start.pred()),
+            ));
+        }
+        if entry.range.end > taken.end {
+            self.entries.push(LockEntry::new(
+                owner,
+                mode,
+                TsRange::new(taken.end.succ(), entry.range.end),
+            ));
+        }
+        Some(taken)
+    }
+
+    /// Adds the frozen read `range` to the prefix wherever no frozen write run
+    /// covers it: one [`KeyLockState::insert_run`] per uncovered piece.
+    fn insert_read_run(&mut self, range: TsRange) {
+        let mut from = range.start;
+        loop {
+            let frozen = &self.entries[..self.frozen_len()];
+            let first = frozen.partition_point(|run| run.range.end < from);
+            let write = frozen[first..]
+                .iter()
+                .take_while(|run| run.range.start <= range.end)
+                .find(|run| run.mode == LockMode::Write)
+                .map(|run| run.range);
+            let Some(write) = write else {
+                return self.insert_run(LockMode::Read, TsRange::new(from, range.end));
+            };
+            if from < write.start {
+                self.insert_run(LockMode::Read, TsRange::new(from, write.start.pred()));
+            }
+            if write.end >= range.end {
+                return;
+            }
+            from = write.end.succ();
+        }
+    }
+
+    /// Adds the frozen run `range` in `mode` to the prefix: it merges with the
+    /// runs of its mode that it overlaps or touches and is cut out of the
+    /// other mode's runs. A read `range` must overlap no write run (see
+    /// [`KeyLockState::insert_read_run`]), so only write runs ever cut.
+    fn insert_run(&mut self, mode: LockMode, range: TsRange) {
+        let f = self.frozen_len();
+        // The window of runs overlapping or touching `range`.
+        let lo = self.entries[..f].partition_point(|run| run.range.end.succ() < range.start);
+        let hi =
+            lo + self.entries[lo..f].partition_point(|run| run.range.start <= range.end.succ());
+        let mut merged = range;
+        let (mut before, mut after) = (None, None);
+        for run in &self.entries[lo..hi] {
+            if run.mode == mode {
+                merged.start = merged.start.min(run.range.start);
+                merged.end = merged.end.max(run.range.end);
+                continue;
+            }
+            if run.range.start < range.start {
+                let end = run.range.end.min(range.start.pred());
+                before = Some(frozen_run(run.mode, TsRange::new(run.range.start, end)));
+            }
+            if run.range.end > range.end {
+                let start = run.range.start.max(range.end.succ());
+                after = Some(frozen_run(run.mode, TsRange::new(start, run.range.end)));
+            }
+        }
+        let mut runs = [frozen_run(mode, merged); 3];
+        let mut n = 0;
+        for run in [before, Some(runs[0]), after].into_iter().flatten() {
+            runs[n] = run;
+            n += 1;
+        }
+        // A slice iterator reports its exact length, so the splice shifts the
+        // live suffix once and allocates nothing beyond the vector itself.
+        self.entries.splice(lo..hi, runs[..n].iter().copied());
+    }
+
     /// Merge adjacent unfrozen entries of the same owner and mode to keep the
     /// representation compact (the point of interval compression).
     fn coalesce(&mut self, owner: TxId, mode: LockMode) {
         let mut set = TsSet::new();
         let mut count = 0usize;
-        for e in &self.entries {
-            if e.owner == owner && e.mode == mode && !e.frozen {
+        for e in self.live() {
+            if e.owner == owner && e.mode == mode {
                 set.insert_range(e.range);
                 count += 1;
             }
@@ -268,6 +351,16 @@ impl KeyLockState {
     }
 }
 
+/// A run of the frozen prefix.
+fn frozen_run(mode: LockMode, range: TsRange) -> LockEntry {
+    LockEntry {
+        owner: NO_OWNER,
+        mode,
+        range,
+        frozen: true,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,6 +375,15 @@ mod tests {
 
     fn r(a: u64, b: u64) -> TsRange {
         TsRange::new(ts(a), ts(b))
+    }
+
+    /// The frozen prefix as `(mode, range)` pairs.
+    fn runs(s: &KeyLockState) -> Vec<(LockMode, TsRange)> {
+        s.entries()
+            .iter()
+            .take_while(|e| e.frozen)
+            .map(|e| (e.mode, e.range))
+            .collect()
     }
 
     #[test]
@@ -352,6 +454,61 @@ mod tests {
         assert!(a.grantable.contains(ts(2)));
         assert!(a.frozen_conflicts.contains(ts(5)));
         assert!(a.grantable.contains(ts(8)));
+    }
+
+    #[test]
+    fn frozen_runs_of_different_readers_merge() {
+        let mut s = KeyLockState::new();
+        for (tx, end) in [(1, 9), (2, 12), (3, 20), (4, 5)] {
+            s.acquire_grantable(TxId(tx), LockMode::Read, r(3, end));
+            s.freeze(TxId(tx), LockMode::Read, r(3, end));
+        }
+        // A touching run merges as well; one past a gap does not.
+        for range in [TsRange::new(ts(20).succ(), ts(22)), r(30, 31)] {
+            s.acquire_grantable(T1, LockMode::Read, range);
+            s.freeze(T1, LockMode::Read, range);
+        }
+        assert_eq!(
+            runs(&s),
+            [(LockMode::Read, r(3, 22)), (LockMode::Read, r(30, 31))]
+        );
+        assert_eq!(s.stats().entries, 2);
+    }
+
+    #[test]
+    fn frozen_write_wins_over_frozen_read() {
+        let below_8 = TsRange::new(ts(3), ts(8).pred());
+        // A transaction that read version 2 and wrote at 8 freezes its write
+        // point, then its read run [3, 8]: the run stops below the write.
+        let mut s = KeyLockState::new();
+        s.acquire_grantable(T1, LockMode::Read, r(3, 8));
+        s.acquire_grantable(T1, LockMode::Write, r(8, 8));
+        s.freeze(T1, LockMode::Write, r(8, 8));
+        s.freeze(T1, LockMode::Read, r(3, 8));
+        s.release_unfrozen(T1);
+        assert_eq!(
+            runs(&s),
+            [(LockMode::Read, below_8), (LockMode::Write, r(8, 8))]
+        );
+        // In the other order, the write point is cut out of the read run.
+        let mut s = KeyLockState::new();
+        s.acquire_grantable(T1, LockMode::Read, r(3, 10));
+        s.acquire_grantable(T1, LockMode::Write, r(8, 8));
+        s.freeze(T1, LockMode::Read, r(3, 10));
+        s.freeze(T1, LockMode::Write, r(8, 8));
+        assert_eq!(
+            runs(&s),
+            [
+                (LockMode::Read, below_8),
+                (LockMode::Write, r(8, 8)),
+                (LockMode::Read, TsRange::new(ts(8).succ(), ts(10))),
+            ]
+        );
+        // Frozen reads block writers only; the frozen write blocks readers too.
+        let read = s.analyze(T2, LockMode::Read, r(3, 10));
+        assert_eq!(read.frozen_conflicts.ranges(), &[r(8, 8)]);
+        let write = s.analyze(T2, LockMode::Write, r(3, 10));
+        assert_eq!(write.frozen_conflicts.ranges(), &[r(3, 10)]);
     }
 
     #[test]

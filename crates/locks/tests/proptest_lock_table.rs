@@ -5,9 +5,10 @@
 //! permanent. These invariants are what the serializability proof of the paper
 //! (Appendix A) relies on.
 
-use mvtl_common::{LockMode, Timestamp, TsRange, TxId};
+use mvtl_common::{LockMode, Timestamp, TsRange, TsSet, TxId};
 use mvtl_locks::KeyLockState;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 enum Action {
@@ -66,12 +67,28 @@ fn range(start: u64, len: u64) -> TsRange {
     TsRange::new(Timestamp::at(start), Timestamp::at(start + len))
 }
 
-/// Check that no two entries of different owners conflict on an overlapping range.
-fn no_conflicting_grants(state: &KeyLockState) -> bool {
+/// Check that no two live entries of different owners conflict on an
+/// overlapping range, and that a live entry overlaps a conflicting frozen
+/// run only where its own owner froze that mode (`froze[tx][mode]`).
+fn no_conflicting_grants(state: &KeyLockState, froze: &HashMap<TxId, [TsSet; 2]>) -> bool {
     let entries = state.entries();
-    for (i, a) in entries.iter().enumerate() {
-        for b in entries.iter().skip(i + 1) {
+    let f = entries.iter().take_while(|e| e.frozen).count();
+    let (prefix, live) = entries.split_at(f);
+    for (i, a) in live.iter().enumerate() {
+        for b in live.iter().skip(i + 1) {
             if a.owner != b.owner && a.mode.conflicts_with(b.mode) && a.range.overlaps(&b.range) {
+                return false;
+            }
+        }
+        for run in prefix {
+            let Some(overlap) = run.range.intersection(&a.range) else {
+                continue;
+            };
+            let own = froze
+                .get(&a.owner)
+                .map(|sets| sets[usize::from(run.mode == LockMode::Write)].clone())
+                .unwrap_or_default();
+            if a.mode.conflicts_with(run.mode) && !own.contains_range(&overlap) {
                 return false;
             }
         }
@@ -85,14 +102,24 @@ proptest! {
     #[test]
     fn never_grants_conflicting_locks(actions in proptest::collection::vec(arb_action(), 1..60)) {
         let mut state = KeyLockState::new();
+        // What each transaction froze, per mode: no transaction acquires
+        // after its first freeze, as in the engines.
+        let mut froze: HashMap<TxId, [TsSet; 2]> = HashMap::new();
         for action in actions {
             match action {
                 Action::Acquire { tx, write, start, len } => {
+                    if froze.contains_key(&TxId(tx as u64)) {
+                        continue;
+                    }
                     // Only grant what analyze says is grantable — exactly what engines do.
                     state.acquire_grantable(TxId(tx as u64), mode(write), range(start, len));
                 }
                 Action::Freeze { tx, write, start, len } => {
-                    state.freeze(TxId(tx as u64), mode(write), range(start, len));
+                    let tx = TxId(tx as u64);
+                    let taken = state.held(tx, mode(write)).intersection(&TsSet::from_range(range(start, len)));
+                    state.freeze(tx, mode(write), range(start, len));
+                    let sets = froze.entry(tx).or_default();
+                    sets[usize::from(write)] = sets[usize::from(write)].union(&taken);
                 }
                 Action::ReleaseUnfrozen { tx } => {
                     state.release_unfrozen(TxId(tx as u64));
@@ -101,7 +128,7 @@ proptest! {
                     state.purge_below(Timestamp::at(bound));
                 }
             }
-            prop_assert!(no_conflicting_grants(&state),
+            prop_assert!(no_conflicting_grants(&state, &froze),
                 "conflicting grants present: {:?}", state.entries());
         }
     }

@@ -388,8 +388,11 @@ mod tests {
         state.mvtil_commit_write(writer, ts(150), 77);
         assert_eq!(state.versions.at(ts(150)), Some(&77));
         // After commit, only the frozen point remains of the writer's locks.
-        assert!(state.locks.held(writer, LockMode::Write).contains(ts(150)));
-        assert!(!state.locks.held(writer, LockMode::Write).contains(ts(180)));
+        assert!(state.locks.held(writer, LockMode::Write).is_empty());
+        let later = state
+            .locks
+            .analyze(TxId(5), LockMode::Write, TsRange::new(ts(150), ts(180)));
+        assert_eq!(later.frozen_conflicts.ranges(), &[TsRange::point(ts(150))]);
     }
 
     #[test]

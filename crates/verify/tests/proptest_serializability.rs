@@ -168,6 +168,11 @@ fn concurrent_random_transactions_are_serializable_under_every_mvtl_policy() {
         "mvtil-early?delta=5000&timeout_ms=5",
         "mvtil-late?delta=5000&timeout_ms=5",
         "mvtl-pref?timeout_ms=5",
+        "mvtl-pessimistic?timeout_ms=5",
+        "mvtl-prio?timeout_ms=5",
+        // A purge every millisecond with no lag races the merged frozen runs.
+        "mvtil-early?delta=5000&timeout_ms=5&gc_ms=1&gc_lag_ms=0",
+        "mvtl-ghostbuster?timeout_ms=5&gc_ms=1&gc_lag_ms=0",
     ] {
         let engine = build(spec);
         let history = replay_concurrent(engine.as_ref(), 4, 60, |thread, iter, txn| {

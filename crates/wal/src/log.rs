@@ -238,6 +238,14 @@ struct Segments {
     segment_bytes: u64,
 }
 
+/// Syncs the directory itself, so files created or removed in it survive a
+/// power loss.
+fn sync_dir(dir: &Path) -> Result<(), WalError> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("syncing wal directory", e))
+}
+
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("wal-{index:06}.log"))
 }
@@ -253,7 +261,14 @@ fn segment_index(name: &str) -> Option<u64> {
 impl Segments {
     /// Opens segment `index` for appending, writing the header if the file
     /// is new (or shorter than a header — a tail torn inside the header).
-    fn open_at(dir: &Path, index: u64, segment_bytes: u64) -> Result<Segments, WalError> {
+    /// With `sync` set, a new file's directory entry is made durable before
+    /// any commit appended to it can be acknowledged.
+    fn open_at(
+        dir: &Path,
+        index: u64,
+        segment_bytes: u64,
+        sync: bool,
+    ) -> Result<Segments, WalError> {
         let path = segment_path(dir, index);
         let mut file = OpenOptions::new()
             .create(true)
@@ -270,6 +285,9 @@ impl Segments {
                 .map_err(|e| io_err("resetting segment", e))?;
             file.write_all(&SEGMENT_HEADER)
                 .map_err(|e| io_err("writing segment header", e))?;
+            if sync {
+                sync_dir(dir)?;
+            }
             SEGMENT_HEADER.len() as u64
         } else {
             len
@@ -293,7 +311,7 @@ impl Segments {
                 if sync {
                     self.sync()?;
                 }
-                *self = Segments::open_at(&self.dir, self.index + 1, self.segment_bytes)?;
+                *self = Segments::open_at(&self.dir, self.index + 1, self.segment_bytes, sync)?;
             }
             self.file
                 .write_all(frame)
@@ -420,8 +438,13 @@ impl Wal {
             }
         }
 
+        let sync = options.fsync == FsyncMode::Always;
+        if sync {
+            // Make the deletions above durable too.
+            sync_dir(dir)?;
+        }
         let start_index = last_valid.map_or(1, |(index, _)| index);
-        let segments = Segments::open_at(dir, start_index, options.segment_bytes.max(64))?;
+        let segments = Segments::open_at(dir, start_index, options.segment_bytes.max(64), sync)?;
         let max_seen_id = recovery.records.iter().map(WalRecord::id).max();
         Ok((
             Wal {
