@@ -1,14 +1,13 @@
-//! Runs the ablation studies called out in DESIGN.md: early-vs-late commit
-//! timestamps, MVTIL interval width Δ, and the garbage-collection period.
-//! Pass `--paper` for larger sweeps.
+//! Runs the ablations on the engines: early-vs-late commit timestamps, the
+//! MVTIL interval width Δ, and the GC sweep interval. Pass `--smoke`,
+//! `--paper` or `--seed N` (see `mvtl_bench`).
+
+use mvtl_workload::figures;
 
 fn main() {
-    let scale = mvtl_bench::scale_from_args(std::env::args().skip(1));
-    for table in [
-        mvtl_workload::figures::ablation_commit_pick(scale),
-        mvtl_workload::figures::ablation_delta(scale),
-        mvtl_workload::figures::ablation_gc_period(scale),
-    ] {
-        println!("{}", table.render());
-    }
+    mvtl_bench::run_figures(&[
+        figures::ablation_commit_pick,
+        figures::ablation_delta,
+        figures::ablation_gc_period,
+    ]);
 }

@@ -1,64 +1,20 @@
 //! Regenerates Figure 1 (throughput and commit rate vs. number of clients,
-//! local test bed) of the paper, then runs the registry-driven engine grid:
-//! every engine `mvtl_registry::all_specs()` knows — including the
-//! partitioned `sharded` engines — built from its string spec and driven
-//! through `dyn Engine` in a threaded closed loop, once with uniform keys and
-//! once under zipf(0.99) skew. Finally it drives GC-enabled variants
-//! (`gc_ms`/`gc_lag_ms` appended via the same sweep plumbing), so a spec
-//! layer that silently dropped the GC parameters would fail here.
-//!
-//! Pass `--paper` for paper-scale sweeps, `--smoke` for the CI smoke run and
-//! `--seed N` to pin the GC-smoke workload RNG for reproducible reruns. The
-//! process exits non-zero if any registered engine fails to build or stops
-//! committing (on either key distribution), so engine-wiring regressions fail
-//! CI rather than just compile.
+//! local test bed) on the engines and checks that MVTIL-early outruns 2PL
+//! and MVTO+ at the largest client count. Then it runs the registry-driven
+//! engine grid: every engine `mvtl_registry::all_specs()` knows, built from
+//! its string spec and driven through `dyn Engine` once with uniform keys
+//! and once under zipf(0.99) skew; the process panics if any registered
+//! engine fails to build or stops committing. Pass `--smoke`, `--paper` or
+//! `--seed N` (see `mvtl_bench`).
 
-use mvtl_registry::EngineSpec;
-use mvtl_workload::{run_closed_loop, KeyDist, RunnerOptions, WorkloadSpec};
-use std::time::Duration;
+use mvtl_workload::{figures, KeyDist};
 
 fn main() {
     let scale = mvtl_bench::scale_from_args(std::env::args().skip(1));
-    let seed = mvtl_bench::seed_from_args(std::env::args().skip(1), 42);
-    let table = mvtl_workload::figures::fig1_concurrency_local(scale);
-    println!("{}", table.render());
-
     for dist in [KeyDist::Uniform, KeyDist::Zipf { theta: 0.99 }] {
-        let grid = mvtl_workload::figures::engine_grid_with_skew(scale, dist);
+        let grid = figures::engine_grid_with_skew(scale, dist);
         println!("{}", grid.render());
-        mvtl_workload::figures::check_engine_grid(&grid);
+        figures::check_engine_grid(&grid);
     }
-
-    // GC smoke: run one centralized and one sharded engine with the GC
-    // service attached, through the same append-params plumbing the sweeps
-    // use. The engine must keep committing and the service must purge.
-    // Small Δ keeps MVTIL commit timestamps near the clock, inside the GC's
-    // purgeable horizon (see the soak binary for the full explanation).
-    for base_spec in [
-        "mvtil-early?delta=64",
-        "sharded?shards=8&inner=mvtil-early&delta=64",
-    ] {
-        let spec = EngineSpec::append_params(base_spec, "gc_ms=10&gc_lag_ms=5");
-        let engine = mvtl_registry::build(&spec)
-            .unwrap_or_else(|e| panic!("GC spec {spec:?} must build: {e}"));
-        let metrics = run_closed_loop(
-            engine.as_ref(),
-            &RunnerOptions {
-                clients: 4,
-                duration: Duration::from_millis(200),
-                spec: WorkloadSpec::new(8, 0.5, 256),
-                seed,
-            },
-            |v| v,
-        );
-        println!(
-            "# gc-smoke {spec}: {} committed, {} versions resident, {} purged",
-            metrics.committed, metrics.stats_end.versions, metrics.stats_end.purged_versions
-        );
-        assert!(metrics.committed > 0, "{spec}: stopped committing under GC");
-        assert!(
-            metrics.stats_end.purged_versions > 0,
-            "{spec}: GC service never purged (plumbing dropped gc_ms?)"
-        );
-    }
+    mvtl_bench::run_figures(&[figures::fig1_concurrency_local]);
 }

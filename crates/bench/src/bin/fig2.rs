@@ -1,7 +1,8 @@
-//! Regenerates Figure 2 (throughput and commit rate vs. number of clients, cloud test bed) of the paper. Pass `--paper` for paper-scale sweeps.
+//! Regenerates Figure 2 (throughput and commit rate vs. number of clients,
+//! cloud test bed) on the engines and checks that MVTIL-early outruns 2PL at
+//! the largest client count.
+//! Pass `--smoke`, `--paper` or `--seed N` (see `mvtl_bench`).
 
 fn main() {
-    let scale = mvtl_bench::scale_from_args(std::env::args().skip(1));
-    let table = mvtl_workload::figures::fig2_concurrency_cloud(scale);
-    println!("{}", table.render());
+    mvtl_bench::run_figures(&[mvtl_workload::figures::fig2_concurrency_cloud]);
 }

@@ -1,7 +1,7 @@
-//! Regenerates Figure 3 (effect of the write fraction) of the paper. Pass `--paper` for paper-scale sweeps.
+//! Regenerates Figure 3 (effect of the write fraction) on the engines and
+//! checks that every protocol commits almost everything at 0% writes.
+//! Pass `--smoke`, `--paper` or `--seed N` (see `mvtl_bench`).
 
 fn main() {
-    let scale = mvtl_bench::scale_from_args(std::env::args().skip(1));
-    let table = mvtl_workload::figures::fig3_write_fraction(scale);
-    println!("{}", table.render());
+    mvtl_bench::run_figures(&[mvtl_workload::figures::fig3_write_fraction]);
 }

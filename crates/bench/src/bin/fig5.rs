@@ -1,7 +1,7 @@
-//! Regenerates Figure 5 (effect of the number of servers) of the paper. Pass `--paper` for paper-scale sweeps.
+//! Regenerates Figure 5 (effect of the number of servers) on the sharded
+//! engine, for both MVTIL commit picks.
+//! Pass `--smoke`, `--paper` or `--seed N` (see `mvtl_bench`).
 
 fn main() {
-    let scale = mvtl_bench::scale_from_args(std::env::args().skip(1));
-    let table = mvtl_workload::figures::fig5_servers(scale);
-    println!("{}", table.render());
+    mvtl_bench::run_figures(&[mvtl_workload::figures::fig5_servers]);
 }

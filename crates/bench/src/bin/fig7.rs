@@ -1,7 +1,7 @@
-//! Regenerates Figure 7 (performance over time, GC on/off) of the paper. Pass `--paper` for paper-scale sweeps.
+//! Regenerates Figure 7 (performance over time, GC on and off) on the
+//! engines.
+//! Pass `--smoke`, `--paper` or `--seed N` (see `mvtl_bench`).
 
 fn main() {
-    let scale = mvtl_bench::scale_from_args(std::env::args().skip(1));
-    let table = mvtl_workload::figures::fig7_gc_over_time(scale);
-    println!("{}", table.render());
+    mvtl_bench::run_figures(&[mvtl_workload::figures::fig7_gc_over_time]);
 }

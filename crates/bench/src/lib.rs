@@ -1,23 +1,25 @@
 //! # mvtl-bench
 //!
-//! Figure, ablation and soak binaries for the MVTL reproduction
-//! (`src/bin/fig1.rs` … `fig7.rs`, `ablation.rs`, `soak.rs`). The figure
-//! binaries print the full data series for each figure of the paper. Pass
-//! `--paper` for paper-scale parameter sweeps, `--smoke` for the smallest
-//! runs; the default is the `Quick` scale.
+//! Figure and ablation binaries for the MVTL reproduction
+//! (`src/bin/fig1.rs` … `fig7.rs`, `ablation.rs`). Each prints the data
+//! series of one figure of the paper, measured on the registry's engines,
+//! then checks the figure's qualitative shape and exits non-zero when it
+//! does not hold. Pass `--smoke` for the short CI runs, `--paper` for long
+//! runs and `--seed N` to pin the workload RNG; the default is the `Quick`
+//! scale.
 //!
 //! Performance is measured by the repo benchmark under `benchmark/` (see
 //! `BENCHMARK.json`), not here.
 //!
 //! ```bash
 //! cargo run -p mvtl-bench --release --bin fig1            # quick sweep
-//! cargo run -p mvtl-bench --release --bin fig1 -- --paper # paper-scale sweep
+//! cargo run -p mvtl-bench --release --bin fig1 -- --smoke # CI shape check
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mvtl_workload::Scale;
+use mvtl_workload::{FigureTable, Scale};
 
 /// Parses the common command-line convention of the figure binaries.
 ///
@@ -39,10 +41,9 @@ pub fn scale_from_args<I: IntoIterator<Item = String>>(args: I) -> Scale {
 /// Parses the workload RNG seed from the command line: `--seed N` or
 /// `--seed=N`, falling back to `default` when absent or unparsable.
 ///
-/// The figure and soak binaries thread this seed into every
-/// `RunnerOptions`/`SoakOptions` they build, so CI smoke runs are exactly
-/// reproducible across reruns (`--seed 42` twice generates the same
-/// transaction streams).
+/// The figure binaries thread this seed into every `RunnerOptions` they
+/// build, so reruns generate the same transaction streams (`--seed 42`
+/// twice).
 #[must_use]
 pub fn seed_from_args<I: IntoIterator<Item = String>>(args: I, default: u64) -> u64 {
     let mut args = args.into_iter();
@@ -58,6 +59,26 @@ pub fn seed_from_args<I: IntoIterator<Item = String>>(args: I, default: u64) -> 
         }
     }
     default
+}
+
+/// Runs one figure binary: parses the scale and the seed (default 42) from
+/// the command line, prints each table `figures` builds and its shapes, and
+/// exits with status 1 when an asserted shape fails.
+pub fn run_figures(figures: &[fn(Scale, u64) -> FigureTable]) {
+    let scale = scale_from_args(std::env::args().skip(1));
+    let seed = seed_from_args(std::env::args().skip(1), 42);
+    let mut failed = false;
+    for figure in figures {
+        let table = figure(scale, seed);
+        println!("{}", table.render());
+        for shape in mvtl_workload::figures::shapes(&table) {
+            println!("{shape}");
+            failed |= shape.asserted && !shape.holds;
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ impl From<u64> for TxId {
     }
 }
 
-/// Identifier of a process (a client thread, or a simulated client).
+/// Identifier of a process (a client thread).
 ///
 /// Process ids break ties between equal clock values inside [`crate::Timestamp`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]

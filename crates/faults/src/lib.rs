@@ -1,7 +1,7 @@
 //! # mvtl-faults
 //!
-//! Deterministic, seeded fault-injection plans for the §7 cross-shard
-//! protocol.
+//! Deterministic, seeded fault-injection plans: per-operation round-trip
+//! delays for every engine, and the faults of the §7 cross-shard protocol.
 //!
 //! The cross-shard interval-intersection commit only proves itself on an
 //! unfriendly machine: shards that answer late, drop their prepare response,
@@ -24,7 +24,10 @@
 //!   MVSG checker.
 //!
 //! The *enforcement* side is `mvtl-shard`'s `FaultyBackend` decorator, which
-//! injects these faults between the coordinator and a real shard.
+//! injects these faults between the coordinator and a real shard. The
+//! registry wraps every shard of a `fault=` spec in it, so `delay:` gives any
+//! engine — MVTO+ and 2PL included — a round trip per operation; that is how
+//! the figure harness models the paper's test beds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -281,6 +284,12 @@ pub enum PrepareFault {
     Stall(Duration),
 }
 
+/// Trace lines a [`FaultPlan`] keeps: the first `TRACE_CAP` injections are
+/// recorded, later ones only counted. A figure run injects a delay per
+/// operation, hundreds of thousands a second, which an unbounded trace would
+/// hold in memory for the life of the engine.
+pub const TRACE_CAP: usize = 10_000;
+
 /// A seeded, deterministic fault-decision oracle over a [`FaultSpec`].
 ///
 /// Decisions are pure functions of `(seed, shard, sequence, decision point)`
@@ -348,7 +357,9 @@ impl FaultPlan {
         FaultKind::ALL.iter().map(|k| self.count(*k)).sum()
     }
 
-    /// The recorded fault trace, one line per injection, in injection order.
+    /// The recorded fault trace, one line per injection, in injection order,
+    /// truncated to the first [`TRACE_CAP`] injections (the counters stay
+    /// exact).
     #[must_use]
     pub fn trace(&self) -> Vec<String> {
         self.trace.lock().clone()
@@ -370,7 +381,7 @@ impl FaultPlan {
             return None;
         }
         let us = 1 + self.mix(SALT_DELAY ^ 0xFF, shard, seq) % max_us;
-        self.record(FaultKind::Delay, shard, seq, &format!("us={us}"));
+        self.record(FaultKind::Delay, shard, seq, format_args!(" us={us}"));
         Some(Duration::from_micros(us))
     }
 
@@ -381,7 +392,7 @@ impl FaultPlan {
     pub fn prepare_fault(&self, shard: usize, seq: u64) -> Option<PrepareFault> {
         if let Some(p) = self.spec.crash_mid_prepare {
             if self.hit(SALT_CRASH, shard, seq, p) {
-                self.record(FaultKind::CrashMidPrepare, shard, seq, "");
+                self.record(FaultKind::CrashMidPrepare, shard, seq, format_args!(""));
                 return Some(PrepareFault::Crash);
             }
         }
@@ -391,14 +402,14 @@ impl FaultPlan {
                     FaultKind::DropPrepare,
                     shard,
                     seq,
-                    &format!("hold_ms={hold_ms}"),
+                    format_args!(" hold_ms={hold_ms}"),
                 );
                 return Some(PrepareFault::DropResponse(Duration::from_millis(hold_ms)));
             }
         }
         if let Some((p, stall_ms)) = self.spec.stall {
             if self.hit(SALT_STALL, shard, seq, p) {
-                self.record(FaultKind::Stall, shard, seq, &format!("ms={stall_ms}"));
+                self.record(FaultKind::Stall, shard, seq, format_args!(" ms={stall_ms}"));
                 return Some(PrepareFault::Stall(Duration::from_millis(stall_ms)));
             }
         }
@@ -422,7 +433,12 @@ impl FaultPlan {
     /// actually perturbs a timestamp, so counters reflect real injections).
     pub fn note_skew(&self, shard: usize, seq: u64, offset: i64) {
         if offset != 0 {
-            self.record(FaultKind::Skew, shard, seq, &format!("offset={offset}"));
+            self.record(
+                FaultKind::Skew,
+                shard,
+                seq,
+                format_args!(" offset={offset}"),
+            );
         }
     }
 
@@ -451,14 +467,14 @@ impl FaultPlan {
         z ^ (z >> 31)
     }
 
-    fn record(&self, kind: FaultKind, shard: usize, seq: u64, detail: &str) {
+    /// Counts one injection and traces it while the trace is under
+    /// [`TRACE_CAP`]; `detail` is formatted only when it is traced.
+    fn record(&self, kind: FaultKind, shard: usize, seq: u64, detail: fmt::Arguments<'_>) {
         self.counters[kind.index()].fetch_add(1, Ordering::Relaxed);
-        let mut line = format!("{} shard={shard} seq={seq}", kind.label());
-        if !detail.is_empty() {
-            line.push(' ');
-            line.push_str(detail);
+        let mut trace = self.trace.lock();
+        if trace.len() < TRACE_CAP {
+            trace.push(format!("{} shard={shard} seq={seq}{detail}", kind.label()));
         }
-        self.trace.lock().push(line);
     }
 }
 
@@ -582,6 +598,18 @@ mod tests {
         plan.note_skew(0, 1, 0); // zero offsets are not trace events
         assert_eq!(plan.count(FaultKind::Skew), 1);
         assert_eq!(plan.trace_string(), "skew shard=0 seq=0 offset=5");
+    }
+
+    #[test]
+    fn trace_is_capped_while_counters_stay_exact() {
+        let plan = FaultPlan::new(FaultSpec::parse("delay:1:10").unwrap(), 1);
+        for seq in 0..1_000_000 {
+            assert!(plan.op_delay(0, seq).is_some());
+        }
+        assert_eq!(plan.count(FaultKind::Delay), 1_000_000);
+        let trace = plan.trace();
+        assert_eq!(trace.len(), TRACE_CAP);
+        assert!(trace[0].starts_with("delay shard=0 seq=0 us="));
     }
 
     #[test]

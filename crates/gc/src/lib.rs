@@ -7,8 +7,8 @@
 //! The paper argues MVTL is practical because versions and locks do not have
 //! to be kept forever: a service periodically announces a timestamp bound, old
 //! state below the bound is purged, and the rare transaction that still needs
-//! purged state aborts. The discrete-event simulator (`mvtl-sim`) reproduces
-//! that for Figures 6–7; this crate does it for the real engines:
+//! purged state aborts. This crate does that for the engines, and Figures 6–7
+//! measure it:
 //!
 //! * [`GcService`] — owns a background thread that, every
 //!   [`GcConfig::interval`], purges a [`SweepTarget`] below

@@ -14,7 +14,7 @@
 //! This crate provides that compressed form: [`KeyLockState`], the complete
 //! lock state of one key stored as a list of `(owner, mode, interval,
 //! frozen)` entries. This is the "interval compression" of §6. All MVTL
-//! engines and the distributed simulation build on it.
+//! engines build on it.
 //!
 //! Frozen locks are kept ownerless, merged and sorted at the front of that
 //! list. No transaction acquires a lock after freezing one, so nobody needs

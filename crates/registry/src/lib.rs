@@ -21,6 +21,8 @@
 //!                                any engine + background GC: a `mvtl-gc`
 //!                                service purges below
 //!                                min(low watermark, now − gc_lag) every gc_ms
+//! "mvto+?fault=delay:1:240"       any engine + a seeded per-operation
+//!                                delay of 1–240 µs: a round trip per call
 //! "mvtil-early?wal=/data/log&fsync=always"
 //!                                any engine + durability: a `mvtl-wal`
 //!                                write-ahead log in the given directory
@@ -354,6 +356,11 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 /// `offset` (`mvtl-pref`, comma-separated signed tick offsets), `timeout_ms`
 /// (2PL, milliseconds).
 ///
+/// Round trips, for every engine: `fault=delay:<p>:<max_us>` sleeps before
+/// each operation with probability `p` for up to `max_us` µs, and
+/// `fault_seed` seeds the schedule (default [`DEFAULT_FAULT_SEED`]). The
+/// prepare and skew clauses need at least two shards.
+///
 /// Durability, for every engine: `wal=<dir>` attaches a `mvtl-wal`
 /// write-ahead log in `<dir>` (`wal=tmp` for a fresh temporary directory
 /// removed when the engine drops), replaying whatever the log already holds
@@ -371,7 +378,7 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 ///
 /// Every spec is composed the same way: `count` copies of one shard backend
 /// (the named engine, or `sharded`'s `inner` one), each wrapped in a
-/// [`FaultyBackend`] (`sharded` specs with `fault=`) and then a
+/// [`FaultyBackend`] (`fault=`) and then a
 /// [`WalBackend`] (`wal=`), put in one [`ShardedStore`] named after the
 /// spec's base name, which runs its own GC sweeper when `gc_ms` is set.
 /// `count` is `sharded`'s `shards` and 1 for every other engine; a one-shard
@@ -406,10 +413,21 @@ where
         Layout {
             inner: name.to_string(),
             count: 1,
-            fault: None,
-            commit_timeout: None,
+            commit_timeout_ms: None,
         }
     };
+    let fault = take_fault_plan(&mut parsed, layout.count)?;
+    // Arm the coordinator's presumed-abort timeout when asked for explicitly,
+    // or when the schedule can withhold a prepare past any finite patience.
+    let commit_timeout = layout
+        .commit_timeout_ms
+        .or_else(|| {
+            fault
+                .as_ref()
+                .filter(|plan| plan.spec().needs_commit_timeout())
+                .map(|_| DEFAULT_COMMIT_TIMEOUT_MS)
+        })
+        .map(Duration::from_millis);
     let backend = take_backend::<V>(&layout.inner, &mut parsed)?;
     parsed.finish()?;
 
@@ -431,7 +449,7 @@ where
     let mut shards = Vec::with_capacity(layout.count);
     for i in 0..layout.count {
         let mut shard = backend(Arc::clone(&clock));
-        if let Some(plan) = &layout.fault {
+        if let Some(plan) = &fault {
             shard = FaultyBackend::wrap(shard, Arc::clone(plan), i);
         }
         // The log wraps outside the fault layer: recovery replays through it
@@ -451,7 +469,7 @@ where
         IntersectionPick::Min
     };
     let mut store = ShardedStore::new(shards, Arc::clone(&clock), pick).with_name(name);
-    if let Some(timeout) = layout.commit_timeout {
+    if let Some(timeout) = commit_timeout {
         store = store.with_commit_timeout(timeout);
     }
     if let Some(config) = gc {
@@ -645,26 +663,20 @@ struct Layout {
     /// The engine each shard runs: the spec's own, or `sharded`'s `inner`.
     inner: String,
     count: usize,
-    fault: Option<Arc<FaultPlan>>,
-    commit_timeout: Option<Duration>,
+    commit_timeout_ms: Option<u64>,
 }
 
 /// Consumes the `sharded` engine's own parameters: `shards` (partition
-/// count, default [`DEFAULT_SHARD_COUNT`], at least 1) and `inner`
+/// count, default [`DEFAULT_SHARD_COUNT`], at least 1), `inner`
 /// (partition engine, default [`DEFAULT_SHARD_INNER`]; any MVTL-core engine
-/// name — the baselines cannot freeze intervals and are rejected). The inner
-/// engine's own parameters (`delta`, `eps`, `offset`, `timeout_ms`) are
-/// consumed with the inner engine. With `gc_ms` set, the store's one sweeper
-/// purges *all* shards under the store's aggregated low watermark.
-///
-/// Fault injection: `fault` (a `mvtl-faults` schedule string such as
-/// `delay:0.4:200|crash:0.1`; every shard backend is wrapped in a
-/// [`FaultyBackend`] consulting one shared seeded [`FaultPlan`]), `fault_seed`
-/// (plan seed, default [`DEFAULT_FAULT_SEED`]; requires `fault`), and
+/// name — the baselines cannot freeze intervals and are rejected) and
 /// `commit_timeout_ms` (the coordinator's prepare timeout — cross-shard
-/// commits unresolved within it are presumed aborted; standalone use is fine,
-/// and schedules whose faults can outlast the coordinator's patience —
-/// `drop`/`stall` clauses — arm [`DEFAULT_COMMIT_TIMEOUT_MS`] automatically).
+/// commits unresolved within it are presumed aborted; schedules whose
+/// faults can outlast the coordinator's patience — `drop`/`stall` clauses —
+/// arm [`DEFAULT_COMMIT_TIMEOUT_MS`] without it). The inner engine's own
+/// parameters (`delta`, `eps`, `offset`, `timeout_ms`) are consumed with the
+/// inner engine. With `gc_ms` set, the store's one sweeper purges *all*
+/// shards under the store's aggregated low watermark.
 fn take_sharded_layout(parsed: &mut EngineSpec) -> Result<Layout, SpecError> {
     let count = match parsed.take_parsed::<usize>("shards")? {
         None => DEFAULT_SHARD_COUNT,
@@ -687,49 +699,60 @@ fn take_sharded_layout(parsed: &mut EngineSpec) -> Result<Layout, SpecError> {
             value: inner,
         });
     }
-    let fault = parsed.take("fault");
-    let fault_seed = parsed.take_parsed::<u64>("fault_seed")?;
     let commit_timeout_ms = parsed.take_parsed::<u64>("commit_timeout_ms")?;
-    if fault.is_none() && fault_seed.is_some() {
-        return Err(SpecError::Malformed {
-            detail: "fault_seed requires fault (no fault plan without a schedule)".to_string(),
-        });
-    }
     if commit_timeout_ms == Some(0) {
         return Err(SpecError::InvalidValue {
             param: "commit_timeout_ms".to_string(),
             value: "0".to_string(),
         });
     }
-    let fault = match fault {
-        None => None,
-        Some(schedule) => {
-            let spec = FaultSpec::parse(&schedule).map_err(|err| SpecError::InvalidValue {
-                param: "fault".to_string(),
-                value: format!("{schedule} ({})", err.detail),
-            })?;
-            Some(Arc::new(FaultPlan::new(
-                spec,
-                fault_seed.unwrap_or(DEFAULT_FAULT_SEED),
-            )))
-        }
-    };
-    // Arm the coordinator's presumed-abort timeout when asked for explicitly,
-    // or when the schedule can withhold a prepare past any finite patience.
-    let commit_timeout = commit_timeout_ms
-        .or_else(|| {
-            fault
-                .as_ref()
-                .filter(|plan| plan.spec().needs_commit_timeout())
-                .map(|_| DEFAULT_COMMIT_TIMEOUT_MS)
-        })
-        .map(Duration::from_millis);
     Ok(Layout {
         inner,
         count,
-        fault,
-        commit_timeout,
+        commit_timeout_ms,
     })
+}
+
+/// Consumes the shared fault-injection parameters: `fault` (a `mvtl-faults`
+/// schedule string such as `delay:1:240` or `delay:0.4:200|crash:0.1`; every
+/// shard backend is wrapped in a [`FaultyBackend`] consulting one shared
+/// seeded [`FaultPlan`]) and `fault_seed` (plan seed, default
+/// [`DEFAULT_FAULT_SEED`]; requires `fault`). `delay:` applies to every
+/// engine. The other clauses act on the §7 prepare (`drop`, `stall`,
+/// `crash`) or on pinned begin timestamps (`skew`), which a one-shard
+/// engine never has, so they are rejected when `count` is 1.
+fn take_fault_plan(
+    parsed: &mut EngineSpec,
+    count: usize,
+) -> Result<Option<Arc<FaultPlan>>, SpecError> {
+    let fault = parsed.take("fault");
+    let fault_seed = parsed.take_parsed::<u64>("fault_seed")?;
+    let Some(schedule) = fault else {
+        if fault_seed.is_some() {
+            return Err(SpecError::Malformed {
+                detail: "fault_seed requires fault (no fault plan without a schedule)".to_string(),
+            });
+        }
+        return Ok(None);
+    };
+    let invalid = |detail: &str| SpecError::InvalidValue {
+        param: "fault".to_string(),
+        value: format!("{schedule} ({detail})"),
+    };
+    let spec = FaultSpec::parse(&schedule).map_err(|err| invalid(&err.detail))?;
+    let multi_shard_only = spec.drop_prepare.is_some()
+        || spec.crash_mid_prepare.is_some()
+        || spec.stall.is_some()
+        || spec.skew_ticks > 0;
+    if count == 1 && multi_shard_only {
+        return Err(invalid(
+            "a one-shard engine never prepares or pins a timestamp: only delay applies",
+        ));
+    }
+    Ok(Some(Arc::new(FaultPlan::new(
+        spec,
+        fault_seed.unwrap_or(DEFAULT_FAULT_SEED),
+    ))))
 }
 
 /// Builds one shard backend reading the given clock.
@@ -1181,6 +1204,8 @@ mod tests {
             let spec = format!("mvtil-early?wal={}&{params}", fresh.display());
             assert!(build(&spec).is_err(), "{spec} must be rejected");
         }
+        let spec = format!("mvto+?wal={}&fault=crash:0.5", fresh.display());
+        assert!(build(&spec).is_err(), "{spec} must be rejected");
         for params in ["shards=abc", "shards=0", "inner=2pl", "pick=median"] {
             let spec = format!("sharded?wal={}&{params}", fresh.display());
             assert!(build(&spec).is_err(), "{spec} must be rejected");

@@ -1,7 +1,7 @@
-//! Registry surface of the fault-injection layer: the `fault=`, `fault_seed=`
-//! and `commit_timeout_ms=` parameters of the `sharded` engine — rejection of
-//! malformed specs, composition with the background GC service, and
-//! deterministic behaviour of spec-built engines.
+//! Registry surface of the fault-injection layer: the `fault=` and
+//! `fault_seed=` parameters of every engine and the `sharded` engine's
+//! `commit_timeout_ms=` — rejection of malformed specs, composition with the
+//! background GC service, and deterministic behaviour of spec-built engines.
 
 use mvtl_common::{AbortReason, EngineExt, Key, ProcessId, TxError};
 use mvtl_registry::{build, SpecError};
@@ -54,20 +54,45 @@ fn commit_timeout_must_be_positive() {
 }
 
 #[test]
-fn fault_params_are_unknown_outside_the_sharded_engine() {
-    // Only the sharded engine has a prepare phase to inject into; everywhere
-    // else the parameters must fail loudly instead of being ignored.
+fn delay_applies_to_every_engine_and_prepare_faults_need_two_shards() {
+    // A round trip is a per-operation delay, which every engine has.
     for spec in [
-        "mvtil-early?fault=delay:0.5:100",
-        "mvto+?fault=drop:0.5",
-        "2pl?fault_seed=7",
-        "mvtil-late?commit_timeout_ms=10",
+        "mvtil-early?delta=1000&fault=delay:1:50",
+        "mvto+?fault=delay:1:50",
+        "2pl?fault=delay:1:50&fault_seed=3",
+    ] {
+        let engine = build(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let mut tx = engine.begin(ProcessId(1));
+        tx.write(Key(1), 7).unwrap();
+        tx.commit().unwrap();
+        let mut tx = engine.begin(ProcessId(2));
+        assert_eq!(tx.read(Key(1)).unwrap(), Some(7), "{spec}");
+        tx.commit().unwrap();
+    }
+    // A one-shard commit never prepares and never pins a begin timestamp, so
+    // the prepare and skew clauses would be silently ignored there.
+    for spec in [
+        "mvtil-early?fault=drop:0.5",
+        "mvto+?fault=crash:0.5",
+        "2pl?fault=stall:0.5:10",
+        "mvtil-late?fault=delay:1:50|skew:8",
+        "sharded?shards=1&fault=crash:0.5",
     ] {
         assert!(
-            matches!(build(spec).map(|_| ()), Err(SpecError::UnknownParam { .. })),
+            matches!(build(spec).map(|_| ()), Err(SpecError::InvalidValue { ref param, .. }) if param == "fault"),
             "{spec} must be rejected"
         );
     }
+    // The seed still needs a schedule, and the coordinator's timeout still
+    // needs a coordinator.
+    assert!(matches!(
+        build("2pl?fault_seed=7").map(|_| ()),
+        Err(SpecError::Malformed { .. })
+    ));
+    assert!(matches!(
+        build("mvtil-late?commit_timeout_ms=10").map(|_| ()),
+        Err(SpecError::UnknownParam { .. })
+    ));
 }
 
 #[test]

@@ -7,9 +7,8 @@
 //! objects — **composes across servers**: each server can independently
 //! freeze the interval of timestamps a transaction may commit at, and a
 //! coordinator commits at any timestamp in the intersection of those
-//! intervals, or aborts when the intersection is empty. `mvtl-sim` exercises
-//! that protocol inside a single-threaded discrete-event simulator; this
-//! crate executes it for real:
+//! intervals, or aborts when the intersection is empty. This crate executes
+//! that protocol with real threads:
 //!
 //! * [`ShardedStore`] hash-routes keys to `N` independent shards, each a full
 //!   per-key-latched MVTL engine ([`mvtl_core::MvtlStore`] under any

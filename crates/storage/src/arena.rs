@@ -11,8 +11,17 @@
 //! arena for the next hot key, so a steady-state workload with GC recycles a
 //! bounded set of buffers instead of churning the allocator.
 
-use crate::{Version, VersionStats};
+use crate::VersionStats;
 use mvtl_common::Timestamp;
+
+/// A single committed version of a key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Version<V> {
+    /// Commit timestamp of the transaction that produced the version.
+    pub timestamp: Timestamp,
+    /// The committed value.
+    pub value: V,
+}
 
 /// Versions stored inline before a chain borrows a spill buffer.
 pub const INLINE_VERSIONS: usize = 4;
@@ -66,11 +75,10 @@ impl<V> ChainArena<V> {
 /// The committed versions of one key, ordered by timestamp, with inline
 /// storage for the common case.
 ///
-/// Semantically identical to [`VersionChain`](crate::VersionChain) — the
-/// implicit initial version `⊥` at [`Timestamp::ZERO`] is always present, and
-/// purged reads report the purge bound — but allocation only happens when a
-/// key exceeds [`INLINE_VERSIONS`] live versions, and then from the stripe's
-/// [`ChainArena`]. Mutating operations take the arena explicitly: the chain
+/// The implicit initial version `⊥` at [`Timestamp::ZERO`] is always present
+/// (the paper's `Values[k, 0] = ⊥`), and purged reads report the purge bound.
+/// Allocation only happens when a key exceeds [`INLINE_VERSIONS`] live
+/// versions, and then from the stripe's [`ChainArena`]. Mutating operations take the arena explicitly: the chain
 /// and its arena live under the same stripe latch.
 #[derive(Debug)]
 pub struct ArenaChain<V> {
@@ -144,10 +152,10 @@ impl<V: Clone> ArenaChain<V> {
         Err(lo)
     }
 
-    /// Installs a committed version at `ts`. As with
-    /// [`VersionChain::install`](crate::VersionChain::install), a duplicate
-    /// timestamp indicates an engine bug; the newer value wins and the
-    /// previous value is returned for the caller to detect it.
+    /// Installs a committed version at `ts`. Timestamps are unique per
+    /// committing transaction (§4.1), so a duplicate indicates an engine bug;
+    /// the newer value wins and the previous value is returned for the caller
+    /// to detect it.
     pub fn install(&mut self, ts: Timestamp, value: V, arena: &mut ChainArena<V>) -> Option<V> {
         match self.position(ts) {
             Ok(index) => {
@@ -193,9 +201,12 @@ impl<V: Clone> ArenaChain<V> {
         self.spill = Some(versions);
     }
 
-    /// The version with the largest timestamp strictly before `ts`; see
-    /// [`VersionChain::latest_before`](crate::VersionChain::latest_before)
-    /// for the `⊥` and purged-read contract.
+    /// The version with the largest timestamp strictly before `ts`.
+    ///
+    /// Returns the version's timestamp and its value; `(Timestamp::ZERO, None)`
+    /// stands for the initial `⊥` version. Returns `Err(purged_below)` when the
+    /// read would need a version that has been purged (§6: such transactions
+    /// must abort).
     pub fn latest_before(&self, ts: Timestamp) -> Result<(Timestamp, Option<V>), Timestamp> {
         let below = match self.position(ts) {
             Ok(index) | Err(index) => index,

@@ -7,7 +7,7 @@
 //! initial version at [`Timestamp::ZERO`](mvtl_common::Timestamp::ZERO) is the
 //! special value `⊥` (represented here as "no value"), and committed writes add
 //! versions at their commit timestamp. Multiversion reads ask for "the version
-//! with the largest timestamp before `t`" — [`VersionChain::latest_before`].
+//! with the largest timestamp before `t`" — [`ArenaChain::latest_before`].
 //!
 //! Like [`mvtl_locks::KeyLockState`](../mvtl_locks/struct.KeyLockState.html),
 //! the chain is a plain data structure with no internal synchronization; the
@@ -17,14 +17,12 @@
 #![warn(missing_docs)]
 
 mod arena;
-mod chain;
 pub mod hash;
 mod smap;
 mod stats;
 mod stripe;
 
-pub use arena::{ArenaChain, ChainArena, INLINE_VERSIONS};
-pub use chain::{Version, VersionChain};
+pub use arena::{ArenaChain, ChainArena, Version, INLINE_VERSIONS};
 pub use smap::StripeMap;
 pub use stats::VersionStats;
 pub use stripe::{Stripe, StripedTable};

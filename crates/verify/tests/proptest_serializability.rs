@@ -231,35 +231,32 @@ fn concurrent_cross_shard_histories_are_serializable_for_1_2_and_8_shards() {
     }
 }
 
+/// The baselines' concurrent histories are serializable, also with a round
+/// trip before every operation (`fault=delay:`, which every spec accepts),
+/// which widens the windows in which their transactions overlap.
 #[test]
 fn concurrent_random_transactions_are_serializable_under_the_baselines() {
-    let mvto = build("mvto+");
-    let history = replay_concurrent(mvto.as_ref(), 4, 80, |thread, iter, txn| {
-        let mut rng = StdRng::seed_from_u64((thread * 7_777 + iter) as u64);
-        for _ in 0..rng.gen_range(2..6usize) {
-            let key = Key(rng.gen_range(0..KEYS));
-            if rng.gen_bool(0.5) {
-                txn.read(key)?;
-            } else {
-                txn.write(key, rng.gen_range(0..1_000))?;
+    for (spec, seed, per_thread) in [
+        ("mvto+", 7_777, 80),
+        ("2pl?timeout_ms=5", 31, 80),
+        ("mvto+?fault=delay:1:50", 313, 40),
+        ("2pl?timeout_ms=5&fault=delay:1:50", 313, 40),
+    ] {
+        let engine = build(spec);
+        let history = replay_concurrent(engine.as_ref(), 4, per_thread, |thread, iter, txn| {
+            let mut rng = StdRng::seed_from_u64((thread * seed + iter) as u64);
+            for _ in 0..rng.gen_range(2..6usize) {
+                let key = Key(rng.gen_range(0..KEYS));
+                if rng.gen_bool(0.5) {
+                    txn.read(key)?;
+                } else {
+                    txn.write(key, rng.gen_range(0..1_000))?;
+                }
             }
+            Ok(())
+        });
+        if let Err(violation) = check_serializable(&history) {
+            panic!("{spec}: non-serializable concurrent history: {violation}");
         }
-        Ok(())
-    });
-    check_serializable(&history).expect("MVTO+ must be serializable");
-
-    let tpl = build("2pl?timeout_ms=5");
-    let history = replay_concurrent(tpl.as_ref(), 4, 80, |thread, iter, txn| {
-        let mut rng = StdRng::seed_from_u64((thread * 31 + iter) as u64);
-        for _ in 0..rng.gen_range(2..6usize) {
-            let key = Key(rng.gen_range(0..KEYS));
-            if rng.gen_bool(0.5) {
-                txn.read(key)?;
-            } else {
-                txn.write(key, rng.gen_range(0..1_000))?;
-            }
-        }
-        Ok(())
-    });
-    check_serializable(&history).expect("2PL must be serializable");
+    }
 }

@@ -1,78 +1,151 @@
-//! The figure harness: one function per figure of §8.4, plus ablations.
+//! The figure harness: one function per figure of §8.4, plus ablations, all
+//! measured on the engines that ship.
 //!
-//! Each function builds the simulator configurations for the corresponding
-//! experiment, runs them, and returns a [`FigureTable`] whose rows carry the
-//! series the paper plots (throughput, commit rate, and for Figures 6–7 the
-//! state-size / over-time series). The binaries in `mvtl-bench` print these
-//! tables; `EXPERIMENTS.md` records representative output next to the paper's
-//! reported shapes.
+//! Every data point builds a `mvtl_registry` spec and drives it through the
+//! closed-loop [`runner`](crate::runner). What separates the paper's test
+//! beds from one process is the network round trip. With closed-loop
+//! clients, the protocols then differ in how long each one holds its locks
+//! across those round trips. A `fault=delay:` schedule reproduces that on the
+//! real engines: every operation of every engine sleeps a seeded 1–`max` µs
+//! first ([`LOCAL_RTT`], [`CLOUD_RTT`]).
+//!
+//! Client threads are capped at [`MAX_CLIENTS`]. Each sweep scales its key
+//! space by the same factor as its largest client count, so the keys per
+//! client at that point match the paper's. Every MVTIL spec sets `delta`:
+//! the registry default of 100 000 ticks lets MVTIL commit so far above the
+//! clock that contended intervals collapse (see [`ablation_delta`]).
+//!
+//! [`shapes`] states each figure's qualitative claim as a check on its table;
+//! the `fig*` binaries in `mvtl-bench` exit non-zero when one fails.
 
-use crate::runner::{run_closed_loop, RunnerOptions};
+use crate::runner::{run_closed_loop, RunnerMetrics, RunnerOptions};
 use crate::spec::{KeyDist, WorkloadSpec};
-use mvtl_sim::{Protocol, SimConfig, Simulation};
+use mvtl_common::StoreStats;
+use mvtl_registry::EngineSpec;
+use std::fmt;
 use std::time::Duration;
+
+/// The local test bed's round trip: a seeded delay of 1–240 µs (mean
+/// ≈ 120 µs) before every operation.
+pub const LOCAL_RTT: &str = "delay:1:240";
+/// The cloud test bed's round trip: a seeded delay of 1–1200 µs (mean
+/// ≈ 600 µs) before every operation.
+pub const CLOUD_RTT: &str = "delay:1:1200";
+/// The most client threads a figure runs. The paper's 600 clients need
+/// virtual time, which the engines do not have.
+pub const MAX_CLIENTS: usize = 64;
 
 /// How big an experiment to run.
 ///
-/// * `Smoke` — seconds-long runs for tests and CI smokes;
-/// * `Quick` — the default for the `fig*` binaries: small but large enough for
-///   the qualitative shape (who wins, where curves bend) to be visible;
-/// * `Paper` — parameter ranges matching the paper's plots (minutes of virtual
-///   time; still fast in wall-clock terms because the simulator is virtual-time
-///   based, but much more work than `Quick`).
+/// * `Smoke` — the smallest and largest point of each sweep, short runs: the
+///   CI checks of the figures' shapes;
+/// * `Quick` — the default of the `fig*` binaries: every point, runs of a
+///   few seconds;
+/// * `Paper` — every point, long runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Tiny runs for CI and benchmarks.
+    /// Short runs for CI and tests.
     Smoke,
-    /// Reduced sweeps for interactive use (default of the binaries).
+    /// Every point, short runs (default of the binaries).
     Quick,
-    /// Paper-scale parameter sweeps.
+    /// Every point, long runs.
     Paper,
 }
 
 impl Scale {
-    fn duration_secs(self) -> u64 {
+    /// Length of one measured run.
+    fn run(self) -> Duration {
         match self {
-            Scale::Smoke => 1,
-            Scale::Quick => 3,
-            Scale::Paper => 20,
+            Scale::Smoke => Duration::from_secs(1),
+            Scale::Quick => Duration::from_secs(3),
+            Scale::Paper => Duration::from_secs(10),
         }
     }
 
-    fn scale_clients(self, paper_clients: &[usize]) -> Vec<usize> {
-        match self {
-            Scale::Paper => paper_clients.to_vec(),
-            Scale::Quick => paper_clients.iter().map(|c| (c / 5).max(4)).collect(),
-            Scale::Smoke => vec![8, 16],
+    /// The sweep's points, Smoke keeping only the first and the last.
+    fn points<T: Copy>(self, all: &[T]) -> Vec<T> {
+        match (self, all) {
+            (Scale::Smoke, [first, .., last]) => vec![*first, *last],
+            _ => all.to_vec(),
         }
     }
 
-    fn scale_keys(self, paper_keys: u64) -> u64 {
+    /// `(slices, slice length)` of a state-over-time run (Figures 6–7).
+    fn slices(self) -> (usize, Duration) {
         match self {
-            Scale::Paper => paper_keys,
-            Scale::Quick => (paper_keys / 5).max(500),
-            Scale::Smoke => (paper_keys / 20).max(200),
+            Scale::Smoke => (4, Duration::from_millis(250)),
+            Scale::Quick => (10, Duration::from_secs(1)),
+            Scale::Paper => (60, Duration::from_secs(3)),
         }
     }
 }
 
+/// The paper's client counts scaled so the largest is at most
+/// [`MAX_CLIENTS`], with the paper's key count scaled by the same factor.
+fn scaled(paper_clients: &[usize], paper_keys: u64) -> (Vec<usize>, u64) {
+    let max = paper_clients.iter().copied().max().unwrap_or(1);
+    let factor = (MAX_CLIENTS as f64 / max as f64).min(1.0);
+    let clients = paper_clients
+        .iter()
+        .map(|&c| ((c as f64 * factor).round() as usize).max(2))
+        .collect();
+    (clients, (paper_keys as f64 * factor).round() as u64)
+}
+
+/// One protocol of a figure: the label its rows carry and its registry spec
+/// (without the round trip).
+#[derive(Debug, Clone, Copy)]
+struct Protocol {
+    label: &'static str,
+    spec: &'static str,
+}
+
+const MVTO: Protocol = Protocol {
+    label: "MVTO+",
+    spec: "mvto+",
+};
+const TPL: Protocol = Protocol {
+    label: "2PL",
+    spec: "2pl",
+};
+const MVTIL_EARLY: Protocol = Protocol {
+    label: "MVTIL-early",
+    spec: "mvtil-early?delta=1000",
+};
+const MVTIL_LATE: Protocol = Protocol {
+    label: "MVTIL-late",
+    spec: "mvtil-late?delta=1000",
+};
+
 /// One data point of a figure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FigureRow {
-    /// Name of the x-axis parameter ("clients", "write %", "servers", "time s").
+    /// Name of the x-axis parameter ("clients", "write_pct", "servers", ...).
     pub x_label: &'static str,
     /// Value of the x-axis parameter.
     pub x: f64,
-    /// Protocol the point belongs to.
+    /// Protocol (or variant) the point belongs to.
     pub protocol: &'static str,
     /// Committed transactions per second.
     pub throughput_tps: f64,
     /// Fraction of transaction attempts that committed.
     pub commit_rate: f64,
-    /// Total lock entries (state-size experiments), when meaningful.
-    pub locks: Option<usize>,
-    /// Total stored versions (state-size experiments), when meaningful.
-    pub versions: Option<usize>,
+    /// The engine's state at the end of the run (versions, lock entries,
+    /// purged versions).
+    pub stats: StoreStats,
+}
+
+impl FigureRow {
+    fn new(x_label: &'static str, x: f64, protocol: &'static str, run: &RunnerMetrics) -> Self {
+        FigureRow {
+            x_label,
+            x,
+            protocol,
+            throughput_tps: run.throughput_tps(),
+            commit_rate: run.commit_rate(),
+            stats: run.stats_end,
+        }
+    }
 }
 
 /// A whole figure: its identifier, a descriptive title and its data points.
@@ -90,25 +163,31 @@ impl FigureTable {
     /// Renders the table as aligned text, one line per row.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("# {} — {}\n", self.id, self.title));
-        if self.rows.is_empty() {
+        let mut out = format!("# {} — {}\n", self.id, self.title);
+        let Some(first) = self.rows.first() else {
             out.push_str("(no data)\n");
             return out;
-        }
+        };
         out.push_str(&format!(
-            "{:<12} {:<14} {:>14} {:>12} {:>10} {:>10}\n",
-            self.rows[0].x_label, "protocol", "throughput_tps", "commit_rate", "locks", "versions"
+            "{:<14} {:<16} {:>14} {:>12} {:>10} {:>10} {:>10}\n",
+            first.x_label,
+            "protocol",
+            "throughput_tps",
+            "commit_rate",
+            "locks",
+            "versions",
+            "purged"
         ));
         for row in &self.rows {
             out.push_str(&format!(
-                "{:<12} {:<14} {:>14.1} {:>12.3} {:>10} {:>10}\n",
-                row.x,
+                "{:<14} {:<16} {:>14.1} {:>12.3} {:>10} {:>10} {:>10}\n",
+                (row.x * 100.0).round() / 100.0,
                 row.protocol,
                 row.throughput_tps,
                 row.commit_rate,
-                row.locks.map_or("-".to_string(), |l| l.to_string()),
-                row.versions.map_or("-".to_string(), |v| v.to_string()),
+                row.stats.lock_entries,
+                row.stats.versions,
+                row.stats.purged_versions,
             ));
         }
         out
@@ -122,110 +201,134 @@ impl FigureTable {
             .filter(|r| r.protocol == protocol)
             .collect()
     }
-}
 
-fn aggregate_row(x_label: &'static str, x: f64, config: SimConfig) -> FigureRow {
-    let metrics = Simulation::new(config).run();
-    FigureRow {
-        x_label,
-        x,
-        protocol: metrics.protocol,
-        throughput_tps: metrics.throughput_tps(),
-        commit_rate: metrics.commit_rate(),
-        locks: Some(metrics.final_locks),
-        versions: Some(metrics.final_versions),
+    /// The row of `protocol` at x = `x`.
+    fn at(&self, protocol: &str, x: f64) -> Option<&FigureRow> {
+        self.rows
+            .iter()
+            .find(|r| r.protocol == protocol && r.x == x)
+    }
+
+    /// The largest x of the table.
+    fn max_x(&self) -> f64 {
+        self.rows
+            .iter()
+            .map(|r| r.x)
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 }
 
-/// Figure 1: effect of the concurrency level on throughput and commit rate,
-/// local test bed (20 ops/tx, 25% writes, 10K keys, 3 servers).
-#[must_use]
-pub fn fig1_concurrency_local(scale: Scale) -> FigureTable {
-    concurrency_sweep(
-        "fig1",
-        "Effect of concurrency level on performance, local test bed",
-        scale,
-        &[15, 150, 300, 450, 600],
-        |protocol, scale| {
-            SimConfig::local_cluster(protocol)
-                .keys(scale.scale_keys(10_000))
-                .ops_per_tx(20)
-                .write_fraction(0.25)
-                .duration_secs(scale.duration_secs())
-        },
-    )
+/// Builds `spec` and runs `options` against it once.
+///
+/// # Panics
+///
+/// Panics when the spec does not build: every spec here is a constant of
+/// this module.
+fn run(spec: &str, options: &RunnerOptions) -> RunnerMetrics {
+    let engine = mvtl_registry::build(spec)
+        .unwrap_or_else(|e| panic!("figure spec {spec:?} must build: {e}"));
+    run_closed_loop(engine.as_ref(), options, |v| v)
 }
 
-/// Figure 2: effect of the concurrency level, cloud test bed (50K keys, 8 servers).
-#[must_use]
-pub fn fig2_concurrency_cloud(scale: Scale) -> FigureTable {
-    concurrency_sweep(
-        "fig2",
-        "Effect of concurrency level on performance, cloud test bed",
-        scale,
-        &[25, 100, 200, 300, 400],
-        |protocol, scale| {
-            SimConfig::public_cloud(protocol)
-                .keys(scale.scale_keys(50_000))
-                .ops_per_tx(20)
-                .write_fraction(0.25)
-                .duration_secs(scale.duration_secs())
-        },
-    )
+/// `spec` with the round trip `rtt` appended.
+fn with_rtt(spec: &str, rtt: &str) -> String {
+    EngineSpec::append_params(spec, &format!("fault={rtt}"))
 }
 
+/// A sweep of every protocol over the paper's client counts and key count
+/// (scaled), at `ops` operations per transaction and `write_fraction`.
 fn concurrency_sweep(
     id: &'static str,
     title: &str,
-    scale: Scale,
-    paper_clients: &[usize],
-    base: impl Fn(Protocol, Scale) -> SimConfig,
+    (scale, seed): (Scale, u64),
+    rtt: &str,
+    (paper_clients, paper_keys): (&[usize], u64),
+    (ops, write_fraction): (usize, f64),
 ) -> FigureTable {
+    let (clients, keys) = scaled(paper_clients, paper_keys);
     let mut rows = Vec::new();
-    for clients in scale.scale_clients(paper_clients) {
-        for protocol in Protocol::all() {
-            let config = base(protocol, scale).clients(clients);
-            rows.push(aggregate_row("clients", clients as f64, config));
+    for clients in scale.points(&clients) {
+        for protocol in [MVTO, TPL, MVTIL_EARLY, MVTIL_LATE] {
+            let options = RunnerOptions {
+                clients,
+                duration: scale.run(),
+                spec: WorkloadSpec::new(ops, write_fraction, keys),
+                seed,
+            };
+            let metrics = run(&with_rtt(protocol.spec, rtt), &options);
+            rows.push(FigureRow::new(
+                "clients",
+                clients as f64,
+                protocol.label,
+                &metrics,
+            ));
         }
     }
     FigureTable {
         id,
-        title: title.to_string(),
+        title: format!("{title} ({keys} keys, {ops} ops/tx, rtt {rtt})"),
         rows,
     }
 }
 
-/// Figure 3: effect of the fraction of write operations (90 clients, 20 ops/tx,
-/// 10K keys, local test bed). The paper plots MVTO+, 2PL and MVTIL-early.
+/// Figure 1: effect of the concurrency level on throughput and commit rate,
+/// local test bed (20 ops/tx, 25% writes, 10K keys at 600 clients).
 #[must_use]
-pub fn fig3_write_fraction(scale: Scale) -> FigureTable {
-    let clients = match scale {
-        Scale::Paper => 90,
-        Scale::Quick => 30,
-        Scale::Smoke => 12,
-    };
-    let fractions = match scale {
-        Scale::Smoke => vec![0.0, 0.5, 1.0],
-        _ => vec![0.0, 0.25, 0.5, 0.75, 1.0],
-    };
+pub fn fig1_concurrency_local(scale: Scale, seed: u64) -> FigureTable {
+    concurrency_sweep(
+        "fig1",
+        "Effect of concurrency level on performance, local test bed",
+        (scale, seed),
+        LOCAL_RTT,
+        (&[15, 150, 300, 450, 600], 10_000),
+        (20, 0.25),
+    )
+}
+
+/// Figure 2: effect of the concurrency level, cloud test bed (50K keys at
+/// 400 clients).
+#[must_use]
+pub fn fig2_concurrency_cloud(scale: Scale, seed: u64) -> FigureTable {
+    concurrency_sweep(
+        "fig2",
+        "Effect of concurrency level on performance, cloud test bed",
+        (scale, seed),
+        CLOUD_RTT,
+        (&[25, 100, 200, 300, 400], 50_000),
+        (20, 0.25),
+    )
+}
+
+/// Figure 3: effect of the fraction of write operations (90 clients, 20
+/// ops/tx, 10K keys, local test bed). The paper plots MVTO+, 2PL and
+/// MVTIL-early.
+#[must_use]
+pub fn fig3_write_fraction(scale: Scale, seed: u64) -> FigureTable {
+    let (clients, keys) = scaled(&[90], 10_000);
     let mut rows = Vec::new();
-    for fraction in fractions {
-        for protocol in [
-            Protocol::MvtoPlus,
-            Protocol::TwoPhaseLocking,
-            Protocol::MvtilEarly,
-        ] {
-            let config = SimConfig::local_cluster(protocol)
-                .clients(clients)
-                .keys(scale.scale_keys(10_000))
-                .write_fraction(fraction)
-                .duration_secs(scale.duration_secs());
-            rows.push(aggregate_row("write_pct", fraction * 100.0, config));
+    for write_pct in scale.points(&[0u32, 25, 50, 75, 100]) {
+        for protocol in [MVTO, TPL, MVTIL_EARLY] {
+            let options = RunnerOptions {
+                clients: clients[0],
+                duration: scale.run(),
+                spec: WorkloadSpec::new(20, f64::from(write_pct) / 100.0, keys),
+                seed,
+            };
+            let metrics = run(&with_rtt(protocol.spec, LOCAL_RTT), &options);
+            rows.push(FigureRow::new(
+                "write_pct",
+                f64::from(write_pct),
+                protocol.label,
+                &metrics,
+            ));
         }
     }
     FigureTable {
         id: "fig3",
-        title: "Effect of fraction of writes on performance".to_string(),
+        title: format!(
+            "Effect of fraction of writes on performance ({} clients, {keys} keys)",
+            clients[0]
+        ),
         rows,
     }
 }
@@ -233,163 +336,144 @@ pub fn fig3_write_fraction(scale: Scale) -> FigureTable {
 /// Figure 4: small transactions (8 operations, 50% writes) while varying the
 /// concurrency level on the local test bed.
 #[must_use]
-pub fn fig4_small_transactions(scale: Scale) -> FigureTable {
+pub fn fig4_small_transactions(scale: Scale, seed: u64) -> FigureTable {
     concurrency_sweep(
         "fig4",
         "Effect of small transaction size on performance",
-        scale,
-        &[15, 150, 300, 450, 600],
-        |protocol, scale| {
-            SimConfig::local_cluster(protocol)
-                .keys(scale.scale_keys(10_000))
-                .ops_per_tx(8)
-                .write_fraction(0.5)
-                .duration_secs(scale.duration_secs())
-        },
+        (scale, seed),
+        LOCAL_RTT,
+        (&[15, 150, 300, 450, 600], 10_000),
+        (8, 0.5),
     )
 }
 
 /// Figure 5: effect of the number of servers (400 clients, 20 ops/tx, 100K
-/// keys, cloud test bed) with 75% and 50% reads.
+/// keys, cloud test bed) with 75% and 50% reads. Servers are the shards of
+/// the §7 engine; MVTO+ and 2PL cannot take part in §7, so the figure
+/// compares the two MVTIL commit picks.
 #[must_use]
-pub fn fig5_servers(scale: Scale) -> FigureTable {
-    let clients = match scale {
-        Scale::Paper => 400,
-        Scale::Quick => 80,
-        Scale::Smoke => 20,
-    };
-    let servers = match scale {
-        Scale::Smoke => vec![1, 4],
-        _ => vec![1, 5, 10, 15, 20],
-    };
+pub fn fig5_servers(scale: Scale, seed: u64) -> FigureTable {
+    let (clients, keys) = scaled(&[400], 100_000);
+    let inners: [(&'static str, &'static str); 2] =
+        [("MVTIL-early", "mvtil-early"), ("MVTIL-late", "mvtil-late")];
     let mut rows = Vec::new();
-    for read_pct in [75u64, 50] {
-        for &server_count in &servers {
-            for protocol in Protocol::all() {
-                let config = SimConfig::public_cloud(protocol)
-                    .clients(clients)
-                    .keys(scale.scale_keys(100_000))
-                    .servers(server_count)
-                    .write_fraction(1.0 - read_pct as f64 / 100.0)
-                    .duration_secs(scale.duration_secs());
-                let mut row = aggregate_row("servers", server_count as f64, config);
-                // Distinguish the two panels via the protocol label suffix.
-                row.x_label = if read_pct == 75 {
-                    "servers(75%r)"
-                } else {
-                    "servers(50%r)"
+    for (read_pct, x_label) in [(75u32, "servers(75%r)"), (50, "servers(50%r)")] {
+        for shards in scale.points(&[1usize, 5, 10, 15, 20]) {
+            for (label, inner) in inners {
+                let spec = format!("sharded?shards={shards}&inner={inner}&delta=1000");
+                let options = RunnerOptions {
+                    clients: clients[0],
+                    duration: scale.run(),
+                    spec: WorkloadSpec::new(20, 1.0 - f64::from(read_pct) / 100.0, keys),
+                    seed,
                 };
-                rows.push(row);
+                let metrics = run(&with_rtt(&spec, CLOUD_RTT), &options);
+                rows.push(FigureRow::new(x_label, shards as f64, label, &metrics));
             }
         }
     }
     FigureTable {
         id: "fig5",
-        title: "Effect of number of servers on performance".to_string(),
+        title: format!(
+            "Effect of number of servers on performance ({} clients, {keys} keys)",
+            clients[0]
+        ),
         rows,
     }
 }
 
-fn state_size_config(protocol: Protocol, scale: Scale, gc_secs: Option<u64>) -> SimConfig {
-    let (clients, duration, gc_lag) = match scale {
-        Scale::Paper => (50, 180, 15),
-        Scale::Quick => (25, 20, 3),
-        Scale::Smoke => (10, 4, 1),
-    };
-    SimConfig::local_cluster(protocol)
-        .clients(clients)
-        .keys(scale.scale_keys(8_000))
-        .write_fraction(0.5)
-        .ops_per_tx(20)
-        .duration_secs(duration)
-        .gc_every_secs(gc_secs)
-        .gc_lag_secs(gc_lag)
+/// The GC-off and GC-on labels and spec of one state-over-time variant.
+type GcPair = (&'static str, &'static str, &'static str);
+
+/// The Figure 6 variants: a centralized MVTIL, MVTO+ and an 8-shard §7
+/// engine.
+const GC_PAIRS: [GcPair; 3] = [
+    ("MVTIL-early", "MVTIL-early/gc", "mvtil-early?delta=1000"),
+    ("MVTO+", "MVTO+/gc", "mvto+"),
+    (
+        "sharded-8",
+        "sharded-8/gc",
+        "sharded?shards=8&inner=mvtil-early&delta=1000",
+    ),
+];
+
+/// The GC service appended to a spec for the GC-on run.
+const GC_PARAMS: &str = "gc_ms=10&gc_lag_ms=5";
+
+/// The state-over-time figures: each variant with GC off and on, sampled
+/// with `Engine::stats()` after each of `scale`'s consecutive runner slices
+/// on one engine (50 clients, 20 ops/tx, 50% writes, 8K keys, local test
+/// bed).
+fn over_time(
+    id: &'static str,
+    title: &str,
+    scale: Scale,
+    seed: u64,
+    pairs: &[GcPair],
+) -> FigureTable {
+    let (slices, slice) = scale.slices();
+    let mut rows = Vec::new();
+    for &(off_label, on_label, base) in pairs {
+        let gc_spec = EngineSpec::append_params(base, GC_PARAMS);
+        for (label, spec) in [(off_label, base), (on_label, gc_spec.as_str())] {
+            let spec = with_rtt(spec, LOCAL_RTT);
+            let engine = mvtl_registry::build(&spec)
+                .unwrap_or_else(|e| panic!("figure spec {spec:?} must build: {e}"));
+            let mut elapsed = 0.0;
+            for i in 0..slices {
+                let options = RunnerOptions {
+                    clients: 50,
+                    duration: slice,
+                    spec: WorkloadSpec::new(20, 0.5, 8_000),
+                    seed: seed + i as u64,
+                };
+                let metrics = run_closed_loop(engine.as_ref(), &options, |v| v);
+                elapsed += metrics.elapsed_secs;
+                rows.push(FigureRow::new("time_s", elapsed, label, &metrics));
+            }
+        }
+    }
+    FigureTable {
+        id,
+        title: format!("{title} (GC: {GC_PARAMS})"),
+        rows,
+    }
 }
 
 /// Figure 6: number of locks and versions as time passes, with garbage
-/// collection on and off (50 clients, 20 ops/tx, 50% writes, 8K keys).
+/// collection on and off.
 #[must_use]
-pub fn fig6_state_size(scale: Scale) -> FigureTable {
-    let gc_period = match scale {
-        Scale::Paper => 15,
-        Scale::Quick => 3,
-        Scale::Smoke => 1,
-    };
-    let variants: [(&'static str, Protocol, Option<u64>); 3] = [
-        ("MVTO+", Protocol::MvtoPlus, None),
-        ("MVTIL-early", Protocol::MvtilEarly, None),
-        ("MVTIL-GC", Protocol::MvtilEarly, Some(gc_period)),
-    ];
-    let mut rows = Vec::new();
-    for (label, protocol, gc) in variants {
-        let metrics = Simulation::new(state_size_config(protocol, scale, gc)).run();
-        for point in &metrics.series {
-            rows.push(FigureRow {
-                x_label: "time_s",
-                x: point.time_secs,
-                protocol: label,
-                throughput_tps: point.throughput_tps,
-                commit_rate: point.commit_rate,
-                locks: Some(point.locks),
-                versions: Some(point.versions),
-            });
-        }
-    }
-    FigureTable {
-        id: "fig6",
-        title: "Number of locks and versions as time passes (GC on and off)".to_string(),
-        rows,
-    }
+pub fn fig6_state_size(scale: Scale, seed: u64) -> FigureTable {
+    over_time(
+        "fig6",
+        "Number of locks and versions as time passes (GC on and off)",
+        scale,
+        seed,
+        &GC_PAIRS,
+    )
 }
 
-/// Figure 7: throughput and commit rate as time passes, with garbage collection
-/// on and off (same workload as Figure 6, longer horizon).
+/// Figure 7: throughput and commit rate as time passes, with garbage
+/// collection on and off: Figure 6's variants plus 2PL.
 #[must_use]
-pub fn fig7_gc_over_time(scale: Scale) -> FigureTable {
-    let gc_period = match scale {
-        Scale::Paper => 15,
-        Scale::Quick => 3,
-        Scale::Smoke => 1,
-    };
-    let variants: [(&'static str, Protocol, Option<u64>); 4] = [
-        ("MVTO+", Protocol::MvtoPlus, None),
-        ("2PL", Protocol::TwoPhaseLocking, None),
-        ("MVTIL-early", Protocol::MvtilEarly, None),
-        ("MVTIL-GC", Protocol::MvtilEarly, Some(gc_period)),
-    ];
-    let mut rows = Vec::new();
-    for (label, protocol, gc) in variants {
-        let mut config = state_size_config(protocol, scale, gc);
-        if scale == Scale::Paper {
-            config = config.duration_secs(600);
-        }
-        let metrics = Simulation::new(config).run();
-        for point in &metrics.series {
-            rows.push(FigureRow {
-                x_label: "time_s",
-                x: point.time_secs,
-                protocol: label,
-                throughput_tps: point.throughput_tps,
-                commit_rate: point.commit_rate,
-                locks: Some(point.locks),
-                versions: Some(point.versions),
-            });
-        }
-    }
-    FigureTable {
-        id: "fig7",
-        title: "Performance as time passes with garbage collection on and off".to_string(),
-        rows,
-    }
+pub fn fig7_gc_over_time(scale: Scale, seed: u64) -> FigureTable {
+    let mut pairs = GC_PAIRS.to_vec();
+    pairs.push(("2PL", "2PL/gc", "2pl"));
+    over_time(
+        "fig7",
+        "Performance as time passes with garbage collection on and off",
+        scale,
+        seed,
+        &pairs,
+    )
 }
 
-/// Registry sweep: every engine the string-spec registry knows, driven through
-/// the threaded closed-loop runner via the object-safe `dyn Engine` layer.
+/// Registry sweep: every engine the string-spec registry knows, driven
+/// through the threaded closed-loop runner without a round trip.
 ///
-/// This is the local-test-bed companion to the simulator figures: because the
-/// engine list comes from [`mvtl_registry::all_specs`], wiring a new engine
-/// into the registry automatically enrolls it here (and in the `fig1 --smoke`
-/// CI step, which fails if any engine stops committing).
+/// Because the engine list comes from [`mvtl_registry::all_specs`], wiring a
+/// new engine into the registry automatically enrolls it here (and in the
+/// `fig1 --smoke` CI step, which fails if any engine stops committing).
 #[must_use]
 pub fn engine_grid(scale: Scale) -> FigureTable {
     engine_grid_with_skew(scale, KeyDist::Uniform)
@@ -425,18 +509,12 @@ pub fn engine_grid_with_skew(scale: Scale, dist: KeyDist) -> FigureTable {
                 },
                 |v| v,
             );
-            rows.push(FigureRow {
+            rows.push(FigureRow::new(
                 x_label,
-                x: clients as f64,
-                protocol: engine.name(),
-                throughput_tps: metrics.throughput_tps(),
-                commit_rate: metrics.commit_rate(),
-                // Figure-6-style state-size endpoint: final lock entries and
-                // stored versions of the real engine (zeros for engines that
-                // track no such state, e.g. 2PL).
-                locks: Some(metrics.stats_end.lock_entries),
-                versions: Some(metrics.stats_end.versions),
-            });
+                clients as f64,
+                engine.name(),
+                &metrics,
+            ));
         }
     }
     FigureTable {
@@ -479,23 +557,32 @@ pub fn check_engine_grid(grid: &FigureTable) {
     }
 }
 
+/// The ablations' workload: Figure 1's contention at [`MAX_CLIENTS`].
+fn ablation_options(scale: Scale, seed: u64, write_fraction: f64) -> RunnerOptions {
+    let (clients, keys) = scaled(&[600], 10_000);
+    RunnerOptions {
+        clients: clients[0],
+        duration: scale.run(),
+        spec: WorkloadSpec::new(20, write_fraction, keys),
+        seed,
+    }
+}
+
 /// Ablation: MVTIL-early vs MVTIL-late commit-timestamp choice under growing
-/// contention (design choice called out in `DESIGN.md`).
+/// write fractions.
 #[must_use]
-pub fn ablation_commit_pick(scale: Scale) -> FigureTable {
+pub fn ablation_commit_pick(scale: Scale, seed: u64) -> FigureTable {
     let mut rows = Vec::new();
-    for write_fraction in [0.25, 0.5, 0.75] {
-        for protocol in [Protocol::MvtilEarly, Protocol::MvtilLate] {
-            let config = SimConfig::local_cluster(protocol)
-                .clients(match scale {
-                    Scale::Paper => 300,
-                    Scale::Quick => 60,
-                    Scale::Smoke => 16,
-                })
-                .keys(scale.scale_keys(5_000))
-                .write_fraction(write_fraction)
-                .duration_secs(scale.duration_secs());
-            rows.push(aggregate_row("write_pct", write_fraction * 100.0, config));
+    for write_pct in [25u32, 50, 75] {
+        let options = ablation_options(scale, seed, f64::from(write_pct) / 100.0);
+        for protocol in [MVTIL_EARLY, MVTIL_LATE] {
+            let metrics = run(&with_rtt(protocol.spec, LOCAL_RTT), &options);
+            rows.push(FigureRow::new(
+                "write_pct",
+                f64::from(write_pct),
+                protocol.label,
+                &metrics,
+            ));
         }
     }
     FigureTable {
@@ -505,63 +592,153 @@ pub fn ablation_commit_pick(scale: Scale) -> FigureTable {
     }
 }
 
-/// Ablation: MVTIL interval width Δ.
+/// Ablation: MVTIL interval width Δ, up to the registry default.
 #[must_use]
-pub fn ablation_delta(scale: Scale) -> FigureTable {
-    let deltas_us: &[u64] = match scale {
-        Scale::Smoke => &[1_000, 10_000],
-        _ => &[500, 1_000, 5_000, 20_000, 100_000],
-    };
+pub fn ablation_delta(scale: Scale, seed: u64) -> FigureTable {
+    let options = ablation_options(scale, seed, 0.5);
     let mut rows = Vec::new();
-    for &delta in deltas_us {
-        let config = SimConfig::local_cluster(Protocol::MvtilEarly)
-            .clients(match scale {
-                Scale::Paper => 300,
-                Scale::Quick => 60,
-                Scale::Smoke => 16,
-            })
-            .keys(scale.scale_keys(5_000))
-            .write_fraction(0.5)
-            .delta_us(delta)
-            .duration_secs(scale.duration_secs());
-        let mut row = aggregate_row("delta_us", delta as f64, config);
-        row.protocol = "MVTIL-early";
-        rows.push(row);
+    for delta in [100u64, 1_000, 10_000, mvtl_registry::DEFAULT_DELTA] {
+        let spec = format!("mvtil-early?delta={delta}");
+        let metrics = run(&with_rtt(&spec, LOCAL_RTT), &options);
+        rows.push(FigureRow::new(
+            "delta",
+            delta as f64,
+            "MVTIL-early",
+            &metrics,
+        ));
     }
     FigureTable {
         id: "ablation-delta",
-        title: "Ablation: MVTIL interval width Δ".to_string(),
+        title: "Ablation: MVTIL interval width Δ (ticks)".to_string(),
         rows,
     }
 }
 
-/// Ablation: garbage-collection period (timestamp-service broadcast interval).
+/// Ablation: the GC sweep interval.
 #[must_use]
-pub fn ablation_gc_period(scale: Scale) -> FigureTable {
-    let periods: &[Option<u64>] = match scale {
-        Scale::Smoke => &[None, Some(1)],
-        _ => &[None, Some(1), Some(5), Some(15)],
-    };
+pub fn ablation_gc_period(scale: Scale, seed: u64) -> FigureTable {
+    let options = ablation_options(scale, seed, 0.5);
     let mut rows = Vec::new();
-    for &period in periods {
-        let config =
-            state_size_config(Protocol::MvtilEarly, scale, period).gc_lag_secs(period.unwrap_or(1));
-        let mut row = aggregate_row(
-            "gc_period_s",
-            period.map(|p| p as f64).unwrap_or(f64::INFINITY),
-            config,
-        );
-        row.protocol = if period.is_none() {
-            "no-GC"
-        } else {
-            "MVTIL-GC"
+    for gc_ms in scale.points(&[None, Some(1_000u64), Some(100), Some(10)]) {
+        let (label, spec) = match gc_ms {
+            None => ("no-GC", MVTIL_EARLY.spec.to_string()),
+            Some(ms) => (
+                "MVTIL-GC",
+                EngineSpec::append_params(MVTIL_EARLY.spec, &format!("gc_ms={ms}&gc_lag_ms=5")),
+            ),
         };
-        rows.push(row);
+        let metrics = run(&with_rtt(&spec, LOCAL_RTT), &options);
+        let x = gc_ms.map_or(f64::INFINITY, |ms| ms as f64);
+        rows.push(FigureRow::new("gc_ms", x, label, &metrics));
     }
     FigureTable {
         id: "ablation-gc-period",
-        title: "Ablation: garbage-collection period".to_string(),
+        title: "Ablation: garbage-collection sweep interval".to_string(),
         rows,
+    }
+}
+
+/// One qualitative claim of a figure, measured on its table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Shape {
+    /// The claim, with the measured value.
+    pub claim: String,
+    /// Whether the measurement supports it.
+    pub holds: bool,
+    /// Whether a run fails when the claim does not hold. A claim the engines
+    /// do not reproduce reliably is only reported.
+    pub asserted: bool,
+}
+
+impl fmt::Display for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let verdict = match (self.asserted, self.holds) {
+            (false, _) => "info",
+            (true, true) => "ok  ",
+            (true, false) => "FAIL",
+        };
+        write!(f, "shape {verdict} {}", self.claim)
+    }
+}
+
+/// `a`'s throughput over `b`'s at `x` must exceed `threshold`.
+fn throughput_ratio(table: &FigureTable, x: f64, a: &str, b: &str, threshold: f64) -> Shape {
+    let ratio = match (table.at(a, x), table.at(b, x)) {
+        (Some(a), Some(b)) if b.throughput_tps > 0.0 => a.throughput_tps / b.throughput_tps,
+        (Some(a), Some(_)) if a.throughput_tps > 0.0 => f64::INFINITY,
+        _ => 0.0,
+    };
+    Shape {
+        claim: format!(
+            "{}: {a} / {b} throughput at {} {x} = {ratio:.2} > {threshold}",
+            table.id,
+            table.rows.first().map_or("x", |r| r.x_label),
+        ),
+        holds: ratio > threshold,
+        asserted: true,
+    }
+}
+
+/// The qualitative claims of `table`'s figure. The thresholds sit at or
+/// below halfway between 1.0 and the smallest ratio of ten consecutive
+/// smoke runs on 2 vCPUs (README, "Findings"). Figures without a claim
+/// return none.
+#[must_use]
+pub fn shapes(table: &FigureTable) -> Vec<Shape> {
+    let early_over = |b: &str, threshold| {
+        throughput_ratio(table, table.max_x(), MVTIL_EARLY.label, b, threshold)
+    };
+    match table.id {
+        "fig1" => vec![early_over(TPL.label, 1.5), early_over(MVTO.label, 1.0)],
+        "fig2" | "fig4" => vec![early_over(TPL.label, 1.0)],
+        "fig3" => table
+            .rows
+            .iter()
+            .filter(|r| r.x == 0.0)
+            .map(|r| Shape {
+                claim: format!(
+                    "fig3: {} commit rate at 0% writes = {:.3} > 0.95",
+                    r.protocol, r.commit_rate
+                ),
+                holds: r.commit_rate > 0.95,
+                asserted: true,
+            })
+            .collect(),
+        "fig6" => GC_PAIRS
+            .iter()
+            .map(|&(off, on, _)| gc_bounds_state(table, off, on))
+            .collect(),
+        // Which commit pick wins changes from run to run: report it only.
+        "ablation-commit-pick" => table
+            .series(MVTIL_EARLY.label)
+            .iter()
+            .map(|row| Shape {
+                asserted: false,
+                ..throughput_ratio(table, row.x, MVTIL_EARLY.label, MVTIL_LATE.label, 1.0)
+            })
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// §6 on one GC pair: both runs commit, the GC-on run purged, and it ends
+/// with less resident state (versions + lock entries) than the GC-off run.
+fn gc_bounds_state(table: &FigureTable, off: &str, on: &str) -> Shape {
+    let last = |label| table.series(label).last().map(|r| r.stats);
+    let commits = |label| table.series(label).iter().any(|r| r.throughput_tps > 0.0);
+    let (off_stats, on_stats) = (last(off).unwrap_or_default(), last(on).unwrap_or_default());
+    Shape {
+        claim: format!(
+            "fig6: {on} resident {} < {off} resident {}, {} purged, both commit",
+            on_stats.resident(),
+            off_stats.resident(),
+            on_stats.purged_versions
+        ),
+        holds: commits(off)
+            && commits(on)
+            && on_stats.purged_versions > 0
+            && on_stats.resident() < off_stats.resident(),
+        asserted: true,
     }
 }
 
@@ -571,16 +748,16 @@ mod tests {
 
     #[test]
     fn smoke_fig1_has_all_protocols_and_sane_values() {
-        let table = fig1_concurrency_local(Scale::Smoke);
-        assert!(!table.rows.is_empty());
-        for protocol in Protocol::all() {
-            let series = table.series(protocol.name());
-            assert!(!series.is_empty(), "{} missing", protocol.name());
+        let table = fig1_concurrency_local(Scale::Smoke, 42);
+        for protocol in [MVTO, TPL, MVTIL_EARLY, MVTIL_LATE] {
+            let series = table.series(protocol.label);
+            assert_eq!(series.len(), 2, "{} missing", protocol.label);
             for row in series {
                 assert!(row.throughput_tps > 0.0);
                 assert!(row.commit_rate > 0.0 && row.commit_rate <= 1.0);
             }
         }
+        assert_eq!(table.max_x(), MAX_CLIENTS as f64);
         let rendered = table.render();
         assert!(rendered.contains("fig1"));
         assert!(rendered.contains("MVTIL-early"));
@@ -588,16 +765,25 @@ mod tests {
 
     #[test]
     fn smoke_fig6_series_shows_gc_bounding_state() {
-        let table = fig6_state_size(Scale::Smoke);
-        let no_gc: Vec<_> = table.series("MVTIL-early");
-        let with_gc: Vec<_> = table.series("MVTIL-GC");
-        assert!(!no_gc.is_empty() && !with_gc.is_empty());
-        let last_no_gc = no_gc.last().unwrap().versions.unwrap();
-        let last_with_gc = with_gc.last().unwrap().versions.unwrap();
-        assert!(
-            last_with_gc <= last_no_gc,
-            "GC must not increase stored versions ({last_with_gc} vs {last_no_gc})"
+        let table = fig6_state_size(Scale::Smoke, 7);
+        for (off, on, _) in GC_PAIRS {
+            assert_eq!(table.series(off).len(), 4);
+            assert_eq!(table.series(on).len(), 4);
+        }
+        for shape in shapes(&table) {
+            assert!(shape.holds, "{shape}\n{}", table.render());
+        }
+    }
+
+    #[test]
+    fn paper_points_scale_to_the_client_cap() {
+        assert_eq!(
+            scaled(&[15, 150, 300, 450, 600], 10_000),
+            (vec![2, 16, 32, 48, 64], 1_067)
         );
+        assert_eq!(scaled(&[50], 8_000), (vec![50], 8_000));
+        assert_eq!(Scale::Smoke.points(&[1, 2, 3]), vec![1, 3]);
+        assert_eq!(Scale::Quick.points(&[1, 2, 3]), vec![1, 2, 3]);
     }
 
     #[test]
@@ -624,5 +810,6 @@ mod tests {
             rows: vec![],
         };
         assert!(table.render().contains("(no data)"));
+        assert!(shapes(&table).is_empty());
     }
 }

@@ -4,8 +4,7 @@
 //! (§8.3); this runner does the same against any `dyn`
 //! [`Engine`] — every engine in the workspace, usually obtained from the
 //! `mvtl-registry` string-spec factory — with one thread per client. It is the
-//! harness behind the engine grid and the GC soak (the distributed
-//! experiments use `mvtl-sim` instead).
+//! harness behind every figure.
 
 use crate::spec::{TxTemplate, WorkloadSpec};
 use mvtl_common::hist::LatencyHistogram;

@@ -1,81 +1,95 @@
-//! Distributed MVTL on the simulated cluster (§7/§8): compares MVTIL, MVTO+
-//! and 2PL on the paper's local and cloud test-bed profiles, and demonstrates
-//! coordinator-failure handling by the commitment object (§H).
+//! Distributed MVTL on the §7 engine: MVTIL-early partitioned over the
+//! servers of the paper's two test beds, each operation paying the test
+//! bed's round trip, with and without participants crashing mid-prepare.
+//! A crashed prepare aborts its transaction (presumed abort), and a
+//! transfer workload shows that no crash loses or duplicates money.
 //!
 //! ```bash
 //! cargo run --release --example distributed_cluster
 //! ```
 
-use mvtl::sim::{NetworkProfile, Protocol, SimConfig, Simulation};
+use mvtl::common::{AbortReason, EngineExt, Key, ProcessId, RetryOptions, TxError};
+use mvtl::workload::figures::{CLOUD_RTT, LOCAL_RTT};
+use mvtl::workload::{run_closed_loop, RunnerOptions, WorkloadSpec};
+use std::time::Duration;
 
-fn run_profile(name: &str, base: impl Fn(Protocol) -> SimConfig) {
-    println!("== {name} ==");
-    println!(
-        "{:<14} {:>14} {:>12} {:>10} {:>10}",
-        "protocol", "throughput_tps", "commit_rate", "locks", "versions"
-    );
-    for protocol in Protocol::all() {
-        let metrics = Simulation::new(base(protocol)).run();
-        println!(
-            "{:<14} {:>14.1} {:>12.3} {:>10} {:>10}",
-            metrics.protocol,
-            metrics.throughput_tps(),
-            metrics.commit_rate(),
-            metrics.final_locks,
-            metrics.final_versions
-        );
-    }
-    println!();
-}
-
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The two test beds of §8.2, scaled down so the example finishes quickly.
-    run_profile("local cluster (3 servers, fast network)", |protocol| {
-        SimConfig::local_cluster(protocol)
-            .clients(60)
-            .keys(2_000)
-            .write_fraction(0.25)
-            .duration_secs(3)
-    });
-    run_profile(
-        "public cloud (8 single-core servers, jittery network)",
-        |protocol| {
-            SimConfig::public_cloud(protocol)
-                .clients(80)
-                .keys(5_000)
-                .write_fraction(0.25)
-                .duration_secs(3)
-        },
-    );
+    for (name, servers, rtt) in [
+        ("local cluster", 3, LOCAL_RTT),
+        ("public cloud", 8, CLOUD_RTT),
+    ] {
+        println!("== {name}: {servers} servers, fault={rtt} ==");
+        println!(
+            "{:<26} {:>14} {:>12}",
+            "failures", "throughput_tps", "commit_rate"
+        );
+        for (label, crashes) in [("none", ""), ("2% of prepares crash", "|crash:0.02")] {
+            let spec = format!(
+                "sharded?shards={servers}&inner=mvtil-early&delta=1000&fault={rtt}{crashes}"
+            );
+            let engine = mvtl::registry::build(&spec)?;
+            let metrics = run_closed_loop(
+                engine.as_ref(),
+                &RunnerOptions {
+                    clients: 32,
+                    duration: Duration::from_secs(1),
+                    spec: WorkloadSpec::new(20, 0.25, 2_000),
+                    seed: 7,
+                },
+                |v| v,
+            );
+            println!(
+                "{label:<26} {:>14.1} {:>12.3}",
+                metrics.throughput_tps(),
+                metrics.commit_rate()
+            );
+            assert!(metrics.committed > 0, "{spec} stopped committing");
+        }
+        println!();
+    }
 
-    // Failure handling (§H): coordinators crash mid-commit with 2% probability;
-    // the commitment object aborts their transactions after the servers'
-    // pending-write-lock timeout, and the system keeps making progress.
-    let faulty = SimConfig::local_cluster(Protocol::MvtilEarly)
-        .clients(40)
-        .keys(2_000)
-        .duration_secs(3)
-        .coordinator_failures(0.02);
-    let metrics = Simulation::new(faulty).run();
-    println!("== coordinator failures (2% of commits) ==");
-    println!(
-        "committed={}  aborted={}  aborts decided by the commitment object={}  commit-rate={:.3}",
-        metrics.committed,
-        metrics.aborted,
-        metrics.commitment_aborts,
-        metrics.commit_rate()
-    );
-    assert!(metrics.commitment_aborts > 0);
-    assert!(metrics.committed > 0);
-
-    // Profiles differ: show the raw latency parameters for reference.
-    let local = NetworkProfile::local_cluster();
-    let cloud = NetworkProfile::public_cloud();
-    println!(
-        "\nprofiles: local ~{}us RTT / {} cores per server, cloud ~{}us RTT / {} core per server",
-        2.0 * local.mean_latency_us,
-        local.server_cores,
-        2.0 * cloud.mean_latency_us,
-        cloud.server_cores
-    );
+    // Failure handling: 30% of prepares crash their participant. Each
+    // transfer touches keys on several shards, so every commit runs the §7
+    // prepare; a crashed one aborts the whole transfer, and the balances
+    // still sum to what they started with.
+    let engine = mvtl::registry::build("sharded?shards=4&fault=crash:0.3&fault_seed=7")?;
+    let accounts: Vec<Key> = (0..8).map(Key).collect();
+    // The initial deposit may hit a crash too: `run` retries it.
+    engine.run(ProcessId(0), &RetryOptions::default(), |tx| {
+        accounts
+            .iter()
+            .try_for_each(|&account| tx.write(account, 100))
+    })?;
+    let (mut committed, mut crashed) = (0, 0);
+    for round in 0..60 {
+        // Move 1 from one account to the next, rewriting every account so
+        // the transaction spans all shards.
+        let mut tx = engine.begin(ProcessId(1));
+        let mut balances = Vec::new();
+        for &account in &accounts {
+            balances.push(tx.read(account)?.unwrap_or(0));
+        }
+        balances[round % accounts.len()] -= 1;
+        balances[(round + 1) % accounts.len()] += 1;
+        for (&account, &balance) in accounts.iter().zip(&balances) {
+            tx.write(account, balance)?;
+        }
+        match tx.commit() {
+            Ok(_) => committed += 1,
+            Err(TxError::Aborted(AbortReason::ParticipantCrashed { .. })) => crashed += 1,
+            Err(err) => return Err(err.into()),
+        }
+    }
+    let mut tx = engine.begin(ProcessId(2));
+    let mut total = 0;
+    for &account in &accounts {
+        total += tx.read(account)?.unwrap_or(0);
+    }
+    drop(tx);
+    println!("== participant crashes (30% of prepares) ==");
+    println!("transfers committed={committed}  aborted by a crashed participant={crashed}  total balance={total}");
+    assert!(crashed > 0 && committed > 0);
+    assert_eq!(total, 800, "a crash lost or duplicated money");
+    Ok(())
 }

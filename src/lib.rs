@@ -20,8 +20,7 @@
 //! | [`shard`] | `mvtl-shard` | partitioned engine: hash-routed shards, §7 cross-shard interval-intersection commit |
 //! | [`verify`] | `mvtl-verify` | MVSG serializability checking, canonical schedules |
 //! | [`wal`] | `mvtl-wal` | durability: checksummed write-ahead log with group commit, crash recovery, persistent prepare state |
-//! | [`sim`] | `mvtl-sim` | discrete-event simulation of the distributed system (§7, §8) |
-//! | [`workload`] | `mvtl-workload` | workload generators, runners, the figure harness |
+//! | [`workload`] | `mvtl-workload` | workload generators, the closed-loop runner, the figure harness (the paper's figures on the engines) |
 //!
 //! # Quick start
 //!
@@ -64,7 +63,6 @@ pub use mvtl_locks as locks;
 pub use mvtl_registry as registry;
 pub use mvtl_server as server;
 pub use mvtl_shard as shard;
-pub use mvtl_sim as sim;
 pub use mvtl_storage as storage;
 pub use mvtl_verify as verify;
 pub use mvtl_wal as wal;

@@ -1,11 +1,11 @@
 //! Integration tests spanning the whole workspace through the `mvtl` facade:
-//! registry-built engines, serializability checking, the distributed simulator
-//! and the figure harness working together.
+//! registry-built engines, serializability checking and the figure harness
+//! working together.
 
 use mvtl::common::{EngineExt, Key, ProcessId, TxError};
-use mvtl::sim::{Protocol, SimConfig, Simulation};
 use mvtl::verify::{check_serializable, replay_concurrent};
-use mvtl::workload::{run_closed_loop, RunnerOptions, WorkloadSpec};
+use mvtl::workload::figures::{fig1_concurrency_local, fig3_write_fraction, shapes};
+use mvtl::workload::{run_closed_loop, RunnerOptions, Scale, WorkloadSpec};
 use std::time::Duration;
 
 #[test]
@@ -51,35 +51,33 @@ fn closed_loop_runner_histories_are_serializable() {
 }
 
 #[test]
-fn simulator_reproduces_the_headline_comparison() {
-    // §8.4.1 in miniature: under a read-mostly contended workload, MVTIL's
-    // commit rate is at least as good as MVTO+'s and its throughput is not
-    // worse than both baselines by any large factor.
-    let base = |protocol| {
-        SimConfig::local_cluster(protocol)
-            .clients(60)
-            .keys(1_000)
-            .write_fraction(0.25)
-            .duration_secs(2)
-            .seed(99)
+fn engines_reproduce_the_headline_comparison() {
+    // §8.4.1 in miniature, on the engines: Figure 1 with the local test
+    // bed's round trip before every operation. At 64 clients MVTIL-early's
+    // commit rate is at least MVTO+'s, and every protocol keeps committing.
+    // The throughput shapes are CPU-sensitive, so the `fig1` binary checks
+    // them in release builds (`shapes`).
+    let table = fig1_concurrency_local(Scale::Smoke, 99);
+    for row in &table.rows {
+        assert!(row.throughput_tps > 0.0, "{}", table.render());
+    }
+    let rate = |protocol| {
+        table
+            .series(protocol)
+            .last()
+            .map_or(0.0, |row| row.commit_rate)
     };
-    let mvtil = Simulation::new(base(Protocol::MvtilEarly)).run();
-    let mvto = Simulation::new(base(Protocol::MvtoPlus)).run();
-    let tpl = Simulation::new(base(Protocol::TwoPhaseLocking)).run();
-
-    assert!(mvtil.commit_rate() >= mvto.commit_rate() - 0.02);
-    assert!(mvtil.committed > 0 && mvto.committed > 0 && tpl.committed > 0);
     assert!(
-        mvtil.throughput_tps() >= 0.7 * mvto.throughput_tps(),
-        "MVTIL {} vs MVTO+ {}",
-        mvtil.throughput_tps(),
-        mvto.throughput_tps()
+        rate("MVTIL-early") >= rate("MVTO+") - 0.02,
+        "{}",
+        table.render()
     );
+    assert_eq!(shapes(&table).len(), 2, "fig1 asserts two shapes");
 }
 
 #[test]
 fn figure_harness_produces_consistent_tables() {
-    let table = mvtl::workload::figures::fig3_write_fraction(mvtl::workload::Scale::Smoke);
+    let table = fig3_write_fraction(Scale::Smoke, 42);
     // Read-only workloads: every protocol commits essentially everything
     // ("for read-only transactions, the choice of protocol has little impact").
     for row in table.rows.iter().filter(|r| r.x == 0.0) {
