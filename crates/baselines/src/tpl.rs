@@ -1,6 +1,5 @@
 //! Strict two-phase locking (2PL) with timeouts, the lock-based baseline of §8.
 
-use mvtl_clock::ClockSource;
 use mvtl_common::{
     AbortReason, CommitInfo, Key, LockMode, ProcessId, Timestamp, TransactionalKV, TxError, TxId,
     TxStatus,
@@ -98,25 +97,23 @@ pub struct TwoPhaseLockingStore<V> {
     shards: Vec<RwLock<HashMap<Key, Arc<TplCell<V>>>>>,
     lock_timeout: Duration,
     commit_seq: AtomicU64,
-    #[allow(dead_code)]
-    clock: Arc<dyn ClockSource>,
 }
 
 impl<V> TwoPhaseLockingStore<V>
 where
     V: Clone + Send + Sync + 'static,
 {
-    /// Creates a 2PL store. The clock is kept only so that all engines share a
-    /// constructor shape; 2PL itself does not use timestamps.
+    /// Creates a 2PL store whose conflicting lock requests wait up to
+    /// `lock_timeout`. 2PL takes no timestamps from a clock: its commit
+    /// order is a sequence number.
     #[must_use]
-    pub fn new(clock: Arc<dyn ClockSource>, lock_timeout: Duration) -> Self {
+    pub fn new(lock_timeout: Duration) -> Self {
         TwoPhaseLockingStore {
             shards: (0..64)
                 .map(|_| RwLock::named("baselines.tpl.shard", 50, HashMap::new()))
                 .collect(),
             lock_timeout,
             commit_seq: AtomicU64::new(1),
-            clock,
         }
     }
 
@@ -225,85 +222,6 @@ where
         Ok(())
     }
 
-    /// The batch-native 2PL read: shared locks for the whole batch are taken
-    /// in ascending key order, one acquisition per distinct key. The
-    /// canonical order is the classic deadlock-avoidance discipline object
-    /// locks need — two concurrent batches can no longer block on each
-    /// other's keys in opposite orders, which under op-by-op execution shows
-    /// up as timeout aborts.
-    fn read_many(&self, txn: &mut Self::Txn, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
-        if txn.status != TxStatus::Active {
-            return Err(TxError::TransactionFinished);
-        }
-        let mut need: Vec<Key> = keys
-            .iter()
-            .copied()
-            .filter(|key| !txn.writes.iter().any(|(k, _)| k == key))
-            .collect();
-        need.sort_unstable();
-        need.dedup();
-        for key in &need {
-            if let Err(e) = self.acquire(txn, *key, LockMode::Read) {
-                txn.status = TxStatus::Aborted;
-                self.release_all(txn);
-                return Err(e);
-            }
-        }
-        let mut fetched: HashMap<Key, Option<V>> = HashMap::with_capacity(need.len());
-        for key in need {
-            let cell = self.cell(key);
-            let state = cell.state.lock();
-            match &state.value {
-                Some((version, v)) => {
-                    txn.read_set.push((key, *version));
-                    fetched.insert(key, Some(v.clone()));
-                }
-                None => {
-                    txn.read_set.push((key, Timestamp::ZERO));
-                    fetched.insert(key, None);
-                }
-            }
-        }
-        Ok(keys
-            .iter()
-            .map(|key| {
-                txn.writes
-                    .iter()
-                    .rev()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v.clone())
-                    .or_else(|| fetched.get(key).cloned().flatten())
-            })
-            .collect())
-    }
-
-    /// The batch-native 2PL write: exclusive locks in ascending key order,
-    /// one per distinct key (same deadlock-avoidance argument as
-    /// [`read_many`](TransactionalKV::read_many)), then the buffered upserts.
-    fn write_many(&self, txn: &mut Self::Txn, entries: Vec<(Key, V)>) -> Result<(), TxError> {
-        if txn.status != TxStatus::Active {
-            return Err(TxError::TransactionFinished);
-        }
-        let mut keys: Vec<Key> = entries.iter().map(|(key, _)| *key).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        for key in keys {
-            if let Err(e) = self.acquire(txn, key, LockMode::Write) {
-                txn.status = TxStatus::Aborted;
-                self.release_all(txn);
-                return Err(e);
-            }
-        }
-        for (key, value) in entries {
-            if let Some(slot) = txn.writes.iter_mut().find(|(k, _)| *k == key) {
-                slot.1 = value;
-            } else {
-                txn.writes.push((key, value));
-            }
-        }
-        Ok(())
-    }
-
     fn commit(&self, mut txn: Self::Txn) -> Result<CommitInfo, TxError> {
         if txn.status != TxStatus::Active {
             return Err(TxError::TransactionFinished);
@@ -355,13 +273,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvtl_clock::GlobalClock;
 
     fn store(timeout_ms: u64) -> TwoPhaseLockingStore<u64> {
-        TwoPhaseLockingStore::new(
-            Arc::new(GlobalClock::new()),
-            Duration::from_millis(timeout_ms),
-        )
+        TwoPhaseLockingStore::new(Duration::from_millis(timeout_ms))
     }
 
     #[test]
@@ -373,27 +287,6 @@ mod tests {
         let mut r = s.begin(ProcessId(1));
         assert_eq!(s.read(&mut r, Key(1)).unwrap(), Some(7));
         s.commit(r).unwrap();
-    }
-
-    #[test]
-    fn batched_ops_roundtrip_with_pending_writes_and_duplicates() {
-        let s = store(100);
-        let mut setup = s.begin(ProcessId(0));
-        s.write_many(&mut setup, vec![(Key(1), 10), (Key(2), 20), (Key(1), 11)])
-            .unwrap();
-        s.commit(setup).unwrap();
-
-        let mut tx = s.begin(ProcessId(1));
-        s.write(&mut tx, Key(2), 99).unwrap();
-        assert_eq!(
-            s.read_many(&mut tx, &[Key(2), Key(1), Key(3), Key(1)])
-                .unwrap(),
-            vec![Some(99), Some(11), None, Some(11)]
-        );
-        // The repeated Key(1) took one shared lock, Key(2) came from the
-        // write buffer without locking again.
-        assert_eq!(tx.read_set.iter().filter(|(k, _)| *k == Key(1)).count(), 1);
-        s.commit(tx).unwrap();
     }
 
     #[test]

@@ -50,36 +50,6 @@ pub trait TxHandle<V>: Send {
     /// Returns [`TxError::Aborted`] when eager lock acquisition fails.
     fn write(&mut self, key: Key, value: V) -> Result<(), TxError>;
 
-    /// Reads every key of `keys`, returning values in input order.
-    ///
-    /// The default loops over [`TxHandle::read`]; handles over a
-    /// [`TransactionalKV`](crate::TransactionalKV) store forward to the
-    /// store's native `read_many`, so batch-aware engines keep their fast
-    /// path through the object-safe layer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TxError::Aborted`] when the engine aborts the transaction.
-    fn read_many(&mut self, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
-        keys.iter().map(|key| self.read(*key)).collect()
-    }
-
-    /// Writes every `(key, value)` pair of `entries`, in order (last value
-    /// wins for repeated keys).
-    ///
-    /// The default loops over [`TxHandle::write`]; store handles forward to
-    /// the store's native `write_many`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TxError::Aborted`] when eager lock acquisition fails.
-    fn write_many(&mut self, entries: Vec<(Key, V)>) -> Result<(), TxError> {
-        for (key, value) in entries {
-            self.write(key, value)?;
-        }
-        Ok(())
-    }
-
     /// Attempts to commit the transaction, consuming the handle.
     ///
     /// # Errors
@@ -292,28 +262,6 @@ impl<'e, V> Transaction<'e, V> {
     /// Returns [`TxError::Aborted`] when eager lock acquisition fails.
     pub fn write(&mut self, key: Key, value: V) -> Result<(), TxError> {
         self.handle_mut().write(key, value)
-    }
-
-    /// Reads every key of `keys` in one batched operation, returning the
-    /// values in input order. Batch-aware engines deduplicate repeated keys
-    /// and acquire their locks in one sorted pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TxError::Aborted`] when the engine aborts the transaction;
-    /// the guard should then be dropped (which releases engine state).
-    pub fn read_many(&mut self, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
-        self.handle_mut().read_many(keys)
-    }
-
-    /// Writes every `(key, value)` pair of `entries` in one batched operation
-    /// (last value wins for repeated keys, as with sequential writes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TxError::Aborted`] when eager lock acquisition fails.
-    pub fn write_many(&mut self, entries: Vec<(Key, V)>) -> Result<(), TxError> {
-        self.handle_mut().write_many(entries)
     }
 
     /// Attempts to commit, consuming the guard.
@@ -618,27 +566,6 @@ mod tests {
         assert_eq!(info.writes, vec![Key(1)]);
         assert_eq!(store.commits.load(Ordering::Relaxed), 1);
         assert_eq!(store.aborts.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn batched_defaults_loop_through_the_dyn_surface() {
-        let store = CountingStore::default();
-        let e = engine(&store);
-        let mut tx = e.begin(ProcessId(1));
-        tx.write_many(vec![(Key(1), 10), (Key(2), 20), (Key(1), 11)])
-            .unwrap();
-        assert_eq!(
-            tx.read_many(&[Key(2), Key(1), Key(3)]).unwrap(),
-            vec![Some(20), Some(11), None]
-        );
-        let info = tx.commit().unwrap();
-        assert_eq!(info.writes, vec![Key(1), Key(2), Key(1)]);
-        // And the committed values are visible to a fresh transaction.
-        let mut tx = e.begin(ProcessId(2));
-        assert_eq!(
-            tx.read_many(&[Key(1), Key(2)]).unwrap(),
-            vec![Some(11), Some(20)]
-        );
     }
 
     #[test]

@@ -159,47 +159,16 @@ pub trait TransactionalKV<V>: Send + Sync {
     /// finished.
     fn write(&self, txn: &mut Self::Txn, key: Key, value: V) -> Result<(), TxError>;
 
-    // --- Batched operations -------------------------------------------------
-    //
-    // The batched surface exists so engines can amortize per-key overhead
-    // (latch round-trips, interval negotiation) across a whole multi-key
-    // operation. The defaults are plain loops, so every engine keeps working
-    // unchanged; engines with a cheaper native path (`MvtlStore`'s sorted
-    // deduplicated lock pass, 2PL's sorted lock order) override them.
-
     /// Reads every key of `keys` within the transaction, returning the values
-    /// in input order (`None` for the initial `⊥` version).
-    ///
-    /// Equivalent to calling [`TransactionalKV::read`] once per key, except
-    /// that engines may deduplicate repeated keys (one lock negotiation per
-    /// distinct key) and acquire locks in a canonical order.
+    /// in input order (`None` for the initial `⊥` version): one
+    /// [`TransactionalKV::read`] per key.
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::Aborted`] when the engine decides the transaction
-    /// cannot proceed; the transaction is aborted in that case, exactly as for
-    /// a failing single read.
+    /// Returns the first failing read's error; the transaction must then be
+    /// passed to [`TransactionalKV::abort`], exactly as for a single read.
     fn read_many(&self, txn: &mut Self::Txn, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
         keys.iter().map(|key| self.read(txn, *key)).collect()
-    }
-
-    /// Writes every `(key, value)` pair of `entries` within the transaction,
-    /// in order (for repeated keys the last value wins, as with sequential
-    /// writes).
-    ///
-    /// Equivalent to calling [`TransactionalKV::write`] once per entry, except
-    /// that engines may acquire the write locks for the whole batch in one
-    /// sorted, deduplicated pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TxError::Aborted`] when eager lock acquisition fails; the
-    /// transaction is aborted in that case.
-    fn write_many(&self, txn: &mut Self::Txn, entries: Vec<(Key, V)>) -> Result<(), TxError> {
-        for (key, value) in entries {
-            self.write(txn, key, value)?;
-        }
-        Ok(())
     }
 
     /// Attempts to commit the transaction.

@@ -179,14 +179,6 @@ where
         if let Some(v) = txn.pending_write(key) {
             return Ok(Some(v.clone()));
         }
-        self.read_committed(txn, key)
-    }
-
-    /// The committed-read tail shared by [`MvtlStore::read`] and
-    /// [`MvtlStore::read_many`]: policy lock negotiation, read-set recording
-    /// and the purge-safe version fetch, for a key the transaction has *not*
-    /// buffered a write for.
-    fn read_committed(&self, txn: &mut MvtlTransaction<V>, key: Key) -> Result<Option<V>, TxError> {
         match self.policy.read_locks(self, &mut txn.state, key) {
             Ok(version) => {
                 txn.state.record_read(key, version);
@@ -252,93 +244,6 @@ where
                 Err(err)
             }
         }
-    }
-
-    /// Reads every key of `keys` within the transaction, returning values in
-    /// input order — the batch-native path of the engine.
-    ///
-    /// Instead of negotiating an interval lock per *operation*, the batch is
-    /// reduced to its distinct keys (keys the transaction has already
-    /// buffered a write for are served from the write buffer) and the policy
-    /// negotiation runs once per distinct key, in ascending key order. The
-    /// canonical order makes concurrent batches acquire their waiting-mode
-    /// locks in the same sequence, so two batches can never deadlock on each
-    /// other's keys, and the deduplication both halves the latch traffic of
-    /// skewed batches and keeps the read set (which commit intersects over)
-    /// one entry per key.
-    ///
-    /// # Errors
-    ///
-    /// Returns an abort error if the policy could not acquire the read locks
-    /// for some key; the transaction is aborted in that case.
-    pub fn read_many(
-        &self,
-        txn: &mut MvtlTransaction<V>,
-        keys: &[Key],
-    ) -> Result<Vec<Option<V>>, TxError> {
-        if !txn.state.is_active() {
-            return Err(TxError::TransactionFinished);
-        }
-        let mut need: Vec<Key> = keys
-            .iter()
-            .copied()
-            .filter(|key| txn.pending_write(*key).is_none())
-            .collect();
-        need.sort_unstable();
-        need.dedup();
-        // `need` is sorted, so the fetched pairs are sorted by key and the
-        // answer-assembly lookup below can binary search instead of hashing.
-        let mut fetched: Vec<(Key, Option<V>)> = Vec::with_capacity(need.len());
-        for key in need {
-            let value = self.read_committed(txn, key)?;
-            fetched.push((key, value));
-        }
-        Ok(keys
-            .iter()
-            .map(|key| {
-                txn.pending_write(*key).cloned().or_else(|| {
-                    fetched
-                        .binary_search_by_key(key, |(k, _)| *k)
-                        .ok()
-                        .and_then(|i| fetched[i].1.clone())
-                })
-            })
-            .collect())
-    }
-
-    /// Writes every `(key, value)` pair of `entries` within the transaction
-    /// (last value per key wins, as with sequential writes) — the batch-native
-    /// path of the engine.
-    ///
-    /// The policy's write-lock acquisition runs once per distinct key, in
-    /// ascending key order (same deadlock-freedom and deduplication argument
-    /// as [`MvtlStore::read_many`]); only then are the values buffered.
-    ///
-    /// # Errors
-    ///
-    /// Returns an abort error if the policy acquires write locks eagerly and
-    /// fails for some key; the transaction is aborted in that case.
-    pub fn write_many(
-        &self,
-        txn: &mut MvtlTransaction<V>,
-        entries: Vec<(Key, V)>,
-    ) -> Result<(), TxError> {
-        if !txn.state.is_active() {
-            return Err(TxError::TransactionFinished);
-        }
-        let mut keys: Vec<Key> = entries.iter().map(|(key, _)| *key).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        for key in keys {
-            if let Err(err) = self.policy.write_locks(self, &mut txn.state, key) {
-                self.abort_internal(&mut txn.state);
-                return Err(err);
-            }
-        }
-        for (key, value) in entries {
-            txn.buffer_write(key, value);
-        }
-        Ok(())
     }
 
     /// Attempts to commit the transaction (Algorithm 1, `commit`).
@@ -877,14 +782,6 @@ where
         MvtlStore::write(self, txn, key, value)
     }
 
-    fn read_many(&self, txn: &mut Self::Txn, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
-        MvtlStore::read_many(self, txn, keys)
-    }
-
-    fn write_many(&self, txn: &mut Self::Txn, entries: Vec<(Key, V)>) -> Result<(), TxError> {
-        MvtlStore::write_many(self, txn, entries)
-    }
-
     fn commit(&self, txn: Self::Txn) -> Result<CommitInfo, TxError> {
         MvtlStore::commit(self, txn)
     }
@@ -936,42 +833,6 @@ mod tests {
         s.write(&mut tx, Key(1), 7).unwrap();
         assert_eq!(s.read(&mut tx, Key(1)).unwrap(), Some(7));
         s.commit(tx).unwrap();
-    }
-
-    #[test]
-    fn batched_reads_dedup_and_serve_pending_writes() {
-        let s = store();
-        let mut setup = s.begin(ProcessId(0));
-        s.write(&mut setup, Key(1), 10).unwrap();
-        s.write(&mut setup, Key(2), 20).unwrap();
-        s.commit(setup).unwrap();
-
-        let mut tx = s.begin(ProcessId(1));
-        s.write(&mut tx, Key(2), 99).unwrap();
-        let values = s
-            .read_many(&mut tx, &[Key(2), Key(1), Key(3), Key(1)])
-            .unwrap();
-        assert_eq!(values, vec![Some(99), Some(10), None, Some(10)]);
-        // Deduplication: the repeated Key(1) read anchored once, and the
-        // buffered Key(2) never reached the policy, so the read set holds
-        // exactly one entry per negotiated key.
-        let read_keys: Vec<Key> = tx.state().read_set.iter().map(|(k, _)| *k).collect();
-        assert_eq!(read_keys, vec![Key(1), Key(3)]);
-        s.commit(tx).unwrap();
-    }
-
-    #[test]
-    fn batched_writes_lock_once_per_key_and_last_value_wins() {
-        let s = store();
-        let mut tx = s.begin(ProcessId(0));
-        s.write_many(&mut tx, vec![(Key(5), 1), (Key(4), 2), (Key(5), 3)])
-            .unwrap();
-        // The write set preserves first-occurrence order, as sequential
-        // writes would.
-        assert_eq!(tx.state().write_keys, vec![Key(5), Key(4)]);
-        s.commit(tx).unwrap();
-        assert_eq!(s.snapshot_read(Key(5), Timestamp::MAX), Some(3));
-        assert_eq!(s.snapshot_read(Key(4), Timestamp::MAX), Some(2));
     }
 
     #[test]

@@ -123,8 +123,7 @@ fn to_reader_is_woken_by_the_prepared_writers_commit_and_abort() {
 
 #[test]
 fn two_phase_locking_acquire_is_woken_by_release_all() {
-    let s: TwoPhaseLockingStore<u64> =
-        TwoPhaseLockingStore::new(Arc::new(GlobalClock::new()), LOCK_WAIT);
+    let s: TwoPhaseLockingStore<u64> = TwoPhaseLockingStore::new(LOCK_WAIT);
     let mut tx = s.begin(ProcessId(0));
     s.write(&mut tx, Key(1), 1).unwrap();
     s.commit(tx).unwrap();

@@ -792,7 +792,7 @@ where
                     .take_parsed("timeout_ms")?
                     .unwrap_or(DEFAULT_2PL_TIMEOUT_MS),
             );
-            Box::new(move |clock| KvBackend::build(TwoPhaseLockingStore::<V>::new(clock, timeout)))
+            Box::new(move |_| KvBackend::build(TwoPhaseLockingStore::<V>::new(timeout)))
         }
         // Top-level names were checked against `ENGINES`, so only a
         // `sharded` spec's `inner` can name something else.

@@ -202,30 +202,6 @@ impl TxHandle<u64> for RemoteHandle<'_> {
         }
     }
 
-    fn read_many(&mut self, keys: &[Key]) -> Result<Vec<Option<u64>>, TxError> {
-        match self.op(&Request::ReadMany {
-            txn: self.txn,
-            keys: keys.to_vec(),
-        })? {
-            Response::Values(values) => Ok(values),
-            _ => Err(TxError::Internal(
-                "read_many got a non-values response".into(),
-            )),
-        }
-    }
-
-    fn write_many(&mut self, entries: Vec<(Key, u64)>) -> Result<(), TxError> {
-        match self.op(&Request::WriteMany {
-            txn: self.txn,
-            entries,
-        })? {
-            Response::Written => Ok(()),
-            _ => Err(TxError::Internal(
-                "write_many got a non-ack response".into(),
-            )),
-        }
-    }
-
     fn commit(mut self: Box<Self>) -> Result<CommitInfo, TxError> {
         match self.op(&Request::Commit { txn: self.txn })? {
             Response::Committed(info) => Ok(info),

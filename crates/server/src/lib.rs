@@ -5,7 +5,7 @@
 //!
 //! * [`wire`] — a small length-prefixed binary protocol (no crates.io
 //!   dependencies): an engine-spec handshake plus
-//!   begin/read/write/read_many/write_many/commit/abort/stats frames.
+//!   begin/read/write/commit/abort/stats frames.
 //! * [`server`] — a threaded TCP server fronting any registry-built
 //!   `dyn Engine<u64>`. One handler thread per connection; the handler's
 //!   per-connection transaction table holds RAII guards, so a disconnect (or

@@ -373,26 +373,6 @@ fn handle_request<'e, W: Write>(
                 }
             },
         },
-        Request::ReadMany { txn, keys } => match txns.get_mut(&txn) {
-            None => Response::Finished,
-            Some(tx) => match tx.read_many(&keys) {
-                Ok(values) => Response::Values(values),
-                Err(err) => {
-                    txns.remove(&txn);
-                    error_response(err)
-                }
-            },
-        },
-        Request::WriteMany { txn, entries } => match txns.get_mut(&txn) {
-            None => Response::Finished,
-            Some(tx) => match tx.write_many(entries) {
-                Ok(()) => Response::Written,
-                Err(err) => {
-                    txns.remove(&txn);
-                    error_response(err)
-                }
-            },
-        },
         Request::Commit { txn } => match txns.remove(&txn) {
             None => Response::Finished,
             Some(tx) => match tx.commit() {

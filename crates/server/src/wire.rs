@@ -31,7 +31,7 @@ use std::io::{self, Read, Write};
 /// Magic number opening the hello frame (`b"MVTL"` little-endian).
 pub const MAGIC: u32 = u32::from_le_bytes(*b"MVTL");
 /// Version of the wire protocol. Bump on any incompatible layout change.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 /// Default cap on a frame's declared payload length. A peer declaring more is
 /// a protocol error — the receiver never allocates the declared amount first.
 pub const DEFAULT_MAX_FRAME: u32 = 256 * 1024;
@@ -40,8 +40,7 @@ pub const DEFAULT_MAX_FRAME: u32 = 256 * 1024;
 const OP_BEGIN: u8 = 1;
 const OP_READ: u8 = 2;
 const OP_WRITE: u8 = 3;
-const OP_READ_MANY: u8 = 4;
-const OP_WRITE_MANY: u8 = 5;
+// 4 and 5 were the batched read/write of version 1: retired, never reused.
 const OP_COMMIT: u8 = 6;
 const OP_ABORT: u8 = 7;
 const OP_STATS: u8 = 8;
@@ -51,7 +50,6 @@ const OP_STATS: u8 = 8;
 const ST_BEGUN: u8 = 0x00;
 const ST_VALUE: u8 = 0x01;
 const ST_WRITTEN: u8 = 0x02;
-const ST_VALUES: u8 = 0x03;
 const ST_COMMITTED: u8 = 0x04;
 const ST_ABORT_ACK: u8 = 0x05;
 const ST_STATS: u8 = 0x06;
@@ -136,20 +134,6 @@ pub enum Request {
         /// Value to install on commit.
         value: u64,
     },
-    /// Batched read of `keys` (in order) within transaction `txn`.
-    ReadMany {
-        /// Transaction id.
-        txn: u32,
-        /// Keys to read, in order.
-        keys: Vec<Key>,
-    },
-    /// Batched write of `entries` (in order) within transaction `txn`.
-    WriteMany {
-        /// Transaction id.
-        txn: u32,
-        /// `(key, value)` pairs, in order (last value wins per key).
-        entries: Vec<(Key, u64)>,
-    },
     /// Commits transaction `txn`, returning its [`CommitInfo`].
     Commit {
         /// Transaction id.
@@ -175,8 +159,6 @@ pub enum Response {
     Value(Option<u64>),
     /// `Write` succeeded.
     Written,
-    /// `ReadMany` succeeded, values in request order.
-    Values(Vec<Option<u64>>),
     /// `Commit` succeeded.
     Committed(CommitInfo),
     /// `Abort` was applied.
@@ -423,23 +405,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_u64(&mut buf, key.0);
             put_u64(&mut buf, *value);
         }
-        Request::ReadMany { txn, keys } => {
-            buf.push(OP_READ_MANY);
-            put_u32(&mut buf, *txn);
-            put_u32(&mut buf, keys.len() as u32);
-            for key in keys {
-                put_u64(&mut buf, key.0);
-            }
-        }
-        Request::WriteMany { txn, entries } => {
-            buf.push(OP_WRITE_MANY);
-            put_u32(&mut buf, *txn);
-            put_u32(&mut buf, entries.len() as u32);
-            for (key, value) in entries {
-                put_u64(&mut buf, key.0);
-                put_u64(&mut buf, *value);
-            }
-        }
         Request::Commit { txn } => {
             buf.push(OP_COMMIT);
             put_u32(&mut buf, *txn);
@@ -488,24 +453,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
             key: Key(cur.u64()?),
             value: cur.u64()?,
         },
-        OP_READ_MANY => {
-            let n = cur.u32()? as usize;
-            // The frame length cap already bounds n; this guards a declared
-            // count larger than the bytes actually present.
-            let mut keys = Vec::with_capacity(n.min(payload.len() / 8 + 1));
-            for _ in 0..n {
-                keys.push(Key(cur.u64()?));
-            }
-            Request::ReadMany { txn, keys }
-        }
-        OP_WRITE_MANY => {
-            let n = cur.u32()? as usize;
-            let mut entries = Vec::with_capacity(n.min(payload.len() / 16 + 1));
-            for _ in 0..n {
-                entries.push((Key(cur.u64()?), cur.u64()?));
-            }
-            Request::WriteMany { txn, entries }
-        }
         OP_COMMIT => Request::Commit { txn },
         OP_ABORT => Request::Abort { txn },
         OP_STATS => Request::Stats,
@@ -593,19 +540,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             }
         }
         Response::Written => buf.push(ST_WRITTEN),
-        Response::Values(values) => {
-            buf.push(ST_VALUES);
-            put_u32(&mut buf, values.len() as u32);
-            for value in values {
-                match value {
-                    None => buf.push(0),
-                    Some(v) => {
-                        buf.push(1);
-                        put_u64(&mut buf, *v);
-                    }
-                }
-            }
-        }
         Response::Committed(info) => {
             buf.push(ST_COMMITTED);
             put_u64(&mut buf, info.tx.0);
@@ -668,18 +602,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             _ => return Err(WireError::Malformed("value flag is not 0/1")),
         }),
         ST_WRITTEN => Response::Written,
-        ST_VALUES => {
-            let n = cur.u32()? as usize;
-            let mut values = Vec::with_capacity(n.min(payload.len() + 1));
-            for _ in 0..n {
-                values.push(match cur.u8()? {
-                    0 => None,
-                    1 => Some(cur.u64()?),
-                    _ => return Err(WireError::Malformed("value flag is not 0/1")),
-                });
-            }
-            Response::Values(values)
-        }
         ST_COMMITTED => {
             let tx = TxId(cur.u64()?);
             let commit_ts = match cur.u8()? {
@@ -760,14 +682,6 @@ mod tests {
             key: Key(42),
             value: u64::MAX,
         });
-        roundtrip_request(Request::ReadMany {
-            txn: 2,
-            keys: vec![Key(1), Key(2), Key(1)],
-        });
-        roundtrip_request(Request::WriteMany {
-            txn: 2,
-            entries: vec![(Key(5), 50), (Key(6), 60)],
-        });
         roundtrip_request(Request::Commit { txn: 9 });
         roundtrip_request(Request::Abort { txn: 9 });
         roundtrip_request(Request::Stats);
@@ -779,7 +693,6 @@ mod tests {
         roundtrip_response(Response::Value(None));
         roundtrip_response(Response::Value(Some(17)));
         roundtrip_response(Response::Written);
-        roundtrip_response(Response::Values(vec![Some(1), None, Some(3)]));
         roundtrip_response(Response::Committed(CommitInfo {
             tx: TxId(12),
             commit_ts: Some(Timestamp {
@@ -879,13 +792,13 @@ mod tests {
             Err(WireError::Malformed(_))
         ));
         // Declared element count larger than the bytes present.
-        let mut many = Vec::new();
-        many.push(OP_READ_MANY);
-        put_u32(&mut many, 1);
+        let mut many = vec![ST_COMMITTED];
+        put_u64(&mut many, 1);
+        many.push(0);
         put_u32(&mut many, 1_000_000);
         put_u64(&mut many, 42);
         assert!(matches!(
-            decode_request(&many),
+            decode_response(&many),
             Err(WireError::Malformed(_))
         ));
         // Empty payload.

@@ -5,11 +5,12 @@
 //! client library entirely and write hand-crafted byte sequences, because the
 //! client cannot be coaxed into producing the malformed traffic we need.
 
-use mvtl_common::{Key, ProcessId, Timestamp};
+use mvtl_common::{Engine, Key, ProcessId, Timestamp};
 use mvtl_server::wire::{self, Request, Response};
-use mvtl_server::{Connection, Server};
+use mvtl_server::{Connection, Server, ServerConfig};
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn spawn_server() -> Server {
@@ -47,20 +48,22 @@ fn lock_entries(server: &Server) -> usize {
     conn.stats().expect("stats").lock_entries
 }
 
-/// Polls until every lock the disconnected transaction held is released.
-/// Generous deadline: the assertion is about eventual cleanup, not latency.
-fn wait_for_lock_release(server: &Server) {
+/// Polls until `done` holds. Generous deadline: the assertions are about
+/// eventual cleanup after a connection goes away, not latency.
+fn eventually(what: &str, done: impl Fn() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if lock_entries(server) == 0 {
-            return;
-        }
+    while !done() {
         assert!(
             Instant::now() < deadline,
-            "locks still held long after the holding connection went away"
+            "{what} long after the holding connection went away"
         );
         std::thread::sleep(Duration::from_millis(5));
     }
+}
+
+/// Polls until every lock the disconnected transaction held is released.
+fn wait_for_lock_release(server: &Server) {
+    eventually("locks still held", || lock_entries(server) == 0);
 }
 
 #[test]
@@ -146,6 +149,110 @@ fn configured_frame_cap_is_enforced() {
         "expected a protocol error, got {resp:?}"
     );
     assert_closed(&mut stream);
+}
+
+#[test]
+fn retired_batched_opcodes_get_protocol_response_close_and_release_locks() {
+    let server = spawn_server();
+    // Opcodes 4 and 5 were version 1's batched read and write, laid out as
+    // [op][txn][count][key (+ value)]...; version 2 knows neither.
+    for (opcode, body) in [(4u8, &[7u8; 8][..]), (5, &[7; 16])] {
+        let mut stream = raw_connect(&server);
+        send_raw_request(
+            &mut stream,
+            &Request::Begin {
+                txn: 1,
+                process: ProcessId(1),
+                pinned: None,
+            },
+        );
+        send_raw_request(
+            &mut stream,
+            &Request::Write {
+                txn: 1,
+                key: Key(21),
+                value: 1,
+            },
+        );
+        let mut frame = vec![opcode];
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.extend_from_slice(body);
+        wire::write_frame(&mut stream, &frame).expect("send");
+        stream.flush().expect("flush");
+        assert_eq!(read_raw_response(&mut stream), Response::Begun);
+        assert_eq!(read_raw_response(&mut stream), Response::Written);
+        let resp = read_raw_response(&mut stream);
+        assert!(
+            matches!(resp, Response::Protocol(_)),
+            "opcode {opcode}: expected a protocol error, got {resp:?}"
+        );
+        assert_closed(&mut stream);
+        // The close aborted the open transaction and released its lock.
+        wait_for_lock_release(&server);
+    }
+}
+
+#[test]
+fn begin_past_serve_max_txns_is_a_protocol_violation_and_aborts_the_rest() {
+    let (config, spec) =
+        ServerConfig::from_spec("mvtil-early?serve_max_txns=2").expect("spec parses");
+    let engine: Arc<dyn Engine<u64>> = Arc::from(mvtl_registry::build(&spec).expect("builds"));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let server = Server::serve(listener, Arc::clone(&engine), spec, config).expect("serve");
+    let begin = |txn| Request::Begin {
+        txn,
+        process: ProcessId(txn),
+        pinned: None,
+    };
+
+    let mut conn = Connection::connect(server.addr()).expect("connect");
+    let responses = conn
+        .pipeline(&[
+            begin(1),
+            Request::Write {
+                txn: 1,
+                key: Key(1),
+                value: 1,
+            },
+            begin(2),
+            Request::Read {
+                txn: 2,
+                key: Key(2),
+            },
+        ])
+        .expect("two transactions fit");
+    assert_eq!(
+        responses,
+        [
+            Response::Begun,
+            Response::Written,
+            Response::Begun,
+            Response::Value(None)
+        ]
+    );
+    assert!(
+        engine.stats().lock_entries > 0,
+        "both transactions hold locks"
+    );
+    assert!(engine.low_watermark().is_some(), "open transactions pin GC");
+
+    let resp = conn
+        .request(&begin(3))
+        .expect("third begin gets a response");
+    assert!(
+        matches!(resp, Response::Protocol(_)),
+        "expected a protocol error, got {resp:?}"
+    );
+    // The server hung up, and the hang-up aborted both open transactions.
+    assert!(
+        conn.request(&Request::Stats).is_err(),
+        "connection is closed"
+    );
+    eventually("locks still held", || engine.stats().lock_entries == 0);
+    eventually("the watermark is still pinned", || {
+        engine.low_watermark().is_none()
+    });
 }
 
 #[test]

@@ -338,16 +338,6 @@ where
         self.store.write(txn, key, value)
     }
 
-    fn read_many(&mut self, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
-        let txn = self.txn.as_mut().ok_or(TxError::TransactionFinished)?;
-        self.store.read_many(txn, keys)
-    }
-
-    fn write_many(&mut self, entries: Vec<(Key, V)>) -> Result<(), TxError> {
-        let txn = self.txn.as_mut().ok_or(TxError::TransactionFinished)?;
-        self.store.write_many(txn, entries)
-    }
-
     fn commit(mut self: Box<Self>) -> Result<CommitInfo, TxError> {
         let txn = self.txn.take().ok_or(TxError::TransactionFinished)?;
         self.store.commit(txn)

@@ -162,16 +162,6 @@ where
         self.inner.write(key, value)
     }
 
-    fn read_many(&mut self, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
-        self.maybe_delay();
-        self.inner.read_many(keys)
-    }
-
-    fn write_many(&mut self, entries: Vec<(Key, V)>) -> Result<(), TxError> {
-        self.maybe_delay();
-        self.inner.write_many(entries)
-    }
-
     fn commit(self: Box<Self>) -> Result<CommitInfo, TxError> {
         self.maybe_delay();
         let FaultyTxn { inner, .. } = *self;

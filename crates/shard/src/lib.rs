@@ -319,7 +319,8 @@ mod tests {
         let (a, b) = cross_shard_keys(&s);
         for round in 0..16u64 {
             let mut tx = s.begin(ProcessId(1));
-            tx.write_many(vec![(a, round), (b, round)]).unwrap();
+            tx.write(a, round).unwrap();
+            tx.write(b, round).unwrap();
             tx.commit().unwrap();
         }
         let swept = (0..500).any(|_| {

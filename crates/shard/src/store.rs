@@ -528,60 +528,6 @@ where
             .or_else(|err| self.fail(err))
     }
 
-    /// The batch-native sharded read: the batch is grouped by shard and each
-    /// participating shard serves its whole group in **one**
-    /// [`TxHandle::read_many`] round, so an N-key batch costs O(shards)
-    /// coordination instead of O(keys). Sub-transactions still open lazily —
-    /// only shards that actually own batch keys are touched.
-    fn read_many(&mut self, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
-        self.check_live()?;
-        // Group key positions by shard, preserving input order within each
-        // group so results scatter back into place.
-        let mut groups: Vec<(Vec<Key>, Vec<usize>)> =
-            vec![(Vec::new(), Vec::new()); self.subs.len()];
-        for (pos, key) in keys.iter().enumerate() {
-            let (shard_keys, positions) = &mut groups[self.store.shard_of(*key)];
-            shard_keys.push(*key);
-            positions.push(pos);
-        }
-        let mut out: Vec<Option<V>> = vec![None; keys.len()];
-        for (shard, (shard_keys, positions)) in groups.into_iter().enumerate() {
-            if shard_keys.is_empty() {
-                continue;
-            }
-            match self.sub(shard).read_many(&shard_keys) {
-                Ok(values) => {
-                    for (pos, value) in positions.into_iter().zip(values) {
-                        out[pos] = value;
-                    }
-                }
-                Err(err) => return self.fail(err),
-            }
-        }
-        Ok(out)
-    }
-
-    /// The batch-native sharded write: one [`TxHandle::write_many`] round
-    /// per participating shard (same O(shards) argument as
-    /// [`read_many`](TxHandle::read_many); order within a shard group is
-    /// preserved, so last-value-wins semantics match sequential writes).
-    fn write_many(&mut self, entries: Vec<(Key, V)>) -> Result<(), TxError> {
-        self.check_live()?;
-        let mut groups: Vec<Vec<(Key, V)>> = (0..self.subs.len()).map(|_| Vec::new()).collect();
-        for (key, value) in entries {
-            groups[self.store.shard_of(key)].push((key, value));
-        }
-        for (shard, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            if let Err(err) = self.sub(shard).write_many(group) {
-                return self.fail(err);
-            }
-        }
-        Ok(())
-    }
-
     fn commit(mut self: Box<Self>) -> Result<CommitInfo, TxError> {
         // The coordinator pin only has to cover the window in which new
         // sub-transactions can still open; from here on every touched shard

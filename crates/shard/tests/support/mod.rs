@@ -1,7 +1,8 @@
-//! The instrumented shard backend shared by the phase-3 drain and the
-//! fault-schedule tests: it forwards to a real shard while counting how the
-//! coordinator disposes of every prepared participant, and can reject the
-//! coordinated commit timestamp on demand.
+//! The instrumented shard backend shared by the phase-3 drain, routing and
+//! fault-schedule tests: it forwards to a real shard while counting the
+//! sub-transactions the coordinator opens and prepares and how it disposes
+//! of every prepared participant, and can reject the coordinated commit
+//! timestamp on demand.
 
 use mvtl_common::{
     CommitInfo, Key, PreparedTxn, ProcessId, StoreStats, Timestamp, TsSet, TxError, TxHandle,
@@ -10,9 +11,14 @@ use mvtl_shard::ShardBackend;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Shared instrumentation: how prepared participants were disposed of.
+/// Shared instrumentation: sub-transactions opened and prepared, and how
+/// prepared participants were disposed of.
 #[derive(Default)]
 pub(crate) struct Probe {
+    /// Sub-transactions opened on instrumented shards.
+    pub(crate) begins: AtomicU64,
+    /// `prepare` calls on those sub-transactions.
+    pub(crate) prepares: AtomicU64,
     /// `commit_at` calls that were rejected because `fail` was set.
     pub(crate) rejected_commits: AtomicU64,
     /// Explicit `abort()` calls on prepared participants.
@@ -42,6 +48,7 @@ struct ProbedBackend {
 
 impl ShardBackend<u64> for ProbedBackend {
     fn begin(&self, process: ProcessId, pinned: Option<Timestamp>) -> Box<dyn TxHandle<u64>> {
+        self.probe.begins.fetch_add(1, Ordering::Relaxed);
         Box::new(ProbedTxn {
             inner: self.inner.begin(process, pinned),
             probe: Arc::clone(&self.probe),
@@ -81,6 +88,7 @@ impl TxHandle<u64> for ProbedTxn {
 
     fn prepare(self: Box<Self>) -> Result<Box<dyn PreparedTxn<u64>>, TxError> {
         let this = *self;
+        this.probe.prepares.fetch_add(1, Ordering::Relaxed);
         let prepared = this.inner.prepare()?;
         Ok(Box::new(ProbedPrepared {
             inner: Some(prepared),

@@ -42,16 +42,6 @@ pub struct RecoveryReport {
     pub discarded_bytes: u64,
 }
 
-/// Buffers a `(key, value)` into `writes`, last value per key winning —
-/// mirroring how engines buffer transactional writes.
-fn buffer_write<V>(writes: &mut Vec<(Key, V)>, key: Key, value: V) {
-    if let Some(slot) = writes.iter_mut().find(|(k, _)| *k == key) {
-        slot.1 = value;
-    } else {
-        writes.push((key, value));
-    }
-}
-
 /// A write-ahead-logged shard: decorates any [`ShardBackend`] with durable
 /// commit, prepare and decision records.
 pub struct WalBackend<V> {
@@ -212,18 +202,11 @@ where
 
     fn write(&mut self, key: Key, value: V) -> Result<(), TxError> {
         self.inner.write(key, value.clone())?;
-        buffer_write(&mut self.writes, key, value);
-        Ok(())
-    }
-
-    fn read_many(&mut self, keys: &[Key]) -> Result<Vec<Option<V>>, TxError> {
-        self.inner.read_many(keys)
-    }
-
-    fn write_many(&mut self, entries: Vec<(Key, V)>) -> Result<(), TxError> {
-        self.inner.write_many(entries.clone())?;
-        for (key, value) in entries {
-            buffer_write(&mut self.writes, key, value);
+        // Last value per key wins, mirroring how engines buffer writes.
+        if let Some(slot) = self.writes.iter_mut().find(|(k, _)| *k == key) {
+            slot.1 = value;
+        } else {
+            self.writes.push((key, value));
         }
         Ok(())
     }
@@ -395,7 +378,8 @@ mod tests {
         let (shard, _) = attach(dir.path());
         let mut txn = shard.begin(ProcessId(0), None);
         txn.write(Key(1), 1).unwrap();
-        txn.write_many(vec![(Key(1), 2), (Key(4), 40)]).unwrap();
+        txn.write(Key(1), 2).unwrap();
+        txn.write(Key(4), 40).unwrap();
         txn.write(Key(1), 3).unwrap();
         txn.commit().unwrap();
         drop(shard);
