@@ -49,8 +49,8 @@ fn full_stack_lock_order_is_acyclic_and_rank_consistent() {
         "mvtil-early",
         "mvto+",
         "2pl",
-        // commit_timeout_ms arms the prepare-slot coordinator path.
-        "sharded?shards=4&inner=mvtil-early&commit_timeout_ms=200",
+        // Dropped prepare responses run presumed abort on detached threads.
+        "sharded?shards=4&inner=mvtil-early&fault=drop:0.2:5",
         "mvtil-early?wal=tmp&fsync=always",
         "mvtil-early?gc_ms=1&gc_lag_ms=1",
     ] {
@@ -94,7 +94,6 @@ fn full_stack_lock_order_is_acyclic_and_rank_consistent() {
         "baselines.tpl.key",
         "baselines.mvto.shard",
         "baselines.mvto.key",
-        "shard.prepare_slot",
         "common.active_txns",
         "verify.history",
         "wal.segments",

@@ -5,7 +5,7 @@
 //!
 //! The cross-shard interval-intersection commit only proves itself on an
 //! unfriendly machine: shards that answer late, drop their prepare response,
-//! stall past the coordinator's patience, crash between `prepare` and the
+//! stall past the prepare deadline, crash between `prepare` and the
 //! decision, or read skewed clocks. This crate is the *schedule* side of that
 //! story — it decides **which** faults fire **when**, deterministically, so a
 //! failing run can be replayed from its `(fault spec, fault seed)` pair:
@@ -42,7 +42,9 @@ use std::time::Duration;
 pub enum FaultKind {
     /// A per-operation service delay.
     Delay,
-    /// A prepare response withheld past the coordinator's timeout.
+    /// A prepare response lost on its way to the coordinator: the shard
+    /// prepared and holds its frozen locks, the coordinator sees the
+    /// deadline missed.
     DropPrepare,
     /// A shard crash between `prepare` and the coordinator's decision.
     CrashMidPrepare,
@@ -107,9 +109,9 @@ impl std::error::Error for FaultParseError {}
 /// | clause | meaning |
 /// |--------|---------|
 /// | `delay:<p>:<max_us>` | each shard operation is delayed with probability `p` by a deterministic duration in `[1, max_us]` µs |
-/// | `drop:<p>[:hold_ms]` | a prepare **response** is withheld for `hold_ms` (default 40) ms with probability `p` — the shard prepared and holds its frozen locks, but the coordinator only learns by timing out |
+/// | `drop:<p>[:hold_ms]` | with probability `p` a prepare **response** is lost — the shard prepared and holds its frozen locks for `hold_ms` (default 40) ms before it aborts, while the coordinator sees the deadline missed at once |
 /// | `crash:<p>` | the shard crashes between `prepare` and the decision with probability `p`; its volatile lock state is lost and recovery presumes abort |
-/// | `stall:<p>:<ms>` | the shard stalls `ms` milliseconds before serving `prepare` with probability `p` |
+/// | `stall:<p>:<ms>` | with probability `p` the shard serves `prepare` only after `ms` milliseconds, then aborts, while the coordinator sees the deadline missed at once |
 /// | `skew:<max_ticks>` | each shard reads a constant per-shard clock offset drawn from `[-max_ticks, +max_ticks]`, applied to pinned begin timestamps (the ε-clock scenario) |
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultSpec {
@@ -190,13 +192,6 @@ impl FaultSpec {
     pub fn is_empty(&self) -> bool {
         *self == FaultSpec::default()
     }
-
-    /// Whether the spec can make a prepare miss the coordinator's deadline
-    /// (drops or stalls): such schedules need a commit timeout to recover.
-    #[must_use]
-    pub fn needs_commit_timeout(&self) -> bool {
-        self.drop_prepare.is_some() || self.stall.is_some()
-    }
 }
 
 fn missing_arg(clause: &str, what: &str) -> FaultParseError {
@@ -275,12 +270,12 @@ pub enum PrepareFault {
     /// lock state is lost, and its recovery presumes abort. The coordinator
     /// sees the prepare fail.
     Crash,
-    /// The prepare completes and the shard holds its frozen locks, but the
-    /// response is withheld for this long — the coordinator only learns of
-    /// the prepare by timing out, and the late response is resolved by
-    /// presumed abort.
+    /// The prepare completes and the shard holds its frozen locks for this
+    /// long, but the response is lost: the coordinator sees the deadline
+    /// missed, and the shard, hearing no decision, aborts (presumed abort).
     DropResponse(Duration),
-    /// The shard stalls this long before even serving the prepare.
+    /// The shard stalls this long before serving the prepare: the
+    /// coordinator sees the deadline missed, and the late prepare aborts.
     Stall(Duration),
 }
 
@@ -502,7 +497,6 @@ mod tests {
         assert_eq!(spec.stall, Some((0.3, 25)));
         assert_eq!(spec.skew_ticks, 512);
         assert!(!spec.is_empty());
-        assert!(spec.needs_commit_timeout());
     }
 
     #[test]
@@ -510,9 +504,6 @@ mod tests {
         let spec = FaultSpec::parse("drop:0.5").unwrap();
         assert_eq!(spec.drop_prepare, Some((0.5, DEFAULT_DROP_HOLD_MS)));
         assert!(FaultSpec::parse("").unwrap().is_empty());
-        assert!(!FaultSpec::parse("crash:0.5")
-            .unwrap()
-            .needs_commit_timeout());
     }
 
     #[test]

@@ -293,10 +293,6 @@ pub const DEFAULT_SHARD_INNER: &str = "mvtil-early";
 pub const DEFAULT_GC_LAG_MS: u64 = 50;
 /// Default fault-plan seed when a spec sets `fault=` but omits `fault_seed`.
 pub const DEFAULT_FAULT_SEED: u64 = 42;
-/// Default coordinator prepare timeout (milliseconds) armed automatically for
-/// fault schedules that can make a prepare miss the deadline (`drop`/`stall`
-/// clauses), when the spec omits `commit_timeout_ms`.
-pub const DEFAULT_COMMIT_TIMEOUT_MS: u64 = 250;
 /// Default write-ahead-log segment size in KiB when a spec sets `wal=` but
 /// omits `wal_segment_kb`.
 pub const DEFAULT_WAL_SEGMENT_KB: u64 = 1024;
@@ -359,7 +355,9 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 /// Round trips, for every engine: `fault=delay:<p>:<max_us>` sleeps before
 /// each operation with probability `p` for up to `max_us` µs, and
 /// `fault_seed` seeds the schedule (default [`DEFAULT_FAULT_SEED`]). The
-/// prepare and skew clauses need at least two shards.
+/// prepare and skew clauses need at least two shards; a `drop:` or `stall:`
+/// prepare always misses its deadline, and the commit fails with
+/// `PrepareTimedOut` at once (presumed abort).
 ///
 /// Durability, for every engine: `wal=<dir>` attaches a `mvtl-wal`
 /// write-ahead log in `<dir>` (`wal=tmp` for a fresh temporary directory
@@ -413,21 +411,9 @@ where
         Layout {
             inner: name.to_string(),
             count: 1,
-            commit_timeout_ms: None,
         }
     };
     let fault = take_fault_plan(&mut parsed, layout.count)?;
-    // Arm the coordinator's presumed-abort timeout when asked for explicitly,
-    // or when the schedule can withhold a prepare past any finite patience.
-    let commit_timeout = layout
-        .commit_timeout_ms
-        .or_else(|| {
-            fault
-                .as_ref()
-                .filter(|plan| plan.spec().needs_commit_timeout())
-                .map(|_| DEFAULT_COMMIT_TIMEOUT_MS)
-        })
-        .map(Duration::from_millis);
     let backend = take_backend::<V>(&layout.inner, &mut parsed)?;
     parsed.finish()?;
 
@@ -469,9 +455,6 @@ where
         IntersectionPick::Min
     };
     let mut store = ShardedStore::new(shards, Arc::clone(&clock), pick).with_name(name);
-    if let Some(timeout) = commit_timeout {
-        store = store.with_commit_timeout(timeout);
-    }
     if let Some(config) = gc {
         store = store.with_gc(config);
     }
@@ -657,26 +640,20 @@ fn open_logs<V: WalValue>(
     Ok(logs)
 }
 
-/// How many copies of which engine a spec composes, and how the copies'
-/// store coordinates them.
+/// How many copies of which engine a spec composes.
 struct Layout {
     /// The engine each shard runs: the spec's own, or `sharded`'s `inner`.
     inner: String,
     count: usize,
-    commit_timeout_ms: Option<u64>,
 }
 
 /// Consumes the `sharded` engine's own parameters: `shards` (partition
-/// count, default [`DEFAULT_SHARD_COUNT`], at least 1), `inner`
+/// count, default [`DEFAULT_SHARD_COUNT`], at least 1) and `inner`
 /// (partition engine, default [`DEFAULT_SHARD_INNER`]; any MVTL-core engine
-/// name — the baselines cannot freeze intervals and are rejected) and
-/// `commit_timeout_ms` (the coordinator's prepare timeout — cross-shard
-/// commits unresolved within it are presumed aborted; schedules whose
-/// faults can outlast the coordinator's patience — `drop`/`stall` clauses —
-/// arm [`DEFAULT_COMMIT_TIMEOUT_MS`] without it). The inner engine's own
-/// parameters (`delta`, `eps`, `offset`, `timeout_ms`) are consumed with the
-/// inner engine. With `gc_ms` set, the store's one sweeper purges *all*
-/// shards under the store's aggregated low watermark.
+/// name — the baselines cannot freeze intervals and are rejected). The
+/// inner engine's own parameters (`delta`, `eps`, `offset`, `timeout_ms`)
+/// are consumed with the inner engine. With `gc_ms` set, the store's one
+/// sweeper purges *all* shards under the store's aggregated low watermark.
 fn take_sharded_layout(parsed: &mut EngineSpec) -> Result<Layout, SpecError> {
     let count = match parsed.take_parsed::<usize>("shards")? {
         None => DEFAULT_SHARD_COUNT,
@@ -699,18 +676,7 @@ fn take_sharded_layout(parsed: &mut EngineSpec) -> Result<Layout, SpecError> {
             value: inner,
         });
     }
-    let commit_timeout_ms = parsed.take_parsed::<u64>("commit_timeout_ms")?;
-    if commit_timeout_ms == Some(0) {
-        return Err(SpecError::InvalidValue {
-            param: "commit_timeout_ms".to_string(),
-            value: "0".to_string(),
-        });
-    }
-    Ok(Layout {
-        inner,
-        count,
-        commit_timeout_ms,
-    })
+    Ok(Layout { inner, count })
 }
 
 /// Consumes the shared fault-injection parameters: `fault` (a `mvtl-faults`

@@ -1,7 +1,7 @@
 //! Registry surface of the fault-injection layer: the `fault=` and
-//! `fault_seed=` parameters of every engine and the `sharded` engine's
-//! `commit_timeout_ms=` — rejection of malformed specs, composition with the
-//! background GC service, and deterministic behaviour of spec-built engines.
+//! `fault_seed=` parameters of every engine — rejection of malformed specs,
+//! composition with the background GC service, and deterministic behaviour
+//! of spec-built engines.
 
 use mvtl_common::{AbortReason, EngineExt, Key, ProcessId, TxError};
 use mvtl_registry::{build, SpecError};
@@ -45,15 +45,6 @@ fn fault_seed_requires_a_schedule() {
 }
 
 #[test]
-fn commit_timeout_must_be_positive() {
-    assert!(matches!(
-        build("sharded?commit_timeout_ms=0").map(|_| ()),
-        Err(SpecError::InvalidValue { ref param, .. }) if param == "commit_timeout_ms"
-    ));
-    assert!(build("sharded?commit_timeout_ms=100").is_ok());
-}
-
-#[test]
 fn delay_applies_to_every_engine_and_prepare_faults_need_two_shards() {
     // A round trip is a per-operation delay, which every engine has.
     for spec in [
@@ -83,16 +74,22 @@ fn delay_applies_to_every_engine_and_prepare_faults_need_two_shards() {
             "{spec} must be rejected"
         );
     }
-    // The seed still needs a schedule, and the coordinator's timeout still
-    // needs a coordinator.
+    // The seed still needs a schedule, and no engine has a coordinator
+    // timeout to set: a dropped or stalled prepare misses its deadline by
+    // itself.
     assert!(matches!(
         build("2pl?fault_seed=7").map(|_| ()),
         Err(SpecError::Malformed { .. })
     ));
-    assert!(matches!(
-        build("mvtil-late?commit_timeout_ms=10").map(|_| ()),
-        Err(SpecError::UnknownParam { .. })
-    ));
+    for spec in [
+        "mvtil-late?commit_timeout_ms=10",
+        "sharded?commit_timeout_ms=100",
+    ] {
+        assert!(
+            matches!(build(spec).map(|_| ()), Err(SpecError::UnknownParam { .. })),
+            "{spec} must be rejected"
+        );
+    }
 }
 
 #[test]
@@ -151,12 +148,10 @@ fn crash_schedule_outcomes_are_deterministic_across_builds() {
 
 #[test]
 fn stalled_prepares_time_out_through_the_registry_engine() {
-    // A spec-built engine inherits the coordinator's presumed-abort recovery:
-    // with every prepare stalled for 40 ms and 5 ms of patience, a
-    // cross-shard commit resolves quickly by PrepareTimedOut rather than
-    // waiting out the stall.
-    let engine =
-        build("sharded?shards=2&fault=stall:1.0:40&fault_seed=5&commit_timeout_ms=5").unwrap();
+    // A spec-built engine inherits presumed-abort recovery: with every
+    // prepare stalled for 40 ms, a cross-shard commit resolves quickly by
+    // PrepareTimedOut rather than waiting out the stall.
+    let engine = build("sharded?shards=2&fault=stall:1.0:40&fault_seed=5").unwrap();
     let mut tx = engine.begin(ProcessId(1));
     for k in 0..6u64 {
         tx.write(Key(k), k).unwrap();
@@ -193,7 +188,7 @@ fn churn_with_pinned_reader(engine: &dyn mvtl_common::Engine<u64>) {
     assert_eq!(anchored, Some(7));
 
     // ...while new versions pile up, GC (when attached) sweeps every 2 ms,
-    // and a stalled cross-shard commit exercises the timeout path.
+    // and a stalled cross-shard commit resolves by presumed abort.
     for round in 8..24u64 {
         let mut tx = engine.begin(ProcessId(1));
         tx.write(Key(7), round).unwrap();
@@ -220,7 +215,7 @@ fn gc_respects_the_watermark_pin_under_stalls() {
     // versions while stalled prepares are resolved by presumed abort, yet a
     // pinned reader's anchored state survives. The no-GC control fixes the
     // yardstick: same faults, same workload, nothing reclaimed.
-    let fault = "sharded?shards=2&fault=stall:1.0:20&fault_seed=9&commit_timeout_ms=5";
+    let fault = "sharded?shards=2&fault=stall:1.0:20&fault_seed=9";
     let control = build(fault).unwrap();
     churn_with_pinned_reader(control.as_ref());
     let unreclaimed = control.stats().versions;

@@ -31,8 +31,9 @@ pub trait ShardBackend<V>: Send + Sync {
     /// caller as is.
     ///
     /// Unlike an `Engine` handle, a shard handle owns what it needs
-    /// (`'static`): a coordinator whose prepare timed out returns while the
-    /// prepare still runs on a helper thread.
+    /// (`'static`): when a prepare misses its deadline, the fault layer
+    /// hands the handle to a detached thread that outlives the commit and
+    /// plays the shard's side of presumed abort.
     fn begin(&self, process: ProcessId, pinned: Option<Timestamp>) -> Box<dyn TxHandle<V>>;
 
     /// Aggregate state-size statistics of the shard (locks, versions), used

@@ -5,21 +5,24 @@
 //! schedule's per-operation delays, dropped/late prepare responses, shard
 //! stalls, crashes mid-prepare, and per-shard clock skew. The wrapped shard
 //! never knows: every fault is expressed through the ordinary participant
-//! interface, so the coordinator's timeout + presumed-abort recovery path is
-//! exercised against a *real* engine, not a mock.
+//! interface, so presumed abort is exercised against a *real* engine, not a
+//! mock. The decorator plays the network between coordinator and shard, so
+//! it is also what notices a prepare response that misses its deadline: it
+//! fails the prepare with [`AbortReason::PrepareTimedOut`] at once, and the
+//! coordinator needs no timer of its own.
 //!
 //! Fault semantics (one decision per sequence number, drawn from the plan):
 //!
 //! * **Delay** — sleep a deterministic number of microseconds before serving a
-//!   read/write/batch round or a prepared commit.
-//! * **Stall** — sleep the schedule's stall time before even serving
-//!   `prepare`; with a stall longer than the coordinator's commit timeout this
-//!   forces the presumed-abort path.
+//!   read/write or a prepared commit.
+//! * **Stall** — the shard does not serve `prepare` for the schedule's stall
+//!   time. The coordinator sees the deadline missed; a detached thread
+//!   stands in for the slow shard, which prepares once the stall ends, hears
+//!   no decision and aborts (presumed abort).
 //! * **Drop** — the prepare *succeeds* and the shard holds its frozen locks,
-//!   but the response is withheld for the schedule's hold time. The
-//!   coordinator only learns of the prepare by timing out; when the late
-//!   response finally lands, the coordinator has already abandoned the slot
-//!   and the prepared sub-transaction aborts itself (presumed abort).
+//!   but the response never arrives: the coordinator sees the deadline
+//!   missed, while a detached thread keeps the prepared sub-transaction for
+//!   the schedule's hold time and then aborts it (presumed abort).
 //! * **Crash** — the shard "dies" between `prepare` and the decision: its
 //!   volatile lock state is released (a restarted shard recovers by presumed
 //!   abort) and the coordinator sees the prepare fail with
@@ -177,6 +180,12 @@ where
             seq,
         } = *self;
         match fault {
+            None => Ok(Box::new(FaultyPrepared {
+                inner: inner.prepare()?,
+                plan,
+                shard,
+                seq,
+            })),
             Some(PrepareFault::Crash) => {
                 // The shard dies between `prepare` and the decision: whatever
                 // volatile lock state the prepare built is lost, and the
@@ -185,27 +194,38 @@ where
                 if let Ok(prepared) = inner.prepare() {
                     prepared.abort();
                 }
-                return Err(TxError::aborted(AbortReason::ParticipantCrashed {
+                Err(TxError::aborted(AbortReason::ParticipantCrashed {
                     shard: shard as u32,
-                }));
+                }))
             }
-            Some(PrepareFault::Stall(stall)) => thread::sleep(stall),
-            Some(PrepareFault::DropResponse(_)) | None => {}
+            Some(PrepareFault::DropResponse(hold)) => {
+                // The shard prepares and holds its frozen locks, but the
+                // response is lost. The participant side of presumed abort:
+                // hear no decision for `hold`, then abort.
+                if let Ok(prepared) = inner.prepare() {
+                    thread::spawn(move || {
+                        thread::sleep(hold);
+                        prepared.abort();
+                    });
+                }
+                Err(TxError::aborted(AbortReason::PrepareTimedOut {
+                    shard: shard as u32,
+                }))
+            }
+            Some(PrepareFault::Stall(stall)) => {
+                // The shard serves the prepare only after `stall`, long past
+                // the deadline, and then finds no decision: it aborts.
+                thread::spawn(move || {
+                    thread::sleep(stall);
+                    if let Ok(prepared) = inner.prepare() {
+                        prepared.abort();
+                    }
+                });
+                Err(TxError::aborted(AbortReason::PrepareTimedOut {
+                    shard: shard as u32,
+                }))
+            }
         }
-        let prepared = inner.prepare()?;
-        if let Some(PrepareFault::DropResponse(hold)) = fault {
-            // The prepare succeeded and the shard holds its frozen locks, but
-            // the response is withheld: the coordinator only learns by timing
-            // out, and this late response resolves by presumed abort (the
-            // coordinator's slot sweep aborts it on arrival).
-            thread::sleep(hold);
-        }
-        Ok(Box::new(FaultyPrepared {
-            inner: prepared,
-            plan,
-            shard,
-            seq,
-        }))
     }
 
     fn abort(self: Box<Self>) {

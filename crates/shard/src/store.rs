@@ -9,13 +9,9 @@ use mvtl_common::{
 use mvtl_core::policy::LockingPolicy;
 use mvtl_core::MvtlConfig;
 use mvtl_gc::{GcConfig, GcService, SweepTarget};
-use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
 
 /// Which timestamp the coordinator picks from the non-empty intersection of
 /// the shards' frozen intervals. Mirrors MVTIL-early / MVTIL-late (§8): any
@@ -68,11 +64,6 @@ pub struct ShardedStore<V> {
     pick: IntersectionPick,
     /// What [`Engine::name`] reports.
     name: &'static str,
-    /// How long the coordinator waits for all participants' `prepare`
-    /// responses before resolving the commit by presumed abort. `None`
-    /// (the default) runs prepares inline with no timeout — the friendly-
-    /// machine fast path with zero threading overhead.
-    commit_timeout: Option<Duration>,
 }
 
 /// Everything a GC sweep of a [`ShardedStore`] reaches, shared between the
@@ -103,20 +94,6 @@ impl<V: 'static> SweepTarget for Shards<V> {
     }
 }
 
-/// The coordinator's view of one participant's in-flight `prepare` when a
-/// commit timeout is armed: the helper thread and the coordinator race for
-/// the slot, and whoever loses the race is responsible for aborting an
-/// undecided prepared sub-transaction (the presumed-abort rule).
-enum PrepareSlot<V> {
-    /// The helper thread has not delivered yet.
-    Pending,
-    /// The helper delivered its prepare result; the coordinator takes it.
-    Delivered(Result<Box<dyn PreparedTxn<V>>, TxError>),
-    /// The coordinator gave up (timeout or another shard's failure) before
-    /// delivery: a late-arriving successful prepare must abort itself.
-    Abandoned,
-}
-
 impl<V> ShardedStore<V>
 where
     V: Clone + Send + Sync + 'static,
@@ -142,7 +119,6 @@ where
             clock,
             pick,
             name: "sharded",
-            commit_timeout: None,
         }
     }
 
@@ -151,20 +127,6 @@ where
     #[must_use]
     pub fn with_name(mut self, name: &'static str) -> Self {
         self.name = name;
-        self
-    }
-
-    /// Arms the coordinator's prepare timeout: a cross-shard commit whose
-    /// participants have not all answered `prepare` within `timeout` is
-    /// resolved by **presumed abort** — every delivered prepared
-    /// sub-transaction is aborted, undelivered ones abort themselves on
-    /// arrival, and the commit fails with
-    /// [`AbortReason::PrepareTimedOut`]. Without a timeout (the default)
-    /// prepares run inline and a stalled shard blocks the commit
-    /// indefinitely.
-    #[must_use]
-    pub fn with_commit_timeout(mut self, timeout: Duration) -> Self {
-        self.commit_timeout = Some(timeout);
         self
     }
 
@@ -238,22 +200,25 @@ where
         self.shards.list.iter().map(|s| s.stats()).collect()
     }
 
-    /// Phase 1 without a timeout: prepare participants inline, one after the
-    /// other. A failing shard has already released its own state; the
-    /// coordinator releases everyone else's.
+    /// Phase 1: prepare participants inline, one after the other. A failing
+    /// shard has already released its own state; the coordinator releases
+    /// everyone else's. A participant that misses its deadline fails its
+    /// prepare with [`AbortReason::PrepareTimedOut`] (the fault layer
+    /// reports the miss), and is resolved by presumed abort like any other
+    /// failure.
     fn prepare_inline(
-        participants: Vec<(usize, Box<dyn TxHandle<V>>)>,
+        participants: Vec<Box<dyn TxHandle<V>>>,
     ) -> Result<Vec<Box<dyn PreparedTxn<V>>>, TxError> {
         let mut prepared: Vec<Box<dyn PreparedTxn<V>>> = Vec::with_capacity(participants.len());
         let mut participants = participants.into_iter();
-        for (_, sub) in participants.by_ref() {
+        for sub in participants.by_ref() {
             match sub.prepare() {
                 Ok(p) => prepared.push(p),
                 Err(err) => {
                     for p in prepared {
                         p.abort();
                     }
-                    for (_, sub) in participants {
+                    for sub in participants {
                         sub.abort();
                     }
                     return Err(err);
@@ -263,133 +228,16 @@ where
         Ok(prepared)
     }
 
-    /// Phase 1 with a timeout: prepares run on helper threads and the
-    /// coordinator collects responses until `timeout` elapses. Recovery is
-    /// **presumed abort** — on timeout (or any shard's prepare failing) every
-    /// delivered prepared sub-transaction is aborted and every undelivered
-    /// slot is marked [`PrepareSlot::Abandoned`], so a late-arriving
-    /// successful prepare aborts itself instead of stranding frozen locks.
-    /// Every prepared sub-transaction therefore receives an *explicit*
-    /// decision: nothing is leaked, nothing is dropped undecided.
-    fn prepare_with_timeout(
-        participants: Vec<(usize, Box<dyn TxHandle<V>>)>,
-        timeout: Duration,
-    ) -> Result<Vec<Box<dyn PreparedTxn<V>>>, TxError> {
-        let count = participants.len();
-        let shard_ids: Vec<usize> = participants.iter().map(|(shard, _)| *shard).collect();
-        let slots: Vec<Arc<Mutex<PrepareSlot<V>>>> = (0..count)
-            .map(|_| Arc::new(Mutex::named("shard.prepare_slot", 40, PrepareSlot::Pending)))
-            .collect();
-        let (done_tx, done_rx) = mpsc::channel::<usize>();
-        for (idx, (_, sub)) in participants.into_iter().enumerate() {
-            let slot = Arc::clone(&slots[idx]);
-            let done = done_tx.clone();
-            thread::spawn(move || {
-                let result = sub.prepare();
-                let mut state = slot.lock();
-                if matches!(*state, PrepareSlot::Abandoned) {
-                    // The coordinator already resolved the commit by
-                    // presumed abort; release this late prepare's locks.
-                    drop(state);
-                    if let Ok(p) = result {
-                        p.abort();
-                    }
-                } else {
-                    *state = PrepareSlot::Delivered(result);
-                    drop(state);
-                    let _ = done.send(idx);
-                }
-            });
-        }
-        drop(done_tx);
-
-        let deadline = Instant::now() + timeout;
-        let mut prepared: Vec<Option<Box<dyn PreparedTxn<V>>>> = (0..count).map(|_| None).collect();
-        let mut remaining = count;
-        let mut failure: Option<TxError> = None;
-        while remaining > 0 {
-            let timed_out = |slots: &[Arc<Mutex<PrepareSlot<V>>>]| {
-                // Name a shard that had not answered when the timeout fired.
-                let shard = slots
-                    .iter()
-                    .position(|s| matches!(*s.lock(), PrepareSlot::Pending))
-                    .map_or(0, |idx| shard_ids[idx]);
-                TxError::aborted(AbortReason::PrepareTimedOut {
-                    shard: shard as u32,
-                })
-            };
-            let Some(wait) = deadline.checked_duration_since(Instant::now()) else {
-                failure = Some(timed_out(&slots));
-                break;
-            };
-            match done_rx.recv_timeout(wait) {
-                Ok(idx) => {
-                    let state = std::mem::replace(&mut *slots[idx].lock(), PrepareSlot::Pending);
-                    match state {
-                        PrepareSlot::Delivered(Ok(p)) => {
-                            prepared[idx] = Some(p);
-                            remaining -= 1;
-                        }
-                        PrepareSlot::Delivered(Err(err)) => {
-                            failure = Some(err);
-                            break;
-                        }
-                        _ => {
-                            failure = Some(TxError::Internal(
-                                "prepare slot signalled without a delivery".into(),
-                            ));
-                            break;
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    failure = Some(timed_out(&slots));
-                    break;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    failure = Some(TxError::Internal(
-                        "prepare worker vanished before delivering".into(),
-                    ));
-                    break;
-                }
-            }
-        }
-
-        if let Some(err) = failure {
-            // Presumed abort: explicitly abort everything delivered, and
-            // abandon every other slot so its helper aborts on arrival.
-            for p in prepared.iter_mut().filter_map(Option::take) {
-                p.abort();
-            }
-            for slot in &slots {
-                let state = std::mem::replace(&mut *slot.lock(), PrepareSlot::Abandoned);
-                if let PrepareSlot::Delivered(Ok(p)) = state {
-                    p.abort();
-                }
-            }
-            return Err(err);
-        }
-        // Every slot delivered: `remaining` reached zero.
-        prepared
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| TxError::Internal("a prepare slot was never delivered".into()))
-    }
-
     /// The §7 coordinator: prepare every participant, intersect the frozen
     /// intervals, then commit everywhere at one common timestamp — or abort
     /// everywhere when the intersection is empty.
     fn commit_cross_shard(
         &self,
         tx: TxId,
-        participants: Vec<(usize, Box<dyn TxHandle<V>>)>,
+        participants: Vec<Box<dyn TxHandle<V>>>,
     ) -> Result<CommitInfo, TxError> {
-        // Phase 1: freeze each participant's interval — inline on the
-        // friendly path, with timeout + presumed-abort recovery when armed.
-        let prepared = match self.commit_timeout {
-            None => Self::prepare_inline(participants)?,
-            Some(timeout) => Self::prepare_with_timeout(participants, timeout)?,
-        };
+        // Phase 1: freeze each participant's interval.
+        let prepared = Self::prepare_inline(participants)?;
 
         // Phase 2: intersect the frozen intervals.
         let mut intersection: TsSet = prepared[0].interval().clone();
@@ -534,12 +382,8 @@ where
         // holds its own (shard-level) pin, so release before coordinating.
         self.unpin();
         self.check_live()?;
-        let mut participants: Vec<(usize, Box<dyn TxHandle<V>>)> = self
-            .subs
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(shard, sub)| sub.take().map(|sub| (shard, sub)))
-            .collect();
+        let mut participants: Vec<Box<dyn TxHandle<V>>> =
+            self.subs.iter_mut().filter_map(Option::take).collect();
         if participants.len() > 1 {
             return self.store.commit_cross_shard(self.id, participants);
         }
@@ -553,7 +397,7 @@ where
             }),
             // Single-shard fast path: the shard policy picks the timestamp,
             // exactly as in the non-partitioned engine.
-            Some((_, sub)) => sub.commit().map(|mut info| {
+            Some(sub) => sub.commit().map(|mut info| {
                 info.tx = self.id;
                 info
             }),

@@ -35,7 +35,6 @@ fn faulty_store(
     shards: usize,
     schedule: &str,
     fault_seed: u64,
-    timeout: Option<Duration>,
 ) -> (ShardedStore<u64>, Arc<Probe>, Arc<FaultPlan>) {
     let clock: Arc<dyn mvtl_clock::ClockSource> = Arc::new(GlobalClock::starting_at(10_000));
     let probe = Arc::new(Probe::default());
@@ -53,10 +52,7 @@ fn faulty_store(
             probed(FaultyBackend::wrap(inner, Arc::clone(&plan), shard), &probe)
         })
         .collect();
-    let mut store = ShardedStore::new(backends, clock, IntersectionPick::Min);
-    if let Some(timeout) = timeout {
-        store = store.with_commit_timeout(timeout);
-    }
+    let store = ShardedStore::new(backends, clock, IntersectionPick::Min);
     (store, probe, plan)
 }
 
@@ -130,8 +126,8 @@ fn cross_shard_workload(store: &ShardedStore<u64>, txns: usize, seed: u64) -> Wo
     workload
 }
 
-/// Waits for the store to quiesce: late helper threads (withheld prepare
-/// responses, stalls) must resolve by presumed abort, releasing every
+/// Waits for the store to quiesce: the shards behind withheld prepare
+/// responses and stalls must resolve by presumed abort, releasing every
 /// shard-level GC pin.
 fn wait_for_quiesce(store: &ShardedStore<u64>) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -162,11 +158,9 @@ fn primary_kind(name: &str) -> FaultKind {
 fn named_schedules_stay_serializable_and_leak_free() {
     for (name, schedule) in named_schedules() {
         for shards in [2usize, 8] {
-            // Drop/stall holds (30 ms) dwarf the 10 ms coordinator timeout,
-            // so those schedules force the presumed-abort path; the delay
-            // schedule's ≤200 µs delays never trip it.
-            let (store, probe, plan) =
-                faulty_store(shards, schedule, 0xFA01, Some(Duration::from_millis(10)));
+            // Every drop/stall misses its deadline and forces the
+            // presumed-abort path; delays never do.
+            let (store, probe, plan) = faulty_store(shards, schedule, 0xFA01);
             let workload = cross_shard_workload(&store, 32, 0xC0FFEE ^ shards as u64);
             let report = replay(&store, &workload, |v| v);
 
@@ -196,13 +190,18 @@ fn named_schedules_stay_serializable_and_leak_free() {
 #[test]
 fn fault_trace_is_byte_identical_across_runs() {
     // Single-threaded replay + per-(shard, seq) decisions ⇒ the fault trace
-    // and the commit/abort split are exactly reproducible from the seeds.
-    // No commit timeout is armed: that keeps phase 1 on the inline sequential
-    // path (helper threads would interleave trace lines at the scheduler's
-    // whim), and delay+crash+skew clauses never need presumed abort anyway.
+    // and the commit/abort split are exactly reproducible from the seeds,
+    // for every fault kind. Phase 1 runs on the replay's thread, and a
+    // dropped or stalled prepare fails there at once; the detached thread
+    // that later aborts it draws no decision. Its 1 s hold outlasts the
+    // replay, so the locks it keeps are held for the whole run, never
+    // released mid-replay at the scheduler's whim.
     let run = |fault_seed: u64| {
-        let (store, _probe, plan) =
-            faulty_store(4, "delay:0.4:120|crash:0.2|skew:64", fault_seed, None);
+        let (store, _probe, plan) = faulty_store(
+            4,
+            "delay:0.4:120|crash:0.2|skew:64|drop:0.1:1000|stall:0.1:1000",
+            fault_seed,
+        );
         let workload = cross_shard_workload(&store, 40, 7);
         let report = replay(&store, &workload, |v| v);
         wait_for_quiesce(&store);
@@ -211,7 +210,12 @@ fn fault_trace_is_byte_identical_across_runs() {
     let (trace_a, commits_a, aborts_a) = run(99);
     let (trace_b, commits_b, aborts_b) = run(99);
     assert_eq!(trace_a, trace_b, "fault trace must be byte-identical");
-    assert!(!trace_a.is_empty(), "schedule must inject something");
+    for kind in FaultKind::ALL {
+        assert!(
+            trace_a.contains(&format!("{} shard=", kind.label())),
+            "schedule must inject {kind:?}"
+        );
+    }
     assert_eq!(commits_a, commits_b);
     assert_eq!(aborts_a, aborts_b);
 
@@ -222,13 +226,12 @@ fn fault_trace_is_byte_identical_across_runs() {
 
 #[test]
 fn stalled_shard_is_resolved_by_coordinator_timeout() {
-    // Every prepare stalls 1.5 s; the coordinator's patience is 5 ms. The
-    // commit must resolve by presumed abort rather than hanging until the
-    // shard answers. The stall is deliberately huge relative to the bound
-    // below: the assertion only has to distinguish "timed out" from "waited
-    // out the stall", so a loaded CI machine adding tens of milliseconds of
-    // scheduling noise cannot flip it.
-    let (store, probe, plan) = faulty_store(2, "stall:1.0:1500", 1, Some(Duration::from_millis(5)));
+    // Every prepare stalls 1.5 s. The commit must resolve by presumed abort
+    // rather than hanging until the shard answers. The stall is deliberately
+    // huge relative to the bound below: the assertion only has to
+    // distinguish "timed out" from "waited out the stall", so a loaded CI
+    // machine adding tens of milliseconds of scheduling noise cannot flip it.
+    let (store, probe, plan) = faulty_store(2, "stall:1.0:1500", 1);
     let a = store.key_on_shard(0, 0);
     let b = store.key_on_shard(1, 0);
     let mut txn = store.begin(ProcessId(1));
@@ -249,8 +252,8 @@ fn stalled_shard_is_resolved_by_coordinator_timeout() {
         "coordinator waited out the stall instead of timing out ({elapsed:?})"
     );
     assert!(plan.count(FaultKind::Stall) > 0);
-    // The stalled helpers eventually prepare, find their slots abandoned, and
-    // abort themselves: no pins, no undecided drops, no leftover locks.
+    // The stalled shards eventually prepare, hear no decision, and abort:
+    // no pins, no undecided drops, no leftover locks.
     wait_for_quiesce(&store);
     assert_eq!(probe.dropped_undecided.load(Ordering::Relaxed), 0);
     assert_eq!(
@@ -262,24 +265,32 @@ fn stalled_shard_is_resolved_by_coordinator_timeout() {
 
 #[test]
 fn withheld_prepare_response_resolves_by_presumed_abort() {
-    // The shard *does* prepare (frozen locks held!) but withholds the
-    // response past the coordinator's patience: the late success must abort
-    // itself when it finds its slot abandoned.
-    let (store, probe, plan) = faulty_store(2, "drop:1.0:60", 2, Some(Duration::from_millis(5)));
+    // The shard *does* prepare (frozen locks held!) but its response is
+    // lost: the coordinator fails the commit at once, and the shard aborts
+    // after its hold, hearing no decision. The 500 ms hold leaves a loaded
+    // machine ample time to see the locks still held after the commit.
+    let (store, probe, plan) = faulty_store(2, "drop:1.0:500", 2);
     let a = store.key_on_shard(0, 0);
     let b = store.key_on_shard(1, 0);
     let mut txn = store.begin(ProcessId(1));
     txn.write(a, 1).unwrap();
     txn.write(b, 2).unwrap();
     let err = txn.commit().expect_err("withheld prepares cannot commit");
+    let Some(AbortReason::PrepareTimedOut { shard }) = err.abort_reason() else {
+        panic!("got {err:?}");
+    };
+    // The timeout names a shard whose response the plan dropped.
+    let dropped = format!("drop shard={shard} ");
     assert!(
-        matches!(
-            err.abort_reason(),
-            Some(AbortReason::PrepareTimedOut { .. })
-        ),
-        "got {err:?}"
+        plan.trace().iter().any(|line| line.starts_with(&dropped)),
+        "timeout names shard {shard}, whose prepare was not dropped: {:?}",
+        plan.trace()
     );
-    assert!(plan.count(FaultKind::DropPrepare) > 0);
+    // The lost response's prepare still holds its frozen locks...
+    assert!(
+        store.stats().lock_entries > 0,
+        "the withheld prepare released its frozen locks before its hold"
+    );
     wait_for_quiesce(&store);
     assert_eq!(probe.dropped_undecided.load(Ordering::Relaxed), 0);
     assert_eq!(
@@ -289,7 +300,7 @@ fn withheld_prepare_response_resolves_by_presumed_abort() {
     );
     // With the locks released, the same keys commit again through a
     // fault-free store sharing nothing with the failed attempt.
-    let (clean, _, _) = faulty_store(2, "", 0, None);
+    let (clean, _, _) = faulty_store(2, "", 0);
     let mut txn = clean.begin(ProcessId(2));
     txn.write(a, 10).unwrap();
     txn.write(b, 20).unwrap();
@@ -301,7 +312,7 @@ fn crash_mid_prepare_aborts_the_whole_transaction() {
     // A certain crash: the participant loses its volatile lock state between
     // prepare and the decision, the coordinator learns in phase 1, and the
     // whole transaction aborts — atomically, with no partial installs.
-    let (store, probe, plan) = faulty_store(2, "crash:1.0", 3, None);
+    let (store, probe, plan) = faulty_store(2, "crash:1.0", 3);
     let a = store.key_on_shard(0, 0);
     let b = store.key_on_shard(1, 0);
     let baseline = store.stats();
@@ -329,27 +340,13 @@ fn skewed_clocks_still_intersect_to_one_timestamp() {
     // The ε-clock scenario: every shard reads a skewed clock, yet a committed
     // cross-shard transaction still installs one common timestamp everywhere.
     let schedule = named_schedule("skewed-clock").expect("named schedule");
-    let (store, _probe, plan) = faulty_store(4, schedule, 5, None);
+    let (store, _probe, plan) = faulty_store(4, schedule, 5);
     let workload = cross_shard_workload(&store, 24, 11);
     let report = replay(&store, &workload, |v| v);
     check_serializable(&report.history).expect("serializable under skew");
     assert!(plan.count(FaultKind::Skew) > 0, "skew must be applied");
     assert!(report.commits() > 0, "skew must not abort everything");
     wait_for_quiesce(&store);
-}
-
-#[test]
-fn commit_timeout_alone_does_not_disturb_healthy_commits() {
-    // Arming the timeout switches phase 1 onto helper threads; on a healthy
-    // store that must change nothing observable.
-    let (store, probe, plan) = faulty_store(4, "", 0, Some(Duration::from_millis(200)));
-    let workload = cross_shard_workload(&store, 24, 13);
-    let report = replay(&store, &workload, |v| v);
-    check_serializable(&report.history).expect("serializable");
-    assert_eq!(plan.total_injected(), 0, "empty schedule injects nothing");
-    assert!(report.commits() > 0);
-    wait_for_quiesce(&store);
-    assert_eq!(probe.dropped_undecided.load(Ordering::Relaxed), 0);
 }
 
 #[test]
