@@ -25,9 +25,13 @@ pub struct StoreStats {
     pub versions: usize,
     /// Total versions removed by purging so far.
     pub purged_versions: usize,
-    /// Total interval lock entries currently stored.
+    /// Total interval lock entries currently stored. For the MVTL engines
+    /// these are the live entries plus the frozen read runs, one per version
+    /// a committed transaction read; their frozen write points are the
+    /// [`versions`](StoreStats::versions) themselves.
     pub lock_entries: usize,
-    /// How many of those lock entries are frozen.
+    /// How many of those lock entries are frozen: for the MVTL engines, the
+    /// read runs.
     pub frozen_lock_entries: usize,
 }
 

@@ -11,11 +11,24 @@
 //! the stripe's open-addressed [`StripeMap`], guarded by the *stripe* latch,
 //! and spill storage for version-heavy keys comes from the stripe's
 //! [`ChainArena`].
+//!
+//! Frozen locks live on the versions (§6: lock state "can be discarded when
+//! the associated version of the object is purged"). A committed write's
+//! frozen write lock *is* its version, and the frozen read locks of the
+//! committed readers of a version are one run `[version+1, read_hw]`, kept
+//! as the version's read high-water mark ([`ArenaChain::raise_read_hw`]) —
+//! §3's reading of MVTO+'s per-version read timestamp as one frozen read
+//! lock. A read run never spans a newer version, because no writer can
+//! commit inside a live read lock, so the versions and their runs are
+//! exactly the frozen part of one freezable lock per timestamp (§4.2). The
+//! [`KeyLockState`] holds only live entries, each owned by a transaction.
 
+use mvtl_common::{LockMode, Timestamp, TsRange, TsSet, TxId};
 use mvtl_locks::KeyLockState;
 use mvtl_storage::{ArenaChain, ChainArena, StripeMap};
 
-/// Per-key state: the interval lock table and the committed version chain.
+/// Per-key state: the live interval locks and the committed version chain,
+/// which carries the frozen ones.
 #[derive(Debug)]
 pub(crate) struct KeyData<V> {
     pub locks: KeyLockState,
@@ -32,14 +45,109 @@ impl<V> Default for KeyData<V> {
 }
 
 impl<V: Clone> KeyData<V> {
-    /// Whether the cell holds no state worth keeping (no locks, no versions):
-    /// such cells are reclaimed by [`purge_below`](crate::MvtlStore::purge_below).
+    /// The oldest frozen lock a read of `range` conflicts with: the oldest
+    /// version inside it (frozen read runs never block readers).
+    pub(crate) fn first_frozen_read_conflict(&self, range: TsRange) -> Option<Timestamp> {
+        self.versions
+            .first_at_or_after(range.start)
+            .filter(|&version| version <= range.end)
+    }
+
+    /// Removes from `grantable` every timestamp of `range` a write conflicts
+    /// with frozen: the versions and their read runs overlapping `range`.
+    pub(crate) fn remove_frozen_write_conflicts(&self, range: TsRange, grantable: &mut TsSet) {
+        for span in self.versions.spans(range) {
+            grantable.remove_range(span);
+        }
+    }
+
+    /// The frozen conflicts of a request in `mode` on `range`.
+    #[cfg(test)]
+    pub(crate) fn frozen_conflicts(&self, mode: LockMode, range: TsRange) -> TsSet {
+        let mut conflicts = TsSet::new();
+        match mode {
+            LockMode::Read => {
+                let mut rest = Some(range);
+                while let Some(version) = rest.and_then(|r| self.first_frozen_read_conflict(r)) {
+                    conflicts.insert(version);
+                    rest = (version < range.end).then(|| TsRange::new(version.succ(), range.end));
+                }
+            }
+            LockMode::Write => {
+                for span in self.versions.spans(range) {
+                    conflicts.insert_range(span.intersection(&range).expect("spans overlap"));
+                }
+            }
+        }
+        conflicts
+    }
+
+    /// Algorithm 1 lines 17-21 on one key for `owner` committing at
+    /// `commit_ts`. A written `value` becomes the version at `commit_ts`,
+    /// which is the frozen write lock. With `gc`, each version the owner
+    /// read below `commit_ts` has its read run raised to `commit_ts` and the
+    /// owner's live locks are released; without it they stay, minus the
+    /// commit point of a write.
+    pub(crate) fn commit(
+        &mut self,
+        owner: TxId,
+        commit_ts: Timestamp,
+        value: Option<V>,
+        reads: impl Iterator<Item = Timestamp>,
+        gc: bool,
+        arena: &mut ChainArena<V>,
+    ) {
+        let written = value.is_some();
+        if let Some(value) = value {
+            self.versions.install(commit_ts, value, arena);
+        }
+        if gc {
+            for version in reads.filter(|&version| version < commit_ts) {
+                self.versions.raise_read_hw(version, commit_ts);
+            }
+            self.locks.release_unfrozen(owner);
+        } else if written {
+            self.locks
+                .release_unfrozen_range(owner, LockMode::Write, TsRange::point(commit_ts));
+        }
+    }
+
+    /// The §6 purge of one key: versions below `bound` except the newest one
+    /// go, their read runs with them, and live entries that end below
+    /// `bound`. Returns the versions and the lock entries (live entries and
+    /// read runs) removed.
+    pub(crate) fn purge_below(
+        &mut self,
+        bound: Timestamp,
+        arena: &mut ChainArena<V>,
+    ) -> (usize, usize) {
+        // Only a chain whose oldest version lies below the bound loses runs.
+        let touched = self
+            .versions
+            .first_at_or_after(Timestamp::ZERO)
+            .is_some_and(|oldest| oldest < bound);
+        let runs = |chain: &ArenaChain<V>| if touched { chain.stats().read_runs } else { 0 };
+        let runs_before = runs(&self.versions);
+        let versions = self.versions.purge_below(bound, arena);
+        let runs_removed = runs_before - runs(&self.versions);
+        (versions, runs_removed + self.locks.purge_below(bound))
+    }
+
+    /// Whether the cell holds no state worth keeping after a purge at
+    /// `bound`: no live locks, no versions and no read run of `⊥` reaching
+    /// the bound. Such cells are reclaimed by
+    /// [`purge_below`](crate::MvtlStore::purge_below).
     ///
     /// A chain that has purged versions always retains at least the newest
     /// purged-below version, so reclaiming an idle cell never discards a
     /// purge bound a reader could still trip over.
-    pub(crate) fn is_idle(&self) -> bool {
-        self.locks.is_empty() && self.versions.is_empty()
+    pub(crate) fn is_idle(&self, bound: Timestamp) -> bool {
+        self.locks.is_empty()
+            && self.versions.is_empty()
+            && self
+                .versions
+                .read_hw(Timestamp::ZERO)
+                .is_none_or(|hw| hw < bound)
     }
 }
 
@@ -59,3 +167,7 @@ impl<V> Default for CoreStripe<V> {
         }
     }
 }
+
+#[cfg(test)]
+#[path = "cell_tests.rs"]
+mod tests;

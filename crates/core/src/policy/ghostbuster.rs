@@ -167,8 +167,10 @@ mod tests {
         let mut tx = store.begin(ProcessId(1));
         assert_eq!(store.read(&mut tx, Key(9)).unwrap(), Some(1));
         store.commit(tx).unwrap();
-        // GC on commit freezes the read locks, so lock entries are all frozen.
+        // GC on commit releases every live lock: what remains is the version
+        // (the frozen write lock) and its one frozen read run.
         let stats = store.stats();
-        assert_eq!(stats.lock_entries, stats.frozen_lock_entries);
+        assert_eq!(stats.versions, 1);
+        assert_eq!((stats.lock_entries, stats.frozen_lock_entries), (1, 1));
     }
 }

@@ -403,8 +403,9 @@ where
     }
 
     /// The commit tail shared by [`MvtlStore::commit`] and
-    /// [`MvtlStore::commit_prepared`]: installs versions, freezes write locks
-    /// at `commit_ts` and garbage collects per policy. `commit_ts` must be a
+    /// [`MvtlStore::commit_prepared`]: installs versions (each one the frozen
+    /// write lock at `commit_ts`) and garbage collects per policy, raising
+    /// the read runs of the versions read. `commit_ts` must be a
     /// member of the transaction's commit candidates.
     ///
     /// One pass over the keys the transaction holds locks on, one stripe
@@ -426,30 +427,15 @@ where
             if value.is_none() && !gc {
                 continue;
             }
+            // Lines 17-21 under one latch, so observers never see a
+            // committed version without its frozen read runs.
+            let reads = tx
+                .read_set
+                .iter()
+                .filter(|(k, _)| *k == key)
+                .map(|(_, version)| *version);
             self.with_cell_notify(key, |data, arena| {
-                // Lines 17-19: freeze the write lock at the commit timestamp
-                // and expose the committed value under the same latch, so
-                // observers never see a frozen write lock without its version.
-                if let Some(value) = value {
-                    data.locks
-                        .freeze(tx.id, LockMode::Write, TsRange::point(commit_ts));
-                    data.versions.install(commit_ts, value, arena);
-                }
-                if gc {
-                    // Freeze the read locks between each version read and the
-                    // commit timestamp, then release every other unfrozen lock.
-                    for (_, version) in tx.read_set.iter().filter(|(k, _)| *k == key) {
-                        let start = version.succ();
-                        if start <= commit_ts {
-                            data.locks.freeze(
-                                tx.id,
-                                LockMode::Read,
-                                TsRange::new(start, commit_ts),
-                            );
-                        }
-                    }
-                    data.locks.release_unfrozen(tx.id);
-                }
+                data.commit(tx.id, commit_ts, value, reads, gc, arena);
             });
         }
         assert!(write_values.is_empty(), "a written key holds no lock");
@@ -533,16 +519,18 @@ where
     }
 
     /// Purges versions (and the associated lock state) older than `bound`,
-    /// keeping the most recent version of each key (§6, §8.1). Returns the
-    /// number of versions and lock entries removed.
+    /// keeping the most recent version of each key, read run included (§6,
+    /// §8.1). Returns the number of versions and lock entries (live entries
+    /// and read runs) removed.
     ///
     /// Purging is only *safe* (no `VersionPurged` aborts of live
     /// transactions) when `bound` does not exceed
     /// [`MvtlStore::low_watermark`]; the `mvtl-gc` service maintains that
     /// invariant automatically. Cells whose version chain is empty (only the
-    /// implicit `⊥`) and whose lock table is empty after the purge are
-    /// removed from the key map entirely, so keys that were only ever read —
-    /// or whose writers all aborted — stop occupying memory. Reclamation is
+    /// implicit `⊥`, with no read run reaching `bound`) and whose lock table
+    /// is empty after the purge are removed from the key map entirely, so
+    /// keys that were only ever read — or whose writers all aborted — stop
+    /// occupying memory. Reclamation is
     /// safe under the stripe latch alone: nothing holds a reference to a cell
     /// across a latch release, and waiters re-probe their key after waking.
     pub fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
@@ -553,9 +541,10 @@ where
                 let mut guard = stripe.data.lock();
                 let CoreStripe { map, arena } = &mut *guard;
                 map.retain(|_, data| {
-                    versions_removed += data.versions.purge_below(bound, arena);
-                    locks_removed += data.locks.purge_below(bound);
-                    if data.is_idle() {
+                    let (versions, locks) = data.purge_below(bound, arena);
+                    versions_removed += versions;
+                    locks_removed += locks;
+                    if data.is_idle(bound) {
                         data.versions.release(arena);
                         false
                     } else {
@@ -596,9 +585,10 @@ where
                 let vs = data.versions.stats();
                 stats.versions += vs.versions;
                 stats.purged_versions += vs.purged;
-                let ls = data.locks.stats();
-                stats.lock_entries += ls.entries;
-                stats.frozen_lock_entries += ls.frozen_entries;
+                // The frozen write locks are the versions; the frozen read
+                // runs are the read versions' high-water marks.
+                stats.lock_entries += data.locks.stats().entries + vs.read_runs;
+                stats.frozen_lock_entries += vs.read_runs;
             }
         }
         stats
@@ -665,24 +655,20 @@ where
                 });
             }
             let desired = TsRange::new(anchor.succ(), upper);
-            let analysis = data.locks.analyze(tx.id, LockMode::Read, desired);
-            if analysis.hit_frozen() {
-                // A frozen write lock inside the window means a newer version
-                // exists (or is sealed) there; shrink the window to end just
-                // below it and retry, re-anchoring on the newer version when
-                // it is visible.
-                let frozen_at = analysis
-                    .first_frozen()
-                    .expect("hit_frozen implies a frozen point");
-                if frozen_at <= anchor.succ() {
+            if let Some(version) = data.first_frozen_read_conflict(desired) {
+                // A newer version inside the window is a frozen write lock;
+                // shrink the window to end just below it and retry,
+                // re-anchoring on the newer version when it is visible.
+                if version <= anchor.succ() {
                     return Ok(ReadGrant {
                         version: anchor,
                         granted: TsSet::new(),
                     });
                 }
-                upper = frozen_at.pred();
+                upper = version.pred();
                 continue;
             }
+            let analysis = data.locks.analyze(tx.id, LockMode::Read, desired);
             if !analysis.blocked_unfrozen.is_empty() {
                 if wait {
                     if stripe.changed.wait_until(&mut guard, deadline).timed_out() {
@@ -732,7 +718,8 @@ where
                 }
                 continue;
             }
-            let granted = analysis.grantable;
+            let mut granted = analysis.grantable;
+            data.remove_frozen_write_conflicts(desired, &mut granted);
             data.locks.acquire(tx.id, LockMode::Write, &granted);
             tx.record_write_locks(key, &granted);
             return Ok(granted);
@@ -871,8 +858,19 @@ mod tests {
         let stats = s.stats();
         assert_eq!(stats.keys, 5);
         assert_eq!(stats.versions, 5);
-        assert!(stats.lock_entries >= 5);
-        assert!(stats.frozen_lock_entries >= 5);
+        // The frozen write locks are the versions, not lock entries.
+        assert_eq!(stats.frozen_lock_entries, 0);
+        // MVTL-TO does not garbage collect on commit: a committed reader's
+        // read locks stay live, one entry per key.
+        let before = stats.lock_entries;
+        let mut tx = s.begin(ProcessId(0));
+        for i in 0..5u64 {
+            assert_eq!(s.read(&mut tx, Key(i)).unwrap(), Some(i));
+        }
+        s.commit(tx).unwrap();
+        let stats = s.stats();
+        assert_eq!(stats.lock_entries, before + 5);
+        assert_eq!(stats.frozen_lock_entries, 0);
     }
 
     #[test]
@@ -1010,27 +1008,34 @@ mod tests {
             .unwrap_or_default()
     }
 
-    /// The timestamps of `key`'s ownerless frozen runs in `mode`.
+    /// The frozen timestamps of `key` in `mode`, read off its version chain:
+    /// for writes the versions themselves, for reads the read runs the
+    /// versions' high-water marks stand for, minus the versions. The lock
+    /// table itself holds no frozen entry.
     fn frozen<P: LockingPolicy>(s: &MvtlStore<u64, P>, key: Key, mode: LockMode) -> TsSet {
         let guard = s.cells.stripe_for(key).data.lock();
         let Some(data) = guard.map.get(key) else {
             return TsSet::new();
         };
-        TsSet::from_ranges(
-            data.locks
-                .entries()
-                .iter()
-                .filter(|e| e.frozen && e.mode == mode)
-                .map(|e| e.range),
-        )
+        assert!(
+            data.locks.entries().iter().all(|e| !e.frozen),
+            "{key:?}: frozen entry in the lock table"
+        );
+        let versions = data.frozen_conflicts(LockMode::Read, TsRange::all());
+        match mode {
+            LockMode::Write => versions,
+            LockMode::Read => data
+                .frozen_conflicts(LockMode::Write, TsRange::all())
+                .difference(&versions),
+        }
     }
 
     /// Commits one transaction through the prepare path (so the lock mirror
     /// includes commit-time locks) and checks what it leaves on every key it
     /// touched against Algorithm 1's commit and `gc`, computed from the
-    /// mirror: the frozen write point on each written key; with `commit_gc`
-    /// the frozen read run `[version+1, commit_ts]` of each read and nothing
-    /// unfrozen; without it every other lock untouched.
+    /// mirror: the version (frozen write point) on each written key; with
+    /// `commit_gc` the frozen read run `[version+1, commit_ts]` of each read
+    /// and nothing unfrozen; without it every other lock untouched.
     fn check_commit_end_state<P: LockingPolicy>(
         s: &MvtlStore<u64, P>,
         process: ProcessId,
@@ -1161,15 +1166,20 @@ mod tests {
         let mut tx = s.begin(ProcessId(0));
         s.write(&mut tx, Key(1), 7).unwrap();
         s.commit(tx).unwrap();
+        let mut last = Timestamp::ZERO;
         for _ in 0..256 {
             let mut tx = s.begin(ProcessId(1));
             assert_eq!(s.read(&mut tx, Key(1)).unwrap(), Some(7));
-            s.commit(tx).unwrap();
+            last = s.commit(tx).unwrap().commit_ts.unwrap();
         }
-        // The version's frozen write point and one merged read run, not one
-        // entry per reader.
+        // One read run on the version, not one entry per reader: the
+        // version's read high-water mark is the last reader's commit.
         let stats = s.stats();
-        assert_eq!((stats.lock_entries, stats.frozen_lock_entries), (2, 2));
+        assert_eq!((stats.lock_entries, stats.frozen_lock_entries), (1, 1));
+        let guard = s.cells.stripe_for(Key(1)).data.lock();
+        let chain = &guard.map.get(Key(1)).expect("written key").versions;
+        let (version, _) = chain.latest().expect("one version");
+        assert_eq!(chain.read_hw(version), Some(last));
     }
 
     #[test]

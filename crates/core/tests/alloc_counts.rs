@@ -5,8 +5,9 @@
 //! open-addressed stripe map, lock sets are inline up to two ranges, and
 //! small values are stored inline in the version slot. These tests pin that
 //! property with a counting `#[global_allocator]`: steady-state reads must
-//! not allocate at all, and a buffered write must cost at most one
-//! allocation (amortized) for an inline `u64` value.
+//! not allocate at all, a buffered write must cost at most one allocation
+//! (amortized) for an inline `u64` value, and committing a read-only
+//! transaction over keys that already hold versions must not allocate.
 //!
 //! Everything runs inside ONE `#[test]` function: the counter is global, so
 //! concurrently running sibling tests would pollute the measured windows.
@@ -155,4 +156,26 @@ fn hot_path_allocation_budgets_hold() {
         "buffered writes exceed the allocation budget: {write_allocs} allocations for \
          {WRITES} writes (budget {WRITES} + {SETUP_SLACK} setup)"
     );
+
+    // --- Committing a read-only transaction allocates nothing. ------------
+    //
+    // Every key already has a version, and a first reader leaves its read
+    // run on each. The measured commit of a second reader raises one read
+    // high-water mark per key and releases its live read locks in place:
+    // no lock-table splice, no allocation.
+    for process in [3, 4] {
+        let mut tx = store.begin(ProcessId(process));
+        for k in 0..KEYS {
+            assert_eq!(store.read(&mut tx, Key(k)).expect("read"), Some(k + 1));
+        }
+        let (commit_allocs, info) = count_allocs(|| store.commit(tx).expect("commit"));
+        assert_eq!(info.reads.len() as u64, KEYS);
+        if process == 4 {
+            assert_eq!(
+                commit_allocs, 0,
+                "a read-only commit over touched keys hit the allocator \
+                 ({commit_allocs} allocations for {KEYS} keys)"
+            );
+        }
+    }
 }

@@ -36,19 +36,6 @@ impl AcquireAnalysis {
         self.blocked_unfrozen.is_empty() && self.frozen_conflicts.is_empty()
     }
 
-    /// Whether some timestamp of the request hit a frozen conflicting lock.
-    #[must_use]
-    pub fn hit_frozen(&self) -> bool {
-        !self.frozen_conflicts.is_empty()
-    }
-
-    /// The smallest frozen-conflicting timestamp, if any; useful for policies
-    /// that re-anchor a read below the first frozen write they encounter.
-    #[must_use]
-    pub fn first_frozen(&self) -> Option<Timestamp> {
-        self.frozen_conflicts.min()
-    }
-
     /// The largest timestamp grantable as a *prefix* of `from..`: i.e. the end
     /// of the contiguous grantable run starting at `from`. Policies that must
     /// lock a contiguous interval starting right after a version (every read in
@@ -81,10 +68,9 @@ mod tests {
         assert!(a.fully_grantable());
         a.blocked_unfrozen.insert(ts(6));
         assert!(!a.fully_grantable());
-        assert!(!a.hit_frozen());
+        a.blocked_unfrozen = TsSet::new();
         a.frozen_conflicts.insert(ts(9));
-        assert!(a.hit_frozen());
-        assert_eq!(a.first_frozen(), Some(ts(9)));
+        assert!(!a.fully_grantable());
     }
 
     #[test]

@@ -24,6 +24,13 @@
 //! costs a binary search over the frozen runs plus a scan of the live
 //! entries, which are bounded by the transactions in flight.
 //!
+//! The MVTL engine (`mvtl-core`) no longer freezes into this table: it keeps
+//! its frozen locks on the versions themselves (a committed write is its
+//! version, committed reads raise the version's read high-water mark), and
+//! its `KeyLockState`s hold only live entries. The frozen prefix and
+//! [`KeyLockState::freeze`] stay, with the semantics above, for the repo
+//! benchmark's lock-table probe, which measures them directly.
+//!
 //! `KeyLockState` is a plain data structure with no internal synchronization;
 //! callers (the engines) wrap it in a per-key latch, exactly like the paper's
 //! implementation keeps "a latch per entry in the hash table" (§8.1).

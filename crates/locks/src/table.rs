@@ -402,7 +402,7 @@ mod tests {
         assert!(a3.blocked_unfrozen.contains(ts(10)));
         assert!(a3.grantable.contains(ts(11)));
         assert!(!a3.grantable.contains(ts(10)));
-        assert!(!a3.hit_frozen());
+        assert!(a3.frozen_conflicts.is_empty());
     }
 
     #[test]
@@ -419,7 +419,7 @@ mod tests {
         s.acquire_grantable(T1, LockMode::Write, r(5, 5));
         s.freeze(T1, LockMode::Write, r(5, 5));
         let a = s.analyze(T2, LockMode::Read, r(1, 10));
-        assert!(a.hit_frozen());
+        assert!(!a.frozen_conflicts.is_empty());
         assert!(a.frozen_conflicts.contains(ts(5)));
         assert!(a.grantable.contains(ts(4)));
         assert!(a.grantable.contains(ts(6)));

@@ -10,9 +10,17 @@
 //! spilled chain back under the inline capacity, the buffer returns to the
 //! arena for the next hot key, so a steady-state workload with GC recycles a
 //! bounded set of buffers instead of churning the allocator.
+//!
+//! Every version also carries its *read high-water mark*: the largest commit
+//! timestamp of a committed transaction that read it. That is MVTO+'s
+//! per-version read timestamp (§3), and it is what the MVTL engine keeps
+//! instead of frozen lock entries: a version at `ts` read up to `read_hw`
+//! stands for a frozen write lock at `ts` and a frozen read run
+//! `[ts+1, read_hw]`, and the §6 purge discards that state together with the
+//! version.
 
 use crate::VersionStats;
-use mvtl_common::Timestamp;
+use mvtl_common::{Timestamp, TsRange};
 
 /// A single committed version of a key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,16 +32,70 @@ pub struct Version<V> {
 }
 
 /// Versions stored inline before a chain borrows a spill buffer.
-pub const INLINE_VERSIONS: usize = 4;
+pub const INLINE_VERSIONS: usize = 3;
 
 /// Spill buffers a [`ChainArena`] keeps for reuse; beyond this they are
 /// simply dropped (the arena is per-stripe, so this bounds pooled memory).
 const MAX_POOLED: usize = 64;
 
+/// One stored version and its read high-water mark (`ts` while unread).
+///
+/// Both timestamps are kept as their parts, so the two `u32` process ids
+/// share one word instead of padding one each: a `u64` version then fits
+/// 32 bytes, and three of them fit a key's inline storage.
+#[derive(Debug)]
+struct Slot<V> {
+    ts_value: u64,
+    hw_value: u64,
+    ts_process: u32,
+    hw_process: u32,
+    value: V,
+}
+
+impl<V> Slot<V> {
+    fn new(ts: Timestamp, value: V) -> Self {
+        Slot {
+            ts_value: ts.value,
+            hw_value: ts.value,
+            ts_process: ts.process,
+            hw_process: ts.process,
+            value,
+        }
+    }
+
+    #[inline]
+    fn ts(&self) -> Timestamp {
+        Timestamp::new(self.ts_value, self.ts_process)
+    }
+
+    #[inline]
+    fn read_hw(&self) -> Timestamp {
+        Timestamp::new(self.hw_value, self.hw_process)
+    }
+
+    fn set_read_hw(&mut self, hw: Timestamp) {
+        self.hw_value = hw.value;
+        self.hw_process = hw.process;
+    }
+}
+
+/// Where a chain's versions live: inline while they fit, otherwise all of
+/// them in a spill buffer, which then occupies the inline slots' bytes.
+#[derive(Debug)]
+enum Versions<V> {
+    /// The first `len` slots are live, sorted by timestamp.
+    Inline {
+        len: u8,
+        slots: [Option<Slot<V>>; INLINE_VERSIONS],
+    },
+    /// Every version, sorted, in a buffer borrowed from the arena.
+    Spilled(Vec<Slot<V>>),
+}
+
 /// A per-stripe pool of recycled spill buffers for [`ArenaChain`]s.
 #[derive(Debug)]
 pub struct ChainArena<V> {
-    free: Vec<Vec<(Timestamp, V)>>,
+    free: Vec<Vec<Slot<V>>>,
 }
 
 impl<V> Default for ChainArena<V> {
@@ -50,15 +112,15 @@ impl<V> ChainArena<V> {
     }
 
     /// Borrows a cleared spill buffer, reusing a pooled one when available.
-    pub fn take(&mut self) -> Vec<(Timestamp, V)> {
+    fn take(&mut self) -> Vec<Slot<V>> {
         self.free
             .pop()
-            .unwrap_or_else(|| Vec::with_capacity(INLINE_VERSIONS * 2))
+            .unwrap_or_else(|| Vec::with_capacity(INLINE_VERSIONS * 4))
     }
 
     /// Returns a spill buffer to the pool (cleared), or drops it when the
     /// pool is full.
-    pub fn put(&mut self, mut buffer: Vec<(Timestamp, V)>) {
+    fn put(&mut self, mut buffer: Vec<Slot<V>>) {
         if self.free.len() < MAX_POOLED {
             buffer.clear();
             self.free.push(buffer);
@@ -78,28 +140,41 @@ impl<V> ChainArena<V> {
 /// The implicit initial version `⊥` at [`Timestamp::ZERO`] is always present
 /// (the paper's `Values[k, 0] = ⊥`), and purged reads report the purge bound.
 /// Allocation only happens when a key exceeds [`INLINE_VERSIONS`] live
-/// versions, and then from the stripe's [`ChainArena`]. Mutating operations take the arena explicitly: the chain
-/// and its arena live under the same stripe latch.
+/// versions, and then from the stripe's [`ChainArena`]. Mutating operations
+/// take the arena explicitly: the chain and its arena live under the same
+/// stripe latch.
+///
+/// Each version, `⊥` included, has a read high-water mark
+/// ([`ArenaChain::raise_read_hw`]). Callers keep one invariant: a version's
+/// mark never passes the next version, so the spans `[ts, read_hw]` of
+/// consecutive versions never overlap by more than the next version's own
+/// timestamp. Both sides are debug-asserted.
 #[derive(Debug)]
 pub struct ArenaChain<V> {
-    /// Live prefix of length `inline_len`, sorted by timestamp; unused when
-    /// `spill` is `Some`.
-    slots: [Option<(Timestamp, V)>; INLINE_VERSIONS],
-    inline_len: u8,
-    /// When present, holds *all* versions (sorted); the inline slots are empty.
-    spill: Option<Vec<(Timestamp, V)>>,
+    versions: Versions<V>,
     purged_below: Timestamp,
     purged_count: usize,
+    /// The read high-water mark of `⊥`; `ZERO` while unread, and reset when
+    /// a purge passes the first version.
+    bottom_read_hw: Timestamp,
+}
+
+impl<V> Versions<V> {
+    fn empty() -> Self {
+        Versions::Inline {
+            len: 0,
+            slots: std::array::from_fn(|_| None),
+        }
+    }
 }
 
 impl<V> Default for ArenaChain<V> {
     fn default() -> Self {
         ArenaChain {
-            slots: [None, None, None, None],
-            inline_len: 0,
-            spill: None,
+            versions: Versions::empty(),
             purged_below: Timestamp::ZERO,
             purged_count: 0,
+            bottom_read_hw: Timestamp::ZERO,
         }
     }
 }
@@ -114,9 +189,9 @@ impl<V: Clone> ArenaChain<V> {
     /// Number of committed versions currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.spill {
-            Some(versions) => versions.len(),
-            None => usize::from(self.inline_len),
+        match &self.versions {
+            Versions::Inline { len, .. } => usize::from(*len),
+            Versions::Spilled(versions) => versions.len(),
         }
     }
 
@@ -127,12 +202,22 @@ impl<V: Clone> ArenaChain<V> {
     }
 
     #[inline]
-    fn entry(&self, index: usize) -> &(Timestamp, V) {
-        match &self.spill {
-            Some(versions) => &versions[index],
-            None => self.slots[index]
-                .as_ref()
-                .expect("index within live prefix"),
+    fn entry(&self, index: usize) -> &Slot<V> {
+        match &self.versions {
+            Versions::Inline { slots, .. } => {
+                slots[index].as_ref().expect("index within live prefix")
+            }
+            Versions::Spilled(versions) => &versions[index],
+        }
+    }
+
+    #[inline]
+    fn entry_mut(&mut self, index: usize) -> &mut Slot<V> {
+        match &mut self.versions {
+            Versions::Inline { slots, .. } => {
+                slots[index].as_mut().expect("index within live prefix")
+            }
+            Versions::Spilled(versions) => &mut versions[index],
         }
     }
 
@@ -143,7 +228,7 @@ impl<V: Clone> ArenaChain<V> {
         let mut hi = self.len();
         while lo < hi {
             let mid = (lo + hi) / 2;
-            match self.entry(mid).0.cmp(&ts) {
+            match self.entry(mid).ts().cmp(&ts) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Greater => hi = mid,
                 std::cmp::Ordering::Equal => return Ok(mid),
@@ -158,47 +243,116 @@ impl<V: Clone> ArenaChain<V> {
     /// to detect it.
     pub fn install(&mut self, ts: Timestamp, value: V, arena: &mut ChainArena<V>) -> Option<V> {
         match self.position(ts) {
-            Ok(index) => {
-                let slot = match &mut self.spill {
-                    Some(versions) => &mut versions[index],
-                    None => self.slots[index]
-                        .as_mut()
-                        .expect("index within live prefix"),
-                };
-                Some(std::mem::replace(&mut slot.1, value))
-            }
+            Ok(index) => Some(std::mem::replace(&mut self.entry_mut(index).value, value)),
             Err(index) => {
-                self.insert_at(index, ts, value, arena);
+                debug_assert!(
+                    self.read_hw_below(index) < ts,
+                    "version {ts} installed inside the read run of the version below it"
+                );
+                self.insert_at(index, Slot::new(ts, value), arena);
                 None
             }
         }
     }
 
-    fn insert_at(&mut self, index: usize, ts: Timestamp, value: V, arena: &mut ChainArena<V>) {
-        if let Some(versions) = &mut self.spill {
-            versions.insert(index, (ts, value));
-            return;
+    /// The read high-water mark of the version before index `index`: `⊥`'s
+    /// when there is none.
+    fn read_hw_below(&self, index: usize) -> Timestamp {
+        match index {
+            0 => self.bottom_read_hw,
+            i => self.entry(i - 1).read_hw(),
         }
-        let len = usize::from(self.inline_len);
-        if len < INLINE_VERSIONS {
-            // Shift the tail right one slot and drop the new version in.
-            let mut i = len;
-            while i > index {
-                self.slots[i] = self.slots[i - 1].take();
-                i -= 1;
+    }
+
+    fn insert_at(&mut self, index: usize, slot: Slot<V>, arena: &mut ChainArena<V>) {
+        match &mut self.versions {
+            Versions::Spilled(versions) => versions.insert(index, slot),
+            Versions::Inline { len, slots } if usize::from(*len) < INLINE_VERSIONS => {
+                // Shift the tail right one slot and drop the new version in.
+                slots[index..=usize::from(*len)].rotate_right(1);
+                slots[index] = Some(slot);
+                *len += 1;
             }
-            self.slots[index] = Some((ts, value));
-            self.inline_len += 1;
-            return;
+            Versions::Inline { slots, .. } => {
+                // Inline capacity exhausted: borrow a spill buffer.
+                let mut versions = arena.take();
+                versions.extend(slots.iter_mut().filter_map(Option::take));
+                versions.insert(index, slot);
+                self.versions = Versions::Spilled(versions);
+            }
         }
-        // Inline capacity exhausted: borrow a spill buffer from the arena.
-        let mut versions = arena.take();
-        for slot in &mut self.slots {
-            versions.extend(slot.take());
+    }
+
+    /// Records that a transaction which read the version at `version`
+    /// committed at `to`: the version's read high-water mark becomes at
+    /// least `to`. `Timestamp::ZERO` names `⊥`. A version that is no longer
+    /// stored — purged, or `⊥` once a purge has passed a version — has no
+    /// mark left to raise, and the call does nothing.
+    pub fn raise_read_hw(&mut self, version: Timestamp, to: Timestamp) {
+        let next = if version == Timestamp::ZERO {
+            if self.purged_count > 0 || to <= self.bottom_read_hw {
+                return;
+            }
+            self.bottom_read_hw = to;
+            0
+        } else {
+            let Ok(index) = self.position(version) else {
+                return;
+            };
+            let slot = self.entry_mut(index);
+            if to <= slot.read_hw() {
+                return;
+            }
+            slot.set_read_hw(to);
+            index + 1
+        };
+        debug_assert!(
+            next >= self.len() || to <= self.entry(next).ts(),
+            "read run of {version} raised to {to}, past the next version"
+        );
+    }
+
+    /// The read high-water mark of the version at `version` (`ZERO` names
+    /// `⊥`), or `None` when no such version is stored.
+    #[must_use]
+    pub fn read_hw(&self, version: Timestamp) -> Option<Timestamp> {
+        if version == Timestamp::ZERO {
+            return (self.purged_count == 0).then_some(self.bottom_read_hw);
         }
-        versions.insert(index, (ts, value));
-        self.inline_len = 0;
-        self.spill = Some(versions);
+        self.position(version)
+            .ok()
+            .map(|index| self.entry(index).read_hw())
+    }
+
+    /// The oldest version at or after `ts`, if any.
+    #[must_use]
+    pub fn first_at_or_after(&self, ts: Timestamp) -> Option<Timestamp> {
+        let index = match self.position(ts) {
+            Ok(index) | Err(index) => index,
+        };
+        (index < self.len()).then(|| self.entry(index).ts())
+    }
+
+    /// The spans `[ts, read_hw]` of the versions that overlap `range`, in
+    /// timestamp order; `⊥`'s span is `[ZERO + 1, read_hw]` and exists only
+    /// once `⊥` has been read. Only the version just below `range.start` and
+    /// the versions inside `range` can contribute, so this costs a binary
+    /// search plus the overlap.
+    pub fn spans(&self, range: TsRange) -> impl Iterator<Item = TsRange> + '_ {
+        let first = match self.position(range.start) {
+            Ok(index) => index,
+            Err(index) => index.saturating_sub(1),
+        };
+        let bottom = (first == 0 && self.bottom_read_hw > Timestamp::ZERO)
+            .then(|| TsRange::new(Timestamp::ZERO.succ(), self.bottom_read_hw));
+        let versions = (first..self.len())
+            .map(move |i| self.entry(i))
+            .take_while(move |slot| slot.ts() <= range.end)
+            .map(|slot| TsRange::new(slot.ts(), slot.read_hw()));
+        bottom
+            .into_iter()
+            .chain(versions)
+            .filter(move |span| span.overlaps(&range))
     }
 
     /// The version with the largest timestamp strictly before `ts`.
@@ -220,8 +374,8 @@ impl<V: Clone> ArenaChain<V> {
                 Ok((Timestamp::ZERO, None))
             }
         } else {
-            let (t, v) = self.entry(below - 1);
-            Ok((*t, Some(v.clone())))
+            let slot = self.entry(below - 1);
+            Ok((slot.ts(), Some(slot.value.clone())))
         }
     }
 
@@ -229,7 +383,7 @@ impl<V: Clone> ArenaChain<V> {
     #[must_use]
     pub fn at(&self, ts: Timestamp) -> Option<&V> {
         match self.position(ts) {
-            Ok(index) => Some(&self.entry(index).1),
+            Ok(index) => Some(&self.entry(index).value),
             Err(_) => None,
         }
     }
@@ -240,54 +394,56 @@ impl<V: Clone> ArenaChain<V> {
         match self.len() {
             0 => None,
             n => {
-                let (t, v) = self.entry(n - 1);
-                Some((*t, v))
+                let slot = self.entry(n - 1);
+                Some((slot.ts(), &slot.value))
             }
         }
     }
 
     /// Purges versions with timestamp below `bound`, keeping the most recent
-    /// version below the bound (§6). A spilled chain that shrinks back under
-    /// the inline capacity returns its buffer to the arena. Returns how many
-    /// versions were removed.
+    /// version below the bound (§6) together with its read high-water mark;
+    /// the marks of the purged versions, and `⊥`'s once any version lies
+    /// below the bound, go with them. A spilled chain that shrinks back
+    /// under the inline capacity returns its buffer to the arena. Returns how
+    /// many versions were removed.
     pub fn purge_below(&mut self, bound: Timestamp, arena: &mut ChainArena<V>) -> usize {
-        let first_kept = match self.position(bound) {
+        let below = match self.position(bound) {
             // `position` finds the first version >= bound; everything before
             // it is below the bound, and the last of those is retained.
-            Ok(index) | Err(index) => index.saturating_sub(1),
+            Ok(index) | Err(index) => index,
         };
-        let removed = first_kept;
-        if removed == 0 {
-            if bound > self.purged_below {
-                self.purged_below = bound;
-            }
-            return 0;
-        }
-        match &mut self.spill {
-            Some(versions) => {
-                versions.drain(..removed);
-                if versions.len() <= INLINE_VERSIONS {
-                    let mut buffer = self.spill.take().expect("spill just matched");
-                    for (i, entry) in buffer.drain(..).enumerate() {
-                        self.slots[i] = Some(entry);
-                        self.inline_len = (i + 1) as u8;
-                    }
-                    arena.put(buffer);
-                }
-            }
-            None => {
-                let len = usize::from(self.inline_len);
-                for i in 0..len - removed {
-                    self.slots[i] = self.slots[i + removed].take();
-                }
-                for slot in self.slots.iter_mut().take(len).skip(len - removed) {
-                    *slot = None;
-                }
-                self.inline_len -= removed as u8;
-            }
+        if below > 0 {
+            self.bottom_read_hw = Timestamp::ZERO;
         }
         if bound > self.purged_below {
             self.purged_below = bound;
+        }
+        let removed = below.saturating_sub(1);
+        if removed == 0 {
+            return 0;
+        }
+        match &mut self.versions {
+            Versions::Spilled(versions) => {
+                versions.drain(..removed);
+                if versions.len() <= INLINE_VERSIONS {
+                    let len = versions.len() as u8;
+                    let mut drained = versions.drain(..);
+                    let slots = std::array::from_fn(|_| drained.next());
+                    drop(drained);
+                    let inline = Versions::Inline { len, slots };
+                    if let Versions::Spilled(buffer) = std::mem::replace(&mut self.versions, inline)
+                    {
+                        arena.put(buffer);
+                    }
+                }
+            }
+            Versions::Inline { len, slots } => {
+                slots[..usize::from(*len)].rotate_left(removed);
+                for slot in &mut slots[usize::from(*len) - removed..] {
+                    *slot = None;
+                }
+                *len -= removed as u8;
+            }
         }
         self.purged_count += removed;
         removed
@@ -296,8 +452,8 @@ impl<V: Clone> ArenaChain<V> {
     /// Releases the chain's spill buffer (if any) back to the arena; called
     /// when the owning cell is reclaimed.
     pub fn release(&mut self, arena: &mut ChainArena<V>) {
-        if let Some(buffer) = self.spill.take() {
-            self.inline_len = 0;
+        if let Versions::Spilled(buffer) = std::mem::replace(&mut self.versions, Versions::empty())
+        {
             arena.put(buffer);
         }
     }
@@ -305,10 +461,10 @@ impl<V: Clone> ArenaChain<V> {
     /// Iterates over the committed versions in timestamp order.
     pub fn iter(&self) -> impl Iterator<Item = Version<V>> + '_ {
         (0..self.len()).map(move |i| {
-            let (t, v) = self.entry(i);
+            let slot = self.entry(i);
             Version {
-                timestamp: *t,
-                value: v.clone(),
+                timestamp: slot.ts(),
+                value: slot.value.clone(),
             }
         })
     }
@@ -322,9 +478,13 @@ impl<V: Clone> ArenaChain<V> {
     /// Statistics for this chain.
     #[must_use]
     pub fn stats(&self) -> VersionStats {
+        let read = (0..self.len())
+            .filter(|&i| self.entry(i).read_hw() > self.entry(i).ts())
+            .count();
         VersionStats {
             versions: self.len(),
             purged: self.purged_count,
+            read_runs: read + usize::from(self.bottom_read_hw > Timestamp::ZERO),
         }
     }
 }
@@ -415,5 +575,60 @@ mod tests {
         assert_eq!(chain.purge_below(ts(15), &mut arena), 0);
         assert_eq!(chain.latest_before(ts(7)), Ok((Timestamp::ZERO, None)));
         assert_eq!(chain.purged_below(), ts(15));
+    }
+
+    fn spans(chain: &ArenaChain<u64>, a: u64, b: u64) -> Vec<TsRange> {
+        chain.spans(TsRange::new(ts(a), ts(b))).collect()
+    }
+
+    #[test]
+    fn read_high_water_marks_extend_version_spans() {
+        let mut arena = ChainArena::new();
+        let mut chain = ArenaChain::new();
+        for v in [10u64, 20, 30] {
+            chain.install(ts(v), v, &mut arena);
+        }
+        chain.raise_read_hw(ts(10), ts(15));
+        chain.raise_read_hw(ts(10), ts(12));
+        chain.raise_read_hw(Timestamp::ZERO, ts(5));
+        chain.raise_read_hw(ts(11), ts(19));
+        assert_eq!(chain.read_hw(ts(10)), Some(ts(15)), "marks only rise");
+        assert_eq!(chain.read_hw(ts(20)), Some(ts(20)), "unread: its own ts");
+        assert_eq!(chain.read_hw(ts(11)), None, "no version to raise");
+        // The version just below the request and those inside it.
+        assert_eq!(
+            spans(&chain, 12, 25),
+            [TsRange::new(ts(10), ts(15)), TsRange::point(ts(20))]
+        );
+        assert_eq!(spans(&chain, 16, 19), []);
+        assert_eq!(
+            spans(&chain, 1, 3),
+            [TsRange::new(Timestamp::ZERO.succ(), ts(5))]
+        );
+        assert_eq!(chain.first_at_or_after(ts(11)), Some(ts(20)));
+        assert_eq!(chain.first_at_or_after(ts(31)), None);
+        assert_eq!(chain.stats().read_runs, 2);
+    }
+
+    #[test]
+    fn purge_keeps_the_read_run_of_the_newest_version_below_the_bound() {
+        let mut arena = ChainArena::new();
+        let mut chain = ArenaChain::new();
+        chain.raise_read_hw(Timestamp::ZERO, ts(9));
+        for v in [10u64, 20, 30] {
+            chain.install(ts(v), v, &mut arena);
+            chain.raise_read_hw(ts(v), ts(v + 5));
+        }
+        assert_eq!(chain.stats().read_runs, 4);
+        assert_eq!(chain.purge_below(ts(27), &mut arena), 1);
+        // 10 and its run went, and `⊥`'s with them; 20 keeps its run.
+        assert_eq!(chain.read_hw(Timestamp::ZERO), None);
+        assert_eq!(chain.read_hw(ts(20)), Some(ts(25)));
+        assert_eq!(spans(&chain, 1, 40).len(), 2);
+        assert_eq!(chain.stats().read_runs, 2);
+        // A reader of a purged version has no mark left to raise.
+        chain.raise_read_hw(ts(10), ts(19));
+        chain.raise_read_hw(Timestamp::ZERO, ts(19));
+        assert_eq!(chain.stats().read_runs, 2);
     }
 }

@@ -8,6 +8,10 @@ pub struct VersionStats {
     pub versions: usize,
     /// Number of versions removed by purging since the chain was created.
     pub purged: usize,
+    /// Number of stored versions, `⊥` included, that a committed transaction
+    /// has read: each one's read high-water mark stands for one frozen read
+    /// run.
+    pub read_runs: usize,
 }
 
 impl VersionStats {
@@ -17,6 +21,7 @@ impl VersionStats {
         VersionStats {
             versions: self.versions + other.versions,
             purged: self.purged + other.purged,
+            read_runs: self.read_runs + other.read_runs,
         }
     }
 }
@@ -30,16 +35,19 @@ mod tests {
         let a = VersionStats {
             versions: 2,
             purged: 1,
+            read_runs: 1,
         };
         let b = VersionStats {
             versions: 5,
             purged: 0,
+            read_runs: 2,
         };
         assert_eq!(
             a.merge(b),
             VersionStats {
                 versions: 7,
-                purged: 1
+                purged: 1,
+                read_runs: 3,
             }
         );
     }

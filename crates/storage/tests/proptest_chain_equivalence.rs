@@ -72,6 +72,7 @@ impl Model {
         VersionStats {
             versions: self.versions.len(),
             purged: self.purged,
+            read_runs: 0,
         }
     }
 }

@@ -4,13 +4,13 @@
 //! Engines are built from `mvtl-registry` string specs and driven through the
 //! object-safe `dyn Engine` layer — no per-engine generic plumbing.
 
-use mvtl_common::Engine;
+use mvtl_common::{Engine, EngineExt, Key, ProcessId, Timestamp};
 use mvtl_verify::schedules::{
     ghost_abort_schedule, serial_abort_schedule, serial_counter_workload, theorem2_workload,
     update_concurrency_schedule, GHOST_ABORT_MIDDLE, GHOST_ABORT_VICTIM, SERIAL_ABORT_VICTIM,
     THEOREM2_VICTIM,
 };
-use mvtl_verify::{check_serializable, replay, ReplayReport};
+use mvtl_verify::{check_serializable, replay, History, ReplayReport};
 
 /// Builds a registry engine with the short lock-wait timeout the schedule
 /// replays use (for 2PL the parameter doubles as the deadlock timeout).
@@ -137,6 +137,55 @@ fn full_multiversion_schemes_commit_concurrent_updates() {
             "{spec} must commit both concurrent updates"
         );
     }
+}
+
+// ------------------------------------------------------------ §6 purge
+
+/// MVTL-Pessimistic commits at the smallest free timestamp, far below any
+/// clock reading, so a purge at the clock-derived bound covers every commit
+/// below. A history that closed a cycle when such a purge dropped all lock
+/// state below its bound: the purge must leave the newest version of each
+/// key its frozen read run, so W cannot commit under R's read of k1.
+#[test]
+fn pessimistic_commits_stay_serializable_across_a_purge_at_the_clock() {
+    let engine = engine("mvtl-pessimistic");
+    let (k1, k2, k3, k4) = (Key(1), Key(2), Key(3), Key(4));
+    let mut commits = Vec::new();
+    let mut t1 = engine.begin(ProcessId(0));
+    t1.write(k1, 1).unwrap();
+    commits.push(t1.commit().unwrap());
+    let mut t2 = engine.begin(ProcessId(0));
+    assert_eq!(t2.read(k1).unwrap(), Some(1));
+    t2.write(k3, 2).unwrap();
+    commits.push(t2.commit().unwrap());
+    let mut t3 = engine.begin(ProcessId(0));
+    assert_eq!(t3.read(k3).unwrap(), Some(2));
+    t3.write(k4, 3).unwrap();
+    commits.push(t3.commit().unwrap());
+    let mut r = engine.begin(ProcessId(0));
+    assert_eq!(r.read(k1).unwrap(), Some(1));
+    assert_eq!(r.read(k4).unwrap(), Some(3));
+    r.write(k2, 4).unwrap();
+    let r_info = r.commit().unwrap();
+    let r_ts = r_info.commit_ts.unwrap();
+    commits.push(r_info);
+    // Four begins have read the global clock; purge where the GC would
+    // with no transaction in flight and no lag.
+    assert_eq!(engine.low_watermark(), None);
+    engine.purge_below(Timestamp::at(4));
+    let mut w = engine.begin(ProcessId(0));
+    let attempt = w
+        .read(k3)
+        .and_then(|_| w.write(k1, 5))
+        .and_then(|()| w.write(k2, 5))
+        .and_then(|()| w.commit());
+    if let Ok(info) = attempt {
+        let w_ts = info.commit_ts.unwrap();
+        assert!(w_ts > r_ts, "W committed at {w_ts}, below R at {r_ts}");
+        commits.push(info);
+    }
+    check_serializable(&History::from_commits(commits))
+        .unwrap_or_else(|e| panic!("purge let a cycle through: {e}"));
 }
 
 // ------------------------------------------------------ cross-engine sanity
