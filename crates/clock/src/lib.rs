@@ -18,7 +18,8 @@
 //! * [`BatchedClock`] — processes draw *blocks* of timestamps from a shared
 //!   counter and hand them out locally (the batching flavour of §8.1's
 //!   timestamp service); unique and per-process monotonic, but not globally
-//!   ordered, so only the interval engines may use it;
+//!   ordered, so only the interval engines could use it. No registry spec
+//!   does: the benchmark's clock probe is its one consumer;
 //! * [`SkewedClock`] — a per-process view of the global clock with a constant
 //!   offset per process (can violate monotonicity across processes, provoking
 //!   serial aborts);

@@ -88,11 +88,10 @@ pub const MAX_CLOCK_BLOCK: u64 = (1 << 16) - 1;
 /// **This clock is not globally monotonic**: process A can read a value from
 /// an older block after process B read a newer one. That is exactly the
 /// skew MVTIL tolerates by construction (§8.1 assumes nothing about clock
-/// synchronization) and exactly what breaks MVTL-TO/MVTO+ — the registry
-/// therefore only accepts `clock=batched` for the MVTIL engines. Stale blocks
-/// are bounded by `block`, so GC watermarks and Δ-window intersection reason
-/// about readings at most `block` behind the shared counter; a purge racing a
-/// stale reader surfaces as a safe `VersionPurged` abort, never a lost write.
+/// synchronization) and exactly what breaks MVTL-TO/MVTO+. No registry spec
+/// builds it: it is kept for the benchmark's clock probe, which measures it
+/// against [`GlobalClock`]. Stale blocks are bounded by `block`, so an engine
+/// on this clock reads values at most `block` behind the shared counter.
 ///
 /// Timestamp values are capped at 2^48 by the packing; at one block per
 /// microsecond that is several years of continuous operation.

@@ -9,7 +9,8 @@
 //! checker and the benchmarks drive, so they compare protocols on identical
 //! inputs.
 
-use crate::{AbortReason, Key, ProcessId, Timestamp, TxError, TxId};
+use crate::{AbortReason, Key, PreparedTxn, ProcessId, Timestamp, TxError, TxId};
+use std::sync::Arc;
 
 /// Aggregate state-size statistics of an engine, used by the Figure 6
 /// experiments ("number of locks and versions as time passes") and by the
@@ -66,8 +67,9 @@ impl StoreStats {
 pub struct CommitInfo {
     /// Runtime id of the transaction.
     pub tx: TxId,
-    /// Serialization timestamp, when the engine has one (all multiversion
-    /// engines do; single-version 2PL reports `None`).
+    /// Serialization timestamp, when the engine has one. The multiversion
+    /// engines report their commit timestamp; single-version 2PL reports its
+    /// commit sequence number, which orders its commits the same way.
     pub commit_ts: Option<Timestamp>,
     /// For each key read: the timestamp of the version whose value was
     /// returned (`tr` in Algorithm 1). [`Timestamp::ZERO`] denotes the initial
@@ -185,6 +187,26 @@ pub trait TransactionalKV<V>: Send + Sync {
 
     /// Aborts the transaction, releasing any state it holds.
     fn abort(&self, txn: Self::Txn);
+
+    /// Runs the participant side of the §7 cross-shard commit: freezes the
+    /// interval of timestamps `store` guarantees `txn` can commit at, and
+    /// hands back the prepared transaction, which keeps `store` alive until
+    /// the coordinator decides.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TxError::Aborted`] when commit-time locking fails or the
+    /// frozen interval is empty; the transaction is aborted. The default
+    /// aborts the transaction and returns [`TxError::Internal`]: an engine
+    /// with no commit interval to freeze (the MVTO+ and 2PL baselines)
+    /// cannot take part in a cross-shard commit.
+    fn prepare(store: &Arc<Self>, txn: Self::Txn) -> Result<Box<dyn PreparedTxn<V>>, TxError> {
+        store.abort(txn);
+        Err(TxError::Internal(format!(
+            "engine '{}' cannot prepare a cross-shard commit: it has no commit interval to freeze",
+            store.name()
+        )))
+    }
 
     /// A short human-readable name for reports ("mvtil-early", "mvto+", "2pl", ...).
     fn name(&self) -> &'static str;

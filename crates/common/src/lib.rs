@@ -49,7 +49,6 @@
 
 pub mod engine;
 mod error;
-pub mod hist;
 mod ids;
 pub mod kv;
 pub mod ops;

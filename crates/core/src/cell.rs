@@ -151,12 +151,17 @@ impl<V: Clone> KeyData<V> {
     }
 }
 
-/// The state guarded by one stripe latch: the key → [`KeyData`] map plus the
-/// arena recycling spill buffers for the stripe's version chains.
+/// The state guarded by one stripe latch: the key → [`KeyData`] map, the
+/// arena recycling spill buffers for the stripe's version chains, and the
+/// stripe's purge floor.
 #[derive(Debug)]
 pub(crate) struct CoreStripe<V> {
     pub map: StripeMap<KeyData<V>>,
     pub arena: ChainArena<V>,
+    /// The highest bound this stripe was purged at: no write lock is granted
+    /// below it. It lives on the stripe, not the cell, so it survives cell
+    /// reclamation.
+    pub floor: Timestamp,
 }
 
 impl<V> Default for CoreStripe<V> {
@@ -164,6 +169,7 @@ impl<V> Default for CoreStripe<V> {
         CoreStripe {
             map: StripeMap::new(),
             arena: ChainArena::new(),
+            floor: Timestamp::ZERO,
         }
     }
 }

@@ -6,18 +6,13 @@ use crate::txn::{HeldLocks, MvtlTransaction, TxState};
 use crate::MvtlConfig;
 use mvtl_clock::ClockSource;
 use mvtl_common::{
-    AbortReason, ActiveTxnRegistry, CommitInfo, Key, LockMode, ProcessId, StoreStats, Timestamp,
-    TransactionalKV, TsRange, TsSet, TxError, TxStatus,
+    AbortReason, ActiveTxnRegistry, CommitInfo, Key, LockMode, PreparedTxn, ProcessId, StoreStats,
+    Timestamp, TransactionalKV, TsRange, TsSet, TxError, TxStatus,
 };
 use mvtl_storage::{ChainArena, StripedTable};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Process id that recovered transactions run under. It only matters as a
-/// lock owner tie-breaker; real processes are numbered from zero and never
-/// reach it.
-const RECOVERY_PROCESS: ProcessId = ProcessId(u32::MAX);
 
 /// Stripes of the key → cell table, each behind its own latch.
 const STRIPES: usize = 64;
@@ -119,7 +114,7 @@ where
         let stripe = self.cells.stripe_for(key);
         let result = {
             let mut guard = stripe.data.lock();
-            let CoreStripe { map, arena } = &mut *guard;
+            let CoreStripe { map, arena, .. } = &mut *guard;
             f(map.get_or_insert_with(key, KeyData::default), arena)
         };
         stripe.notify();
@@ -339,69 +334,6 @@ where
         self.abort_internal(&mut txn.state);
     }
 
-    /// Rebuilds the prepared state of a sub-transaction from its logged write
-    /// set and frozen interval (`mvtl-wal` crash recovery).
-    ///
-    /// A participant that logged a prepare record and then crashed promised
-    /// the coordinator it could commit anywhere in `interval`. Recovery
-    /// re-creates that promise: it write-locks every logged key over the
-    /// interval (without waiting — the store has just been rebuilt, so the
-    /// only contention is between recovered transactions themselves) and
-    /// returns a [`PreparedCommit`] whose interval is the part of `interval`
-    /// that could be re-frozen. The caller then resolves it exactly like a
-    /// live prepared transaction: [`MvtlStore::commit_prepared`] when the
-    /// coordinator's decision was logged, [`MvtlStore::abort_prepared`] under
-    /// presumed abort when it was not.
-    ///
-    /// No locking policy runs here: the policy already made its decision
-    /// before the crash, and the log is its record.
-    ///
-    /// # Errors
-    ///
-    /// Returns an abort error when none of `interval` can be re-frozen (for
-    /// example because a recovered committed transaction already installed a
-    /// version there); the partial lock state is fully released.
-    pub fn recover_prepared(
-        &self,
-        writes: Vec<(Key, V)>,
-        interval: &TsSet,
-    ) -> Result<PreparedCommit<V>, TxError> {
-        let Some(pin_ts) = interval.min() else {
-            return Err(TxError::aborted(AbortReason::NoCommonTimestamp));
-        };
-        let mut state = TxState::new(RECOVERY_PROCESS, None);
-        state.gc_pin = Some(self.active.register(pin_ts));
-        let mut txn = MvtlTransaction::new(state);
-        let mut keys: Vec<Key> = writes.iter().map(|(k, _)| *k).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let mut frozen = interval.clone();
-        for key in keys {
-            let mut granted = TsSet::new();
-            for range in interval.ranges() {
-                match self.acquire_write_range(&mut txn.state, key, *range, false) {
-                    Ok(got) => granted = granted.union(&got),
-                    Err(err) => {
-                        self.abort_internal(&mut txn.state);
-                        return Err(err);
-                    }
-                }
-            }
-            frozen = frozen.intersection(&granted);
-            if frozen.is_empty() {
-                self.abort_internal(&mut txn.state);
-                return Err(TxError::aborted(AbortReason::NoCommonTimestamp));
-            }
-        }
-        for (key, value) in writes {
-            txn.buffer_write(key, value);
-        }
-        Ok(PreparedCommit {
-            txn,
-            interval: frozen,
-        })
-    }
-
     /// The commit tail shared by [`MvtlStore::commit`] and
     /// [`MvtlStore::commit_prepared`]: installs versions (each one the frozen
     /// write lock at `commit_ts`) and garbage collects per policy, raising
@@ -523,6 +455,12 @@ where
     /// §8.1). Returns the number of versions and lock entries (live entries
     /// and read runs) removed.
     ///
+    /// The purge leaves a floor on each stripe: from then on a write lock
+    /// is granted only at or above `bound`, since the frozen read runs that
+    /// would refuse a writer below it go with their versions (and, for a
+    /// `⊥`-only key, with its cell). This binds only the policies that lock
+    /// below the clock, such as MVTL-Pessimistic's `[0, +∞]`.
+    ///
     /// Purging is only *safe* (no `VersionPurged` aborts of live
     /// transactions) when `bound` does not exceed
     /// [`MvtlStore::low_watermark`]; the `mvtl-gc` service maintains that
@@ -539,7 +477,8 @@ where
         for stripe in self.cells.stripes() {
             {
                 let mut guard = stripe.data.lock();
-                let CoreStripe { map, arena } = &mut *guard;
+                let CoreStripe { map, arena, floor } = &mut *guard;
+                *floor = (*floor).max(bound);
                 map.retain(|_, data| {
                     let (versions, locks) = data.purge_below(bound, arena);
                     versions_removed += versions;
@@ -709,6 +648,13 @@ where
         let deadline = Instant::now() + self.config.lock_wait_timeout;
         let mut guard = stripe.data.lock();
         loop {
+            // Nothing commits below the purge floor: the runs that would
+            // refuse it may be gone with their versions or their cell. Read
+            // it afresh after every wait, since a purge may run meanwhile.
+            if desired.end < guard.floor {
+                return Ok(TsSet::new());
+            }
+            let desired = TsRange::new(desired.start.max(guard.floor), desired.end);
             let CoreStripe { map, .. } = &mut *guard;
             let data = map.get_or_insert_with(key, KeyData::default);
             let analysis = data.locks.analyze(tx.id, LockMode::Write, desired);
@@ -793,9 +739,78 @@ where
         MvtlStore::low_watermark(self)
     }
 
+    fn prepare(store: &Arc<Self>, txn: Self::Txn) -> Result<Box<dyn PreparedTxn<V>>, TxError> {
+        let prepared = store.prepare_commit(txn)?;
+        Ok(Box::new(MvtlPrepared {
+            store: Arc::clone(store),
+            interval: prepared.interval().clone(),
+            prepared: Some(prepared),
+        }))
+    }
+
+    /// Installs each write as the version at `commit_ts`. No lock is
+    /// negotiated: the policy decided before the crash, and the log is its
+    /// record. A second version of one key at one timestamp means a
+    /// malformed log; the first one stays.
     fn recover_install(&self, writes: Vec<(Key, V)>, commit_ts: Timestamp) -> Result<(), TxError> {
-        let prepared = self.recover_prepared(writes, &TsSet::from_point(commit_ts))?;
-        self.commit_prepared(prepared, commit_ts).map(|_| ())
+        for (key, value) in writes {
+            let duplicate = self.with_cell_notify(key, |data, arena| {
+                // `install` overwrites and returns what it replaced: put the
+                // first version back.
+                let first = data.versions.install(commit_ts, value, arena)?;
+                data.versions.install(commit_ts, first, arena)
+            });
+            if duplicate.is_some() {
+                return Err(TxError::Internal(format!(
+                    "log replays two versions of {key} at {commit_ts}"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// [`PreparedTxn`] over an [`MvtlStore`], as [`TransactionalKV::prepare`]
+/// hands it out. The prepared commit is an `Option` only so that `Drop` can
+/// abort an undecided one; its frozen interval is kept beside it.
+struct MvtlPrepared<V, P>
+where
+    V: Clone + Send + Sync + 'static,
+    P: LockingPolicy,
+{
+    store: Arc<MvtlStore<V, P>>,
+    interval: TsSet,
+    prepared: Option<PreparedCommit<V>>,
+}
+
+impl<V, P> PreparedTxn<V> for MvtlPrepared<V, P>
+where
+    V: Clone + Send + Sync + 'static,
+    P: LockingPolicy,
+{
+    fn interval(&self) -> &TsSet {
+        &self.interval
+    }
+
+    fn commit_at(mut self: Box<Self>, ts: Timestamp) -> Result<CommitInfo, TxError> {
+        let prepared = self.prepared.take().ok_or(TxError::TransactionFinished)?;
+        self.store.commit_prepared(prepared, ts)
+    }
+
+    fn abort(self: Box<Self>) {
+        // Dropping an undecided prepared commit aborts it.
+    }
+}
+
+impl<V, P> Drop for MvtlPrepared<V, P>
+where
+    V: Clone + Send + Sync + 'static,
+    P: LockingPolicy,
+{
+    fn drop(&mut self) {
+        if let Some(prepared) = self.prepared.take() {
+            self.store.abort_prepared(prepared);
+        }
     }
 }
 
@@ -913,6 +928,48 @@ mod tests {
         s.abort_prepared(prepared);
         assert_eq!(s.stats().lock_entries, before);
         assert_eq!(s.snapshot_read(Key(3), Timestamp::MAX), None);
+    }
+
+    #[test]
+    fn replaying_a_second_version_at_one_timestamp_errors_and_keeps_the_first() {
+        let s = store();
+        let ts = Timestamp::at(5);
+        s.recover_install(vec![(Key(1), 10), (Key(2), 20)], ts)
+            .unwrap();
+        let err = s.recover_install(vec![(Key(1), 11)], ts).unwrap_err();
+        assert!(matches!(err, TxError::Internal(_)), "{err:?}");
+        assert_eq!(s.snapshot_read(Key(1), Timestamp::MAX), Some(10));
+        assert_eq!(s.stats().versions, 2);
+        // Replay took no lock and pinned nothing.
+        assert_eq!(s.stats().lock_entries, 0);
+        assert_eq!(s.active_transactions(), 0);
+    }
+
+    #[test]
+    fn a_writer_waiting_across_a_purge_gets_nothing_below_the_floor() {
+        use crate::policy::PessimisticPolicy;
+        use std::time::Duration;
+        let s = MvtlStore::new(
+            PessimisticPolicy::new(),
+            Arc::new(GlobalClock::new()),
+            MvtlConfig::default().with_lock_wait_timeout(Duration::from_secs(10)),
+        );
+        let mut holder = s.begin(ProcessId(0));
+        s.write(&mut holder, Key(1), 1).unwrap();
+        let floor = Timestamp::at(100);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let mut tx = s.begin(ProcessId(1));
+                // Waits on the holder's `[0, +∞]` until it aborts.
+                s.write(&mut tx, Key(1), 2).unwrap();
+                s.commit(tx).unwrap().commit_ts.unwrap()
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            s.purge_below(floor);
+            s.abort(holder);
+            let ts = waiter.join().unwrap();
+            assert!(ts >= floor, "committed at {ts}, below the floor {floor}");
+        });
     }
 
     #[test]

@@ -193,20 +193,27 @@ fn every_policy_outcome_matches_the_recorded_digest() {
         digest(PrefPolicy::new(), 1, STEPS, true),
         0xfacd_074b_f182_f3e5,
     );
+    // One in ten of the slots opens a critical transaction, which locks
+    // `[0, +∞]` as MVTL-Pessimistic does, so the purge floor decides part of
+    // its grants: this pin was recorded with the floor.
     pin(
         "mvtl-prio",
         1,
         digest(PrioPolicy::new(), 1, STEPS, true),
-        0x0a04_970c_3e99_1ebb,
+        0x9a45_4101_98b8_d2db,
     );
-    // MVTL-Pessimistic commits far below the clock, so a purge at the
-    // clock-derived bound drops lock state it still depends on (a known
-    // soundness gap of the §6 purge under this policy); its pin runs without
-    // purges.
+    // MVTL-Pessimistic commits far below the clock, so every purge at the
+    // clock-derived bound moves its floor: pinned with purges and without.
     pin(
         "mvtl-pessimistic",
         1,
         digest(PessimisticPolicy::new(), 1, STEPS, false),
         0xb6ba_1808_ea20_41a8,
+    );
+    pin(
+        "mvtl-pessimistic+purge",
+        1,
+        digest(PessimisticPolicy::new(), 1, STEPS, true),
+        0xe38d_2134_c3f6_4cb7,
     );
 }

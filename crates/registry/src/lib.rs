@@ -61,18 +61,16 @@
 #![warn(missing_docs)]
 
 use mvtl_baselines::{MvtoStore, TwoPhaseLockingStore};
-use mvtl_clock::{BatchedClock, ClockSource, GlobalClock};
+use mvtl_clock::{ClockSource, GlobalClock};
 use mvtl_common::{Engine, TempDir};
 use mvtl_core::policy::{
     EpsilonPolicy, GhostbusterPolicy, LockingPolicy, MvtilPolicy, PessimisticPolicy, PrefPolicy,
     PrioPolicy, ToPolicy,
 };
-use mvtl_core::MvtlConfig;
+use mvtl_core::{MvtlConfig, MvtlStore};
 use mvtl_faults::{FaultPlan, FaultSpec};
 use mvtl_gc::GcConfig;
-use mvtl_shard::{
-    FaultyBackend, IntersectionPick, KvBackend, MvtlBackend, ShardBackend, ShardedStore,
-};
+use mvtl_shard::{FaultyBackend, IntersectionPick, KvBackend, ShardBackend, ShardedStore};
 use mvtl_wal::{FsyncMode, Recovery, Wal, WalBackend, WalOptions, WalValue};
 use std::fmt;
 use std::path::PathBuf;
@@ -278,9 +276,6 @@ impl fmt::Display for EngineSpec {
 pub const DEFAULT_DELTA: u64 = 100_000;
 /// Default ε (clock-synchronization bound, in ticks) for `mvtl-epsilon-clock`.
 pub const DEFAULT_EPSILON: u64 = 8;
-/// Default block size (timestamps per refill) when a spec sets
-/// `clock=batched` but omits `clock_block`.
-pub const DEFAULT_CLOCK_BLOCK: u64 = 64;
 /// Default 2PL deadlock-resolution timeout in milliseconds.
 pub const DEFAULT_2PL_TIMEOUT_MS: u64 = 10;
 /// Default partition count for the `sharded` engine.
@@ -334,13 +329,7 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 /// Builds the engine described by `spec` for an arbitrary value type.
 ///
 /// Shared parameters for every engine: `clock_start` (initial reading of the
-/// global clock, default 0), `clock` (`global` | `batched`, default `global`;
-/// `batched` hands each process blocks of timestamps drawn from a shared
-/// allocator and is accepted only for the MVTIL engines, the one policy
-/// family that assumes nothing about clock order)
-/// with `clock_block` (timestamps per refill, default
-/// [`DEFAULT_CLOCK_BLOCK`], max [`mvtl_clock::MAX_CLOCK_BLOCK`]; requires
-/// `clock=batched`), `gc_ms` (background GC sweep interval in
+/// global clock, default 0), `gc_ms` (background GC sweep interval in
 /// milliseconds; absent — the default — means no GC thread) and `gc_lag_ms`
 /// (purge-bound lag behind the clock, default [`DEFAULT_GC_LAG_MS`]; requires
 /// `gc_ms`). With `gc_ms` set the store runs its own background sweeper
@@ -369,10 +358,11 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 /// `group` is accepted as another name for it) and
 /// `wal_segment_kb` the segment-roll size (default
 /// [`DEFAULT_WAL_SEGMENT_KB`]); both require `wal`. The `sharded` engine
-/// logs per shard under `<dir>/shard-<i>`, where recovery also re-creates
-/// prepared cross-shard sub-transactions and resolves undecided ones by
-/// presumed abort. The value type must implement [`WalValue`] (as `u64` and
-/// `String`, the types the workspace measures, both do).
+/// logs per shard under `<dir>/shard-<i>`, where recovery also commits the
+/// cross-shard prepares whose decision was logged and logs an abort for the
+/// undecided ones (presumed abort). The value type must implement
+/// [`WalValue`] (as `u64` and `String`, the types the workspace measures,
+/// both do).
 ///
 /// Every spec is composed the same way: `count` copies of one shard backend
 /// (the named engine, or `sharded`'s `inner` one), each wrapped in a
@@ -401,7 +391,6 @@ where
             name: parsed.name.clone(),
         })?;
     let clock_start = parsed.take_parsed::<u64>("clock_start")?;
-    let clock_block = take_clock(&mut parsed)?;
     let gc = take_gc_config(&mut parsed)?;
     let wal = take_wal_config(&mut parsed)?;
     let sharded = name == "sharded";
@@ -427,10 +416,7 @@ where
         .filter_map(|(_, recovery)| recovery.max_commit_ts())
         .max()
         .map_or(base, |ts| base.max(ts.value + 1));
-    let clock: Arc<dyn ClockSource> = match clock_block {
-        None => Arc::new(GlobalClock::starting_at(start)),
-        Some(block) => Arc::new(BatchedClock::starting_at(start, block)),
-    };
+    let clock: Arc<dyn ClockSource> = Arc::new(GlobalClock::starting_at(start));
     let mut logs = logs.into_iter();
     let mut shards = Vec::with_capacity(layout.count);
     for i in 0..layout.count {
@@ -475,55 +461,6 @@ const ENGINES: [&str; 11] = [
     "2pl",
     "sharded",
 ];
-
-/// Consumes the `clock` / `clock_block` parameters: `None` is the global
-/// clock, `Some(block)` a batched clock drawing `block` timestamps per
-/// refill.
-///
-/// `clock=global` (the default) is the strictly monotonic shared counter.
-/// `clock=batched` hands each process blocks of `clock_block` timestamps
-/// (default [`DEFAULT_CLOCK_BLOCK`]) drawn from a shared allocator — one
-/// contended atomic op per block instead of per transaction. A batched clock
-/// is unique and per-process monotonic but **not globally ordered**, which
-/// only the MVTIL engines tolerate (their interval policy assumes nothing
-/// about clock synchronization, §8.1); every other engine would suffer the
-/// §5.3 serial aborts, so the spec is rejected for them.
-fn take_clock(parsed: &mut EngineSpec) -> Result<Option<u64>, SpecError> {
-    let mode = parsed.take("clock");
-    let block = parsed.take_parsed::<u64>("clock_block")?;
-    if block.is_some() && mode.as_deref() != Some("batched") {
-        return Err(SpecError::Malformed {
-            detail: "clock_block requires clock=batched (only a batched clock draws blocks)"
-                .to_string(),
-        });
-    }
-    match mode.as_deref() {
-        None | Some("global") => Ok(None),
-        Some("batched") => {
-            if !matches!(parsed.name.as_str(), "mvtil-early" | "mvtil-late") {
-                return Err(SpecError::Malformed {
-                    detail: format!(
-                        "clock=batched only applies to the MVTIL engines, not {}: \
-                         a batched clock is not globally monotonic",
-                        parsed.name
-                    ),
-                });
-            }
-            let block = block.unwrap_or(DEFAULT_CLOCK_BLOCK);
-            if block == 0 || block > mvtl_clock::MAX_CLOCK_BLOCK {
-                return Err(SpecError::InvalidValue {
-                    param: "clock_block".to_string(),
-                    value: block.to_string(),
-                });
-            }
-            Ok(Some(block))
-        }
-        Some(other) => Err(SpecError::InvalidValue {
-            param: "clock".to_string(),
-            value: other.to_string(),
-        }),
-    }
-}
 
 /// Consumes the shared `gc_ms` / `gc_lag_ms` parameters. `Some` means "give
 /// the store a GC sweeper with this configuration".
@@ -771,7 +708,7 @@ where
     })
 }
 
-/// A factory for [`MvtlBackend`] shards under `policy`, consuming the shared
+/// A factory for [`MvtlStore`] shards under `policy`, consuming the shared
 /// MVTL parameter `timeout_ms` (lock-wait timeout).
 fn mvtl<V, P>(policy: P, parsed: &mut EngineSpec) -> Result<BackendFactory<V>, SpecError>
 where
@@ -783,7 +720,7 @@ where
         config = config.with_lock_wait_timeout(Duration::from_millis(timeout_ms));
     }
     Ok(Box::new(move |clock| {
-        MvtlBackend::build(policy.clone(), clock, config.clone())
+        KvBackend::build(MvtlStore::new(policy.clone(), clock, config.clone()))
     }))
 }
 
@@ -834,7 +771,7 @@ mod tests {
     #[test]
     fn split_prefixed_peels_front_end_params_off_the_engine_spec() {
         let (serve, engine) = EngineSpec::split_prefixed(
-            "sharded?shards=4&serve_max_txns=64&inner=mvtl-to&serve_nodelay=0",
+            "sharded?shards=4&serve_max_txns=64&inner=mvtl-to&serve_max_frame=4096",
             "serve_",
         )
         .unwrap();
@@ -842,7 +779,7 @@ mod tests {
             serve,
             vec![
                 ("max_txns".to_string(), "64".to_string()),
-                ("nodelay".to_string(), "0".to_string())
+                ("max_frame".to_string(), "4096".to_string())
             ]
         );
         assert_eq!(engine, "sharded?shards=4&inner=mvtl-to");
@@ -952,88 +889,6 @@ mod tests {
             build("mvtil-early?gc_ms=soon").map(|_| ()),
             Err(SpecError::InvalidValue { .. })
         ));
-    }
-
-    #[test]
-    fn batched_clock_specs_build_for_mvtil_and_round_trip() {
-        use mvtl_common::{EngineExt, Key, ProcessId};
-        for spec in [
-            "mvtil-early?clock=batched",
-            "mvtil-late?clock=batched&clock_block=16",
-            "mvtil-early?clock=batched&clock_block=1&delta=1000",
-            "mvtil-early?clock=global",
-        ] {
-            let engine = build(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
-            // Two processes write and read back through the batched clock:
-            // blocks hand out unique timestamps, so both commits land.
-            let mut w = engine.begin(ProcessId(0));
-            w.write(Key(1), 11).unwrap();
-            w.commit()
-                .unwrap_or_else(|e| panic!("{spec}: writer aborted: {e}"));
-            let mut r = engine.begin(ProcessId(1));
-            assert_eq!(r.read(Key(1)).unwrap(), Some(11), "{spec}");
-            r.commit()
-                .unwrap_or_else(|e| panic!("{spec}: reader aborted: {e}"));
-        }
-    }
-
-    #[test]
-    fn batched_clock_is_rejected_for_monotonicity_dependent_engines() {
-        // MVTL-TO, MVTO+, 2PL, the ε-clock policy and the sharded coordinator
-        // all reason from a globally ordered clock; a batched clock would
-        // reintroduce the §5.3 serial aborts silently, so the spec is refused.
-        for spec in [
-            "mvtl-to?clock=batched",
-            "mvto+?clock=batched",
-            "2pl?clock=batched",
-            "mvtl-epsilon-clock?clock=batched",
-            "sharded?inner=mvtil-early&clock=batched",
-        ] {
-            assert!(
-                matches!(build(spec).map(|_| ()), Err(SpecError::Malformed { .. })),
-                "{spec} must be rejected"
-            );
-        }
-        // Orphan / malformed clock knobs.
-        assert!(matches!(
-            build("mvtil-early?clock_block=16").map(|_| ()),
-            Err(SpecError::Malformed { .. })
-        ));
-        assert!(matches!(
-            build("mvtil-early?clock=batched&clock_block=0").map(|_| ()),
-            Err(SpecError::InvalidValue { .. })
-        ));
-        assert!(matches!(
-            build("mvtil-early?clock=batched&clock_block=100000").map(|_| ()),
-            Err(SpecError::InvalidValue { .. })
-        ));
-        assert!(matches!(
-            build("mvtil-early?clock=sundial").map(|_| ()),
-            Err(SpecError::InvalidValue { .. })
-        ));
-    }
-
-    #[test]
-    fn batched_clock_starts_past_recovered_commits() {
-        use mvtl_common::{EngineExt, Key, ProcessId};
-        let dir = TempDir::new("batched-clock-wal");
-        let spec = format!(
-            "mvtil-early?clock=batched&clock_block=8&wal={}",
-            dir.path().display()
-        );
-        {
-            let engine = build(&spec).unwrap();
-            let mut tx = engine.begin(ProcessId(0));
-            tx.write(Key(7), 70).unwrap();
-            tx.commit().unwrap();
-        }
-        // Reopen: recovery floors the batched clock past the logged commit,
-        // so the rebuilt engine orders after the recovered state.
-        let engine = build(&spec).unwrap();
-        let mut tx = engine.begin(ProcessId(0));
-        assert_eq!(tx.read(Key(7)).unwrap(), Some(70));
-        tx.write(Key(7), 71).unwrap();
-        tx.commit().unwrap();
     }
 
     #[test]

@@ -37,9 +37,6 @@ pub struct ServerConfig {
     /// Cap on concurrently open transactions per connection
     /// (`serve_max_txns`). Exceeding it is a protocol error.
     pub max_txns: usize,
-    /// Whether to set `TCP_NODELAY` on accepted connections
-    /// (`serve_nodelay`, `0`/`1`).
-    pub nodelay: bool,
 }
 
 impl Default for ServerConfig {
@@ -47,7 +44,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_frame: DEFAULT_MAX_FRAME,
             max_txns: 1024,
-            nodelay: true,
         }
     }
 }
@@ -57,8 +53,8 @@ impl ServerConfig {
     /// `serve_`-prefixed parameters) and the engine spec for
     /// `mvtl_registry::build`.
     ///
-    /// Recognized parameters: `serve_max_frame` (bytes, > 0), `serve_max_txns`
-    /// (> 0), `serve_nodelay` (`0` | `1`).
+    /// Recognized parameters: `serve_max_frame` (bytes, > 0) and
+    /// `serve_max_txns` (> 0). Accepted connections always set `TCP_NODELAY`.
     ///
     /// # Errors
     ///
@@ -80,13 +76,6 @@ impl ServerConfig {
                 }
                 "max_txns" => {
                     config.max_txns = value.parse().ok().filter(|v| *v > 0).ok_or_else(invalid)?;
-                }
-                "nodelay" => {
-                    config.nodelay = match value.as_str() {
-                        "0" => false,
-                        "1" => true,
-                        _ => return Err(invalid()),
-                    };
                 }
                 _ => {
                     return Err(SpecError::UnknownParam {
@@ -215,9 +204,7 @@ fn accept_loop(
             break;
         }
         let Ok(stream) = stream else { continue };
-        if config.nodelay {
-            let _ = stream.set_nodelay(true);
-        }
+        let _ = stream.set_nodelay(true);
         let Ok(peer) = stream.try_clone() else {
             continue;
         };
@@ -400,10 +387,8 @@ mod tests {
     #[test]
     fn config_from_spec_splits_serve_params() {
         let (config, engine) =
-            ServerConfig::from_spec("mvtil-early?delta=500&serve_max_txns=7&serve_nodelay=0")
-                .unwrap();
+            ServerConfig::from_spec("mvtil-early?delta=500&serve_max_txns=7").unwrap();
         assert_eq!(config.max_txns, 7);
-        assert!(!config.nodelay);
         assert_eq!(config.max_frame, DEFAULT_MAX_FRAME);
         assert_eq!(engine, "mvtil-early?delta=500");
 
@@ -420,10 +405,6 @@ mod tests {
         ));
         assert!(matches!(
             ServerConfig::from_spec("mvtil-early?serve_max_frame=banana"),
-            Err(SpecError::InvalidValue { .. })
-        ));
-        assert!(matches!(
-            ServerConfig::from_spec("mvtil-early?serve_nodelay=yes"),
             Err(SpecError::InvalidValue { .. })
         ));
         assert!(matches!(

@@ -120,14 +120,6 @@ where
         // traffic only.
         self.inner.recover_commit(writes, commit_ts)
     }
-
-    fn recover_prepared(
-        &self,
-        writes: Vec<(Key, V)>,
-        interval: &TsSet,
-    ) -> Result<Box<dyn PreparedTxn<V>>, TxError> {
-        self.inner.recover_prepared(writes, interval)
-    }
 }
 
 /// [`TxHandle`] decorator: delays operations and perturbs `prepare` per the

@@ -12,13 +12,15 @@
 //!
 //! * [`ShardedStore`] hash-routes keys to `N` independent shards, each a full
 //!   per-key-latched MVTL engine ([`mvtl_core::MvtlStore`] under any
-//!   [`LockingPolicy`](mvtl_core::policy::LockingPolicy)).
+//!   [`LockingPolicy`](mvtl_core::policy::LockingPolicy)). [`KvBackend`] is
+//!   the one adapter that turns a store — an `MvtlStore` or a baseline —
+//!   into a shard.
 //! * A transaction opens shard sub-transactions lazily; one that touches a
 //!   single shard commits through the shard policy's own timestamp pick, with
 //!   no coordination. A one-shard store skips even the routing: its
 //!   transactions are the shard's own handles, so it behaves exactly like the
 //!   bare engine — which is how `mvtl-registry` builds every non-`sharded`
-//!   spec, the baselines included (through [`KvBackend`]).
+//!   spec, the baselines included.
 //! * A cross-shard commit runs prepare → intersect → commit-at/abort:
 //!   [`TxHandle::prepare`](mvtl_common::TxHandle::prepare) freezes the
 //!   shard's interval
@@ -27,7 +29,9 @@
 //!   [`TsSet`](mvtl_common::TsSet)s, and either every shard commits at the
 //!   same timestamp
 //!   ([`PreparedTxn::commit_at`](mvtl_common::PreparedTxn::commit_at)) or
-//!   every shard aborts.
+//!   every shard aborts. A shard prepares through its store's
+//!   [`TransactionalKV::prepare`](mvtl_common::TransactionalKV::prepare),
+//!   which the baselines refuse.
 //! * [`ShardedStore::with_gc`] gives the store its own `mvtl-gc` sweeper
 //!   over all shards, stopped and joined when the store drops.
 //!
@@ -70,7 +74,7 @@ mod backend;
 mod faults;
 mod store;
 
-pub use backend::{KvBackend, MvtlBackend, ShardBackend};
+pub use backend::{KvBackend, ShardBackend};
 pub use faults::FaultyBackend;
 pub use store::{IntersectionPick, ShardedStore};
 
@@ -80,7 +84,7 @@ mod tests {
     use mvtl_clock::GlobalClock;
     use mvtl_common::{AbortReason, Engine, EngineExt, Key, ProcessId, Timestamp, TransactionalKV};
     use mvtl_core::policy::MvtilPolicy;
-    use mvtl_core::MvtlConfig;
+    use mvtl_core::{MvtlConfig, MvtlStore};
     use std::sync::Arc;
 
     fn store(shards: usize) -> ShardedStore<u64> {
@@ -272,20 +276,16 @@ mod tests {
 
     #[test]
     fn kv_backend_refuses_to_prepare_and_releases_its_locks() {
-        use mvtl_core::policy::PessimisticPolicy;
-        use mvtl_core::MvtlStore;
-        let backend: Arc<dyn ShardBackend<u64>> = KvBackend::build(MvtlStore::new(
-            PessimisticPolicy::new(),
-            Arc::new(GlobalClock::new()),
-            MvtlConfig::default(),
-        ));
+        use mvtl_baselines::TwoPhaseLockingStore;
+        use std::time::Duration;
+        let backend: Arc<dyn ShardBackend<u64>> =
+            KvBackend::build(TwoPhaseLockingStore::new(Duration::from_millis(20)));
         let mut tx = backend.begin(ProcessId(1), None);
         tx.write(Key(1), 1).unwrap();
-        assert!(backend.stats().lock_entries > 0);
         let err = tx.prepare().map(|_| ()).unwrap_err();
         assert!(matches!(err, mvtl_common::TxError::Internal(_)), "{err}");
-        assert_eq!(backend.stats().lock_entries, 0, "prepare aborted the txn");
-        // The single-shard commit path works as usual.
+        // The refused transaction released its lock: the next writer of the
+        // key does not time out, and the single-shard commit works as usual.
         let mut tx = backend.begin(ProcessId(2), None);
         tx.write(Key(1), 2).unwrap();
         assert!(tx.commit().unwrap().commit_ts.is_some());
@@ -308,7 +308,13 @@ mod tests {
         use std::time::Duration;
         let clock = Arc::new(GlobalClock::starting_at(1000));
         let shards: Vec<Arc<dyn ShardBackend<u64>>> = (0..2)
-            .map(|_| MvtlBackend::build(ToPolicy::new(), clock.clone(), MvtlConfig::default()))
+            .map(|_| {
+                KvBackend::build(MvtlStore::new(
+                    ToPolicy::new(),
+                    clock.clone(),
+                    MvtlConfig::default(),
+                ))
+            })
             .collect();
         let probes = shards.clone();
         let s = ShardedStore::new(shards, clock, IntersectionPick::Min).with_gc(

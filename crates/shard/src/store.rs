@@ -1,13 +1,13 @@
 //! The partitioned engine and its cross-shard commit coordinator.
 
-use crate::backend::ShardBackend;
+use crate::backend::{KvBackend, ShardBackend};
 use mvtl_clock::ClockSource;
 use mvtl_common::{
     AbortReason, ActiveTxnRegistry, CommitInfo, Engine, Key, PreparedTxn, ProcessId, StoreStats,
     Timestamp, TsSet, TxError, TxHandle, TxId, TxnPin,
 };
 use mvtl_core::policy::LockingPolicy;
-use mvtl_core::MvtlConfig;
+use mvtl_core::{MvtlConfig, MvtlStore};
 use mvtl_gc::{GcConfig, GcService, SweepTarget};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -162,7 +162,11 @@ where
     {
         let shards = (0..shard_count.max(1))
             .map(|i| {
-                crate::backend::MvtlBackend::build(policy(i), Arc::clone(&clock), config.clone())
+                KvBackend::build(MvtlStore::new(
+                    policy(i),
+                    Arc::clone(&clock),
+                    config.clone(),
+                ))
             })
             .collect();
         ShardedStore::new(shards, clock, pick)

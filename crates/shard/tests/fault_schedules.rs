@@ -6,7 +6,7 @@
 //! probe of the phase-3 drain tests sandwiched *outside* the fault layer:
 //!
 //! ```text
-//!   coordinator → ProbedBackend → FaultyBackend → MvtlBackend
+//!   coordinator → ProbedBackend → FaultyBackend → KvBackend(MvtlStore)
 //! ```
 //!
 //! so the probe observes exactly the decisions the coordinator (and its
@@ -21,9 +21,9 @@ use mvtl_clock::GlobalClock;
 use mvtl_common::ops::{Op, Workload};
 use mvtl_common::{AbortReason, Engine, EngineExt, Key, ProcessId};
 use mvtl_core::policy::MvtilPolicy;
-use mvtl_core::MvtlConfig;
+use mvtl_core::{MvtlConfig, MvtlStore};
 use mvtl_faults::{named_schedule, named_schedules, FaultKind, FaultPlan, FaultSpec};
-use mvtl_shard::{FaultyBackend, IntersectionPick, MvtlBackend, ShardBackend, ShardedStore};
+use mvtl_shard::{FaultyBackend, IntersectionPick, KvBackend, ShardBackend, ShardedStore};
 use mvtl_verify::{check_serializable, replay};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -44,11 +44,11 @@ fn faulty_store(
     ));
     let backends: Vec<Arc<dyn ShardBackend<u64>>> = (0..shards)
         .map(|shard| {
-            let inner = MvtlBackend::build(
+            let inner = KvBackend::build(MvtlStore::new(
                 MvtilPolicy::early(100_000),
                 Arc::clone(&clock),
                 MvtlConfig::default(),
-            );
+            ));
             probed(FaultyBackend::wrap(inner, Arc::clone(&plan), shard), &probe)
         })
         .collect();

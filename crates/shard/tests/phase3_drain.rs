@@ -14,8 +14,8 @@ mod support;
 
 use mvtl_common::{Engine, EngineExt, Key, ProcessId, Timestamp, TxError};
 use mvtl_core::policy::MvtilPolicy;
-use mvtl_core::MvtlConfig;
-use mvtl_shard::{IntersectionPick, MvtlBackend, ShardedStore};
+use mvtl_core::{MvtlConfig, MvtlStore};
+use mvtl_shard::{IntersectionPick, KvBackend, ShardedStore};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use support::{probed, Probe};
@@ -25,11 +25,11 @@ fn probed_store(shards: usize) -> (ShardedStore<u64>, Arc<Probe>) {
     let probe = Arc::new(Probe::default());
     let backends = (0..shards)
         .map(|_| {
-            let inner = MvtlBackend::build(
+            let inner = KvBackend::build(MvtlStore::new(
                 MvtilPolicy::early(100_000),
                 Arc::clone(&clock),
                 MvtlConfig::default(),
-            );
+            ));
             probed(inner, &probe)
         })
         .collect();

@@ -8,8 +8,8 @@ mod support;
 use mvtl_clock::{ClockSource, GlobalClock};
 use mvtl_common::{EngineExt, Key, ProcessId};
 use mvtl_core::policy::MvtilPolicy;
-use mvtl_core::MvtlConfig;
-use mvtl_shard::{IntersectionPick, MvtlBackend, ShardedStore};
+use mvtl_core::{MvtlConfig, MvtlStore};
+use mvtl_shard::{IntersectionPick, KvBackend, ShardedStore};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use support::{probed, Probe};
@@ -19,11 +19,11 @@ fn probed_store(shards: usize) -> (ShardedStore<u64>, Arc<Probe>) {
     let probe = Arc::new(Probe::default());
     let backends = (0..shards)
         .map(|_| {
-            let inner = MvtlBackend::build(
+            let inner = KvBackend::build(MvtlStore::new(
                 MvtilPolicy::early(1000),
                 Arc::clone(&clock),
                 MvtlConfig::default(),
-            );
+            ));
             probed(inner, &probe)
         })
         .collect();

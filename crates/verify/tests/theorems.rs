@@ -188,6 +188,44 @@ fn pessimistic_commits_stay_serializable_across_a_purge_at_the_clock() {
         .unwrap_or_else(|e| panic!("purge let a cycle through: {e}"));
 }
 
+/// The purge leaves a floor: a purge below `b` reclaims the cell of a key
+/// that holds only `⊥` and its read run, and with it the one lock that kept
+/// a MVTL-Pessimistic writer, which locks from 0, out from under the reader.
+/// The stripe's floor must refuse W every timestamp below `b`, so W commits
+/// above R instead of writing k1 under R's read of `⊥`.
+#[test]
+fn pessimistic_writer_commits_above_the_floor_of_a_reclaimed_cell() {
+    let engine = engine("mvtl-pessimistic");
+    let (k0, k1, k2) = (Key(0), Key(1), Key(2));
+    let mut commits = Vec::new();
+    let mut t0 = engine.begin(ProcessId(0));
+    t0.write(k0, 1).unwrap();
+    commits.push(t0.commit().unwrap());
+    let mut r = engine.begin(ProcessId(0));
+    assert_eq!(r.read(k1).unwrap(), None);
+    assert_eq!(r.read(k0).unwrap(), Some(1));
+    r.write(k2, 2).unwrap();
+    let r_info = r.commit().unwrap();
+    let r_ts = r_info.commit_ts.unwrap();
+    commits.push(r_info);
+    assert_eq!(engine.low_watermark(), None);
+    let keys = engine.stats().keys;
+    engine.purge_below(Timestamp::at(4));
+    assert_eq!(engine.stats().keys, keys - 1, "k1's cell is reclaimed");
+    let mut w = engine.begin(ProcessId(0));
+    w.write(k1, 3).unwrap();
+    w.write(k2, 3).unwrap();
+    let w_info = w.commit().unwrap();
+    let w_ts = w_info.commit_ts.unwrap();
+    commits.push(w_info);
+    let mut x = engine.begin(ProcessId(0));
+    x.read(k2).unwrap();
+    commits.push(x.commit().unwrap());
+    check_serializable(&History::from_commits(commits))
+        .unwrap_or_else(|e| panic!("W committed at {w_ts} and R at {r_ts}: {e}"));
+    assert!(w_ts > r_ts, "W committed at {w_ts}, below R at {r_ts}");
+}
+
 // ------------------------------------------------------ cross-engine sanity
 
 #[test]

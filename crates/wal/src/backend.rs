@@ -18,8 +18,9 @@
 //!   ignored), but a missing decision already means abort: that is the
 //!   presumed-abort rule,
 //!   and it is what [`WalBackend::attach`] applies to any prepare whose
-//!   decision never reached the log — the recovered prepared state gets
-//!   exactly one decision (an abort), which is then logged.
+//!   decision never reached the log: the prepare gets exactly one decision
+//!   (an abort), which is then logged. Nothing of it is rebuilt, since an
+//!   abort leaves nothing behind.
 
 use crate::log::{Recovery, Wal, WalError, WalOptions};
 use crate::record::{WalRecord, WalValue};
@@ -102,12 +103,9 @@ where
         }
         for prepare in resolved.unresolved {
             // Presumed abort: the coordinator that could still decide this
-            // prepare died with the crash, so the re-created prepared state
-            // gets its one decision — an abort — and the decision is logged
-            // so the next recovery sees the prepare as settled.
-            if let Ok(recovered) = inner.recover_prepared(prepare.writes, &prepare.interval) {
-                recovered.abort();
-            }
+            // prepare died with the crash, so the prepare gets its one
+            // decision — an abort. Nothing of it is rebuilt; the decision is
+            // logged so the next recovery sees the prepare as settled.
             wal.append::<V>(&WalRecord::Decision {
                 id: prepare.id,
                 outcome: None,
@@ -146,42 +144,6 @@ where
 
     fn low_watermark(&self) -> Option<Timestamp> {
         self.inner.low_watermark()
-    }
-
-    fn recover_commit(&self, writes: Vec<(Key, V)>, commit_ts: Timestamp) -> Result<(), TxError> {
-        // State recovered from elsewhere must survive this log's next crash
-        // too, so it is logged here as well.
-        self.inner.recover_commit(writes.clone(), commit_ts)?;
-        self.wal
-            .append(&WalRecord::Commit {
-                id: self.wal.fresh_id(),
-                commit_ts: Some(commit_ts),
-                writes,
-            })
-            .map_err(|e| TxError::Internal(format!("recovery applied but not logged: {e}")))?;
-        Ok(())
-    }
-
-    fn recover_prepared(
-        &self,
-        writes: Vec<(Key, V)>,
-        interval: &TsSet,
-    ) -> Result<Box<dyn PreparedTxn<V>>, TxError> {
-        let prepared = self.inner.recover_prepared(writes.clone(), interval)?;
-        let id = self.wal.fresh_id();
-        if let Err(e) = self.wal.append(&WalRecord::Prepare {
-            id,
-            interval: prepared.interval().clone(),
-            writes,
-        }) {
-            prepared.abort();
-            return Err(TxError::Internal(format!("prepare not logged: {e}")));
-        }
-        Ok(Box::new(WalPrepared {
-            inner: prepared,
-            wal: Arc::clone(&self.wal),
-            id,
-        }))
     }
 }
 
@@ -288,8 +250,8 @@ where
     }
 
     fn abort(self: Box<Self>) {
-        // Best effort: a logged abort lets recovery skip re-preparing, but a
-        // missing one is still an abort (presumed abort).
+        // Best effort: a logged abort settles the prepare for recovery, but
+        // a missing one is still an abort (presumed abort).
         let _ = self.wal.append::<V>(&WalRecord::Decision {
             id: self.id,
             outcome: None,
@@ -302,17 +264,17 @@ where
 mod tests {
     use super::*;
     use mvtl_clock::GlobalClock;
-    use mvtl_common::{TempDir, TsRange};
+    use mvtl_common::TempDir;
     use mvtl_core::policy::MvtilPolicy;
-    use mvtl_core::MvtlConfig;
-    use mvtl_shard::MvtlBackend;
+    use mvtl_core::{MvtlConfig, MvtlStore};
+    use mvtl_shard::KvBackend;
 
     fn fresh_inner() -> Arc<dyn ShardBackend<u64>> {
-        MvtlBackend::build(
+        KvBackend::build(MvtlStore::new(
             MvtilPolicy::early(1000),
             Arc::new(GlobalClock::new()),
             MvtlConfig::default(),
-        )
+        ))
     }
 
     fn attach(dir: &Path) -> (Arc<dyn ShardBackend<u64>>, RecoveryReport) {
@@ -423,6 +385,7 @@ mod tests {
         let mut txn = shard.begin(ProcessId(0), None);
         txn.write(Key(1), 10).unwrap();
         let prepared = txn.prepare().unwrap();
+        let interval = prepared.interval().clone();
         // Crash between prepare and decision: the coordinator never answers.
         std::mem::forget(prepared);
         drop(shard);
@@ -430,14 +393,21 @@ mod tests {
         let (shard, report) = attach(dir.path());
         assert_eq!(report.committed, 0);
         assert_eq!(report.aborted_prepares, 1, "presumed abort, once");
-        assert_eq!(read_committed(&shard, Key(1)), None);
+        // The aborted prepare holds nothing: a writer pinned inside its old
+        // interval commits there.
+        let mut writer = shard.begin(ProcessId(1), interval.min());
+        writer.write(Key(1), 11).unwrap();
+        let ts = writer.commit().unwrap().commit_ts.unwrap();
+        assert!(interval.contains(ts), "{ts} outside {interval:?}");
+        assert_eq!(read_committed(&shard, Key(1)), Some(11));
         drop(shard);
 
         // The abort decision reached the log: a third open has nothing left
-        // to resolve.
+        // to resolve, and replays only the writer.
         let (shard, report) = attach(dir.path());
         assert_eq!(report.aborted_prepares, 0);
-        assert_eq!(read_committed(&shard, Key(1)), None);
+        assert_eq!(report.committed, 1);
+        assert_eq!(read_committed(&shard, Key(1)), Some(11));
     }
 
     #[test]
@@ -457,35 +427,5 @@ mod tests {
             "the decision was already logged"
         );
         assert_eq!(read_committed(&shard, Key(1)), None);
-    }
-
-    #[test]
-    fn recovered_prepared_state_holds_its_locks() {
-        let dir = TempDir::new("backend-holds");
-        let (shard, _) = attach(dir.path());
-        let recovered = shard
-            .recover_prepared(
-                vec![(Key(1), 10)],
-                &TsSet::from_range(TsRange::new(Timestamp::at(5), Timestamp::at(9))),
-            )
-            .unwrap();
-        // While the recovered prepare is live, its interval is frozen: a
-        // second prepare over the same key cannot intersect it.
-        let mut rival = shard.begin(ProcessId(1), Some(Timestamp::at(5)));
-        rival.write(Key(1), 99).unwrap();
-        // An outright prepare failure (fully blocked) is fine too.
-        if let Ok(prepared) = rival.prepare() {
-            assert!(
-                prepared.interval().min().unwrap() > Timestamp::at(9),
-                "rival may only prepare above the recovered interval"
-            );
-            prepared.abort();
-        }
-        recovered.commit_at(Timestamp::at(7)).unwrap();
-        drop(shard);
-
-        let (shard, report) = attach(dir.path());
-        assert_eq!(report.committed, 1);
-        assert_eq!(read_committed(&shard, Key(1)), Some(10));
     }
 }

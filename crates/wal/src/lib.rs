@@ -19,9 +19,10 @@
 //!   decisions are logged durably *before* they are acknowledged, so
 //!   presumed-abort recovery gives every prepared sub-transaction exactly
 //!   one decision across a crash. On open, [`WalBackend::with_recovery`]
-//!   replays the log into the shard at the original commit timestamps
-//!   ([`mvtl_shard::ShardBackend::recover_commit`] /
-//!   [`recover_prepared`](mvtl_shard::ShardBackend::recover_prepared)).
+//!   replays the log's commits into the shard at their original timestamps
+//!   ([`mvtl_shard::ShardBackend::recover_commit`]) — a prepare whose
+//!   decision was logged counts as a commit — and logs an abort for every
+//!   undecided prepare, rebuilding nothing of it (presumed abort).
 //!
 //! Every registry spec is a [`ShardedStore`](mvtl_shard::ShardedStore) of
 //! one or more shards, so this one decorator makes any engine durable: a

@@ -7,7 +7,6 @@
 //! harness behind every figure.
 
 use crate::spec::{TxTemplate, WorkloadSpec};
-use mvtl_common::hist::LatencyHistogram;
 use mvtl_common::{Engine, EngineExt, ProcessId, StoreStats, Transaction, TxError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -75,10 +74,6 @@ pub struct RunnerMetrics {
     /// Figure-6 "state as time passes" endpoint: with GC attached this stays
     /// bounded; without it, it grows with every committed write.
     pub stats_end: StoreStats,
-    /// Per-attempt latency (begin through commit or abort, microseconds),
-    /// merged across all client threads. A closed loop has no arrival
-    /// schedule, so there is no queueing delay in it.
-    pub latency: LatencyHistogram,
 }
 
 impl RunnerMetrics {
@@ -121,7 +116,6 @@ pub fn run_closed_loop<V>(
     let stop = AtomicBool::new(false);
     let stats_start = engine.stats();
     let start = Instant::now();
-    let mut latency = LatencyHistogram::new();
 
     std::thread::scope(|scope| {
         let mut clients = Vec::with_capacity(options.clients);
@@ -139,10 +133,8 @@ pub fn run_closed_loop<V>(
                 // not run per key draw.
                 let sampler = spec.key_sampler();
                 let mut counter = 0u64;
-                let mut hist = LatencyHistogram::new();
                 while !stop.load(Ordering::Relaxed) {
                     let template = spec.generate_with(&sampler, &mut rng);
-                    let attempt = Instant::now();
                     let mut txn = engine.begin(process);
                     let result = execute_template(&mut txn, &template, || {
                         counter += 1;
@@ -163,10 +155,7 @@ pub fn run_closed_loop<V>(
                             aborted.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    let micros = u64::try_from(attempt.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    hist.record(micros);
                 }
-                hist
             }));
         }
         // Timer thread: flip the stop flag when the duration elapses.
@@ -178,10 +167,9 @@ pub fn run_closed_loop<V>(
         });
         for handle in clients {
             // Re-raise client panics instead of silently dropping their tails.
-            let hist = handle
+            handle
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            latency.merge(&hist);
         }
     });
 
@@ -191,7 +179,6 @@ pub fn run_closed_loop<V>(
         elapsed_secs: start.elapsed().as_secs_f64(),
         stats_start,
         stats_end: engine.stats(),
-        latency,
     }
 }
 
@@ -219,14 +206,6 @@ mod tests {
         assert_eq!(metrics.stats_start, StoreStats::default());
         assert!(metrics.stats_end.versions > 0);
         assert!(metrics.stats_end.resident() >= metrics.stats_end.versions);
-        // Every attempt recorded a latency, and the quantiles are ordered.
-        assert_eq!(metrics.latency.count(), metrics.committed + metrics.aborted);
-        assert!(
-            metrics.latency.max() > 0,
-            "some attempt took measurable time"
-        );
-        assert!(metrics.latency.p50() <= metrics.latency.p99());
-        assert!(metrics.latency.p99() <= metrics.latency.p999());
     }
 
     #[test]

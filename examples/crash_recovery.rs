@@ -17,8 +17,8 @@
 use mvtl::clock::{ClockSource, GlobalClock};
 use mvtl::common::{Engine, EngineExt, Key, ProcessId, TempDir};
 use mvtl::core::policy::MvtilPolicy;
-use mvtl::core::MvtlConfig;
-use mvtl::shard::{IntersectionPick, MvtlBackend, ShardedStore};
+use mvtl::core::{MvtlConfig, MvtlStore};
+use mvtl::shard::{IntersectionPick, KvBackend, ShardedStore};
 use mvtl::wal::{RecoveryReport, Wal, WalBackend, WalError, WalOptions};
 use std::path::Path;
 use std::sync::Arc;
@@ -31,11 +31,11 @@ fn open_engine(dir: &Path) -> Result<(Box<dyn Engine<u64>>, RecoveryReport), Wal
     // transactions could serialize *before* state that already exists.
     let start = recovery.max_commit_ts().map_or(1, |ts| ts.value + 1);
     let clock: Arc<dyn ClockSource> = Arc::new(GlobalClock::starting_at(start));
-    let shard = MvtlBackend::build(
+    let shard = KvBackend::build(MvtlStore::new(
         MvtilPolicy::early(1_000),
         Arc::clone(&clock),
         MvtlConfig::default(),
-    );
+    ));
     let (shard, report) = WalBackend::with_recovery(shard, wal, recovery)?;
     let store =
         ShardedStore::new(vec![shard], clock, IntersectionPick::Min).with_name("mvtil-early");
