@@ -90,10 +90,8 @@ fn full_stack_lock_order_is_acyclic_and_rank_consistent() {
     let sites = lock_order::sites();
     for expected in [
         "core.store.stripe",
-        "baselines.tpl.shard",
-        "baselines.tpl.key",
-        "baselines.mvto.shard",
-        "baselines.mvto.key",
+        "baselines.tpl.stripe",
+        "baselines.mvto.stripe",
         "common.active_txns",
         "verify.history",
         "wal.segments",

@@ -5,103 +5,43 @@ use mvtl_common::{
     AbortReason, ActiveTxnRegistry, CommitInfo, Key, ProcessId, StoreStats, Timestamp,
     TransactionalKV, TxError, TxId, TxStatus, TxnPin,
 };
-use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap};
+use mvtl_storage::{ArenaChain, ChainArena, StripeMap, StripedTable};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// One committed version with its read-timestamp.
-#[derive(Debug, Clone)]
-struct MvtoVersion<V> {
-    value: V,
-    /// The largest timestamp with which this version was read.
-    rts: Timestamp,
-}
+/// Number of stripes in the key table.
+const STRIPES: usize = 64;
 
-/// Per-key state: the version list plus the read-timestamp of the initial `⊥`
-/// version ("the read-timestamp of X at version 0" in the §5.3 example).
+/// The state under one stripe latch: each key's version chain, and the
+/// arena its spill buffers come from.
 #[derive(Debug)]
-struct MvtoKeyState<V> {
-    versions: BTreeMap<Timestamp, MvtoVersion<V>>,
-    bottom_rts: Timestamp,
-    purged_below: Timestamp,
-    purged: usize,
+struct MvtoStripe<V> {
+    chains: StripeMap<ArenaChain<V>>,
+    arena: ChainArena<V>,
 }
 
-impl<V> Default for MvtoKeyState<V> {
+impl<V> Default for MvtoStripe<V> {
     fn default() -> Self {
-        MvtoKeyState {
-            versions: BTreeMap::new(),
-            bottom_rts: Timestamp::ZERO,
-            purged_below: Timestamp::ZERO,
-            purged: 0,
+        MvtoStripe {
+            chains: StripeMap::new(),
+            arena: ChainArena::new(),
         }
     }
 }
 
-impl<V: Clone> MvtoKeyState<V> {
-    /// Latest committed version strictly below `ts`, or the `⊥` version.
-    fn latest_before(&self, ts: Timestamp) -> Result<(Timestamp, Option<V>), Timestamp> {
-        match self.versions.range(..ts).next_back() {
-            Some((t, v)) => Ok((*t, Some(v.value.clone()))),
-            None => {
-                if self.purged > 0 && ts <= self.purged_below {
-                    Err(self.purged_below)
-                } else {
-                    Ok((Timestamp::ZERO, None))
-                }
-            }
-        }
-    }
-
-    /// Records that the version at `version_ts` was read at `reader_ts`.
-    fn bump_rts(&mut self, version_ts: Timestamp, reader_ts: Timestamp) {
-        if version_ts.is_zero() {
-            if reader_ts > self.bottom_rts {
-                self.bottom_rts = reader_ts;
-            }
-        } else if let Some(v) = self.versions.get_mut(&version_ts) {
-            if reader_ts > v.rts {
-                v.rts = reader_ts;
-            }
-        }
-    }
-
-    /// The MVTO write rule: a write at `ts` is allowed only if the version it
-    /// would supersede has not been read at a timestamp above `ts`.
-    fn write_allowed(&self, ts: Timestamp) -> bool {
-        match self.versions.range(..ts).next_back() {
-            Some((_, v)) => v.rts <= ts,
-            None => self.bottom_rts <= ts,
-        }
-    }
-
-    fn install(&mut self, ts: Timestamp, value: V) {
-        self.versions.insert(
-            ts,
-            MvtoVersion {
-                value,
-                rts: Timestamp::ZERO,
-            },
-        );
-    }
-
-    fn purge_below(&mut self, bound: Timestamp) -> usize {
-        let keep = self.versions.range(..bound).next_back().map(|(t, _)| *t);
-        let to_remove: Vec<Timestamp> = self
-            .versions
-            .range(..bound)
-            .map(|(t, _)| *t)
-            .filter(|t| Some(*t) != keep)
-            .collect();
-        let removed = to_remove.len();
-        for t in to_remove {
-            self.versions.remove(&t);
-        }
-        if bound > self.purged_below {
-            self.purged_below = bound;
-        }
-        self.purged += removed;
-        removed
+/// The MVTO write rule: a write at `ts` is allowed only if the version it
+/// would supersede has not been read at a timestamp above `ts`.
+///
+/// A version's read timestamp `rts` is kept as its read high-water mark
+/// `rts.pred()`, so `rts <= ts` reads `read_hw < ts`, and a transaction may
+/// read a key and then write it at its own timestamp. Below the purge bound
+/// with no stored version under it, the superseded version may be a purged
+/// one whose read timestamp went with it: such a write is refused.
+fn write_allowed<V: Clone>(chain: &ArenaChain<V>, ts: Timestamp) -> bool {
+    match chain.latest_before(ts) {
+        Ok((Timestamp::ZERO, _)) if ts < chain.purged_below() => false,
+        Ok((version, _)) => chain.read_hw(version).is_some_and(|hw| hw < ts),
+        Err(_) => false,
     }
 }
 
@@ -137,17 +77,18 @@ impl<V> MvtoTransaction<V> {
 /// Aborted transactions leave their read-timestamps behind — this is precisely
 /// the behaviour that causes ghost aborts (§5.5) and serial aborts under skewed
 /// clocks (§5.3), both of which the MVTL policies remove.
+///
+/// Keys live in the same [`StripedTable`] of [`ArenaChain`]s as the MVTL
+/// engine's versions; a version's read-timestamp is its read high-water mark.
+/// Cells are never reclaimed: a chain that holds no version still carries
+/// `⊥`'s read-timestamp, which the write rule consults.
 pub struct MvtoStore<V> {
     clock: Arc<dyn ClockSource>,
-    shards: Vec<MvtoShard<V>>,
+    keys: StripedTable<MvtoStripe<V>>,
     /// In-flight transactions, pinned at their begin timestamp; the minimum
     /// is the GC low watermark (reads anchor strictly below `txn.ts`).
     active: ActiveTxnRegistry,
 }
-
-/// One shard of the key map: keys hash to a shard, each key owns a latched
-/// per-key state.
-type MvtoShard<V> = RwLock<HashMap<Key, Arc<Mutex<MvtoKeyState<V>>>>>;
 
 impl<V> MvtoStore<V>
 where
@@ -158,73 +99,12 @@ where
     pub fn new(clock: Arc<dyn ClockSource>) -> Self {
         MvtoStore {
             clock,
-            shards: (0..64)
-                .map(|_| RwLock::named("baselines.mvto.shard", 54, HashMap::new()))
-                .collect(),
+            // Commit latches several stripes at once (ascending): a group site.
+            keys: StripedTable::build(STRIPES, |stripe| {
+                Mutex::named_group("baselines.mvto.stripe", 54, stripe)
+            }),
             active: ActiveTxnRegistry::new(),
         }
-    }
-
-    fn cell(&self, key: Key) -> Arc<Mutex<MvtoKeyState<V>>> {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        let shard = &self.shards[(hasher.finish() as usize) % self.shards.len()];
-        if let Some(cell) = shard.read().get(&key) {
-            return Arc::clone(cell);
-        }
-        let mut map = shard.write();
-        Arc::clone(map.entry(key).or_insert_with(|| {
-            // Commit latches several key mutexes at once (sorted): a group site.
-            Arc::new(Mutex::named_group(
-                "baselines.mvto.key",
-                56,
-                MvtoKeyState::default(),
-            ))
-        }))
-    }
-
-    /// Purges versions older than `bound` (keeping the most recent one per
-    /// key), as triggered by the timestamp service (§8.1). Returns the number
-    /// of versions removed.
-    ///
-    /// Cells are never reclaimed here: an empty `MvtoKeyState` still carries
-    /// the read-timestamp of the `⊥` version (`bottom_rts`), which MVTO+'s
-    /// write rule consults — discarding it would re-admit writes below past
-    /// reads. This is exactly the "aborted transactions leave their
-    /// read-timestamps behind" footprint the MVTL policies avoid.
-    pub fn purge_below(&self, bound: Timestamp) -> usize {
-        let mut removed = 0;
-        for shard in &self.shards {
-            let cells: Vec<_> = shard.read().values().cloned().collect();
-            for cell in cells {
-                removed += cell.lock().purge_below(bound);
-            }
-        }
-        removed
-    }
-
-    /// Total number of versions currently stored (state-size experiments).
-    #[must_use]
-    pub fn version_count(&self) -> usize {
-        let mut count = 0;
-        for shard in &self.shards {
-            let cells: Vec<_> = shard.read().values().cloned().collect();
-            for cell in cells {
-                count += cell.lock().versions.len();
-            }
-        }
-        count
-    }
-
-    /// The smallest begin timestamp among in-flight transactions, or `None`
-    /// when none is active. Reads anchor strictly below the transaction's
-    /// begin timestamp, so purging below this bound never aborts a live
-    /// transaction.
-    #[must_use]
-    pub fn low_watermark(&self) -> Option<Timestamp> {
-        self.active.low_watermark()
     }
 
     fn release_pin(&self, txn: &mut MvtoTransaction<V>) {
@@ -263,15 +143,16 @@ where
         if let Some((_, v)) = txn.writes.iter().rev().find(|(k, _)| *k == key) {
             return Ok(Some(v.clone()));
         }
-        let cell = self.cell(key);
-        let mut state = cell.lock();
-        match state.latest_before(txn.ts) {
+        let mut stripe = self.keys.stripe_for(key).data.lock();
+        let chain = stripe.chains.get_or_insert_with(key, ArenaChain::new);
+        match chain.latest_before(txn.ts) {
             Ok((version_ts, value)) => {
-                state.bump_rts(version_ts, txn.ts);
+                chain.raise_read_hw(version_ts, txn.ts.pred());
                 txn.read_set.push((key, version_ts));
                 Ok(value)
             }
             Err(bound) => {
+                drop(stripe);
                 txn.status = TxStatus::Aborted;
                 self.release_pin(txn);
                 Err(TxError::aborted(AbortReason::VersionPurged {
@@ -298,31 +179,47 @@ where
         if txn.status != TxStatus::Active {
             return Err(TxError::TransactionFinished);
         }
-        // Latch every written key (in key order, to avoid latch deadlocks),
-        // validate the MVTO write rule on all of them, then install atomically.
-        let mut write_keys: Vec<Key> = txn.writes.iter().map(|(k, _)| *k).collect();
-        write_keys.sort();
-        write_keys.dedup();
-        let cells: Vec<(Key, Arc<Mutex<MvtoKeyState<V>>>)> =
-            write_keys.iter().map(|k| (*k, self.cell(*k))).collect();
-        let mut guards: Vec<(Key, parking_lot::MutexGuard<'_, MvtoKeyState<V>>)> = Vec::new();
-        for (key, cell) in &cells {
-            guards.push((*key, cell.lock()));
-        }
-        let conflicting_key = guards
+        // Latch the stripes of every written key (in stripe order, to avoid
+        // latch deadlocks), validate the MVTO write rule on all of them in
+        // key order, then install atomically.
+        txn.writes.sort_unstable_by_key(|(k, _)| *k);
+        let write_keys: Vec<Key> = txn.writes.iter().map(|(k, _)| *k).collect();
+        let mut latched: Vec<usize> = write_keys
             .iter()
-            .find(|(_, guard)| !guard.write_allowed(txn.ts))
-            .map(|(key, _)| *key);
-        if let Some(key) = conflicting_key {
+            .map(|k| self.keys.stripe_index(*k))
+            .collect();
+        latched.sort_unstable();
+        latched.dedup();
+        let mut guards: Vec<_> = latched
+            .iter()
+            .map(|&i| self.keys.stripes()[i].data.lock())
+            .collect();
+        let slot = |key: Key| {
+            latched
+                .binary_search(&self.keys.stripe_index(key))
+                .expect("stripe latched")
+        };
+        // Every written key gets a chain, as a read would give it.
+        let mut conflict = None;
+        for &key in &write_keys {
+            let chain = guards[slot(key)]
+                .chains
+                .get_or_insert_with(key, ArenaChain::new);
+            if conflict.is_none() && !write_allowed(chain, txn.ts) {
+                conflict = Some(key);
+            }
+        }
+        if let Some(key) = conflict {
             drop(guards);
             txn.status = TxStatus::Aborted;
             self.release_pin(&mut txn);
             return Err(TxError::aborted(AbortReason::WriteConflict { key }));
         }
         for (key, value) in txn.writes.drain(..) {
-            if let Some((_, guard)) = guards.iter_mut().find(|(k, _)| *k == key) {
-                guard.install(txn.ts, value);
-            }
+            let MvtoStripe { chains, arena } = &mut *guards[slot(key)];
+            chains
+                .get_or_insert_with(key, ArenaChain::new)
+                .install(txn.ts, value, arena);
         }
         drop(guards);
         txn.status = TxStatus::Committed;
@@ -347,31 +244,45 @@ where
 
     fn stats(&self) -> StoreStats {
         let mut stats = StoreStats::default();
-        for shard in &self.shards {
-            let cells: Vec<_> = shard.read().values().cloned().collect();
-            for cell in cells {
-                let state = cell.lock();
+        for stripe in self.keys.stripes() {
+            for (_, chain) in stripe.data.lock().chains.iter() {
+                let chain = chain.stats();
                 stats.keys += 1;
-                stats.versions += state.versions.len();
-                stats.purged_versions += state.purged;
+                stats.versions += chain.versions;
+                stats.purged_versions += chain.purged;
             }
         }
         stats
     }
 
+    /// Purges versions older than `bound` (keeping the most recent one per
+    /// key), as triggered by the timestamp service (§8.1).
     fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
-        (MvtoStore::purge_below(self, bound), 0)
+        let mut removed = 0;
+        for stripe in self.keys.stripes() {
+            let MvtoStripe { chains, arena } = &mut *stripe.data.lock();
+            for (_, chain) in chains.iter_mut() {
+                removed += chain.purge_below(bound, arena);
+            }
+        }
+        (removed, 0)
     }
 
+    /// The smallest begin timestamp among in-flight transactions. Reads
+    /// anchor strictly below the transaction's begin timestamp, so purging
+    /// below this bound never aborts a live transaction.
     fn low_watermark(&self) -> Option<Timestamp> {
-        MvtoStore::low_watermark(self)
+        self.active.low_watermark()
     }
 
     fn recover_install(&self, writes: Vec<(Key, V)>, commit_ts: Timestamp) -> Result<(), TxError> {
         // MVTO+ serializes by timestamp, so recovery re-installs each version
         // at the timestamp the pre-crash commit chose.
         for (key, value) in writes {
-            self.cell(key).lock().install(commit_ts, value);
+            let MvtoStripe { chains, arena } = &mut *self.keys.stripe_for(key).data.lock();
+            chains
+                .get_or_insert_with(key, ArenaChain::new)
+                .install(commit_ts, value, arena);
         }
         Ok(())
     }
@@ -448,6 +359,29 @@ mod tests {
     }
 
     #[test]
+    fn a_purge_that_removes_nothing_still_guards_reads_of_bottom() {
+        // The purge keeps k@10, the newest version below its bound, but
+        // drops `⊥`'s read timestamp: R's read of `⊥` at 8 must still
+        // refuse W's write at 5.
+        let store: MvtoStore<u64> = MvtoStore::new(Arc::new(GlobalClock::new()));
+        let at = |v| Some(Timestamp::at(v));
+        let mut t = store.begin_at(ProcessId(0), at(10));
+        store.write(&mut t, Key(1), 1).unwrap();
+        store.commit(t).unwrap();
+        let mut r = store.begin_at(ProcessId(0), at(8));
+        assert_eq!(store.read(&mut r, Key(1)).unwrap(), None);
+        store.commit(r).unwrap();
+        assert_eq!(store.purge_below(Timestamp::at(25)), (0, 0));
+        let mut w = store.begin_at(ProcessId(0), at(5));
+        store.write(&mut w, Key(1), 2).unwrap();
+        let err = store.commit(w).unwrap_err();
+        assert_eq!(
+            err.abort_reason(),
+            Some(&AbortReason::WriteConflict { key: Key(1) })
+        );
+    }
+
+    #[test]
     fn blind_writes_do_not_conflict() {
         let (store, clock) = manual_store();
         clock.script(ProcessId(1), vec![10]);
@@ -520,10 +454,9 @@ mod tests {
             store.write(&mut tx, Key(1), i).unwrap();
             store.commit(tx).unwrap();
         }
-        assert_eq!(store.version_count(), 10);
-        let removed = store.purge_below(Timestamp::MAX);
-        assert_eq!(removed, 9);
-        assert_eq!(store.version_count(), 1);
+        assert_eq!(TransactionalKV::stats(&store).versions, 10);
+        assert_eq!(store.purge_below(Timestamp::MAX), (9, 0));
+        assert_eq!(TransactionalKV::stats(&store).versions, 1);
         let mut tx = store.begin(ProcessId(0));
         assert_eq!(store.read(&mut tx, Key(1)).unwrap(), Some(9));
         store.commit(tx).unwrap();

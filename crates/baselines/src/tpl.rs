@@ -4,11 +4,14 @@ use mvtl_common::{
     AbortReason, CommitInfo, Key, LockMode, ProcessId, Timestamp, TransactionalKV, TxError, TxId,
     TxStatus,
 };
-use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use mvtl_storage::{StripeMap, StripedTable};
+use parking_lot::Mutex;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Number of stripes in the key table.
+const STRIPES: usize = 64;
 
 #[derive(Debug)]
 struct TplKeyState<V> {
@@ -60,21 +63,6 @@ impl<V> TplKeyState<V> {
     }
 }
 
-#[derive(Debug)]
-struct TplCell<V> {
-    state: Mutex<TplKeyState<V>>,
-    released: Condvar,
-}
-
-impl<V> Default for TplCell<V> {
-    fn default() -> Self {
-        TplCell {
-            state: Mutex::named("baselines.tpl.key", 52, TplKeyState::default()),
-            released: Condvar::new(),
-        }
-    }
-}
-
 /// A transaction handle of the 2PL engine.
 #[derive(Debug)]
 pub struct TplTransaction<V> {
@@ -93,8 +81,12 @@ pub struct TplTransaction<V> {
 /// deadlock-resolution and the starvation-avoidance mechanism the paper's 2PL
 /// baseline uses ("the commit rate for 2PL is not optimal because we use
 /// timeouts", §8.4.1).
+///
+/// Each key's lock and value live in a [`StripedTable`] of [`StripeMap`]s,
+/// the MVTL engine's key layout; a blocked request waits on its stripe's
+/// condition variable.
 pub struct TwoPhaseLockingStore<V> {
-    shards: Vec<RwLock<HashMap<Key, Arc<TplCell<V>>>>>,
+    keys: StripedTable<StripeMap<TplKeyState<V>>>,
     lock_timeout: Duration,
     commit_seq: AtomicU64,
 }
@@ -109,56 +101,55 @@ where
     #[must_use]
     pub fn new(lock_timeout: Duration) -> Self {
         TwoPhaseLockingStore {
-            shards: (0..64)
-                .map(|_| RwLock::named("baselines.tpl.shard", 50, HashMap::new()))
-                .collect(),
+            keys: StripedTable::build(STRIPES, |stripe| {
+                Mutex::named("baselines.tpl.stripe", 50, stripe)
+            }),
             lock_timeout,
             commit_seq: AtomicU64::new(1),
         }
     }
 
-    fn cell(&self, key: Key) -> Arc<TplCell<V>> {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        let shard = &self.shards[(hasher.finish() as usize) % self.shards.len()];
-        if let Some(cell) = shard.read().get(&key) {
-            return Arc::clone(cell);
-        }
-        let mut map = shard.write();
-        Arc::clone(map.entry(key).or_default())
-    }
-
-    fn acquire(
+    /// Takes `key`'s lock in `mode`, waiting on the key's stripe up to the
+    /// lock timeout, and runs `then` on the key's state under the same latch.
+    /// On a timeout the transaction aborts and releases its locks.
+    fn acquire<R>(
         &self,
         txn: &mut TplTransaction<V>,
         key: Key,
         mode: LockMode,
-    ) -> Result<(), TxError> {
-        let cell = self.cell(key);
+        then: impl FnOnce(&TplKeyState<V>) -> R,
+    ) -> Result<R, TxError> {
+        let stripe = self.keys.stripe_for(key);
         let deadline = Instant::now() + self.lock_timeout;
-        let mut state = cell.state.lock();
-        while !state.can_lock(txn.id, mode) {
-            if cell.released.wait_until(&mut state, deadline).timed_out() {
+        let mut map = stripe.data.lock();
+        loop {
+            let state = map.get_or_insert_with(key, TplKeyState::default);
+            if state.can_lock(txn.id, mode) {
+                state.lock(txn.id, mode);
+                if !txn.locked.contains(&key) {
+                    txn.locked.push(key);
+                }
+                return Ok(then(state));
+            }
+            if stripe.changed.wait_until(&mut map, deadline).timed_out() {
+                drop(map);
+                txn.status = TxStatus::Aborted;
+                self.release_all(txn);
                 return Err(TxError::aborted(AbortReason::LockTimeout { key }));
             }
         }
-        state.lock(txn.id, mode);
-        if !txn.locked.contains(&key) {
-            txn.locked.push(key);
-        }
-        Ok(())
     }
 
     fn release_all(&self, txn: &mut TplTransaction<V>) {
         for key in txn.locked.drain(..) {
-            let cell = self.cell(key);
-            {
-                let mut state = cell.state.lock();
-                state.unlock(txn.id);
-            }
-            cell.released.notify_all();
+            let stripe = self.keys.stripe_for(key);
+            stripe
+                .data
+                .lock()
+                .get_mut(key)
+                .expect("a locked key has a cell")
+                .unlock(txn.id);
+            stripe.notify();
         }
     }
 }
@@ -186,34 +177,17 @@ where
         if let Some((_, v)) = txn.writes.iter().rev().find(|(k, _)| *k == key) {
             return Ok(Some(v.clone()));
         }
-        if let Err(e) = self.acquire(txn, key, LockMode::Read) {
-            txn.status = TxStatus::Aborted;
-            self.release_all(txn);
-            return Err(e);
-        }
-        let cell = self.cell(key);
-        let state = cell.state.lock();
-        match &state.value {
-            Some((version, v)) => {
-                txn.read_set.push((key, *version));
-                Ok(Some(v.clone()))
-            }
-            None => {
-                txn.read_set.push((key, Timestamp::ZERO));
-                Ok(None)
-            }
-        }
+        let value = self.acquire(txn, key, LockMode::Read, |state| state.value.clone())?;
+        let version = value.as_ref().map_or(Timestamp::ZERO, |(ts, _)| *ts);
+        txn.read_set.push((key, version));
+        Ok(value.map(|(_, v)| v))
     }
 
     fn write(&self, txn: &mut Self::Txn, key: Key, value: V) -> Result<(), TxError> {
         if txn.status != TxStatus::Active {
             return Err(TxError::TransactionFinished);
         }
-        if let Err(e) = self.acquire(txn, key, LockMode::Write) {
-            txn.status = TxStatus::Aborted;
-            self.release_all(txn);
-            return Err(e);
-        }
+        self.acquire(txn, key, LockMode::Write, |_| ())?;
         if let Some(slot) = txn.writes.iter_mut().find(|(k, _)| *k == key) {
             slot.1 = value;
         } else {
@@ -229,8 +203,8 @@ where
         let commit_ts = Timestamp::new(self.commit_seq.fetch_add(1, Ordering::SeqCst), 0);
         let write_keys: Vec<Key> = txn.writes.iter().map(|(k, _)| *k).collect();
         for (key, value) in txn.writes.drain(..) {
-            let cell = self.cell(key);
-            let mut state = cell.state.lock();
+            let mut map = self.keys.stripe_for(key).data.lock();
+            let state = map.get_mut(key).expect("a written key is write-locked");
             debug_assert_eq!(state.writer, Some(txn.id), "strictness violated");
             state.value = Some((commit_ts, value));
         }
@@ -259,8 +233,8 @@ where
         // newest committed value per key even if records were logged out of
         // commit order.
         for (key, value) in writes {
-            let cell = self.cell(key);
-            let mut state = cell.state.lock();
+            let mut map = self.keys.stripe_for(key).data.lock();
+            let state = map.get_or_insert_with(key, TplKeyState::default);
             if state.value.as_ref().is_none_or(|(have, _)| *have < ts) {
                 state.value = Some((ts, value));
             }
@@ -273,6 +247,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn store(timeout_ms: u64) -> TwoPhaseLockingStore<u64> {
         TwoPhaseLockingStore::new(Duration::from_millis(timeout_ms))

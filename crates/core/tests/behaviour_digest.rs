@@ -1,25 +1,26 @@
-//! Behaviour pins for the engine's lock and version state.
+//! Behaviour pins for the engines' lock and version state.
 //!
 //! Seeded single-thread interleavings of up to four open transactions run on
-//! every MVTL policy, and a digest of every observable outcome — each value
-//! read, each commit timestamp, each abort reason — is compared with a value
-//! recorded from an earlier, independently built representation of the
-//! frozen lock state. In one thread a lock wait can only time out (nobody
-//! else can release the lock), so the outcomes are deterministic; the short
-//! timeout keeps those waits cheap.
+//! every MVTL policy and on both baselines, and a digest of every observable
+//! outcome — each value read, each commit timestamp, each abort reason — is
+//! compared with a value recorded from an earlier, independently built
+//! representation of the engine's state. In one thread a lock wait can only
+//! time out (nobody else can release the lock), so the outcomes are
+//! deterministic; the short timeout keeps those waits cheap.
 //!
 //! A changed digest means the engine now makes some different decision: a
 //! read anchors elsewhere, a commit lands at another timestamp or a
 //! transaction aborts for another reason. Rerun with `--nocapture` to print
 //! the new digests.
 
+use mvtl_baselines::{MvtoStore, TwoPhaseLockingStore};
 use mvtl_clock::GlobalClock;
-use mvtl_common::{Key, ProcessId, Timestamp, TxError};
+use mvtl_common::{Key, ProcessId, Timestamp, TransactionalKV, TxError};
 use mvtl_core::policy::{
     EpsilonPolicy, GhostbusterPolicy, LockingPolicy, MvtilPolicy, PessimisticPolicy, PrefPolicy,
     PrioPolicy, ToPolicy,
 };
-use mvtl_core::{MvtlConfig, MvtlStore, MvtlTransaction};
+use mvtl_core::{MvtlConfig, MvtlStore};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -79,24 +80,26 @@ impl Digest {
     }
 }
 
-struct Slot {
-    txn: MvtlTransaction<u64>,
+struct Slot<T> {
+    txn: T,
     ops: u32,
 }
 
-/// Runs `steps` seeded steps on a fresh store and returns the outcome digest.
-fn digest<P: LockingPolicy>(policy: P, seed: u64, steps: u64, purge: bool) -> u64 {
-    let clock = Arc::new(GlobalClock::new());
-    let store = MvtlStore::new(
-        policy,
-        Arc::clone(&clock) as Arc<dyn mvtl_clock::ClockSource>,
-        MvtlConfig::default().with_lock_wait_timeout(Duration::from_micros(200)),
-    );
+/// Runs `steps` seeded steps on `store`, opening each transaction with
+/// `begin`, and returns the outcome digest. With a `purge` clock, every
+/// [`PURGE_EVERY`] steps purge below the watermark, lagged behind the clock.
+fn run<S: TransactionalKV<u64>>(
+    store: &S,
+    purge: Option<&GlobalClock>,
+    seed: u64,
+    steps: u64,
+    begin: impl Fn(&S, ProcessId, &mut Rng) -> S::Txn,
+) -> Digest {
     let mut rng = Rng(seed);
     let mut out = Digest::new();
-    let mut slots: Vec<Option<Slot>> = (0..SLOTS).map(|_| None).collect();
+    let mut slots: Vec<Option<Slot<S::Txn>>> = (0..SLOTS).map(|_| None).collect();
     for step in 1..=steps {
-        if purge && step % PURGE_EVERY == 0 {
+        if let Some(clock) = purge.filter(|_| step % PURGE_EVERY == 0) {
             let lagged = Timestamp::at(clock.peek().saturating_sub(PURGE_LAG));
             let bound = store.low_watermark().map_or(lagged, |wm| wm.min(lagged));
             let (versions, _) = store.purge_below(bound);
@@ -104,7 +107,7 @@ fn digest<P: LockingPolicy>(policy: P, seed: u64, steps: u64, purge: bool) -> u6
         }
         let index = (rng.next() % SLOTS as u64) as usize;
         let mut slot = slots[index].take().unwrap_or_else(|| Slot {
-            txn: store.begin_with(ProcessId(index as u32), None, rng.chance(10)),
+            txn: begin(store, ProcessId(index as u32), &mut rng),
             ops: 0,
         });
         let key = if rng.chance(60) {
@@ -136,6 +139,39 @@ fn digest<P: LockingPolicy>(policy: P, seed: u64, steps: u64, purge: bool) -> u6
     for slot in slots.into_iter().flatten() {
         store.abort(slot.txn);
     }
+    out
+}
+
+/// The digest of an MVTL store under `policy`; one slot in ten opens a
+/// critical transaction.
+fn digest<P: LockingPolicy>(policy: P, seed: u64, steps: u64, purge: bool) -> u64 {
+    let clock = Arc::new(GlobalClock::new());
+    let store = MvtlStore::new(
+        policy,
+        Arc::clone(&clock) as Arc<dyn mvtl_clock::ClockSource>,
+        MvtlConfig::default().with_lock_wait_timeout(Duration::from_micros(200)),
+    );
+    let purge = purge.then_some(clock.as_ref());
+    run(&store, purge, seed, steps, |store, process, rng| {
+        store.begin_with(process, None, rng.chance(10))
+    })
+    .0
+}
+
+/// The digest of a baseline store, with its final state size folded in.
+fn baseline_digest<S: TransactionalKV<u64>>(
+    store: &S,
+    purge: Option<&GlobalClock>,
+    seed: u64,
+    steps: u64,
+) -> u64 {
+    let mut out = run(store, purge, seed, steps, |store, process, _| {
+        store.begin(process)
+    });
+    let stats = store.stats();
+    out.word(b'k', stats.keys as u64);
+    out.word(b'v', stats.versions as u64);
+    out.word(b'g', stats.purged_versions as u64);
     out.0
 }
 
@@ -216,4 +252,33 @@ fn every_policy_outcome_matches_the_recorded_digest() {
         digest(PessimisticPolicy::new(), 1, STEPS, true),
         0xe38d_2134_c3f6_4cb7,
     );
+}
+
+#[test]
+fn baseline_outcomes_match_the_recorded_digests() {
+    for (seed, expected) in [
+        (1, 0xad8a_be6e_62eb_ce0f),
+        (2, 0x53cf_9950_5790_8814),
+        (3, 0x5b0d_787c_9fee_19d3),
+        (4, 0x7fd4_f0dc_5247_a58f),
+    ] {
+        let clock = Arc::new(GlobalClock::new());
+        let store = MvtoStore::new(Arc::clone(&clock) as Arc<dyn mvtl_clock::ClockSource>);
+        let actual = baseline_digest(&store, Some(clock.as_ref()), seed, 100_000);
+        pin("mvto+", seed, actual, expected);
+    }
+    for (seed, expected) in [
+        (1, 0xdc42_61d6_a490_962f),
+        (2, 0xea82_ead2_8494_c541),
+        (3, 0x4a30_596a_5345_3854),
+        (4, 0x805e_bd4a_ca19_69f6),
+    ] {
+        let store = TwoPhaseLockingStore::new(Duration::from_micros(200));
+        pin(
+            "2pl",
+            seed,
+            baseline_digest(&store, None, seed, STEPS),
+            expected,
+        );
+    }
 }

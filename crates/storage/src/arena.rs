@@ -11,13 +11,15 @@
 //! arena for the next hot key, so a steady-state workload with GC recycles a
 //! bounded set of buffers instead of churning the allocator.
 //!
-//! Every version also carries its *read high-water mark*: the largest commit
-//! timestamp of a committed transaction that read it. That is MVTO+'s
-//! per-version read timestamp (§3), and it is what the MVTL engine keeps
-//! instead of frozen lock entries: a version at `ts` read up to `read_hw`
-//! stands for a frozen write lock at `ts` and a frozen read run
-//! `[ts+1, read_hw]`, and the §6 purge discards that state together with the
-//! version.
+//! Every version also carries its *read high-water mark*: how far up the
+//! timestamp order it has been read. That is MVTO+'s per-version read
+//! timestamp (§3): the MVTO+ baseline raises it at every read to the
+//! reader's timestamp `.pred()`, so that a reader may still write the key at
+//! its own timestamp. The MVTL engine raises it to the commit timestamp of
+//! each committed reader and keeps it instead of frozen lock entries: a
+//! version at `ts` read up to `read_hw` stands for a frozen write lock at
+//! `ts` and a frozen read run `[ts+1, read_hw]`, and the §6 purge discards
+//! that state together with the version.
 
 use crate::VersionStats;
 use mvtl_common::{Timestamp, TsRange};

@@ -1,11 +1,12 @@
 //! Striped per-key state: a fixed array of latches, each guarding one
 //! [`StripeMap`](crate::StripeMap) (or any other per-stripe aggregate).
 //!
-//! This replaces the `Vec<RwLock<HashMap<Key, Arc<Cell>>>>` shard layout: a
-//! key operation is route → one mutex → inline entry, instead of
-//! hash → shard rwlock → map probe → `Arc` clone → per-cell mutex. Waiters
-//! block on the stripe's [`Condvar`] and re-probe after waking, because the
-//! stripe map may have rehashed or dropped entries while they slept.
+//! This replaces the `Vec<RwLock<HashMap<Key, Arc<Cell>>>>` shard layout, in
+//! the MVTL engine and both baselines alike: a key operation is route → one
+//! mutex → inline entry, instead of hash → shard rwlock → map probe → `Arc`
+//! clone → per-cell mutex. Waiters block on the stripe's [`Condvar`] and
+//! re-probe after waking, because the stripe map may have rehashed or dropped
+//! entries while they slept.
 //!
 //! Lock-site naming: `Mutex::named` requires literal site names and ranks
 //! (the `mvtl-lint` rank table is machine-checked), so [`StripedTable::build`]

@@ -4,7 +4,7 @@
 //! Engines are built from `mvtl-registry` string specs and driven through the
 //! object-safe `dyn Engine` layer — no per-engine generic plumbing.
 
-use mvtl_common::{Engine, EngineExt, Key, ProcessId, Timestamp};
+use mvtl_common::{AbortReason, Engine, EngineExt, Key, ProcessId, Timestamp};
 use mvtl_verify::schedules::{
     ghost_abort_schedule, serial_abort_schedule, serial_counter_workload, theorem2_workload,
     update_concurrency_schedule, GHOST_ABORT_MIDDLE, GHOST_ABORT_VICTIM, SERIAL_ABORT_VICTIM,
@@ -224,6 +224,44 @@ fn pessimistic_writer_commits_above_the_floor_of_a_reclaimed_cell() {
     check_serializable(&History::from_commits(commits))
         .unwrap_or_else(|e| panic!("W committed at {w_ts} and R at {r_ts}: {e}"));
     assert!(w_ts > r_ts, "W committed at {w_ts}, below R at {r_ts}");
+}
+
+/// MVTO+ checks a write against the read timestamp of the version it would
+/// supersede, but a purge discards that timestamp with the version. Here R
+/// at 18 reads k@10, a purge at 25 removes k@10, and W at 15 finds no
+/// stored version of k below it: the read timestamp that W's write must
+/// not pass is gone, so the write is refused instead of being checked
+/// against `⊥`'s.
+#[test]
+fn mvto_refuses_a_write_whose_read_timestamp_was_purged() {
+    let engine = engine("mvto+");
+    let (j, k) = (Key(1), Key(2));
+    let mut commits = Vec::new();
+    let mut t1 = engine.begin_pinned(ProcessId(0), Timestamp::at(10));
+    t1.write(k, 1).unwrap();
+    commits.push(t1.commit().unwrap());
+    let mut r = engine.begin_pinned(ProcessId(0), Timestamp::at(18));
+    assert_eq!(r.read(k).unwrap(), Some(1));
+    r.write(j, 2).unwrap();
+    commits.push(r.commit().unwrap());
+    let mut t2 = engine.begin_pinned(ProcessId(0), Timestamp::at(20));
+    t2.write(k, 3).unwrap();
+    commits.push(t2.commit().unwrap());
+    assert_eq!(engine.purge_below(Timestamp::at(25)), (1, 0), "k@10 goes");
+    let mut w = engine.begin_pinned(ProcessId(0), Timestamp::at(15));
+    assert_eq!(w.read(j).unwrap(), None);
+    w.write(k, 4).unwrap();
+    let attempt = w.commit();
+    if let Ok(info) = &attempt {
+        commits.push(info.clone());
+    }
+    check_serializable(&History::from_commits(commits))
+        .unwrap_or_else(|e| panic!("W committed under R's purged read: {e}"));
+    let err = attempt.expect_err("W's write must be refused");
+    assert_eq!(
+        err.abort_reason(),
+        Some(&AbortReason::WriteConflict { key: k })
+    );
 }
 
 // ------------------------------------------------------ cross-engine sanity
