@@ -52,6 +52,9 @@ fn full_stack_lock_order_is_acyclic_and_rank_consistent() {
         // Dropped prepare responses run presumed abort on detached threads.
         "sharded?shards=4&inner=mvtil-early&fault=drop:0.2:5",
         "mvtil-early?wal=tmp&fsync=always",
+        // The §7 coordinator appends its one commit record between the
+        // prepare and the installs.
+        "sharded?shards=4&inner=mvtil-early&wal=tmp&fsync=always",
         "mvtil-early?gc_ms=1&gc_lag_ms=1",
     ] {
         let engine = mvtl_registry::build(spec).expect("registry spec");
@@ -116,6 +119,15 @@ fn full_stack_lock_order_is_acyclic_and_rank_consistent() {
             .any(|(f, t)| *f == "wal.segments" && *t == "wal.flush"),
         "expected wal.segments -> wal.flush edge; edges: {edges:?}"
     );
+    // Every commit record is appended while no engine latch is held: a
+    // prepared transaction holds timestamp locks, not the stripe latch.
+    for (from, to) in &edges {
+        assert!(
+            !(["core.store.stripe", "common.active_txns"].contains(from)
+                && ["wal.flush", "wal.segments"].contains(to)),
+            "an engine latch is held across a log append: {from} -> {to}"
+        );
+    }
 
     // The contract: no cycles, no rank inversions, no recorded violations.
     lock_order::assert_acyclic();

@@ -27,8 +27,8 @@
 //!                                any engine + durability: a `mvtl-wal`
 //!                                write-ahead log in the given directory
 //!                                (`wal=tmp` for a fresh throwaway dir),
-//!                                recovered on build; sharded engines log
-//!                                per shard under `<dir>/shard-<i>`
+//!                                recovered on build; one log per engine,
+//!                                however many shards it has
 //! ```
 //!
 //! A spec is `name` optionally followed by `?key=value&key=value` parameters.
@@ -40,8 +40,8 @@
 //!
 //! Every spec is composed one way: a [`ShardedStore`] of one or more shard
 //! backends — one unless the spec is `sharded` — each optionally wrapped in
-//! fault injection and a write-ahead log, and the store optionally given its
-//! own GC sweeper (see [`build_for`]). The paper's single server is the
+//! fault injection, and the store optionally given its own write-ahead log
+//! and GC sweeper (see [`build_for`]). The paper's single server is the
 //! one-participant case of its §7 protocol, and the code is built that way.
 //!
 //! # Example
@@ -71,9 +71,9 @@ use mvtl_core::{MvtlConfig, MvtlStore};
 use mvtl_faults::{FaultPlan, FaultSpec};
 use mvtl_gc::GcConfig;
 use mvtl_shard::{FaultyBackend, IntersectionPick, KvBackend, ShardBackend, ShardedStore};
-use mvtl_wal::{FsyncMode, Recovery, Wal, WalBackend, WalOptions, WalValue};
+use mvtl_wal::{FsyncMode, Recovery, Wal, WalOptions, WalValue};
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -357,18 +357,20 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 /// commits acknowledged once durable, concurrent commits sharing one fsync;
 /// `group` is accepted as another name for it) and
 /// `wal_segment_kb` the segment-roll size (default
-/// [`DEFAULT_WAL_SEGMENT_KB`]); both require `wal`. The `sharded` engine
-/// logs per shard under `<dir>/shard-<i>`, where recovery also commits the
-/// cross-shard prepares whose decision was logged and logs an abort for the
-/// undecided ones (presumed abort). The value type must implement
-/// [`WalValue`] (as `u64` and `String`, the types the workspace measures,
-/// both do).
+/// [`DEFAULT_WAL_SEGMENT_KB`]); both require `wal`. A `sharded` engine
+/// keeps one log in `<dir>` too: a cross-shard commit is one record, logged
+/// before any shard installs it, and recovery routes each record's writes
+/// to their shards — so a log reopens under any shard count. A `<dir>`
+/// holding an older build's per-shard `shard-<i>` logs is rejected. The
+/// value type must implement [`WalValue`] (as `u64` and `String`, the types
+/// the workspace measures, both do).
 ///
 /// Every spec is composed the same way: `count` copies of one shard backend
 /// (the named engine, or `sharded`'s `inner` one), each wrapped in a
-/// [`FaultyBackend`] (`fault=`) and then a
-/// [`WalBackend`] (`wal=`), put in one [`ShardedStore`] named after the
-/// spec's base name, which runs its own GC sweeper when `gc_ms` is set.
+/// [`FaultyBackend`] (`fault=`), put in one [`ShardedStore`] named after the
+/// spec's base name, which owns the log when `wal` is set
+/// ([`ShardedStore::with_log`]) and runs its own GC sweeper when `gc_ms` is
+/// set.
 /// `count` is `sharded`'s `shards` and 1 for every other engine; a one-shard
 /// store behaves exactly like the bare engine. A cross-shard commit picks
 /// the largest timestamp of the shards' common interval when the shards run
@@ -406,32 +408,21 @@ where
     let backend = take_backend::<V>(&layout.inner, &mut parsed)?;
     parsed.finish()?;
 
-    // The logs open before the clock exists: recovery reports the largest
+    // The log opens before the clock exists: recovery reports the largest
     // committed timestamp, and the clock must start past it so post-crash
     // transactions serialize after the recovered state.
-    let logs = open_logs::<V>(wal, layout.count, sharded)?;
+    let log = open_log::<V>(wal)?;
     let base = clock_start.unwrap_or(1);
-    let start = logs
-        .iter()
-        .filter_map(|(_, recovery)| recovery.max_commit_ts())
-        .max()
+    let start = log
+        .as_ref()
+        .and_then(|(_, recovery)| recovery.max_commit_ts())
         .map_or(base, |ts| base.max(ts.value + 1));
     let clock: Arc<dyn ClockSource> = Arc::new(GlobalClock::starting_at(start));
-    let mut logs = logs.into_iter();
     let mut shards = Vec::with_capacity(layout.count);
     for i in 0..layout.count {
         let mut shard = backend(Arc::clone(&clock));
         if let Some(plan) = &fault {
             shard = FaultyBackend::wrap(shard, Arc::clone(plan), i);
-        }
-        // The log wraps outside the fault layer: recovery replays through it
-        // into the real backend, while live prepares/decisions reach the log
-        // only after surviving injected faults — so the log never records an
-        // ack the coordinator did not see.
-        if let Some((wal, recovery)) = logs.next() {
-            shard = WalBackend::with_recovery(shard, wal, recovery)
-                .map_err(wal_spec_err)?
-                .0;
         }
         shards.push(shard);
     }
@@ -441,6 +432,9 @@ where
         IntersectionPick::Min
     };
     let mut store = ShardedStore::new(shards, Arc::clone(&clock), pick).with_name(name);
+    if let Some((wal, recovery)) = log {
+        store = store.with_log(wal, recovery).map_err(wal_spec_err)?;
+    }
     if let Some(config) = gc {
         store = store.with_gc(config);
     }
@@ -493,7 +487,7 @@ struct WalConfig {
 }
 
 /// Consumes the shared `wal` / `fsync` / `wal_segment_kb` parameters. `Some`
-/// means "open a log there and wrap every shard in it".
+/// means "open a log there and give it to the store".
 fn take_wal_config(parsed: &mut EngineSpec) -> Result<Option<WalConfig>, SpecError> {
     let wal = parsed.take("wal");
     let fsync = parsed.take("fsync");
@@ -540,41 +534,48 @@ fn wal_spec_err(err: mvtl_wal::WalError) -> SpecError {
     }
 }
 
-/// Opens (scanning and truncating torn tails, but not yet replaying) one log
-/// per shard, or none without `wal=`: shard `i` of a `sharded` spec logs
-/// under `<dir>/shard-<i>`, the one shard of every other spec into `<dir>`
-/// itself. For `wal=tmp`, the temporary directory's lifetime is handed to
-/// the last shard's log — shards drop in index order, so it drops last and
-/// the whole tree disappears with the engine.
-fn open_logs<V: WalValue>(
+/// Opens (scanning and truncating a torn tail, but not yet replaying) the
+/// store's one log, or none without `wal=`. A `wal=tmp` log owns its
+/// temporary directory, which disappears with the engine.
+fn open_log<V: WalValue>(
     config: Option<WalConfig>,
-    count: usize,
-    per_shard_dirs: bool,
-) -> Result<Vec<(Wal, Recovery<V>)>, SpecError> {
+) -> Result<Option<(Wal, Recovery<V>)>, SpecError> {
     let Some(WalConfig { dir, options }) = config else {
-        return Ok(Vec::new());
+        return Ok(None);
     };
-    let (root, tmp) = match dir {
-        Some(dir) => (dir, None),
-        None => {
-            let tmp = TempDir::new("mvtl-wal");
-            (tmp.path().to_path_buf(), Some(tmp))
-        }
-    };
-    let mut logs = (0..count)
-        .map(|i| {
-            let dir = if per_shard_dirs {
-                root.join(format!("shard-{i}"))
-            } else {
-                root.clone()
-            };
-            Wal::open::<V>(&dir, options).map_err(wal_spec_err)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    if let (Some(tmp), Some((wal, _))) = (tmp, logs.last_mut()) {
+    let Some(dir) = dir else {
+        let tmp = TempDir::new("mvtl-wal");
+        let (mut wal, recovery) = Wal::open::<V>(tmp.path(), options).map_err(wal_spec_err)?;
         wal.retain_dir(tmp);
+        return Ok(Some((wal, recovery)));
+    };
+    reject_per_shard_logs(&dir)?;
+    Wal::open::<V>(&dir, options)
+        .map(Some)
+        .map_err(wal_spec_err)
+}
+
+/// Older builds logged each shard of a `sharded` spec in `<dir>/shard-<i>`.
+/// This one reads only `<dir>` and would start empty there, as if the data
+/// were lost, so such a directory is refused before any log opens.
+fn reject_per_shard_logs(dir: &Path) -> Result<(), SpecError> {
+    let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
+    for name in entries
+        .filter(|entry| entry.path().is_dir())
+        .map(|e| e.file_name())
+    {
+        let index = name.to_str().and_then(|name| name.strip_prefix("shard-"));
+        if index.is_some_and(|i| i.parse::<usize>().is_ok()) {
+            return Err(SpecError::InvalidValue {
+                param: "wal".to_string(),
+                value: format!(
+                    "{} (holds {name:?}, an older build's per-shard log)",
+                    dir.display()
+                ),
+            });
+        }
     }
-    Ok(logs)
+    Ok(())
 }
 
 /// How many copies of which engine a spec composes.
@@ -1131,7 +1132,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_wal_specs_log_per_shard_and_recover() {
+    fn sharded_wal_specs_share_one_log_and_recover() {
         use mvtl_common::{EngineExt, Key, ProcessId};
         let dir = TempDir::new("registry-shard-wal");
         let spec = format!(
@@ -1145,8 +1146,12 @@ mod tests {
         }
         tx.commit().unwrap();
         drop(engine);
-        assert!(dir.path().join("shard-0").is_dir());
-        assert!(dir.path().join("shard-1").is_dir());
+        // One segment in `<dir>` itself, and nothing else.
+        let entries: Vec<String> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(entries, ["wal-000001.log"]);
 
         let engine = build(&spec).unwrap();
         let mut tx = engine.begin(ProcessId(2));

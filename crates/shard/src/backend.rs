@@ -26,7 +26,8 @@ pub trait ShardBackend<V>: Send + Sync {
     /// transaction reasons from the same timestamp base (the client-side
     /// policy state of §7, split across participants); a one-shard store
     /// passes its caller's pin through unchanged and hands the handle to its
-    /// caller as is.
+    /// caller as is (wrapped only to record the write set when the store has
+    /// a log).
     ///
     /// Unlike an `Engine` handle, a shard handle owns what it needs
     /// (`'static`): when a prepare misses its deadline, the fault layer
@@ -49,7 +50,7 @@ pub trait ShardBackend<V>: Send + Sync {
         None
     }
 
-    // --- Recovery surface (durability, `mvtl-wal`) --------------------------
+    // --- Recovery surface (the store's write-ahead log) ---------------------
 
     /// Re-installs one recovered committed transaction's write set at its
     /// original commit timestamp (crash recovery; see

@@ -18,8 +18,9 @@
 //! * A transaction opens shard sub-transactions lazily; one that touches a
 //!   single shard commits through the shard policy's own timestamp pick, with
 //!   no coordination. A one-shard store skips even the routing: its
-//!   transactions are the shard's own handles, so it behaves exactly like the
-//!   bare engine — which is how `mvtl-registry` builds every non-`sharded`
+//!   transactions are the shard's own handles (wrapped only to record the
+//!   write set when it has a log), so it behaves exactly like the bare
+//!   engine — which is how `mvtl-registry` builds every non-`sharded`
 //!   spec, the baselines included.
 //! * A cross-shard commit runs prepare → intersect → commit-at/abort:
 //!   [`TxHandle::prepare`](mvtl_common::TxHandle::prepare) freezes the
@@ -34,14 +35,19 @@
 //!   which the baselines refuse.
 //! * [`ShardedStore::with_gc`] gives the store its own `mvtl-gc` sweeper
 //!   over all shards, stopped and joined when the store drops.
+//! * [`ShardedStore::with_log`] gives the store one `mvtl-wal` write-ahead
+//!   log, however many shards it has. Every committing transaction with
+//!   writes appends one `Commit` record: a cross-shard one after the
+//!   coordinator picks its timestamp and before any shard installs, so a
+//!   crash leaves it whole in the log or absent. Reopening replays each
+//!   record into the shards its keys route to.
 //!
 //! There is one transaction-handle trait on both sides of the shard seam:
 //! a [`ShardBackend`] opens [`TxHandle`](mvtl_common::TxHandle)s, and
 //! [`ShardedStore`] implements [`Engine`](mvtl_common::Engine) by handing out
-//! either its only shard's handle or a routed one over several. Decorators
-//! ([`FaultyBackend`], and the write-ahead log of `mvtl-wal`) wrap a shard
-//! backend and its handles; `mvtl-registry` builds the whole stack from
-//! string specs:
+//! either its only shard's handle or a routed one over several.
+//! [`FaultyBackend`] decorates a shard backend and its handles;
+//! `mvtl-registry` builds the whole stack from string specs:
 //!
 //! ```
 //! use mvtl_common::{EngineExt, Key, ProcessId};

@@ -9,6 +9,7 @@ use mvtl_common::{
 use mvtl_core::policy::LockingPolicy;
 use mvtl_core::{MvtlConfig, MvtlStore};
 use mvtl_gc::{GcConfig, GcService, SweepTarget};
+use mvtl_wal::{Recovery, Wal, WalError, WalRecord, WalValue};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -38,13 +39,16 @@ pub enum IntersectionPick {
 /// `"sharded?shards=8&inner=mvtil-early"` with eight shards and every other
 /// spec (`"mvtil-early"`, `"mvto+"`, ...) with one. A one-shard store hands
 /// out its shard's own transaction handles unchanged — no routing, no
-/// coordinator pin — so it behaves exactly like the bare engine. On a
+/// coordinator pin; with a log, wrapped only to record the write set — so
+/// it behaves exactly like the bare engine. On a
 /// multi-shard store, shard sub-transactions open lazily on first access,
 /// so a transaction that happens to touch one shard pays no coordination
 /// cost and commits through the shard policy's own timestamp pick.
 ///
 /// [`ShardedStore::with_gc`] attaches the store's own background garbage
-/// collector, which the store stops and joins when it is dropped.
+/// collector, which the store stops and joins when it is dropped, and
+/// [`ShardedStore::with_log`] its one write-ahead log, however many shards
+/// it has.
 ///
 /// # Why timestamp locks compose
 ///
@@ -56,14 +60,16 @@ pub enum IntersectionPick {
 pub struct ShardedStore<V> {
     /// The store's own sweeper. Declared first so that it drops first:
     /// joining the sweeper thread releases its share of `shards`, so every
-    /// shard — and its write-ahead log — is closed by the time dropping the
-    /// store returns.
+    /// shard is gone by the time dropping the store returns.
     gc: Option<GcService>,
     shards: Arc<Shards<V>>,
     clock: Arc<dyn ClockSource>,
     pick: IntersectionPick,
     /// What [`Engine::name`] reports.
     name: &'static str,
+    /// The write-ahead log ([`ShardedStore::with_log`]). Transactions record
+    /// their write sets only while there is one.
+    log: Option<Wal>,
 }
 
 /// Everything a GC sweep of a [`ShardedStore`] reaches, shared between the
@@ -96,7 +102,7 @@ impl<V: 'static> SweepTarget for Shards<V> {
 
 impl<V> ShardedStore<V>
 where
-    V: Clone + Send + Sync + 'static,
+    V: WalValue + Clone + Send + Sync + 'static,
 {
     /// Builds a sharded store from explicit shard backends.
     ///
@@ -119,6 +125,7 @@ where
             clock,
             pick,
             name: "sharded",
+            log: None,
         }
     }
 
@@ -141,6 +148,78 @@ where
         let target = Arc::clone(&self.shards);
         self.gc = Some(GcService::spawn(target, Arc::clone(&self.clock), config));
         self
+    }
+
+    /// Gives the store its one write-ahead log, after replaying what opening
+    /// it recovered into the shards, which must be freshly built: each
+    /// record's writes go to the shards their keys route to, at the record's
+    /// commit timestamp. From then on, every transaction that writes appends
+    /// one [`WalRecord::Commit`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when a record has no commit timestamp or a shard
+    /// rejects its replay.
+    pub fn with_log(mut self, log: Wal, recovery: Recovery<V>) -> Result<Self, WalError> {
+        for WalRecord::Commit {
+            id,
+            commit_ts,
+            writes,
+        } in recovery.records
+        {
+            let replayed = match commit_ts {
+                Some(ts) => self.recover_commit(writes, ts),
+                None => Err(TxError::Internal("no commit timestamp".into())),
+            };
+            replayed.map_err(|e| WalError(format!("replaying commit {id}: {e}")))?;
+        }
+        self.log = Some(log);
+        Ok(self)
+    }
+
+    /// Installs one recovered write set at `ts`, split by shard.
+    fn recover_commit(&self, writes: Vec<(Key, V)>, ts: Timestamp) -> Result<(), TxError> {
+        if let [shard] = self.shards.list.as_slice() {
+            return shard.recover_commit(writes, ts);
+        }
+        let mut routed = vec![Vec::new(); self.shard_count()];
+        for (key, value) in writes {
+            routed[self.shard_of(key)].push((key, value));
+        }
+        for (shard, writes) in self.shards.list.iter().zip(routed) {
+            if !writes.is_empty() {
+                shard.recover_commit(writes, ts)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends a non-empty write set to the log, if the store has one.
+    fn log_commit(
+        &self,
+        commit_ts: Option<Timestamp>,
+        writes: Vec<(Key, V)>,
+    ) -> Result<(), WalError> {
+        match &self.log {
+            Some(log) if !writes.is_empty() => log.append(&WalRecord::Commit {
+                id: log.fresh_id(),
+                commit_ts,
+                writes,
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Commits on one shard, whose policy picks the timestamp, then logs.
+    fn commit_one(
+        &self,
+        sub: Box<dyn TxHandle<V>>,
+        writes: Vec<(Key, V)>,
+    ) -> Result<CommitInfo, TxError> {
+        let info = sub.commit()?;
+        self.log_commit(info.commit_ts, writes)
+            .map_err(|e| TxError::Internal(format!("commit applied but not logged: {e}")))?;
+        Ok(info)
     }
 
     /// Builds a sharded store whose shards are [`MvtlStore`]s sharing one
@@ -233,12 +312,14 @@ where
     }
 
     /// The §7 coordinator: prepare every participant, intersect the frozen
-    /// intervals, then commit everywhere at one common timestamp — or abort
-    /// everywhere when the intersection is empty.
+    /// intervals, log the decision, then commit everywhere at one common
+    /// timestamp — or abort everywhere when the intersection is empty or the
+    /// log refuses the record.
     fn commit_cross_shard(
         &self,
         tx: TxId,
         participants: Vec<Box<dyn TxHandle<V>>>,
+        writes: Vec<(Key, V)>,
     ) -> Result<CommitInfo, TxError> {
         // Phase 1: freeze each participant's interval.
         let prepared = Self::prepare_inline(participants)?;
@@ -262,6 +343,16 @@ where
             }
             return Err(TxError::aborted(AbortReason::NoCommonTimestamp));
         };
+
+        // The decision is durable before it takes effect anywhere: one
+        // record carries every participant's writes, so a crash leaves all
+        // of them in the log, for every shard to replay, or none.
+        if let Err(err) = self.log_commit(Some(commit_ts), writes) {
+            for p in prepared {
+                p.abort();
+            }
+            return Err(TxError::Internal(format!("commit not logged: {err}")));
+        }
 
         // Phase 3: commit every shard at the common timestamp. This cannot
         // fail for a correct backend: `commit_ts` lies inside each shard's
@@ -315,6 +406,9 @@ struct RoutedTxn<'a, V> {
     /// participants of one transaction reason from the same timestamp base.
     base: Timestamp,
     subs: Vec<Option<Box<dyn TxHandle<V>>>>,
+    /// The write set the log records, last value per key; empty when the
+    /// store has no log.
+    writes: Vec<(Key, V)>,
     poisoned: bool,
     /// Ticket in the coordinator's active-transaction registry; taken back
     /// when the transaction is committed or aborted.
@@ -364,7 +458,7 @@ impl<V> RoutedTxn<'_, V> {
 
 impl<V> TxHandle<V> for RoutedTxn<'_, V>
 where
-    V: Clone + Send + Sync + 'static,
+    V: WalValue + Clone + Send + Sync + 'static,
 {
     fn read(&mut self, key: Key) -> Result<Option<V>, TxError> {
         self.check_live()?;
@@ -375,6 +469,9 @@ where
     fn write(&mut self, key: Key, value: V) -> Result<(), TxError> {
         self.check_live()?;
         let shard = self.store.shard_of(key);
+        if self.store.log.is_some() {
+            record_write(&mut self.writes, key, value.clone());
+        }
         self.sub(shard)
             .write(key, value)
             .or_else(|err| self.fail(err))
@@ -388,8 +485,9 @@ where
         self.check_live()?;
         let mut participants: Vec<Box<dyn TxHandle<V>>> =
             self.subs.iter_mut().filter_map(Option::take).collect();
+        let writes = std::mem::take(&mut self.writes);
         if participants.len() > 1 {
-            return self.store.commit_cross_shard(self.id, participants);
+            return self.store.commit_cross_shard(self.id, participants, writes);
         }
         match participants.pop() {
             // A transaction that touched nothing commits trivially.
@@ -401,7 +499,7 @@ where
             }),
             // Single-shard fast path: the shard policy picks the timestamp,
             // exactly as in the non-partitioned engine.
-            Some(sub) => sub.commit().map(|mut info| {
+            Some(sub) => self.store.commit_one(sub, writes).map(|mut info| {
                 info.tx = self.id;
                 info
             }),
@@ -420,9 +518,49 @@ impl<V> Drop for RoutedTxn<'_, V> {
     }
 }
 
+/// Records `key = value` in a logged write set, last value per key.
+fn record_write<V>(writes: &mut Vec<(Key, V)>, key: Key, value: V) {
+    match writes.iter_mut().find(|(k, _)| *k == key) {
+        Some(slot) => slot.1 = value,
+        None => writes.push((key, value)),
+    }
+}
+
+/// A one-shard store's transaction while it has a log: the shard's own
+/// handle and the write set its commit appends. It refuses to prepare (the
+/// default), since a coordinated commit would bypass the log.
+struct LoggedTxn<'a, V> {
+    store: &'a ShardedStore<V>,
+    inner: Box<dyn TxHandle<V>>,
+    writes: Vec<(Key, V)>,
+}
+
+impl<V> TxHandle<V> for LoggedTxn<'_, V>
+where
+    V: WalValue + Clone + Send + Sync + 'static,
+{
+    fn read(&mut self, key: Key) -> Result<Option<V>, TxError> {
+        self.inner.read(key)
+    }
+
+    fn write(&mut self, key: Key, value: V) -> Result<(), TxError> {
+        self.inner.write(key, value.clone())?;
+        record_write(&mut self.writes, key, value);
+        Ok(())
+    }
+
+    fn commit(self: Box<Self>) -> Result<CommitInfo, TxError> {
+        self.store.commit_one(self.inner, self.writes)
+    }
+
+    fn abort(self: Box<Self>) {
+        self.inner.abort();
+    }
+}
+
 impl<V> Engine<V> for ShardedStore<V>
 where
-    V: Clone + Send + Sync + 'static,
+    V: WalValue + Clone + Send + Sync + 'static,
 {
     fn begin_handle(
         &self,
@@ -430,7 +568,15 @@ where
         pinned: Option<Timestamp>,
     ) -> Box<dyn TxHandle<V> + '_> {
         if let [shard] = self.shards.list.as_slice() {
-            return shard.begin(process, pinned);
+            let inner = shard.begin(process, pinned);
+            return match self.log {
+                None => inner,
+                Some(_) => Box::new(LoggedTxn {
+                    store: self,
+                    inner,
+                    writes: Vec::new(),
+                }),
+            };
         }
         // One clock reading per transaction, shared by all its shards: this
         // is the client-side policy state of §7, split across participants
@@ -443,6 +589,7 @@ where
             process,
             base,
             subs: (0..self.shard_count()).map(|_| None).collect(),
+            writes: Vec::new(),
             poisoned: false,
             gc_pin: Some(self.shards.active.register(base)),
         })
@@ -475,5 +622,103 @@ where
     /// bound is safe on every shard.
     fn low_watermark(&self) -> Option<Timestamp> {
         self.shards.low_watermark()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mvtl_clock::GlobalClock;
+    use mvtl_common::{EngineExt, TempDir};
+    use mvtl_core::policy::MvtilPolicy;
+    use mvtl_wal::WalOptions;
+    use std::path::Path;
+
+    /// A one-shard MVTIL store rebuilt from the log in `dir`, and the number
+    /// of commits it replayed.
+    fn open(dir: &Path) -> (ShardedStore<u64>, usize) {
+        let (log, recovery) = Wal::open::<u64>(dir, WalOptions::default()).expect("log opens");
+        let start = recovery.max_commit_ts().map_or(1, |ts| ts.value + 1);
+        let replayed = recovery.records.len();
+        let clock = Arc::new(GlobalClock::starting_at(start));
+        let store = ShardedStore::with_policy(
+            1,
+            clock,
+            MvtlConfig::default(),
+            IntersectionPick::Min,
+            |_| MvtilPolicy::early(1000),
+        );
+        (store.with_log(log, recovery).expect("replay"), replayed)
+    }
+
+    fn commit(store: &ShardedStore<u64>, writes: &[(u64, u64)]) -> CommitInfo {
+        let mut txn = store.begin(ProcessId(0));
+        for &(key, value) in writes {
+            txn.write(Key(key), value).unwrap();
+        }
+        txn.commit().unwrap()
+    }
+
+    fn read_committed(store: &ShardedStore<u64>, key: u64) -> Option<u64> {
+        let mut txn = store.begin(ProcessId(9));
+        let value = txn.read(Key(key)).unwrap();
+        txn.commit().unwrap();
+        value
+    }
+
+    #[test]
+    fn committed_writes_survive_a_crash() {
+        let dir = TempDir::new("store-log-crash");
+        let (store, replayed) = open(dir.path());
+        assert_eq!(replayed, 0);
+        let ts = commit(&store, &[(1, 11), (2, 22)]).commit_ts.unwrap();
+        drop(store); // crash: all in-memory versions are gone
+
+        let (store, replayed) = open(dir.path());
+        assert_eq!(replayed, 1);
+        let mut txn = store.begin(ProcessId(0));
+        assert_eq!(txn.read(Key(1)).unwrap(), Some(11));
+        assert_eq!(txn.read(Key(2)).unwrap(), Some(22));
+        // The recovered versions kept their original timestamp.
+        assert_eq!(txn.commit().unwrap().reads, [(Key(1), ts), (Key(2), ts)]);
+    }
+
+    #[test]
+    fn aborted_and_uncommitted_transactions_do_not_resurrect() {
+        let dir = TempDir::new("store-log-abort");
+        let (store, _) = open(dir.path());
+        commit(&store, &[(1, 1)]);
+        let mut aborted = store.begin(ProcessId(0));
+        aborted.write(Key(2), 2).unwrap();
+        aborted.abort();
+        let mut in_flight = store.begin(ProcessId(0));
+        in_flight.write(Key(3), 3).unwrap();
+        drop(in_flight);
+        drop(store);
+
+        let (store, replayed) = open(dir.path());
+        assert_eq!(replayed, 1);
+        let values: Vec<_> = (1..=3).map(|key| read_committed(&store, key)).collect();
+        assert_eq!(values, [Some(1), None, None]);
+    }
+
+    #[test]
+    fn last_write_per_key_wins_within_a_transaction() {
+        let dir = TempDir::new("store-log-upsert");
+        let (store, _) = open(dir.path());
+        commit(&store, &[(1, 1), (1, 2), (4, 40), (1, 3)]);
+        drop(store);
+        let (store, _) = open(dir.path());
+        assert_eq!(read_committed(&store, 1), Some(3));
+        assert_eq!(read_committed(&store, 4), Some(40));
+    }
+
+    #[test]
+    fn read_only_commits_log_nothing() {
+        let dir = TempDir::new("store-log-ro");
+        let (store, _) = open(dir.path());
+        assert_eq!(read_committed(&store, 1), None);
+        drop(store);
+        assert_eq!(open(dir.path()).1, 0);
     }
 }

@@ -18,10 +18,14 @@
 //! the stop point replays, everything after is counted as
 //! [`Recovery::discarded_bytes`], the broken tail is truncated and later
 //! segments are deleted so new appends extend a log that is valid
-//! end-to-end.
+//! end-to-end. Bytes of another format are not a tear: a segment header with
+//! the right magic and another version, or a checksum-valid frame that does
+//! not decode, fails the open and leaves every byte on disk.
 
-use crate::record::{decode_frame, WalRecord, WalValue, MAX_PAYLOAD, SEGMENT_HEADER};
-use mvtl_common::{Key, TempDir, Timestamp, TsSet};
+use crate::record::{
+    decode_frame, WalRecord, WalValue, MAX_PAYLOAD, SEGMENT_HEADER, SEGMENT_MAGIC,
+};
+use mvtl_common::{TempDir, Timestamp};
 use parking_lot::{Condvar, Mutex};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -99,120 +103,16 @@ pub struct Recovery<V> {
 }
 
 impl<V> Recovery<V> {
-    /// A recovery with nothing in it (fresh log directory).
-    #[must_use]
-    pub fn empty() -> Recovery<V> {
-        Recovery {
-            records: Vec::new(),
-            discarded_bytes: 0,
-        }
-    }
-
-    /// The largest commit timestamp recorded anywhere in the log (`Commit`
-    /// records and commit `Decision`s). The registry starts the engine clock
-    /// past this value, so post-recovery transactions serialize after every
-    /// recovered one.
+    /// The largest commit timestamp recorded anywhere in the log. The
+    /// registry starts the engine clock past this value, so post-recovery
+    /// transactions serialize after every recovered one.
     #[must_use]
     pub fn max_commit_ts(&self) -> Option<Timestamp> {
         self.records
             .iter()
-            .filter_map(|record| match record {
-                WalRecord::Commit { commit_ts, .. } => *commit_ts,
-                WalRecord::Decision { outcome, .. } => *outcome,
-                WalRecord::Prepare { .. } => None,
-            })
+            .filter_map(|WalRecord::Commit { commit_ts, .. }| *commit_ts)
             .max()
     }
-
-    /// Folds the raw record sequence into per-transaction outcomes.
-    ///
-    /// A `Commit` record is a committed transaction. A `Prepare` followed by
-    /// a commit `Decision` is also a committed transaction (at the decided
-    /// timestamp); a `Prepare` followed by an abort `Decision` disappears. A
-    /// `Prepare` with *no* decision in the log is the interesting crash case
-    /// — the participant promised an interval and never learned the outcome
-    /// — and is returned in [`ResolvedRecovery::unresolved`] for the
-    /// presumed-abort rule to settle.
-    #[must_use]
-    pub fn resolve(self) -> ResolvedRecovery<V> {
-        let mut committed = Vec::new();
-        let mut pending: Vec<RecoveredPrepare<V>> = Vec::new();
-        for record in self.records {
-            match record {
-                WalRecord::Commit {
-                    id,
-                    commit_ts,
-                    writes,
-                } => committed.push(RecoveredCommit {
-                    id,
-                    commit_ts,
-                    writes,
-                }),
-                WalRecord::Prepare {
-                    id,
-                    interval,
-                    writes,
-                } => pending.push(RecoveredPrepare {
-                    id,
-                    interval,
-                    writes,
-                }),
-                WalRecord::Decision { id, outcome } => {
-                    if let Some(pos) = pending.iter().position(|p| p.id == id) {
-                        let prepare = pending.remove(pos);
-                        if let Some(ts) = outcome {
-                            committed.push(RecoveredCommit {
-                                id: prepare.id,
-                                commit_ts: Some(ts),
-                                writes: prepare.writes,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        ResolvedRecovery {
-            committed,
-            unresolved: pending,
-            discarded_bytes: self.discarded_bytes,
-        }
-    }
-}
-
-/// A committed transaction reconstructed from the log: a `Commit` record, or
-/// a `Prepare` whose commit `Decision` was also logged.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveredCommit<V> {
-    /// Log-local transaction id.
-    pub id: u64,
-    /// The commit timestamp, when the engine that logged it had one.
-    pub commit_ts: Option<Timestamp>,
-    /// The committed write set, last value per key.
-    pub writes: Vec<(Key, V)>,
-}
-
-/// A `Prepare` record with no logged decision: the participant froze the
-/// interval, promised the coordinator it could commit anywhere inside it,
-/// and crashed before a decision was logged.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveredPrepare<V> {
-    /// Log-local transaction id.
-    pub id: u64,
-    /// The frozen interval promised to the coordinator.
-    pub interval: TsSet,
-    /// The prepared write set.
-    pub writes: Vec<(Key, V)>,
-}
-
-/// [`Recovery::resolve`]: the log's raw records folded into outcomes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResolvedRecovery<V> {
-    /// Committed transactions, in log order.
-    pub committed: Vec<RecoveredCommit<V>>,
-    /// Prepares with no logged decision, in log order.
-    pub unresolved: Vec<RecoveredPrepare<V>>,
-    /// Copied from [`Recovery::discarded_bytes`].
-    pub discarded_bytes: u64,
 }
 
 /// The append queue every appender shares.
@@ -354,8 +254,11 @@ impl Wal {
     /// # Errors
     ///
     /// Returns an error when the directory or its segments cannot be read,
-    /// created or truncated. Corruption is not an error — it ends the scan
-    /// and is reported via [`Recovery::discarded_bytes`].
+    /// created or truncated, and when a segment holds bytes of another
+    /// format: a header with this log's magic but another version, or a
+    /// checksum-valid frame that does not decode. Nothing on disk changes
+    /// then. Corruption is not an error — it ends the scan and is reported
+    /// via [`Recovery::discarded_bytes`].
     pub fn open<V: WalValue>(
         dir: &Path,
         options: WalOptions,
@@ -369,7 +272,10 @@ impl Wal {
             .collect();
         indices.sort_unstable();
 
-        let mut recovery = Recovery::empty();
+        let mut recovery = Recovery {
+            records: Vec::new(),
+            discarded_bytes: 0,
+        };
         let mut last_valid: Option<(u64, u64)> = None; // (segment index, valid length)
         let mut torn = false;
         for (pos, &index) in indices.iter().enumerate() {
@@ -381,6 +287,17 @@ impl Wal {
                     .map_err(|e| io_err("reading segment", e))?;
                 buf
             };
+            if bytes.starts_with(&SEGMENT_MAGIC)
+                && bytes.len() >= SEGMENT_HEADER.len()
+                && !bytes.starts_with(&SEGMENT_HEADER)
+            {
+                return Err(WalError(format!(
+                    "{} has format version {}, this build reads version {}",
+                    path.display(),
+                    bytes[SEGMENT_MAGIC.len()],
+                    SEGMENT_HEADER[SEGMENT_MAGIC.len()]
+                )));
+            }
             if torn || !bytes.starts_with(&SEGMENT_HEADER) {
                 // Everything after a tear — and any segment without a valid
                 // header — is discarded wholesale.
@@ -389,7 +306,9 @@ impl Wal {
                 continue;
             }
             let mut offset = SEGMENT_HEADER.len();
-            while let Some((record, consumed)) = decode_frame::<V>(&bytes[offset..]) {
+            while let Some((record, consumed)) = decode_frame::<V>(&bytes[offset..])
+                .map_err(|e| WalError(format!("{} at byte {offset}: {}", path.display(), e.0)))?
+            {
                 recovery.records.push(record);
                 offset += consumed;
             }
@@ -660,7 +579,8 @@ mod tests {
                 let bytes = std::fs::read(segment_path(dir.path(), 1)).unwrap();
                 let mut offset = SEGMENT_HEADER.len();
                 let mut ids = Vec::new();
-                while let Some((record, consumed)) = decode_frame::<u64>(&bytes[offset..]) {
+                while let Some((record, consumed)) = decode_frame::<u64>(&bytes[offset..]).unwrap()
+                {
                     ids.push(record.id());
                     offset += consumed;
                 }
@@ -824,5 +744,45 @@ mod tests {
         drop(wal);
         let (_wal, recovery) = reopen(dir.path(), options);
         assert_eq!(recovery.records.len(), 20);
+    }
+
+    #[test]
+    fn foreign_bytes_are_errors_and_keep_every_byte() {
+        // A segment of another format version, and what an older build's
+        // cross-shard `Decision` frame is to this one: whole, checksum-valid,
+        // of an unknown kind.
+        let payload = [3u8, 9, 0, 0, 0, 0, 0, 0, 0, 0];
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crate::crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        for (bump_version, error) in [(true, "format version 2"), (false, "does not decode")] {
+            let dir = TempDir::new("wal-foreign");
+            let (wal, _) = reopen(dir.path(), WalOptions::default());
+            wal.append(&commit(1, 1, 1)).unwrap();
+            drop(wal);
+            let path = segment_path(dir.path(), 1);
+            let mut bytes = std::fs::read(&path).unwrap();
+            if bump_version {
+                bytes[SEGMENT_MAGIC.len()] = 2;
+            } else {
+                bytes.extend_from_slice(&frame);
+            }
+            std::fs::write(&path, &bytes).unwrap();
+
+            let err = Wal::open::<u64>(dir.path(), WalOptions::default()).unwrap_err();
+            assert!(err.0.contains(error), "{err}");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "the open rewrote it");
+            assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), 1);
+        }
+    }
+
+    #[test]
+    fn short_or_garbled_headers_are_still_tears() {
+        for header in [&b"MVXL\x02\x00\x00\x00"[..], &b"MVWL\x02"[..]] {
+            let dir = TempDir::new("wal-garbled-header");
+            std::fs::write(segment_path(dir.path(), 1), header).unwrap();
+            let (_wal, recovery) = reopen(dir.path(), WalOptions::default());
+            assert_eq!(recovery.discarded_bytes, header.len() as u64);
+        }
     }
 }

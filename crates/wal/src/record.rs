@@ -13,20 +13,25 @@
 //! little-endian). The checksum lets recovery distinguish a cleanly written
 //! frame from a torn tail: scanning stops at the first frame whose length or
 //! checksum does not add up, and everything after that point is reported as
-//! discarded rather than replayed.
+//! discarded rather than replayed. A frame that passes both checks but whose
+//! payload does not decode was written by another format, not torn: that is
+//! an error, and recovery leaves it on disk.
 
-use mvtl_common::{Key, Timestamp, TsRange, TsSet};
+use crate::log::WalError;
+use mvtl_common::{Key, Timestamp};
 
 /// Magic bytes opening every segment file, followed by the format version.
 pub(crate) const SEGMENT_HEADER: [u8; 8] = *b"MVWL\x01\x00\x00\x00";
 
+/// The magic part of [`SEGMENT_HEADER`]: a segment that opens with it but
+/// carries another version is foreign, not torn.
+pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"MVWL";
+
 /// Upper bound on a single frame's payload, mirroring the wire protocol's
 /// frame cap: a corrupted length prefix must not trigger a huge allocation.
-pub(crate) const MAX_PAYLOAD: u32 = 64 << 20;
+pub const MAX_PAYLOAD: u32 = 64 << 20;
 
 const KIND_COMMIT: u8 = 1;
-const KIND_PREPARE: u8 = 2;
-const KIND_DECISION: u8 = 3;
 
 /// Values that can be logged. Implemented for the value types the registry
 /// builds engines over; the encoding is length-prefixed per write, so any
@@ -58,14 +63,14 @@ impl WalValue for String {
     }
 }
 
-/// One durable event. `id` is a log-local transaction id pairing a
-/// [`WalRecord::Prepare`] with its later [`WalRecord::Decision`]; it is not
-/// the engine's in-memory `TxId` (those do not survive a restart).
+/// One durable event: a committed transaction's write set. `id` is a
+/// log-local transaction id, not the engine's in-memory `TxId` (those do not
+/// survive a restart).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord<V> {
-    /// A single-shard (or coordinator-side) commit: the transaction's write
-    /// set, installed at `commit_ts` where the engine has one (single-version
-    /// engines log `None` and replay in log order).
+    /// A committed transaction: its write set, installed at `commit_ts`
+    /// where the engine has one. A cross-shard commit is one record holding
+    /// the writes of every participant.
     Commit {
         /// Log-local transaction id.
         id: u64,
@@ -74,35 +79,14 @@ pub enum WalRecord<V> {
         /// The committed `(key, value)` write set.
         writes: Vec<(Key, V)>,
     },
-    /// A cross-shard participant's prepared sub-transaction: its frozen
-    /// candidate interval and buffered writes. A prepare without a matching
-    /// decision is resolved by presumed abort on recovery.
-    Prepare {
-        /// Log-local transaction id, referenced by the matching decision.
-        id: u64,
-        /// The frozen candidate interval the participant offered.
-        interval: TsSet,
-        /// The buffered `(key, value)` write set.
-        writes: Vec<(Key, V)>,
-    },
-    /// The coordinator's decision for a prepared sub-transaction.
-    Decision {
-        /// The log-local id of the prepare this decides.
-        id: u64,
-        /// `Some(ts)` commits the prepared writes at `ts`; `None` aborts.
-        outcome: Option<Timestamp>,
-    },
 }
 
 impl<V> WalRecord<V> {
     /// The record's log-local transaction id.
     #[must_use]
     pub fn id(&self) -> u64 {
-        match self {
-            WalRecord::Commit { id, .. }
-            | WalRecord::Prepare { id, .. }
-            | WalRecord::Decision { id, .. } => *id,
-        }
+        let WalRecord::Commit { id, .. } = self;
+        *id
     }
 }
 
@@ -221,102 +205,45 @@ impl<V: WalValue> WalRecord<V> {
     /// Serializes the record payload (kind + id + fields, no frame header).
     #[must_use]
     pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            WalRecord::Commit {
-                id,
-                commit_ts,
-                writes,
-            } => {
-                out.push(KIND_COMMIT);
-                put_u64(&mut out, *id);
-                match commit_ts {
-                    Some(ts) => {
-                        out.push(1);
-                        put_ts(&mut out, *ts);
-                    }
-                    None => out.push(0),
-                }
-                put_writes(&mut out, writes);
+        let WalRecord::Commit {
+            id,
+            commit_ts,
+            writes,
+        } = self;
+        let mut out = vec![KIND_COMMIT];
+        put_u64(&mut out, *id);
+        match commit_ts {
+            Some(ts) => {
+                out.push(1);
+                put_ts(&mut out, *ts);
             }
-            WalRecord::Prepare {
-                id,
-                interval,
-                writes,
-            } => {
-                out.push(KIND_PREPARE);
-                put_u64(&mut out, *id);
-                let ranges = interval.ranges();
-                put_u32(&mut out, ranges.len() as u32);
-                for range in ranges {
-                    put_ts(&mut out, range.start);
-                    put_ts(&mut out, range.end);
-                }
-                put_writes(&mut out, writes);
-            }
-            WalRecord::Decision { id, outcome } => {
-                out.push(KIND_DECISION);
-                put_u64(&mut out, *id);
-                match outcome {
-                    Some(ts) => {
-                        out.push(1);
-                        put_ts(&mut out, *ts);
-                    }
-                    None => out.push(0),
-                }
-            }
+            None => out.push(0),
         }
+        put_writes(&mut out, writes);
         out
     }
 
-    /// Rebuilds a record from a payload, rejecting trailing garbage.
+    /// Rebuilds a record from a payload, rejecting unknown kinds and
+    /// trailing garbage.
     #[must_use]
     pub fn decode_payload(payload: &[u8]) -> Option<WalRecord<V>> {
         let mut cur = Cursor {
             bytes: payload,
             pos: 0,
         };
-        let kind = cur.u8()?;
+        if cur.u8()? != KIND_COMMIT {
+            return None;
+        }
         let id = cur.u64()?;
-        let record = match kind {
-            KIND_COMMIT => {
-                let commit_ts = match cur.u8()? {
-                    0 => None,
-                    1 => Some(cur.ts()?),
-                    _ => return None,
-                };
-                WalRecord::Commit {
-                    id,
-                    commit_ts,
-                    writes: cur.writes()?,
-                }
-            }
-            KIND_PREPARE => {
-                let range_count = cur.u32()? as usize;
-                let mut ranges = Vec::with_capacity(range_count.min(1024));
-                for _ in 0..range_count {
-                    let start = cur.ts()?;
-                    let end = cur.ts()?;
-                    if start > end {
-                        return None;
-                    }
-                    ranges.push(TsRange::new(start, end));
-                }
-                WalRecord::Prepare {
-                    id,
-                    interval: TsSet::from_ranges(ranges),
-                    writes: cur.writes()?,
-                }
-            }
-            KIND_DECISION => {
-                let outcome = match cur.u8()? {
-                    0 => None,
-                    1 => Some(cur.ts()?),
-                    _ => return None,
-                };
-                WalRecord::Decision { id, outcome }
-            }
+        let commit_ts = match cur.u8()? {
+            0 => None,
+            1 => Some(cur.ts()?),
             _ => return None,
+        };
+        let record = WalRecord::Commit {
+            id,
+            commit_ts,
+            writes: cur.writes()?,
         };
         cur.done().then_some(record)
     }
@@ -335,24 +262,40 @@ impl<V: WalValue> WalRecord<V> {
 }
 
 /// Attempts to decode one frame at the start of `bytes`. Returns the record
-/// and the frame's total length, or `None` when the bytes do not hold a
+/// and the frame's total length; `Ok(None)` when the bytes do not hold a
 /// complete, checksum-valid frame (the torn-tail stop condition).
-#[must_use]
-pub fn decode_frame<V: WalValue>(bytes: &[u8]) -> Option<(WalRecord<V>, usize)> {
-    if bytes.len() < 8 {
-        return None;
+///
+/// An empty payload counts as torn: no record encodes to one, and eight zero
+/// bytes — a file extended but never written — checksum as exactly that.
+///
+/// # Errors
+///
+/// Returns an error when a complete, checksum-valid frame holds a payload
+/// this format does not decode: the bytes were written on purpose, by
+/// something else, and must not be discarded as a tear.
+pub fn decode_frame<V: WalValue>(bytes: &[u8]) -> Result<Option<(WalRecord<V>, usize)>, WalError> {
+    let Some(header) = bytes.get(..8) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+    let expected = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    if len == 0 || len > MAX_PAYLOAD {
+        return Ok(None);
     }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().ok()?);
-    if len > MAX_PAYLOAD {
-        return None;
-    }
-    let expected = u32::from_le_bytes(bytes[4..8].try_into().ok()?);
-    let total = 8usize.checked_add(len as usize)?;
-    let payload = bytes.get(8..total)?;
+    let total = 8 + len as usize;
+    let Some(payload) = bytes.get(8..total) else {
+        return Ok(None);
+    };
     if crc32(payload) != expected {
-        return None;
+        return Ok(None);
     }
-    Some((WalRecord::decode_payload(payload)?, total))
+    match WalRecord::decode_payload(payload) {
+        Some(record) => Ok(Some((record, total))),
+        None => Err(WalError(format!(
+            "a checksum-valid {len}-byte frame of kind {} does not decode as a version-1 record",
+            payload[0]
+        ))),
+    }
 }
 
 #[cfg(test)]
@@ -378,22 +321,6 @@ mod tests {
                 commit_ts: None,
                 writes: vec![(Key(9), 900)],
             },
-            WalRecord::Prepare {
-                id: 3,
-                interval: TsSet::from_ranges(vec![
-                    TsRange::new(Timestamp::new(10, 0), Timestamp::new(20, 0)),
-                    TsRange::new(Timestamp::new(30, 0), Timestamp::new(40, 0)),
-                ]),
-                writes: vec![(Key(1), 11)],
-            },
-            WalRecord::Decision {
-                id: 3,
-                outcome: Some(Timestamp::new(15, 0)),
-            },
-            WalRecord::Decision {
-                id: 4,
-                outcome: None,
-            },
         ]
     }
 
@@ -401,7 +328,7 @@ mod tests {
     fn records_roundtrip_through_frames() {
         for record in sample_records() {
             let frame = record.encode_frame();
-            let (decoded, consumed) = decode_frame::<u64>(&frame).expect("frame decodes");
+            let (decoded, consumed) = decode_frame::<u64>(&frame).unwrap().expect("frame decodes");
             assert_eq!(consumed, frame.len());
             assert_eq!(decoded, record);
         }
@@ -415,7 +342,9 @@ mod tests {
             writes: vec![(Key(1), "héllo".to_string()), (Key(2), String::new())],
         };
         let frame = record.encode_frame();
-        let (decoded, _) = decode_frame::<String>(&frame).expect("frame decodes");
+        let (decoded, _) = decode_frame::<String>(&frame)
+            .unwrap()
+            .expect("frame decodes");
         assert_eq!(decoded, record);
     }
 
@@ -424,7 +353,7 @@ mod tests {
         let frame = sample_records()[0].encode_frame();
         for cut in 0..frame.len() {
             assert!(
-                decode_frame::<u64>(&frame[..cut]).is_none(),
+                matches!(decode_frame::<u64>(&frame[..cut]), Ok(None)),
                 "prefix of {cut} bytes must not decode"
             );
         }
@@ -437,7 +366,7 @@ mod tests {
             let mut bad = frame.clone();
             bad[i] ^= 0x01;
             assert!(
-                decode_frame::<u64>(&bad).is_none(),
+                matches!(decode_frame::<u64>(&bad), Ok(None)),
                 "payload bit flip at {i} must fail the checksum"
             );
         }
@@ -447,13 +376,22 @@ mod tests {
     fn oversized_length_prefix_is_rejected() {
         let mut frame = sample_records()[0].encode_frame();
         frame[0..4].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
-        assert!(decode_frame::<u64>(&frame).is_none());
+        assert!(matches!(decode_frame::<u64>(&frame), Ok(None)));
     }
 
     #[test]
     fn trailing_garbage_in_payload_is_rejected() {
-        let mut payload = sample_records()[4].encode_payload();
+        let mut payload = sample_records()[1].encode_payload();
         payload.push(0);
         assert!(WalRecord::<u64>::decode_payload(&payload).is_none());
+    }
+
+    #[test]
+    fn zero_filled_bytes_are_torn_and_foreign_payloads_are_errors() {
+        assert!(matches!(decode_frame::<u64>(&[0; 64]), Ok(None)));
+        let mut frame = (1u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(&[KIND_COMMIT]).to_le_bytes());
+        frame.push(KIND_COMMIT);
+        assert!(decode_frame::<u64>(&frame).is_err());
     }
 }

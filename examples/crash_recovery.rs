@@ -1,9 +1,10 @@
 //! Durability demo: write-ahead logging, a simulated crash, and recovery.
 //!
-//! A [`WalBackend`] wraps an MVTIL shard so that every commit is appended to
-//! a checksummed log and acknowledged only once durable, and a one-shard
-//! [`ShardedStore`] turns the shard into an engine — the same composition
-//! the registry builds for `mvtil-early?wal=<dir>`. Dropping the engine
+//! A one-shard [`ShardedStore`] turns an MVTIL shard into an engine and owns
+//! a checksummed log, so that every commit is appended to it and
+//! acknowledged only once durable — the same composition the registry
+//! builds for `mvtil-early?wal=<dir>` (a `sharded` spec's store owns one log
+//! the same way, however many shards it has). Dropping the engine
 //! discards all in-memory state — the multiversion store, the lock tables,
 //! the clock — exactly like a process crash. Reopening the log replays the
 //! committed write sets at their *original* timestamps and restarts the clock
@@ -19,14 +20,20 @@ use mvtl::common::{Engine, EngineExt, Key, ProcessId, TempDir};
 use mvtl::core::policy::MvtilPolicy;
 use mvtl::core::{MvtlConfig, MvtlStore};
 use mvtl::shard::{IntersectionPick, KvBackend, ShardedStore};
-use mvtl::wal::{RecoveryReport, Wal, WalBackend, WalError, WalOptions};
+use mvtl::wal::{Wal, WalError, WalOptions};
 use std::path::Path;
 use std::sync::Arc;
 
 /// Opens the log in `dir`, sizes a fresh clock past whatever it recovered,
-/// and replays the log into a fresh MVTIL-early shard.
-fn open_engine(dir: &Path) -> Result<(Box<dyn Engine<u64>>, RecoveryReport), WalError> {
+/// and replays the log into a fresh MVTIL-early shard. Also returns what the
+/// log held.
+fn open_engine(dir: &Path) -> Result<(Box<dyn Engine<u64>>, String), WalError> {
     let (wal, recovery) = Wal::open::<u64>(dir, WalOptions::default())?;
+    let report = format!(
+        "{} commits replayed, {} torn bytes discarded",
+        recovery.records.len(),
+        recovery.discarded_bytes
+    );
     // The clock must start past every recovered commit timestamp, or new
     // transactions could serialize *before* state that already exists.
     let start = recovery.max_commit_ts().map_or(1, |ts| ts.value + 1);
@@ -36,9 +43,9 @@ fn open_engine(dir: &Path) -> Result<(Box<dyn Engine<u64>>, RecoveryReport), Wal
         Arc::clone(&clock),
         MvtlConfig::default(),
     ));
-    let (shard, report) = WalBackend::with_recovery(shard, wal, recovery)?;
-    let store =
-        ShardedStore::new(vec![shard], clock, IntersectionPick::Min).with_name("mvtil-early");
+    let store = ShardedStore::new(vec![shard], clock, IntersectionPick::Min)
+        .with_name("mvtil-early")
+        .with_log(wal, recovery)?;
     Ok((Box::new(store), report))
 }
 
@@ -50,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Life before the crash -------------------------------------------
     let (engine, report) = open_engine(dir.path())?;
-    println!("fresh log:      {report:?}");
+    println!("fresh log:      {report}");
 
     let mut tx = engine.begin(ProcessId(0));
     for key in &accounts {
@@ -78,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Recovery ---------------------------------------------------------
     let (engine, report) = open_engine(dir.path())?;
-    println!("recovered log:  {report:?}");
+    println!("recovered log:  {report}");
     println!("post-recovery:  {}", balances(engine.as_ref(), &accounts));
 
     // The recovered engine is fully live: keep transferring.

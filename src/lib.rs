@@ -19,7 +19,7 @@
 //! | [`server`] | `mvtl-server` | TCP serve path: wire protocol, threaded server, pipelining client |
 //! | [`shard`] | `mvtl-shard` | partitioned engine: hash-routed shards, §7 cross-shard interval-intersection commit |
 //! | [`verify`] | `mvtl-verify` | MVSG serializability checking, canonical schedules |
-//! | [`wal`] | `mvtl-wal` | durability: checksummed write-ahead log with group commit, crash recovery, persistent prepare state |
+//! | [`wal`] | `mvtl-wal` | durability: checksummed write-ahead log with group commit and crash recovery |
 //! | [`workload`] | `mvtl-workload` | workload generators, the closed-loop runner, the figure harness (the paper's figures on the engines) |
 //!
 //! # Quick start

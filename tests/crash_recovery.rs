@@ -5,9 +5,17 @@
 //! history** — possible because recovery re-installs committed write sets at
 //! their original commit timestamps and restarts the clock past them.
 
-use mvtl::common::{CommitInfo, Engine, EngineExt, Key, ProcessId, TempDir, TxId};
+use mvtl::clock::GlobalClock;
+use mvtl::common::{CommitInfo, Engine, EngineExt, Key, ProcessId, TempDir, Timestamp, TxId};
+use mvtl::core::policy::MvtilPolicy;
+use mvtl::core::MvtlConfig;
+use mvtl::registry::SpecError;
+use mvtl::shard::{IntersectionPick, ShardedStore};
 use mvtl::verify::{check_serializable, History};
+use mvtl::wal::{Wal, WalOptions, WalRecord};
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const KEYS: u64 = 16;
 
@@ -229,4 +237,168 @@ fn newest_segment(dir: &std::path::Path) -> std::path::PathBuf {
         .collect();
     segments.sort();
     segments.pop().expect("the log has at least one segment")
+}
+
+/// Every `*.log` file under `dir`, at any depth, with its length.
+fn log_files(dir: &Path) -> Vec<(PathBuf, u64)> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(log_files(&path));
+        } else if path.extension().is_some_and(|e| e == "log") {
+            let len = std::fs::metadata(&path).unwrap().len();
+            files.push((path, len));
+        }
+    }
+    files.sort();
+    files
+}
+
+/// Copies the tree under `from` into `to`.
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        let target = to.join(path.file_name().unwrap());
+        if path.is_dir() {
+            copy_tree(&path, &target);
+        } else {
+            std::fs::copy(&path, &target).unwrap();
+        }
+    }
+}
+
+/// Reads `keys` in one transaction: their values, and the version each read
+/// returned, in key order.
+fn read_back(engine: &dyn Engine<u64>, keys: &[Key]) -> (Vec<Option<u64>>, Vec<(Key, Timestamp)>) {
+    let mut tx = engine.begin(ProcessId(63));
+    let values = keys.iter().map(|key| tx.read(*key).unwrap()).collect();
+    let mut reads = tx.commit().unwrap().reads;
+    reads.sort();
+    (values, reads)
+}
+
+#[test]
+fn a_cross_shard_commit_recovers_whole_or_not_at_all_at_every_crash_point() {
+    let dir = TempDir::new("crash-sweep");
+    let spec = |dir: &Path| format!("sharded?shards=2&inner=mvtil-early&wal={}", dir.display());
+    let keys: Vec<Key> = (0..8).map(Key).collect();
+    let router: ShardedStore<u64> = ShardedStore::with_policy(
+        2,
+        Arc::new(GlobalClock::new()),
+        MvtlConfig::default(),
+        IntersectionPick::Min,
+        |_| MvtilPolicy::early(1000),
+    );
+    assert!(
+        (0..2).all(|shard| keys.iter().any(|key| router.shard_of(*key) == shard)),
+        "the transaction must write on both shards"
+    );
+    let before: Vec<Option<u64>> = keys.iter().map(|key| Some(key.0)).collect();
+    let after: Vec<Option<u64>> = keys.iter().map(|key| Some(key.0 + 1000)).collect();
+
+    let engine = mvtl::registry::build(&spec(dir.path())).unwrap();
+    for key in &keys {
+        let mut tx = engine.begin(ProcessId(1));
+        tx.write(*key, key.0).unwrap();
+        tx.commit().unwrap();
+    }
+    let earlier = log_files(dir.path());
+    let mut tx = engine.begin(ProcessId(2));
+    for key in &keys {
+        tx.write(*key, key.0 + 1000).unwrap();
+    }
+    tx.commit().unwrap();
+    drop(engine);
+
+    // Cut each log the commit grew at every frame boundary and every byte
+    // of what it appended; the other logs keep everything.
+    let mut cuts = 0;
+    let mut split = Vec::new();
+    for (path, len) in log_files(dir.path()) {
+        let start = earlier
+            .iter()
+            .find(|(p, _)| *p == path)
+            .map_or(0, |(_, len)| *len);
+        for cut in start..=len {
+            let copy = TempDir::new("crash-sweep-cut");
+            copy_tree(dir.path(), copy.path());
+            let cut_path = copy.path().join(path.strip_prefix(dir.path()).unwrap());
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&cut_path)
+                .unwrap()
+                .set_len(cut)
+                .unwrap();
+            let engine = mvtl::registry::build(&spec(copy.path())).expect("rebuild");
+            let (values, _) = read_back(engine.as_ref(), &keys);
+            if values != before && values != after {
+                split.push(format!("{} cut at {cut}: {values:?}", path.display()));
+            }
+            cuts += 1;
+        }
+    }
+    assert!(cuts > 1, "the commit appended nothing");
+    assert!(
+        split.is_empty(),
+        "{} of {cuts} crash points split the transaction, e.g. {:?}",
+        split.len(),
+        &split[..split.len().min(3)]
+    );
+}
+
+#[test]
+fn a_log_reopens_under_any_shard_layout() {
+    let dir = TempDir::new("crash-relayout");
+    let spec = |layout: &str| format!("{layout}wal={}", dir.path().display());
+    let written = spec("sharded?shards=2&inner=mvtil-early&");
+    let keys: Vec<Key> = (0..KEYS).map(Key).collect();
+    let mut expected = HashMap::new();
+    let engine = mvtl::registry::build(&written).unwrap();
+    assert!(!run_workload(engine.as_ref(), 5, 40, 1, &mut expected).is_empty());
+    drop(engine);
+
+    let on_two = read_back(mvtl::registry::build(&written).unwrap().as_ref(), &keys);
+    let values: Vec<Option<u64>> = keys.iter().map(|key| expected.get(key).copied()).collect();
+    assert_eq!(on_two.0, values);
+    for layout in ["sharded?shards=3&inner=mvtil-early&", "mvtil-early?"] {
+        let engine = mvtl::registry::build(&spec(layout)).unwrap();
+        assert_eq!(read_back(engine.as_ref(), &keys), on_two, "{layout}");
+    }
+}
+
+#[test]
+fn an_older_per_shard_log_directory_is_refused_untouched() {
+    // Older builds logged shard `i` of a `sharded` spec in `<dir>/shard-<i>`.
+    let dir = TempDir::new("crash-per-shard");
+    let (wal, _) = Wal::open::<u64>(&dir.path().join("shard-1"), WalOptions::default()).unwrap();
+    wal.append(&WalRecord::Commit {
+        id: 1,
+        commit_ts: Some(Timestamp::at(5)),
+        writes: vec![(Key(1), 1)],
+    })
+    .unwrap();
+    drop(wal);
+    let bytes = |dir: &Path| -> Vec<Vec<u8>> {
+        log_files(dir)
+            .into_iter()
+            .map(|(path, _)| std::fs::read(path).unwrap())
+            .collect()
+    };
+    let before = bytes(dir.path());
+    for layout in ["sharded?shards=2&", "mvtil-early?"] {
+        let spec = format!("{layout}wal={}", dir.path().display());
+        let err = mvtl::registry::build(&spec).map(|_| ()).unwrap_err();
+        assert!(
+            matches!(err, SpecError::InvalidValue { .. }),
+            "{spec}: {err}"
+        );
+    }
+    assert_eq!(bytes(dir.path()), before);
+    assert_eq!(
+        std::fs::read_dir(dir.path()).unwrap().count(),
+        1,
+        "a log opened in <dir>"
+    );
 }
