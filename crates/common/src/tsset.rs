@@ -96,6 +96,24 @@ impl TsSet {
         }
     }
 
+    /// The set holding `range`, or the empty set.
+    fn from_lone(range: Option<TsRange>) -> Self {
+        range.map_or_else(TsSet::new, TsSet::from_range)
+    }
+
+    /// `Some(the one range, or None when empty)` when the set holds at most
+    /// one range: the operand shape the branch-only fast paths of
+    /// [`union`](TsSet::union), [`intersection`](TsSet::intersection) and
+    /// [`difference`](TsSet::difference) take. Nearly every set MVTIL builds
+    /// per operation — a request, a grant, the candidate interval — has it.
+    fn lone(&self) -> Option<Option<TsRange>> {
+        match &self.repr {
+            Repr::Inline { len: 0, .. } => Some(None),
+            Repr::Inline { len: 1, slots } => Some(Some(slots[0])),
+            _ => None,
+        }
+    }
+
     /// A set containing a single timestamp.
     #[must_use]
     pub fn from_point(t: Timestamp) -> Self {
@@ -256,6 +274,21 @@ impl TsSet {
     /// Set union.
     #[must_use]
     pub fn union(&self, other: &TsSet) -> TsSet {
+        if let (Some(a), Some(b)) = (self.lone(), other.lone()) {
+            return match (a, b) {
+                (None, one) | (one, None) => TsSet::from_lone(one),
+                (Some(a), Some(b)) if a.touches(&b) => TsSet::from_range(TsRange {
+                    start: a.start.min(b.start),
+                    end: a.end.max(b.end),
+                }),
+                (Some(a), Some(b)) => {
+                    let (lo, hi) = if a.start < b.start { (a, b) } else { (b, a) };
+                    let mut out = TsSet::from_range(lo);
+                    out.push_canonical(hi);
+                    out
+                }
+            };
+        }
         let mut out = self.clone();
         for r in other.ranges() {
             out.insert_range(*r);
@@ -266,6 +299,9 @@ impl TsSet {
     /// Set intersection.
     #[must_use]
     pub fn intersection(&self, other: &TsSet) -> TsSet {
+        if let (Some(a), Some(b)) = (self.lone(), other.lone()) {
+            return TsSet::from_lone(a.zip(b).and_then(|(a, b)| a.intersection(&b)));
+        }
         let mut out = TsSet::new();
         let a_ranges = self.ranges();
         let b_ranges = other.ranges();
@@ -288,6 +324,30 @@ impl TsSet {
     /// Set difference (`self \ other`).
     #[must_use]
     pub fn difference(&self, other: &TsSet) -> TsSet {
+        if let (Some(a), Some(b)) = (self.lone(), other.lone()) {
+            let Some(a) = a else {
+                return TsSet::new();
+            };
+            let Some(b) = b.filter(|b| b.overlaps(&a)) else {
+                return TsSet::from_range(a);
+            };
+            // What is left of `a` on either side of `b`: `b.start` lies above
+            // `a.start` and `b.end` below `a.end`, so neither step saturates.
+            let mut out = TsSet::new();
+            if a.start < b.start {
+                out.push_canonical(TsRange {
+                    start: a.start,
+                    end: b.start.pred(),
+                });
+            }
+            if b.end < a.end {
+                out.push_canonical(TsRange {
+                    start: b.end.succ(),
+                    end: a.end,
+                });
+            }
+            return out;
+        }
         let mut out = self.clone();
         for r in other.ranges() {
             out.remove_range(*r);

@@ -27,6 +27,80 @@ fn arb_set() -> impl Strategy<Value = TsSet> {
     proptest::collection::vec(arb_range(), 0..8).prop_map(TsSet::from_ranges)
 }
 
+/// Timestamps for the operands of the single-range fast paths: the grid of
+/// [`arb_ts`] (drawn twice as often), plus the boundaries they must get right — `process =
+/// u32::MAX`, whose successor is the next value's process 0, and the two
+/// ends of the order.
+fn arb_edge_ts() -> impl Strategy<Value = Timestamp> {
+    prop_oneof![
+        arb_ts(),
+        arb_ts(),
+        (0u64..64).prop_map(|v| Timestamp::new(v, u32::MAX)),
+        Just(Timestamp::ZERO),
+        Just(Timestamp::MAX),
+    ]
+}
+
+fn arb_edge_range() -> impl Strategy<Value = TsRange> {
+    (arb_edge_ts(), arb_edge_ts()).prop_map(|(a, b)| TsRange::new(a.min(b), a.max(b)))
+}
+
+/// Sets weighted to the operand shapes the branch-only fast paths take —
+/// zero, one or two ranges — with a larger set one time in four, so the
+/// fast and the general paths also meet.
+fn arb_small_set() -> impl Strategy<Value = TsSet> {
+    prop_oneof![
+        Just(TsSet::new()),
+        arb_edge_range().prop_map(TsSet::from_range),
+        (arb_edge_range(), arb_edge_range()).prop_map(|(a, b)| TsSet::from_ranges([a, b])),
+        arb_set(),
+    ]
+}
+
+/// [`grid`] plus the boundary timestamps of [`arb_edge_ts`].
+fn edge_grid() -> Vec<Timestamp> {
+    let mut pts = grid();
+    pts.extend((0..64u64).map(|v| Timestamp::new(v, u32::MAX)));
+    pts.push(Timestamp::MAX);
+    pts
+}
+
+/// Whether `set` is in canonical form: sorted, disjoint and merged.
+fn is_canonical(set: &TsSet) -> bool {
+    set.ranges()
+        .windows(2)
+        .all(|w| w[0].end < w[1].start && !w[0].touches(&w[1]))
+}
+
+/// Union, intersection and difference computed range by range through
+/// `insert_range`/`remove_range`, which take no fast path.
+fn reference(a: &TsSet, b: &TsSet) -> [TsSet; 3] {
+    let mut union = a.clone();
+    let mut intersection = TsSet::new();
+    let mut difference = a.clone();
+    for r in b.ranges() {
+        union.insert_range(*r);
+        difference.remove_range(*r);
+        for q in a.ranges() {
+            if let Some(i) = q.intersection(r) {
+                intersection.insert_range(i);
+            }
+        }
+    }
+    [union, intersection, difference]
+}
+
+/// Checks the three operations on `a` and `b` against [`reference`], and
+/// their canonical form.
+fn check_algebra(a: &TsSet, b: &TsSet) {
+    let got = [a.union(b), a.intersection(b), a.difference(b)];
+    let names = ["union", "intersection", "difference"];
+    for ((name, got), want) in names.into_iter().zip(got).zip(reference(a, b)) {
+        assert!(is_canonical(&got), "{a:?} {name} {b:?} = {got:?}");
+        assert_eq!(got, want, "{a:?} {name} {b:?}");
+    }
+}
+
 /// Reference membership check on a sampling grid.
 fn grid() -> Vec<Timestamp> {
     let mut pts = Vec::new();
@@ -74,6 +148,27 @@ proptest! {
         for t in grid() {
             prop_assert_eq!(d.contains(t), a.contains(t) && !b.contains(t));
         }
+    }
+
+    #[test]
+    fn small_operand_algebra_matches_membership_and_canonical_form(
+        a in arb_small_set(),
+        b in arb_small_set(),
+    ) {
+        let (u, i, d) = (a.union(&b), a.intersection(&b), a.difference(&b));
+        for set in [&u, &i, &d] {
+            prop_assert!(is_canonical(set), "not canonical: {:?}", set);
+        }
+        for t in edge_grid() {
+            let (in_a, in_b) = (a.contains(t), b.contains(t));
+            prop_assert_eq!(u.contains(t), in_a || in_b, "union at {:?}", t);
+            prop_assert_eq!(i.contains(t), in_a && in_b, "intersection at {:?}", t);
+            prop_assert_eq!(d.contains(t), in_a && !in_b, "difference at {:?}", t);
+        }
+        let [union, intersection, difference] = reference(&a, &b);
+        prop_assert_eq!(u, union);
+        prop_assert_eq!(i, intersection);
+        prop_assert_eq!(d, difference);
     }
 
     #[test]
@@ -133,4 +228,91 @@ proptest! {
             None => prop_assert!(!both),
         }
     }
+}
+
+#[test]
+fn adjacency_through_succ_across_the_process_boundary() {
+    let below = TsRange::new(Timestamp::new(1, 0), Timestamp::new(5, u32::MAX));
+    let above = TsRange::new(Timestamp::new(6, 0), Timestamp::new(9, 0));
+    let (a, b) = (TsSet::from_range(below), TsSet::from_range(above));
+    check_algebra(&a, &b);
+    check_algebra(&b, &a);
+    // (5, u32::MAX).succ() is (6, 0): the union is one range.
+    assert_eq!(
+        a.union(&b),
+        TsSet::from_range(TsRange::new(Timestamp::new(1, 0), Timestamp::new(9, 0)))
+    );
+    assert!(a.intersection(&b).is_empty());
+    // Cutting (6, 0) out of the union leaves (5, u32::MAX) as the end below
+    // it and (6, 1) as the start above it.
+    let cut = a
+        .union(&b)
+        .difference(&TsSet::from_point(Timestamp::new(6, 0)));
+    assert_eq!(
+        cut,
+        TsSet::from_ranges([
+            below,
+            TsRange::new(Timestamp::new(6, 1), Timestamp::new(9, 0))
+        ])
+    );
+    check_algebra(&a.union(&b), &TsSet::from_point(Timestamp::new(6, 0)));
+    check_algebra(
+        &a.union(&b),
+        &TsSet::from_point(Timestamp::new(5, u32::MAX)),
+    );
+}
+
+#[test]
+fn point_ranges() {
+    let p = TsSet::from_point(Timestamp::new(5, 3));
+    let next = TsSet::from_point(Timestamp::new(5, 4));
+    let wide = TsSet::from_range(TsRange::new(Timestamp::new(5, 0), Timestamp::new(5, 9)));
+    for (a, b) in [
+        (&p, &p),
+        (&p, &next),
+        (&p, &wide),
+        (&wide, &p),
+        (&next, &wide),
+    ] {
+        check_algebra(a, b);
+    }
+    assert_eq!(p.intersection(&p), p);
+    assert!(p.difference(&p).is_empty());
+    assert_eq!(
+        p.union(&next),
+        TsSet::from_range(TsRange::new(Timestamp::new(5, 3), Timestamp::new(5, 4)))
+    );
+    assert_eq!(
+        wide.difference(&p),
+        TsSet::from_ranges([
+            TsRange::new(Timestamp::new(5, 0), Timestamp::new(5, 2)),
+            TsRange::new(Timestamp::new(5, 4), Timestamp::new(5, 9)),
+        ])
+    );
+}
+
+#[test]
+fn ranges_reaching_timestamp_max() {
+    let all = TsSet::from_range(TsRange::all());
+    let top = TsSet::from_point(Timestamp::MAX);
+    let bottom = TsSet::from_point(Timestamp::ZERO);
+    let upper = TsSet::from_range(TsRange::new(Timestamp::new(7, 0), Timestamp::MAX));
+    let lower = TsSet::from_range(TsRange::new(Timestamp::ZERO, Timestamp::new(7, 0).pred()));
+    for a in [&all, &top, &bottom, &upper, &lower] {
+        for b in [&all, &top, &bottom, &upper, &lower] {
+            check_algebra(a, b);
+        }
+    }
+    assert_eq!(
+        all.difference(&top),
+        TsSet::from_range(TsRange::new(Timestamp::ZERO, Timestamp::MAX.pred()))
+    );
+    assert_eq!(
+        all.difference(&bottom),
+        TsSet::from_range(TsRange::new(Timestamp::ZERO.succ(), Timestamp::MAX))
+    );
+    assert_eq!(all.difference(&upper), lower);
+    assert!(upper.difference(&all).is_empty());
+    assert_eq!(lower.union(&upper), all);
+    assert_eq!(upper.intersection(&top), top);
 }

@@ -59,6 +59,12 @@ pub trait PolicyCtx {
     /// inside the interval, the acquisition re-anchors on the new version and
     /// retries, as in the paper's `repeat ... until found no frozen locks`.
     ///
+    /// A policy's `read_locks` calls this exactly once and returns the
+    /// granted [`ReadGrant::version`]: the store clones that version's value
+    /// under the same stripe latch, so a read takes one latch. The lock-wait
+    /// deadline is computed at the first actual wait, so a grant that never
+    /// waits reads no clock.
+    ///
     /// # Errors
     ///
     /// * [`TxError::Aborted`] with `LockTimeout` if waiting exceeded the
@@ -127,6 +133,11 @@ pub trait LockingPolicy: Send + Sync + 'static {
     /// `read-locks(tx, k)`: selects the version to read and locks an interval
     /// immediately following it. Returns the version timestamp (`tr`),
     /// [`Timestamp::ZERO`] for the initial `⊥` version.
+    ///
+    /// The version must come from the one
+    /// [`PolicyCtx::acquire_read_interval`] call the read makes: the store
+    /// returns the value it cloned there, and refuses a read whose version
+    /// differs with [`TxError::Internal`].
     ///
     /// # Errors
     ///

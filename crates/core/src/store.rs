@@ -2,7 +2,7 @@
 
 use crate::cell::{CoreStripe, KeyData};
 use crate::policy::{LockingPolicy, PolicyCtx, ReadGrant};
-use crate::txn::{HeldLocks, MvtlTransaction, TxState};
+use crate::txn::{MvtlTransaction, TxState};
 use crate::MvtlConfig;
 use mvtl_clock::ClockSource;
 use mvtl_common::{
@@ -11,6 +11,7 @@ use mvtl_common::{
 };
 use mvtl_storage::{ChainArena, StripedTable};
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -163,6 +164,12 @@ where
     /// key, otherwise the committed version selected by the policy, or `None`
     /// for the initial `⊥` version.
     ///
+    /// One stripe latch per read: every policy reads through exactly one
+    /// [`PolicyCtx::acquire_read_interval`], which clones the anchored
+    /// version's value under the latch that anchored it. A concurrent purge
+    /// therefore cannot remove the version between the anchor and the fetch;
+    /// a purged anchor is refused up front with `VersionPurged`.
+    ///
     /// # Errors
     ///
     /// Returns an abort error if the policy could not acquire the read locks it
@@ -174,48 +181,25 @@ where
         if let Some(v) = txn.pending_write(key) {
             return Ok(Some(v.clone()));
         }
-        match self.policy.read_locks(self, &mut txn.state, key) {
-            Ok(version) => {
-                txn.state.record_read(key, version);
-                if version.is_zero() {
-                    return Ok(None);
+        let ctx = ReadCtx {
+            store: self,
+            anchored: Cell::new(None),
+        };
+        let result = match self.policy.read_locks(&ctx, &mut txn.state, key) {
+            Ok(version) => match ctx.anchored.into_inner() {
+                Some((anchored, value)) if anchored == version => {
+                    txn.state.record_read(key, version);
+                    return Ok(value);
                 }
-                // The policy anchored on `version` under the stripe latch, but
-                // the latch was released before we get here, so a concurrent
-                // `purge_below` may have removed the selected version in the
-                // window. A missing version for a non-zero anchor therefore
-                // means "purged", never "⊥": returning a silent `None` here
-                // would fabricate an empty read of a key that has a committed
-                // value. Abort with `VersionPurged` instead (§6: transactions
-                // that need purged state must abort).
-                let fetched = {
-                    let stripe = self.cells.stripe_for(key);
-                    let guard = stripe.data.lock();
-                    match guard.map.get(key) {
-                        Some(data) => match data.versions.at(version) {
-                            Some(value) => Ok(value.clone()),
-                            None => Err(data.versions.purged_below()),
-                        },
-                        // The cell itself was reclaimed: every version is gone.
-                        None => Err(Timestamp::ZERO),
-                    }
-                };
-                match fetched {
-                    Ok(value) => Ok(Some(value)),
-                    Err(purged_below) => {
-                        self.abort_internal(&mut txn.state);
-                        Err(TxError::aborted(AbortReason::VersionPurged {
-                            key,
-                            below: purged_below.max(version.succ()),
-                        }))
-                    }
-                }
-            }
-            Err(err) => {
-                self.abort_internal(&mut txn.state);
-                Err(err)
-            }
-        }
+                _ => Err(TxError::Internal(format!(
+                    "{} read {key} at {version} without anchoring on it",
+                    self.policy.name()
+                ))),
+            },
+            Err(err) => Err(err),
+        };
+        self.abort_internal(&mut txn.state);
+        result
     }
 
     /// Writes `value` to `key` within the transaction (Algorithm 1, `write`).
@@ -413,6 +397,70 @@ where
         }
     }
 
+    /// [`PolicyCtx::acquire_read_interval`], also returning the anchored
+    /// version's value (`None` for `⊥`), cloned under the stripe latch that
+    /// anchored it.
+    fn read_interval(
+        &self,
+        tx: &mut TxState,
+        key: Key,
+        anchor_below: Timestamp,
+        mut upper: Timestamp,
+        wait: bool,
+    ) -> Result<(ReadGrant, Option<V>), TxError> {
+        let stripe = self.cells.stripe_for(key);
+        // Set at the first wait: a grant that never waits reads no clock.
+        let mut deadline = None;
+        let mut guard = stripe.data.lock();
+        loop {
+            // Re-probe the cell each iteration: waiting releases the latch,
+            // and the stripe map may rehash or reclaim entries while we sleep.
+            let CoreStripe { map, .. } = &mut *guard;
+            let data = map.get_or_insert_with(key, KeyData::default);
+            let (anchor, value) = data.versions.latest_before(anchor_below).map_err(|bound| {
+                TxError::aborted(AbortReason::VersionPurged { key, below: bound })
+            })?;
+            let grant = |granted| ReadGrant {
+                version: anchor,
+                granted,
+            };
+            if upper < anchor.succ() {
+                return Ok((grant(TsSet::new()), value));
+            }
+            let desired = TsRange::new(anchor.succ(), upper);
+            if let Some(version) = data.first_frozen_read_conflict(desired) {
+                // A newer version inside the window is a frozen write lock;
+                // shrink the window to end just below it and retry,
+                // re-anchoring on the newer version when it is visible.
+                if version <= anchor.succ() {
+                    return Ok((grant(TsSet::new()), value));
+                }
+                upper = version.pred();
+                continue;
+            }
+            let analysis = data.locks.analyze(tx.id, LockMode::Read, desired);
+            let granted = if analysis.blocked_unfrozen.is_empty() {
+                analysis.grantable
+            } else if wait {
+                let deadline =
+                    *deadline.get_or_insert_with(|| Instant::now() + self.config.lock_wait_timeout);
+                if stripe.changed.wait_until(&mut guard, deadline).timed_out() {
+                    return Err(TxError::aborted(AbortReason::LockTimeout { key }));
+                }
+                continue;
+            } else {
+                // No waiting: lock only the contiguous prefix that is free.
+                match analysis.contiguous_grantable_end(anchor.succ()) {
+                    None => TsSet::new(),
+                    Some(end) => TsSet::from_range(TsRange::new(anchor.succ(), end)),
+                }
+            };
+            data.locks.acquire(tx.id, LockMode::Read, &granted);
+            tx.record_read_locks(key, &granted);
+            return Ok((grant(granted), value));
+        }
+    }
+
     /// The candidate commit timestamps of Algorithm 1 line 13: timestamps `t`
     /// such that every read key is covered contiguously from the version read
     /// up to `t` by locks the transaction holds, and every written key is
@@ -423,26 +471,36 @@ where
         let mut candidates =
             TsSet::from_range(TsRange::new(Timestamp::ZERO.succ(), Timestamp::MAX));
         for (key, version) in &tx.read_set {
-            let held = tx.locks_on(*key).map(HeldLocks::any).unwrap_or_default();
             let start = version.succ();
-            let mut allowed = TsSet::new();
-            for range in held.ranges() {
-                if range.contains(start) {
-                    allowed = TsSet::from_range(TsRange::new(start, range.end));
-                    break;
-                }
-            }
-            candidates = candidates.intersection(&allowed);
+            // The end of the held run starting at `start`. A key without
+            // write locks needs no union with them.
+            let end = tx.locks_on(*key).and_then(|held| {
+                let any;
+                let locked = if held.write.is_empty() {
+                    &held.read
+                } else {
+                    any = held.any();
+                    &any
+                };
+                locked
+                    .ranges()
+                    .iter()
+                    .find(|range| range.contains(start))
+                    .map(|range| range.end)
+            });
+            let Some(end) = end else {
+                return TsSet::new();
+            };
+            candidates = candidates.intersection(&TsSet::from_range(TsRange::new(start, end)));
             if candidates.is_empty() {
                 return candidates;
             }
         }
         for key in &tx.write_keys {
-            let write_held = tx
-                .locks_on(*key)
-                .map(|h| h.write.clone())
-                .unwrap_or_default();
-            candidates = candidates.intersection(&write_held);
+            let Some(held) = tx.locks_on(*key) else {
+                return TsSet::new();
+            };
+            candidates = candidates.intersection(&held.write);
             if candidates.is_empty() {
                 return candidates;
             }
@@ -567,74 +625,11 @@ where
         tx: &mut TxState,
         key: Key,
         anchor_below: Timestamp,
-        mut upper: Timestamp,
+        upper: Timestamp,
         wait: bool,
     ) -> Result<ReadGrant, TxError> {
-        let stripe = self.cells.stripe_for(key);
-        let deadline = Instant::now() + self.config.lock_wait_timeout;
-        let mut guard = stripe.data.lock();
-        loop {
-            // Re-probe the cell each iteration: waiting releases the latch,
-            // and the stripe map may rehash or reclaim entries while we sleep.
-            let CoreStripe { map, .. } = &mut *guard;
-            let data = map.get_or_insert_with(key, KeyData::default);
-            let anchor = match data.versions.latest_before(anchor_below) {
-                Ok((t, _)) => t,
-                Err(bound) => {
-                    return Err(TxError::aborted(AbortReason::VersionPurged {
-                        key,
-                        below: bound,
-                    }))
-                }
-            };
-            if upper < anchor.succ() {
-                return Ok(ReadGrant {
-                    version: anchor,
-                    granted: TsSet::new(),
-                });
-            }
-            let desired = TsRange::new(anchor.succ(), upper);
-            if let Some(version) = data.first_frozen_read_conflict(desired) {
-                // A newer version inside the window is a frozen write lock;
-                // shrink the window to end just below it and retry,
-                // re-anchoring on the newer version when it is visible.
-                if version <= anchor.succ() {
-                    return Ok(ReadGrant {
-                        version: anchor,
-                        granted: TsSet::new(),
-                    });
-                }
-                upper = version.pred();
-                continue;
-            }
-            let analysis = data.locks.analyze(tx.id, LockMode::Read, desired);
-            if !analysis.blocked_unfrozen.is_empty() {
-                if wait {
-                    if stripe.changed.wait_until(&mut guard, deadline).timed_out() {
-                        return Err(TxError::aborted(AbortReason::LockTimeout { key }));
-                    }
-                    continue;
-                }
-                // No waiting: lock only the contiguous prefix that is free.
-                let granted = match analysis.contiguous_grantable_end(anchor.succ()) {
-                    None => TsSet::new(),
-                    Some(end) => TsSet::from_range(TsRange::new(anchor.succ(), end)),
-                };
-                data.locks.acquire(tx.id, LockMode::Read, &granted);
-                tx.record_read_locks(key, &granted);
-                return Ok(ReadGrant {
-                    version: anchor,
-                    granted,
-                });
-            }
-            let granted = analysis.grantable;
-            data.locks.acquire(tx.id, LockMode::Read, &granted);
-            tx.record_read_locks(key, &granted);
-            return Ok(ReadGrant {
-                version: anchor,
-                granted,
-            });
-        }
+        self.read_interval(tx, key, anchor_below, upper, wait)
+            .map(|(grant, _)| grant)
     }
 
     fn acquire_write_range(
@@ -645,7 +640,8 @@ where
         wait: bool,
     ) -> Result<TsSet, TxError> {
         let stripe = self.cells.stripe_for(key);
-        let deadline = Instant::now() + self.config.lock_wait_timeout;
+        // Set at the first wait: a grant that never waits reads no clock.
+        let mut deadline = None;
         let mut guard = stripe.data.lock();
         loop {
             // Nothing commits below the purge floor: the runs that would
@@ -659,6 +655,8 @@ where
             let data = map.get_or_insert_with(key, KeyData::default);
             let analysis = data.locks.analyze(tx.id, LockMode::Write, desired);
             if wait && !analysis.blocked_unfrozen.is_empty() {
+                let deadline =
+                    *deadline.get_or_insert_with(|| Instant::now() + self.config.lock_wait_timeout);
                 if stripe.changed.wait_until(&mut guard, deadline).timed_out() {
                     return Err(TxError::aborted(AbortReason::LockTimeout { key }));
                 }
@@ -693,6 +691,58 @@ where
             None => Ok(Timestamp::ZERO),
         };
         result.map_err(|bound| TxError::aborted(AbortReason::VersionPurged { key, below: bound }))
+    }
+}
+
+/// The [`PolicyCtx`] a policy's `read_locks` runs against: the store, plus
+/// the version the read anchored on and its value, kept from the one
+/// [`PolicyCtx::acquire_read_interval`] so that [`MvtlStore::read`] returns
+/// it without latching the key again.
+struct ReadCtx<'s, V, P> {
+    store: &'s MvtlStore<V, P>,
+    anchored: Cell<Option<(Timestamp, Option<V>)>>,
+}
+
+impl<V, P> PolicyCtx for ReadCtx<'_, V, P>
+where
+    V: Clone + Send + Sync + 'static,
+    P: LockingPolicy,
+{
+    fn clock_value(&self, tx: &TxState, process: ProcessId) -> u64 {
+        self.store.clock_value(tx, process)
+    }
+
+    fn acquire_read_interval(
+        &self,
+        tx: &mut TxState,
+        key: Key,
+        anchor_below: Timestamp,
+        upper: Timestamp,
+        wait: bool,
+    ) -> Result<ReadGrant, TxError> {
+        let (grant, value) = self
+            .store
+            .read_interval(tx, key, anchor_below, upper, wait)?;
+        self.anchored.set(Some((grant.version, value)));
+        Ok(grant)
+    }
+
+    fn acquire_write_range(
+        &self,
+        tx: &mut TxState,
+        key: Key,
+        desired: TsRange,
+        wait: bool,
+    ) -> Result<TsSet, TxError> {
+        self.store.acquire_write_range(tx, key, desired, wait)
+    }
+
+    fn release_unfrozen_write_locks(&self, tx: &mut TxState) {
+        self.store.release_unfrozen_write_locks(tx);
+    }
+
+    fn latest_version_before(&self, key: Key, below: Timestamp) -> Result<Timestamp, TxError> {
+        self.store.latest_version_before(key, below)
     }
 }
 

@@ -35,6 +35,13 @@ pub struct HeldMap {
 }
 
 impl HeldMap {
+    /// An empty map with room for `keys` keys before it reallocates.
+    fn with_capacity(keys: usize) -> Self {
+        HeldMap {
+            entries: Vec::with_capacity(keys),
+        }
+    }
+
     /// Locks recorded for `key`, if any.
     #[must_use]
     pub fn get(&self, key: Key) -> Option<&HeldLocks> {
@@ -121,8 +128,10 @@ impl TxState {
             process,
             status: TxStatus::Active,
             read_set: Vec::with_capacity(8),
-            write_keys: Vec::with_capacity(4),
-            held: HeldMap::default(),
+            // Allocated by the first write: a read-only transaction never
+            // needs it.
+            write_keys: Vec::new(),
+            held: HeldMap::with_capacity(8),
             ts_set: TsSet::new(),
             start_ts: None,
             chosen_ts: None,
@@ -209,7 +218,8 @@ impl<V> MvtlTransaction<V> {
     pub(crate) fn new(state: TxState) -> Self {
         MvtlTransaction {
             state,
-            write_values: Vec::with_capacity(4),
+            // Allocated by the first write, like `TxState::write_keys`.
+            write_values: Vec::new(),
         }
     }
 

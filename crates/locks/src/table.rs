@@ -103,8 +103,12 @@ impl KeyLockState {
             }
         }
         let mut grantable = TsSet::from_range(desired);
-        grantable = grantable.difference(&blocked_unfrozen);
-        grantable = grantable.difference(&frozen_conflicts);
+        if !blocked_unfrozen.is_empty() {
+            grantable = grantable.difference(&blocked_unfrozen);
+        }
+        if !frozen_conflicts.is_empty() {
+            grantable = grantable.difference(&frozen_conflicts);
+        }
         AcquireAnalysis {
             grantable,
             blocked_unfrozen,
@@ -120,6 +124,18 @@ impl KeyLockState {
     /// timestamps already held by `owner` in the same mode are not duplicated.
     pub fn acquire(&mut self, owner: TxId, mode: LockMode, granted: &TsSet) {
         if granted.is_empty() {
+            return;
+        }
+        if !self
+            .live()
+            .iter()
+            .any(|e| e.owner == owner && e.mode == mode)
+        {
+            // Nothing of the owner's to overlap or merge with: the ranges of
+            // a canonical set are already disjoint and non-touching.
+            for range in granted.ranges() {
+                self.entries.push(LockEntry::new(owner, mode, *range));
+            }
             return;
         }
         // Subtract what the owner already holds in this mode to keep entries disjoint.

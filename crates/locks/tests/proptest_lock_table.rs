@@ -96,8 +96,112 @@ fn no_conflicting_grants(state: &KeyLockState, froze: &HashMap<TxId, [TsSet; 2]>
     true
 }
 
+/// A grant `owner` adds after its first: relative to what it holds, so that
+/// most grants overlap or touch earlier ones.
+#[derive(Debug, Clone)]
+enum Regrant {
+    /// Inside or across what is held: `[min + skip, min + skip + len]`.
+    Overlapping { skip: u64, len: u64 },
+    /// Starting at the successor of the held maximum.
+    TouchingAbove { len: u64 },
+    /// Ending at the predecessor of the held minimum.
+    TouchingBelow { len: u64 },
+    /// Two ranges at once, one gap apart.
+    Pair { start: u64, len: u64 },
+}
+
+fn arb_regrant() -> impl Strategy<Value = Regrant> {
+    prop_oneof![
+        (0u64..8, 0u64..8).prop_map(|(skip, len)| Regrant::Overlapping { skip, len }),
+        (0u64..4).prop_map(|len| Regrant::TouchingAbove { len }),
+        (0u64..4).prop_map(|len| Regrant::TouchingBelow { len }),
+        (0u64..48, 0u64..4).prop_map(|(start, len)| Regrant::Pair { start, len }),
+    ]
+}
+
+impl Regrant {
+    /// The set granted, given what the owner holds (never empty).
+    fn granted(&self, held: &TsSet) -> TsSet {
+        let (min, max) = (held.min().expect("held"), held.max().expect("held"));
+        let span = |from: Timestamp, len: u64| {
+            TsRange::new(from, Timestamp::new(from.value + len, from.process))
+        };
+        match *self {
+            Regrant::Overlapping { skip, len } => {
+                TsSet::from_range(span(Timestamp::new(min.value + skip, min.process), len))
+            }
+            Regrant::TouchingAbove { len } => TsSet::from_range(span(max.succ(), len)),
+            Regrant::TouchingBelow { len } => {
+                let end = min.pred();
+                let start = Timestamp::new(end.value.saturating_sub(len), 0).min(end);
+                TsSet::from_range(TsRange::new(start, end))
+            }
+            Regrant::Pair { start, len } => {
+                TsSet::from_ranges([range(start, len), range(start + len + 2, len)])
+            }
+        }
+    }
+}
+
+/// `held` reports exactly `union`, and `owner`'s live entries in `m` are
+/// its ranges: disjoint, and merged wherever they touch.
+fn check_merged(
+    state: &KeyLockState,
+    owner: TxId,
+    m: LockMode,
+    union: &TsSet,
+) -> Result<(), TestCaseError> {
+    let held = state.held(owner, m);
+    prop_assert_eq!(&held, union);
+    let mut mine: Vec<TsRange> = state
+        .entries()
+        .iter()
+        .filter(|e| e.owner == owner && e.mode == m && !e.frozen)
+        .map(|e| e.range)
+        .collect();
+    mine.sort_by_key(|r| r.start);
+    prop_assert_eq!(
+        mine.as_slice(),
+        held.ranges(),
+        "entries not disjoint and merged: {:?}",
+        state.entries()
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `acquire` skips `held`/`difference`/`coalesce` for an owner with no
+    /// live entry in the mode; its later grants must still leave that
+    /// owner's entries disjoint and merged, whatever other owners and the
+    /// owner's other mode hold.
+    #[test]
+    fn an_owners_grants_stay_disjoint_and_merged(
+        others in proptest::collection::vec((1u8..4, any::<bool>(), 0u64..48, 0u64..6), 0..6),
+        write in any::<bool>(),
+        first in (8u64..40, 0u64..6),
+        regrants in proptest::collection::vec(arb_regrant(), 1..10),
+    ) {
+        let owner = TxId(0);
+        let m = mode(write);
+        let mut state = KeyLockState::new();
+        for (tx, write, start, len) in others {
+            let tx = TxId(u64::from(tx));
+            state.acquire(tx, mode(write), &TsSet::from_range(range(start, len)));
+        }
+        // The other mode of the same owner is not this mode's to merge with.
+        state.acquire(owner, mode(!write), &TsSet::from_range(range(0, 60)));
+        let mut union = TsSet::from_range(range(first.0, first.1));
+        state.acquire(owner, m, &union);
+        check_merged(&state, owner, m, &union)?;
+        for regrant in regrants {
+            let granted = regrant.granted(&union);
+            state.acquire(owner, m, &granted);
+            union = union.union(&granted);
+            check_merged(&state, owner, m, &union)?;
+        }
+    }
 
     #[test]
     fn never_grants_conflicting_locks(actions in proptest::collection::vec(arb_action(), 1..60)) {

@@ -381,15 +381,6 @@ impl<V: Clone> ArenaChain<V> {
         }
     }
 
-    /// The value committed exactly at `ts`, if any.
-    #[must_use]
-    pub fn at(&self, ts: Timestamp) -> Option<&V> {
-        match self.position(ts) {
-            Ok(index) => Some(&self.entry(index).value),
-            Err(_) => None,
-        }
-    }
-
     /// The largest committed timestamp, if any version exists.
     #[must_use]
     pub fn latest(&self) -> Option<(Timestamp, &V)> {
@@ -508,7 +499,7 @@ mod tests {
         assert_eq!(chain.latest_before(ts(6)), Ok((ts(2), Some("a"))));
         assert_eq!(chain.latest_before(ts(2)), Ok((Timestamp::ZERO, None)));
         assert_eq!(chain.latest_before(ts(10)), Ok((ts(9), Some("b"))));
-        assert_eq!(chain.at(ts(9)), Some(&"b"));
+        assert_eq!(chain.latest_before(ts(9).succ()), Ok((ts(9), Some("b"))));
         assert_eq!(chain.latest().map(|(t, _)| t), Some(ts(9)));
         assert_eq!(arena.pooled(), 0, "two versions stay inline");
     }
@@ -543,7 +534,7 @@ mod tests {
         let mut chain = ArenaChain::new();
         assert_eq!(chain.install(ts(3), 1u64, &mut arena), None);
         assert_eq!(chain.install(ts(3), 2u64, &mut arena), Some(1));
-        assert_eq!(chain.at(ts(3)), Some(&2));
+        assert_eq!(chain.latest_before(ts(3).succ()), Ok((ts(3), Some(2))));
         assert_eq!(chain.len(), 1);
     }
 
