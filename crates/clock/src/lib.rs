@@ -26,8 +26,8 @@
 //! * [`ManualClock`] — scripted readings, used by the verifier to replay the
 //!   paper's schedules with pinned timestamps.
 //!
-//! The purge side of §8.1's timestamp service (`T = now − K`) lives in
-//! `mvtl-gc`, which reads its clock through [`ClockSource`].
+//! The purge side of §8.1's timestamp service (`T = now − K`) is
+//! `mvtl-shard`'s sweeper, which reads its clock through [`ClockSource`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

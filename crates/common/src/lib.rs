@@ -29,7 +29,8 @@
 //!   drives.
 //! * [`watermark`] — the [`ActiveTxnRegistry`]: in-flight transactions pin the
 //!   timestamps they anchor reads on, and its low watermark tells the garbage
-//!   collector (`mvtl-gc`) how far state can safely be purged (§6).
+//!   collector (`mvtl-shard`'s sweeper) how far state can safely be purged
+//!   (§6).
 //!
 //! # Example
 //!

@@ -7,9 +7,9 @@
 //! anchor a read on. [`ActiveTxnRegistry`] tracks exactly that: `begin`
 //! registers the transaction's pinned/anchor timestamp, commit/abort
 //! deregisters it, and [`ActiveTxnRegistry::low_watermark`] reports the
-//! minimum over all registered pins. A garbage collector (`mvtl-gc`) purges
-//! below `min(low_watermark, now − gc_lag)`, so it never removes a version an
-//! active transaction has anchored.
+//! minimum over all registered pins. The garbage collector (`mvtl-shard`'s
+//! sweeper) purges below `min(low_watermark, now − gc_lag)`, so it never
+//! removes a version an active transaction has anchored.
 
 use crate::Timestamp;
 use parking_lot::Mutex;

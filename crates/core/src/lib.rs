@@ -75,5 +75,5 @@ mod txn;
 pub use config::MvtlConfig;
 pub use mvtl_common::StoreStats;
 pub use policy::{LockingPolicy, PolicyCtx, ReadGrant};
-pub use store::{MvtlStore, PreparedCommit};
+pub use store::MvtlStore;
 pub use txn::{MvtlTransaction, TxState};

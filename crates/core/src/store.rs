@@ -18,36 +18,6 @@ use std::time::Instant;
 /// Stripes of the key → cell table, each behind its own latch.
 const STRIPES: usize = 64;
 
-/// A transaction that passed the participant half of the §7 distributed
-/// commit on one [`MvtlStore`]: commit-time locks are acquired and the
-/// interval the policy is willing to commit at is frozen.
-///
-/// Produced by [`MvtlStore::prepare_commit`]; consumed by
-/// [`MvtlStore::commit_prepared`] (with a timestamp inside
-/// [`PreparedCommit::interval`]) or [`MvtlStore::abort_prepared`]. The
-/// transaction keeps all its locks while prepared, so no other transaction can
-/// invalidate the frozen interval in the meantime.
-#[derive(Debug)]
-pub struct PreparedCommit<V> {
-    txn: MvtlTransaction<V>,
-    interval: TsSet,
-}
-
-impl<V> PreparedCommit<V> {
-    /// The frozen interval: every timestamp the store guarantees this
-    /// transaction can commit at. Never empty.
-    #[must_use]
-    pub fn interval(&self) -> &TsSet {
-        &self.interval
-    }
-
-    /// The id of the prepared transaction.
-    #[must_use]
-    pub fn id(&self) -> mvtl_common::TxId {
-        self.txn.id()
-    }
-}
-
 /// The generic MVTL storage engine, parameterized by a [`LockingPolicy`].
 ///
 /// `V` is the value type stored in versions. The engine is safe to share across
@@ -253,88 +223,26 @@ where
                 return Err(TxError::aborted(AbortReason::NoCommonTimestamp));
             }
         };
-        Ok(self.finish_commit(txn, commit_ts))
+        Ok(self.finish_commit(&mut txn, commit_ts))
     }
 
-    /// Runs the participant side of the §7 distributed commit: performs the
-    /// policy's commit-time locking, computes the candidate timestamps of
-    /// Algorithm 1 line 13, and *freezes* the interval the policy is willing
-    /// to commit at ([`LockingPolicy::prepared_interval`]). The transaction
-    /// keeps all its locks, so the frozen interval cannot be invalidated until
-    /// the coordinator calls [`MvtlStore::commit_prepared`] or
-    /// [`MvtlStore::abort_prepared`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an abort error when the policy's commit-time locking fails or
-    /// the frozen interval is empty; the transaction is fully aborted (locks
-    /// released) in that case.
-    pub fn prepare_commit(
-        &self,
-        mut txn: MvtlTransaction<V>,
-    ) -> Result<PreparedCommit<V>, TxError> {
-        if !txn.state.is_active() {
-            return Err(TxError::TransactionFinished);
-        }
-        if let Err(err) = self.policy.commit_locks(self, &mut txn.state) {
-            self.abort_internal(&mut txn.state);
-            return Err(err);
-        }
-        let candidates = self.commit_candidates(&txn.state);
-        let interval = self.policy.prepared_interval(&txn.state, &candidates);
-        if interval.is_empty() {
-            self.abort_internal(&mut txn.state);
-            return Err(TxError::aborted(AbortReason::NoCommonTimestamp));
-        }
-        Ok(PreparedCommit { txn, interval })
-    }
-
-    /// Commits a prepared transaction at `commit_ts`, which the coordinator
-    /// picked from the intersection of every participant's frozen interval.
-    ///
-    /// # Errors
-    ///
-    /// Returns an abort error when `commit_ts` lies outside the frozen
-    /// interval reported by [`MvtlStore::prepare_commit`]; the transaction is
-    /// fully aborted in that case. A timestamp inside the interval always
-    /// succeeds, because the transaction still holds all the locks backing it.
-    pub fn commit_prepared(
-        &self,
-        prepared: PreparedCommit<V>,
-        commit_ts: Timestamp,
-    ) -> Result<CommitInfo, TxError> {
-        let PreparedCommit { mut txn, interval } = prepared;
-        if !interval.contains(commit_ts) {
-            self.abort_internal(&mut txn.state);
-            return Err(TxError::aborted(AbortReason::NoCommonTimestamp));
-        }
-        Ok(self.finish_commit(txn, commit_ts))
-    }
-
-    /// Aborts a prepared transaction, releasing its locks on this store (the
-    /// coordinator's empty-intersection path).
-    pub fn abort_prepared(&self, prepared: PreparedCommit<V>) {
-        let mut txn = prepared.txn;
-        self.abort_internal(&mut txn.state);
-    }
-
-    /// The commit tail shared by [`MvtlStore::commit`] and
-    /// [`MvtlStore::commit_prepared`]: installs versions (each one the frozen
-    /// write lock at `commit_ts`) and garbage collects per policy, raising
-    /// the read runs of the versions read. `commit_ts` must be a
+    /// The commit tail shared by [`MvtlStore::commit`] and a prepared
+    /// transaction's [`PreparedTxn::commit_at`]: installs versions (each one
+    /// the frozen write lock at `commit_ts`) and garbage collects per policy,
+    /// raising the read runs of the versions read. `commit_ts` must be a
     /// member of the transaction's commit candidates.
     ///
     /// One pass over the keys the transaction holds locks on, one stripe
     /// latch per key; without commit-time GC only the written keys need one.
     /// Every written key is among them: `commit_ts` is write-locked on each
     /// written key.
-    fn finish_commit(&self, mut txn: MvtlTransaction<V>, commit_ts: Timestamp) -> CommitInfo {
+    fn finish_commit(&self, txn: &mut MvtlTransaction<V>, commit_ts: Timestamp) -> CommitInfo {
         // Line 21: optional garbage collection (Algorithm 1, `gc`).
         let gc = self.policy.commit_gc(&txn.state);
         let MvtlTransaction {
             state: tx,
             write_values,
-        } = &mut txn;
+        } = txn;
         for (key, _) in tx.held.iter() {
             let value = write_values
                 .iter()
@@ -521,14 +429,14 @@ where
     ///
     /// Purging is only *safe* (no `VersionPurged` aborts of live
     /// transactions) when `bound` does not exceed
-    /// [`MvtlStore::low_watermark`]; the `mvtl-gc` service maintains that
-    /// invariant automatically. Cells whose version chain is empty (only the
-    /// implicit `⊥`, with no read run reaching `bound`) and whose lock table
-    /// is empty after the purge are removed from the key map entirely, so
-    /// keys that were only ever read — or whose writers all aborted — stop
-    /// occupying memory. Reclamation is
-    /// safe under the stripe latch alone: nothing holds a reference to a cell
-    /// across a latch release, and waiters re-probe their key after waking.
+    /// [`MvtlStore::low_watermark`]; the sweeper of a `mvtl-shard` store
+    /// maintains that invariant automatically. Cells whose version chain is
+    /// empty (only the implicit `⊥`, with no read run reaching `bound`) and
+    /// whose lock table is empty after the purge are removed from the key
+    /// map entirely, so keys that were only ever read — or whose writers all
+    /// aborted — stop occupying memory. Reclamation is safe under the stripe
+    /// latch alone: nothing holds a reference to a cell across a latch
+    /// release, and waiters re-probe their key after waking.
     pub fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
         let mut versions_removed = 0;
         let mut locks_removed = 0;
@@ -790,12 +698,7 @@ where
     }
 
     fn prepare(store: &Arc<Self>, txn: Self::Txn) -> Result<Box<dyn PreparedTxn<V>>, TxError> {
-        let prepared = store.prepare_commit(txn)?;
-        Ok(Box::new(MvtlPrepared {
-            store: Arc::clone(store),
-            interval: prepared.interval().clone(),
-            prepared: Some(prepared),
-        }))
+        Ok(Box::new(MvtlPrepared::new(store, txn)?))
     }
 
     /// Installs each write as the version at `commit_ts`. No lock is
@@ -820,17 +723,56 @@ where
     }
 }
 
-/// [`PreparedTxn`] over an [`MvtlStore`], as [`TransactionalKV::prepare`]
-/// hands it out. The prepared commit is an `Option` only so that `Drop` can
-/// abort an undecided one; its frozen interval is kept beside it.
+/// A transaction that passed the participant half of the §7 distributed
+/// commit on one [`MvtlStore`], as [`TransactionalKV::prepare`] hands it
+/// out: commit-time locks are acquired and the interval the policy is
+/// willing to commit at is frozen. The transaction keeps all its locks until
+/// the coordinator decides, so no other transaction can invalidate the
+/// interval in the meantime; dropping it undecided aborts it.
 struct MvtlPrepared<V, P>
 where
     V: Clone + Send + Sync + 'static,
     P: LockingPolicy,
 {
     store: Arc<MvtlStore<V, P>>,
+    txn: MvtlTransaction<V>,
+    /// Every timestamp the store guarantees `txn` can commit at. Never empty.
     interval: TsSet,
-    prepared: Option<PreparedCommit<V>>,
+}
+
+impl<V, P> MvtlPrepared<V, P>
+where
+    V: Clone + Send + Sync + 'static,
+    P: LockingPolicy,
+{
+    /// Runs the participant side of the §7 distributed commit: performs the
+    /// policy's commit-time locking, computes the candidate timestamps of
+    /// Algorithm 1 line 13, and freezes the interval the policy is willing
+    /// to commit at ([`LockingPolicy::prepared_interval`]).
+    ///
+    /// When the commit-time locking fails or the frozen interval is empty,
+    /// the transaction is fully aborted (locks released) and the abort error
+    /// returned.
+    fn new(store: &Arc<MvtlStore<V, P>>, mut txn: MvtlTransaction<V>) -> Result<Self, TxError> {
+        if !txn.state.is_active() {
+            return Err(TxError::TransactionFinished);
+        }
+        if let Err(err) = store.policy.commit_locks(store.as_ref(), &mut txn.state) {
+            store.abort_internal(&mut txn.state);
+            return Err(err);
+        }
+        let candidates = store.commit_candidates(&txn.state);
+        let interval = store.policy.prepared_interval(&txn.state, &candidates);
+        if interval.is_empty() {
+            store.abort_internal(&mut txn.state);
+            return Err(TxError::aborted(AbortReason::NoCommonTimestamp));
+        }
+        Ok(MvtlPrepared {
+            store: Arc::clone(store),
+            txn,
+            interval,
+        })
+    }
 }
 
 impl<V, P> PreparedTxn<V> for MvtlPrepared<V, P>
@@ -842,13 +784,21 @@ where
         &self.interval
     }
 
+    /// Commits at `ts`, which the coordinator picked from the intersection
+    /// of every participant's frozen interval. A timestamp inside the
+    /// interval always succeeds, because the transaction still holds all the
+    /// locks backing it; one outside aborts the transaction.
     fn commit_at(mut self: Box<Self>, ts: Timestamp) -> Result<CommitInfo, TxError> {
-        let prepared = self.prepared.take().ok_or(TxError::TransactionFinished)?;
-        self.store.commit_prepared(prepared, ts)
+        if !self.interval.contains(ts) {
+            // Dropping `self` aborts the transaction.
+            return Err(TxError::aborted(AbortReason::NoCommonTimestamp));
+        }
+        let MvtlPrepared { store, txn, .. } = &mut *self;
+        Ok(store.finish_commit(txn, ts))
     }
 
     fn abort(self: Box<Self>) {
-        // Dropping an undecided prepared commit aborts it.
+        // Dropping an undecided prepared transaction aborts it.
     }
 }
 
@@ -858,8 +808,8 @@ where
     P: LockingPolicy,
 {
     fn drop(&mut self) {
-        if let Some(prepared) = self.prepared.take() {
-            self.store.abort_prepared(prepared);
+        if self.txn.state.is_active() {
+            self.store.abort_internal(&mut self.txn.state);
         }
     }
 }
@@ -940,26 +890,26 @@ mod tests {
 
     #[test]
     fn prepare_then_commit_at_coordinator_timestamp() {
-        let s = store();
+        let s = Arc::new(store());
         let mut tx = s.begin(ProcessId(0));
         s.write(&mut tx, Key(1), 7).unwrap();
-        let prepared = s.prepare_commit(tx).unwrap();
+        let prepared = TransactionalKV::prepare(&s, tx).unwrap();
         let interval = prepared.interval().clone();
         assert!(!interval.is_empty());
         let ts = interval.min().unwrap();
-        let info = s.commit_prepared(prepared, ts).unwrap();
+        let info = prepared.commit_at(ts).unwrap();
         assert_eq!(info.commit_ts, Some(ts));
         assert_eq!(s.snapshot_read(Key(1), Timestamp::MAX), Some(7));
     }
 
     #[test]
     fn commit_prepared_outside_the_frozen_interval_aborts() {
-        let s = store();
+        let s = Arc::new(store());
         let mut tx = s.begin(ProcessId(0));
         s.write(&mut tx, Key(2), 9).unwrap();
-        let prepared = s.prepare_commit(tx).unwrap();
+        let prepared = TransactionalKV::prepare(&s, tx).unwrap();
         let outside = prepared.interval().max().unwrap().succ();
-        let err = s.commit_prepared(prepared, outside).unwrap_err();
+        let err = prepared.commit_at(outside).unwrap_err();
         assert!(err.is_abort());
         // The failed transaction released its locks: a writer succeeds now.
         let mut tx = s.begin(ProcessId(1));
@@ -969,13 +919,13 @@ mod tests {
 
     #[test]
     fn abort_prepared_releases_locks() {
-        let s = store();
+        let s = Arc::new(store());
         let before = s.stats().lock_entries;
         let mut tx = s.begin(ProcessId(0));
         s.write(&mut tx, Key(3), 1).unwrap();
-        let prepared = s.prepare_commit(tx).unwrap();
+        let prepared = TransactionalKV::prepare(&s, tx).unwrap();
         assert!(s.stats().lock_entries > before, "prepared txn holds locks");
-        s.abort_prepared(prepared);
+        prepared.abort();
         assert_eq!(s.stats().lock_entries, before);
         assert_eq!(s.snapshot_read(Key(3), Timestamp::MAX), None);
     }
@@ -1060,13 +1010,13 @@ mod tests {
 
     #[test]
     fn failed_commits_release_the_watermark_pin() {
-        let s = store();
+        let s = Arc::new(store());
         let mut tx = s.begin(ProcessId(0));
         s.write(&mut tx, Key(1), 1).unwrap();
-        let prepared = s.prepare_commit(tx).unwrap();
+        let prepared = TransactionalKV::prepare(&s, tx).unwrap();
         assert_eq!(s.active_transactions(), 1, "prepared txns stay pinned");
         let outside = prepared.interval().max().unwrap().succ();
-        assert!(s.commit_prepared(prepared, outside).is_err());
+        assert!(prepared.commit_at(outside).is_err());
         assert_eq!(s.active_transactions(), 0);
     }
 
@@ -1144,17 +1094,17 @@ mod tests {
     /// `commit_gc` the frozen read run `[version+1, commit_ts]` of each read
     /// and nothing unfrozen; without it every other lock untouched.
     fn check_commit_end_state<P: LockingPolicy>(
-        s: &MvtlStore<u64, P>,
+        s: &Arc<MvtlStore<u64, P>>,
         process: ProcessId,
         body: impl FnOnce(&mut MvtlTransaction<u64>),
     ) {
         let mut tx = s.begin(process);
         body(&mut tx);
-        let prepared = s.prepare_commit(tx).expect("prepare");
+        let prepared = MvtlPrepared::new(s, tx).expect("prepare");
         let before = prepared.txn.state.clone();
         let commit_ts = s
             .policy()
-            .commit_ts(&before, prepared.interval())
+            .commit_ts(&before, &prepared.interval)
             .expect("a commit timestamp");
         let mut keys: Vec<Key> = before.held.iter().map(|(k, _)| k).collect();
         keys.extend(before.read_set.iter().map(|(k, _)| *k));
@@ -1168,7 +1118,7 @@ mod tests {
                 ]
             })
             .collect();
-        s.commit_prepared(prepared, commit_ts).expect("commit");
+        PreparedTxn::commit_at(Box::new(prepared), commit_ts).expect("commit");
         let gc = s.policy().commit_gc(&before);
         let point = TsSet::from_point(commit_ts);
         for (key, [write_before, read_before]) in keys.into_iter().zip(prefix_before) {
@@ -1227,7 +1177,11 @@ mod tests {
     }
 
     fn check_policy_commit_end_state<P: LockingPolicy>(policy: P) {
-        let s = MvtlStore::new(policy, Arc::new(GlobalClock::new()), MvtlConfig::default());
+        let s = Arc::new(MvtlStore::new(
+            policy,
+            Arc::new(GlobalClock::new()),
+            MvtlConfig::default(),
+        ));
         // A blind preload, then a transaction that reads only (1, 5), reads
         // and writes (2) and writes only (4); key 5 was never written.
         check_commit_end_state(&s, ProcessId(0), |tx| {

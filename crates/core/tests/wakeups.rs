@@ -93,17 +93,17 @@ fn to_reader_is_woken_by_the_prepared_writers_commit_and_abort() {
     // MVTL-TO write-locks its timestamp only at commit; a prepared writer
     // keeps that lock unfrozen until the decision, and a later reader's
     // interval [version+1, ts] covers it, so the reader parks.
-    let s = mvtl_store(ToPolicy::new());
+    let s = Arc::new(mvtl_store(ToPolicy::new()));
 
     let mut writer = s.begin(ProcessId(1));
     s.write(&mut writer, Key(1), 2).unwrap();
-    let prepared = s.prepare_commit(writer).unwrap();
+    let prepared = TransactionalKV::prepare(&s, writer).unwrap();
     let commit_ts = prepared.interval().min().unwrap();
     let mut reader = s.begin(ProcessId(2));
     let value = assert_woken(
         || s.read(&mut reader, Key(1)).unwrap(),
         || {
-            s.commit_prepared(prepared, commit_ts).unwrap();
+            prepared.commit_at(commit_ts).unwrap();
         },
     );
     assert_eq!(value, Some(2));
@@ -111,12 +111,9 @@ fn to_reader_is_woken_by_the_prepared_writers_commit_and_abort() {
 
     let mut writer = s.begin(ProcessId(1));
     s.write(&mut writer, Key(1), 3).unwrap();
-    let prepared = s.prepare_commit(writer).unwrap();
+    let prepared = TransactionalKV::prepare(&s, writer).unwrap();
     let mut reader = s.begin(ProcessId(2));
-    let value = assert_woken(
-        || s.read(&mut reader, Key(1)).unwrap(),
-        || s.abort_prepared(prepared),
-    );
+    let value = assert_woken(|| s.read(&mut reader, Key(1)).unwrap(), || prepared.abort());
     assert_eq!(value, Some(2));
     s.commit(reader).unwrap();
 }

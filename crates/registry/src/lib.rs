@@ -18,8 +18,8 @@
 //!                                partitioned engine: hash-routed shards,
 //!                                §7 cross-shard interval-intersection commit
 //! "mvtil-early?gc_ms=100&gc_lag_ms=50"
-//!                                any engine + background GC: a `mvtl-gc`
-//!                                service purges below
+//!                                any engine + background GC: the store's
+//!                                sweeper thread purges below
 //!                                min(low watermark, now − gc_lag) every gc_ms
 //! "mvto+?fault=delay:1:240"       any engine + a seeded per-operation
 //!                                delay of 1–240 µs: a round trip per call
@@ -69,7 +69,6 @@ use mvtl_core::policy::{
 };
 use mvtl_core::{MvtlConfig, MvtlStore};
 use mvtl_faults::{FaultPlan, FaultSpec};
-use mvtl_gc::GcConfig;
 use mvtl_shard::{FaultyBackend, IntersectionPick, KvBackend, ShardBackend, ShardedStore};
 use mvtl_wal::{FsyncMode, Recovery, Wal, WalOptions, WalValue};
 use std::fmt;
@@ -288,9 +287,6 @@ pub const DEFAULT_SHARD_INNER: &str = "mvtil-early";
 pub const DEFAULT_GC_LAG_MS: u64 = 50;
 /// Default fault-plan seed when a spec sets `fault=` but omits `fault_seed`.
 pub const DEFAULT_FAULT_SEED: u64 = 42;
-/// Default write-ahead-log segment size in KiB when a spec sets `wal=` but
-/// omits `wal_segment_kb`.
-pub const DEFAULT_WAL_SEGMENT_KB: u64 = 1024;
 
 /// One canonical spec per registered engine, for sweeps.
 ///
@@ -355,15 +351,14 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 /// original timestamps and the clock starts past the largest recovered
 /// commit. `fsync=always|off` picks the log's sync policy (default `always`:
 /// commits acknowledged once durable, concurrent commits sharing one fsync;
-/// `group` is accepted as another name for it) and
-/// `wal_segment_kb` the segment-roll size (default
-/// [`DEFAULT_WAL_SEGMENT_KB`]); both require `wal`. A `sharded` engine
-/// keeps one log in `<dir>` too: a cross-shard commit is one record, logged
-/// before any shard installs it, and recovery routes each record's writes
-/// to their shards — so a log reopens under any shard count. A `<dir>`
-/// holding an older build's per-shard `shard-<i>` logs is rejected. The
-/// value type must implement [`WalValue`] (as `u64` and `String`, the types
-/// the workspace measures, both do).
+/// `group` is accepted as another name for it) and requires `wal`. The log
+/// rolls to a new segment file past 1 MiB ([`WalOptions::default`]). A
+/// `sharded` engine keeps one log in `<dir>` too: a cross-shard commit is
+/// one record, logged before any shard installs it, and recovery routes
+/// each record's writes to their shards — so a log reopens under any shard
+/// count. A `<dir>` holding an older build's per-shard `shard-<i>` logs is
+/// rejected. The value type must implement [`WalValue`] (as `u64` and
+/// `String`, the types the workspace measures, both do).
 ///
 /// Every spec is composed the same way: `count` copies of one shard backend
 /// (the named engine, or `sharded`'s `inner` one), each wrapped in a
@@ -435,8 +430,12 @@ where
     if let Some((wal, recovery)) = log {
         store = store.with_log(wal, recovery).map_err(wal_spec_err)?;
     }
-    if let Some(config) = gc {
-        store = store.with_gc(config);
+    if let Some((interval, lag)) = gc {
+        store = store
+            .with_gc(interval, lag)
+            .map_err(|err| SpecError::Malformed {
+                detail: format!("gc attach failed: {err}"),
+            })?;
     }
     Ok(Box::new(store))
 }
@@ -457,8 +456,8 @@ const ENGINES: [&str; 11] = [
 ];
 
 /// Consumes the shared `gc_ms` / `gc_lag_ms` parameters. `Some` means "give
-/// the store a GC sweeper with this configuration".
-fn take_gc_config(parsed: &mut EngineSpec) -> Result<Option<GcConfig>, SpecError> {
+/// the store a GC sweeper with this `(interval, lag)`".
+fn take_gc_config(parsed: &mut EngineSpec) -> Result<Option<(Duration, Duration)>, SpecError> {
     let gc_ms = parsed.take_parsed::<u64>("gc_ms")?;
     let gc_lag_ms = parsed.take_parsed::<u64>("gc_lag_ms")?;
     match (gc_ms, gc_lag_ms) {
@@ -470,15 +469,14 @@ fn take_gc_config(parsed: &mut EngineSpec) -> Result<Option<GcConfig>, SpecError
             param: "gc_ms".to_string(),
             value: "0".to_string(),
         }),
-        (Some(ms), lag) => Ok(Some(
-            GcConfig::default()
-                .with_interval(Duration::from_millis(ms))
-                .with_lag(Duration::from_millis(lag.unwrap_or(DEFAULT_GC_LAG_MS))),
-        )),
+        (Some(ms), lag) => Ok(Some((
+            Duration::from_millis(ms),
+            Duration::from_millis(lag.unwrap_or(DEFAULT_GC_LAG_MS)),
+        ))),
     }
 }
 
-/// The consumed `wal` / `fsync` / `wal_segment_kb` parameters.
+/// The consumed `wal` / `fsync` parameters.
 struct WalConfig {
     /// The log directory; `None` for `wal=tmp`, a throwaway temporary
     /// directory created when the log opens and removed with the engine.
@@ -486,24 +484,16 @@ struct WalConfig {
     options: WalOptions,
 }
 
-/// Consumes the shared `wal` / `fsync` / `wal_segment_kb` parameters. `Some`
-/// means "open a log there and give it to the store".
+/// Consumes the shared `wal` / `fsync` parameters. `Some` means "open a log
+/// there and give it to the store".
 fn take_wal_config(parsed: &mut EngineSpec) -> Result<Option<WalConfig>, SpecError> {
     let wal = parsed.take("wal");
     let fsync = parsed.take("fsync");
-    let segment_kb = parsed.take_parsed::<u64>("wal_segment_kb")?;
     let Some(dir) = wal else {
-        let orphan = if fsync.is_some() {
-            Some("fsync")
-        } else if segment_kb.is_some() {
-            Some("wal_segment_kb")
-        } else {
-            None
-        };
-        return match orphan {
+        return match fsync {
             None => Ok(None),
-            Some(param) => Err(SpecError::Malformed {
-                detail: format!("{param} requires wal (no log without a directory)"),
+            Some(_) => Err(SpecError::Malformed {
+                detail: "fsync requires wal (no log without a directory)".to_string(),
             }),
         };
     };
@@ -514,15 +504,9 @@ fn take_wal_config(parsed: &mut EngineSpec) -> Result<Option<WalConfig>, SpecErr
             value: mode.clone(),
         })?,
     };
-    if segment_kb == Some(0) {
-        return Err(SpecError::InvalidValue {
-            param: "wal_segment_kb".to_string(),
-            value: "0".to_string(),
-        });
-    }
     let options = WalOptions {
         fsync,
-        segment_bytes: segment_kb.unwrap_or(DEFAULT_WAL_SEGMENT_KB) * 1024,
+        ..WalOptions::default()
     };
     let dir = (dir != "tmp").then(|| PathBuf::from(dir));
     Ok(Some(WalConfig { dir, options }))
@@ -1168,19 +1152,16 @@ mod tests {
             Err(SpecError::Malformed { .. })
         ));
         assert!(matches!(
-            build("mvtil-early?wal_segment_kb=64").map(|_| ()),
-            Err(SpecError::Malformed { .. })
-        ));
-        assert!(matches!(
             build("mvtil-early?wal=tmp&fsync=sometimes").map(|_| ()),
             Err(SpecError::InvalidValue { .. })
         ));
+        // The segment size is the log's own default, not a parameter.
         assert!(matches!(
-            build("mvtil-early?wal=tmp&wal_segment_kb=0").map(|_| ()),
-            Err(SpecError::InvalidValue { .. })
+            build("mvtil-early?wal=tmp&wal_segment_kb=64").map(|_| ()),
+            Err(SpecError::UnknownParam { .. })
         ));
         // The durability knobs compose with the other shared parameters.
-        assert!(build("mvtil-early?wal=tmp&fsync=off&wal_segment_kb=64&gc_ms=50").is_ok());
+        assert!(build("mvtil-early?wal=tmp&fsync=off&gc_ms=50").is_ok());
     }
 
     #[test]

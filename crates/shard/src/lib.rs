@@ -33,8 +33,9 @@
 //!   every shard aborts. A shard prepares through its store's
 //!   [`TransactionalKV::prepare`](mvtl_common::TransactionalKV::prepare),
 //!   which the baselines refuse.
-//! * [`ShardedStore::with_gc`] gives the store its own `mvtl-gc` sweeper
-//!   over all shards, stopped and joined when the store drops.
+//! * [`ShardedStore::with_gc`] gives the store its own §6 sweeper thread:
+//!   every interval it purges all shards below the store's low watermark
+//!   and a lagged clock sample, and the store stops and joins it on drop.
 //! * [`ShardedStore::with_log`] gives the store one `mvtl-wal` write-ahead
 //!   log, however many shards it has. Every committing transaction with
 //!   writes appends one `Commit` record: a cross-shard one after the
@@ -89,9 +90,10 @@ mod tests {
     use super::*;
     use mvtl_clock::GlobalClock;
     use mvtl_common::{AbortReason, Engine, EngineExt, Key, ProcessId, Timestamp, TransactionalKV};
-    use mvtl_core::policy::MvtilPolicy;
+    use mvtl_core::policy::{MvtilPolicy, ToPolicy};
     use mvtl_core::{MvtlConfig, MvtlStore};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     fn store(shards: usize) -> ShardedStore<u64> {
         ShardedStore::with_policy(
@@ -283,7 +285,6 @@ mod tests {
     #[test]
     fn kv_backend_refuses_to_prepare_and_releases_its_locks() {
         use mvtl_baselines::TwoPhaseLockingStore;
-        use std::time::Duration;
         let backend: Arc<dyn ShardBackend<u64>> =
             KvBackend::build(TwoPhaseLockingStore::new(Duration::from_millis(20)));
         let mut tx = backend.begin(ProcessId(1), None);
@@ -310,8 +311,6 @@ mod tests {
 
     #[test]
     fn store_owned_sweeper_purges_every_shard_and_joins_on_drop() {
-        use mvtl_core::policy::ToPolicy;
-        use std::time::Duration;
         let clock = Arc::new(GlobalClock::starting_at(1000));
         let shards: Vec<Arc<dyn ShardBackend<u64>>> = (0..2)
             .map(|_| {
@@ -323,11 +322,9 @@ mod tests {
             })
             .collect();
         let probes = shards.clone();
-        let s = ShardedStore::new(shards, clock, IntersectionPick::Min).with_gc(
-            mvtl_gc::GcConfig::default()
-                .with_interval(Duration::from_millis(1))
-                .with_lag(Duration::ZERO),
-        );
+        let s = ShardedStore::new(shards, clock, IntersectionPick::Min)
+            .with_gc(Duration::from_millis(1), Duration::ZERO)
+            .unwrap();
         let (a, b) = cross_shard_keys(&s);
         for round in 0..16u64 {
             let mut tx = s.begin(ProcessId(1));
@@ -335,17 +332,98 @@ mod tests {
             tx.write(b, round).unwrap();
             tx.commit().unwrap();
         }
-        let swept = (0..500).any(|_| {
-            let per_shard = s.shard_stats();
-            if per_shard.iter().all(|st| st.versions == 1) {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-            false
-        });
-        assert!(swept, "stats: {:?}", s.shard_stats());
+        assert!(
+            wait_until(|| s.shard_stats().iter().all(|st| st.versions == 1)),
+            "stats: {:?}",
+            s.shard_stats()
+        );
         drop(s);
         // The sweeper was joined and released its share of every shard.
         assert!(probes.iter().all(|shard| Arc::strong_count(shard) == 1));
+    }
+
+    /// A one-shard MVTL-TO store swept every `interval` with `lag`.
+    fn swept_store(interval: Duration, lag: Duration) -> ShardedStore<u64> {
+        ShardedStore::with_policy(
+            1,
+            Arc::new(GlobalClock::new()),
+            MvtlConfig::default(),
+            IntersectionPick::Min,
+            |_| ToPolicy::new(),
+        )
+        .with_gc(interval, lag)
+        .unwrap()
+    }
+
+    fn wait_until(mut predicate: impl FnMut() -> bool) -> bool {
+        for _ in 0..500 {
+            if predicate() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        false
+    }
+
+    fn churn(s: &ShardedStore<u64>, key: Key, rounds: u64) {
+        for round in 0..rounds {
+            let mut tx = s.begin(ProcessId(1));
+            tx.write(key, round).unwrap();
+            tx.commit().unwrap();
+        }
+    }
+
+    #[test]
+    fn watermark_protects_versions_needed_by_active_transactions() {
+        let s = swept_store(Duration::from_millis(2), Duration::ZERO);
+        churn(&s, Key(1), 4);
+        // An in-flight reader anchors the watermark before further churn.
+        let mut reader = s.begin(ProcessId(7));
+        assert_eq!(reader.read(Key(1)).unwrap(), Some(3));
+        churn(&s, Key(1), 8);
+        // Sweeps run, but the bound is capped at the reader's pin: the three
+        // versions strictly below the reader's anchor are purged, while the
+        // anchor itself and everything above it must survive.
+        assert!(
+            wait_until(|| s.stats().purged_versions >= 3),
+            "stats: {:?}",
+            s.stats()
+        );
+        assert!(
+            s.stats().versions >= 9,
+            "versions the reader may re-read were purged: {:?}",
+            s.stats()
+        );
+        // A re-read under the same transaction still sees its version.
+        assert_eq!(reader.read(Key(1)).unwrap(), Some(3));
+        reader.commit().unwrap();
+        // With the pin gone the chain shrinks to the latest version.
+        assert!(
+            wait_until(|| s.stats().versions <= 1),
+            "stats: {:?}",
+            s.stats()
+        );
+    }
+
+    #[test]
+    fn lag_defers_purging_of_recent_state() {
+        let lag = Duration::from_millis(300);
+        let spawned = Instant::now();
+        let s = swept_store(Duration::from_millis(1), lag);
+        churn(&s, Key(1), 8);
+        // The sweeper runs every millisecond, but while it is younger than
+        // the lag no clock sample is old enough to bound a purge.
+        while spawned.elapsed() < lag / 2 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let stats = s.stats();
+        assert!(spawned.elapsed() < lag, "the check ran past the lag");
+        assert_eq!((stats.versions, stats.purged_versions), (8, 0));
+        // Past the lag, the samples taken after the churn bound the purge.
+        assert!(
+            wait_until(|| s.stats().versions <= 1),
+            "stats: {:?}",
+            s.stats()
+        );
     }
 }

@@ -8,11 +8,19 @@ use mvtl_common::{
 };
 use mvtl_core::policy::LockingPolicy;
 use mvtl_core::{MvtlConfig, MvtlStore};
-use mvtl_gc::{GcConfig, GcService, SweepTarget};
 use mvtl_wal::{Recovery, Wal, WalError, WalRecord, WalValue};
+use parking_lot::{Condvar, Mutex};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
+use std::io;
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// The process id GC sweeps read the clock as. Distinct from workload client
+/// ids (which count up from 0) so per-process clock sources are unaffected.
+const GC_PROCESS: ProcessId = ProcessId(u32::MAX);
 
 /// Which timestamp the coordinator picks from the non-empty intersection of
 /// the shards' frozen intervals. Mirrors MVTIL-early / MVTIL-late (§8): any
@@ -61,7 +69,7 @@ pub struct ShardedStore<V> {
     /// The store's own sweeper. Declared first so that it drops first:
     /// joining the sweeper thread releases its share of `shards`, so every
     /// shard is gone by the time dropping the store returns.
-    gc: Option<GcService>,
+    gc: Option<Sweeper>,
     shards: Arc<Shards<V>>,
     clock: Arc<dyn ClockSource>,
     pick: IntersectionPick,
@@ -83,7 +91,10 @@ struct Shards<V> {
     active: ActiveTxnRegistry,
 }
 
-impl<V: 'static> SweepTarget for Shards<V> {
+impl<V> Shards<V> {
+    /// The smallest timestamp an open transaction may still anchor a read
+    /// on: the minimum over the coordinator-level pins and every shard's own
+    /// watermark, or `None` when nothing is open.
     fn low_watermark(&self) -> Option<Timestamp> {
         self.active
             .low_watermark()
@@ -92,11 +103,86 @@ impl<V: 'static> SweepTarget for Shards<V> {
             .min()
     }
 
+    /// Purges every shard below `bound`. Returns the totals
+    /// `(versions_removed, lock_entries_removed)`.
     fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
         self.list.iter().fold((0, 0), |(versions, locks), shard| {
             let (v, l) = shard.purge_below(bound);
             (versions + v, locks + l)
         })
+    }
+}
+
+/// The store's own §6 sweeper thread ([`ShardedStore::with_gc`]). Dropping
+/// it stops and joins the thread, which then releases its share of the
+/// shards.
+struct Sweeper {
+    /// The stop flag, and the condvar that cuts the thread's sleep short.
+    stop: Arc<(Mutex<bool>, Condvar)>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Drop for Sweeper {
+    fn drop(&mut self) {
+        let (stop, wake) = &*self.stop;
+        *stop.lock() = true;
+        wake.notify_all();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The sweeper thread: every `interval`, until `stop` is set, purges every
+/// shard below `min(low watermark, now − lag)`.
+///
+/// `now − lag` is a *lagged clock sample*: the thread remembers `(wall
+/// instant, clock reading)` pairs and bounds the purge by the reading taken
+/// at least `lag` ago, so the bound means the same for any [`ClockSource`]
+/// (a logical counter has no notion of "50 ms ago" by itself). The lag keeps
+/// freshly committed versions readable by transactions that begin right
+/// after a sweep; the watermark keeps a sweep from aborting an open one.
+fn sweep<V>(
+    stop: &(Mutex<bool>, Condvar),
+    shards: &Shards<V>,
+    clock: &dyn ClockSource,
+    interval: Duration,
+    lag: Duration,
+) {
+    let (stop, wake) = stop;
+    // (wall instant, clock reading) samples, oldest first. The front is
+    // kept as the newest sample that is at least `lag` old, which is the
+    // lag-derived part of the purge bound.
+    let mut samples: VecDeque<(Instant, Timestamp)> = VecDeque::new();
+    loop {
+        {
+            let mut guard = stop.lock();
+            if *guard {
+                return;
+            }
+            let _ = wake.wait_until(&mut guard, Instant::now() + interval);
+            if *guard {
+                return;
+            }
+        }
+        let now_wall = Instant::now();
+        samples.push_back((now_wall, clock.timestamp(GC_PROCESS)));
+        while samples.len() >= 2 && now_wall.duration_since(samples[1].0) >= lag {
+            samples.pop_front();
+        }
+        let lagged = samples
+            .front()
+            .filter(|(taken, _)| now_wall.duration_since(*taken) >= lag)
+            .map(|(_, ts)| *ts);
+        let Some(mut bound) = lagged else {
+            // The sweeper is younger than the lag: nothing is old enough to
+            // purge yet.
+            continue;
+        };
+        if let Some(watermark) = shards.low_watermark() {
+            bound = bound.min(watermark);
+        }
+        shards.purge_below(bound);
     }
 }
 
@@ -138,16 +224,28 @@ where
     }
 
     /// Attaches the store's own background garbage collector (§6): one
-    /// [`GcService`] reading the store's clock, which every `config.interval`
-    /// purges all shards below `min(low watermark, now − config.lag)`. The
-    /// watermark is [`Engine::low_watermark`]'s: the coordinator-level pins
-    /// of open multi-shard transactions and every shard's own. Dropping the
-    /// store stops and joins the sweeper.
-    #[must_use]
-    pub fn with_gc(mut self, config: GcConfig) -> Self {
-        let target = Arc::clone(&self.shards);
-        self.gc = Some(GcService::spawn(target, Arc::clone(&self.clock), config));
-        self
+    /// thread, named `mvtl-gc` and reading the store's clock, which every
+    /// `interval` purges all shards below `min(low watermark, now − lag)`.
+    /// The watermark is [`Engine::low_watermark`]'s: the coordinator-level
+    /// pins of open multi-shard transactions and every shard's own. Dropping
+    /// the store stops and joins the sweeper.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of spawning the thread.
+    pub fn with_gc(mut self, interval: Duration, lag: Duration) -> io::Result<Self> {
+        let stop = Arc::new((Mutex::named("gc.stop", 90, false), Condvar::new()));
+        let thread_stop = Arc::clone(&stop);
+        let shards = Arc::clone(&self.shards);
+        let clock = Arc::clone(&self.clock);
+        let thread = std::thread::Builder::new()
+            .name("mvtl-gc".to_string())
+            .spawn(move || sweep(&thread_stop, &shards, clock.as_ref(), interval, lag))?;
+        self.gc = Some(Sweeper {
+            stop,
+            thread: Some(thread),
+        });
+        Ok(self)
     }
 
     /// Gives the store its one write-ahead log, after replaying what opening

@@ -13,11 +13,10 @@
 //! | [`clock`] | `mvtl-clock` | clock sources: global, batched, skewed, scripted |
 //! | [`core`] | `mvtl-core` | the generic MVTL engine and every policy of §5 |
 //! | [`faults`] | `mvtl-faults` | deterministic, seeded fault-injection plans (the `fault=` schedules) |
-//! | [`gc`] | `mvtl-gc` | watermark-safe background garbage collection (§6's timestamp service for the real engines) |
 //! | [`baselines`] | `mvtl-baselines` | MVTO+ and strict 2PL |
 //! | [`registry`] | `mvtl-registry` | string-spec engine factory (`"mvtil-early?delta=1000"` → `Box<dyn Engine>`) |
 //! | [`server`] | `mvtl-server` | TCP serve path: wire protocol, threaded server, pipelining client |
-//! | [`shard`] | `mvtl-shard` | partitioned engine: hash-routed shards, §7 cross-shard interval-intersection commit |
+//! | [`shard`] | `mvtl-shard` | partitioned engine: hash-routed shards, §7 cross-shard interval-intersection commit, the store's §6 background GC sweeper |
 //! | [`verify`] | `mvtl-verify` | MVSG serializability checking, canonical schedules |
 //! | [`wal`] | `mvtl-wal` | durability: checksummed write-ahead log with group commit and crash recovery |
 //! | [`workload`] | `mvtl-workload` | workload generators, the closed-loop runner, the figure harness (the paper's figures on the engines) |
@@ -58,7 +57,6 @@ pub use mvtl_clock as clock;
 pub use mvtl_common as common;
 pub use mvtl_core as core;
 pub use mvtl_faults as faults;
-pub use mvtl_gc as gc;
 pub use mvtl_locks as locks;
 pub use mvtl_registry as registry;
 pub use mvtl_server as server;
