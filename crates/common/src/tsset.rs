@@ -121,19 +121,49 @@ impl TsSet {
     }
 
     /// Builds a set from arbitrary (possibly overlapping, unsorted) ranges.
+    ///
+    /// Input in start order is merged in one pass; unsorted input is sorted
+    /// once and then merged, so the cost is O(n log n) at worst.
     #[must_use]
     pub fn from_ranges<I: IntoIterator<Item = TsRange>>(iter: I) -> Self {
         let mut set = TsSet::new();
-        for r in iter {
-            set.insert_range(r);
+        set.extend(iter);
+        set
+    }
+
+    /// The set of `ranges`, which are sorted by start but may overlap or
+    /// touch: one merge, in place, reusing the vector as storage.
+    fn from_sorted_vec(mut ranges: Vec<TsRange>) -> Self {
+        let mut n = 0usize;
+        for i in 0..ranges.len() {
+            let range = ranges[i];
+            match n.checked_sub(1).map(|last| &mut ranges[last]) {
+                Some(last) if range.start <= last.end.succ() => last.end = last.end.max(range.end),
+                _ => {
+                    ranges[n] = range;
+                    n += 1;
+                }
+            }
+        }
+        ranges.truncate(n);
+        if n > INLINE_RANGES {
+            return TsSet {
+                repr: Repr::Heap(ranges),
+            };
+        }
+        let mut set = TsSet::new();
+        for range in ranges {
+            set.push_canonical(range, INLINE_RANGES);
         }
         set
     }
 
     /// Appends `range` after every range already stored. The caller guarantees
     /// canonical order (sorted, disjoint, non-adjacent); this is the single
-    /// point where inline storage spills to the heap.
-    fn push_canonical(&mut self, range: TsRange) {
+    /// point where inline storage spills to the heap. `bound` is an upper
+    /// bound on the ranges the set will hold once built: the spill sizes the
+    /// heap vector for it, so a merge allocates at most once.
+    fn push_canonical(&mut self, range: TsRange, bound: usize) {
         match &mut self.repr {
             Repr::Inline { len, slots } => {
                 let n = usize::from(*len);
@@ -141,13 +171,28 @@ impl TsSet {
                     slots[n] = range;
                     *len += 1;
                 } else {
-                    let mut spilled = Vec::with_capacity(INLINE_RANGES * 2);
+                    let mut spilled = Vec::with_capacity(bound.max(INLINE_RANGES * 2));
                     spilled.extend_from_slice(&slots[..n]);
                     spilled.push(range);
                     self.repr = Repr::Heap(spilled);
                 }
             }
             Repr::Heap(ranges) => ranges.push(range),
+        }
+    }
+
+    /// Appends `range`, which starts no earlier than any stored range, merging
+    /// it into the last range when the two overlap or touch. `bound` is as
+    /// for [`TsSet::push_canonical`].
+    fn push_sorted(&mut self, range: TsRange, bound: usize) {
+        let last = match &mut self.repr {
+            Repr::Inline { len, slots } => slots[..usize::from(*len)].last_mut(),
+            Repr::Heap(ranges) => ranges.last_mut(),
+        };
+        match last {
+            // `succ` saturates at `MAX`, where every range touches.
+            Some(last) if range.start <= last.end.succ() => last.end = last.end.max(range.end),
+            _ => self.push_canonical(range, bound),
         }
     }
 
@@ -212,22 +257,23 @@ impl TsSet {
         let mut new_end = range.end;
         let mut merged = TsSet::new();
         let mut placed = false;
+        let bound = self.range_count() + 1;
         for r in self.ranges() {
             if r.touches(&TsRange::new(new_start, new_end)) {
                 new_start = new_start.min(r.start);
                 new_end = new_end.max(r.end);
             } else if r.end < new_start {
-                merged.push_canonical(*r);
+                merged.push_canonical(*r, bound);
             } else {
                 if !placed {
-                    merged.push_canonical(TsRange::new(new_start, new_end));
+                    merged.push_canonical(TsRange::new(new_start, new_end), bound);
                     placed = true;
                 }
-                merged.push_canonical(*r);
+                merged.push_canonical(*r, bound);
             }
         }
         if !placed {
-            merged.push_canonical(TsRange::new(new_start, new_end));
+            merged.push_canonical(TsRange::new(new_start, new_end), bound);
         }
         *self = merged;
     }
@@ -243,18 +289,19 @@ impl TsSet {
             return;
         }
         let mut out = TsSet::new();
+        let bound = self.range_count() + 1;
         for r in self.ranges() {
             if !r.overlaps(&range) {
-                out.push_canonical(*r);
+                out.push_canonical(*r, bound);
                 continue;
             }
             // Left remainder.
             if r.start < range.start {
-                out.push_canonical(TsRange::new(r.start, range.start.pred()));
+                out.push_canonical(TsRange::new(r.start, range.start.pred()), bound);
             }
             // Right remainder.
             if r.end > range.end {
-                out.push_canonical(TsRange::new(range.end.succ(), r.end));
+                out.push_canonical(TsRange::new(range.end.succ(), r.end), bound);
             }
         }
         *self = out;
@@ -265,7 +312,7 @@ impl TsSet {
         let mut out = TsSet::new();
         for r in self.ranges() {
             if let Some(i) = r.intersection(&range) {
-                out.push_canonical(i);
+                out.push_canonical(i, self.range_count());
             }
         }
         *self = out;
@@ -284,14 +331,25 @@ impl TsSet {
                 (Some(a), Some(b)) => {
                     let (lo, hi) = if a.start < b.start { (a, b) } else { (b, a) };
                     let mut out = TsSet::from_range(lo);
-                    out.push_canonical(hi);
+                    out.push_canonical(hi, INLINE_RANGES);
                     out
                 }
             };
         }
-        let mut out = self.clone();
-        for r in other.ranges() {
-            out.insert_range(*r);
+        // One merge of the two start-ordered sequences.
+        let (a, b) = (self.ranges(), other.ranges());
+        let bound = a.len() + b.len();
+        let mut out = TsSet::new();
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let next = if j == b.len() || (i < a.len() && a[i].start <= b[j].start) {
+                i += 1;
+                a[i - 1]
+            } else {
+                j += 1;
+                b[j - 1]
+            };
+            out.push_sorted(next, bound);
         }
         out
     }
@@ -305,12 +363,13 @@ impl TsSet {
         let mut out = TsSet::new();
         let a_ranges = self.ranges();
         let b_ranges = other.ranges();
+        let bound = a_ranges.len() + b_ranges.len();
         let (mut i, mut j) = (0usize, 0usize);
         while i < a_ranges.len() && j < b_ranges.len() {
             let a = a_ranges[i];
             let b = b_ranges[j];
             if let Some(r) = a.intersection(&b) {
-                out.push_canonical(r);
+                out.push_canonical(r, bound);
             }
             if a.end <= b.end {
                 i += 1;
@@ -335,24 +394,81 @@ impl TsSet {
             // `a.start` and `b.end` below `a.end`, so neither step saturates.
             let mut out = TsSet::new();
             if a.start < b.start {
-                out.push_canonical(TsRange {
-                    start: a.start,
-                    end: b.start.pred(),
-                });
+                out.push_canonical(
+                    TsRange {
+                        start: a.start,
+                        end: b.start.pred(),
+                    },
+                    INLINE_RANGES,
+                );
             }
             if b.end < a.end {
-                out.push_canonical(TsRange {
-                    start: b.end.succ(),
-                    end: a.end,
-                });
+                out.push_canonical(
+                    TsRange {
+                        start: b.end.succ(),
+                        end: a.end,
+                    },
+                    INLINE_RANGES,
+                );
             }
             return out;
         }
-        let mut out = self.clone();
-        for r in other.ranges() {
-            out.remove_range(*r);
+        self.difference_sorted(other.ranges().iter().copied())
+    }
+
+    /// `self` minus the timestamps of `sorted`, ranges ordered by start and
+    /// pairwise disjoint (they may touch), such as the spans of a version
+    /// chain: one merge, and at most one allocation when the iterator's
+    /// upper size bound is known.
+    #[must_use]
+    pub fn difference_sorted<I: IntoIterator<Item = TsRange>>(&self, sorted: I) -> TsSet {
+        let mut cuts = sorted.into_iter().peekable();
+        let (low, high) = cuts.size_hint();
+        // Every cut adds at most one range.
+        let bound = self.range_count() + high.unwrap_or(low);
+        let mut out = TsSet::new();
+        for &range in self.ranges() {
+            let mut start = Some(range.start);
+            while let (Some(from), Some(&cut)) = (start, cuts.peek()) {
+                if cut.end < from {
+                    cuts.next();
+                    continue;
+                }
+                if cut.start > range.end {
+                    break;
+                }
+                if cut.start > from {
+                    out.push_canonical(TsRange::new(from, cut.start.pred()), bound);
+                }
+                // A cut reaching past `range` may cut the next range too.
+                start = (cut.end < range.end).then(|| cut.end.succ());
+                if start.is_some() {
+                    cuts.next();
+                }
+            }
+            if let Some(from) = start {
+                out.push_canonical(TsRange::new(from, range.end), bound);
+            }
         }
         out
+    }
+
+    /// Whether the two sets share a timestamp; one merge, no allocation.
+    #[must_use]
+    pub fn overlaps(&self, other: &TsSet) -> bool {
+        let (a, b) = (self.ranges(), other.ranges());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            if a[i].overlaps(&b[j]) {
+                return true;
+            }
+            if a[i].end < b[j].end {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+        false
     }
 
     /// Iterates over the individual timestamps of the set.
@@ -415,9 +531,30 @@ impl FromIterator<Timestamp> for TsSet {
 }
 
 impl Extend<TsRange> for TsSet {
+    /// Merges ranges in start order at the tail. An out-of-order range goes
+    /// through [`TsSet::insert_range`] while the set is inline (constant
+    /// work); once the set has spilled, the rest is sorted once and merged.
     fn extend<I: IntoIterator<Item = TsRange>>(&mut self, iter: I) {
-        for r in iter {
-            self.insert_range(r);
+        let mut iter = iter.into_iter();
+        let bound = self.range_count() + iter.size_hint().0;
+        while let Some(range) = iter.next() {
+            let in_order = self
+                .ranges()
+                .last()
+                .is_none_or(|last| last.start <= range.start);
+            if in_order {
+                self.push_sorted(range, bound);
+            } else if matches!(self.repr, Repr::Inline { .. }) {
+                self.insert_range(range);
+            } else {
+                let mut all = Vec::with_capacity(self.range_count() + 1 + iter.size_hint().0);
+                all.extend_from_slice(self.ranges());
+                all.push(range);
+                all.extend(iter);
+                all.sort_unstable_by_key(|r| r.start);
+                *self = TsSet::from_sorted_vec(all);
+                return;
+            }
         }
     }
 }

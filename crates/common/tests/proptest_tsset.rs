@@ -57,6 +57,43 @@ fn arb_small_set() -> impl Strategy<Value = TsSet> {
     ]
 }
 
+/// A short range for the wide operands: it starts on the edge grid and ends
+/// in the same clock value or, one time in four, the next; `shape` makes it touch (1) or overlap (2) the
+/// `previous` range, start at `ZERO` (30) or run from near the top of the
+/// grid to `MAX` (31).
+fn piece(start: Timestamp, values: u64, process: u32, shape: u8, previous: TsRange) -> TsRange {
+    let start = match shape {
+        1 => previous.end.succ(),
+        2 => previous.start,
+        30 => Timestamp::ZERO,
+        // A range up to `MAX` starts high, so it does not swallow the set.
+        31 => start.max(Timestamp::new(60, process)),
+        _ => start,
+    };
+    let end = match shape {
+        31 => Timestamp::MAX,
+        _ => Timestamp::new(start.value.saturating_add(values / 3), process).max(start),
+    };
+    TsRange::new(start, end)
+}
+
+/// The unsorted input ranges of a wide operand: 3 to 64 short ranges in
+/// random order, many of them touching or overlapping their neighbour in
+/// the list, some reaching `ZERO` or `MAX`. These operands take the general
+/// merges, not the one-range fast paths.
+fn arb_wide_ranges() -> impl Strategy<Value = Vec<TsRange>> {
+    proptest::collection::vec((arb_edge_ts(), 0u64..4, 0u32..4, 0u8..32), 3..65).prop_map(
+        |pieces| {
+            let mut ranges: Vec<TsRange> = Vec::with_capacity(pieces.len());
+            for (start, values, process, shape) in pieces {
+                let previous = ranges.last().copied().unwrap_or(TsRange::point(start));
+                ranges.push(piece(start, values, process, shape, previous));
+            }
+            ranges
+        },
+    )
+}
+
 /// [`grid`] plus the boundary timestamps of [`arb_edge_ts`].
 fn edge_grid() -> Vec<Timestamp> {
     let mut pts = grid();
@@ -165,6 +202,45 @@ proptest! {
             prop_assert_eq!(i.contains(t), in_a && in_b, "intersection at {:?}", t);
             prop_assert_eq!(d.contains(t), in_a && !in_b, "difference at {:?}", t);
         }
+        let [union, intersection, difference] = reference(&a, &b);
+        prop_assert_eq!(u, union);
+        prop_assert_eq!(i, intersection);
+        prop_assert_eq!(d, difference);
+    }
+
+    #[test]
+    fn wide_operand_merges_match_the_grid(
+        a_ranges in arb_wide_ranges(),
+        b_ranges in arb_wide_ranges(),
+    ) {
+        let (a, b) = (TsSet::from_ranges(a_ranges.clone()), TsSet::from_ranges(b_ranges.clone()));
+        // Unsorted input: the same set as the sorted input, in canonical form,
+        // holding exactly the timestamps some input range holds.
+        for (set, input) in [(&a, &a_ranges), (&b, &b_ranges)] {
+            prop_assert!(is_canonical(set), "not canonical: {:?} from {:?}", set, input);
+            let mut sorted = input.clone();
+            sorted.sort_by_key(|r| r.start);
+            prop_assert_eq!(&TsSet::from_ranges(sorted), set);
+            let mut extended = TsSet::from_range(input[0]);
+            extended.extend(input[1..].iter().copied());
+            prop_assert_eq!(&extended, set);
+            for t in edge_grid() {
+                prop_assert_eq!(set.contains(t), input.iter().any(|r| r.contains(t)), "{:?} at {:?}", input, t);
+            }
+        }
+        let (u, i, d) = (a.union(&b), a.intersection(&b), a.difference(&b));
+        let sorted_d = a.difference_sorted(b.ranges().iter().copied());
+        for set in [&u, &i, &d] {
+            prop_assert!(is_canonical(set), "not canonical: {:?}", set);
+        }
+        prop_assert_eq!(&sorted_d, &d);
+        for t in edge_grid() {
+            let (in_a, in_b) = (a.contains(t), b.contains(t));
+            prop_assert_eq!(u.contains(t), in_a || in_b, "union at {:?}", t);
+            prop_assert_eq!(i.contains(t), in_a && in_b, "intersection at {:?}", t);
+            prop_assert_eq!(d.contains(t), in_a && !in_b, "difference at {:?}", t);
+        }
+        prop_assert_eq!(a.overlaps(&b), !i.is_empty());
         let [union, intersection, difference] = reference(&a, &b);
         prop_assert_eq!(u, union);
         prop_assert_eq!(i, intersection);

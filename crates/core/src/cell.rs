@@ -53,12 +53,33 @@ impl<V: Clone> KeyData<V> {
             .filter(|&version| version <= range.end)
     }
 
-    /// Removes from `grantable` every timestamp of `range` a write conflicts
-    /// with frozen: the versions and their read runs overlapping `range`.
-    pub(crate) fn remove_frozen_write_conflicts(&self, range: TsRange, grantable: &mut TsSet) {
-        for span in self.versions.spans(range) {
-            grantable.remove_range(span);
+    /// The write locks `owner` can take on the timestamps of `desired`, in
+    /// one pass: one [`KeyLockState::analyze`] over the set's hull, of which
+    /// only the live conflicts inside `desired` count, then the versions and
+    /// their read runs over the hull cut out in one merge. A lock in a gap
+    /// between the set's ranges neither blocks nor makes a waiter wait.
+    ///
+    /// `None` when `wait` is set and another transaction holds an unfrozen
+    /// lock on a timestamp of `desired`: the caller waits and asks again.
+    pub(crate) fn write_grant(&self, owner: TxId, desired: &TsSet, wait: bool) -> Option<TsSet> {
+        let (Some(start), Some(end)) = (desired.min(), desired.max()) else {
+            return Some(TsSet::new());
+        };
+        let hull = TsRange::new(start, end);
+        let live = self.locks.analyze(owner, LockMode::Write, hull);
+        if wait && live.blocked_unfrozen.overlaps(desired) {
+            return None;
         }
+        let spans = self.versions.spans(hull);
+        Some(
+            if live.blocked_unfrozen.is_empty() && live.frozen_conflicts.is_empty() {
+                desired.difference_sorted(spans)
+            } else {
+                desired
+                    .intersection(&live.grantable)
+                    .difference_sorted(spans)
+            },
+        )
     }
 
     /// The frozen conflicts of a request in `mode` on `range`.

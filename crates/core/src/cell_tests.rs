@@ -236,6 +236,12 @@ enum Step {
     Purge {
         to: usize,
     },
+    /// A write of a multi-range candidate set, as MVTIL's shrunk interval
+    /// `I`: the one-pass grant against the per-range grants.
+    WriteSet {
+        slot: usize,
+        ranges: Vec<(usize, usize)>,
+    },
     /// A request with no effect; slot `SLOTS` is a transaction holding
     /// nothing.
     Probe {
@@ -286,6 +292,16 @@ fn arb_step() -> impl Strategy<Value = Step> {
     ]
 }
 
+/// [`arb_step`]'s histories with a multi-range write one step in three.
+fn arb_grant_step() -> impl Strategy<Value = Step> {
+    let ranges = proptest::collection::vec((1..GRID, 0usize..6), 2..8);
+    prop_oneof![
+        arb_step(),
+        arb_step(),
+        (0..SLOTS, ranges).prop_map(|(slot, ranges)| Step::WriteSet { slot, ranges }),
+    ]
+}
+
 /// What the cell reports for a request: live conflicts from the lock table,
 /// frozen ones from the chain.
 fn cell_analysis(
@@ -324,6 +340,185 @@ fn candidates(model: &Model, id: TxId, txn: &Txn) -> TsSet {
     out
 }
 
+/// Runs `steps` on a [`KeyData`] and the model side by side, checking every
+/// analysis and grant against the model.
+fn run_history(steps: &[Step]) -> Result<(), TestCaseError> {
+    let mut arena = ChainArena::new();
+    let mut data = KeyData::<u64>::default();
+    let mut model = Model::new();
+    let mut ids: Vec<TxId> = (1..=SLOTS as u64).map(TxId).collect();
+    let mut txns: Vec<Txn> = (0..SLOTS).map(|_| Txn::default()).collect();
+    let mut next = SLOTS as u64 + 1;
+    let mut bound = Timestamp::ZERO;
+    for (n, step) in steps.iter().enumerate() {
+        let mut restart = None;
+        match *step {
+            Step::Read { slot, below, len } => {
+                let Ok((anchor, _)) = data.versions.latest_before(point(below)) else {
+                    continue;
+                };
+                let tx = ids[slot];
+                let mut upper = point(below + len).min(point(GRID - 1));
+                // The engine's non-waiting read: shrink below a newer
+                // version, then lock the free prefix above the anchor.
+                let granted = loop {
+                    if upper < anchor.succ() {
+                        break TsSet::new();
+                    }
+                    let desired = TsRange::new(anchor.succ(), upper);
+                    let expected = model.analyze(tx, LockMode::Read, desired);
+                    let got = cell_analysis(&data, tx, LockMode::Read, desired);
+                    prop_assert_eq!(&got, &expected, "{:?} by {:?}", step, tx);
+                    if let Some(version) = data.first_frozen_read_conflict(desired) {
+                        prop_assert_eq!(Some(version), expected.frozen_conflicts.min());
+                        if version <= anchor.succ() {
+                            break TsSet::new();
+                        }
+                        upper = version.pred();
+                        continue;
+                    }
+                    break match got.contiguous_grantable_end(anchor.succ()) {
+                        Some(end) => TsSet::from_range(TsRange::new(anchor.succ(), end)),
+                        None => TsSet::new(),
+                    };
+                };
+                data.locks.acquire(tx, LockMode::Read, &granted);
+                model.acquire(tx, LockMode::Read, &granted);
+                txns[slot].reads.push(anchor);
+            }
+            Step::Write { slot, start, len } => {
+                let (tx, desired) = (ids[slot], range(start, len));
+                if desired.start < bound {
+                    continue;
+                }
+                let expected = model.analyze(tx, LockMode::Write, desired);
+                let granted = data
+                    .write_grant(tx, &TsSet::from_range(desired), false)
+                    .expect("a grant that does not wait");
+                prop_assert_eq!(&granted, &expected.grantable, "{:?} by {:?}", step, tx);
+                data.locks.acquire(tx, LockMode::Write, &granted);
+                model.acquire(tx, LockMode::Write, &granted);
+                txns[slot].wrote |= !granted.is_empty();
+            }
+            Step::WriteSet { slot, ref ranges } => {
+                let tx = ids[slot];
+                // The store clips a request at its purge floor.
+                let mut desired =
+                    TsSet::from_ranges(ranges.iter().map(|&(start, len)| range(start, len)));
+                desired.intersect_range(TsRange::new(bound, Timestamp::MAX));
+                // What the ranges get one at a time, and what the model
+                // grants and blocks on them.
+                let before = data.locks.clone();
+                let (mut per_range, mut expected) = (TsSet::new(), TsSet::new());
+                let mut blocked = false;
+                for &one in desired.ranges() {
+                    let granted = data
+                        .write_grant(tx, &TsSet::from_range(one), false)
+                        .expect("a grant that does not wait");
+                    data.locks.acquire(tx, LockMode::Write, &granted);
+                    per_range = per_range.union(&granted);
+                    let model_one = model.analyze(tx, LockMode::Write, one);
+                    expected = expected.union(&model_one.grantable);
+                    blocked |= !model_one.blocked_unfrozen.is_empty();
+                }
+                let held_per_range = data.locks.clone();
+                data.locks = before;
+                prop_assert_eq!(
+                    data.write_grant(tx, &desired, true).is_none(),
+                    blocked,
+                    "waiting on {:?} by {:?}",
+                    desired,
+                    tx
+                );
+                let granted = data
+                    .write_grant(tx, &desired, false)
+                    .expect("a grant that does not wait");
+                prop_assert_eq!(&granted, &per_range, "{:?} by {:?}", desired, tx);
+                prop_assert_eq!(&granted, &expected, "{:?} by {:?}", desired, tx);
+                data.locks.acquire(tx, LockMode::Write, &granted);
+                for mode in [LockMode::Read, LockMode::Write] {
+                    prop_assert_eq!(
+                        data.locks.held(tx, mode),
+                        held_per_range.held(tx, mode),
+                        "{:?} held by {:?}",
+                        mode,
+                        tx
+                    );
+                }
+                model.acquire(tx, LockMode::Write, &granted);
+                txns[slot].wrote |= !granted.is_empty();
+            }
+            Step::Commit { slot, pick, gc } => {
+                let tx = ids[slot];
+                let txn = &txns[slot];
+                let set = candidates(&model, tx, txn);
+                let points: Vec<Timestamp> =
+                    (0..GRID).map(point).filter(|&p| set.contains(p)).collect();
+                if points.is_empty() || (txn.reads.is_empty() && !txn.wrote) {
+                    data.locks.release_unfrozen(tx);
+                    model.release(tx);
+                } else {
+                    let commit_ts = points[pick % points.len()];
+                    let value = txn.wrote.then_some(n as u64);
+                    data.commit(
+                        tx,
+                        commit_ts,
+                        value,
+                        txn.reads.iter().copied(),
+                        gc,
+                        &mut arena,
+                    );
+                    model.commit(tx, commit_ts, txn.wrote, &txn.reads, gc);
+                }
+                restart = Some(slot);
+            }
+            Step::Abort { slot } => {
+                data.locks.release_unfrozen(ids[slot]);
+                model.release(ids[slot]);
+                restart = Some(slot);
+            }
+            Step::Purge { to } => {
+                let to = model
+                    .min_live()
+                    .map_or(point(to), |live| live.min(point(to)));
+                if to > bound {
+                    bound = to;
+                    data.purge_below(bound, &mut arena);
+                    model.purge(bound);
+                    if data.is_idle(bound) {
+                        data.versions.release(&mut arena);
+                        data = KeyData::default();
+                        model = Model::new();
+                    }
+                }
+            }
+            Step::Probe {
+                slot,
+                write,
+                start,
+                len,
+            } => {
+                let tx = if slot < SLOTS { ids[slot] } else { TxId(next) };
+                let desired = range(start, len);
+                let expected = model.analyze(tx, mode(write), desired);
+                let got = cell_analysis(&data, tx, mode(write), desired);
+                prop_assert_eq!(&got, &expected, "{:?} by {:?}", step, tx);
+            }
+        }
+        if let Some(slot) = restart {
+            ids[slot] = TxId(next);
+            txns[slot] = Txn::default();
+            next += 1;
+        }
+        prop_assert!(
+            data.locks.entries().iter().all(|e| !e.frozen),
+            "the lock table holds a frozen entry after {:?}",
+            step
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -331,115 +526,13 @@ proptest! {
     fn frozen_versions_match_one_lock_per_timestamp(
         steps in proptest::collection::vec(arb_step(), 1..100)
     ) {
-        let mut arena = ChainArena::new();
-        let mut data = KeyData::<u64>::default();
-        let mut model = Model::new();
-        let mut ids: Vec<TxId> = (1..=SLOTS as u64).map(TxId).collect();
-        let mut txns: Vec<Txn> = (0..SLOTS).map(|_| Txn::default()).collect();
-        let mut next = SLOTS as u64 + 1;
-        let mut bound = Timestamp::ZERO;
-        for (n, step) in steps.iter().enumerate() {
-            let mut restart = None;
-            match *step {
-                Step::Read { slot, below, len } => {
-                    let Ok((anchor, _)) = data.versions.latest_before(point(below)) else {
-                        continue;
-                    };
-                    let tx = ids[slot];
-                    let mut upper = point(below + len).min(point(GRID - 1));
-                    // The engine's non-waiting read: shrink below a newer
-                    // version, then lock the free prefix above the anchor.
-                    let granted = loop {
-                        if upper < anchor.succ() {
-                            break TsSet::new();
-                        }
-                        let desired = TsRange::new(anchor.succ(), upper);
-                        let expected = model.analyze(tx, LockMode::Read, desired);
-                        let got = cell_analysis(&data, tx, LockMode::Read, desired);
-                        prop_assert_eq!(&got, &expected, "{:?} by {:?}", step, tx);
-                        if let Some(version) = data.first_frozen_read_conflict(desired) {
-                            prop_assert_eq!(Some(version), expected.frozen_conflicts.min());
-                            if version <= anchor.succ() {
-                                break TsSet::new();
-                            }
-                            upper = version.pred();
-                            continue;
-                        }
-                        break match got.contiguous_grantable_end(anchor.succ()) {
-                            Some(end) => TsSet::from_range(TsRange::new(anchor.succ(), end)),
-                            None => TsSet::new(),
-                        };
-                    };
-                    data.locks.acquire(tx, LockMode::Read, &granted);
-                    model.acquire(tx, LockMode::Read, &granted);
-                    txns[slot].reads.push(anchor);
-                }
-                Step::Write { slot, start, len } => {
-                    let (tx, desired) = (ids[slot], range(start, len));
-                    if desired.start < bound {
-                        continue;
-                    }
-                    let expected = model.analyze(tx, LockMode::Write, desired);
-                    let live = data.locks.analyze(tx, LockMode::Write, desired);
-                    let mut granted = live.grantable;
-                    data.remove_frozen_write_conflicts(desired, &mut granted);
-                    prop_assert_eq!(&granted, &expected.grantable, "{:?} by {:?}", step, tx);
-                    data.locks.acquire(tx, LockMode::Write, &granted);
-                    model.acquire(tx, LockMode::Write, &granted);
-                    txns[slot].wrote |= !granted.is_empty();
-                }
-                Step::Commit { slot, pick, gc } => {
-                    let tx = ids[slot];
-                    let txn = &txns[slot];
-                    let set = candidates(&model, tx, txn);
-                    let points: Vec<Timestamp> =
-                        (0..GRID).map(point).filter(|&p| set.contains(p)).collect();
-                    if points.is_empty() || (txn.reads.is_empty() && !txn.wrote) {
-                        data.locks.release_unfrozen(tx);
-                        model.release(tx);
-                    } else {
-                        let commit_ts = points[pick % points.len()];
-                        let value = txn.wrote.then_some(n as u64);
-                        data.commit(tx, commit_ts, value, txn.reads.iter().copied(), gc, &mut arena);
-                        model.commit(tx, commit_ts, txn.wrote, &txn.reads, gc);
-                    }
-                    restart = Some(slot);
-                }
-                Step::Abort { slot } => {
-                    data.locks.release_unfrozen(ids[slot]);
-                    model.release(ids[slot]);
-                    restart = Some(slot);
-                }
-                Step::Purge { to } => {
-                    let to = model.min_live().map_or(point(to), |live| live.min(point(to)));
-                    if to > bound {
-                        bound = to;
-                        data.purge_below(bound, &mut arena);
-                        model.purge(bound);
-                        if data.is_idle(bound) {
-                            data.versions.release(&mut arena);
-                            data = KeyData::default();
-                            model = Model::new();
-                        }
-                    }
-                }
-                Step::Probe { slot, write, start, len } => {
-                    let tx = if slot < SLOTS { ids[slot] } else { TxId(next) };
-                    let desired = range(start, len);
-                    let expected = model.analyze(tx, mode(write), desired);
-                    let got = cell_analysis(&data, tx, mode(write), desired);
-                    prop_assert_eq!(&got, &expected, "{:?} by {:?}", step, tx);
-                }
-            }
-            if let Some(slot) = restart {
-                ids[slot] = TxId(next);
-                txns[slot] = Txn::default();
-                next += 1;
-            }
-            prop_assert!(
-                data.locks.entries().iter().all(|e| !e.frozen),
-                "the lock table holds a frozen entry after {:?}", step
-            );
-        }
+        run_history(&steps)?;
+    }
+
+    #[test]
+    fn one_pass_write_grant_is_the_union_of_per_range_grants(
+        steps in proptest::collection::vec(arb_grant_step(), 1..100)
+    ) {
+        run_history(&steps)?;
     }
 }

@@ -1,6 +1,6 @@
 //! MVTL-ε-clock (Algorithms 4/7): no serial aborts with ε-synchronized clocks.
 
-use crate::policy::{LockingPolicy, PolicyCtx};
+use crate::policy::{acquire_within_ts_set, LockingPolicy, PolicyCtx};
 use crate::txn::TxState;
 use mvtl_common::{AbortReason, Key, Timestamp, TsRange, TsSet, TxError};
 
@@ -55,16 +55,7 @@ impl LockingPolicy for EpsilonPolicy {
         }
         // Try to write-lock tx.TS, waiting on unfrozen conflicts; then shrink
         // tx.TS to what was actually acquired.
-        // Index walk instead of cloning the range list: `acquire_write_range`
-        // never mutates `ts_set`.
-        let mut acquired = TsSet::new();
-        let mut i = 0;
-        while let Some(range) = tx.ts_set.ranges().get(i).copied() {
-            let granted = ctx.acquire_write_range(tx, key, range, true)?;
-            acquired = acquired.union(&granted);
-            i += 1;
-        }
-        tx.ts_set = tx.ts_set.intersection(&acquired);
+        tx.ts_set = acquire_within_ts_set(ctx, tx, key, true)?;
         if tx.ts_set.is_empty() {
             return Err(TxError::aborted(AbortReason::IntervalExhausted { key }));
         }

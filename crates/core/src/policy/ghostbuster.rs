@@ -3,7 +3,7 @@
 
 use crate::policy::{LockingPolicy, PolicyCtx};
 use crate::txn::TxState;
-use mvtl_common::{AbortReason, Key, Timestamp, TsRange, TsSet, TxError};
+use mvtl_common::{AbortReason, Key, Timestamp, TsSet, TxError};
 
 /// The MVTL-Ghostbuster policy (§5.5, Algorithm 10, Theorem 7).
 ///
@@ -63,7 +63,7 @@ impl LockingPolicy for GhostbusterPolicy {
             // Waits for unfrozen conflicting locks (Algorithm 10 line 15); a
             // frozen conflicting read lock can never go away, so a missing
             // grant after waiting means the write must be rejected.
-            let granted = ctx.acquire_write_range(tx, key, TsRange::point(ts), true)?;
+            let granted = ctx.acquire_write_range(tx, key, &TsSet::from_point(ts), true)?;
             if !granted.contains(ts) {
                 ctx.release_unfrozen_write_locks(tx);
                 tx.chosen_ts = None;

@@ -23,7 +23,7 @@ pub use prio::PrioPolicy;
 pub use to::ToPolicy;
 
 use crate::txn::TxState;
-use mvtl_common::{Key, ProcessId, Timestamp, TsRange, TsSet, TxError};
+use mvtl_common::{Key, ProcessId, Timestamp, TsSet, TxError};
 
 /// The result of a read-lock acquisition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,7 +89,11 @@ pub trait PolicyCtx {
     /// * With `wait = false` it grants exactly what is free right now
     ///   (Algorithms 3, 8 and MVTIL).
     ///
-    /// Returns the set actually granted (possibly empty).
+    /// The whole set is negotiated in one pass under one latch, however many
+    /// ranges it holds, and the grant is the union of what each range would
+    /// get on its own; a lock in a gap between the ranges does not count.
+    /// Returns the set actually granted (possibly empty), a subset of
+    /// `desired`.
     ///
     /// # Errors
     ///
@@ -98,7 +102,7 @@ pub trait PolicyCtx {
         &self,
         tx: &mut TxState,
         key: Key,
-        desired: TsRange,
+        desired: &TsSet,
         wait: bool,
     ) -> Result<TsSet, TxError>;
 
@@ -113,6 +117,23 @@ pub trait PolicyCtx {
     ///
     /// [`TxError::Aborted`] with `VersionPurged` if that version was purged.
     fn latest_version_before(&self, key: Key, below: Timestamp) -> Result<Timestamp, TxError>;
+}
+
+/// Write-locks as much of `tx.ts_set` on `key` as
+/// [`PolicyCtx::acquire_write_range`] grants, and returns the grant: a subset
+/// of `tx.ts_set`, which a policy that shrinks its candidates to what it
+/// locked (ε-clock, MVTIL) takes as the new set.
+pub(crate) fn acquire_within_ts_set(
+    ctx: &dyn PolicyCtx,
+    tx: &mut TxState,
+    key: Key,
+    wait: bool,
+) -> Result<TsSet, TxError> {
+    // The set leaves `tx` for the call, which records the grant on `tx`.
+    let desired = std::mem::take(&mut tx.ts_set);
+    let granted = ctx.acquire_write_range(tx, key, &desired, wait);
+    tx.ts_set = desired;
+    granted
 }
 
 /// A specialization of the generic MVTL algorithm: the five policy functions of
@@ -204,6 +225,7 @@ pub trait LockingPolicy: Send + Sync + 'static {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvtl_common::TsRange;
 
     #[test]
     fn read_grant_shape() {

@@ -1,6 +1,6 @@
 //! MVTIL: the interval-locking variant evaluated in §8 of the paper.
 
-use crate::policy::{LockingPolicy, PolicyCtx};
+use crate::policy::{acquire_within_ts_set, LockingPolicy, PolicyCtx};
 use crate::txn::TxState;
 use mvtl_common::{AbortReason, Key, Timestamp, TsRange, TsSet, TxError};
 
@@ -79,17 +79,9 @@ impl LockingPolicy for MvtilPolicy {
         if tx.ts_set.is_empty() {
             return Err(TxError::aborted(AbortReason::IntervalExhausted { key }));
         }
-        // Iterate by index: `acquire_write_range` updates the lock mirror but
-        // never touches `ts_set`, so the snapshot-free walk stays consistent
-        // and avoids cloning the range list on every write.
-        let mut acquired = TsSet::new();
-        let mut i = 0;
-        while let Some(range) = tx.ts_set.ranges().get(i).copied() {
-            let granted = ctx.acquire_write_range(tx, key, range, false)?;
-            acquired = acquired.union(&granted);
-            i += 1;
-        }
-        tx.ts_set = tx.ts_set.intersection(&acquired);
+        // Lock the whole of I in one grant; what it grants lies inside I,
+        // so it is the shrunk interval.
+        tx.ts_set = acquire_within_ts_set(ctx, tx, key, false)?;
         if tx.ts_set.is_empty() {
             return Err(TxError::aborted(AbortReason::IntervalExhausted { key }));
         }

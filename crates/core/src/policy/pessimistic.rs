@@ -40,7 +40,7 @@ impl LockingPolicy for PessimisticPolicy {
     fn write_locks(&self, ctx: &dyn PolicyCtx, tx: &mut TxState, key: Key) -> Result<(), TxError> {
         // Write-lock all the possible timestamps, waiting if a timestamp is
         // read- or write-locked but not frozen.
-        ctx.acquire_write_range(tx, key, TsRange::all(), true)?;
+        ctx.acquire_write_range(tx, key, &TsSet::from_range(TsRange::all()), true)?;
         Ok(())
     }
 

@@ -147,7 +147,7 @@ impl LockingPolicy for PrefPolicy {
         for t in self.ordered_candidates(tx) {
             let mut got_all = true;
             for key in &write_keys {
-                let granted = ctx.acquire_write_range(tx, *key, TsRange::point(t), false)?;
+                let granted = ctx.acquire_write_range(tx, *key, &TsSet::from_point(t), false)?;
                 if !granted.contains(t) {
                     got_all = false;
                     ctx.release_unfrozen_write_locks(tx);

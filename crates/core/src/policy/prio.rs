@@ -47,7 +47,7 @@ impl LockingPolicy for PrioPolicy {
         if tx.priority {
             // Critical: write-lock all the possible timestamps (blocking on
             // unfrozen conflicts).
-            ctx.acquire_write_range(tx, key, TsRange::all(), true)?;
+            ctx.acquire_write_range(tx, key, &TsSet::from_range(TsRange::all()), true)?;
         }
         Ok(())
     }
@@ -75,7 +75,7 @@ impl LockingPolicy for PrioPolicy {
         let ts = tx.start_ts.expect("init sets the start timestamp");
         let write_keys = tx.write_keys.clone();
         for key in write_keys {
-            let granted = ctx.acquire_write_range(tx, key, TsRange::point(ts), false)?;
+            let granted = ctx.acquire_write_range(tx, key, &TsSet::from_point(ts), false)?;
             if !granted.contains(ts) {
                 ctx.release_unfrozen_write_locks(tx);
                 tx.chosen_ts = None;

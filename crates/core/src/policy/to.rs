@@ -2,7 +2,7 @@
 
 use crate::policy::{LockingPolicy, PolicyCtx};
 use crate::txn::TxState;
-use mvtl_common::{AbortReason, Key, Timestamp, TsRange, TsSet, TxError};
+use mvtl_common::{AbortReason, Key, Timestamp, TsSet, TxError};
 
 /// The MVTL-TO policy (§5.4, Algorithm 8).
 ///
@@ -64,7 +64,7 @@ impl LockingPolicy for ToPolicy {
         let ts = tx.start_ts.expect("init sets the start timestamp");
         let write_keys = tx.write_keys.clone();
         for key in write_keys {
-            let granted = ctx.acquire_write_range(tx, key, TsRange::point(ts), false)?;
+            let granted = ctx.acquire_write_range(tx, key, &TsSet::from_point(ts), false)?;
             if !granted.contains(ts) {
                 // "if write-lock not acquired then release all write locks and abort"
                 ctx.release_unfrozen_write_locks(tx);

@@ -544,7 +544,7 @@ where
         &self,
         tx: &mut TxState,
         key: Key,
-        desired: TsRange,
+        desired: &TsSet,
         wait: bool,
     ) -> Result<TsSet, TxError> {
         let stripe = self.cells.stripe_for(key);
@@ -555,23 +555,29 @@ where
             // Nothing commits below the purge floor: the runs that would
             // refuse it may be gone with their versions or their cell. Read
             // it afresh after every wait, since a purge may run meanwhile.
-            if desired.end < guard.floor {
+            let floor = guard.floor;
+            let clipped;
+            let desired = if desired.min().is_some_and(|start| start < floor) {
+                let mut above = desired.clone();
+                above.intersect_range(TsRange::new(floor, Timestamp::MAX));
+                clipped = above;
+                &clipped
+            } else {
+                desired
+            };
+            if desired.is_empty() {
                 return Ok(TsSet::new());
             }
-            let desired = TsRange::new(desired.start.max(guard.floor), desired.end);
             let CoreStripe { map, .. } = &mut *guard;
             let data = map.get_or_insert_with(key, KeyData::default);
-            let analysis = data.locks.analyze(tx.id, LockMode::Write, desired);
-            if wait && !analysis.blocked_unfrozen.is_empty() {
+            let Some(granted) = data.write_grant(tx.id, desired, wait) else {
                 let deadline =
                     *deadline.get_or_insert_with(|| Instant::now() + self.config.lock_wait_timeout);
                 if stripe.changed.wait_until(&mut guard, deadline).timed_out() {
                     return Err(TxError::aborted(AbortReason::LockTimeout { key }));
                 }
                 continue;
-            }
-            let mut granted = analysis.grantable;
-            data.remove_frozen_write_conflicts(desired, &mut granted);
+            };
             data.locks.acquire(tx.id, LockMode::Write, &granted);
             tx.record_write_locks(key, &granted);
             return Ok(granted);
@@ -639,7 +645,7 @@ where
         &self,
         tx: &mut TxState,
         key: Key,
-        desired: TsRange,
+        desired: &TsSet,
         wait: bool,
     ) -> Result<TsSet, TxError> {
         self.store.acquire_write_range(tx, key, desired, wait)

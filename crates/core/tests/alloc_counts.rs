@@ -6,8 +6,10 @@
 //! small values are stored inline in the version slot. These tests pin that
 //! property with a counting `#[global_allocator]`: steady-state reads must
 //! not allocate at all, a buffered write must cost at most one allocation
-//! (amortized) for an inline `u64` value, and committing a read-only
-//! transaction over keys that already hold versions must not allocate.
+//! (amortized) for an inline `u64` value, committing a read-only
+//! transaction over keys that already hold versions must not allocate, and
+//! a write whose candidate set is cut into many ranges makes as many heap
+//! requests as one cut into a few.
 //!
 //! Everything runs inside ONE `#[test]` function: the counter is global, so
 //! concurrently running sibling tests would pollute the measured windows.
@@ -17,7 +19,7 @@
 #![cfg(not(feature = "lock-order"))]
 
 use mvtl_clock::GlobalClock;
-use mvtl_common::{Key, ProcessId, TransactionalKV};
+use mvtl_common::{Key, ProcessId, Timestamp, TransactionalKV};
 use mvtl_core::policy::MvtilPolicy;
 use mvtl_core::{MvtlConfig, MvtlStore};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -91,6 +93,55 @@ fn seeded_store() -> MvtlStore<u64, MvtilPolicy> {
     }
     store.commit(tx).expect("seed commit");
     store
+}
+
+/// Versions of the key that cuts the writer's interval, and of the key the
+/// measured write lands on.
+const CUTTER: Key = Key(0);
+const SPANNED: Key = Key(1);
+
+/// Versions on [`SPANNED`] inside the writer's interval.
+const SPANS: u64 = 32;
+
+/// Heap requests of the measured fragmented write: the grant, the lock
+/// entries it adds and the lock mirror's union.
+const FRAGMENTED_WRITE_ALLOCS: u64 = 3;
+
+/// Commits a write of `key` at clock value `value`: MVTIL-early pinned there
+/// commits at the bottom of its interval, `(value, 0)`.
+fn commit_at(store: &MvtlStore<u64, MvtilPolicy>, key: Key, value: u64) {
+    let mut tx = store.begin_at(ProcessId(0), Some(Timestamp::at(value)));
+    store.write(&mut tx, key, value).expect("seed write");
+    let info = store.commit(tx).expect("seed commit");
+    assert_eq!(info.commit_ts, Some(Timestamp::new(value, 0)));
+}
+
+/// The heap requests of one write whose interval holds `fragments` ranges,
+/// on a key with [`SPANS`] versions inside that interval.
+fn fragmented_write_allocs(fragments: u64) -> u64 {
+    let store = MvtlStore::new(
+        MvtilPolicy::early(10_000),
+        Arc::new(GlobalClock::new()),
+        MvtlConfig::default(),
+    );
+    // Versions at 200, 210, ... on the cutter and 205, 215, ... on the
+    // spanned key, all inside the writer's interval [100, 10 100].
+    for i in 0..fragments.max(SPANS) {
+        if i + 1 < fragments {
+            commit_at(&store, CUTTER, 200 + 10 * i);
+        }
+        if i < SPANS {
+            commit_at(&store, SPANNED, 205 + 10 * i);
+        }
+    }
+    let mut tx = store.begin_at(ProcessId(1), Some(Timestamp::at(100)));
+    store.write(&mut tx, CUTTER, 0).expect("cutting write");
+    assert_eq!(tx.state().ts_set.range_count() as u64, fragments);
+    let (allocs, written) = count_allocs(|| store.write(&mut tx, SPANNED, 0));
+    written.expect("fragmented write");
+    // Every version of the spanned key falls inside a fragment and cuts it.
+    assert_eq!(tx.state().ts_set.range_count() as u64, fragments + SPANS);
+    allocs
 }
 
 #[test]
@@ -178,4 +229,16 @@ fn hot_path_allocation_budgets_hold() {
             );
         }
     }
+
+    // --- A fragmented write costs the same at any fragment count. ---------
+    //
+    // The whole candidate set is granted in one pass under one latch: each
+    // set it builds is sized up front and allocated once, so neither the
+    // fragments nor the spans they meet add heap requests.
+    let fragments = [2, 8, 32];
+    let allocs = fragments.map(fragmented_write_allocs);
+    assert_eq!(
+        allocs, [FRAGMENTED_WRITE_ALLOCS; 3],
+        "heap requests of a write over {fragments:?} fragments and {SPANS} versions"
+    );
 }

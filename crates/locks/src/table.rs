@@ -31,6 +31,10 @@ impl LockStateStats {
 /// The owner recorded on frozen runs, which belong to no transaction.
 const NO_OWNER: TxId = TxId(0);
 
+/// The capacity a key's entry vector never shrinks below: the smallest
+/// allocation a `Vec` of entries makes anyway.
+const MIN_CAPACITY: usize = 4;
+
 /// The complete lock state of one key: a list of interval lock entries.
 ///
 /// Conceptually this is one freezable lock per timestamp (an infinite family);
@@ -79,29 +83,22 @@ impl KeyLockState {
     #[must_use]
     pub fn analyze(&self, owner: TxId, mode: LockMode, desired: TsRange) -> AcquireAnalysis {
         let (frozen, live) = self.entries.split_at(self.frozen_len());
-        let mut blocked_unfrozen = TsSet::new();
-        for entry in live {
-            if !entry.conflicts_with(owner, mode, &desired) {
-                continue;
-            }
-            // The conflict is limited to the overlap with the request.
-            if let Some(overlap) = entry.overlap(&desired) {
-                blocked_unfrozen.insert_range(overlap);
-            }
-        }
-        // The runs overlapping `desired` are consecutive in the prefix.
-        let mut frozen_conflicts = TsSet::new();
+        // The conflict is limited to the overlap with the request.
+        let blocked_unfrozen = TsSet::from_ranges(
+            live.iter()
+                .filter(|entry| entry.conflicts_with(owner, mode, &desired))
+                .filter_map(|entry| entry.overlap(&desired)),
+        );
+        // The runs overlapping `desired` are consecutive in the prefix, so
+        // their overlaps arrive sorted.
         let first = frozen.partition_point(|run| run.range.end < desired.start);
-        for run in frozen[first..]
-            .iter()
-            .take_while(|run| run.range.start <= desired.end)
-        {
-            if run.mode.conflicts_with(mode) {
-                if let Some(overlap) = run.overlap(&desired) {
-                    frozen_conflicts.insert_range(overlap);
-                }
-            }
-        }
+        let frozen_conflicts = TsSet::from_ranges(
+            frozen[first..]
+                .iter()
+                .take_while(|run| run.range.start <= desired.end)
+                .filter(|run| run.mode.conflicts_with(mode))
+                .filter_map(|run| run.overlap(&desired)),
+        );
         let mut grantable = TsSet::from_range(desired);
         if !blocked_unfrozen.is_empty() {
             grantable = grantable.difference(&blocked_unfrozen);
@@ -132,7 +129,9 @@ impl KeyLockState {
             .any(|e| e.owner == owner && e.mode == mode)
         {
             // Nothing of the owner's to overlap or merge with: the ranges of
-            // a canonical set are already disjoint and non-touching.
+            // a canonical set are already disjoint and non-touching. One
+            // reservation, however many ranges the grant holds.
+            self.entries.reserve(granted.range_count());
             for range in granted.ranges() {
                 self.entries.push(LockEntry::new(owner, mode, *range));
             }
@@ -186,6 +185,7 @@ impl KeyLockState {
                 i += 1;
             }
         }
+        self.shrink_if_sparse();
     }
 
     /// Releases the unfrozen locks of `owner` in `mode` restricted to `range`,
@@ -193,6 +193,7 @@ impl KeyLockState {
     /// discovering a frozen write lock ("release read-locks acquired above").
     pub fn release_unfrozen_range(&mut self, owner: TxId, mode: LockMode, range: TsRange) {
         while self.take_live(owner, mode, range).is_some() {}
+        self.shrink_if_sparse();
     }
 
     /// The set of timestamps `owner` holds unfrozen in `mode`. What it froze
@@ -239,6 +240,18 @@ impl KeyLockState {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Gives capacity back once the entries fall to a quarter of it, keeping
+    /// twice what is left: a key's lock state then follows its live locks
+    /// instead of the busiest moment it ever had, and a key cycling through
+    /// a few entries keeps its small vector.
+    fn shrink_if_sparse(&mut self) {
+        let capacity = self.entries.capacity();
+        if capacity > MIN_CAPACITY && self.entries.len() <= capacity / 4 {
+            self.entries
+                .shrink_to((self.entries.len() * 2).max(MIN_CAPACITY));
+        }
     }
 
     /// Length of the frozen prefix.
@@ -344,15 +357,16 @@ impl KeyLockState {
     /// Merge adjacent unfrozen entries of the same owner and mode to keep the
     /// representation compact (the point of interval compression).
     fn coalesce(&mut self, owner: TxId, mode: LockMode) {
-        let mut set = TsSet::new();
-        let mut count = 0usize;
-        for e in self.live() {
-            if e.owner == owner && e.mode == mode {
-                set.insert_range(e.range);
-                count += 1;
-            }
+        let count = self
+            .live()
+            .iter()
+            .filter(|e| e.owner == owner && e.mode == mode)
+            .count();
+        if count <= 1 {
+            return;
         }
-        if count <= 1 || set.ranges().len() == count {
+        let set = self.held(owner, mode);
+        if set.range_count() == count {
             // Already compact: `acquire` subtracts what the owner holds, so
             // entries of one owner/mode are disjoint; when none of them merge
             // (no two touch) the representation cannot shrink. This is the

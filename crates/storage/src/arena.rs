@@ -37,8 +37,9 @@ pub struct Version<V> {
 pub const INLINE_VERSIONS: usize = 3;
 
 /// Spill buffers a [`ChainArena`] keeps for reuse; beyond this they are
-/// simply dropped (the arena is per-stripe, so this bounds pooled memory).
-const MAX_POOLED: usize = 64;
+/// simply dropped. The arena is per-stripe and a pooled buffer keeps the
+/// capacity it grew to, so this bounds memory that no chain uses.
+const MAX_POOLED: usize = 8;
 
 /// One stored version and its read high-water mark (`ts` while unread).
 ///
@@ -338,18 +339,22 @@ impl<V: Clone> ArenaChain<V> {
     /// The spans `[ts, read_hw]` of the versions that overlap `range`, in
     /// timestamp order; `⊥`'s span is `[ZERO + 1, read_hw]` and exists only
     /// once `⊥` has been read. Only the version just below `range.start` and
-    /// the versions inside `range` can contribute, so this costs a binary
-    /// search plus the overlap.
+    /// the versions inside `range` can contribute, so this costs two binary
+    /// searches plus the overlap, and the iterator reports a tight upper
+    /// bound on its length.
     pub fn spans(&self, range: TsRange) -> impl Iterator<Item = TsRange> + '_ {
         let first = match self.position(range.start) {
             Ok(index) => index,
             Err(index) => index.saturating_sub(1),
         };
+        let end = match self.position(range.end) {
+            Ok(index) => index + 1,
+            Err(index) => index,
+        };
         let bottom = (first == 0 && self.bottom_read_hw > Timestamp::ZERO)
             .then(|| TsRange::new(Timestamp::ZERO.succ(), self.bottom_read_hw));
-        let versions = (first..self.len())
+        let versions = (first..end)
             .map(move |i| self.entry(i))
-            .take_while(move |slot| slot.ts() <= range.end)
             .map(|slot| TsRange::new(slot.ts(), slot.read_hw()));
         bottom
             .into_iter()

@@ -679,10 +679,11 @@ fn throughput_ratio(table: &FigureTable, x: f64, a: &str, b: &str, threshold: f6
     }
 }
 
-/// The qualitative claims of `table`'s figure. The thresholds sit at or
-/// below halfway between 1.0 and the smallest ratio of ten consecutive
-/// smoke runs on 2 vCPUs (README, "Findings"). Figures without a claim
-/// return none.
+/// The qualitative claims of `table`'s figure. A threshold above 1.0 sits
+/// at or below halfway between 1.0 and the smallest ratio of ten
+/// consecutive smoke runs on 2 vCPUs; one below 1.0 (a protocol keeping a
+/// share of a faster one's throughput) sits at or below half the smallest
+/// ratio (README, "Findings"). Figures without a claim return none.
 #[must_use]
 pub fn shapes(table: &FigureTable) -> Vec<Shape> {
     let early_over = |b: &str, threshold| {
@@ -703,6 +704,9 @@ pub fn shapes(table: &FigureTable) -> Vec<Shape> {
                 holds: r.commit_rate > 0.95,
                 asserted: true,
             })
+            // At 100 % writes MVTIL-early trails MVTO+, which commits every
+            // blind write, but keeps a fixed share of its throughput.
+            .chain([early_over(MVTO.label, 0.08)])
             .collect(),
         "fig6" => GC_PAIRS
             .iter()
