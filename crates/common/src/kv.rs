@@ -27,8 +27,9 @@ pub struct StoreStats {
     /// Total versions removed by purging so far.
     pub purged_versions: usize,
     /// Total interval lock entries currently stored. For the MVTL engines
-    /// these are the live entries plus the frozen read runs, one per version
-    /// a committed transaction read; their frozen write points are the
+    /// these are the live entries of transactions in flight plus the frozen
+    /// read runs, one per version whose read locks outlived a transaction;
+    /// their frozen write points are the
     /// [`versions`](StoreStats::versions) themselves.
     pub lock_entries: usize,
     /// How many of those lock entries are frozen: for the MVTL engines, the

@@ -20,8 +20,10 @@
 //! §3's reading of MVTO+'s per-version read timestamp as one frozen read
 //! lock. A read run never spans a newer version, because no writer can
 //! commit inside a live read lock, so the versions and their runs are
-//! exactly the frozen part of one freezable lock per timestamp (§4.2). The
-//! [`KeyLockState`] holds only live entries, each owned by a transaction.
+//! exactly the frozen part of one freezable lock per timestamp (§4.2).
+//! Whatever read locks a policy keeps past the end of a transaction, on
+//! commit or on abort, become read runs the same way. The [`KeyLockState`]
+//! holds only live entries, each owned by a transaction in flight.
 
 use mvtl_common::{LockMode, Timestamp, TsRange, TsSet, TxId};
 use mvtl_locks::KeyLockState;
@@ -105,16 +107,15 @@ impl<V: Clone> KeyData<V> {
 
     /// Algorithm 1 lines 17-21 on one key for `owner` committing at
     /// `commit_ts`. A written `value` becomes the version at `commit_ts`,
-    /// which is the frozen write lock. With `gc`, each version the owner
-    /// read below `commit_ts` has its read run raised to `commit_ts` and the
-    /// owner's live locks are released; without it they stay, minus the
-    /// commit point of a write.
+    /// which is the frozen write lock. The owner's `read_locks` on the key
+    /// become read runs: with `gc` only their part up to `commit_ts`,
+    /// without it all of them. Then the owner's live locks are released.
     pub(crate) fn commit(
         &mut self,
         owner: TxId,
         commit_ts: Timestamp,
         value: Option<V>,
-        reads: impl Iterator<Item = Timestamp>,
+        read_locks: &TsSet,
         gc: bool,
         arena: &mut ChainArena<V>,
     ) {
@@ -122,15 +123,38 @@ impl<V: Clone> KeyData<V> {
         if let Some(value) = value {
             self.versions.install(commit_ts, value, arena);
         }
-        if gc {
-            for version in reads.filter(|&version| version < commit_ts) {
-                self.versions.raise_read_hw(version, commit_ts);
+        let kept_to = if gc { commit_ts } else { Timestamp::MAX };
+        let split = written.then_some(commit_ts);
+        for range in read_locks.ranges() {
+            if range.start <= kept_to {
+                self.freeze_read(TsRange::new(range.start, range.end.min(kept_to)), split);
             }
-            self.locks.release_unfrozen(owner);
-        } else if written {
-            self.locks
-                .release_unfrozen_range(owner, LockMode::Write, TsRange::point(commit_ts));
         }
+        self.locks.release_unfrozen(owner);
+    }
+
+    /// An abort of `owner` on one key: its `kept_reads` (MVTO+'s read
+    /// timestamps, which an abort never lowers) become read runs, and its
+    /// live locks are released.
+    pub(crate) fn abort(&mut self, owner: TxId, kept_reads: &TsSet) {
+        for range in kept_reads.ranges() {
+            self.freeze_read(*range, None);
+        }
+        self.locks.release_unfrozen(owner);
+    }
+
+    /// Freezes the read lock `range`, which starts just above the version it
+    /// read: that version's read run is raised to `range.end`. No version
+    /// lies inside a live read lock except possibly the owner's own, just
+    /// installed at `split`; the lock then leaves two runs, `(v, split]` and
+    /// `(split, end]`, since a run never passes the next version.
+    fn freeze_read(&mut self, range: TsRange, split: Option<Timestamp>) {
+        let mut from = range.start;
+        if let Some(own) = split.filter(|&own| range.contains(own) && own < range.end) {
+            self.versions.raise_read_hw(from.pred(), own);
+            from = own.succ();
+        }
+        self.versions.raise_read_hw(from.pred(), range.end);
     }
 
     /// The §6 purge of one key: versions below `bound` except the newest one

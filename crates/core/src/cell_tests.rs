@@ -10,11 +10,16 @@
 //!   from there, shrinking below a newer version exactly as the engine does;
 //! * writes lock a random range;
 //! * commits pick a timestamp every read is read-locked up to (and every
-//!   write is write-locked at); the model freezes the write point and, with
-//!   commit-time GC, the read runs `[version+1, commit_ts]`, then releases;
-//!   the cell installs a version, raises read high-water marks and releases;
-//! * aborts release; purges use a bound that never passes a held lock, like
-//!   the engine's watermark, and an idle cell is reclaimed as the store does.
+//!   write is write-locked at); the model freezes the write point and the
+//!   read locks, with commit-time GC only the read runs `[version+1,
+//!   commit_ts]`, without it all of them, then releases; the cell installs
+//!   a version, raises read high-water marks and releases;
+//! * aborts release, or, as MVTL-TO's do, first freeze the read locks;
+//!   purges use a bound that never passes a held lock, like the engine's
+//!   watermark, and an idle cell is reclaimed as the store does.
+//!
+//! After every step, the lock table holds no entry of a finished
+//! transaction.
 //!
 //! The model's purge is the one the versions carry: below the newest version
 //! under the bound, all frozen state goes; from it on, all of it stays.
@@ -179,8 +184,10 @@ impl Model {
             for &version in reads.iter().filter(|&&v| v < commit_ts) {
                 self.freeze(tx, LockMode::Read, TsRange::new(version.succ(), commit_ts));
             }
-            self.release(tx);
+        } else {
+            self.freeze(tx, LockMode::Read, TsRange::all());
         }
+        self.release(tx);
     }
 
     /// Keeps the newest version below `bound` and everything from it on.
@@ -230,8 +237,10 @@ enum Step {
         pick: usize,
         gc: bool,
     },
+    /// An abort; with `keep_reads`, MVTL-TO's, whose read locks stay.
     Abort {
         slot: usize,
+        keep_reads: bool,
     },
     Purge {
         to: usize,
@@ -279,7 +288,7 @@ fn arb_step() -> impl Strategy<Value = Step> {
             pick,
             gc: gc || pick % 4 != 0,
         }),
-        (0..SLOTS).prop_map(|slot| Step::Abort { slot }),
+        (0..SLOTS, any::<bool>()).prop_map(|(slot, keep_reads)| Step::Abort { slot, keep_reads }),
         (0..GRID).prop_map(|to| Step::Purge { to }),
         (0..=SLOTS, any::<bool>(), 0..GRID, 0usize..24).prop_map(|(slot, write, start, len)| {
             Step::Probe {
@@ -455,26 +464,29 @@ fn run_history(steps: &[Step]) -> Result<(), TestCaseError> {
                 let points: Vec<Timestamp> =
                     (0..GRID).map(point).filter(|&p| set.contains(p)).collect();
                 if points.is_empty() || (txn.reads.is_empty() && !txn.wrote) {
-                    data.locks.release_unfrozen(tx);
+                    data.abort(tx, &TsSet::new());
                     model.release(tx);
                 } else {
                     let commit_ts = points[pick % points.len()];
                     let value = txn.wrote.then_some(n as u64);
-                    data.commit(
-                        tx,
-                        commit_ts,
-                        value,
-                        txn.reads.iter().copied(),
-                        gc,
-                        &mut arena,
-                    );
+                    let read_locks = model.held(tx, LockMode::Read);
+                    data.commit(tx, commit_ts, value, &read_locks, gc, &mut arena);
                     model.commit(tx, commit_ts, txn.wrote, &txn.reads, gc);
                 }
                 restart = Some(slot);
             }
-            Step::Abort { slot } => {
-                data.locks.release_unfrozen(ids[slot]);
-                model.release(ids[slot]);
+            Step::Abort { slot, keep_reads } => {
+                let tx = ids[slot];
+                let kept = if keep_reads {
+                    model.held(tx, LockMode::Read)
+                } else {
+                    TsSet::new()
+                };
+                data.abort(tx, &kept);
+                if keep_reads {
+                    model.freeze(tx, LockMode::Read, TsRange::all());
+                }
+                model.release(tx);
                 restart = Some(slot);
             }
             Step::Purge { to } => {
@@ -511,9 +523,13 @@ fn run_history(steps: &[Step]) -> Result<(), TestCaseError> {
             next += 1;
         }
         prop_assert!(
-            data.locks.entries().iter().all(|e| !e.frozen),
-            "the lock table holds a frozen entry after {:?}",
-            step
+            data.locks
+                .entries()
+                .iter()
+                .all(|e| !e.frozen && ids.contains(&e.owner)),
+            "the lock table holds a frozen entry or one of a finished transaction after {:?}: {:?}",
+            step,
+            data.locks.entries()
         );
     }
     Ok(())

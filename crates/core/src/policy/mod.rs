@@ -203,8 +203,11 @@ pub trait LockingPolicy: Send + Sync + 'static {
     }
 
     /// `commit-gc(tx)`: whether to garbage collect the transaction's locks as
-    /// part of commit (freeze read locks up to the commit timestamp, release
-    /// everything else).
+    /// part of commit. With it, a read lock survives the commit only up to
+    /// the commit timestamp; without it, whole. Either way the surviving
+    /// part becomes a frozen read run on the version read, and every live
+    /// lock is released: this decides *which* timestamps stay locked, not
+    /// where that state lives.
     fn commit_gc(&self, tx: &TxState) -> bool;
 
     /// Whether an *aborting* transaction releases its read locks.
@@ -214,6 +217,8 @@ pub trait LockingPolicy: Send + Sync + 'static {
     /// transactions remain", §3), and every policy does so — except
     /// [`ToPolicy`], which keeps them to faithfully emulate MVTO+'s
     /// read-timestamps and therefore exhibits MVTO+'s ghost aborts (§5.5).
+    /// Kept read locks become frozen read runs on the versions read, as on
+    /// a commit without [`commit_gc`](LockingPolicy::commit_gc).
     fn release_read_locks_on_abort(&self) -> bool {
         true
     }

@@ -265,6 +265,48 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_at_an_alternative_splits_its_read_run_at_its_own_version() {
+        let clock = Arc::new(ManualClock::new());
+        for (process, value) in [(0, 44), (1, 50), (2, 60), (3, 45), (4, 55)] {
+            clock.script(ProcessId(process), vec![value]);
+        }
+        let store: MvtlStore<u64, PrefPolicy> = MvtlStore::new(
+            PrefPolicy::with_offsets(vec![-10]),
+            clock as Arc<dyn ClockSource>,
+            MvtlConfig::default(),
+        );
+        let (k, j) = (Key(1), Key(2));
+        let mut w = store.begin(ProcessId(0));
+        store.write(&mut w, j, 1).unwrap();
+        store.commit(w).unwrap();
+        // A reader at 60 keeps T off its preferential 50 on J.
+        let mut reader = store.begin(ProcessId(2));
+        assert_eq!(store.read(&mut reader, j).unwrap(), Some(1));
+        // T read-locks K up to 50, writes K and J, and commits at its
+        // alternative 40, inside its own read lock on K.
+        let mut t = store.begin(ProcessId(1));
+        assert_eq!(store.read(&mut t, k).unwrap(), None);
+        store.write(&mut t, k, 2).unwrap();
+        store.write(&mut t, j, 2).unwrap();
+        let info = store.commit(t).unwrap();
+        assert_eq!(info.commit_ts, Some(Timestamp::new(40, 1)));
+        store.commit(reader).unwrap();
+        // K's read lock left two runs, (⊥, 40] and (40, 50]; J holds the
+        // reader's run above 44. No entry of a finished transaction stays.
+        let stats = store.stats();
+        assert_eq!((stats.lock_entries, stats.frozen_lock_entries), (3, 3));
+        // A writer inside (40, 50] is refused there and at its alternative
+        // 35 below 40; one at 55 commits.
+        let mut inside = store.begin(ProcessId(3));
+        store.write(&mut inside, k, 3).unwrap();
+        assert!(store.commit(inside).unwrap_err().is_abort());
+        let mut above = store.begin(ProcessId(4));
+        store.write(&mut above, k, 4).unwrap();
+        let info = store.commit(above).unwrap();
+        assert_eq!(info.commit_ts, Some(Timestamp::new(55, 4)));
+    }
+
+    #[test]
     fn read_only_transactions_commit() {
         let clock = Arc::new(ManualClock::new());
         clock.script(ProcessId(0), vec![10]);

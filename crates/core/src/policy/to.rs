@@ -19,6 +19,11 @@ use mvtl_common::{AbortReason, Key, Timestamp, TsSet, TxError};
 ///   read-timestamps. This faithfully reproduces MVTO+'s *ghost aborts*
 ///   (Theorem 7 is about removing them — see
 ///   [`GhostbusterPolicy`](crate::policy::GhostbusterPolicy)).
+///
+/// A finished transaction's read lock `[tr+1, ts]` stays as the read run of
+/// the version at `tr`: its read high-water mark is raised to `ts`, which is
+/// exactly MVTO+'s read timestamp (Theorem 5). The lock table keeps no entry
+/// of it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ToPolicy;
 
@@ -134,11 +139,47 @@ mod tests {
         let mut t2 = s.begin(ProcessId(2));
         assert_eq!(s.read(&mut t2, Key(7)).unwrap(), None);
         s.commit(t2).unwrap();
+        // T2's read lock outlives it as a read run on `⊥`, not as a live
+        // entry of a finished transaction.
+        let stats = s.stats();
+        assert_eq!((stats.lock_entries, stats.frozen_lock_entries), (1, 1));
 
         let mut t1 = s.begin(ProcessId(1));
         s.write(&mut t1, Key(7), 11).unwrap();
         let err = s.commit(t1).unwrap_err();
         assert!(err.is_abort(), "T1 must abort: {err:?}");
+    }
+
+    #[test]
+    fn reproduces_the_ghost_abort_of_section_5_5_from_read_runs() {
+        // T3 reads X and commits; T2 reads Y, writes X and aborts on T3's
+        // read; T1 then writes Y below T2's timestamp and aborts on the read
+        // lock T2 left behind, though T2 never committed.
+        let (s, clock) = store_with_manual();
+        for process in 1..=3 {
+            clock.script(ProcessId(process), vec![u64::from(process)]);
+        }
+        let (x, y) = (Key(1), Key(2));
+        let mut t3 = s.begin(ProcessId(3));
+        assert_eq!(s.read(&mut t3, x).unwrap(), None);
+        s.commit(t3).unwrap();
+
+        let mut t2 = s.begin(ProcessId(2));
+        assert_eq!(s.read(&mut t2, y).unwrap(), None);
+        s.write(&mut t2, x, 20).unwrap();
+        assert!(s.commit(t2).unwrap_err().is_abort(), "T2 must abort");
+        // Both read locks outlive their owners as read runs only.
+        let stats = s.stats();
+        assert_eq!((stats.lock_entries, stats.frozen_lock_entries), (2, 2));
+
+        let mut t1 = s.begin(ProcessId(1));
+        s.write(&mut t1, y, 10).unwrap();
+        let err = s.commit(t1).unwrap_err();
+        assert_eq!(
+            err.abort_reason(),
+            Some(&AbortReason::WriteConflict { key: y }),
+            "T1 must ghost-abort"
+        );
     }
 
     #[test]

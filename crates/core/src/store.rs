@@ -228,14 +228,14 @@ where
 
     /// The commit tail shared by [`MvtlStore::commit`] and a prepared
     /// transaction's [`PreparedTxn::commit_at`]: installs versions (each one
-    /// the frozen write lock at `commit_ts`) and garbage collects per policy,
-    /// raising the read runs of the versions read. `commit_ts` must be a
-    /// member of the transaction's commit candidates.
+    /// the frozen write lock at `commit_ts`), turns the read locks the policy
+    /// keeps into read runs on the versions read and releases every live
+    /// lock. `commit_ts` must be a member of the transaction's commit
+    /// candidates.
     ///
     /// One pass over the keys the transaction holds locks on, one stripe
-    /// latch per key; without commit-time GC only the written keys need one.
-    /// Every written key is among them: `commit_ts` is write-locked on each
-    /// written key.
+    /// latch per key. Every written key is among them: `commit_ts` is
+    /// write-locked on each written key.
     fn finish_commit(&self, txn: &mut MvtlTransaction<V>, commit_ts: Timestamp) -> CommitInfo {
         // Line 21: optional garbage collection (Algorithm 1, `gc`).
         let gc = self.policy.commit_gc(&txn.state);
@@ -243,23 +243,15 @@ where
             state: tx,
             write_values,
         } = txn;
-        for (key, _) in tx.held.iter() {
+        for (key, held) in tx.held.iter() {
             let value = write_values
                 .iter()
                 .position(|(k, _)| *k == key)
                 .map(|i| write_values.swap_remove(i).1);
-            if value.is_none() && !gc {
-                continue;
-            }
             // Lines 17-21 under one latch, so observers never see a
             // committed version without its frozen read runs.
-            let reads = tx
-                .read_set
-                .iter()
-                .filter(|(k, _)| *k == key)
-                .map(|(_, version)| *version);
             self.with_cell_notify(key, |data, arena| {
-                data.commit(tx.id, commit_ts, value, reads, gc, arena);
+                data.commit(tx.id, commit_ts, value, &held.read, gc, arena);
             });
         }
         assert!(write_values.is_empty(), "a written key holds no lock");
@@ -286,18 +278,12 @@ where
     }
 
     fn abort_internal(&self, tx: &mut TxState) {
-        let release_reads = self.policy.release_read_locks_on_abort();
-        for (key, _) in tx.held.iter() {
-            self.with_cell_notify(key, |data, _| {
-                if release_reads {
-                    data.locks.release_unfrozen(tx.id);
-                } else {
-                    // Emulating MVTO+: pending writes disappear but the
-                    // read-timestamp footprint (read locks) stays behind.
-                    data.locks
-                        .release_unfrozen_range(tx.id, LockMode::Write, TsRange::all());
-                }
-            });
+        let keep_reads = !self.policy.release_read_locks_on_abort();
+        let none = TsSet::new();
+        for (key, held) in tx.held.iter() {
+            // A policy emulating MVTO+ keeps its read locks, as read runs.
+            let kept = if keep_reads { &held.read } else { &none };
+            self.with_cell_notify(key, |data, _| data.abort(tx.id, kept));
         }
         tx.status = TxStatus::Aborted;
         if let Some(pin) = tx.gc_pin.take() {
@@ -880,18 +866,16 @@ mod tests {
         assert_eq!(stats.keys, 5);
         assert_eq!(stats.versions, 5);
         // The frozen write locks are the versions, not lock entries.
-        assert_eq!(stats.frozen_lock_entries, 0);
+        assert_eq!((stats.lock_entries, stats.frozen_lock_entries), (0, 0));
         // MVTL-TO does not garbage collect on commit: a committed reader's
-        // read locks stay live, one entry per key.
-        let before = stats.lock_entries;
+        // whole read locks stay, as one frozen read run per key.
         let mut tx = s.begin(ProcessId(0));
         for i in 0..5u64 {
             assert_eq!(s.read(&mut tx, Key(i)).unwrap(), Some(i));
         }
         s.commit(tx).unwrap();
         let stats = s.stats();
-        assert_eq!(stats.lock_entries, before + 5);
-        assert_eq!(stats.frozen_lock_entries, 0);
+        assert_eq!((stats.lock_entries, stats.frozen_lock_entries), (5, 5));
     }
 
     #[test]
@@ -1056,19 +1040,21 @@ mod tests {
         s.commit(tx).unwrap();
     }
 
-    /// The timestamps `owner` holds unfrozen on `key` in `mode`.
+    /// The entries of `key`'s lock table that `owner` owns.
     fn owned<P: LockingPolicy>(
         s: &MvtlStore<u64, P>,
         key: Key,
         owner: mvtl_common::TxId,
-        mode: LockMode,
-    ) -> TsSet {
+    ) -> Vec<mvtl_locks::LockEntry> {
         let guard = s.cells.stripe_for(key).data.lock();
-        guard
-            .map
-            .get(key)
-            .map(|data| data.locks.held(owner, mode))
-            .unwrap_or_default()
+        guard.map.get(key).map_or_else(Vec::new, |data| {
+            data.locks
+                .entries()
+                .iter()
+                .filter(|e| e.owner == owner)
+                .copied()
+                .collect()
+        })
     }
 
     /// The frozen timestamps of `key` in `mode`, read off its version chain:
@@ -1093,15 +1079,20 @@ mod tests {
         }
     }
 
-    /// Commits one transaction through the prepare path (so the lock mirror
-    /// includes commit-time locks) and checks what it leaves on every key it
-    /// touched against Algorithm 1's commit and `gc`, computed from the
-    /// mirror: the version (frozen write point) on each written key; with
-    /// `commit_gc` the frozen read run `[version+1, commit_ts]` of each read
-    /// and nothing unfrozen; without it every other lock untouched.
-    fn check_commit_end_state<P: LockingPolicy>(
+    /// Prepares one transaction (so the lock mirror includes commit-time
+    /// locks), then commits it, or with `abort` drops it undecided, and
+    /// checks what it leaves on every key it touched against Algorithm 1's
+    /// commit and `gc`, computed from the mirror. A commit leaves the
+    /// version (frozen write point) on each written key and turns the read
+    /// locks the policy keeps into frozen read runs: with `commit_gc` the
+    /// runs `[version+1, commit_ts]` of its reads, without it every read
+    /// lock. An abort leaves its read locks frozen when the policy keeps
+    /// them ([`LockingPolicy::release_read_locks_on_abort`]), and nothing
+    /// else. Either way no entry of the transaction stays in a lock table.
+    fn check_end_state<P: LockingPolicy>(
         s: &Arc<MvtlStore<u64, P>>,
         process: ProcessId,
+        abort: bool,
         body: impl FnOnce(&mut MvtlTransaction<u64>),
     ) {
         let mut tx = s.begin(process);
@@ -1115,7 +1106,7 @@ mod tests {
         let mut keys: Vec<Key> = before.held.iter().map(|(k, _)| k).collect();
         keys.extend(before.read_set.iter().map(|(k, _)| *k));
         keys.extend(before.write_keys.iter().copied());
-        let prefix_before: Vec<[TsSet; 2]> = keys
+        let frozen_before: Vec<[TsSet; 2]> = keys
             .iter()
             .map(|k| {
                 [
@@ -1124,12 +1115,17 @@ mod tests {
                 ]
             })
             .collect();
-        PreparedTxn::commit_at(Box::new(prepared), commit_ts).expect("commit");
+        if abort {
+            drop(prepared);
+        } else {
+            PreparedTxn::commit_at(Box::new(prepared), commit_ts).expect("commit");
+        }
         let gc = s.policy().commit_gc(&before);
         let point = TsSet::from_point(commit_ts);
-        for (key, [write_before, read_before]) in keys.into_iter().zip(prefix_before) {
+        let name = s.policy().name();
+        for (key, [write_before, read_before]) in keys.into_iter().zip(frozen_before) {
             let held = before.locks_on(key).cloned().unwrap_or_default();
-            let written = before.write_keys.contains(&key);
+            let written = !abort && before.write_keys.contains(&key);
             let read_run = before
                 .read_set
                 .iter()
@@ -1137,27 +1133,16 @@ mod tests {
                 .fold(TsSet::new(), |run, (_, v)| {
                     run.union(&TsSet::from_range(TsRange::new(v.succ(), commit_ts)))
                 });
-            let (frozen_read, unfrozen_read, unfrozen_write) = if gc {
-                (
-                    held.read.intersection(&read_run),
-                    TsSet::new(),
-                    TsSet::new(),
-                )
-            } else {
-                (
-                    TsSet::new(),
-                    held.read.clone(),
-                    held.write.difference(&point),
-                )
+            let frozen_read = match (abort, gc) {
+                (true, _) if s.policy().release_read_locks_on_abort() => TsSet::new(),
+                (true, _) | (false, false) => held.read.clone(),
+                (false, true) => held.read.intersection(&read_run),
             };
-            if gc && !written {
+            if gc && !abort && !written {
                 assert_eq!(frozen_read, read_run, "{key:?}: read run not fully held");
             }
-            let id = before.id;
-            let name = s.policy().name();
             let frozen_write = if written { point.clone() } else { TsSet::new() };
-            // What the commit adds to the ownerless prefix; a frozen write
-            // hides the frozen read at the same timestamp.
+            // A frozen write hides the frozen read at the same timestamp.
             let write_after = write_before.union(&frozen_write);
             assert_eq!(
                 frozen(s, key, LockMode::Write),
@@ -1170,56 +1155,62 @@ mod tests {
                 "{name} {key:?}: frozen read"
             );
             assert_eq!(
-                owned(s, key, id, LockMode::Write),
-                unfrozen_write,
-                "{name} {key:?}: unfrozen write"
-            );
-            assert_eq!(
-                owned(s, key, id, LockMode::Read),
-                unfrozen_read,
-                "{name} {key:?}: unfrozen read"
+                owned(s, key, before.id),
+                [],
+                "{name} {key:?}: entries of a finished transaction"
             );
         }
     }
 
-    fn check_policy_commit_end_state<P: LockingPolicy>(policy: P) {
+    /// A blind preload, then a transaction that reads only (1, 5), reads and
+    /// writes (2) and writes only (4); key 5 was never written. The second
+    /// one commits, or with `abort` is aborted after preparing.
+    fn check_policy_end_state<P: LockingPolicy>(policy: P, abort: bool) {
         let s = Arc::new(MvtlStore::new(
             policy,
             Arc::new(GlobalClock::new()),
             MvtlConfig::default(),
         ));
-        // A blind preload, then a transaction that reads only (1, 5), reads
-        // and writes (2) and writes only (4); key 5 was never written.
-        check_commit_end_state(&s, ProcessId(0), |tx| {
+        check_end_state(&s, ProcessId(0), false, |tx| {
             for k in 1..=3u64 {
                 s.write(tx, Key(k), k).unwrap();
             }
         });
-        check_commit_end_state(&s, ProcessId(1), |tx| {
+        check_end_state(&s, ProcessId(1), abort, |tx| {
             assert_eq!(s.read(tx, Key(1)).unwrap(), Some(1));
             assert_eq!(s.read(tx, Key(2)).unwrap(), Some(2));
             s.write(tx, Key(2), 20).unwrap();
             s.write(tx, Key(4), 40).unwrap();
             assert_eq!(s.read(tx, Key(5)).unwrap(), None);
         });
-        assert_eq!(s.snapshot_read(Key(2), Timestamp::MAX), Some(20));
-        assert_eq!(s.snapshot_read(Key(4), Timestamp::MAX), Some(40));
+        let (two, four) = if abort { (2, None) } else { (20, Some(40)) };
+        assert_eq!(s.snapshot_read(Key(2), Timestamp::MAX), Some(two));
+        assert_eq!(s.snapshot_read(Key(4), Timestamp::MAX), four);
     }
 
-    #[test]
-    fn commit_leaves_frozen_write_points_and_read_runs_only() {
+    fn check_every_policy_end_state(abort: bool) {
         use crate::policy::{
             EpsilonPolicy, GhostbusterPolicy, MvtilPolicy, PessimisticPolicy, PrefPolicy,
             PrioPolicy,
         };
-        check_policy_commit_end_state(MvtilPolicy::early(1_000));
-        check_policy_commit_end_state(MvtilPolicy::late(1_000));
-        check_policy_commit_end_state(EpsilonPolicy::new(50));
-        check_policy_commit_end_state(GhostbusterPolicy::new());
-        check_policy_commit_end_state(PessimisticPolicy::new());
-        check_policy_commit_end_state(PrioPolicy::new());
-        check_policy_commit_end_state(PrefPolicy::new());
-        check_policy_commit_end_state(ToPolicy::new());
+        check_policy_end_state(MvtilPolicy::early(1_000), abort);
+        check_policy_end_state(MvtilPolicy::late(1_000), abort);
+        check_policy_end_state(EpsilonPolicy::new(50), abort);
+        check_policy_end_state(GhostbusterPolicy::new(), abort);
+        check_policy_end_state(PessimisticPolicy::new(), abort);
+        check_policy_end_state(PrioPolicy::new(), abort);
+        check_policy_end_state(PrefPolicy::new(), abort);
+        check_policy_end_state(ToPolicy::new(), abort);
+    }
+
+    #[test]
+    fn commit_leaves_frozen_write_points_and_read_runs_only() {
+        check_every_policy_end_state(false);
+    }
+
+    #[test]
+    fn abort_leaves_only_the_read_runs_its_policy_keeps() {
+        check_every_policy_end_state(true);
     }
 
     #[test]

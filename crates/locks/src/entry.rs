@@ -11,9 +11,9 @@ use serde::{Deserialize, Serialize};
 /// an entire interval".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LockEntry {
-    /// Transaction holding the lock. Meaningless on a frozen entry: frozen
-    /// runs of different transactions merge, so they belong to no one (see
-    /// [`crate::KeyLockState`]).
+    /// Transaction holding the lock. A frozen entry still names the
+    /// transaction that froze it, but blocks that transaction too: nobody
+    /// acquires after freezing (see [`crate::KeyLockState`]).
     pub owner: TxId,
     /// Read or write mode.
     pub mode: LockMode,
@@ -44,6 +44,12 @@ impl LockEntry {
     #[must_use]
     pub fn conflicts_with(&self, requester: TxId, mode: LockMode, range: &TsRange) -> bool {
         self.owner != requester && self.mode.conflicts_with(mode) && self.range.overlaps(range)
+    }
+
+    /// Whether this is an unfrozen lock of `owner` in `mode`.
+    #[must_use]
+    pub fn is_live(&self, owner: TxId, mode: LockMode) -> bool {
+        !self.frozen && self.owner == owner && self.mode == mode
     }
 
     /// The part of this entry's range overlapping `range`, if any.

@@ -16,20 +16,18 @@
 //! frozen)` entries. This is the "interval compression" of §6. All MVTL
 //! engines build on it.
 //!
-//! Frozen locks are kept ownerless, merged and sorted at the front of that
-//! list. No transaction acquires a lock after freezing one, so nobody needs
-//! to know who owns a frozen lock, and all committed readers of a version
-//! share one frozen read run — §3's reading of MVTO+'s per-version read
-//! timestamp as one frozen read lock. A lock operation on a hot key then
-//! costs a binary search over the frozen runs plus a scan of the live
-//! entries, which are bounded by the transactions in flight.
+//! A frozen entry blocks every conflicting request, its owner's included:
+//! no transaction acquires a lock after freezing one. A lock operation costs
+//! one scan of the key's entries.
 //!
-//! The MVTL engine (`mvtl-core`) no longer freezes into this table: it keeps
+//! The MVTL engine (`mvtl-core`) never freezes into this table: it keeps
 //! its frozen locks on the versions themselves (a committed write is its
-//! version, committed reads raise the version's read high-water mark), and
-//! its `KeyLockState`s hold only live entries. The frozen prefix and
-//! [`KeyLockState::freeze`] stay, with the semantics above, for the repo
-//! benchmark's lock-table probe, which measures them directly.
+//! version, and a finished transaction's surviving read locks raise the
+//! read high-water mark of the version they follow), so its
+//! `KeyLockState`s hold only entries of transactions in flight.
+//! [`KeyLockState::freeze`] stays, with the semantics above, for the repo
+//! benchmark's lock-table probe, which measures a table holding frozen
+//! entries.
 //!
 //! `KeyLockState` is a plain data structure with no internal synchronization;
 //! callers (the engines) wrap it in a per-key latch, exactly like the paper's

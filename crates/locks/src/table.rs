@@ -10,10 +10,9 @@ use serde::{Deserialize, Serialize};
 /// counters are what the state-size experiment (Figure 6) reads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LockStateStats {
-    /// Number of interval lock entries currently stored: frozen runs plus
-    /// live entries.
+    /// Number of interval lock entries currently stored, frozen or not.
     pub entries: usize,
-    /// How many of those entries are frozen runs.
+    /// How many of those entries are frozen.
     pub frozen_entries: usize,
 }
 
@@ -28,36 +27,27 @@ impl LockStateStats {
     }
 }
 
-/// The owner recorded on frozen runs, which belong to no transaction.
-const NO_OWNER: TxId = TxId(0);
-
 /// The capacity a key's entry vector never shrinks below: the smallest
 /// allocation a `Vec` of entries makes anyway.
 const MIN_CAPACITY: usize = 4;
 
-/// The complete lock state of one key: a list of interval lock entries.
+/// The complete lock state of one key: a list of interval lock entries, in
+/// no particular order.
 ///
 /// Conceptually this is one freezable lock per timestamp (an infinite family);
-/// concretely it stores only the intervals that transactions actually locked,
-/// in two parts of one vector:
+/// concretely it stores only the intervals that transactions actually locked.
+/// Each entry is owned by one transaction. An owner's unfrozen entries in one
+/// mode are disjoint and merged wherever they touch.
 ///
-/// * `entries[..f]`, the **frozen prefix** (`f` is the number of entries
-///   with `frozen` set): ownerless runs, sorted by start and pairwise
-///   disjoint, each in one mode. Touching runs of the same mode are merged,
-///   and where a frozen write meets a frozen read the write wins, because it
-///   blocks a superset. So every committed reader of a version extends one
-///   read run instead of leaving an entry of its own, and a lookup is a
-///   binary search.
-/// * `entries[f..]`, the **live suffix**: unfrozen entries, each owned by an
-///   in-flight transaction (or, under policies without commit-time GC, by a
-///   committed one), in no particular order.
+/// A frozen entry blocks every request in a conflicting mode, its owner's
+/// included. That relies on one precondition: **no transaction acquires a
+/// lock after it freezes one**. The MVTL engine (`mvtl-core`) never freezes
+/// here: a finished transaction's frozen locks live on the versions, so its
+/// tables hold only entries of transactions in flight. [`KeyLockState::freeze`]
+/// stays for callers that measure a table holding frozen entries.
 ///
-/// Dropping the owner of a frozen lock relies on one precondition: **no
-/// transaction acquires a lock after it freezes one** (every engine freezes
-/// only while committing). So nobody asks who owns a frozen lock; a
-/// transaction's own frozen locks would block it like anyone else's. Both
-/// parts share the one vector on purpose: a key's lock state stays 24 bytes
-/// inline, which matters for stores holding many mostly idle keys.
+/// The vector is the whole state on purpose: a key's lock state stays 24
+/// bytes inline, which matters for stores holding many mostly idle keys.
 ///
 /// The structure is intentionally free of synchronization: engines wrap it in a
 /// per-key latch (mutex) and, where the paper's algorithms *wait* for unfrozen
@@ -82,22 +72,20 @@ impl KeyLockState {
     /// blocked by frozen conflicting locks (waiting can never help).
     #[must_use]
     pub fn analyze(&self, owner: TxId, mode: LockMode, desired: TsRange) -> AcquireAnalysis {
-        let (frozen, live) = self.entries.split_at(self.frozen_len());
-        // The conflict is limited to the overlap with the request.
+        let mut frozen_conflicts = TsSet::new();
+        // One pass; the conflict is limited to the overlap with the request.
         let blocked_unfrozen = TsSet::from_ranges(
-            live.iter()
-                .filter(|entry| entry.conflicts_with(owner, mode, &desired))
-                .filter_map(|entry| entry.overlap(&desired)),
-        );
-        // The runs overlapping `desired` are consecutive in the prefix, so
-        // their overlaps arrive sorted.
-        let first = frozen.partition_point(|run| run.range.end < desired.start);
-        let frozen_conflicts = TsSet::from_ranges(
-            frozen[first..]
+            self.entries
                 .iter()
-                .take_while(|run| run.range.start <= desired.end)
-                .filter(|run| run.mode.conflicts_with(mode))
-                .filter_map(|run| run.overlap(&desired)),
+                .filter(|entry| entry.mode.conflicts_with(mode))
+                .filter_map(|entry| {
+                    let overlap = entry.overlap(&desired)?;
+                    if entry.frozen {
+                        frozen_conflicts.insert_range(overlap);
+                        return None;
+                    }
+                    (entry.owner != owner).then_some(overlap)
+                }),
         );
         let mut grantable = TsSet::from_range(desired);
         if !blocked_unfrozen.is_empty() {
@@ -123,11 +111,7 @@ impl KeyLockState {
         if granted.is_empty() {
             return;
         }
-        if !self
-            .live()
-            .iter()
-            .any(|e| e.owner == owner && e.mode == mode)
-        {
+        if !self.entries.iter().any(|e| e.is_live(owner, mode)) {
             // Nothing of the owner's to overlap or merge with: the ranges of
             // a canonical set are already disjoint and non-touching. One
             // reservation, however many ranges the grant holds.
@@ -161,30 +145,23 @@ impl KeyLockState {
 
     /// Freezes the locks `owner` holds in `mode` on the timestamps of `range`.
     ///
-    /// The covered part leaves the owner's live entries (split as needed) for
-    /// the ownerless frozen prefix. Freezing timestamps the owner does not
-    /// hold is a no-op (the generic algorithm only freezes what it acquired).
-    /// The owner must not acquire anything afterwards (see [`KeyLockState`]).
+    /// The covered part of each of the owner's live entries is split off and
+    /// marked frozen in place. Freezing timestamps the owner does not hold is
+    /// a no-op (the generic algorithm only freezes what it acquired). The
+    /// owner must not acquire anything afterwards (see [`KeyLockState`]).
     pub fn freeze(&mut self, owner: TxId, mode: LockMode, range: TsRange) {
         while let Some(taken) = self.take_live(owner, mode, range) {
-            match mode {
-                LockMode::Write => self.insert_run(mode, taken),
-                LockMode::Read => self.insert_read_run(taken),
-            }
+            self.entries.push(LockEntry {
+                frozen: true,
+                ..LockEntry::new(owner, mode, taken)
+            });
         }
     }
 
     /// Releases every unfrozen lock of `owner` (both modes). Frozen locks stay
     /// forever (until purged together with their versions).
     pub fn release_unfrozen(&mut self, owner: TxId) {
-        let mut i = self.frozen_len();
-        while i < self.entries.len() {
-            if self.entries[i].owner == owner {
-                self.entries.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
+        self.entries.retain(|e| e.frozen || e.owner != owner);
         self.shrink_if_sparse();
     }
 
@@ -197,21 +174,21 @@ impl KeyLockState {
     }
 
     /// The set of timestamps `owner` holds unfrozen in `mode`. What it froze
-    /// is part of the ownerless frozen prefix and not reported.
+    /// is not reported.
     #[must_use]
     pub fn held(&self, owner: TxId, mode: LockMode) -> TsSet {
         TsSet::from_ranges(
-            self.live()
+            self.entries
                 .iter()
-                .filter(|e| e.owner == owner && e.mode == mode)
+                .filter(|e| e.is_live(owner, mode))
                 .map(|e| e.range),
         )
     }
 
     /// Removes lock entries that lie entirely below `bound`; called when the
     /// versions below `bound` are purged (§6: "this state can be discarded when
-    /// the associated version of the object is purged"). In the frozen prefix
-    /// these are the leading runs; a run reaching `bound` stays whole.
+    /// the associated version of the object is purged"). An entry reaching
+    /// `bound` stays whole.
     ///
     /// Returns the number of entries removed.
     pub fn purge_below(&mut self, bound: Timestamp) -> usize {
@@ -225,12 +202,11 @@ impl KeyLockState {
     pub fn stats(&self) -> LockStateStats {
         LockStateStats {
             entries: self.entries.len(),
-            frozen_entries: self.frozen_len(),
+            frozen_entries: self.entries.iter().filter(|e| e.frozen).count(),
         }
     }
 
-    /// All entries, for inspection and debugging: the frozen prefix (sorted,
-    /// ownerless) followed by the live entries.
+    /// All entries, for inspection and debugging, in no particular order.
     #[must_use]
     pub fn entries(&self) -> &[LockEntry] {
         &self.entries
@@ -254,24 +230,14 @@ impl KeyLockState {
         }
     }
 
-    /// Length of the frozen prefix.
-    fn frozen_len(&self) -> usize {
-        self.entries.partition_point(|e| e.frozen)
-    }
-
-    fn live(&self) -> &[LockEntry] {
-        &self.entries[self.frozen_len()..]
-    }
-
     /// Removes the part inside `range` of one live entry of `owner` in `mode`
     /// and returns it; the entry's remainders stay live. `None` when no such
     /// entry overlaps `range`.
     fn take_live(&mut self, owner: TxId, mode: LockMode, range: TsRange) -> Option<TsRange> {
-        let f = self.frozen_len();
-        let i = f + self.entries[f..]
+        let i = self
+            .entries
             .iter()
-            .position(|e| e.owner == owner && e.mode == mode && e.range.overlaps(&range))?;
-        // Live entries are unordered, and the last entry is live as well.
+            .position(|e| e.is_live(owner, mode) && e.range.overlaps(&range))?;
         let entry = self.entries.swap_remove(i);
         let taken = entry.range.intersection(&range)?;
         if entry.range.start < taken.start {
@@ -291,76 +257,13 @@ impl KeyLockState {
         Some(taken)
     }
 
-    /// Adds the frozen read `range` to the prefix wherever no frozen write run
-    /// covers it: one [`KeyLockState::insert_run`] per uncovered piece.
-    fn insert_read_run(&mut self, range: TsRange) {
-        let mut from = range.start;
-        loop {
-            let frozen = &self.entries[..self.frozen_len()];
-            let first = frozen.partition_point(|run| run.range.end < from);
-            let write = frozen[first..]
-                .iter()
-                .take_while(|run| run.range.start <= range.end)
-                .find(|run| run.mode == LockMode::Write)
-                .map(|run| run.range);
-            let Some(write) = write else {
-                return self.insert_run(LockMode::Read, TsRange::new(from, range.end));
-            };
-            if from < write.start {
-                self.insert_run(LockMode::Read, TsRange::new(from, write.start.pred()));
-            }
-            if write.end >= range.end {
-                return;
-            }
-            from = write.end.succ();
-        }
-    }
-
-    /// Adds the frozen run `range` in `mode` to the prefix: it merges with the
-    /// runs of its mode that it overlaps or touches and is cut out of the
-    /// other mode's runs. A read `range` must overlap no write run (see
-    /// [`KeyLockState::insert_read_run`]), so only write runs ever cut.
-    fn insert_run(&mut self, mode: LockMode, range: TsRange) {
-        let f = self.frozen_len();
-        // The window of runs overlapping or touching `range`.
-        let lo = self.entries[..f].partition_point(|run| run.range.end.succ() < range.start);
-        let hi =
-            lo + self.entries[lo..f].partition_point(|run| run.range.start <= range.end.succ());
-        let mut merged = range;
-        let (mut before, mut after) = (None, None);
-        for run in &self.entries[lo..hi] {
-            if run.mode == mode {
-                merged.start = merged.start.min(run.range.start);
-                merged.end = merged.end.max(run.range.end);
-                continue;
-            }
-            if run.range.start < range.start {
-                let end = run.range.end.min(range.start.pred());
-                before = Some(frozen_run(run.mode, TsRange::new(run.range.start, end)));
-            }
-            if run.range.end > range.end {
-                let start = run.range.start.max(range.end.succ());
-                after = Some(frozen_run(run.mode, TsRange::new(start, run.range.end)));
-            }
-        }
-        let mut runs = [frozen_run(mode, merged); 3];
-        let mut n = 0;
-        for run in [before, Some(runs[0]), after].into_iter().flatten() {
-            runs[n] = run;
-            n += 1;
-        }
-        // A slice iterator reports its exact length, so the splice shifts the
-        // live suffix once and allocates nothing beyond the vector itself.
-        self.entries.splice(lo..hi, runs[..n].iter().copied());
-    }
-
     /// Merge adjacent unfrozen entries of the same owner and mode to keep the
     /// representation compact (the point of interval compression).
     fn coalesce(&mut self, owner: TxId, mode: LockMode) {
         let count = self
-            .live()
+            .entries
             .iter()
-            .filter(|e| e.owner == owner && e.mode == mode)
+            .filter(|e| e.is_live(owner, mode))
             .count();
         if count <= 1 {
             return;
@@ -373,21 +276,10 @@ impl KeyLockState {
             // common case and touches no entry.
             return;
         }
-        self.entries
-            .retain(|e| !(e.owner == owner && e.mode == mode && !e.frozen));
+        self.entries.retain(|e| !e.is_live(owner, mode));
         for range in set.ranges() {
             self.entries.push(LockEntry::new(owner, mode, *range));
         }
-    }
-}
-
-/// A run of the frozen prefix.
-fn frozen_run(mode: LockMode, range: TsRange) -> LockEntry {
-    LockEntry {
-        owner: NO_OWNER,
-        mode,
-        range,
-        frozen: true,
     }
 }
 
@@ -405,15 +297,6 @@ mod tests {
 
     fn r(a: u64, b: u64) -> TsRange {
         TsRange::new(ts(a), ts(b))
-    }
-
-    /// The frozen prefix as `(mode, range)` pairs.
-    fn runs(s: &KeyLockState) -> Vec<(LockMode, TsRange)> {
-        s.entries()
-            .iter()
-            .take_while(|e| e.frozen)
-            .map(|e| (e.mode, e.range))
-            .collect()
     }
 
     #[test]
@@ -487,58 +370,24 @@ mod tests {
     }
 
     #[test]
-    fn frozen_runs_of_different_readers_merge() {
-        let mut s = KeyLockState::new();
-        for (tx, end) in [(1, 9), (2, 12), (3, 20), (4, 5)] {
-            s.acquire_grantable(TxId(tx), LockMode::Read, r(3, end));
-            s.freeze(TxId(tx), LockMode::Read, r(3, end));
-        }
-        // A touching run merges as well; one past a gap does not.
-        for range in [TsRange::new(ts(20).succ(), ts(22)), r(30, 31)] {
-            s.acquire_grantable(T1, LockMode::Read, range);
-            s.freeze(T1, LockMode::Read, range);
-        }
-        assert_eq!(
-            runs(&s),
-            [(LockMode::Read, r(3, 22)), (LockMode::Read, r(30, 31))]
-        );
-        assert_eq!(s.stats().entries, 2);
-    }
-
-    #[test]
-    fn frozen_write_wins_over_frozen_read() {
-        let below_8 = TsRange::new(ts(3), ts(8).pred());
-        // A transaction that read version 2 and wrote at 8 freezes its write
-        // point, then its read run [3, 8]: the run stops below the write.
-        let mut s = KeyLockState::new();
-        s.acquire_grantable(T1, LockMode::Read, r(3, 8));
-        s.acquire_grantable(T1, LockMode::Write, r(8, 8));
-        s.freeze(T1, LockMode::Write, r(8, 8));
-        s.freeze(T1, LockMode::Read, r(3, 8));
-        s.release_unfrozen(T1);
-        assert_eq!(
-            runs(&s),
-            [(LockMode::Read, below_8), (LockMode::Write, r(8, 8))]
-        );
-        // In the other order, the write point is cut out of the read run.
+    fn frozen_entries_block_by_mode_and_block_their_owner() {
+        // A transaction that read [3, 10] and wrote at 8 freezes both.
         let mut s = KeyLockState::new();
         s.acquire_grantable(T1, LockMode::Read, r(3, 10));
         s.acquire_grantable(T1, LockMode::Write, r(8, 8));
         s.freeze(T1, LockMode::Read, r(3, 10));
         s.freeze(T1, LockMode::Write, r(8, 8));
-        assert_eq!(
-            runs(&s),
-            [
-                (LockMode::Read, below_8),
-                (LockMode::Write, r(8, 8)),
-                (LockMode::Read, TsRange::new(ts(8).succ(), ts(10))),
-            ]
-        );
-        // Frozen reads block writers only; the frozen write blocks readers too.
-        let read = s.analyze(T2, LockMode::Read, r(3, 10));
+        assert_eq!(s.stats().frozen_entries, 2);
+        assert!(s.held(T1, LockMode::Read).is_empty());
+        // Frozen reads block writers only; the frozen write blocks readers
+        // too. Neither waits: both are frozen conflicts.
+        let read = s.analyze(T2, LockMode::Read, r(1, 12));
         assert_eq!(read.frozen_conflicts.ranges(), &[r(8, 8)]);
-        let write = s.analyze(T2, LockMode::Write, r(3, 10));
+        assert!(read.blocked_unfrozen.is_empty());
+        let write = s.analyze(T2, LockMode::Write, r(1, 12));
         assert_eq!(write.frozen_conflicts.ranges(), &[r(3, 10)]);
+        // The owner's own frozen locks block it like anyone else's.
+        assert_eq!(s.analyze(T1, LockMode::Write, r(1, 12)), write);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! (Appendix A) relies on.
 
 use mvtl_common::{LockMode, Timestamp, TsRange, TsSet, TxId};
-use mvtl_locks::KeyLockState;
+use mvtl_locks::{KeyLockState, LockEntry};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -69,18 +69,16 @@ fn range(start: u64, len: u64) -> TsRange {
 
 /// Check that no two live entries of different owners conflict on an
 /// overlapping range, and that a live entry overlaps a conflicting frozen
-/// run only where its own owner froze that mode (`froze[tx][mode]`).
+/// entry only where its own owner froze that mode (`froze[tx][mode]`).
 fn no_conflicting_grants(state: &KeyLockState, froze: &HashMap<TxId, [TsSet; 2]>) -> bool {
-    let entries = state.entries();
-    let f = entries.iter().take_while(|e| e.frozen).count();
-    let (prefix, live) = entries.split_at(f);
+    let (frozen, live): (Vec<&LockEntry>, Vec<_>) = state.entries().iter().partition(|e| e.frozen);
     for (i, a) in live.iter().enumerate() {
         for b in live.iter().skip(i + 1) {
             if a.owner != b.owner && a.mode.conflicts_with(b.mode) && a.range.overlaps(&b.range) {
                 return false;
             }
         }
-        for run in prefix {
+        for run in &frozen {
             let Some(overlap) = run.range.intersection(&a.range) else {
                 continue;
             };

@@ -1,12 +1,12 @@
-//! Oracle test of the frozen-prefix lock table against §4.2 read literally:
-//! one freezable readers-writer lock per timestamp.
+//! Oracle test of the lock table against §4.2 read literally: one freezable
+//! readers-writer lock per timestamp.
 //!
 //! The model records, for every timestamp, which transactions hold it and
 //! which froze it, per mode. Random histories of acquire, freeze, release,
 //! release-range and purge (with a non-decreasing bound) run against the
 //! model and [`KeyLockState`] side by side. In none of them does a
 //! transaction acquire after its first freeze: that is the precondition
-//! under which the table may forget who owns a frozen lock.
+//! under which a frozen entry may block its own owner.
 //!
 //! Timestamps are `(value, process)` pairs as in `proptest_tsset.rs`. The
 //! grid's 64 points are `(i / 4, i % 4)`, so between `(v, 3)` and `(v + 1, 0)`
@@ -244,23 +244,11 @@ fn arb_step() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// The prefix invariant: frozen entries first, then live ones; frozen runs
-/// sorted, disjoint, and touching only where their modes differ.
-fn prefix_is_canonical(table: &KeyLockState) -> bool {
-    let entries = table.entries();
-    let f = entries.iter().take_while(|e| e.frozen).count();
-    entries[f..].iter().all(|e| !e.frozen)
-        && entries[..f].windows(2).all(|w| {
-            w[0].range.end < w[1].range.start
-                && (w[0].mode != w[1].mode || !w[0].range.touches(&w[1].range))
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn frozen_prefix_matches_one_lock_per_timestamp(
+    fn lock_table_matches_one_lock_per_timestamp(
         steps in proptest::collection::vec(arb_step(), 1..80)
     ) {
         let mut table = KeyLockState::new();
@@ -317,8 +305,8 @@ proptest! {
                     if desired.start >= bound {
                         prop_assert_eq!(&got, &expected, "{:?} by {:?}", step, tx);
                     } else {
-                        // Below the bound a purge keeps a run that reaches
-                        // the bound whole: more frozen, never less.
+                        // Below the bound a purge keeps an entry that
+                        // reaches the bound whole: more frozen, never less.
                         prop_assert_eq!(&got.blocked_unfrozen, &expected.blocked_unfrozen);
                         prop_assert!(
                             expected.frozen_conflicts.difference(&got.frozen_conflicts).is_empty(),
@@ -332,7 +320,6 @@ proptest! {
                     prop_assert_eq!(table.held(tx, m), model.held(tx, m), "held {:?} {:?}", tx, m);
                 }
             }
-            prop_assert!(prefix_is_canonical(&table), "{:?}", table.entries());
         }
     }
 }

@@ -9,9 +9,9 @@
 //! versions at their commit timestamp. Multiversion reads ask for "the version
 //! with the largest timestamp before `t`" — [`ArenaChain::latest_before`].
 //!
-//! Like [`mvtl_locks::KeyLockState`](../mvtl_locks/struct.KeyLockState.html),
-//! the chain is a plain data structure with no internal synchronization; the
-//! engines guard it with the same per-key latch as the lock state.
+//! Like the interval lock table of `mvtl-locks`, the chain is a plain data
+//! structure with no internal synchronization; the engines guard it with the
+//! same per-key latch as the lock state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -170,7 +170,7 @@ fn concurrent_random_transactions_are_serializable_under_every_mvtl_policy() {
         "mvtl-pref?timeout_ms=5",
         "mvtl-pessimistic?timeout_ms=5",
         "mvtl-prio?timeout_ms=5",
-        // A purge every millisecond with no lag races the merged frozen runs;
+        // A purge every millisecond with no lag races the frozen read runs;
         // MVTL-Pessimistic, which locks from 0, needs the purge floor.
         "mvtil-early?delta=5000&timeout_ms=5&gc_ms=1&gc_lag_ms=0",
         "mvtl-ghostbuster?timeout_ms=5&gc_ms=1&gc_lag_ms=0",

@@ -62,6 +62,16 @@ impl Scale {
         }
     }
 
+    /// `(windows, window length)` of a point whose protocols run in turn
+    /// (Figure 3): together as long as one [`Scale::run`] per protocol.
+    fn rotation(self) -> (usize, Duration) {
+        match self {
+            Scale::Smoke => (5, Duration::from_millis(200)),
+            Scale::Quick => (3, Duration::from_secs(1)),
+            Scale::Paper => (5, Duration::from_secs(2)),
+        }
+    }
+
     /// The sweep's points, Smoke keeping only the first and the last.
     fn points<T: Copy>(self, all: &[T]) -> Vec<T> {
         match (self, all) {
@@ -302,24 +312,37 @@ pub fn fig2_concurrency_cloud(scale: Scale, seed: u64) -> FigureTable {
 /// Figure 3: effect of the fraction of write operations (90 clients, 20
 /// ops/tx, 10K keys, local test bed). The paper plots MVTO+, 2PL and
 /// MVTIL-early.
+///
+/// At each point the protocols run one short window each, in turn, several
+/// times over, so that host noise lands on all of them alike rather than on
+/// whichever ran during it; each protocol's row is its median window by
+/// throughput. The asserted ratio at 100 % writes compares them.
 #[must_use]
 pub fn fig3_write_fraction(scale: Scale, seed: u64) -> FigureTable {
     let (clients, keys) = scaled(&[90], 10_000);
+    let (windows, window) = scale.rotation();
+    let protocols = [MVTO, TPL, MVTIL_EARLY];
     let mut rows = Vec::new();
     for write_pct in scale.points(&[0u32, 25, 50, 75, 100]) {
-        for protocol in [MVTO, TPL, MVTIL_EARLY] {
-            let options = RunnerOptions {
-                clients: clients[0],
-                duration: scale.run(),
-                spec: WorkloadSpec::new(20, f64::from(write_pct) / 100.0, keys),
-                seed,
-            };
-            let metrics = run(&with_rtt(protocol.spec, LOCAL_RTT), &options);
+        let options = RunnerOptions {
+            clients: clients[0],
+            duration: window,
+            spec: WorkloadSpec::new(20, f64::from(write_pct) / 100.0, keys),
+            seed,
+        };
+        let mut runs: [Vec<RunnerMetrics>; 3] = Default::default();
+        for _ in 0..windows {
+            for (protocol, runs) in protocols.iter().zip(&mut runs) {
+                runs.push(run(&with_rtt(protocol.spec, LOCAL_RTT), &options));
+            }
+        }
+        for (protocol, mut runs) in protocols.iter().zip(runs) {
+            runs.sort_by(|a, b| a.throughput_tps().total_cmp(&b.throughput_tps()));
             rows.push(FigureRow::new(
                 "write_pct",
                 f64::from(write_pct),
                 protocol.label,
-                &metrics,
+                &runs[runs.len() / 2],
             ));
         }
     }
@@ -706,7 +729,7 @@ pub fn shapes(table: &FigureTable) -> Vec<Shape> {
             })
             // At 100 % writes MVTIL-early trails MVTO+, which commits every
             // blind write, but keeps a fixed share of its throughput.
-            .chain([early_over(MVTO.label, 0.08)])
+            .chain([early_over(MVTO.label, 0.3)])
             .collect(),
         "fig6" => GC_PAIRS
             .iter()
