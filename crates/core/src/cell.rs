@@ -1,5 +1,5 @@
-//! Per-stripe cell state: lock table + version chain stored inline in the
-//! stripe map.
+//! Per-stripe cell state: lock table + version chain, one dense record of
+//! the stripe map.
 // lint: hot-path
 //!
 //! The paper's implementation stores, per key, "two skip lists, one for
@@ -7,10 +7,9 @@
 //! revisions of this crate mirrored that with a per-key `Arc<KeyCell>` (its
 //! own mutex + condvar) inside sharded `HashMap`s; the hot path paid for a
 //! shard rwlock, a map probe, an `Arc` clone and a second mutex on every
-//! operation. Now a key's state is a plain [`KeyData`] embedded directly in
-//! the stripe's open-addressed [`StripeMap`], guarded by the *stripe* latch,
-//! and spill storage for version-heavy keys comes from the stripe's
-//! [`ChainArena`].
+//! operation. Now a key's state is a plain [`KeyData`], one record in the
+//! stripe's dense [`StripeMap`], guarded by the *stripe* latch, and spill
+//! storage for version-heavy keys comes from the stripe's [`ChainArena`].
 //!
 //! Frozen locks live on the versions (§6: lock state "can be discarded when
 //! the associated version of the object is purged"). A committed write's
@@ -166,16 +165,8 @@ impl<V: Clone> KeyData<V> {
         bound: Timestamp,
         arena: &mut ChainArena<V>,
     ) -> (usize, usize) {
-        // Only a chain whose oldest version lies below the bound loses runs.
-        let touched = self
-            .versions
-            .first_at_or_after(Timestamp::ZERO)
-            .is_some_and(|oldest| oldest < bound);
-        let runs = |chain: &ArenaChain<V>| if touched { chain.stats().read_runs } else { 0 };
-        let runs_before = runs(&self.versions);
-        let versions = self.versions.purge_below(bound, arena);
-        let runs_removed = runs_before - runs(&self.versions);
-        (versions, runs_removed + self.locks.purge_below(bound))
+        let (versions, runs) = self.versions.purge(bound, arena);
+        (versions, runs + self.locks.purge_below(bound))
     }
 
     /// Whether the cell holds no state worth keeping after a purge at

@@ -35,9 +35,11 @@ use mvtl_storage::ChainArena;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
+/// A key is one dense record of the stripe map: the key, 48 bytes of lock
+/// state (one entry inline) and a 160-byte version chain.
 #[test]
 fn a_key_slot_is_no_larger_than_before_frozen_state_moved_to_the_versions() {
-    assert!(std::mem::size_of::<Option<(Key, KeyData<u64>)>>() <= 216);
+    assert!(std::mem::size_of::<(Key, KeyData<u64>)>() <= 216);
 }
 
 const GRID: usize = 64;

@@ -27,8 +27,8 @@
 //!
 //! ## Structure
 //!
-//! * [`MvtlStore`] — the storage engine: a striped open-addressed map from
-//!   keys to inline per-key cells, each holding the interval lock state
+//! * [`MvtlStore`] — the storage engine: a striped map from keys to dense
+//!   per-key cells, each holding the interval lock state
 //!   ([`mvtl_locks::KeyLockState`]) and an arena-backed version chain
 //!   ([`mvtl_storage::ArenaChain`]) behind the stripe's latch, mirroring the
 //!   paper's per-key latched hash table (§8.1) without per-key allocation.

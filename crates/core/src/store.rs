@@ -24,11 +24,11 @@ const STRIPES: usize = 64;
 /// threads (`&self` methods take per-stripe latches internally), mirroring the
 /// multi-threaded server of the paper's implementation (§8.1).
 ///
-/// Key state lives inline in striped open-addressed maps: an operation routes
-/// to a stripe, takes that stripe's mutex, and works on the entry in place —
-/// there is no per-key `Arc`, no shard rwlock in front of a per-key mutex,
-/// and version storage beyond a small inline capacity comes from a per-stripe
-/// arena of recycled buffers.
+/// Key state lives in striped maps, one dense record per key: an operation
+/// routes to a stripe, takes that stripe's mutex, and works on the record in
+/// place — there is no per-key `Arc`, no shard rwlock in front of a per-key
+/// mutex, and version storage beyond a small inline capacity comes from a
+/// per-stripe arena of recycled buffers.
 pub struct MvtlStore<V, P> {
     policy: P,
     clock: Arc<dyn ClockSource>,

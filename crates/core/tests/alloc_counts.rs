@@ -7,9 +7,10 @@
 //! property with a counting `#[global_allocator]`: steady-state reads must
 //! not allocate at all, a buffered write must cost at most one allocation
 //! (amortized) for an inline `u64` value, committing a read-only
-//! transaction over keys that already hold versions must not allocate, and
-//! a write whose candidate set is cut into many ranges makes as many heap
-//! requests as one cut into a few.
+//! transaction over keys that already hold versions must not allocate,
+//! taking and releasing locks on keys that did so before must not allocate,
+//! and a write whose candidate set is cut into many ranges makes as many
+//! heap requests as one cut into a few.
 //!
 //! Everything runs inside ONE `#[test]` function: the counter is global, so
 //! concurrently running sibling tests would pollute the measured windows.
@@ -226,6 +227,37 @@ fn hot_path_allocation_budgets_hold() {
                 commit_allocs, 0,
                 "a read-only commit over touched keys hit the allocator \
                  ({commit_allocs} allocations for {KEYS} keys)"
+            );
+        }
+    }
+
+    // --- Re-locking idle keys allocates nothing. ---------------------------
+    //
+    // A key keeps one lock entry inline, so taking a lock on a key that
+    // holds none must not need a heap buffer. The keys here are fresh (the
+    // reader above was dropped holding its locks): the first round creates
+    // their cells, takes a lock on each and releases it, and the second is
+    // measured. Each transaction reads eight keys and commits: its read set
+    // and lock mirror are sized for eight keys at `begin`, which runs
+    // outside the window, so the window holds only the lock traffic.
+    const PER_TXN: u64 = 8;
+    const IDLE: std::ops::Range<u64> = 1_000..1_000 + KEYS;
+    for round in 0..2 {
+        let txns: Vec<_> = (0..KEYS / PER_TXN)
+            .map(|_| store.begin(ProcessId(5)))
+            .collect();
+        let (relock_allocs, ()) = count_allocs(|| {
+            for (first, mut tx) in IDLE.step_by(PER_TXN as usize).zip(txns) {
+                for k in first..first + PER_TXN {
+                    assert_eq!(store.read(&mut tx, Key(k)).expect("read"), None);
+                }
+                store.commit(tx).expect("commit");
+            }
+        });
+        if round == 1 {
+            assert_eq!(
+                relock_allocs, 0,
+                "taking and releasing locks on {KEYS} idle keys hit the allocator"
             );
         }
     }

@@ -27,9 +27,97 @@ impl LockStateStats {
     }
 }
 
-/// The capacity a key's entry vector never shrinks below: the smallest
-/// allocation a `Vec` of entries makes anyway.
-const MIN_CAPACITY: usize = 4;
+/// The smallest spill buffer: the smallest allocation a growing `Vec` of
+/// entries makes anyway.
+const MIN_SPILL: usize = 4;
+
+/// A key's entries: none, one inline, or any number in a heap buffer.
+///
+/// `LockEntry`'s mode leaves a niche for the tag, so the inline entry costs
+/// nothing over the entry itself: 48 bytes. A buffer, once spilled, stays
+/// until [`KeyLockState::purge_below`] finds it empty.
+#[derive(Debug, Clone, Default)]
+enum Entries {
+    #[default]
+    Empty,
+    One(LockEntry),
+    Spilled(Vec<LockEntry>),
+}
+
+impl Entries {
+    #[inline]
+    fn as_slice(&self) -> &[LockEntry] {
+        match self {
+            Entries::Empty => &[],
+            Entries::One(entry) => std::slice::from_ref(entry),
+            Entries::Spilled(entries) => entries,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [LockEntry] {
+        match self {
+            Entries::Empty => &mut [],
+            Entries::One(entry) => std::slice::from_mut(entry),
+            Entries::Spilled(entries) => entries,
+        }
+    }
+
+    /// Makes room for `additional` more entries: a key reaching two entries
+    /// spills into one buffer sized for all of them.
+    fn reserve(&mut self, additional: usize) {
+        match self {
+            Entries::Spilled(entries) => entries.reserve(additional),
+            Entries::One(entry) if additional > 0 => {
+                let mut entries = Vec::with_capacity((1 + additional).max(MIN_SPILL));
+                entries.push(*entry);
+                *self = Entries::Spilled(entries);
+            }
+            Entries::Empty if additional > 1 => {
+                *self = Entries::Spilled(Vec::with_capacity(additional.max(MIN_SPILL)));
+            }
+            Entries::One(_) | Entries::Empty => {}
+        }
+    }
+
+    fn push(&mut self, entry: LockEntry) {
+        match self {
+            Entries::Empty => *self = Entries::One(entry),
+            Entries::One(_) => {
+                self.reserve(1);
+                self.push(entry);
+            }
+            Entries::Spilled(entries) => entries.push(entry),
+        }
+    }
+
+    /// Removes the entry at `index`, moving the last one into its place.
+    fn swap_remove(&mut self, index: usize) {
+        match self {
+            Entries::Spilled(entries) => {
+                entries.swap_remove(index);
+            }
+            _ => {
+                assert!(index < self.as_slice().len(), "entry index out of bounds");
+                *self = Entries::Empty;
+            }
+        }
+    }
+
+    /// Keeps the entries `keep` accepts, which it may edit.
+    fn retain(&mut self, mut keep: impl FnMut(&mut LockEntry) -> bool) {
+        match self {
+            Entries::Empty => {}
+            Entries::One(entry) => {
+                if !keep(entry) {
+                    *self = Entries::Empty;
+                }
+            }
+            Entries::Spilled(entries) => {
+                entries.retain_mut(keep);
+            }
+        }
+    }
+}
 
 /// The complete lock state of one key: a list of interval lock entries, in
 /// no particular order.
@@ -46,16 +134,31 @@ const MIN_CAPACITY: usize = 4;
 /// tables hold only entries of transactions in flight. [`KeyLockState::freeze`]
 /// stays for callers that measure a table holding frozen entries.
 ///
-/// The vector is the whole state on purpose: a key's lock state stays 24
-/// bytes inline, which matters for stores holding many mostly idle keys.
+/// A key's state is 48 bytes, the size of one entry: a key with no entry
+/// or one entry — every idle key and most keys in use — keeps it inline
+/// and owns no heap buffer. Only when a second entry arrives do the entries
+/// spill to a `Vec`, reserved once per grant however many ranges the grant
+/// holds. The buffer outlives the release that empties it and goes at the
+/// key's next §6 purge ([`KeyLockState::purge_below`]), so a hot key
+/// whose readers come and go does not allocate and free at every turn,
+/// and an idle key owns no buffer after one sweep.
 ///
 /// The structure is intentionally free of synchronization: engines wrap it in a
 /// per-key latch (mutex) and, where the paper's algorithms *wait* for unfrozen
 /// locks, use a condition variable around it.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KeyLockState {
-    entries: Vec<LockEntry>,
+    entries: Entries,
 }
+
+/// Equal when the entries are, in the same order, whether inline or spilled.
+impl PartialEq for KeyLockState {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries() == other.entries()
+    }
+}
+
+impl Eq for KeyLockState {}
 
 impl KeyLockState {
     /// Creates an empty lock state (no timestamps locked).
@@ -75,7 +178,7 @@ impl KeyLockState {
         let mut frozen_conflicts = TsSet::new();
         // One pass; the conflict is limited to the overlap with the request.
         let blocked_unfrozen = TsSet::from_ranges(
-            self.entries
+            self.entries()
                 .iter()
                 .filter(|entry| entry.mode.conflicts_with(mode))
                 .filter_map(|entry| {
@@ -111,7 +214,7 @@ impl KeyLockState {
         if granted.is_empty() {
             return;
         }
-        if !self.entries.iter().any(|e| e.is_live(owner, mode)) {
+        if !self.entries().iter().any(|e| e.is_live(owner, mode)) {
             // Nothing of the owner's to overlap or merge with: the ranges of
             // a canonical set are already disjoint and non-touching. One
             // reservation, however many ranges the grant holds.
@@ -124,6 +227,7 @@ impl KeyLockState {
         // Subtract what the owner already holds in this mode to keep entries disjoint.
         let already = self.held(owner, mode);
         let fresh = granted.difference(&already);
+        self.entries.reserve(fresh.range_count());
         for range in fresh.ranges() {
             self.entries.push(LockEntry::new(owner, mode, *range));
         }
@@ -162,7 +266,6 @@ impl KeyLockState {
     /// forever (until purged together with their versions).
     pub fn release_unfrozen(&mut self, owner: TxId) {
         self.entries.retain(|e| e.frozen || e.owner != owner);
-        self.shrink_if_sparse();
     }
 
     /// Releases the unfrozen locks of `owner` in `mode` restricted to `range`,
@@ -170,7 +273,6 @@ impl KeyLockState {
     /// discovering a frozen write lock ("release read-locks acquired above").
     pub fn release_unfrozen_range(&mut self, owner: TxId, mode: LockMode, range: TsRange) {
         while self.take_live(owner, mode, range).is_some() {}
-        self.shrink_if_sparse();
     }
 
     /// The set of timestamps `owner` holds unfrozen in `mode`. What it froze
@@ -178,7 +280,7 @@ impl KeyLockState {
     #[must_use]
     pub fn held(&self, owner: TxId, mode: LockMode) -> TsSet {
         TsSet::from_ranges(
-            self.entries
+            self.entries()
                 .iter()
                 .filter(|e| e.is_live(owner, mode))
                 .map(|e| e.range),
@@ -190,69 +292,61 @@ impl KeyLockState {
     /// the associated version of the object is purged"). An entry reaching
     /// `bound` stays whole.
     ///
+    /// A key left without entries gives its spill buffer back here, not at
+    /// the release that emptied it (see [`KeyLockState`]).
+    ///
     /// Returns the number of entries removed.
     pub fn purge_below(&mut self, bound: Timestamp) -> usize {
-        let before = self.entries.len();
+        let before = self.entries().len();
         self.entries.retain(|e| e.range.end >= bound);
-        before - self.entries.len()
+        if self.is_empty() {
+            self.entries = Entries::Empty;
+        }
+        before - self.entries().len()
     }
 
     /// Current statistics for this key.
     #[must_use]
     pub fn stats(&self) -> LockStateStats {
+        let entries = self.entries();
         LockStateStats {
-            entries: self.entries.len(),
-            frozen_entries: self.entries.iter().filter(|e| e.frozen).count(),
+            entries: entries.len(),
+            frozen_entries: entries.iter().filter(|e| e.frozen).count(),
         }
     }
 
     /// All entries, for inspection and debugging, in no particular order.
     #[must_use]
     pub fn entries(&self) -> &[LockEntry] {
-        &self.entries
+        self.entries.as_slice()
     }
 
     /// Whether no locks at all are recorded for this key.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Gives capacity back once the entries fall to a quarter of it, keeping
-    /// twice what is left: a key's lock state then follows its live locks
-    /// instead of the busiest moment it ever had, and a key cycling through
-    /// a few entries keeps its small vector.
-    fn shrink_if_sparse(&mut self) {
-        let capacity = self.entries.capacity();
-        if capacity > MIN_CAPACITY && self.entries.len() <= capacity / 4 {
-            self.entries
-                .shrink_to((self.entries.len() * 2).max(MIN_CAPACITY));
-        }
+        self.entries().is_empty()
     }
 
     /// Removes the part inside `range` of one live entry of `owner` in `mode`
-    /// and returns it; the entry's remainders stay live. `None` when no such
-    /// entry overlaps `range`.
+    /// and returns it; the entry's remainders stay live, the first in the
+    /// entry's place. `None` when no such entry overlaps `range`.
     fn take_live(&mut self, owner: TxId, mode: LockMode, range: TsRange) -> Option<TsRange> {
         let i = self
-            .entries
+            .entries()
             .iter()
             .position(|e| e.is_live(owner, mode) && e.range.overlaps(&range))?;
-        let entry = self.entries.swap_remove(i);
-        let taken = entry.range.intersection(&range)?;
-        if entry.range.start < taken.start {
-            self.entries.push(LockEntry::new(
-                owner,
-                mode,
-                TsRange::new(entry.range.start, taken.start.pred()),
-            ));
+        let held = self.entries()[i].range;
+        let taken = held.intersection(&range)?;
+        let below =
+            (held.start < taken.start).then(|| TsRange::new(held.start, taken.start.pred()));
+        let above = (held.end > taken.end).then(|| TsRange::new(taken.end.succ(), held.end));
+        let mut rest = below.into_iter().chain(above);
+        match rest.next() {
+            Some(first) => self.entries.as_mut_slice()[i].range = first,
+            None => self.entries.swap_remove(i),
         }
-        if entry.range.end > taken.end {
-            self.entries.push(LockEntry::new(
-                owner,
-                mode,
-                TsRange::new(taken.end.succ(), entry.range.end),
-            ));
+        if let Some(second) = rest.next() {
+            self.entries.push(LockEntry::new(owner, mode, second));
         }
         Some(taken)
     }
@@ -261,7 +355,7 @@ impl KeyLockState {
     /// representation compact (the point of interval compression).
     fn coalesce(&mut self, owner: TxId, mode: LockMode) {
         let count = self
-            .entries
+            .entries()
             .iter()
             .filter(|e| e.is_live(owner, mode))
             .count();
@@ -276,10 +370,15 @@ impl KeyLockState {
             // common case and touches no entry.
             return;
         }
-        self.entries.retain(|e| !e.is_live(owner, mode));
-        for range in set.ranges() {
-            self.entries.push(LockEntry::new(owner, mode, *range));
-        }
+        // Fewer merged ranges than entries: the first entries take the
+        // ranges in place, the rest go.
+        let mut merged = set.ranges().iter();
+        self.entries.retain(|e| {
+            if !e.is_live(owner, mode) {
+                return true;
+            }
+            merged.next().map(|range| e.range = *range).is_some()
+        });
     }
 }
 
@@ -465,6 +564,103 @@ mod tests {
         assert!(a.blocked_unfrozen.contains(ts(12)));
         assert!(a.grantable.contains(ts(15)));
         assert_eq!(a.contiguous_grantable_end(ts(1)), Some(ts(12).pred())); // ends right before 12
+    }
+
+    /// The buffer a spilled key holds: its capacity, or `None` inline.
+    fn spill_capacity(s: &KeyLockState) -> Option<usize> {
+        match &s.entries {
+            Entries::Spilled(entries) => Some(entries.capacity()),
+            Entries::Empty | Entries::One(_) => None,
+        }
+    }
+
+    /// Every other timestamp of `[1, 2 * ranges]`: `ranges` disjoint ranges.
+    fn fragmented(ranges: u64) -> TsSet {
+        TsSet::from_ranges((0..ranges).map(|i| r(2 * i + 1, 2 * i + 1)))
+    }
+
+    #[test]
+    fn a_key_state_is_one_entry_wide() {
+        assert_eq!(std::mem::size_of::<KeyLockState>(), 48);
+        assert_eq!(
+            std::mem::size_of::<KeyLockState>(),
+            std::mem::size_of::<LockEntry>()
+        );
+    }
+
+    #[test]
+    fn a_multi_range_grant_spills_once_into_a_buffer_of_its_size() {
+        // An idle key: one buffer of exactly the grant's 32 ranges.
+        let mut s = KeyLockState::new();
+        s.acquire(T1, LockMode::Write, &fragmented(32));
+        assert_eq!(s.stats().entries, 32);
+        assert_eq!(spill_capacity(&s), Some(32));
+        // A key holding one entry: 33, which no doubling reaches.
+        let mut s = KeyLockState::new();
+        s.acquire_grantable(T2, LockMode::Read, r(100, 110));
+        assert_eq!(spill_capacity(&s), None, "one entry stays inline");
+        s.acquire(T1, LockMode::Write, &fragmented(32));
+        assert_eq!(spill_capacity(&s), Some(33));
+        // A grant adding to the owner's entries reserves once as well.
+        let mut s = KeyLockState::new();
+        s.acquire_grantable(T1, LockMode::Write, r(200, 200));
+        s.acquire(T1, LockMode::Write, &fragmented(32));
+        assert_eq!(s.stats().entries, 33);
+        assert_eq!(spill_capacity(&s), Some(33));
+    }
+
+    #[test]
+    fn releasing_the_last_entry_returns_the_key_inline_at_the_next_purge() {
+        let mut s = KeyLockState::new();
+        s.acquire_grantable(T1, LockMode::Read, r(1, 10));
+        s.acquire_grantable(T2, LockMode::Read, r(5, 15));
+        s.acquire_grantable(T3, LockMode::Write, r(20, 20));
+        assert_eq!(spill_capacity(&s), Some(MIN_SPILL));
+        s.release_unfrozen(T1);
+        s.release_unfrozen(T3);
+        assert_eq!(s.entries(), &[LockEntry::new(T2, LockMode::Read, r(5, 15))]);
+        s.release_unfrozen(T2);
+        assert!(s.is_empty());
+        assert_eq!(s, KeyLockState::new());
+        // The buffer waits for the purge, and serves the next readers.
+        assert_eq!(spill_capacity(&s), Some(MIN_SPILL));
+        s.acquire_grantable(T1, LockMode::Read, r(1, 10));
+        s.acquire_grantable(T2, LockMode::Read, r(5, 15));
+        assert_eq!(spill_capacity(&s), Some(MIN_SPILL));
+        // A purge that leaves entries keeps it.
+        assert_eq!(s.purge_below(ts(3)), 0);
+        assert_eq!(spill_capacity(&s), Some(MIN_SPILL));
+        s.release_unfrozen(T1);
+        s.release_unfrozen(T2);
+        assert_eq!(s.purge_below(ts(3)), 0);
+        assert_eq!(spill_capacity(&s), None, "an idle key owns no buffer");
+        // The same through range releases and a purge that removes entries.
+        s.acquire(T1, LockMode::Write, &fragmented(4));
+        s.release_unfrozen_range(T1, LockMode::Write, r(1, 4));
+        assert_eq!(s.purge_below(ts(100)), 2);
+        assert!(s.is_empty());
+        assert_eq!(spill_capacity(&s), None);
+    }
+
+    #[test]
+    fn an_inline_frozen_entry_still_blocks_its_owner() {
+        let mut s = KeyLockState::new();
+        s.acquire_grantable(T1, LockMode::Write, r(5, 9));
+        s.freeze(T1, LockMode::Write, r(5, 9));
+        assert_eq!(spill_capacity(&s), None, "one frozen entry, inline");
+        assert!(s.held(T1, LockMode::Write).is_empty());
+        for owner in [T1, T2] {
+            let a = s.analyze(owner, LockMode::Read, r(1, 12));
+            assert_eq!(a.frozen_conflicts.ranges(), &[r(5, 9)]);
+            assert!(a.blocked_unfrozen.is_empty());
+            assert!(!a.grantable.contains(ts(7)));
+        }
+        s.release_unfrozen(T1);
+        assert_eq!(
+            s.stats().frozen_entries,
+            1,
+            "a release keeps frozen entries"
+        );
     }
 
     #[test]

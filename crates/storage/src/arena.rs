@@ -152,14 +152,19 @@ impl<V> ChainArena<V> {
 /// mark never passes the next version, so the spans `[ts, read_hw]` of
 /// consecutive versions never overlap by more than the next version's own
 /// timestamp. Both sides are debug-asserted.
+///
+/// The purge bound and `⊥`'s mark are kept as their parts, like a
+/// version slot's two timestamps, so their process ids share one word.
 #[derive(Debug)]
 pub struct ArenaChain<V> {
     versions: Versions<V>,
-    purged_below: Timestamp,
     purged_count: usize,
+    purged_below_value: u64,
     /// The read high-water mark of `⊥`; `ZERO` while unread, and reset when
     /// a purge passes the first version.
-    bottom_read_hw: Timestamp,
+    bottom_hw_value: u64,
+    purged_below_process: u32,
+    bottom_hw_process: u32,
 }
 
 impl<V> Versions<V> {
@@ -175,9 +180,11 @@ impl<V> Default for ArenaChain<V> {
     fn default() -> Self {
         ArenaChain {
             versions: Versions::empty(),
-            purged_below: Timestamp::ZERO,
             purged_count: 0,
-            bottom_read_hw: Timestamp::ZERO,
+            purged_below_value: Timestamp::ZERO.value,
+            bottom_hw_value: Timestamp::ZERO.value,
+            purged_below_process: Timestamp::ZERO.process,
+            bottom_hw_process: Timestamp::ZERO.process,
         }
     }
 }
@@ -187,6 +194,17 @@ impl<V: Clone> ArenaChain<V> {
     #[must_use]
     pub fn new() -> Self {
         ArenaChain::default()
+    }
+
+    /// The read high-water mark of `⊥`.
+    #[inline]
+    fn bottom_read_hw(&self) -> Timestamp {
+        Timestamp::new(self.bottom_hw_value, self.bottom_hw_process)
+    }
+
+    fn set_bottom_read_hw(&mut self, hw: Timestamp) {
+        self.bottom_hw_value = hw.value;
+        self.bottom_hw_process = hw.process;
     }
 
     /// Number of committed versions currently stored.
@@ -262,7 +280,7 @@ impl<V: Clone> ArenaChain<V> {
     /// when there is none.
     fn read_hw_below(&self, index: usize) -> Timestamp {
         match index {
-            0 => self.bottom_read_hw,
+            0 => self.bottom_read_hw(),
             i => self.entry(i - 1).read_hw(),
         }
     }
@@ -293,10 +311,10 @@ impl<V: Clone> ArenaChain<V> {
     /// mark left to raise, and the call does nothing.
     pub fn raise_read_hw(&mut self, version: Timestamp, to: Timestamp) {
         let next = if version == Timestamp::ZERO {
-            if self.purged_count > 0 || to <= self.bottom_read_hw {
+            if self.purged_count > 0 || to <= self.bottom_read_hw() {
                 return;
             }
-            self.bottom_read_hw = to;
+            self.set_bottom_read_hw(to);
             0
         } else {
             let Ok(index) = self.position(version) else {
@@ -320,7 +338,7 @@ impl<V: Clone> ArenaChain<V> {
     #[must_use]
     pub fn read_hw(&self, version: Timestamp) -> Option<Timestamp> {
         if version == Timestamp::ZERO {
-            return (self.purged_count == 0).then_some(self.bottom_read_hw);
+            return (self.purged_count == 0).then_some(self.bottom_read_hw());
         }
         self.position(version)
             .ok()
@@ -351,8 +369,9 @@ impl<V: Clone> ArenaChain<V> {
             Ok(index) => index + 1,
             Err(index) => index,
         };
-        let bottom = (first == 0 && self.bottom_read_hw > Timestamp::ZERO)
-            .then(|| TsRange::new(Timestamp::ZERO.succ(), self.bottom_read_hw));
+        let bottom_hw = self.bottom_read_hw();
+        let bottom = (first == 0 && bottom_hw > Timestamp::ZERO)
+            .then(|| TsRange::new(Timestamp::ZERO.succ(), bottom_hw));
         let versions = (first..end)
             .map(move |i| self.entry(i))
             .map(|slot| TsRange::new(slot.ts(), slot.read_hw()));
@@ -373,10 +392,11 @@ impl<V: Clone> ArenaChain<V> {
             Ok(index) | Err(index) => index,
         };
         if below == 0 {
-            if self.purged_count > 0 && ts <= self.purged_below {
+            let purged_below = self.purged_below();
+            if self.purged_count > 0 && ts <= purged_below {
                 // Versions below purged_below were discarded; a read below
                 // that bound can no longer be served correctly.
-                Err(self.purged_below)
+                Err(purged_below)
             } else {
                 Ok((Timestamp::ZERO, None))
             }
@@ -403,23 +423,39 @@ impl<V: Clone> ArenaChain<V> {
     /// the marks of the purged versions, and `⊥`'s once any version lies
     /// below the bound, go with them. A spilled chain that shrinks back
     /// under the inline capacity returns its buffer to the arena. Returns how
-    /// many versions were removed.
+    /// many versions were removed; [`ArenaChain::purge`] also counts the
+    /// read runs.
     pub fn purge_below(&mut self, bound: Timestamp, arena: &mut ChainArena<V>) -> usize {
+        self.purge(bound, arena).0
+    }
+
+    /// [`ArenaChain::purge_below`], returning the versions and the read runs
+    /// removed, `⊥`'s included. Only the removed slots are read.
+    pub fn purge(&mut self, bound: Timestamp, arena: &mut ChainArena<V>) -> (usize, usize) {
         let below = match self.position(bound) {
             // `position` finds the first version >= bound; everything before
             // it is below the bound, and the last of those is retained.
             Ok(index) | Err(index) => index,
         };
+        let mut runs = 0;
         if below > 0 {
-            self.bottom_read_hw = Timestamp::ZERO;
+            runs += usize::from(self.bottom_read_hw() > Timestamp::ZERO);
+            self.set_bottom_read_hw(Timestamp::ZERO);
         }
-        if bound > self.purged_below {
-            self.purged_below = bound;
+        if bound > self.purged_below() {
+            self.purged_below_value = bound.value;
+            self.purged_below_process = bound.process;
         }
         let removed = below.saturating_sub(1);
         if removed == 0 {
-            return 0;
+            return (0, runs);
         }
+        runs += (0..removed)
+            .filter(|&i| {
+                let slot = self.entry(i);
+                slot.read_hw() > slot.ts()
+            })
+            .count();
         match &mut self.versions {
             Versions::Spilled(versions) => {
                 versions.drain(..removed);
@@ -444,7 +480,7 @@ impl<V: Clone> ArenaChain<V> {
             }
         }
         self.purged_count += removed;
-        removed
+        (removed, runs)
     }
 
     /// Releases the chain's spill buffer (if any) back to the arena; called
@@ -470,7 +506,7 @@ impl<V: Clone> ArenaChain<V> {
     /// The purge bound below which old versions have been discarded.
     #[must_use]
     pub fn purged_below(&self) -> Timestamp {
-        self.purged_below
+        Timestamp::new(self.purged_below_value, self.purged_below_process)
     }
 
     /// Statistics for this chain.
@@ -482,7 +518,7 @@ impl<V: Clone> ArenaChain<V> {
         VersionStats {
             versions: self.len(),
             purged: self.purged_count,
-            read_runs: read + usize::from(self.bottom_read_hw > Timestamp::ZERO),
+            read_runs: read + usize::from(self.bottom_read_hw() > Timestamp::ZERO),
         }
     }
 }
@@ -628,5 +664,55 @@ mod tests {
         chain.raise_read_hw(ts(10), ts(19));
         chain.raise_read_hw(Timestamp::ZERO, ts(19));
         assert_eq!(chain.stats().read_runs, 2);
+    }
+
+    /// A chain of versions at `10, 20, ...` (`count` of them), every other
+    /// one read half-way to the next, and `⊥` read when `bottom_read`.
+    fn read_chain(count: u64, bottom_read: bool, arena: &mut ChainArena<u64>) -> ArenaChain<u64> {
+        let mut chain = ArenaChain::new();
+        if bottom_read {
+            chain.raise_read_hw(Timestamp::ZERO, ts(5));
+        }
+        for v in 1..=count {
+            chain.install(ts(v * 10), v, arena);
+            if v % 2 == 1 {
+                chain.raise_read_hw(ts(v * 10), ts(v * 10 + 5));
+            }
+        }
+        chain
+    }
+
+    #[test]
+    fn purge_reports_the_read_runs_a_stats_scan_would_lose() {
+        for (count, bottom_read) in [(2, false), (3, true), (8, false), (8, true), (0, true)] {
+            for bound in [1, 10, 11, 15, 25, 31, 45, 60, 85, 200] {
+                let mut arena = ChainArena::new();
+                let mut scanned = read_chain(count, bottom_read, &mut arena);
+                // The count as two scans find it: only a chain whose oldest
+                // version lies below the bound loses runs.
+                let touched = scanned
+                    .first_at_or_after(Timestamp::ZERO)
+                    .is_some_and(|oldest| oldest < ts(bound));
+                let before = scanned.stats().read_runs;
+                let versions = scanned.purge_below(ts(bound), &mut arena);
+                let lost = if touched {
+                    before - scanned.stats().read_runs
+                } else {
+                    0
+                };
+                let mut counted = read_chain(count, bottom_read, &mut arena);
+                assert_eq!(
+                    counted.purge(ts(bound), &mut arena),
+                    (versions, lost),
+                    "{count} versions, bottom read {bottom_read}, bound {bound}"
+                );
+                assert_eq!(counted.stats(), scanned.stats());
+            }
+        }
+    }
+
+    #[test]
+    fn a_chain_packs_its_purge_bound_and_bottom_mark() {
+        assert_eq!(std::mem::size_of::<ArenaChain<u64>>(), 160);
     }
 }

@@ -1,27 +1,54 @@
-//! An open-addressed key → state map, the storage inside one stripe.
+//! A dense key → state map, the storage inside one stripe.
 //!
-//! Replaces the `HashMap<Key, Arc<KeyCell>>` shards: entries live *inline* in
-//! the probe table (no per-key `Arc`, no per-read refcount traffic), lookups
-//! are one multiplicative hash plus a short linear probe, and deletion uses
-//! backward shifting so the table never accumulates tombstones. The map is a
-//! plain data structure with no internal synchronization — the owning stripe
-//! guards it with one latch (see [`StripedTable`](crate::StripedTable)).
+//! Each key is one record `(Key, S)` in a dense cell vector, found through
+//! a power-of-two linear-probing index of 16-byte `(Key, u32)` slots. A
+//! probe compares keys in the index and touches the key's cell only on a
+//! hit, so the index stays small and cache-dense whatever `S` weighs, and
+//! spare capacity costs 16 bytes a slot instead of a whole empty cell.
+//! Removal backward-shifts the index (no tombstones) and swap-removes the
+//! cell, repointing the slot of the cell that moved into the gap; a whole
+//! map walk ([`StripeMap::iter`], [`StripeMap::retain`]) reads the cells in
+//! place and never visits an empty slot. The map is a plain data structure
+//! with no internal synchronization — the owning stripe guards it with one
+//! latch (see [`StripedTable`](crate::StripedTable)).
 
 use crate::hash::key_hash;
 use mvtl_common::Key;
 
-/// Initial slot count of an empty map; must be a power of two.
+/// Initial slot count of an empty map's index; must be a power of two.
 const INITIAL_SLOTS: usize = 16;
 
-/// An open-addressed map from [`Key`] to per-key state `S`.
+/// One index slot: a key and the position of its cell, or [`Slot::EMPTY`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    key: Key,
+    cell: u32,
+}
+
+impl Slot {
+    /// The vacant slot; no cell lives at position `u32::MAX`.
+    const EMPTY: Slot = Slot {
+        key: Key(0),
+        cell: u32::MAX,
+    };
+
+    #[inline]
+    fn is_empty(self) -> bool {
+        self.cell == u32::MAX
+    }
+}
+
+/// A map from [`Key`] to per-key state `S`: dense cells behind a compact
+/// open-addressed index.
 ///
-/// Linear probing over a power-of-two slot array, growing at ~3/4 load. The
-/// probe sequence uses the low bits of [`key_hash`]; stripe selection uses the
-/// high bits, so the two levels of routing stay independent.
+/// The index grows at ~3/4 load. Its probe sequence uses the low bits of
+/// [`key_hash`]; stripe selection uses the high bits, so the two levels of
+/// routing stay independent. Cells keep no order: a removal moves the last
+/// cell into the gap.
 #[derive(Debug)]
 pub struct StripeMap<S> {
-    slots: Vec<Option<(Key, S)>>,
-    len: usize,
+    cells: Vec<(Key, S)>,
+    index: Vec<Slot>,
 }
 
 impl<S> Default for StripeMap<S> {
@@ -34,26 +61,27 @@ impl<S> StripeMap<S> {
     /// An empty map.
     #[must_use]
     pub fn new() -> Self {
-        let mut slots = Vec::new();
-        slots.resize_with(INITIAL_SLOTS, || None);
-        StripeMap { slots, len: 0 }
+        StripeMap {
+            cells: Vec::new(),
+            index: vec![Slot::EMPTY; INITIAL_SLOTS],
+        }
     }
 
     /// Number of live entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.cells.len()
     }
 
     /// Whether the map holds no entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.cells.is_empty()
     }
 
     #[inline]
     fn mask(&self) -> usize {
-        self.slots.len() - 1
+        self.index.len() - 1
     }
 
     #[inline]
@@ -61,125 +89,135 @@ impl<S> StripeMap<S> {
         (key_hash(key) as usize) & self.mask()
     }
 
-    /// The slot index holding `key`, if present.
+    /// The index position holding `key` (`Ok`), or the vacant position
+    /// ending its probe run (`Err`).
     #[inline]
-    fn probe(&self, key: Key) -> Option<usize> {
+    fn find(&self, key: Key) -> Result<usize, usize> {
         let mask = self.mask();
         let mut i = self.home(key);
         loop {
-            match &self.slots[i] {
-                None => return None,
-                Some((k, _)) if *k == key => return Some(i),
-                Some(_) => i = (i + 1) & mask,
+            let slot = self.index[i];
+            if slot.is_empty() {
+                return Err(i);
             }
+            if slot.key == key {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
         }
     }
 
     /// Shared access to the state of `key`.
     #[must_use]
     pub fn get(&self, key: Key) -> Option<&S> {
-        self.probe(key)
-            .map(|i| &self.slots[i].as_ref().expect("probed slot is live").1)
+        let i = self.find(key).ok()?;
+        Some(&self.cells[self.index[i].cell as usize].1)
     }
 
     /// Exclusive access to the state of `key`.
     pub fn get_mut(&mut self, key: Key) -> Option<&mut S> {
-        self.probe(key)
-            .map(|i| &mut self.slots[i].as_mut().expect("probed slot is live").1)
+        let i = self.find(key).ok()?;
+        Some(&mut self.cells[self.index[i].cell as usize].1)
     }
 
     /// Exclusive access to the state of `key`, inserting `make()` first when
-    /// the key is absent.
+    /// the key is absent. One probe either way, unless the insert grows the
+    /// index.
     pub fn get_or_insert_with(&mut self, key: Key, make: impl FnOnce() -> S) -> &mut S {
-        if self.probe(key).is_none() {
-            self.grow_if_needed();
-            let mask = self.mask();
-            let mut i = self.home(key);
-            while self.slots[i].is_some() {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = Some((key, make()));
-            self.len += 1;
-        }
-        let i = self.probe(key).expect("entry just ensured");
-        &mut self.slots[i].as_mut().expect("probed slot is live").1
+        let vacant = match self.find(key) {
+            Ok(i) => return &mut self.cells[self.index[i].cell as usize].1,
+            Err(vacant) => vacant,
+        };
+        assert!(
+            self.cells.len() < u32::MAX as usize,
+            "a stripe holds fewer than 2^32 - 1 keys"
+        );
+        let cell = self.cells.len() as u32;
+        let vacant = if (self.cells.len() + 1) * 4 < self.index.len() * 3 {
+            vacant
+        } else {
+            self.grow();
+            self.find(key).expect_err("key is absent")
+        };
+        let state = make();
+        self.index[vacant] = Slot { key, cell };
+        self.cells.push((key, state));
+        &mut self.cells.last_mut().expect("cell just pushed").1
     }
 
-    /// Removes and returns the state of `key`. Backward-shifts the following
-    /// probe run so later lookups never cross a stale hole.
+    /// Removes and returns the state of `key`.
     pub fn remove(&mut self, key: Key) -> Option<S> {
-        let mut hole = self.probe(key)?;
-        let (_, state) = self.slots[hole].take().expect("probed slot is live");
-        self.len -= 1;
+        let i = self.find(key).ok()?;
+        Some(self.remove_slot(i))
+    }
+
+    /// Removes the entry indexed at position `hole`: backward-shifts the
+    /// rest of its probe run, so later lookups never cross a stale hole,
+    /// then swap-removes its cell and repoints the slot of the cell that
+    /// moved into the gap.
+    fn remove_slot(&mut self, mut hole: usize) -> S {
+        let cell = self.index[hole].cell as usize;
         let mask = self.mask();
         let mut i = hole;
         loop {
             i = (i + 1) & mask;
-            let Some((k, _)) = &self.slots[i] else { break };
-            let home = self.home(*k);
-            // The entry at `i` may fill the hole only if its home position
+            let slot = self.index[i];
+            if slot.is_empty() {
+                break;
+            }
+            // The slot at `i` may fill the hole only if its home position
             // does not lie strictly inside the cyclic interval (hole, i].
+            let home = self.home(slot.key);
             if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(hole) & mask) {
-                self.slots[hole] = self.slots[i].take();
+                self.index[hole] = slot;
                 hole = i;
             }
         }
-        Some(state)
+        self.index[hole] = Slot::EMPTY;
+        let (_, state) = self.cells.swap_remove(cell);
+        if let Some(&(moved, _)) = self.cells.get(cell) {
+            let at = self.find(moved).expect("every cell is indexed");
+            self.index[at].cell = cell as u32;
+        }
+        state
     }
 
     /// Iterates over `(key, &state)` in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (Key, &S)> {
-        self.slots
-            .iter()
-            .filter_map(|slot| slot.as_ref().map(|(k, s)| (*k, s)))
+        self.cells.iter().map(|(k, s)| (*k, s))
     }
 
     /// Iterates over `(key, &mut state)` in unspecified order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (Key, &mut S)> {
-        self.slots
-            .iter_mut()
-            .filter_map(|slot| slot.as_mut().map(|(k, s)| (*k, s)))
+        self.cells.iter_mut().map(|(k, s)| (*k, s))
     }
 
-    /// Keeps only the entries for which `keep` returns true, handing each
-    /// removed state to the caller via the return of `keep` being false.
+    /// Keeps only the entries for which `keep` returns true; the others are
+    /// dropped. Each entry is visited once, in place: a removal moves the
+    /// last, not yet visited, cell into the gap, which is visited next.
     pub fn retain(&mut self, mut keep: impl FnMut(Key, &mut S) -> bool) {
-        // Collect doomed keys first: backward-shift deletion moves entries,
-        // so removing while iterating slot-by-slot would skip entries.
-        let doomed: Vec<Key> = self
-            .slots
-            .iter_mut()
-            .filter_map(|slot| match slot {
-                Some((k, s)) => {
-                    if keep(*k, s) {
-                        None
-                    } else {
-                        Some(*k)
-                    }
-                }
-                None => None,
-            })
-            .collect();
-        for key in doomed {
-            self.remove(key);
+        let mut cell = 0;
+        while let Some((key, state)) = self.cells.get_mut(cell) {
+            let key = *key;
+            if keep(key, state) {
+                cell += 1;
+            } else {
+                let at = self.find(key).expect("every cell is indexed");
+                self.remove_slot(at);
+            }
         }
     }
 
-    fn grow_if_needed(&mut self) {
-        if (self.len + 1) * 4 < self.slots.len() * 3 {
-            return;
-        }
-        let new_cap = self.slots.len() * 2;
-        let mut new_slots: Vec<Option<(Key, S)>> = Vec::new();
-        new_slots.resize_with(new_cap, || None);
-        let old = std::mem::replace(&mut self.slots, new_slots);
-        for (key, state) in old.into_iter().flatten() {
-            let mask = self.mask();
-            let mut i = (key_hash(key) as usize) & mask;
-            while self.slots[i].is_some() {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = Some((key, state));
+    /// Doubles the index and re-indexes every cell from the dense vector.
+    fn grow(&mut self) {
+        self.index = vec![Slot::EMPTY; self.index.len() * 2];
+        for cell in 0..self.cells.len() {
+            let key = self.cells[cell].0;
+            let vacant = self.find(key).expect_err("keys are unique");
+            self.index[vacant] = Slot {
+                key,
+                cell: cell as u32,
+            };
         }
     }
 }
@@ -240,6 +278,32 @@ mod tests {
         for (i, k) in colliders.iter().enumerate().skip(2) {
             assert_eq!(map.get(*k), Some(&(i as u64)), "collider {i}");
         }
+    }
+
+    #[test]
+    fn an_index_slot_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
+    }
+
+    #[test]
+    fn removal_repoints_the_cell_moved_into_the_gap() {
+        let mut map: StripeMap<u64> = StripeMap::new();
+        for k in 0..20u64 {
+            map.get_or_insert_with(Key(k), || k);
+        }
+        // Cells sit in insertion order: removing the first moves the last.
+        assert_eq!(map.remove(Key(0)), Some(0));
+        assert_eq!(map.iter().next(), Some((Key(19), &19)));
+        *map.get_mut(Key(19)).expect("moved cell is indexed") += 100;
+        assert_eq!(map.get(Key(19)), Some(&119));
+        // Removing the last cell moves nothing.
+        assert_eq!(map.remove(Key(18)), Some(18));
+        for k in 1..18u64 {
+            assert_eq!(map.get(Key(k)), Some(&k), "key {k}");
+        }
+        map.retain(|_, _| false);
+        assert!(map.is_empty());
+        assert_eq!(map.get(Key(19)), None);
     }
 
     #[test]
