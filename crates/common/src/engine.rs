@@ -5,10 +5,12 @@
 //! which makes it precise but not object-safe. This module is the uniform
 //! surface the paper's comparisons call for:
 //!
-//! * [`TxHandle`] — a boxed in-flight transaction. It is the only handle
-//!   trait in the workspace: a shard of a `ShardedStore` (`mvtl-shard`) hands
-//!   out the same handles, and [`TxHandle::prepare`] is its side of the §7
-//!   cross-shard commit ([`PreparedTxn`]).
+//! * [`TxHandle`] — a boxed in-flight transaction: what a consumer reads,
+//!   writes and commits through. A `ShardedStore` (`mvtl-shard`) hands out
+//!   one per transaction, over its shards' own transactions; the shards
+//!   themselves are [`TransactionalKV`](crate::TransactionalKV) stores, and
+//!   only they take part in the §7 cross-shard commit
+//!   ([`TransactionalKV::prepare`](crate::TransactionalKV::prepare)).
 //! * [`Engine`] — an object-safe trait whose `begin_handle` returns a boxed
 //!   [`TxHandle`]. `ShardedStore` (every registry spec) and the TCP client's
 //!   `RemoteEngine` implement it.
@@ -24,15 +26,14 @@
 //! `Box<dyn Engine<V>>` values from specs like `"mvtil-early?delta=1000"`.
 
 use crate::kv::{CommitInfo, StoreStats};
-use crate::{Key, ProcessId, Timestamp, TsSet, TxError};
+use crate::{Key, ProcessId, Timestamp, TxError};
 use std::time::Duration;
 
 /// An in-flight transaction, detached from the engine's concrete `Txn` type.
 ///
-/// Handles are produced by [`Engine::begin_handle`] (and by the shards of a
-/// `ShardedStore`) and are usually consumed through the [`Transaction`] RAII
-/// guard rather than directly; `commit`, `prepare` and `abort` take
-/// `self: Box<Self>` so that a finished handle cannot be reused.
+/// Handles are produced by [`Engine::begin_handle`] and are usually consumed
+/// through the [`Transaction`] RAII guard rather than directly; `commit` and
+/// `abort` take `self: Box<Self>` so that a finished handle cannot be reused.
 pub trait TxHandle<V>: Send {
     /// Reads `key` within the transaction. `Ok(None)` is the initial `⊥`
     /// version.
@@ -58,49 +59,7 @@ pub trait TxHandle<V>: Send {
     /// transaction is fully cleaned up in that case.
     fn commit(self: Box<Self>) -> Result<CommitInfo, TxError>;
 
-    /// Runs the participant side of the §7 cross-shard commit: acquires
-    /// commit-time locks and freezes the interval of timestamps this
-    /// transaction is guaranteed to be able to commit at, then waits for the
-    /// coordinator's decision as a [`PreparedTxn`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TxError::Aborted`] when commit-time locking fails or the
-    /// frozen interval is empty; the transaction's state is released. The
-    /// default aborts the transaction and returns [`TxError::Internal`]:
-    /// handles without a commit interval to freeze (a remote engine, a
-    /// multi-shard transaction, the single-version baselines) cannot take
-    /// part in a cross-shard commit.
-    fn prepare(self: Box<Self>) -> Result<Box<dyn PreparedTxn<V>>, TxError> {
-        self.abort();
-        Err(TxError::Internal(
-            "this transaction cannot prepare a cross-shard commit".into(),
-        ))
-    }
-
     /// Aborts the transaction, releasing any engine state it holds.
-    fn abort(self: Box<Self>);
-}
-
-/// A transaction in the prepared state of the §7 commit: its frozen interval
-/// is immutable (the transaction still holds every backing lock) until the
-/// coordinator decides. Dropping a prepared transaction without a decision
-/// aborts it.
-pub trait PreparedTxn<V>: Send {
-    /// The frozen interval reported to the coordinator. Never empty.
-    fn interval(&self) -> &TsSet;
-
-    /// Commits at the coordinator-chosen timestamp, which must lie inside
-    /// [`PreparedTxn::interval`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TxError::Aborted`] when `ts` lies outside the frozen
-    /// interval (a coordinator bug); a timestamp inside always succeeds.
-    fn commit_at(self: Box<Self>, ts: Timestamp) -> Result<CommitInfo, TxError>;
-
-    /// Aborts the prepared transaction (the coordinator's empty-intersection
-    /// decision), releasing its locks.
     fn abort(self: Box<Self>);
 }
 
@@ -598,15 +557,6 @@ mod tests {
         tx.write(Key(9), 1).unwrap();
         tx.commit().unwrap();
         assert_eq!(store.aborts.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn default_prepare_aborts_the_handle_and_refuses() {
-        let store = CountingStore::default();
-        let handle = engine(&store).begin_handle(ProcessId(1), None);
-        let err = handle.prepare().map(|_| ()).unwrap_err();
-        assert!(matches!(err, TxError::Internal(_)), "{err}");
-        assert_eq!(store.aborts.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Identifier newtypes: transactions, processes and keys.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -9,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Transaction ids are only used to attribute lock ownership and to label
 /// vertices of the multiversion serialization graph; they carry no ordering
 /// semantics (serialization order is given by commit timestamps).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxId(pub u64);
 
 impl TxId {
@@ -42,7 +41,7 @@ impl From<u64> for TxId {
 /// Identifier of a process (a client thread).
 ///
 /// Process ids break ties between equal clock values inside [`crate::Timestamp`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcessId(pub u32);
 
 impl fmt::Debug for ProcessId {
@@ -69,7 +68,7 @@ impl From<u32> for ProcessId {
 /// key preserves the access pattern while avoiding allocation on the hot path.
 /// Callers with string keys can hash them into a `Key` (see
 /// [`Key::from_name`]).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Key(pub u64);
 
 impl Key {

@@ -1,15 +1,20 @@
-//! The transactional key-value interface implemented by every engine.
+//! The transactional key-value interface implemented by every engine: the
+//! workspace's one storage trait.
 //!
 //! The paper studies multiversion algorithms "in their broadest scope" (§1); we
 //! model the transactional storage system of §2 as a key-value store with
 //! `begin` / `read` / `write` / `commit`, and every concurrency-control engine
 //! in the workspace (all MVTL policies, MVTO+, 2PL) implements this single
-//! trait. `mvtl-shard` adapts any of them into the object-safe
+//! trait, as do the store decorators (`mvtl-shard`'s fault injection). A
+//! store also takes part in the §7 cross-shard commit through
+//! [`TransactionalKV::prepare`], which hands out a [`PreparedTxn`].
+//! `mvtl-shard`'s `ShardedStore<S>` is generic over this trait: it holds its
+//! shards as `Arc<S>`, calls them statically, and is itself the object-safe
 //! [`Engine`](crate::Engine) that the workload harness, the serializability
 //! checker and the benchmarks drive, so they compare protocols on identical
 //! inputs.
 
-use crate::{AbortReason, Key, PreparedTxn, ProcessId, Timestamp, TxError, TxId};
+use crate::{AbortReason, Key, ProcessId, Timestamp, TsSet, TxError, TxId};
 use std::sync::Arc;
 
 /// Aggregate state-size statistics of an engine, used by the Figure 6
@@ -115,6 +120,28 @@ impl TxOutcome {
     }
 }
 
+/// A transaction in the prepared state of the §7 commit: its frozen interval
+/// is immutable (the transaction still holds every backing lock) until the
+/// coordinator decides. Dropping a prepared transaction without a decision
+/// aborts it.
+pub trait PreparedTxn<V>: Send {
+    /// The frozen interval reported to the coordinator. Never empty.
+    fn interval(&self) -> &TsSet;
+
+    /// Commits at the coordinator-chosen timestamp, which must lie inside
+    /// [`PreparedTxn::interval`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TxError::Aborted`] when `ts` lies outside the frozen
+    /// interval (a coordinator bug); a timestamp inside always succeeds.
+    fn commit_at(self: Box<Self>, ts: Timestamp) -> Result<CommitInfo, TxError>;
+
+    /// Aborts the prepared transaction (the coordinator's empty-intersection
+    /// decision), releasing its locks.
+    fn abort(self: Box<Self>);
+}
+
 /// A serializable transactional key-value store.
 ///
 /// The concurrency-control engines (`MvtlStore` under every policy, MVTO+
@@ -125,10 +152,10 @@ impl TxOutcome {
 /// it is the surface an *engine author* implements, and what a caller uses
 /// to drive one store statically. Consumers (workload runners, the verifier,
 /// benchmarks) program against the object-safe [`Engine`](crate::Engine)
-/// trait instead: the `mvtl-shard` crate adapts a `TransactionalKV` store
-/// into a shard, and every registry spec is a `ShardedStore` of such shards
-/// — see the [`EngineExt::run`](crate::EngineExt::run) retry loop for the
-/// idiomatic transfer example.
+/// trait instead: every registry spec is a `ShardedStore` (`mvtl-shard`)
+/// whose shards are `TransactionalKV` stores — see the
+/// [`EngineExt::run`](crate::EngineExt::run) retry loop for the idiomatic
+/// transfer example.
 pub trait TransactionalKV<V>: Send + Sync {
     /// Per-transaction handle.
     type Txn: Send;

@@ -18,13 +18,14 @@
 //! * [`TxError`] / [`AbortReason`] — the error vocabulary shared by every engine.
 //! * [`ops`] — the workload model of §2 (sequences of reads/writes/commits
 //!   indexed by transaction), used by the verifier and the workload generators.
-//! * [`kv`] — the `TransactionalKV` trait an engine author implements (all
-//!   MVTL policies, MVTO+, 2PL): the static, per-store transaction surface.
+//! * [`kv`] — the one storage trait, [`TransactionalKV`], which every engine
+//!   (all MVTL policies, MVTO+, 2PL) and every store decorator implements:
+//!   the static, per-store transaction surface, whose
+//!   [`TransactionalKV::prepare`] yields a [`PreparedTxn`] for the §7
+//!   cross-shard commit. A sharded store is generic over it.
 //! * [`engine`] — the object-safe consumer layer: the [`Engine`] trait, the
-//!   boxed [`TxHandle`] (the one handle trait, shared with the shards of a
-//!   sharded store, whose [`TxHandle::prepare`] yields a [`PreparedTxn`]),
-//!   the RAII [`Transaction`] guard (abort on drop), and the
-//!   [`EngineExt::run`] retry loop. `Box<dyn Engine<V>>` is what the
+//!   boxed [`TxHandle`], the RAII [`Transaction`] guard (abort on drop), and
+//!   the [`EngineExt::run`] retry loop. `Box<dyn Engine<V>>` is what the
 //!   string-spec registry (`mvtl-registry`) hands out and what every consumer
 //!   drives.
 //! * [`watermark`] — the [`ActiveTxnRegistry`]: in-flight transactions pin the
@@ -58,10 +59,10 @@ mod timestamp;
 mod tsset;
 pub mod watermark;
 
-pub use engine::{Engine, EngineExt, PreparedTxn, RetryOptions, RunReport, Transaction, TxHandle};
+pub use engine::{Engine, EngineExt, RetryOptions, RunReport, Transaction, TxHandle};
 pub use error::{AbortReason, TxError};
 pub use ids::{Key, ProcessId, TxId};
-pub use kv::{CommitInfo, StoreStats, TransactionalKV, TxOutcome};
+pub use kv::{CommitInfo, PreparedTxn, StoreStats, TransactionalKV, TxOutcome};
 pub use tempdir::TempDir;
 pub use timestamp::{Timestamp, TsRange};
 pub use tsset::TsSet;
@@ -93,9 +94,7 @@ impl std::fmt::Display for TxStatus {
 ///
 /// The paper's *freezable locks* (§4.2) are readers-writer locks over
 /// write-once objects (individual timestamps), so only two modes exist.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LockMode {
     /// Shared mode: many transactions may hold read locks on the same timestamp.
     Read,

@@ -7,7 +7,6 @@
 //! workload generators produce them from statistical parameters.
 
 use crate::{Key, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -15,7 +14,7 @@ use std::fmt;
 pub type WorkloadTxIndex = usize;
 
 /// A single operation of a workload.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Read key `k` within the transaction.
     Read(Key),
@@ -63,7 +62,7 @@ impl fmt::Display for Op {
 
 /// One step of an interleaved workload: which transaction performs which
 /// operation, in global order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadStep {
     /// Index of the transaction performing the operation.
     pub tx: WorkloadTxIndex,
@@ -78,7 +77,7 @@ pub struct WorkloadStep {
 /// gets timestamp 2, ..." — the serial-abort and ghost-abort examples of §5.3
 /// and §5.5 only arise under specific timestamp assignments, so replaying them
 /// requires pinning the clock readings each transaction observes.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Workload {
     /// Global interleaving of operations.
     pub steps: Vec<WorkloadStep>,

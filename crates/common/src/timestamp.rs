@@ -1,6 +1,5 @@
 //! Timestamps and closed timestamp ranges.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A timestamp: a `(value, process)` pair ordered lexicographically.
@@ -17,7 +16,7 @@ use std::fmt;
 /// * [`Timestamp::MAX`] — the representation of the `+∞` bound used by the
 ///   pessimistic and prioritizer policies ("write-lock all the possible
 ///   timestamps", Algorithms 6 and 9).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp {
     /// Clock value (most significant component of the order).
     pub value: u64,
@@ -136,7 +135,7 @@ impl From<u64> for Timestamp {
 /// Ranges are the unit of *interval compression* (§6 of the paper): every lock
 /// acquisition, every freeze, and every per-transaction candidate set is a
 /// small number of these.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TsRange {
     /// Inclusive lower bound.
     pub start: Timestamp,

@@ -1,7 +1,6 @@
 //! Sets of timestamps represented as sorted disjoint closed intervals.
 
 use crate::{Timestamp, TsRange};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Ranges stored inline before spilling to the heap. Nearly every set on the
@@ -23,7 +22,7 @@ const SLOT_FILLER: TsRange = TsRange {
 /// produced set is always in the smallest representation that fits — `Heap`
 /// implies more than [`INLINE_RANGES`] ranges at some point during the
 /// rebuild. Equality is defined on the range sequence, not the representation.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 enum Repr {
     /// Up to [`INLINE_RANGES`] ranges stored by value; `len` counts the live
     /// prefix of `slots`.
@@ -49,7 +48,7 @@ enum Repr {
 /// when adjacent), so equality is structural. Sets of up to two ranges — the
 /// overwhelmingly common case on the lock-table hot path — are stored inline
 /// and never touch the allocator.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct TsSet {
     repr: Repr,
 }

@@ -94,7 +94,6 @@ where
 
     /// Begins a transaction, optionally pinning the clock value it observes and
     /// optionally marking it critical (MVTL-Prio §5.2).
-    #[must_use]
     pub fn begin_with(
         &self,
         process: ProcessId,
@@ -123,7 +122,6 @@ where
 
     /// Begins a critical (high-priority) transaction; only meaningful with
     /// [`crate::policy::PrioPolicy`].
-    #[must_use]
     pub fn begin_critical(&self, process: ProcessId) -> MvtlTransaction<V> {
         self.begin_with(process, None, true)
     }

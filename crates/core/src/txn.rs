@@ -206,12 +206,27 @@ impl TxState {
 ///
 /// It owns the buffered writes ("the write is not visible to other transactions
 /// until the transaction commits", §4.3) and the policy-visible [`TxState`].
+///
+/// It holds no reference to its store, so it cannot release its locks and
+/// its GC pin by itself: every transaction must end in `commit` or `abort`.
+/// Dropping one that is still active is a bug, which debug builds catch.
 #[derive(Debug)]
+#[must_use = "a transaction holds locks until it is committed or aborted"]
 pub struct MvtlTransaction<V> {
     /// Policy-visible state.
     pub(crate) state: TxState,
     /// Buffered writes, last value per key wins.
     pub(crate) write_values: Vec<(Key, V)>,
+}
+
+impl<V> Drop for MvtlTransaction<V> {
+    fn drop(&mut self) {
+        debug_assert!(
+            std::thread::panicking() || !self.state.is_active(),
+            "transaction {} dropped while active: commit or abort it",
+            self.state.id
+        );
+    }
 }
 
 impl<V> MvtlTransaction<V> {
@@ -314,6 +329,8 @@ mod tests {
         assert_eq!(tx.pending_write(Key(3)), None);
         assert_eq!(tx.state().write_keys, vec![Key(1), Key(2)]);
         assert_eq!(tx.write_values.len(), 2);
+        // No store began it, so none can abort it: end it by hand.
+        tx.state.status = TxStatus::Aborted;
     }
 
     #[test]

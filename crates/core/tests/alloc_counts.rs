@@ -142,6 +142,7 @@ fn fragmented_write_allocs(fragments: u64) -> u64 {
     written.expect("fragmented write");
     // Every version of the spanned key falls inside a fragment and cuts it.
     assert_eq!(tx.state().ts_set.range_count() as u64, fragments + SPANS);
+    store.abort(tx);
     allocs
 }
 
@@ -179,7 +180,7 @@ fn hot_path_allocation_budgets_hold() {
         }
         sum
     });
-    drop(tx);
+    store.abort(tx);
     assert!(warm > 0 && sum > 0, "reads returned the seeded values");
     assert_eq!(
         read_allocs, 0,
@@ -235,7 +236,7 @@ fn hot_path_allocation_budgets_hold() {
     //
     // A key keeps one lock entry inline, so taking a lock on a key that
     // holds none must not need a heap buffer. The keys here are fresh (the
-    // reader above was dropped holding its locks): the first round creates
+    // reader above read others, and was aborted): the first round creates
     // their cells, takes a lock on each and releases it, and the second is
     // measured. Each transaction reads eight keys and commits: its read set
     // and lock mirror are sized for eight keys at `begin`, which runs

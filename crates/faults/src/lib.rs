@@ -23,8 +23,9 @@
 //!   fault regression tests and the CI fault-matrix step replay through the
 //!   MVSG checker.
 //!
-//! The *enforcement* side is `mvtl-shard`'s `FaultyBackend` decorator, which
-//! injects these faults between the coordinator and a real shard. The
+//! The *enforcement* side is `mvtl-shard`'s `Faulty` store decorator, a
+//! `TransactionalKV` over a real shard's store, which injects these faults
+//! between the coordinator and that store. The
 //! registry wraps every shard of a `fault=` spec in it, so `delay:` gives any
 //! engine — MVTO+ and 2PL included — a round trip per operation; that is how
 //! the figure harness models the paper's test beds.

@@ -1,7 +1,6 @@
 //! A single interval lock entry.
 
 use mvtl_common::{LockMode, TsRange, TxId};
-use serde::{Deserialize, Serialize};
 
 /// One interval lock held on a key: an owner, a mode, a closed timestamp range
 /// and a frozen bit.
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// This is the unit of *interval compression* (§6): "rather than keeping a lock
 /// state for each timestamp, an implementation can keep a single lock state for
 /// an entire interval".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockEntry {
     /// Transaction holding the lock. A frozen entry still names the
     /// transaction that froze it, but blocks that transaction too: nobody

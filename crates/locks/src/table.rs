@@ -2,13 +2,12 @@
 
 use crate::{AcquireAnalysis, LockEntry};
 use mvtl_common::{LockMode, Timestamp, TsRange, TsSet, TxId};
-use serde::{Deserialize, Serialize};
 
 /// Statistics about the lock state of a key (or, summed, of a whole store).
 ///
 /// §8.4.5 of the paper measures "the number of locks ... as time passes"; these
 /// counters are what the state-size experiment (Figure 6) reads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockStateStats {
     /// Number of interval lock entries currently stored, frozen or not.
     pub entries: usize,
@@ -146,7 +145,7 @@ impl Entries {
 /// The structure is intentionally free of synchronization: engines wrap it in a
 /// per-key latch (mutex) and, where the paper's algorithms *wait* for unfrozen
 /// locks, use a condition variable around it.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct KeyLockState {
     entries: Entries,
 }

@@ -38,10 +38,10 @@
 //! engines automatically. Adding an engine to the workspace is a change here
 //! (a name and a `match` arm), not an edit to every consumer.
 //!
-//! Every spec is composed one way: a [`ShardedStore`] of one or more shard
-//! backends — one unless the spec is `sharded` — each optionally wrapped in
-//! fault injection, and the store optionally given its own write-ahead log
-//! and GC sweeper (see [`build_for`]). The paper's single server is the
+//! Every spec is composed one way: a [`ShardedStore`] of one or more shards
+//! — one unless the spec is `sharded` — each a store of the named engine,
+//! optionally wrapped in fault injection, and the store optionally given its
+//! own write-ahead log and GC sweeper (see [`build_for`]). The paper's single server is the
 //! one-participant case of its §7 protocol, and the code is built that way.
 //!
 //! # Example
@@ -62,14 +62,14 @@
 
 use mvtl_baselines::{MvtoStore, TwoPhaseLockingStore};
 use mvtl_clock::{ClockSource, GlobalClock};
-use mvtl_common::{Engine, TempDir};
+use mvtl_common::{Engine, TempDir, TransactionalKV};
 use mvtl_core::policy::{
     EpsilonPolicy, GhostbusterPolicy, LockingPolicy, MvtilPolicy, PessimisticPolicy, PrefPolicy,
     PrioPolicy, ToPolicy,
 };
 use mvtl_core::{MvtlConfig, MvtlStore};
 use mvtl_faults::{FaultPlan, FaultSpec};
-use mvtl_shard::{FaultyBackend, IntersectionPick, KvBackend, ShardBackend, ShardedStore};
+use mvtl_shard::{Faulty, IntersectionPick, ShardedStore};
 use mvtl_wal::{FsyncMode, Recovery, Wal, WalOptions, WalValue};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -360,12 +360,13 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 /// rejected. The value type must implement [`WalValue`] (as `u64` and
 /// `String`, the types the workspace measures, both do).
 ///
-/// Every spec is composed the same way: `count` copies of one shard backend
-/// (the named engine, or `sharded`'s `inner` one), each wrapped in a
-/// [`FaultyBackend`] (`fault=`), put in one [`ShardedStore`] named after the
-/// spec's base name, which owns the log when `wal` is set
+/// Every spec is composed the same way: the parameters are parsed into an
+/// engine kind first, then one generic function builds `count` stores of
+/// that engine (the named one, or `sharded`'s `inner` one), each wrapped in
+/// [`Faulty`] when `fault=` is set, and puts them in one [`ShardedStore`]
+/// named after the spec's base name, which owns the log when `wal` is set
 /// ([`ShardedStore::with_log`]) and runs its own GC sweeper when `gc_ms` is
-/// set.
+/// set. A spec without `fault=` carries no fault layer.
 /// `count` is `sharded`'s `shards` and 1 for every other engine; a one-shard
 /// store behaves exactly like the bare engine. A cross-shard commit picks
 /// the largest timestamp of the shards' common interval when the shards run
@@ -400,7 +401,7 @@ where
         }
     };
     let fault = take_fault_plan(&mut parsed, layout.count)?;
-    let backend = take_backend::<V>(&layout.inner, &mut parsed)?;
+    let (engine, config) = take_engine(&layout.inner, &mut parsed)?;
     parsed.finish()?;
 
     // The log opens before the clock exists: recovery reports the largest
@@ -412,32 +413,84 @@ where
         .as_ref()
         .and_then(|(_, recovery)| recovery.max_commit_ts())
         .map_or(base, |ts| base.max(ts.value + 1));
-    let clock: Arc<dyn ClockSource> = Arc::new(GlobalClock::starting_at(start));
-    let mut shards = Vec::with_capacity(layout.count);
-    for i in 0..layout.count {
-        let mut shard = backend(Arc::clone(&clock));
-        if let Some(plan) = &fault {
-            shard = FaultyBackend::wrap(shard, Arc::clone(plan), i);
-        }
-        shards.push(shard);
-    }
-    let pick = if layout.inner == "mvtil-late" {
-        IntersectionPick::Max
-    } else {
-        IntersectionPick::Min
+    let parts = Parts {
+        name,
+        count: layout.count,
+        pick: if layout.inner == "mvtil-late" {
+            IntersectionPick::Max
+        } else {
+            IntersectionPick::Min
+        },
+        clock: Arc::new(GlobalClock::starting_at(start)),
+        log,
+        gc,
     };
-    let mut store = ShardedStore::new(shards, Arc::clone(&clock), pick).with_name(name);
-    if let Some((wal, recovery)) = log {
-        store = store.with_log(wal, recovery).map_err(wal_spec_err)?;
+    match engine {
+        EngineKind::Mvtil(policy) => parts.compose(fault, mvtl(policy, config)),
+        EngineKind::To(policy) => parts.compose(fault, mvtl(policy, config)),
+        EngineKind::Ghostbuster(policy) => parts.compose(fault, mvtl(policy, config)),
+        EngineKind::Epsilon(policy) => parts.compose(fault, mvtl(policy, config)),
+        EngineKind::Pref(policy) => parts.compose(fault, mvtl(policy, config)),
+        EngineKind::Prio(policy) => parts.compose(fault, mvtl(policy, config)),
+        EngineKind::Pessimistic(policy) => parts.compose(fault, mvtl(policy, config)),
+        EngineKind::Mvto => parts.compose(fault, MvtoStore::new),
+        EngineKind::TwoPl(timeout) => {
+            parts.compose(fault, move |_| TwoPhaseLockingStore::new(timeout))
+        }
     }
-    if let Some((interval, lag)) = gc {
-        store = store
-            .with_gc(interval, lag)
-            .map_err(|err| SpecError::Malformed {
+}
+
+/// The store a spec describes, apart from the engine of its shards.
+struct Parts<V> {
+    name: &'static str,
+    count: usize,
+    pick: IntersectionPick,
+    clock: Arc<dyn ClockSource>,
+    log: Option<(Wal, Recovery<V>)>,
+    gc: Option<(Duration, Duration)>,
+}
+
+impl<V: WalValue + Clone + Send + Sync + 'static> Parts<V> {
+    /// Builds `count` shards with `shard` — each wrapped in [`Faulty`] when
+    /// the spec sets `fault=` — into the store.
+    fn compose<S>(
+        self,
+        fault: Option<Arc<FaultPlan>>,
+        shard: impl Fn(Arc<dyn ClockSource>) -> S,
+    ) -> Result<Box<dyn Engine<V>>, SpecError>
+    where
+        S: TransactionalKV<V> + 'static,
+    {
+        let shards: Vec<_> = (0..self.count)
+            .map(|_| Arc::new(shard(Arc::clone(&self.clock))))
+            .collect();
+        match fault {
+            None => self.attach(shards),
+            Some(plan) => {
+                let faulty = |(i, shard)| Arc::new(Faulty::new(shard, Arc::clone(&plan), i));
+                self.attach(shards.into_iter().enumerate().map(faulty).collect())
+            }
+        }
+    }
+
+    /// Puts `shards` in one [`ShardedStore`] with the spec's name, log and
+    /// GC sweeper.
+    fn attach<S>(self, shards: Vec<Arc<S>>) -> Result<Box<dyn Engine<V>>, SpecError>
+    where
+        S: TransactionalKV<V> + 'static,
+    {
+        let mut store = ShardedStore::new(shards, self.clock, self.pick).with_name(self.name);
+        if let Some((wal, recovery)) = self.log {
+            store = store.with_log(wal, recovery).map_err(wal_spec_err)?;
+        }
+        if let Some((interval, lag)) = self.gc {
+            let gc_err = |err| SpecError::Malformed {
                 detail: format!("gc attach failed: {err}"),
-            })?;
+            };
+            store = store.with_gc(interval, lag).map_err(gc_err)?;
+        }
+        Ok(Box::new(store))
     }
-    Ok(Box::new(store))
 }
 
 /// Every engine base name the registry builds.
@@ -603,8 +656,8 @@ fn take_sharded_layout(parsed: &mut EngineSpec) -> Result<Layout, SpecError> {
 
 /// Consumes the shared fault-injection parameters: `fault` (a `mvtl-faults`
 /// schedule string such as `delay:1:240` or `delay:0.4:200|crash:0.1`; every
-/// shard backend is wrapped in a [`FaultyBackend`] consulting one shared
-/// seeded [`FaultPlan`]) and `fault_seed` (plan seed, default
+/// shard is wrapped in a [`Faulty`] store consulting one shared seeded
+/// [`FaultPlan`]) and `fault_seed` (plan seed, default
 /// [`DEFAULT_FAULT_SEED`]; requires `fault`). `delay:` applies to every
 /// engine. The other clauses act on the §7 prepare (`drop`, `stall`,
 /// `crash`) or on pinned begin timestamps (`skew`), which a one-shard
@@ -643,44 +696,46 @@ fn take_fault_plan(
     ))))
 }
 
-/// Builds one shard backend reading the given clock.
-type BackendFactory<V> = Box<dyn Fn(Arc<dyn ClockSource>) -> Arc<dyn ShardBackend<V>>>;
+/// The engine of a spec's shards, with its own parameters parsed.
+enum EngineKind {
+    Mvtil(MvtilPolicy),
+    To(ToPolicy),
+    Ghostbuster(GhostbusterPolicy),
+    Epsilon(EpsilonPolicy),
+    Pref(PrefPolicy),
+    Prio(PrioPolicy),
+    Pessimistic(PessimisticPolicy),
+    Mvto,
+    TwoPl(Duration),
+}
 
-/// Consumes engine `name`'s own parameters and returns a factory for one
-/// shard of it — the registry's one `match` over engine names.
-fn take_backend<V>(name: &str, parsed: &mut EngineSpec) -> Result<BackendFactory<V>, SpecError>
-where
-    V: Clone + Send + Sync + 'static,
-{
+/// Consumes engine `name`'s own parameters and returns its kind, with the
+/// MVTL engines' shared configuration (`timeout_ms`, the lock-wait timeout)
+/// — the registry's one `match` over engine names.
+fn take_engine(name: &str, parsed: &mut EngineSpec) -> Result<(EngineKind, MvtlConfig), SpecError> {
     let delta = |parsed: &mut EngineSpec| -> Result<u64, SpecError> {
         Ok(parsed.take_parsed("delta")?.unwrap_or(DEFAULT_DELTA))
     };
-    Ok(match name {
-        "mvtil-early" => mvtl(MvtilPolicy::early(delta(parsed)?), parsed)?,
-        "mvtil-late" => mvtl(MvtilPolicy::late(delta(parsed)?), parsed)?,
-        "mvtl-to" => mvtl(ToPolicy::new(), parsed)?,
-        "mvtl-ghostbuster" => mvtl(GhostbusterPolicy::new(), parsed)?,
+    let kind = match name {
+        "mvtil-early" => EngineKind::Mvtil(MvtilPolicy::early(delta(parsed)?)),
+        "mvtil-late" => EngineKind::Mvtil(MvtilPolicy::late(delta(parsed)?)),
+        "mvtl-to" => EngineKind::To(ToPolicy::new()),
+        "mvtl-ghostbuster" => EngineKind::Ghostbuster(GhostbusterPolicy::new()),
         "mvtl-epsilon-clock" => {
             let eps = parsed.take_parsed("eps")?.unwrap_or(DEFAULT_EPSILON);
-            mvtl(EpsilonPolicy::new(eps), parsed)?
+            EngineKind::Epsilon(EpsilonPolicy::new(eps))
         }
-        "mvtl-pref" => {
-            let policy = match parsed.take("offset") {
-                None => PrefPolicy::new(),
-                Some(list) => PrefPolicy::with_offsets(parse_offsets(&list)?),
-            };
-            mvtl(policy, parsed)?
-        }
-        "mvtl-prio" => mvtl(PrioPolicy::new(), parsed)?,
-        "mvtl-pessimistic" => mvtl(PessimisticPolicy::new(), parsed)?,
-        "mvto+" => Box::new(|clock| KvBackend::build(MvtoStore::<V>::new(clock))),
+        "mvtl-pref" => EngineKind::Pref(match parsed.take("offset") {
+            None => PrefPolicy::new(),
+            Some(list) => PrefPolicy::with_offsets(parse_offsets(&list)?),
+        }),
+        "mvtl-prio" => EngineKind::Prio(PrioPolicy::new()),
+        "mvtl-pessimistic" => EngineKind::Pessimistic(PessimisticPolicy::new()),
+        "mvto+" => return Ok((EngineKind::Mvto, MvtlConfig::default())),
         "2pl" => {
-            let timeout = Duration::from_millis(
-                parsed
-                    .take_parsed("timeout_ms")?
-                    .unwrap_or(DEFAULT_2PL_TIMEOUT_MS),
-            );
-            Box::new(move |_| KvBackend::build(TwoPhaseLockingStore::<V>::new(timeout)))
+            let timeout_ms = parsed.take_parsed("timeout_ms")?;
+            let timeout = Duration::from_millis(timeout_ms.unwrap_or(DEFAULT_2PL_TIMEOUT_MS));
+            return Ok((EngineKind::TwoPl(timeout), MvtlConfig::default()));
         }
         // Top-level names were checked against `ENGINES`, so only a
         // `sharded` spec's `inner` can name something else.
@@ -690,23 +745,21 @@ where
                 value: other.to_string(),
             })
         }
-    })
-}
-
-/// A factory for [`MvtlStore`] shards under `policy`, consuming the shared
-/// MVTL parameter `timeout_ms` (lock-wait timeout).
-fn mvtl<V, P>(policy: P, parsed: &mut EngineSpec) -> Result<BackendFactory<V>, SpecError>
-where
-    V: Clone + Send + Sync + 'static,
-    P: LockingPolicy + Clone + 'static,
-{
+    };
     let mut config = MvtlConfig::default();
     if let Some(timeout_ms) = parsed.take_parsed::<u64>("timeout_ms")? {
         config = config.with_lock_wait_timeout(Duration::from_millis(timeout_ms));
     }
-    Ok(Box::new(move |clock| {
-        KvBackend::build(MvtlStore::new(policy.clone(), clock, config.clone()))
-    }))
+    Ok((kind, config))
+}
+
+/// Makes [`MvtlStore`] shards under `policy` reading a given clock.
+fn mvtl<V, P>(policy: P, config: MvtlConfig) -> impl Fn(Arc<dyn ClockSource>) -> MvtlStore<V, P>
+where
+    V: Clone + Send + Sync + 'static,
+    P: LockingPolicy + Clone,
+{
+    move |clock| MvtlStore::new(policy.clone(), clock, config.clone())
 }
 
 fn parse_offsets(list: &str) -> Result<Vec<i64>, SpecError> {

@@ -1,20 +1,21 @@
-//! Fault-injecting decorators over the shard participant seam.
+//! A fault-injecting store decorator.
 //!
-//! [`FaultyBackend`] wraps any [`ShardBackend`] and consults a seeded
-//! [`FaultPlan`] (`mvtl-faults`) before forwarding each call, injecting the
-//! schedule's per-operation delays, dropped/late prepare responses, shard
-//! stalls, crashes mid-prepare, and per-shard clock skew. The wrapped shard
-//! never knows: every fault is expressed through the ordinary participant
-//! interface, so presumed abort is exercised against a *real* engine, not a
-//! mock. The decorator plays the network between coordinator and shard, so
-//! it is also what notices a prepare response that misses its deadline: it
-//! fails the prepare with [`AbortReason::PrepareTimedOut`] at once, and the
-//! coordinator needs no timer of its own.
+//! [`Faulty`] wraps one shard's store and consults a seeded [`FaultPlan`]
+//! (`mvtl-faults`) before forwarding each call, injecting the schedule's
+//! per-operation delays, dropped/late prepare responses, shard stalls,
+//! crashes mid-prepare, and per-shard clock skew. It is itself a
+//! [`TransactionalKV`] whose transactions are the wrapped store's own, so
+//! the store never knows: every fault is expressed through the ordinary
+//! storage interface, and presumed abort is exercised against a *real*
+//! engine, not a mock. The decorator plays the network between coordinator
+//! and shard, so it is also what notices a prepare response that misses its
+//! deadline: it fails the prepare with [`AbortReason::PrepareTimedOut`] at
+//! once, and the coordinator needs no timer of its own.
 //!
 //! Fault semantics (one decision per sequence number, drawn from the plan):
 //!
 //! * **Delay** — sleep a deterministic number of microseconds before serving a
-//!   read/write or a prepared commit.
+//!   read/write, a one-shard commit or a prepared commit.
 //! * **Stall** — the shard does not serve `prepare` for the schedule's stall
 //!   time. The coordinator sees the deadline missed; a detached thread
 //!   stands in for the slow shard, which prepares once the stall ends, hears
@@ -30,57 +31,59 @@
 //! * **Skew** — the pinned begin timestamp is offset by a constant per-shard
 //!   tick count, the ε-clock scenario of the skewed-clock schedule.
 
-use crate::backend::ShardBackend;
 use mvtl_common::{
-    AbortReason, CommitInfo, Key, PreparedTxn, ProcessId, StoreStats, Timestamp, TsSet, TxError,
-    TxHandle,
+    AbortReason, CommitInfo, Key, PreparedTxn, ProcessId, StoreStats, Timestamp, TransactionalKV,
+    TsSet, TxError,
 };
 use mvtl_faults::{FaultPlan, PrepareFault};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-/// A [`ShardBackend`] decorator that injects the faults of a seeded
+/// A [`TransactionalKV`] decorator that injects the faults of a seeded
 /// [`FaultPlan`] between the cross-shard coordinator and the wrapped shard.
-pub struct FaultyBackend<V> {
-    inner: Arc<dyn ShardBackend<V>>,
+pub struct Faulty<S> {
+    inner: Arc<S>,
     plan: Arc<FaultPlan>,
     shard: usize,
     /// Per-shard operation sequence: each fault decision consumes one number,
     /// so a single-threaded replay draws an identical fault schedule each run.
-    seq: Arc<AtomicU64>,
+    seq: AtomicU64,
     /// Separate stream for `begin` skew events, so adding `skew:` to a spec
     /// does not shift the delay/prepare decision sequence.
     begin_seq: AtomicU64,
 }
 
-impl<V> FaultyBackend<V>
-where
-    V: Clone + Send + Sync + 'static,
-{
-    /// Wraps `inner` as shard `shard` of `plan`, type-erased — the form
-    /// [`ShardedStore::new`](crate::ShardedStore::new) consumes.
+impl<S> Faulty<S> {
+    /// Wraps `inner` as shard `shard` of `plan`.
     #[must_use]
-    pub fn wrap(
-        inner: Arc<dyn ShardBackend<V>>,
-        plan: Arc<FaultPlan>,
-        shard: usize,
-    ) -> Arc<dyn ShardBackend<V>> {
-        Arc::new(FaultyBackend {
+    pub fn new(inner: Arc<S>, plan: Arc<FaultPlan>, shard: usize) -> Self {
+        Faulty {
             inner,
             plan,
             shard,
-            seq: Arc::new(AtomicU64::new(0)),
+            seq: AtomicU64::new(0),
             begin_seq: AtomicU64::new(0),
-        })
+        }
+    }
+
+    /// Sleeps for the plan's delay at the next sequence number, if any.
+    fn maybe_delay(&self) {
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        if let Some(delay) = self.plan.op_delay(self.shard, seq) {
+            thread::sleep(delay);
+        }
     }
 }
 
-impl<V> ShardBackend<V> for FaultyBackend<V>
+impl<V, S> TransactionalKV<V> for Faulty<S>
 where
     V: Clone + Send + Sync + 'static,
+    S: TransactionalKV<V> + 'static,
 {
-    fn begin(&self, process: ProcessId, pinned: Option<Timestamp>) -> Box<dyn TxHandle<V>> {
+    type Txn = S::Txn;
+
+    fn begin_at(&self, process: ProcessId, pinned: Option<Timestamp>) -> Self::Txn {
         let offset = self.plan.shard_skew(self.shard);
         let pinned = match (pinned, offset) {
             (Some(ts), skew) if skew != 0 => {
@@ -95,12 +98,81 @@ where
             }
             (pinned, _) => pinned,
         };
-        Box::new(FaultyTxn {
-            inner: self.inner.begin(process, pinned),
-            plan: Arc::clone(&self.plan),
-            shard: self.shard,
-            seq: Arc::clone(&self.seq),
-        })
+        self.inner.begin_at(process, pinned)
+    }
+
+    fn read(&self, txn: &mut Self::Txn, key: Key) -> Result<Option<V>, TxError> {
+        self.maybe_delay();
+        self.inner.read(txn, key)
+    }
+
+    fn write(&self, txn: &mut Self::Txn, key: Key, value: V) -> Result<(), TxError> {
+        self.maybe_delay();
+        self.inner.write(txn, key, value)
+    }
+
+    fn commit(&self, txn: Self::Txn) -> Result<CommitInfo, TxError> {
+        self.maybe_delay();
+        self.inner.commit(txn)
+    }
+
+    fn abort(&self, txn: Self::Txn) {
+        self.inner.abort(txn);
+    }
+
+    fn prepare(store: &Arc<Self>, txn: Self::Txn) -> Result<Box<dyn PreparedTxn<V>>, TxError> {
+        let seq = store.seq.fetch_add(1, Ordering::Relaxed);
+        let (shard, inner) = (store.shard, &store.inner);
+        match store.plan.prepare_fault(shard, seq) {
+            None => Ok(Box::new(FaultyPrepared {
+                inner: S::prepare(inner, txn)?,
+                store: Arc::clone(store),
+            })),
+            Some(PrepareFault::Crash) => {
+                // The shard dies between `prepare` and the decision: whatever
+                // volatile lock state the prepare built is lost, and the
+                // restarted shard recovers by presumed abort. The coordinator
+                // observes the prepare failing.
+                if let Ok(prepared) = S::prepare(inner, txn) {
+                    prepared.abort();
+                }
+                Err(TxError::aborted(AbortReason::ParticipantCrashed {
+                    shard: shard as u32,
+                }))
+            }
+            Some(PrepareFault::DropResponse(hold)) => {
+                // The shard prepares and holds its frozen locks, but the
+                // response is lost. The participant side of presumed abort:
+                // hear no decision for `hold`, then abort.
+                if let Ok(prepared) = S::prepare(inner, txn) {
+                    thread::spawn(move || {
+                        thread::sleep(hold);
+                        prepared.abort();
+                    });
+                }
+                Err(TxError::aborted(AbortReason::PrepareTimedOut {
+                    shard: shard as u32,
+                }))
+            }
+            Some(PrepareFault::Stall(stall)) => {
+                // The shard serves the prepare only after `stall`, long past
+                // the deadline, and then finds no decision: it aborts.
+                let inner = Arc::clone(inner);
+                thread::spawn(move || {
+                    thread::sleep(stall);
+                    if let Ok(prepared) = S::prepare(&inner, txn) {
+                        prepared.abort();
+                    }
+                });
+                Err(TxError::aborted(AbortReason::PrepareTimedOut {
+                    shard: shard as u32,
+                }))
+            }
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
     }
 
     fn stats(&self) -> StoreStats {
@@ -115,144 +187,32 @@ where
         self.inner.low_watermark()
     }
 
-    fn recover_commit(&self, writes: Vec<(Key, V)>, commit_ts: Timestamp) -> Result<(), TxError> {
+    fn recover_install(&self, writes: Vec<(Key, V)>, commit_ts: Timestamp) -> Result<(), TxError> {
         // Recovery runs before the workload restarts; faults apply to live
         // traffic only.
-        self.inner.recover_commit(writes, commit_ts)
-    }
-}
-
-/// [`TxHandle`] decorator: delays operations and perturbs `prepare` per the
-/// plan's decisions.
-struct FaultyTxn<V> {
-    inner: Box<dyn TxHandle<V>>,
-    plan: Arc<FaultPlan>,
-    shard: usize,
-    seq: Arc<AtomicU64>,
-}
-
-impl<V> FaultyTxn<V> {
-    fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn maybe_delay(&self) {
-        if let Some(delay) = self.plan.op_delay(self.shard, self.next_seq()) {
-            thread::sleep(delay);
-        }
-    }
-}
-
-impl<V> TxHandle<V> for FaultyTxn<V>
-where
-    V: Clone + Send + Sync + 'static,
-{
-    fn read(&mut self, key: Key) -> Result<Option<V>, TxError> {
-        self.maybe_delay();
-        self.inner.read(key)
-    }
-
-    fn write(&mut self, key: Key, value: V) -> Result<(), TxError> {
-        self.maybe_delay();
-        self.inner.write(key, value)
-    }
-
-    fn commit(self: Box<Self>) -> Result<CommitInfo, TxError> {
-        self.maybe_delay();
-        let FaultyTxn { inner, .. } = *self;
-        inner.commit()
-    }
-
-    fn prepare(self: Box<Self>) -> Result<Box<dyn PreparedTxn<V>>, TxError> {
-        let fault = self.plan.prepare_fault(self.shard, self.next_seq());
-        let FaultyTxn {
-            inner,
-            plan,
-            shard,
-            seq,
-        } = *self;
-        match fault {
-            None => Ok(Box::new(FaultyPrepared {
-                inner: inner.prepare()?,
-                plan,
-                shard,
-                seq,
-            })),
-            Some(PrepareFault::Crash) => {
-                // The shard dies between `prepare` and the decision: whatever
-                // volatile lock state the prepare built is lost, and the
-                // restarted shard recovers by presumed abort. The coordinator
-                // observes the prepare failing.
-                if let Ok(prepared) = inner.prepare() {
-                    prepared.abort();
-                }
-                Err(TxError::aborted(AbortReason::ParticipantCrashed {
-                    shard: shard as u32,
-                }))
-            }
-            Some(PrepareFault::DropResponse(hold)) => {
-                // The shard prepares and holds its frozen locks, but the
-                // response is lost. The participant side of presumed abort:
-                // hear no decision for `hold`, then abort.
-                if let Ok(prepared) = inner.prepare() {
-                    thread::spawn(move || {
-                        thread::sleep(hold);
-                        prepared.abort();
-                    });
-                }
-                Err(TxError::aborted(AbortReason::PrepareTimedOut {
-                    shard: shard as u32,
-                }))
-            }
-            Some(PrepareFault::Stall(stall)) => {
-                // The shard serves the prepare only after `stall`, long past
-                // the deadline, and then finds no decision: it aborts.
-                thread::spawn(move || {
-                    thread::sleep(stall);
-                    if let Ok(prepared) = inner.prepare() {
-                        prepared.abort();
-                    }
-                });
-                Err(TxError::aborted(AbortReason::PrepareTimedOut {
-                    shard: shard as u32,
-                }))
-            }
-        }
-    }
-
-    fn abort(self: Box<Self>) {
-        self.inner.abort();
+        self.inner.recover_install(writes, commit_ts)
     }
 }
 
 /// [`PreparedTxn`] decorator: delays the coordinated commit (aborts stay
 /// prompt so recovery drains fast).
-struct FaultyPrepared<V> {
+struct FaultyPrepared<V, S> {
     inner: Box<dyn PreparedTxn<V>>,
-    plan: Arc<FaultPlan>,
-    shard: usize,
-    seq: Arc<AtomicU64>,
+    store: Arc<Faulty<S>>,
 }
 
-impl<V> PreparedTxn<V> for FaultyPrepared<V>
+impl<V, S> PreparedTxn<V> for FaultyPrepared<V, S>
 where
-    V: Clone + Send + Sync + 'static,
+    V: Send,
+    S: Send + Sync,
 {
     fn interval(&self) -> &TsSet {
         self.inner.interval()
     }
 
     fn commit_at(self: Box<Self>, ts: Timestamp) -> Result<CommitInfo, TxError> {
-        let FaultyPrepared {
-            inner,
-            plan,
-            shard,
-            seq,
-        } = *self;
-        if let Some(delay) = plan.op_delay(shard, seq.fetch_add(1, Ordering::Relaxed)) {
-            thread::sleep(delay);
-        }
-        inner.commit_at(ts)
+        self.store.maybe_delay();
+        self.inner.commit_at(ts)
     }
 
     fn abort(self: Box<Self>) {

@@ -10,29 +10,27 @@
 //! intervals, or aborts when the intersection is empty. This crate executes
 //! that protocol with real threads:
 //!
-//! * [`ShardedStore`] hash-routes keys to `N` independent shards, each a full
-//!   per-key-latched MVTL engine ([`mvtl_core::MvtlStore`] under any
-//!   [`LockingPolicy`](mvtl_core::policy::LockingPolicy)). [`KvBackend`] is
-//!   the one adapter that turns a store — an `MvtlStore` or a baseline —
-//!   into a shard.
+//! * [`ShardedStore`] hash-routes keys to `N` independent shards. It is
+//!   generic over one storage trait,
+//!   [`TransactionalKV`](mvtl_common::TransactionalKV): every shard is an
+//!   `Arc<S>` — an [`MvtlStore`](mvtl_core::MvtlStore) under any
+//!   [`LockingPolicy`](mvtl_core::policy::LockingPolicy), a baseline, or a
+//!   decorator over one — and the store calls it statically.
 //! * A transaction opens shard sub-transactions lazily; one that touches a
 //!   single shard commits through the shard policy's own timestamp pick, with
-//!   no coordination. A one-shard store skips even the routing: its
-//!   transactions are the shard's own handles (wrapped only to record the
-//!   write set when it has a log), so it behaves exactly like the bare
-//!   engine — which is how `mvtl-registry` builds every non-`sharded`
-//!   spec, the baselines included.
+//!   no coordination. A one-shard store skips even the routing: its handle
+//!   owns the shard's own transaction (and records the write set when it has
+//!   a log), so it behaves exactly like the bare engine — which is how
+//!   `mvtl-registry` builds every non-`sharded` spec, the baselines included.
 //! * A cross-shard commit runs prepare → intersect → commit-at/abort:
-//!   [`TxHandle::prepare`](mvtl_common::TxHandle::prepare) freezes the
-//!   shard's interval
+//!   [`TransactionalKV::prepare`](mvtl_common::TransactionalKV::prepare)
+//!   freezes the shard's interval
 //!   ([`LockingPolicy::prepared_interval`](mvtl_core::policy::LockingPolicy::prepared_interval)
-//!   over the Algorithm 1 line 13 candidates), the coordinator intersects the
-//!   [`TsSet`](mvtl_common::TsSet)s, and either every shard commits at the
-//!   same timestamp
+//!   over the Algorithm 1 line 13 candidates; the baselines refuse), the
+//!   coordinator intersects the [`TsSet`](mvtl_common::TsSet)s, and either
+//!   every shard commits at the same timestamp
 //!   ([`PreparedTxn::commit_at`](mvtl_common::PreparedTxn::commit_at)) or
-//!   every shard aborts. A shard prepares through its store's
-//!   [`TransactionalKV::prepare`](mvtl_common::TransactionalKV::prepare),
-//!   which the baselines refuse.
+//!   every shard aborts.
 //! * [`ShardedStore::with_gc`] gives the store its own §6 sweeper thread:
 //!   every interval it purges all shards below the store's low watermark
 //!   and a lagged clock sample, and the store stops and joins it on drop.
@@ -43,22 +41,21 @@
 //!   crash leaves it whole in the log or absent. Reopening replays each
 //!   record into the shards its keys route to.
 //!
-//! There is one transaction-handle trait on both sides of the shard seam:
-//! a [`ShardBackend`] opens [`TxHandle`](mvtl_common::TxHandle)s, and
 //! [`ShardedStore`] implements [`Engine`](mvtl_common::Engine) by handing out
-//! either its only shard's handle or a routed one over several.
-//! [`FaultyBackend`] decorates a shard backend and its handles;
-//! `mvtl-registry` builds the whole stack from string specs:
+//! either one handle over its only shard's transaction or a routed one over
+//! several. [`Faulty`] is a store decorator that injects a seeded fault
+//! schedule between the coordinator and a shard; `mvtl-registry` builds the
+//! whole stack from string specs:
 //!
 //! ```
 //! use mvtl_common::{EngineExt, Key, ProcessId};
 //! use mvtl_shard::{IntersectionPick, ShardedStore};
 //! use mvtl_core::policy::MvtilPolicy;
-//! use mvtl_core::MvtlConfig;
+//! use mvtl_core::{MvtlConfig, MvtlStore};
 //! use mvtl_clock::GlobalClock;
 //! use std::sync::Arc;
 //!
-//! let store: ShardedStore<u64> = ShardedStore::with_policy(
+//! let store: ShardedStore<MvtlStore<u64, MvtilPolicy>> = ShardedStore::with_policy(
 //!     8,
 //!     Arc::new(GlobalClock::new()),
 //!     MvtlConfig::default(),
@@ -77,12 +74,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 mod faults;
 mod store;
 
-pub use backend::{KvBackend, ShardBackend};
-pub use faults::FaultyBackend;
+pub use faults::Faulty;
 pub use store::{IntersectionPick, ShardedStore};
 
 #[cfg(test)]
@@ -95,7 +90,9 @@ mod tests {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    fn store(shards: usize) -> ShardedStore<u64> {
+    type MvtilShards = ShardedStore<MvtlStore<u64, MvtilPolicy>>;
+
+    fn store(shards: usize) -> MvtilShards {
         ShardedStore::with_policy(
             shards,
             Arc::new(GlobalClock::starting_at(1000)),
@@ -106,7 +103,7 @@ mod tests {
     }
 
     /// Two keys guaranteed to live on different shards.
-    fn cross_shard_keys(s: &ShardedStore<u64>) -> (Key, Key) {
+    fn cross_shard_keys<S>(s: &ShardedStore<S>) -> (Key, Key) {
         let a = s.key_on_shard(0, 0);
         let b = s.key_on_shard(1, a.0 + 1);
         assert_ne!(s.shard_of(a), s.shard_of(b));
@@ -241,7 +238,6 @@ mod tests {
 
     #[test]
     fn one_shard_store_behaves_exactly_like_the_bare_engine() {
-        use mvtl_core::MvtlStore;
         let bare: MvtlStore<u64, MvtilPolicy> = MvtlStore::new(
             MvtilPolicy::early(100),
             Arc::new(GlobalClock::starting_at(1000)),
@@ -273,29 +269,29 @@ mod tests {
             [empty, write, tx.commit().unwrap()].map(seen)
         };
         assert_eq!(on_bare, on_one);
-        // No coordinator in between: the handle is the shard's own, so it
-        // can even act as a §7 participant and prepare.
-        let baseline = one.stats().lock_entries;
-        let mut tx = one.begin_handle(ProcessId(1), None);
-        tx.write(Key(2), 1).unwrap();
-        tx.prepare().unwrap().abort();
-        assert_eq!(one.stats().lock_entries, baseline);
     }
 
     #[test]
-    fn kv_backend_refuses_to_prepare_and_releases_its_locks() {
+    fn baseline_shards_refuse_to_prepare_and_release_their_locks() {
         use mvtl_baselines::TwoPhaseLockingStore;
-        let backend: Arc<dyn ShardBackend<u64>> =
-            KvBackend::build(TwoPhaseLockingStore::new(Duration::from_millis(20)));
-        let mut tx = backend.begin(ProcessId(1), None);
-        tx.write(Key(1), 1).unwrap();
-        let err = tx.prepare().map(|_| ()).unwrap_err();
+        let shards = (0..2)
+            .map(|_| Arc::new(TwoPhaseLockingStore::<u64>::new(Duration::from_millis(20))))
+            .collect();
+        let s = ShardedStore::new(shards, Arc::new(GlobalClock::new()), IntersectionPick::Min);
+        let (a, b) = cross_shard_keys(&s);
+        let mut tx = s.begin(ProcessId(1));
+        tx.write(a, 1).unwrap();
+        tx.write(b, 1).unwrap();
+        let err = tx.commit().map(|_| ()).unwrap_err();
         assert!(matches!(err, mvtl_common::TxError::Internal(_)), "{err}");
-        // The refused transaction released its lock: the next writer of the
-        // key does not time out, and the single-shard commit works as usual.
-        let mut tx = backend.begin(ProcessId(2), None);
-        tx.write(Key(1), 2).unwrap();
-        assert!(tx.commit().unwrap().commit_ts.is_some());
+        // The refused transaction released its locks on both shards: the
+        // next writer of the keys does not time out, and a single-shard
+        // commit works as usual.
+        for key in [a, b] {
+            let mut tx = s.begin(ProcessId(2));
+            tx.write(key, 2).unwrap();
+            assert!(tx.commit().unwrap().commit_ts.is_some());
+        }
     }
 
     #[test]
@@ -312,9 +308,9 @@ mod tests {
     #[test]
     fn store_owned_sweeper_purges_every_shard_and_joins_on_drop() {
         let clock = Arc::new(GlobalClock::starting_at(1000));
-        let shards: Vec<Arc<dyn ShardBackend<u64>>> = (0..2)
+        let shards: Vec<Arc<MvtlStore<u64, ToPolicy>>> = (0..2)
             .map(|_| {
-                KvBackend::build(MvtlStore::new(
+                Arc::new(MvtlStore::new(
                     ToPolicy::new(),
                     clock.clone(),
                     MvtlConfig::default(),
@@ -343,7 +339,7 @@ mod tests {
     }
 
     /// A one-shard MVTL-TO store swept every `interval` with `lag`.
-    fn swept_store(interval: Duration, lag: Duration) -> ShardedStore<u64> {
+    fn swept_store(interval: Duration, lag: Duration) -> ShardedStore<MvtlStore<u64, ToPolicy>> {
         ShardedStore::with_policy(
             1,
             Arc::new(GlobalClock::new()),
@@ -365,7 +361,7 @@ mod tests {
         false
     }
 
-    fn churn(s: &ShardedStore<u64>, key: Key, rounds: u64) {
+    fn churn(s: &dyn Engine<u64>, key: Key, rounds: u64) {
         for round in 0..rounds {
             let mut tx = s.begin(ProcessId(1));
             tx.write(key, round).unwrap();

@@ -1,10 +1,9 @@
 //! The partitioned engine and its cross-shard commit coordinator.
 
-use crate::backend::{KvBackend, ShardBackend};
 use mvtl_clock::ClockSource;
 use mvtl_common::{
     AbortReason, ActiveTxnRegistry, CommitInfo, Engine, Key, PreparedTxn, ProcessId, StoreStats,
-    Timestamp, TsSet, TxError, TxHandle, TxId, TxnPin,
+    Timestamp, TransactionalKV, TsSet, TxError, TxHandle, TxId, TxnPin,
 };
 use mvtl_core::policy::LockingPolicy;
 use mvtl_core::{MvtlConfig, MvtlStore};
@@ -36,22 +35,25 @@ pub enum IntersectionPick {
 }
 
 /// A real, threaded, partitioned transactional engine: keys are hash-routed
-/// to `N` independent shards, and cross-shard transactions commit with the
-/// paper's §7 protocol — each participating shard freezes the interval of
-/// timestamps it can commit at, the coordinator intersects those `TsSet`s,
-/// commits at one timestamp of a non-empty intersection, and aborts every
-/// participant when the intersection is empty.
+/// to `N` independent shards, each a [`TransactionalKV`] store `S`, and
+/// cross-shard transactions commit with the paper's §7 protocol — each
+/// participating shard freezes the interval of timestamps it can commit at
+/// ([`TransactionalKV::prepare`]), the coordinator intersects those
+/// `TsSet`s, commits at one timestamp of a non-empty intersection, and
+/// aborts every participant when the intersection is empty.
 ///
 /// `ShardedStore` implements [`Engine`], and it is the one composition seam
 /// of the `mvtl-registry` crate: every spec builds one,
 /// `"sharded?shards=8&inner=mvtil-early"` with eight shards and every other
 /// spec (`"mvtil-early"`, `"mvto+"`, ...) with one. A one-shard store hands
-/// out its shard's own transaction handles unchanged — no routing, no
-/// coordinator pin; with a log, wrapped only to record the write set — so
-/// it behaves exactly like the bare engine. On a
-/// multi-shard store, shard sub-transactions open lazily on first access,
-/// so a transaction that happens to touch one shard pays no coordination
-/// cost and commits through the shard policy's own timestamp pick.
+/// out one boxed handle that owns its shard's transaction — no routing, no
+/// coordinator pin; with a log, it also records the write set — so it
+/// behaves exactly like the bare engine. On a multi-shard store, shard
+/// sub-transactions open lazily on first access, so a transaction that
+/// happens to touch one shard pays no coordination cost and commits through
+/// the shard policy's own timestamp pick. The store calls its shards
+/// statically; a decorator such as [`Faulty`](crate::Faulty) is just
+/// another `S`.
 ///
 /// [`ShardedStore::with_gc`] attaches the store's own background garbage
 /// collector, which the store stops and joins when it is dropped, and
@@ -65,12 +67,12 @@ pub enum IntersectionPick {
 /// That is the paper's headline claim ("locking timestamps composes across
 /// servers"), executed here with real threads; Figure 5 measures it over a
 /// growing number of shards.
-pub struct ShardedStore<V> {
+pub struct ShardedStore<S> {
     /// The store's own sweeper. Declared first so that it drops first:
     /// joining the sweeper thread releases its share of `shards`, so every
     /// shard is gone by the time dropping the store returns.
     gc: Option<Sweeper>,
-    shards: Arc<Shards<V>>,
+    shards: Arc<Shards<S>>,
     clock: Arc<dyn ClockSource>,
     pick: IntersectionPick,
     /// What [`Engine::name`] reports.
@@ -82,8 +84,8 @@ pub struct ShardedStore<V> {
 
 /// Everything a GC sweep of a [`ShardedStore`] reaches, shared between the
 /// store and its sweeper thread.
-struct Shards<V> {
-    list: Vec<Arc<dyn ShardBackend<V>>>,
+struct Shards<S> {
+    list: Vec<Arc<S>>,
     /// Coordinator-level registry: a multi-shard transaction is pinned at
     /// its base timestamp from `begin` until commit/abort, covering the
     /// window before its lazily opened sub-transactions register with the
@@ -91,11 +93,14 @@ struct Shards<V> {
     active: ActiveTxnRegistry,
 }
 
-impl<V> Shards<V> {
+impl<S> Shards<S> {
     /// The smallest timestamp an open transaction may still anchor a read
     /// on: the minimum over the coordinator-level pins and every shard's own
     /// watermark, or `None` when nothing is open.
-    fn low_watermark(&self) -> Option<Timestamp> {
+    fn low_watermark<V>(&self) -> Option<Timestamp>
+    where
+        S: TransactionalKV<V>,
+    {
         self.active
             .low_watermark()
             .into_iter()
@@ -105,7 +110,10 @@ impl<V> Shards<V> {
 
     /// Purges every shard below `bound`. Returns the totals
     /// `(versions_removed, lock_entries_removed)`.
-    fn purge_below(&self, bound: Timestamp) -> (usize, usize) {
+    fn purge_below<V>(&self, bound: Timestamp) -> (usize, usize)
+    where
+        S: TransactionalKV<V>,
+    {
         self.list.iter().fold((0, 0), |(versions, locks), shard| {
             let (v, l) = shard.purge_below(bound);
             (versions + v, locks + l)
@@ -142,9 +150,9 @@ impl Drop for Sweeper {
 /// (a logical counter has no notion of "50 ms ago" by itself). The lag keeps
 /// freshly committed versions readable by transactions that begin right
 /// after a sweep; the watermark keeps a sweep from aborting an open one.
-fn sweep<V>(
+fn sweep<V, S: TransactionalKV<V>>(
     stop: &(Mutex<bool>, Condvar),
-    shards: &Shards<V>,
+    shards: &Shards<S>,
     clock: &dyn ClockSource,
     interval: Duration,
     lag: Duration,
@@ -186,21 +194,14 @@ fn sweep<V>(
     }
 }
 
-impl<V> ShardedStore<V>
-where
-    V: WalValue + Clone + Send + Sync + 'static,
-{
-    /// Builds a sharded store from explicit shard backends.
+impl<S> ShardedStore<S> {
+    /// Builds a sharded store from explicit shards.
     ///
     /// # Panics
     ///
     /// Panics when `shards` is empty.
     #[must_use]
-    pub fn new(
-        shards: Vec<Arc<dyn ShardBackend<V>>>,
-        clock: Arc<dyn ClockSource>,
-        pick: IntersectionPick,
-    ) -> Self {
+    pub fn new(shards: Vec<Arc<S>>, clock: Arc<dyn ClockSource>, pick: IntersectionPick) -> Self {
         assert!(!shards.is_empty(), "a sharded store needs at least 1 shard");
         ShardedStore {
             gc: None,
@@ -233,7 +234,11 @@ where
     /// # Errors
     ///
     /// Returns the error of spawning the thread.
-    pub fn with_gc(mut self, interval: Duration, lag: Duration) -> io::Result<Self> {
+    pub fn with_gc<V>(mut self, interval: Duration, lag: Duration) -> io::Result<Self>
+    where
+        S: TransactionalKV<V> + 'static,
+        V: 'static,
+    {
         let stop = Arc::new((Mutex::named("gc.stop", 90, false), Condvar::new()));
         let thread_stop = Arc::clone(&stop);
         let shards = Arc::clone(&self.shards);
@@ -258,42 +263,37 @@ where
     ///
     /// Returns an error when a record has no commit timestamp or a shard
     /// rejects its replay.
-    pub fn with_log(mut self, log: Wal, recovery: Recovery<V>) -> Result<Self, WalError> {
+    pub fn with_log<V>(mut self, log: Wal, recovery: Recovery<V>) -> Result<Self, WalError>
+    where
+        S: TransactionalKV<V>,
+        V: Clone,
+    {
         for WalRecord::Commit {
             id,
             commit_ts,
             writes,
         } in recovery.records
         {
-            let replayed = match commit_ts {
-                Some(ts) => self.recover_commit(writes, ts),
-                None => Err(TxError::Internal("no commit timestamp".into())),
-            };
-            replayed.map_err(|e| WalError(format!("replaying commit {id}: {e}")))?;
+            let ts = commit_ts
+                .ok_or_else(|| WalError(format!("replaying commit {id}: no commit timestamp")))?;
+            let mut routed = vec![Vec::new(); self.shard_count()];
+            for (key, value) in writes {
+                routed[self.shard_of(key)].push((key, value));
+            }
+            for (shard, writes) in self.shards.list.iter().zip(routed) {
+                if !writes.is_empty() {
+                    shard
+                        .recover_install(writes, ts)
+                        .map_err(|e| WalError(format!("replaying commit {id}: {e}")))?;
+                }
+            }
         }
         self.log = Some(log);
         Ok(self)
     }
 
-    /// Installs one recovered write set at `ts`, split by shard.
-    fn recover_commit(&self, writes: Vec<(Key, V)>, ts: Timestamp) -> Result<(), TxError> {
-        if let [shard] = self.shards.list.as_slice() {
-            return shard.recover_commit(writes, ts);
-        }
-        let mut routed = vec![Vec::new(); self.shard_count()];
-        for (key, value) in writes {
-            routed[self.shard_of(key)].push((key, value));
-        }
-        for (shard, writes) in self.shards.list.iter().zip(routed) {
-            if !writes.is_empty() {
-                shard.recover_commit(writes, ts)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Appends a non-empty write set to the log, if the store has one.
-    fn log_commit(
+    fn log_commit<V: WalValue>(
         &self,
         commit_ts: Option<Timestamp>,
         writes: Vec<(Key, V)>,
@@ -308,45 +308,21 @@ where
         }
     }
 
-    /// Commits on one shard, whose policy picks the timestamp, then logs.
-    fn commit_one(
+    /// Commits `txn` on `shard`, whose policy picks the timestamp, then logs.
+    fn commit_one<V>(
         &self,
-        sub: Box<dyn TxHandle<V>>,
+        shard: &S,
+        txn: S::Txn,
         writes: Vec<(Key, V)>,
-    ) -> Result<CommitInfo, TxError> {
-        let info = sub.commit()?;
+    ) -> Result<CommitInfo, TxError>
+    where
+        S: TransactionalKV<V>,
+        V: WalValue,
+    {
+        let info = shard.commit(txn)?;
         self.log_commit(info.commit_ts, writes)
             .map_err(|e| TxError::Internal(format!("commit applied but not logged: {e}")))?;
         Ok(info)
-    }
-
-    /// Builds a sharded store whose shards are [`MvtlStore`]s sharing one
-    /// clock, with per-shard policies produced by `policy` (called with the
-    /// shard index).
-    ///
-    /// [`MvtlStore`]: mvtl_core::MvtlStore
-    #[must_use]
-    pub fn with_policy<P, F>(
-        shard_count: usize,
-        clock: Arc<dyn ClockSource>,
-        config: MvtlConfig,
-        pick: IntersectionPick,
-        mut policy: F,
-    ) -> Self
-    where
-        P: LockingPolicy,
-        F: FnMut(usize) -> P,
-    {
-        let shards = (0..shard_count.max(1))
-            .map(|i| {
-                KvBackend::build(MvtlStore::new(
-                    policy(i),
-                    Arc::clone(&clock),
-                    config.clone(),
-                ))
-            })
-            .collect();
-        ShardedStore::new(shards, clock, pick)
     }
 
     /// Number of shards.
@@ -377,50 +353,49 @@ where
 
     /// Per-shard state-size statistics, in shard order.
     #[must_use]
-    pub fn shard_stats(&self) -> Vec<StoreStats> {
+    pub fn shard_stats<V>(&self) -> Vec<StoreStats>
+    where
+        S: TransactionalKV<V>,
+    {
         self.shards.list.iter().map(|s| s.stats()).collect()
-    }
-
-    /// Phase 1: prepare participants inline, one after the other. A failing
-    /// shard has already released its own state; the coordinator releases
-    /// everyone else's. A participant that misses its deadline fails its
-    /// prepare with [`AbortReason::PrepareTimedOut`] (the fault layer
-    /// reports the miss), and is resolved by presumed abort like any other
-    /// failure.
-    fn prepare_inline(
-        participants: Vec<Box<dyn TxHandle<V>>>,
-    ) -> Result<Vec<Box<dyn PreparedTxn<V>>>, TxError> {
-        let mut prepared: Vec<Box<dyn PreparedTxn<V>>> = Vec::with_capacity(participants.len());
-        let mut participants = participants.into_iter();
-        for sub in participants.by_ref() {
-            match sub.prepare() {
-                Ok(p) => prepared.push(p),
-                Err(err) => {
-                    for p in prepared {
-                        p.abort();
-                    }
-                    for sub in participants {
-                        sub.abort();
-                    }
-                    return Err(err);
-                }
-            }
-        }
-        Ok(prepared)
     }
 
     /// The §7 coordinator: prepare every participant, intersect the frozen
     /// intervals, log the decision, then commit everywhere at one common
     /// timestamp — or abort everywhere when the intersection is empty or the
     /// log refuses the record.
-    fn commit_cross_shard(
+    fn commit_cross_shard<V>(
         &self,
         tx: TxId,
-        participants: Vec<Box<dyn TxHandle<V>>>,
+        participants: Vec<(usize, S::Txn)>,
         writes: Vec<(Key, V)>,
-    ) -> Result<CommitInfo, TxError> {
-        // Phase 1: freeze each participant's interval.
-        let prepared = Self::prepare_inline(participants)?;
+    ) -> Result<CommitInfo, TxError>
+    where
+        S: TransactionalKV<V>,
+        V: WalValue,
+    {
+        // Phase 1: freeze each participant's interval, one after the other
+        // in shard order. A failing shard has already released its own
+        // state; the coordinator releases everyone else's. A participant
+        // that misses its deadline fails its prepare with
+        // `PrepareTimedOut` (the fault layer reports the miss), and is
+        // resolved by presumed abort like any other failure.
+        let mut prepared: Vec<Box<dyn PreparedTxn<V>>> = Vec::with_capacity(participants.len());
+        let mut participants = participants.into_iter();
+        for (shard, txn) in participants.by_ref() {
+            match S::prepare(&self.shards.list[shard], txn) {
+                Ok(p) => prepared.push(p),
+                Err(err) => {
+                    for p in prepared {
+                        p.abort();
+                    }
+                    for (shard, txn) in participants {
+                        self.shards.list[shard].abort(txn);
+                    }
+                    return Err(err);
+                }
+            }
+        }
 
         // Phase 2: intersect the frozen intervals.
         let mut intersection: TsSet = prepared[0].interval().clone();
@@ -453,9 +428,9 @@ where
         }
 
         // Phase 3: commit every shard at the common timestamp. This cannot
-        // fail for a correct backend: `commit_ts` lies inside each shard's
+        // fail for a correct shard: `commit_ts` lies inside each shard's
         // frozen interval and each participant still holds all the locks
-        // backing it. Should a shard reject the timestamp anyway (a backend
+        // backing it. Should a shard reject the timestamp anyway (a shard
         // bug), the remaining prepared participants must still be drained —
         // aborting them releases their locks instead of leaking them — before
         // the internal error is reported.
@@ -491,11 +466,102 @@ where
     }
 }
 
+impl<V, P> ShardedStore<MvtlStore<V, P>>
+where
+    V: Clone + Send + Sync + 'static,
+    P: LockingPolicy,
+{
+    /// Builds a sharded store whose shards are [`MvtlStore`]s sharing one
+    /// clock, with per-shard policies produced by `policy` (called with the
+    /// shard index).
+    #[must_use]
+    pub fn with_policy<F>(
+        shard_count: usize,
+        clock: Arc<dyn ClockSource>,
+        config: MvtlConfig,
+        pick: IntersectionPick,
+        mut policy: F,
+    ) -> Self
+    where
+        F: FnMut(usize) -> P,
+    {
+        let shards = (0..shard_count.max(1))
+            .map(|i| {
+                Arc::new(MvtlStore::new(
+                    policy(i),
+                    Arc::clone(&clock),
+                    config.clone(),
+                ))
+            })
+            .collect();
+        ShardedStore::new(shards, clock, pick)
+    }
+}
+
+/// Records `key = value` in a logged write set, last value per key.
+fn record_write<V>(writes: &mut Vec<(Key, V)>, key: Key, value: V) {
+    match writes.iter_mut().find(|(k, _)| *k == key) {
+        Some(slot) => slot.1 = value,
+        None => writes.push((key, value)),
+    }
+}
+
+/// A transaction on a one-shard [`ShardedStore`]: the shard's own
+/// transaction, and the write set its commit appends while the store has a
+/// log. The transaction is an `Option` only so that `Drop` can abort one
+/// that was neither committed nor explicitly aborted.
+struct ShardTxn<'a, V, S: TransactionalKV<V>> {
+    store: &'a ShardedStore<S>,
+    shard: &'a S,
+    txn: Option<S::Txn>,
+    writes: Vec<(Key, V)>,
+}
+
+impl<V, S> TxHandle<V> for ShardTxn<'_, V, S>
+where
+    V: WalValue + Clone + Send,
+    S: TransactionalKV<V>,
+{
+    // `txn` is `None` only once the handle is consumed, so the
+    // `TransactionFinished` arms below are unreachable through `Box<Self>`.
+
+    fn read(&mut self, key: Key) -> Result<Option<V>, TxError> {
+        let txn = self.txn.as_mut().ok_or(TxError::TransactionFinished)?;
+        self.shard.read(txn, key)
+    }
+
+    fn write(&mut self, key: Key, value: V) -> Result<(), TxError> {
+        let txn = self.txn.as_mut().ok_or(TxError::TransactionFinished)?;
+        if self.store.log.is_some() {
+            record_write(&mut self.writes, key, value.clone());
+        }
+        self.shard.write(txn, key, value)
+    }
+
+    fn commit(mut self: Box<Self>) -> Result<CommitInfo, TxError> {
+        let txn = self.txn.take().ok_or(TxError::TransactionFinished)?;
+        let writes = std::mem::take(&mut self.writes);
+        self.store.commit_one(self.shard, txn, writes)
+    }
+
+    fn abort(self: Box<Self>) {
+        // Dropping an open handle aborts it.
+    }
+}
+
+impl<V, S: TransactionalKV<V>> Drop for ShardTxn<'_, V, S> {
+    fn drop(&mut self) {
+        if let Some(txn) = self.txn.take() {
+            self.shard.abort(txn);
+        }
+    }
+}
+
 /// A transaction on a multi-shard [`ShardedStore`]: shard sub-transactions
 /// open lazily on first access, all pinned at one base timestamp, and the
 /// store's coordinator-level registry pins that base until commit or abort.
-struct RoutedTxn<'a, V> {
-    store: &'a ShardedStore<V>,
+struct RoutedTxn<'a, V, S: TransactionalKV<V>> {
+    store: &'a ShardedStore<S>,
     /// The coordinator-side transaction id (the one reported in
     /// [`CommitInfo`]).
     id: TxId,
@@ -503,7 +569,8 @@ struct RoutedTxn<'a, V> {
     /// The clock reading every shard sub-transaction is pinned to, so all
     /// participants of one transaction reason from the same timestamp base.
     base: Timestamp,
-    subs: Vec<Option<Box<dyn TxHandle<V>>>>,
+    /// The open sub-transaction of each shard, by shard index.
+    subs: Vec<Option<S::Txn>>,
     /// The write set the log records, last value per key; empty when the
     /// store has no log.
     writes: Vec<(Key, V)>,
@@ -513,7 +580,7 @@ struct RoutedTxn<'a, V> {
     gc_pin: Option<TxnPin>,
 }
 
-impl<V> RoutedTxn<'_, V> {
+impl<V, S: TransactionalKV<V>> RoutedTxn<'_, V, S> {
     fn check_live(&self) -> Result<(), TxError> {
         if self.poisoned {
             Err(TxError::TransactionFinished)
@@ -522,27 +589,31 @@ impl<V> RoutedTxn<'_, V> {
         }
     }
 
-    /// The sub-transaction on `shard`, opened (pinned at the base timestamp)
-    /// on first access.
-    fn sub(&mut self, shard: usize) -> &mut dyn TxHandle<V> {
+    /// Runs `op` on the sub-transaction of the shard `key` routes to,
+    /// opening it (pinned at the base timestamp) on first access. A shard
+    /// that fails an operation has released its own state; the rest are
+    /// released eagerly rather than waiting for the caller's abort.
+    fn on_shard<T>(
+        &mut self,
+        key: Key,
+        op: impl FnOnce(&S, &mut S::Txn) -> Result<T, TxError>,
+    ) -> Result<T, TxError> {
+        self.check_live()?;
+        let index = self.store.shard_of(key);
+        let shard: &S = &self.store.shards.list[index];
         let (process, base) = (self.process, self.base);
-        let backend = &self.store.shards.list[shard];
-        self.subs[shard]
-            .get_or_insert_with(|| backend.begin(process, Some(base)))
-            .as_mut()
-    }
-
-    /// A shard failed an operation and released its own state; release the
-    /// rest eagerly rather than waiting for the caller's abort.
-    fn fail<T>(&mut self, err: TxError) -> Result<T, TxError> {
-        self.poisoned = true;
-        self.abort_subs();
-        Err(err)
+        let txn = self.subs[index].get_or_insert_with(|| shard.begin_at(process, Some(base)));
+        op(shard, txn).inspect_err(|_| {
+            self.poisoned = true;
+            self.abort_subs();
+        })
     }
 
     fn abort_subs(&mut self) {
-        for sub in self.subs.iter_mut().filter_map(Option::take) {
-            sub.abort();
+        for (shard, sub) in self.store.shards.list.iter().zip(&mut self.subs) {
+            if let Some(txn) = sub.take() {
+                shard.abort(txn);
+            }
         }
     }
 
@@ -554,25 +625,20 @@ impl<V> RoutedTxn<'_, V> {
     }
 }
 
-impl<V> TxHandle<V> for RoutedTxn<'_, V>
+impl<V, S> TxHandle<V> for RoutedTxn<'_, V, S>
 where
-    V: WalValue + Clone + Send + Sync + 'static,
+    V: WalValue + Clone + Send,
+    S: TransactionalKV<V>,
 {
     fn read(&mut self, key: Key) -> Result<Option<V>, TxError> {
-        self.check_live()?;
-        let shard = self.store.shard_of(key);
-        self.sub(shard).read(key).or_else(|err| self.fail(err))
+        self.on_shard(key, |shard, txn| shard.read(txn, key))
     }
 
     fn write(&mut self, key: Key, value: V) -> Result<(), TxError> {
-        self.check_live()?;
-        let shard = self.store.shard_of(key);
         if self.store.log.is_some() {
             record_write(&mut self.writes, key, value.clone());
         }
-        self.sub(shard)
-            .write(key, value)
-            .or_else(|err| self.fail(err))
+        self.on_shard(key, |shard, txn| shard.write(txn, key, value))
     }
 
     fn commit(mut self: Box<Self>) -> Result<CommitInfo, TxError> {
@@ -581,8 +647,12 @@ where
         // holds its own (shard-level) pin, so release before coordinating.
         self.unpin();
         self.check_live()?;
-        let mut participants: Vec<Box<dyn TxHandle<V>>> =
-            self.subs.iter_mut().filter_map(Option::take).collect();
+        let mut participants: Vec<(usize, S::Txn)> = self
+            .subs
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(shard, sub)| sub.take().map(|txn| (shard, txn)))
+            .collect();
         let writes = std::mem::take(&mut self.writes);
         if participants.len() > 1 {
             return self.store.commit_cross_shard(self.id, participants, writes);
@@ -597,10 +667,13 @@ where
             }),
             // Single-shard fast path: the shard policy picks the timestamp,
             // exactly as in the non-partitioned engine.
-            Some(sub) => self.store.commit_one(sub, writes).map(|mut info| {
-                info.tx = self.id;
-                info
-            }),
+            Some((shard, txn)) => self
+                .store
+                .commit_one(&self.store.shards.list[shard], txn, writes)
+                .map(|mut info| {
+                    info.tx = self.id;
+                    info
+                }),
         }
     }
 
@@ -609,56 +682,17 @@ where
     }
 }
 
-impl<V> Drop for RoutedTxn<'_, V> {
+impl<V, S: TransactionalKV<V>> Drop for RoutedTxn<'_, V, S> {
     fn drop(&mut self) {
         self.unpin();
         self.abort_subs();
     }
 }
 
-/// Records `key = value` in a logged write set, last value per key.
-fn record_write<V>(writes: &mut Vec<(Key, V)>, key: Key, value: V) {
-    match writes.iter_mut().find(|(k, _)| *k == key) {
-        Some(slot) => slot.1 = value,
-        None => writes.push((key, value)),
-    }
-}
-
-/// A one-shard store's transaction while it has a log: the shard's own
-/// handle and the write set its commit appends. It refuses to prepare (the
-/// default), since a coordinated commit would bypass the log.
-struct LoggedTxn<'a, V> {
-    store: &'a ShardedStore<V>,
-    inner: Box<dyn TxHandle<V>>,
-    writes: Vec<(Key, V)>,
-}
-
-impl<V> TxHandle<V> for LoggedTxn<'_, V>
+impl<V, S> Engine<V> for ShardedStore<S>
 where
     V: WalValue + Clone + Send + Sync + 'static,
-{
-    fn read(&mut self, key: Key) -> Result<Option<V>, TxError> {
-        self.inner.read(key)
-    }
-
-    fn write(&mut self, key: Key, value: V) -> Result<(), TxError> {
-        self.inner.write(key, value.clone())?;
-        record_write(&mut self.writes, key, value);
-        Ok(())
-    }
-
-    fn commit(self: Box<Self>) -> Result<CommitInfo, TxError> {
-        self.store.commit_one(self.inner, self.writes)
-    }
-
-    fn abort(self: Box<Self>) {
-        self.inner.abort();
-    }
-}
-
-impl<V> Engine<V> for ShardedStore<V>
-where
-    V: WalValue + Clone + Send + Sync + 'static,
+    S: TransactionalKV<V> + 'static,
 {
     fn begin_handle(
         &self,
@@ -666,15 +700,12 @@ where
         pinned: Option<Timestamp>,
     ) -> Box<dyn TxHandle<V> + '_> {
         if let [shard] = self.shards.list.as_slice() {
-            let inner = shard.begin(process, pinned);
-            return match self.log {
-                None => inner,
-                Some(_) => Box::new(LoggedTxn {
-                    store: self,
-                    inner,
-                    writes: Vec::new(),
-                }),
-            };
+            return Box::new(ShardTxn {
+                store: self,
+                shard: &**shard,
+                txn: Some(shard.begin_at(process, pinned)),
+                writes: Vec::new(),
+            });
         }
         // One clock reading per transaction, shared by all its shards: this
         // is the client-side policy state of §7, split across participants
@@ -699,10 +730,8 @@ where
 
     /// Aggregate state-size statistics summed across all shards.
     fn stats(&self) -> StoreStats {
-        self.shards
-            .list
-            .iter()
-            .map(|s| s.stats())
+        self.shard_stats()
+            .into_iter()
             .fold(StoreStats::default(), StoreStats::merge)
     }
 
@@ -732,9 +761,11 @@ mod tests {
     use mvtl_wal::WalOptions;
     use std::path::Path;
 
+    type Store = ShardedStore<MvtlStore<u64, MvtilPolicy>>;
+
     /// A one-shard MVTIL store rebuilt from the log in `dir`, and the number
     /// of commits it replayed.
-    fn open(dir: &Path) -> (ShardedStore<u64>, usize) {
+    fn open(dir: &Path) -> (Store, usize) {
         let (log, recovery) = Wal::open::<u64>(dir, WalOptions::default()).expect("log opens");
         let start = recovery.max_commit_ts().map_or(1, |ts| ts.value + 1);
         let replayed = recovery.records.len();
@@ -749,7 +780,7 @@ mod tests {
         (store.with_log(log, recovery).expect("replay"), replayed)
     }
 
-    fn commit(store: &ShardedStore<u64>, writes: &[(u64, u64)]) -> CommitInfo {
+    fn commit(store: &Store, writes: &[(u64, u64)]) -> CommitInfo {
         let mut txn = store.begin(ProcessId(0));
         for &(key, value) in writes {
             txn.write(Key(key), value).unwrap();
@@ -757,7 +788,7 @@ mod tests {
         txn.commit().unwrap()
     }
 
-    fn read_committed(store: &ShardedStore<u64>, key: u64) -> Option<u64> {
+    fn read_committed(store: &Store, key: u64) -> Option<u64> {
         let mut txn = store.begin(ProcessId(9));
         let value = txn.read(Key(key)).unwrap();
         txn.commit().unwrap();

@@ -6,7 +6,7 @@
 //! probe of the phase-3 drain tests sandwiched *outside* the fault layer:
 //!
 //! ```text
-//!   coordinator → ProbedBackend → FaultyBackend → KvBackend(MvtlStore)
+//!   coordinator → Probed → Faulty → MvtlStore
 //! ```
 //!
 //! so the probe observes exactly the decisions the coordinator (and its
@@ -23,33 +23,39 @@ use mvtl_common::{AbortReason, Engine, EngineExt, Key, ProcessId};
 use mvtl_core::policy::MvtilPolicy;
 use mvtl_core::{MvtlConfig, MvtlStore};
 use mvtl_faults::{named_schedule, named_schedules, FaultKind, FaultPlan, FaultSpec};
-use mvtl_shard::{FaultyBackend, IntersectionPick, KvBackend, ShardBackend, ShardedStore};
+use mvtl_shard::{Faulty, IntersectionPick, ShardedStore};
 use mvtl_verify::{check_serializable, replay};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use support::{probed, Probe};
+use support::{probed, Probe, Probed};
+
+/// Probed, fault-injected MVTIL shards.
+type Store = ShardedStore<Probed<Faulty<MvtlStore<u64, MvtilPolicy>>>>;
 
 /// The probe-outside-fault sandwich over real MVTIL shards.
 fn faulty_store(
     shards: usize,
     schedule: &str,
     fault_seed: u64,
-) -> (ShardedStore<u64>, Arc<Probe>, Arc<FaultPlan>) {
+) -> (Store, Arc<Probe>, Arc<FaultPlan>) {
     let clock: Arc<dyn mvtl_clock::ClockSource> = Arc::new(GlobalClock::starting_at(10_000));
     let probe = Arc::new(Probe::default());
     let plan = Arc::new(FaultPlan::new(
         FaultSpec::parse(schedule).expect("schedule parses"),
         fault_seed,
     ));
-    let backends: Vec<Arc<dyn ShardBackend<u64>>> = (0..shards)
+    let backends = (0..shards)
         .map(|shard| {
-            let inner = KvBackend::build(MvtlStore::new(
+            let inner = Arc::new(MvtlStore::new(
                 MvtilPolicy::early(100_000),
                 Arc::clone(&clock),
                 MvtlConfig::default(),
             ));
-            probed(FaultyBackend::wrap(inner, Arc::clone(&plan), shard), &probe)
+            probed(
+                Arc::new(Faulty::new(inner, Arc::clone(&plan), shard)),
+                &probe,
+            )
         })
         .collect();
     let store = ShardedStore::new(backends, clock, IntersectionPick::Min);
@@ -59,7 +65,7 @@ fn faulty_store(
 /// A deterministic multi-shard workload: `txns` transactions, each reading and
 /// writing keys on (usually) two distinct shards, with the steps of adjacent
 /// transaction pairs interleaved so the replay exercises concurrent intervals.
-fn cross_shard_workload(store: &ShardedStore<u64>, txns: usize, seed: u64) -> Workload {
+fn cross_shard_workload(store: &Store, txns: usize, seed: u64) -> Workload {
     let shards = store.shard_count();
     let keys: Vec<Key> = (0..shards).map(|s| store.key_on_shard(s, 0)).collect();
     let extra: Vec<Key> = (0..shards).map(|s| store.key_on_shard(s, 10_000)).collect();
@@ -129,7 +135,7 @@ fn cross_shard_workload(store: &ShardedStore<u64>, txns: usize, seed: u64) -> Wo
 /// Waits for the store to quiesce: the shards behind withheld prepare
 /// responses and stalls must resolve by presumed abort, releasing every
 /// shard-level GC pin.
-fn wait_for_quiesce(store: &ShardedStore<u64>) {
+fn wait_for_quiesce(store: &Store) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while store.low_watermark().is_some() {
         assert!(
@@ -218,6 +224,18 @@ fn fault_trace_is_byte_identical_across_runs() {
     }
     assert_eq!(commits_a, commits_b);
     assert_eq!(aborts_a, aborts_b);
+    // Skew draws from its own per-shard stream, so adding `skew:` to a
+    // schedule shifts no delay or prepare decision: on every skewed shard
+    // the begins are numbered 0, 1, 2, ... without a gap.
+    for shard in 0..4 {
+        let prefix = format!("skew shard={shard} seq=");
+        let seqs: Vec<u64> = trace_a
+            .lines()
+            .filter_map(|line| line.strip_prefix(&prefix)?.split(' ').next()?.parse().ok())
+            .collect();
+        let contiguous: Vec<u64> = (0..seqs.len() as u64).collect();
+        assert_eq!(seqs, contiguous, "shard {shard}'s skew sequence has gaps");
+    }
 
     // A different fault seed draws a different schedule.
     let (trace_c, _, _) = run(100);

@@ -6,13 +6,13 @@
 use mvtl_clock::GlobalClock;
 use mvtl_common::{AbortReason, EngineExt, Key, ProcessId, Timestamp, TxError};
 use mvtl_core::policy::MvtilPolicy;
-use mvtl_core::MvtlConfig;
+use mvtl_core::{MvtlConfig, MvtlStore};
 use mvtl_shard::{IntersectionPick, ShardedStore};
 use std::sync::Arc;
 
 const DELTA: u64 = 50;
 
-fn store(pick: IntersectionPick) -> ShardedStore<u64> {
+fn store(pick: IntersectionPick) -> ShardedStore<MvtlStore<u64, MvtilPolicy>> {
     ShardedStore::with_policy(
         2,
         Arc::new(GlobalClock::starting_at(1000)),
@@ -23,7 +23,7 @@ fn store(pick: IntersectionPick) -> ShardedStore<u64> {
 }
 
 /// Keys on shard 0 and shard 1 respectively.
-fn keys(s: &ShardedStore<u64>) -> (Key, Key) {
+fn keys(s: &ShardedStore<MvtlStore<u64, MvtilPolicy>>) -> (Key, Key) {
     let a = s.key_on_shard(0, 0);
     let b = s.key_on_shard(1, a.0 + 1);
     (a, b)

@@ -15,17 +15,20 @@ mod support;
 use mvtl_common::{Engine, EngineExt, Key, ProcessId, Timestamp, TxError};
 use mvtl_core::policy::MvtilPolicy;
 use mvtl_core::{MvtlConfig, MvtlStore};
-use mvtl_shard::{IntersectionPick, KvBackend, ShardedStore};
+use mvtl_shard::{IntersectionPick, ShardedStore};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use support::{probed, Probe};
+use support::{probed, Probe, Probed};
 
-fn probed_store(shards: usize) -> (ShardedStore<u64>, Arc<Probe>) {
+/// Probed MVTIL shards.
+type Store = ShardedStore<Probed<MvtlStore<u64, MvtilPolicy>>>;
+
+fn probed_store(shards: usize) -> (Store, Arc<Probe>) {
     let clock: Arc<dyn mvtl_clock::ClockSource> = Arc::new(GlobalClock::new());
     let probe = Arc::new(Probe::default());
     let backends = (0..shards)
         .map(|_| {
-            let inner = KvBackend::build(MvtlStore::new(
+            let inner = Arc::new(MvtlStore::new(
                 MvtilPolicy::early(100_000),
                 Arc::clone(&clock),
                 MvtlConfig::default(),

@@ -9,17 +9,20 @@ use mvtl_clock::{ClockSource, GlobalClock};
 use mvtl_common::{EngineExt, Key, ProcessId};
 use mvtl_core::policy::MvtilPolicy;
 use mvtl_core::{MvtlConfig, MvtlStore};
-use mvtl_shard::{IntersectionPick, KvBackend, ShardedStore};
+use mvtl_shard::{IntersectionPick, ShardedStore};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use support::{probed, Probe};
+use support::{probed, Probe, Probed};
 
-fn probed_store(shards: usize) -> (ShardedStore<u64>, Arc<Probe>) {
+/// Probed MVTIL shards.
+type Store = ShardedStore<Probed<MvtlStore<u64, MvtilPolicy>>>;
+
+fn probed_store(shards: usize) -> (Store, Arc<Probe>) {
     let clock: Arc<dyn ClockSource> = Arc::new(GlobalClock::starting_at(1000));
     let probe = Arc::new(Probe::default());
     let backends = (0..shards)
         .map(|_| {
-            let inner = KvBackend::build(MvtlStore::new(
+            let inner = Arc::new(MvtlStore::new(
                 MvtilPolicy::early(1000),
                 Arc::clone(&clock),
                 MvtlConfig::default(),
@@ -34,7 +37,7 @@ fn probed_store(shards: usize) -> (ShardedStore<u64>, Arc<Probe>) {
 }
 
 /// `n` distinct keys owned by `shard`.
-fn keys_on(store: &ShardedStore<u64>, shard: usize, n: usize) -> Vec<Key> {
+fn keys_on(store: &Store, shard: usize, n: usize) -> Vec<Key> {
     let mut keys: Vec<Key> = Vec::with_capacity(n);
     for _ in 0..n {
         let from = keys.last().map_or(0, |k| k.0 + 1);

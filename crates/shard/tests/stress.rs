@@ -4,7 +4,7 @@
 use mvtl_clock::GlobalClock;
 use mvtl_common::{Engine, EngineExt, Key, ProcessId, RetryOptions};
 use mvtl_core::policy::MvtilPolicy;
-use mvtl_core::MvtlConfig;
+use mvtl_core::{MvtlConfig, MvtlStore};
 use mvtl_shard::{IntersectionPick, ShardedStore};
 use mvtl_verify::{check_serializable, replay_concurrent};
 use rand::rngs::StdRng;
@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-fn store(shards: usize) -> ShardedStore<u64> {
+fn store(shards: usize) -> ShardedStore<MvtlStore<u64, MvtilPolicy>> {
     ShardedStore::with_policy(
         shards,
         Arc::new(GlobalClock::new()),

@@ -1,13 +1,12 @@
-//! The instrumented shard backend shared by the phase-3 drain, routing and
+//! The instrumented store decorator shared by the phase-3 drain, routing and
 //! fault-schedule tests: it forwards to a real shard while counting the
 //! sub-transactions the coordinator opens and prepares and how it disposes
 //! of every prepared participant, and can reject the coordinated commit
 //! timestamp on demand.
 
 use mvtl_common::{
-    CommitInfo, Key, PreparedTxn, ProcessId, StoreStats, Timestamp, TsSet, TxError, TxHandle,
+    CommitInfo, Key, PreparedTxn, ProcessId, StoreStats, Timestamp, TransactionalKV, TsSet, TxError,
 };
-use mvtl_shard::ShardBackend;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -30,29 +29,55 @@ pub(crate) struct Probe {
     pub(crate) fail: AtomicBool,
 }
 
+/// A store whose every transaction reports to a shared [`Probe`].
+pub(crate) struct Probed<S> {
+    inner: Arc<S>,
+    probe: Arc<Probe>,
+}
+
 /// Wraps `inner` so every transaction it opens reports to `probe`.
-pub(crate) fn probed(
-    inner: Arc<dyn ShardBackend<u64>>,
-    probe: &Arc<Probe>,
-) -> Arc<dyn ShardBackend<u64>> {
-    Arc::new(ProbedBackend {
+pub(crate) fn probed<S>(inner: Arc<S>, probe: &Arc<Probe>) -> Arc<Probed<S>> {
+    Arc::new(Probed {
         inner,
         probe: Arc::clone(probe),
     })
 }
 
-struct ProbedBackend {
-    inner: Arc<dyn ShardBackend<u64>>,
-    probe: Arc<Probe>,
-}
+impl<S: TransactionalKV<u64> + 'static> TransactionalKV<u64> for Probed<S> {
+    type Txn = S::Txn;
 
-impl ShardBackend<u64> for ProbedBackend {
-    fn begin(&self, process: ProcessId, pinned: Option<Timestamp>) -> Box<dyn TxHandle<u64>> {
+    fn begin_at(&self, process: ProcessId, pinned: Option<Timestamp>) -> Self::Txn {
         self.probe.begins.fetch_add(1, Ordering::Relaxed);
-        Box::new(ProbedTxn {
-            inner: self.inner.begin(process, pinned),
-            probe: Arc::clone(&self.probe),
-        })
+        self.inner.begin_at(process, pinned)
+    }
+
+    fn read(&self, txn: &mut Self::Txn, key: Key) -> Result<Option<u64>, TxError> {
+        self.inner.read(txn, key)
+    }
+
+    fn write(&self, txn: &mut Self::Txn, key: Key, value: u64) -> Result<(), TxError> {
+        self.inner.write(txn, key, value)
+    }
+
+    fn commit(&self, txn: Self::Txn) -> Result<CommitInfo, TxError> {
+        self.inner.commit(txn)
+    }
+
+    fn abort(&self, txn: Self::Txn) {
+        self.inner.abort(txn);
+    }
+
+    fn prepare(store: &Arc<Self>, txn: Self::Txn) -> Result<Box<dyn PreparedTxn<u64>>, TxError> {
+        store.probe.prepares.fetch_add(1, Ordering::Relaxed);
+        let prepared = S::prepare(&store.inner, txn)?;
+        Ok(Box::new(ProbedPrepared {
+            inner: Some(prepared),
+            probe: Arc::clone(&store.probe),
+        }))
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
     }
 
     fn stats(&self) -> StoreStats {
@@ -66,38 +91,13 @@ impl ShardBackend<u64> for ProbedBackend {
     fn low_watermark(&self) -> Option<Timestamp> {
         self.inner.low_watermark()
     }
-}
 
-struct ProbedTxn {
-    inner: Box<dyn TxHandle<u64>>,
-    probe: Arc<Probe>,
-}
-
-impl TxHandle<u64> for ProbedTxn {
-    fn read(&mut self, key: Key) -> Result<Option<u64>, TxError> {
-        self.inner.read(key)
-    }
-
-    fn write(&mut self, key: Key, value: u64) -> Result<(), TxError> {
-        self.inner.write(key, value)
-    }
-
-    fn commit(self: Box<Self>) -> Result<CommitInfo, TxError> {
-        self.inner.commit()
-    }
-
-    fn prepare(self: Box<Self>) -> Result<Box<dyn PreparedTxn<u64>>, TxError> {
-        let this = *self;
-        this.probe.prepares.fetch_add(1, Ordering::Relaxed);
-        let prepared = this.inner.prepare()?;
-        Ok(Box::new(ProbedPrepared {
-            inner: Some(prepared),
-            probe: this.probe,
-        }))
-    }
-
-    fn abort(self: Box<Self>) {
-        self.inner.abort();
+    fn recover_install(
+        &self,
+        writes: Vec<(Key, u64)>,
+        commit_ts: Timestamp,
+    ) -> Result<(), TxError> {
+        self.inner.recover_install(writes, commit_ts)
     }
 }
 

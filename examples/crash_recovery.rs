@@ -1,7 +1,7 @@
 //! Durability demo: write-ahead logging, a simulated crash, and recovery.
 //!
-//! A one-shard [`ShardedStore`] turns an MVTIL shard into an engine and owns
-//! a checksummed log, so that every commit is appended to it and
+//! A one-shard [`ShardedStore`] over an MVTIL store — any `TransactionalKV`
+//! store can be a shard — turns it into an engine and owns a checksummed log, so that every commit is appended to it and
 //! acknowledged only once durable — the same composition the registry
 //! builds for `mvtil-early?wal=<dir>` (a `sharded` spec's store owns one log
 //! the same way, however many shards it has). Dropping the engine
@@ -19,7 +19,7 @@ use mvtl::clock::{ClockSource, GlobalClock};
 use mvtl::common::{Engine, EngineExt, Key, ProcessId, TempDir};
 use mvtl::core::policy::MvtilPolicy;
 use mvtl::core::{MvtlConfig, MvtlStore};
-use mvtl::shard::{IntersectionPick, KvBackend, ShardedStore};
+use mvtl::shard::{IntersectionPick, ShardedStore};
 use mvtl::wal::{Wal, WalError, WalOptions};
 use std::path::Path;
 use std::sync::Arc;
@@ -38,7 +38,7 @@ fn open_engine(dir: &Path) -> Result<(Box<dyn Engine<u64>>, String), WalError> {
     // transactions could serialize *before* state that already exists.
     let start = recovery.max_commit_ts().map_or(1, |ts| ts.value + 1);
     let clock: Arc<dyn ClockSource> = Arc::new(GlobalClock::starting_at(start));
-    let shard = KvBackend::build(MvtlStore::new(
+    let shard = Arc::new(MvtlStore::new(
         MvtilPolicy::early(1_000),
         Arc::clone(&clock),
         MvtlConfig::default(),

@@ -16,7 +16,7 @@
 use mvtl::clock::GlobalClock;
 use mvtl::common::{Engine, EngineExt, Key, ProcessId, RetryOptions};
 use mvtl::core::policy::MvtilPolicy;
-use mvtl::core::MvtlConfig;
+use mvtl::core::{MvtlConfig, MvtlStore};
 use mvtl::shard::{IntersectionPick, ShardedStore};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,7 +28,7 @@ const THREADS: usize = 4;
 const TRANSFERS_PER_THREAD: usize = 300;
 
 fn main() {
-    let store: ShardedStore<u64> = ShardedStore::with_policy(
+    let store: ShardedStore<MvtlStore<u64, MvtilPolicy>> = ShardedStore::with_policy(
         SHARDS,
         Arc::new(GlobalClock::new()),
         MvtlConfig::default(),

@@ -1,14 +1,13 @@
 //! Offline shim for the [`serde_json`](https://docs.rs/serde_json) crate.
 //!
-//! The build environment has no crates.io access. Unlike the sibling `serde`
-//! shim (whose derives expand to nothing), this shim is **functional**: it
-//! implements the [`Value`] tree, [`to_string`] / [`to_string_pretty`]
-//! writers and a [`from_str`] parser, which is everything the workspace's
-//! machine-readable reports (`BENCH_*.json`) need. Numbers round-trip
-//! exactly: like real serde_json, [`Number`] stores integers as `u64`/`i64`
-//! (the full 64-bit range, not just the 2^53 floats can hold) and floats
-//! with Rust's shortest-representation formatting, whose parse is its exact
-//! inverse.
+//! The build environment has no crates.io access. This shim is
+//! **functional**: it implements the [`Value`] tree, [`to_string`] /
+//! [`to_string_pretty`] writers and a [`from_str`] parser, which is
+//! everything the machine-readable reports (`BENCH_*.json`) need. Numbers
+//! round-trip exactly: like real serde_json, [`Number`] stores integers as
+//! `u64`/`i64` (the full 64-bit range, not just the 2^53 floats can hold)
+//! and floats with Rust's shortest-representation formatting, whose parse
+//! is its exact inverse.
 //!
 //! Differences from real serde_json, by design:
 //!

@@ -8,7 +8,7 @@
 use mvtl::clock::GlobalClock;
 use mvtl::common::{CommitInfo, Engine, EngineExt, Key, ProcessId, TempDir, Timestamp, TxId};
 use mvtl::core::policy::MvtilPolicy;
-use mvtl::core::MvtlConfig;
+use mvtl::core::{MvtlConfig, MvtlStore};
 use mvtl::registry::SpecError;
 use mvtl::shard::{IntersectionPick, ShardedStore};
 use mvtl::verify::{check_serializable, History};
@@ -284,7 +284,7 @@ fn a_cross_shard_commit_recovers_whole_or_not_at_all_at_every_crash_point() {
     let dir = TempDir::new("crash-sweep");
     let spec = |dir: &Path| format!("sharded?shards=2&inner=mvtil-early&wal={}", dir.display());
     let keys: Vec<Key> = (0..8).map(Key).collect();
-    let router: ShardedStore<u64> = ShardedStore::with_policy(
+    let router: ShardedStore<MvtlStore<u64, MvtilPolicy>> = ShardedStore::with_policy(
         2,
         Arc::new(GlobalClock::new()),
         MvtlConfig::default(),

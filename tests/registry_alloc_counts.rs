@@ -1,21 +1,32 @@
-//! Allocation-count regression test for a registry-built engine.
+//! Allocation-count regression tests for registry-built engines.
 //!
-//! Every spec builds a `ShardedStore`, and a one-shard store hands out its
-//! shard's own transaction handle unchanged: one box per transaction, with
-//! no wrapper handle around it. This test pins that with a counting
-//! `#[global_allocator]` over a warmed read-only transaction driven through
-//! `dyn Engine`, the path every in-process consumer takes.
+//! Every spec builds a `ShardedStore`. A one-shard store hands out one boxed
+//! handle that owns its shard's transaction, with or without a log, and a
+//! multi-shard transaction keeps its shards' transactions unboxed. These
+//! tests pin that with a counting `#[global_allocator]` over warmed
+//! transactions driven through `dyn Engine`, the path every in-process
+//! consumer takes.
 //!
-//! Everything runs inside ONE `#[test]` function: the counter is global, so
-//! concurrently running sibling tests would pollute the measured window.
+//! The counter is global, so every test holds [`SERIAL`] for its whole body:
+//! a sibling test running concurrently would pollute the measured window.
 //! The whole file stands down under the `lock-order` feature — the tracked
 //! shim records a held→acquiring edge per lock acquisition, which allocates
 //! by design.
 #![cfg(not(feature = "lock-order"))]
 
+use mvtl::clock::GlobalClock;
+use mvtl::core::policy::MvtilPolicy;
+use mvtl::core::{MvtlConfig, MvtlStore};
+use mvtl::shard::{IntersectionPick, ShardedStore};
 use mvtl_common::{Engine, EngineExt, Key, ProcessId};
+use parking_lot::Mutex;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// Held by each test for its whole body, so measured windows never overlap.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Wraps the system allocator and counts heap requests while armed.
 struct CountingAlloc;
@@ -91,6 +102,7 @@ fn read_only_txn(engine: &dyn Engine<u64>) -> u64 {
 
 #[test]
 fn one_shard_read_only_transaction_allocation_budget_holds() {
+    let _serial = SERIAL.lock();
     let engine = mvtl_registry::build("mvtil-early?delta=1000").expect("spec builds");
     let engine = engine.as_ref();
     let mut seed = engine.begin(ProcessId(0));
@@ -114,5 +126,67 @@ fn one_shard_read_only_transaction_allocation_budget_holds() {
         allocs <= READ_ONLY_TXN_ALLOCS,
         "a read-only transaction of {KEYS} reads made {allocs} allocations \
          (budget {READ_ONLY_TXN_ALLOCS})"
+    );
+}
+
+/// Allocations of one logged one-shard write transaction of `KEYS` writes
+/// (`wal=tmp&fsync=off`): the one boxed handle, the shard transaction's
+/// write buffers and held-lock map, the logged write set, and the log
+/// record's encoding. A second box for the logged form would add one more.
+const LOGGED_WRITE_TXN_ALLOCS: u64 = 19;
+
+/// Allocations of one two-shard transaction that reads and writes `KEYS`
+/// keys spread over both shards: the routed handle and its sub-transaction
+/// slots, each shard transaction's buffers, and the §7 prepare and commit.
+/// A box per shard transaction would add one per touched shard.
+const TWO_SHARD_TXN_ALLOCS: u64 = 18;
+
+/// Begin, read-modify-write every key, commit.
+fn read_write_txn(engine: &dyn Engine<u64>, round: u64) {
+    let mut tx = engine.begin(ProcessId(1));
+    for k in 0..KEYS {
+        let value = tx.read(Key(k)).expect("read").unwrap_or(0);
+        tx.write(Key(k), value + round).expect("write");
+    }
+    tx.commit().expect("read-write commit");
+}
+
+/// Warms `spec`'s engine, then counts one more read-write transaction.
+fn read_write_allocs(spec: &str) -> u64 {
+    let engine = mvtl_registry::build(spec).expect("spec builds");
+    let engine = engine.as_ref();
+    for round in 0..4 {
+        read_write_txn(engine, round);
+    }
+    count_allocs(|| read_write_txn(engine, 4)).0
+}
+
+#[test]
+fn write_transaction_allocation_budgets_hold() {
+    let _serial = SERIAL.lock();
+    let logged = read_write_allocs("mvtil-early?delta=1000&wal=tmp&fsync=off");
+    println!("logged one-shard write transaction of {KEYS} keys: {logged} allocations");
+    assert!(
+        logged <= LOGGED_WRITE_TXN_ALLOCS,
+        "a logged write transaction of {KEYS} keys made {logged} allocations \
+         (budget {LOGGED_WRITE_TXN_ALLOCS})"
+    );
+
+    // The keys span both shards, so the commit runs the §7 protocol.
+    let router: ShardedStore<MvtlStore<u64, MvtilPolicy>> = ShardedStore::with_policy(
+        2,
+        Arc::new(GlobalClock::new()),
+        MvtlConfig::default(),
+        IntersectionPick::Min,
+        |_| MvtilPolicy::early(1000),
+    );
+    let shards: BTreeSet<usize> = (0..KEYS).map(|k| router.shard_of(Key(k))).collect();
+    assert_eq!(shards.len(), 2, "the keys span both shards");
+    let routed = read_write_allocs("sharded?shards=2&inner=mvtil-early&delta=1000");
+    println!("two-shard read-write transaction of {KEYS} keys: {routed} allocations");
+    assert!(
+        routed <= TWO_SHARD_TXN_ALLOCS,
+        "a two-shard read-write transaction of {KEYS} keys made {routed} allocations \
+         (budget {TWO_SHARD_TXN_ALLOCS})"
     );
 }
