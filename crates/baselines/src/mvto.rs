@@ -121,17 +121,18 @@ where
     type Txn = MvtoTransaction<V>;
 
     fn begin_at(&self, process: ProcessId, pinned: Option<Timestamp>) -> Self::Txn {
-        let ts = match pinned {
-            Some(t) => Timestamp::new(t.value, process.0),
-            None => Timestamp::new(self.clock.now(process), process.0),
-        };
+        // Claimed before the clock is read: no sweep purges past the reading.
+        let gc_pin = self.active.register(process, || {
+            let value = pinned.map_or_else(|| self.clock.now(process), |t| t.value);
+            Timestamp::new(value, process.0)
+        });
         MvtoTransaction {
             id: TxId::fresh(),
-            ts,
+            ts: gc_pin.timestamp(),
             status: TxStatus::Active,
             read_set: Vec::new(),
             writes: Vec::new(),
-            gc_pin: Some(self.active.register(ts)),
+            gc_pin: Some(gc_pin),
         }
     }
 

@@ -102,21 +102,26 @@ where
     ) -> MvtlTransaction<V> {
         let mut state = TxState::new(process, pinned);
         state.priority = priority;
-        self.policy.init(self, &mut state);
-        // Register the transaction with the GC watermark. The pin must not
-        // exceed any timestamp the transaction might anchor a read on, so take
-        // the minimum of everything the policy set up at init: its start
-        // timestamp and its candidate set (ε-clock reaches ε below "now",
-        // MVTL-Pref can carry negative offsets).
-        let mut pin_ts = state.start_ts.or(pinned).unwrap_or(Timestamp::MAX);
-        if let Some(lo) = state.ts_set.min() {
-            pin_ts = pin_ts.min(lo);
-        }
-        if pin_ts == Timestamp::MAX {
-            // No policy hint at all: fall back to a fresh clock reading.
-            pin_ts = self.clock.timestamp(process);
-        }
-        state.gc_pin = Some(self.active.register(pin_ts));
+        // Register the transaction with the GC watermark. The slot is claimed
+        // before the policy reads the clock, so no sweep purges past the
+        // reading. The pin must not exceed any timestamp the transaction
+        // might anchor a read on, so take the minimum of everything the
+        // policy set up at init: its start timestamp and its candidate set
+        // (ε-clock reaches ε below "now", MVTL-Pref can carry negative
+        // offsets).
+        let pin = self.active.register(process, || {
+            self.policy.init(self, &mut state);
+            let mut pin_ts = state.start_ts.or(pinned).unwrap_or(Timestamp::MAX);
+            if let Some(lo) = state.ts_set.min() {
+                pin_ts = pin_ts.min(lo);
+            }
+            if pin_ts == Timestamp::MAX {
+                // No policy hint at all: fall back to a fresh clock reading.
+                pin_ts = self.clock.timestamp(process);
+            }
+            pin_ts
+        });
+        state.gc_pin = Some(pin);
         MvtlTransaction::new(state)
     }
 

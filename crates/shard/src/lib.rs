@@ -402,6 +402,63 @@ mod tests {
     }
 
     #[test]
+    fn watermark_protects_a_transaction_from_begin_on() {
+        // Lag 0 and back-to-back sweeps: only the watermark keeps a sweep
+        // from purging the version a reader anchors on. A reader that has
+        // read the clock but is not yet pinned would see a sweep that read
+        // the clock earlier purge below a version the writer installed in
+        // between, and its read would abort with `VersionPurged`.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let s = swept_store(Duration::ZERO, Duration::ZERO);
+        let keys = [Key(1), Key(2), Key(3)];
+        let stop = AtomicBool::new(false);
+        let deadline = Instant::now() + Duration::from_millis(1500);
+        let purged = std::thread::scope(|scope| {
+            let (s, stop) = (&s, &stop);
+            scope.spawn(move || {
+                for round in 0.. {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    for key in keys {
+                        let mut tx = s.begin(ProcessId(1));
+                        // A write conflict with a later reader is fine here.
+                        if tx.write(key, round).is_ok() {
+                            let _ = tx.commit();
+                        }
+                    }
+                }
+            });
+            let readers: Vec<_> = (2..4)
+                .map(|p| {
+                    scope.spawn(move || {
+                        let mut purged = 0;
+                        while Instant::now() < deadline {
+                            let mut tx = s.begin(ProcessId(p));
+                            for key in keys {
+                                if let Err(e) = tx.read(key) {
+                                    let reason = e.abort_reason();
+                                    let lost =
+                                        matches!(reason, Some(AbortReason::VersionPurged { .. }));
+                                    purged += usize::from(lost);
+                                    break;
+                                }
+                            }
+                            let _ = tx.commit();
+                        }
+                        purged
+                    })
+                })
+                .collect();
+            let purged: usize = readers.into_iter().map(|r| r.join().unwrap()).sum();
+            stop.store(true, Ordering::Relaxed);
+            purged
+        });
+        assert_eq!(purged, 0, "reads aborted by a sweep that passed their pin");
+        assert!(s.stats().purged_versions > 0, "the sweeper purged nothing");
+    }
+
+    #[test]
     fn lag_defers_purging_of_recent_state() {
         let lag = Duration::from_millis(300);
         let spawned = Instant::now();

@@ -711,16 +711,20 @@ where
         // is the client-side policy state of §7, split across participants
         // (and it is what lets point-timestamp policies like MVTL-TO agree
         // on a commit timestamp across shards).
-        let base = pinned.unwrap_or_else(|| self.clock.timestamp(process));
+        // The coordinator pin is claimed before the clock is read, so no
+        // sweep purges past the reading.
+        let gc_pin = self.shards.active.register(process, || {
+            pinned.unwrap_or_else(|| self.clock.timestamp(process))
+        });
         Box::new(RoutedTxn {
             store: self,
             id: TxId::fresh(),
             process,
-            base,
+            base: gc_pin.timestamp(),
             subs: (0..self.shard_count()).map(|_| None).collect(),
             writes: Vec::new(),
             poisoned: false,
-            gc_pin: Some(self.shards.active.register(base)),
+            gc_pin: Some(gc_pin),
         })
     }
 

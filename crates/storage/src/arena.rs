@@ -244,9 +244,30 @@ impl<V: Clone> ArenaChain<V> {
 
     /// Index of the version at exactly `ts` (`Ok`) or where it would be
     /// inserted (`Err`), over the sorted version sequence.
+    ///
+    /// Anchors, installs and read-mark raises land near the newest version,
+    /// so the search gallops down from the top — probing 1, 2, 4, … versions
+    /// below it — and bisects only the bracket it finds: a probe near the
+    /// top of a long chain touches a few adjacent slots, not a cache line
+    /// per halving of the whole chain.
     fn position(&self, ts: Timestamp) -> Result<usize, usize> {
-        let mut lo = 0usize;
+        // Every version at or above `hi` is newer than `ts`.
         let mut hi = self.len();
+        let mut step = 1;
+        let mut lo = loop {
+            if step > hi {
+                break 0;
+            }
+            let probe = hi - step;
+            match self.entry(probe).ts().cmp(&ts) {
+                std::cmp::Ordering::Greater => {
+                    hi = probe;
+                    step *= 2;
+                }
+                std::cmp::Ordering::Equal => return Ok(probe),
+                std::cmp::Ordering::Less => break probe + 1,
+            }
+        };
         while lo < hi {
             let mid = (lo + hi) / 2;
             match self.entry(mid).ts().cmp(&ts) {
@@ -714,5 +735,154 @@ mod tests {
     #[test]
     fn a_chain_packs_its_purge_bound_and_bottom_mark() {
         assert_eq!(std::mem::size_of::<ArenaChain<u64>>(), 160);
+    }
+
+    /// The searches' reference: a sorted `(ts, value, read_hw)` list, `⊥`'s
+    /// mark, and the purge state, searched with `slice::binary_search_by`.
+    #[derive(Debug, Default)]
+    struct SearchModel {
+        versions: Vec<(Timestamp, u64, Timestamp)>,
+        bottom_hw: Timestamp,
+        purged: usize,
+        purged_below: Timestamp,
+    }
+
+    impl SearchModel {
+        fn position(&self, ts: Timestamp) -> Result<usize, usize> {
+            self.versions.binary_search_by(|&(t, ..)| t.cmp(&ts))
+        }
+
+        fn purge(&mut self, bound: Timestamp) {
+            let below = self.versions.partition_point(|&(t, ..)| t < bound);
+            if below > 0 {
+                self.bottom_hw = Timestamp::ZERO;
+            }
+            let removed = below.saturating_sub(1);
+            self.versions.drain(..removed);
+            self.purged += removed;
+            self.purged_below = self.purged_below.max(bound);
+        }
+
+        fn latest_before(&self, ts: Timestamp) -> Result<(Timestamp, Option<u64>), Timestamp> {
+            match self.position(ts) {
+                Ok(0) | Err(0) if self.purged > 0 && ts <= self.purged_below => {
+                    Err(self.purged_below)
+                }
+                Ok(0) | Err(0) => Ok((Timestamp::ZERO, None)),
+                Ok(i) | Err(i) => Ok((self.versions[i - 1].0, Some(self.versions[i - 1].1))),
+            }
+        }
+
+        fn first_at_or_after(&self, ts: Timestamp) -> Option<Timestamp> {
+            let (Ok(i) | Err(i)) = self.position(ts);
+            self.versions.get(i).map(|&(t, ..)| t)
+        }
+
+        /// Every span, `⊥`'s included, that overlaps `range`: a full scan.
+        fn spans(&self, range: TsRange) -> Vec<TsRange> {
+            let bottom = (self.bottom_hw > Timestamp::ZERO)
+                .then(|| TsRange::new(Timestamp::ZERO.succ(), self.bottom_hw));
+            bottom
+                .into_iter()
+                .chain(self.versions.iter().map(|&(t, _, hw)| TsRange::new(t, hw)))
+                .filter(|span| span.overlaps(&range))
+                .collect()
+        }
+    }
+
+    /// The timestamps of `range` that `spans` cover.
+    fn covered(spans: &[TsRange], range: TsRange) -> mvtl_common::TsSet {
+        let mut set = mvtl_common::TsSet::new();
+        for span in spans {
+            set.insert_range(*span);
+        }
+        set.intersect_range(range);
+        set
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn chain_searches_match_a_binary_search_reference(
+            gaps in proptest::prop_oneof![
+                proptest::collection::vec((1u64..4, 0u32..3, 0u8..3), 0..INLINE_VERSIONS + 2),
+                proptest::collection::vec((1u64..4, 0u32..3, 0u8..3), 0..300),
+            ],
+            bottom_read in 0u8..2,
+            purge in (0u8..2, 0u64..=100),
+        ) {
+            use proptest::prelude::*;
+            let mut arena = ChainArena::new();
+            let mut chain = ArenaChain::new();
+            let mut model = SearchModel::default();
+            let mut value = 0;
+            for &(gap, process, _) in &gaps {
+                value += gap;
+                model.versions.push((Timestamp::new(value, process), value, Timestamp::ZERO));
+            }
+            // Install the even versions oldest first, then the odd ones newest
+            // first, so inserts land at the top, the bottom and in between.
+            let order = (0..model.versions.len())
+                .step_by(2)
+                .chain((1..model.versions.len()).step_by(2).rev());
+            for i in order {
+                let (t, v, _) = model.versions[i];
+                prop_assert_eq!(chain.install(t, v, &mut arena), None);
+            }
+            // Read runs: up to the next version, one tick, or none.
+            let nexts: Vec<Timestamp> = model.versions.iter().skip(1).map(|v| v.0)
+                .chain([Timestamp::new(value + 9, 0)]).collect();
+            for ((version, &(.., run)), next) in model.versions.iter_mut().zip(&gaps).zip(nexts) {
+                let t = version.0;
+                version.2 = match run {
+                    0 => t,
+                    1 => t.succ().min(next),
+                    _ => next,
+                };
+                chain.raise_read_hw(t, version.2);
+            }
+            if bottom_read == 1 {
+                model.bottom_hw = model.versions.first().map_or(Timestamp::at(5), |v| v.0);
+                chain.raise_read_hw(Timestamp::ZERO, model.bottom_hw);
+            }
+            if purge.0 == 1 {
+                // At a percentile of the chain's timestamps.
+                let bound = Timestamp::new(value * purge.1 / 100, 1);
+                model.purge(bound);
+                chain.purge_below(bound, &mut arena);
+            }
+            prop_assert_eq!(chain.len(), model.versions.len());
+
+            // Below, on, just around and above every version.
+            let mut probes = vec![Timestamp::ZERO, Timestamp::at(1), Timestamp::MAX];
+            for &(t, ..) in &model.versions {
+                probes.extend([t.pred(), t, t.succ(), Timestamp::new(t.value, u32::MAX)]);
+            }
+            probes.push(Timestamp::new(value + 1, 0));
+            probes.sort();
+            for (i, &probe) in probes.iter().enumerate() {
+                prop_assert_eq!(chain.position(probe), model.position(probe), "position({:?})", probe);
+                prop_assert_eq!(chain.latest_before(probe), model.latest_before(probe),
+                    "latest_before({:?})", probe);
+                prop_assert_eq!(chain.first_at_or_after(probe), model.first_at_or_after(probe),
+                    "first_at_or_after({:?})", probe);
+                // `spans` may leave out a span that reaches `range.start` only
+                // at the next version's own timestamp, which that version's
+                // span covers: it reports overlapping spans, in order, that
+                // cover what all of them cover.
+                for width in [0, 1, 3, 40] {
+                    let end = probes[(i + width).min(probes.len() - 1)];
+                    let range = TsRange::new(probe, end);
+                    let fast: Vec<TsRange> = chain.spans(range).collect();
+                    let all = model.spans(range);
+                    let mut rest = all.iter();
+                    prop_assert!(fast.iter().all(|span| rest.any(|s| s == span)),
+                        "spans({:?}) = {:?}, not in order among {:?}", range, fast, all);
+                    prop_assert_eq!(covered(&fast, range), covered(&all, range),
+                        "spans({:?})", range);
+                }
+            }
+        }
     }
 }
