@@ -14,6 +14,21 @@ pub trait ClockSource: Send + Sync {
     /// Returns the current clock value as seen by `process`.
     fn now(&self, process: ProcessId) -> u64;
 
+    /// Returns the current clock value as seen by `process`, like
+    /// [`ClockSource::now`], but asks the clock to advance by `stride` ticks
+    /// instead of one, so that the next reading of any process is at least
+    /// `stride` above this one.
+    ///
+    /// MVTIL reads its clock this way: an interval `[now, now+Δ]` spans
+    /// every begin that reads the clock below `now+Δ`, so a larger stride
+    /// leaves fewer later transactions inside it while Δ stays the width.
+    /// Only [`GlobalClock`] honours the stride; every other source has no
+    /// shared counter to advance and returns [`ClockSource::now`].
+    fn now_by(&self, process: ProcessId, stride: u64) -> u64 {
+        let _ = stride;
+        self.now(process)
+    }
+
     /// Returns the current reading as a full timestamp `(value, process)`.
     fn timestamp(&self, process: ProcessId) -> Timestamp {
         Timestamp::new(self.now(process), process.0)
@@ -23,6 +38,10 @@ pub trait ClockSource: Send + Sync {
 impl<C: ClockSource + ?Sized> ClockSource for Arc<C> {
     fn now(&self, process: ProcessId) -> u64 {
         (**self).now(process)
+    }
+
+    fn now_by(&self, process: ProcessId, stride: u64) -> u64 {
+        (**self).now_by(process, stride)
     }
 }
 
@@ -61,8 +80,15 @@ impl GlobalClock {
 }
 
 impl ClockSource for GlobalClock {
-    fn now(&self, _process: ProcessId) -> u64 {
-        self.counter.fetch_add(1, Ordering::SeqCst)
+    fn now(&self, process: ProcessId) -> u64 {
+        self.now_by(process, 1)
+    }
+
+    /// Advances the counter by `stride` (at least 1) and returns the value
+    /// before it: readings stay strictly increasing across all processes,
+    /// and the `stride - 1` values skipped are never handed out.
+    fn now_by(&self, _process: ProcessId, stride: u64) -> u64 {
+        self.counter.fetch_add(stride.max(1), Ordering::SeqCst)
     }
 }
 
@@ -267,6 +293,32 @@ mod tests {
         let b = clock.now(P1);
         let c = clock.now(P0);
         assert!(a < b && b < c);
+    }
+
+    #[test]
+    fn global_clock_now_by_advances_by_the_stride() {
+        let clock = GlobalClock::starting_at(10);
+        assert_eq!(clock.now_by(P0, 5), 10);
+        assert_eq!(clock.peek(), 15, "a stride of 5 moves the clock by 5");
+        assert_eq!(clock.now(P1), 15);
+        assert_eq!(clock.peek(), 16, "a plain reading moves it by 1");
+        assert_eq!(clock.now_by(P0, 0), 16, "a zero stride counts as 1");
+        assert_eq!(clock.peek(), 17);
+        // Through an `Arc`, the stride reaches the clock.
+        let shared: Arc<dyn ClockSource> = Arc::new(GlobalClock::starting_at(100));
+        assert_eq!(shared.now_by(P0, 7), 100);
+        assert_eq!(shared.now(P0), 107);
+    }
+
+    #[test]
+    fn other_sources_ignore_the_stride() {
+        let manual = ManualClock::new();
+        manual.script(P0, vec![5, 9]);
+        assert_eq!(manual.now_by(P0, 100), 5);
+        assert_eq!(manual.now_by(P0, 100), 9);
+        let batched = BatchedClock::starting_at(10, 4);
+        assert_eq!(batched.now_by(P0, 100), 10);
+        assert_eq!(batched.now_by(P0, 100), 11);
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl EpsilonPolicy {
 
 impl LockingPolicy for EpsilonPolicy {
     fn init(&self, ctx: &dyn PolicyCtx, tx: &mut TxState) {
-        let now = ctx.clock_value(tx, tx.process);
+        let now = ctx.clock_value(tx, tx.process, 1);
         tx.start_ts = Some(Timestamp::new(now, tx.process.0));
         tx.ts_set = TsSet::from_range(self.interval(tx, now));
     }

@@ -42,8 +42,10 @@ pub struct ReadGrant {
 /// transaction-side lock mirror in [`TxState`] up to date.
 pub trait PolicyCtx {
     /// Reads the clock as seen by `process` (respecting a pinned value for the
-    /// transaction when one was supplied at begin).
-    fn clock_value(&self, tx: &TxState, process: ProcessId) -> u64;
+    /// transaction when one was supplied at begin), advancing it by `stride`
+    /// ticks ([`ClockSource::now_by`](mvtl_clock::ClockSource::now_by)).
+    /// Every policy but MVTIL passes 1; a pinned reading moves nothing.
+    fn clock_value(&self, tx: &TxState, process: ProcessId, stride: u64) -> u64;
 
     /// Acquires read locks on `key` for the interval starting immediately after
     /// the latest committed version below `anchor_below` and extending up to

@@ -33,7 +33,7 @@ impl LockingPolicy for PessimisticPolicy {
     fn init(&self, ctx: &dyn PolicyCtx, tx: &mut TxState) {
         // The clock is not needed for locking decisions, but remembering the
         // begin time keeps reports informative.
-        let value = ctx.clock_value(tx, tx.process);
+        let value = ctx.clock_value(tx, tx.process, 1);
         tx.start_ts = Some(Timestamp::new(value, tx.process.0));
     }
 

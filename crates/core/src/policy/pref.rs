@@ -95,7 +95,7 @@ impl PrefPolicy {
 
 impl LockingPolicy for PrefPolicy {
     fn init(&self, ctx: &dyn PolicyCtx, tx: &mut TxState) {
-        let value = ctx.clock_value(tx, tx.process).max(1);
+        let value = ctx.clock_value(tx, tx.process, 1).max(1);
         let pref = Timestamp::new(value, tx.process.0);
         tx.start_ts = Some(pref);
         let mut poss = TsSet::from_point(pref);

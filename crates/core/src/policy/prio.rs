@@ -34,7 +34,7 @@ impl PrioPolicy {
 
 impl LockingPolicy for PrioPolicy {
     fn init(&self, ctx: &dyn PolicyCtx, tx: &mut TxState) {
-        let value = ctx.clock_value(tx, tx.process);
+        let value = ctx.clock_value(tx, tx.process, 1);
         let ts = Timestamp::new(value, tx.process.0);
         tx.start_ts = Some(ts);
         if !tx.priority {

@@ -37,7 +37,7 @@ impl ToPolicy {
 
 impl LockingPolicy for ToPolicy {
     fn init(&self, ctx: &dyn PolicyCtx, tx: &mut TxState) {
-        let value = ctx.clock_value(tx, tx.process);
+        let value = ctx.clock_value(tx, tx.process, 1);
         let ts = Timestamp::new(value, tx.process.0);
         tx.start_ts = Some(ts);
         tx.chosen_ts = Some(ts);

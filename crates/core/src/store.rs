@@ -510,10 +510,10 @@ where
     V: Clone + Send + Sync + 'static,
     P: LockingPolicy,
 {
-    fn clock_value(&self, tx: &TxState, process: ProcessId) -> u64 {
+    fn clock_value(&self, tx: &TxState, process: ProcessId, stride: u64) -> u64 {
         match tx.pinned {
             Some(ts) => ts.value,
-            None => self.clock.now(process),
+            None => self.clock.now_by(process, stride),
         }
     }
 
@@ -611,8 +611,8 @@ where
     V: Clone + Send + Sync + 'static,
     P: LockingPolicy,
 {
-    fn clock_value(&self, tx: &TxState, process: ProcessId) -> u64 {
-        self.store.clock_value(tx, process)
+    fn clock_value(&self, tx: &TxState, process: ProcessId, stride: u64) -> u64 {
+        self.store.clock_value(tx, process, stride)
     }
 
     fn acquire_read_interval(

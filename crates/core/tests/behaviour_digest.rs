@@ -184,13 +184,16 @@ fn pin(name: &str, seed: u64, actual: u64, expected: u64) {
 
 const STEPS: u64 = 20_000;
 
+// MVTIL's begins advance the clock by their process's stride (doubled by
+// each exhaustion, lowered by each commit), so these pins depend on the
+// stride as well as on the locking decisions.
 #[test]
 fn mvtil_outcomes_match_the_recorded_digests() {
     for (seed, expected) in [
-        (1, 0x9e9c_3778_404d_0de5),
-        (2, 0xbaef_64fc_7c73_8f08),
-        (3, 0x1629_d1e3_0c8e_fad2),
-        (4, 0x0edd_ea89_e3f6_8008),
+        (1, 0xf187_f031_9d60_4440),
+        (2, 0x74cc_35fe_d6c8_50c4),
+        (3, 0xa3fe_4161_2062_fa0d),
+        (4, 0xb881_e963_c0e4_2575),
     ] {
         let early = digest(MvtilPolicy::early(40), seed, 100_000, true);
         pin("mvtil-early", seed, early, expected);
@@ -199,7 +202,7 @@ fn mvtil_outcomes_match_the_recorded_digests() {
         "mvtil-late",
         1,
         digest(MvtilPolicy::late(40), 1, STEPS, true),
-        0xf6c6_3a32_94be_63b7,
+        0x62f2_ee26_0add_23a2,
     );
 }
 
