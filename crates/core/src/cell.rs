@@ -107,14 +107,15 @@ impl<V: Clone> KeyData<V> {
     /// Algorithm 1 lines 17-21 on one key for `owner` committing at
     /// `commit_ts`. A written `value` becomes the version at `commit_ts`,
     /// which is the frozen write lock. The owner's `read_locks` on the key
-    /// become read runs: with `gc` only their part up to `commit_ts`,
-    /// without it all of them. Then the owner's live locks are released.
+    /// (sorted ranges, each starting just above the version it read) become
+    /// read runs: with `gc` only their part up to `commit_ts`, without it
+    /// all of them. Then the owner's live locks are released.
     pub(crate) fn commit(
         &mut self,
         owner: TxId,
         commit_ts: Timestamp,
         value: Option<V>,
-        read_locks: &TsSet,
+        read_locks: &[TsRange],
         gc: bool,
         arena: &mut ChainArena<V>,
     ) {
@@ -124,7 +125,7 @@ impl<V: Clone> KeyData<V> {
         }
         let kept_to = if gc { commit_ts } else { Timestamp::MAX };
         let split = written.then_some(commit_ts);
-        for range in read_locks.ranges() {
+        for range in read_locks {
             if range.start <= kept_to {
                 self.freeze_read(TsRange::new(range.start, range.end.min(kept_to)), split);
             }
@@ -135,8 +136,8 @@ impl<V: Clone> KeyData<V> {
     /// An abort of `owner` on one key: its `kept_reads` (MVTO+'s read
     /// timestamps, which an abort never lowers) become read runs, and its
     /// live locks are released.
-    pub(crate) fn abort(&mut self, owner: TxId, kept_reads: &TsSet) {
-        for range in kept_reads.ranges() {
+    pub(crate) fn abort(&mut self, owner: TxId, kept_reads: &[TsRange]) {
+        for range in kept_reads {
             self.freeze_read(*range, None);
         }
         self.locks.release_unfrozen(owner);

@@ -30,7 +30,7 @@
 
 use super::KeyData;
 use mvtl_common::{Key, LockMode, Timestamp, TsRange, TsSet, TxId};
-use mvtl_locks::AcquireAnalysis;
+use mvtl_locks::{AcquireAnalysis, ReadRequest};
 use mvtl_storage::ChainArena;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -374,7 +374,7 @@ fn run_history(steps: &[Step]) -> Result<(), TestCaseError> {
                 // version, then lock the free prefix above the anchor.
                 let granted = loop {
                     if upper < anchor.succ() {
-                        break TsSet::new();
+                        break None;
                     }
                     let desired = TsRange::new(anchor.succ(), upper);
                     let expected = model.analyze(tx, LockMode::Read, desired);
@@ -383,18 +383,31 @@ fn run_history(steps: &[Step]) -> Result<(), TestCaseError> {
                     if let Some(version) = data.first_frozen_read_conflict(desired) {
                         prop_assert_eq!(Some(version), expected.frozen_conflicts.min());
                         if version <= anchor.succ() {
-                            break TsSet::new();
+                            break None;
                         }
                         upper = version.pred();
                         continue;
                     }
-                    break match got.contiguous_grantable_end(anchor.succ()) {
-                        Some(end) => TsSet::from_range(TsRange::new(anchor.succ(), end)),
-                        None => TsSet::new(),
+                    // The lock table's one-pass answer is the model's
+                    // contiguous grantable prefix, and it waits exactly
+                    // when the model sees an unfrozen blocker.
+                    let prefix = expected
+                        .contiguous_grantable_end(anchor.succ())
+                        .map(|end| TsRange::new(anchor.succ(), end));
+                    let waits = data.locks.read_request(tx, desired, true) == ReadRequest::Wait;
+                    prop_assert_eq!(waits, !expected.blocked_unfrozen.is_empty());
+                    let granted = match data.locks.read_request(tx, desired, false) {
+                        ReadRequest::Whole => Some(desired),
+                        ReadRequest::Prefix(prefix) => prefix,
+                        ReadRequest::Wait => unreachable!("a request that does not wait"),
                     };
+                    prop_assert_eq!(granted, prefix, "{:?} by {:?}", step, tx);
+                    break granted;
                 };
-                data.locks.acquire(tx, LockMode::Read, &granted);
-                model.acquire(tx, LockMode::Read, &granted);
+                if let Some(range) = granted {
+                    data.locks.acquire_range(tx, LockMode::Read, range);
+                }
+                model.acquire(tx, LockMode::Read, &TsSet::from_ranges(granted));
                 txns[slot].reads.push(anchor);
             }
             Step::Write { slot, start, len } => {
@@ -466,13 +479,13 @@ fn run_history(steps: &[Step]) -> Result<(), TestCaseError> {
                 let points: Vec<Timestamp> =
                     (0..GRID).map(point).filter(|&p| set.contains(p)).collect();
                 if points.is_empty() || (txn.reads.is_empty() && !txn.wrote) {
-                    data.abort(tx, &TsSet::new());
+                    data.abort(tx, &[]);
                     model.release(tx);
                 } else {
                     let commit_ts = points[pick % points.len()];
                     let value = txn.wrote.then_some(n as u64);
                     let read_locks = model.held(tx, LockMode::Read);
-                    data.commit(tx, commit_ts, value, &read_locks, gc, &mut arena);
+                    data.commit(tx, commit_ts, value, read_locks.ranges(), gc, &mut arena);
                     model.commit(tx, commit_ts, txn.wrote, &txn.reads, gc);
                 }
                 restart = Some(slot);
@@ -484,7 +497,7 @@ fn run_history(steps: &[Step]) -> Result<(), TestCaseError> {
                 } else {
                     TsSet::new()
                 };
-                data.abort(tx, &kept);
+                data.abort(tx, kept.ranges());
                 if keep_reads {
                     model.freeze(tx, LockMode::Read, TsRange::all());
                 }

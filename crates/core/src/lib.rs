@@ -32,8 +32,10 @@
 //!   ([`mvtl_locks::KeyLockState`]) and an arena-backed version chain
 //!   ([`mvtl_storage::ArenaChain`]) behind the stripe's latch, mirroring the
 //!   paper's per-key latched hash table (§8.1) without per-key allocation.
-//! * [`TxState`] / [`MvtlTransaction`] — per-transaction bookkeeping: read set,
-//!   write set, locks held, candidate timestamps.
+//! * [`TxState`] / [`MvtlTransaction`] — per-transaction bookkeeping: one
+//!   [`KeyRecord`] per touched key (the versions read, the locks held, whether
+//!   it was written; the buffered value sits at the record's index), and the
+//!   candidate timestamps.
 //! * [`LockingPolicy`] / [`PolicyCtx`] — the policy interface mirroring
 //!   Algorithm 2.
 //!
@@ -76,4 +78,4 @@ pub use config::MvtlConfig;
 pub use mvtl_common::StoreStats;
 pub use policy::{LockingPolicy, PolicyCtx, ReadGrant};
 pub use store::MvtlStore;
-pub use txn::{MvtlTransaction, TxState};
+pub use txn::{KeyRecord, MvtlTransaction, TxState};

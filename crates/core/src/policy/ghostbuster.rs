@@ -1,7 +1,7 @@
 //! MVTL-Ghostbuster (Algorithm 10): MVTL-TO plus garbage collection, which
 //! removes ghost aborts.
 
-use crate::policy::{LockingPolicy, PolicyCtx};
+use crate::policy::{write_lock_point, LockingPolicy, PolicyCtx};
 use crate::txn::TxState;
 use mvtl_common::{AbortReason, Key, Timestamp, TsSet, TxError};
 
@@ -58,17 +58,12 @@ impl LockingPolicy for GhostbusterPolicy {
 
     fn commit_locks(&self, ctx: &dyn PolicyCtx, tx: &mut TxState) -> Result<(), TxError> {
         let ts = tx.start_ts.expect("init sets the start timestamp");
-        let write_keys = tx.write_keys.clone();
-        for key in write_keys {
-            // Waits for unfrozen conflicting locks (Algorithm 10 line 15); a
-            // frozen conflicting read lock can never go away, so a missing
-            // grant after waiting means the write must be rejected.
-            let granted = ctx.acquire_write_range(tx, key, &TsSet::from_point(ts), true)?;
-            if !granted.contains(ts) {
-                ctx.release_unfrozen_write_locks(tx);
-                tx.chosen_ts = None;
-                return Err(TxError::aborted(AbortReason::WriteConflict { key }));
-            }
+        // Waits for unfrozen conflicting locks (Algorithm 10 line 15); a
+        // frozen conflicting read lock can never go away, so a missing grant
+        // after waiting means the write must be rejected.
+        if let Some(key) = write_lock_point(ctx, tx, ts, true)? {
+            tx.chosen_ts = None;
+            return Err(TxError::aborted(AbortReason::WriteConflict { key }));
         }
         Ok(())
     }

@@ -23,23 +23,27 @@ pub use prio::PrioPolicy;
 pub use to::ToPolicy;
 
 use crate::txn::TxState;
-use mvtl_common::{Key, ProcessId, Timestamp, TsSet, TxError};
+use mvtl_common::{Key, ProcessId, Timestamp, TsRange, TsSet, TxError};
 
 /// The result of a read-lock acquisition.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A read locks one interval starting just above the version it read
+/// (Algorithm 1's `read`); once the reader commits, what survives of it is
+/// that version's read mark (§3). So a grant is one range, never a set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadGrant {
     /// Timestamp of the version the read will return (`tr` in Algorithm 1);
     /// [`Timestamp::ZERO`] denotes the initial `⊥` version.
     pub version: Timestamp,
-    /// The timestamps actually read-locked; always a (possibly empty)
-    /// contiguous interval starting at `version.succ()`.
-    pub granted: TsSet,
+    /// The timestamps actually read-locked: an interval starting at
+    /// `version.succ()`, or `None` when nothing could be locked.
+    pub granted: Option<TsRange>,
 }
 
 /// The store operations a policy may use to implement Algorithm 2.
 ///
 /// Each method performs its work under the relevant per-key latch and keeps the
-/// transaction-side lock mirror in [`TxState`] up to date.
+/// transaction's per-key records in [`TxState`] up to date.
 pub trait PolicyCtx {
     /// Reads the clock as seen by `process` (respecting a pinned value for the
     /// transaction when one was supplied at begin), advancing it by `stride`
@@ -60,6 +64,11 @@ pub trait PolicyCtx {
     /// When a frozen write lock (i.e. a newly committed version) is discovered
     /// inside the interval, the acquisition re-anchors on the new version and
     /// retries, as in the paper's `repeat ... until found no frozen locks`.
+    ///
+    /// The lock table answers with one range in one scan of the key's live
+    /// entries ([`KeyLockState::read_request`](mvtl_locks::KeyLockState::read_request)),
+    /// and the grant and the version it anchored on go into the key's
+    /// [`KeyRecord`](crate::KeyRecord) on `tx`, with no set built.
     ///
     /// A policy's `read_locks` calls this exactly once and returns the
     /// granted [`ReadGrant::version`]: the store clones that version's value
@@ -136,6 +145,28 @@ pub(crate) fn acquire_within_ts_set(
     let granted = ctx.acquire_write_range(tx, key, &desired, wait);
     tx.ts_set = desired;
     granted
+}
+
+/// Write-locks the single timestamp `ts` on every key `tx` wrote, in the
+/// order it first wrote them, without cloning the write set. At the first
+/// key refused, every unfrozen write lock `tx` holds is released and that
+/// key returned ("if write-lock not acquired then release all write locks"
+/// in Algorithms 3, 8 and 10).
+pub(crate) fn write_lock_point(
+    ctx: &dyn PolicyCtx,
+    tx: &mut TxState,
+    ts: Timestamp,
+    wait: bool,
+) -> Result<Option<Key>, TxError> {
+    for index in 0..tx.written_keys().len() {
+        let key = tx.written_keys()[index];
+        let granted = ctx.acquire_write_range(tx, key, &TsSet::from_point(ts), wait)?;
+        if !granted.contains(ts) {
+            ctx.release_unfrozen_write_locks(tx);
+            return Ok(Some(key));
+        }
+    }
+    Ok(None)
 }
 
 /// A specialization of the generic MVTL algorithm: the five policy functions of
@@ -232,16 +263,16 @@ pub trait LockingPolicy: Send + Sync + 'static {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvtl_common::TsRange;
 
     #[test]
     fn read_grant_shape() {
         let g = ReadGrant {
             version: Timestamp::at(3),
-            granted: TsSet::from_range(TsRange::new(Timestamp::at(3).succ(), Timestamp::at(9))),
+            granted: Some(TsRange::new(Timestamp::at(3).succ(), Timestamp::at(9))),
         };
         assert_eq!(g.version, Timestamp::at(3));
-        assert!(g.granted.contains(Timestamp::at(5)));
-        assert!(!g.granted.contains(Timestamp::at(3)));
+        let granted = g.granted.expect("a grant");
+        assert!(granted.contains(Timestamp::at(5)));
+        assert!(!granted.contains(Timestamp::at(3)));
     }
 }

@@ -168,7 +168,10 @@ impl LockingPolicy for MvtilPolicy {
             return Err(self.exhausted(tx, key));
         };
         let grant = ctx.acquire_read_interval(tx, key, upper, upper, false)?;
-        tx.ts_set = tx.ts_set.intersection(&grant.granted);
+        match grant.granted {
+            Some(granted) => tx.ts_set.intersect_range(granted),
+            None => tx.ts_set = TsSet::new(),
+        }
         if tx.ts_set.is_empty() {
             return Err(self.exhausted(tx, key));
         }

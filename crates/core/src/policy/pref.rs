@@ -1,6 +1,6 @@
 //! MVTL-Pref (Algorithms 3/5): preferential + alternative timestamps.
 
-use crate::policy::{LockingPolicy, PolicyCtx};
+use crate::policy::{write_lock_point, LockingPolicy, PolicyCtx};
 use crate::txn::TxState;
 use mvtl_common::{Key, Timestamp, TsRange, TsSet, TxError};
 
@@ -128,7 +128,7 @@ impl LockingPolicy for PrefPolicy {
         let grant = ctx.acquire_read_interval(tx, key, pref, upper, true)?;
         // PossTS <- PossTS ∩ [tr+1, tmax]; alternatives at or below the version
         // read are no longer viable because no read lock can cover them.
-        let tmax = grant.granted.max().unwrap_or(grant.version);
+        let tmax = grant.granted.map_or(grant.version, |granted| granted.end);
         tx.ts_set.intersect_range(TsRange::new(
             grant.version.succ(),
             tmax.max(grant.version.succ()),
@@ -137,24 +137,14 @@ impl LockingPolicy for PrefPolicy {
     }
 
     fn commit_locks(&self, ctx: &dyn PolicyCtx, tx: &mut TxState) -> Result<(), TxError> {
-        if tx.write_keys.is_empty() {
+        if !tx.has_writes() {
             // Read-only: commit at the preferential timestamp if still viable,
             // otherwise any remaining candidate (resolved by commit_ts).
             tx.chosen_ts = None;
             return Ok(());
         }
-        let write_keys = tx.write_keys.clone();
         for t in self.ordered_candidates(tx) {
-            let mut got_all = true;
-            for key in &write_keys {
-                let granted = ctx.acquire_write_range(tx, *key, &TsSet::from_point(t), false)?;
-                if !granted.contains(t) {
-                    got_all = false;
-                    ctx.release_unfrozen_write_locks(tx);
-                    break;
-                }
-            }
-            if got_all {
+            if write_lock_point(ctx, tx, t, false)?.is_none() {
                 tx.chosen_ts = Some(t);
                 return Ok(());
             }
@@ -164,7 +154,7 @@ impl LockingPolicy for PrefPolicy {
     }
 
     fn commit_ts(&self, tx: &TxState, candidates: &TsSet) -> Option<Timestamp> {
-        if tx.write_keys.is_empty() {
+        if !tx.has_writes() {
             // Read-only transactions: preferential timestamp if covered,
             // otherwise the largest candidate still covered by read locks.
             let pref = tx.start_ts?;

@@ -1,6 +1,6 @@
 //! MVTL-Prio (Algorithm 6): prioritizing critical transactions.
 
-use crate::policy::{LockingPolicy, PolicyCtx};
+use crate::policy::{write_lock_point, LockingPolicy, PolicyCtx};
 use crate::txn::TxState;
 use mvtl_common::{AbortReason, Key, Timestamp, TsRange, TsSet, TxError};
 
@@ -73,14 +73,9 @@ impl LockingPolicy for PrioPolicy {
             return Ok(());
         }
         let ts = tx.start_ts.expect("init sets the start timestamp");
-        let write_keys = tx.write_keys.clone();
-        for key in write_keys {
-            let granted = ctx.acquire_write_range(tx, key, &TsSet::from_point(ts), false)?;
-            if !granted.contains(ts) {
-                ctx.release_unfrozen_write_locks(tx);
-                tx.chosen_ts = None;
-                return Err(TxError::aborted(AbortReason::WriteConflict { key }));
-            }
+        if let Some(key) = write_lock_point(ctx, tx, ts, false)? {
+            tx.chosen_ts = None;
+            return Err(TxError::aborted(AbortReason::WriteConflict { key }));
         }
         Ok(())
     }

@@ -1,6 +1,6 @@
 //! MVTL-TO (Algorithm 8): the policy that makes MVTL behave exactly like MVTO+.
 
-use crate::policy::{LockingPolicy, PolicyCtx};
+use crate::policy::{write_lock_point, LockingPolicy, PolicyCtx};
 use crate::txn::TxState;
 use mvtl_common::{AbortReason, Key, Timestamp, TsSet, TxError};
 
@@ -67,15 +67,10 @@ impl LockingPolicy for ToPolicy {
 
     fn commit_locks(&self, ctx: &dyn PolicyCtx, tx: &mut TxState) -> Result<(), TxError> {
         let ts = tx.start_ts.expect("init sets the start timestamp");
-        let write_keys = tx.write_keys.clone();
-        for key in write_keys {
-            let granted = ctx.acquire_write_range(tx, key, &TsSet::from_point(ts), false)?;
-            if !granted.contains(ts) {
-                // "if write-lock not acquired then release all write locks and abort"
-                ctx.release_unfrozen_write_locks(tx);
-                tx.chosen_ts = None;
-                return Err(TxError::aborted(AbortReason::WriteConflict { key }));
-            }
+        // "if write-lock not acquired then release all write locks and abort"
+        if let Some(key) = write_lock_point(ctx, tx, ts, false)? {
+            tx.chosen_ts = None;
+            return Err(TxError::aborted(AbortReason::WriteConflict { key }));
         }
         Ok(())
     }

@@ -9,6 +9,7 @@ use mvtl_common::{
     AbortReason, ActiveTxnRegistry, CommitInfo, Key, LockMode, PreparedTxn, ProcessId, StoreStats,
     Timestamp, TransactionalKV, TsRange, TsSet, TxError, TxStatus,
 };
+use mvtl_locks::ReadRequest;
 use mvtl_storage::{ChainArena, StripedTable};
 use parking_lot::Mutex;
 use std::cell::Cell;
@@ -159,11 +160,9 @@ where
             anchored: Cell::new(None),
         };
         let result = match self.policy.read_locks(&ctx, &mut txn.state, key) {
+            // The grant recorded the read on the key's record.
             Ok(version) => match ctx.anchored.into_inner() {
-                Some((anchored, value)) if anchored == version => {
-                    txn.state.record_read(key, version);
-                    return Ok(value);
-                }
+                Some((anchored, value)) if anchored == version => return Ok(value),
                 _ => Err(TxError::Internal(format!(
                     "{} read {key} at {version} without anchoring on it",
                     self.policy.name()
@@ -213,7 +212,7 @@ where
             return Err(err);
         }
         // Line 13: find the timestamps locked across every accessed key.
-        let candidates = self.commit_candidates(&txn.state);
+        let candidates = txn.state.commit_candidates();
         let chosen = if candidates.is_empty() {
             None
         } else {
@@ -236,40 +235,35 @@ where
     /// lock. `commit_ts` must be a member of the transaction's commit
     /// candidates.
     ///
-    /// One pass over the keys the transaction holds locks on, one stripe
-    /// latch per key. Every written key is among them: `commit_ts` is
-    /// write-locked on each written key.
+    /// One pass over the transaction's records, one stripe latch per key
+    /// that holds a lock or a written value; a record's value sits at its
+    /// index, so no key is searched for.
     fn finish_commit(&self, txn: &mut MvtlTransaction<V>, commit_ts: Timestamp) -> CommitInfo {
         // Line 21: optional garbage collection (Algorithm 1, `gc`).
         let gc = self.policy.commit_gc(&txn.state);
-        let MvtlTransaction {
-            state: tx,
-            write_values,
-        } = txn;
-        for (key, held) in tx.held.iter() {
-            let value = write_values
-                .iter()
-                .position(|(k, _)| *k == key)
-                .map(|i| write_values.swap_remove(i).1);
+        let MvtlTransaction { state: tx, values } = txn;
+        for (index, record) in tx.records().iter().enumerate() {
+            let value = values.get_mut(index).and_then(Option::take);
+            if value.is_none() && !record.holds_locks() {
+                continue;
+            }
             // Lines 17-21 under one latch, so observers never see a
             // committed version without its frozen read runs.
-            self.with_cell_notify(key, |data, arena| {
-                data.commit(tx.id, commit_ts, value, &held.read, gc, arena);
+            self.with_cell_notify(record.key(), |data, arena| {
+                let read = record.read_locks();
+                data.commit(tx.id, commit_ts, value, read.as_slice(), gc, arena);
             });
         }
-        assert!(write_values.is_empty(), "a written key holds no lock");
-        txn.state.status = TxStatus::Committed;
-        txn.state.commit_ts = Some(commit_ts);
-        if let Some(pin) = txn.state.gc_pin.take() {
+        tx.status = TxStatus::Committed;
+        tx.commit_ts = Some(commit_ts);
+        if let Some(pin) = tx.gc_pin.take() {
             self.active.deregister(pin);
         }
-        // The transaction is consumed: move the read/write sets out instead
-        // of cloning them.
         CommitInfo {
-            tx: txn.state.id,
+            tx: tx.id,
             commit_ts: Some(commit_ts),
-            reads: std::mem::take(&mut txn.state.read_set),
-            writes: std::mem::take(&mut txn.state.write_keys),
+            reads: tx.take_reads(),
+            writes: tx.take_written_keys(),
         }
     }
 
@@ -282,11 +276,11 @@ where
 
     fn abort_internal(&self, tx: &mut TxState) {
         let keep_reads = !self.policy.release_read_locks_on_abort();
-        let none = TsSet::new();
-        for (key, held) in tx.held.iter() {
+        for record in tx.records().iter().filter(|record| record.holds_locks()) {
             // A policy emulating MVTO+ keeps its read locks, as read runs.
-            let kept = if keep_reads { &held.read } else { &none };
-            self.with_cell_notify(key, |data, _| data.abort(tx.id, kept));
+            let read = record.read_locks();
+            let kept = if keep_reads { read.as_slice() } else { &[] };
+            self.with_cell_notify(record.key(), |data, _| data.abort(tx.id, kept));
         }
         tx.status = TxStatus::Aborted;
         if let Some(pin) = tx.gc_pin.take() {
@@ -317,92 +311,45 @@ where
             let (anchor, value) = data.versions.latest_before(anchor_below).map_err(|bound| {
                 TxError::aborted(AbortReason::VersionPurged { key, below: bound })
             })?;
-            let grant = |granted| ReadGrant {
+            // The window above the anchor, shrunk below a newer version
+            // inside it (a frozen write lock), then granted whole, as its
+            // free prefix, or after a wait. `upper` below the anchor's
+            // successor leaves no window.
+            let granted = match TsRange::checked(anchor.succ(), upper) {
+                None => None,
+                Some(window) => match data.first_frozen_read_conflict(window) {
+                    // Retry below the version, re-anchoring on it when it
+                    // is visible.
+                    Some(version) if version > anchor.succ() => {
+                        upper = version.pred();
+                        continue;
+                    }
+                    Some(_) => None,
+                    None => match data.locks.read_request(tx.id, window, wait) {
+                        ReadRequest::Whole => Some(window),
+                        ReadRequest::Prefix(prefix) => prefix,
+                        ReadRequest::Wait => {
+                            let deadline = *deadline.get_or_insert_with(|| {
+                                Instant::now() + self.config.lock_wait_timeout
+                            });
+                            if stripe.changed.wait_until(&mut guard, deadline).timed_out() {
+                                return Err(TxError::aborted(AbortReason::LockTimeout { key }));
+                            }
+                            continue;
+                        }
+                    },
+                },
+            };
+            if let Some(range) = granted {
+                data.locks.acquire_range(tx.id, LockMode::Read, range);
+            }
+            tx.record_read(key, anchor, granted);
+            let grant = ReadGrant {
                 version: anchor,
                 granted,
             };
-            if upper < anchor.succ() {
-                return Ok((grant(TsSet::new()), value));
-            }
-            let desired = TsRange::new(anchor.succ(), upper);
-            if let Some(version) = data.first_frozen_read_conflict(desired) {
-                // A newer version inside the window is a frozen write lock;
-                // shrink the window to end just below it and retry,
-                // re-anchoring on the newer version when it is visible.
-                if version <= anchor.succ() {
-                    return Ok((grant(TsSet::new()), value));
-                }
-                upper = version.pred();
-                continue;
-            }
-            let analysis = data.locks.analyze(tx.id, LockMode::Read, desired);
-            let granted = if analysis.blocked_unfrozen.is_empty() {
-                analysis.grantable
-            } else if wait {
-                let deadline =
-                    *deadline.get_or_insert_with(|| Instant::now() + self.config.lock_wait_timeout);
-                if stripe.changed.wait_until(&mut guard, deadline).timed_out() {
-                    return Err(TxError::aborted(AbortReason::LockTimeout { key }));
-                }
-                continue;
-            } else {
-                // No waiting: lock only the contiguous prefix that is free.
-                match analysis.contiguous_grantable_end(anchor.succ()) {
-                    None => TsSet::new(),
-                    Some(end) => TsSet::from_range(TsRange::new(anchor.succ(), end)),
-                }
-            };
-            data.locks.acquire(tx.id, LockMode::Read, &granted);
-            tx.record_read_locks(key, &granted);
-            return Ok((grant(granted), value));
+            return Ok((grant, value));
         }
-    }
-
-    /// The candidate commit timestamps of Algorithm 1 line 13: timestamps `t`
-    /// such that every read key is covered contiguously from the version read
-    /// up to `t` by locks the transaction holds, and every written key is
-    /// write-locked at `t`.
-    fn commit_candidates(&self, tx: &TxState) -> TsSet {
-        // Timestamp::ZERO is reserved for the initial ⊥ version, so no
-        // transaction may serialize there.
-        let mut candidates =
-            TsSet::from_range(TsRange::new(Timestamp::ZERO.succ(), Timestamp::MAX));
-        for (key, version) in &tx.read_set {
-            let start = version.succ();
-            // The end of the held run starting at `start`. A key without
-            // write locks needs no union with them.
-            let end = tx.locks_on(*key).and_then(|held| {
-                let any;
-                let locked = if held.write.is_empty() {
-                    &held.read
-                } else {
-                    any = held.any();
-                    &any
-                };
-                locked
-                    .ranges()
-                    .iter()
-                    .find(|range| range.contains(start))
-                    .map(|range| range.end)
-            });
-            let Some(end) = end else {
-                return TsSet::new();
-            };
-            candidates = candidates.intersection(&TsSet::from_range(TsRange::new(start, end)));
-            if candidates.is_empty() {
-                return candidates;
-            }
-        }
-        for key in &tx.write_keys {
-            let Some(held) = tx.locks_on(*key) else {
-                return TsSet::new();
-            };
-            candidates = candidates.intersection(&held.write);
-            if candidates.is_empty() {
-                return candidates;
-            }
-        }
-        candidates
     }
 
     /// Purges versions (and the associated lock state) older than `bound`,
@@ -574,11 +521,11 @@ where
     }
 
     fn release_unfrozen_write_locks(&self, tx: &mut TxState) {
-        for (key, held) in tx.held.iter() {
-            if held.write.is_empty() {
+        for record in tx.records() {
+            if record.write_locks().is_empty() {
                 continue;
             }
-            self.with_cell_notify(key, |data, _| {
+            self.with_cell_notify(record.key(), |data, _| {
                 data.locks
                     .release_unfrozen_range(tx.id, LockMode::Write, TsRange::all());
             });
@@ -756,7 +703,7 @@ where
             store.abort_internal(&mut txn.state);
             return Err(err);
         }
-        let candidates = store.commit_candidates(&txn.state);
+        let candidates = txn.state.commit_candidates();
         let interval = store.policy.prepared_interval(&txn.state, &candidates);
         if interval.is_empty() {
             store.abort_internal(&mut txn.state);
@@ -1082,10 +1029,10 @@ mod tests {
         }
     }
 
-    /// Prepares one transaction (so the lock mirror includes commit-time
+    /// Prepares one transaction (so its records include commit-time
     /// locks), then commits it, or with `abort` drops it undecided, and
     /// checks what it leaves on every key it touched against Algorithm 1's
-    /// commit and `gc`, computed from the mirror. A commit leaves the
+    /// commit and `gc`, computed from the records. A commit leaves the
     /// version (frozen write point) on each written key and turns the read
     /// locks the policy keeps into frozen read runs: with `commit_gc` the
     /// runs `[version+1, commit_ts]` of its reads, without it every read
@@ -1106,9 +1053,7 @@ mod tests {
             .policy()
             .commit_ts(&before, &prepared.interval)
             .expect("a commit timestamp");
-        let mut keys: Vec<Key> = before.held.iter().map(|(k, _)| k).collect();
-        keys.extend(before.read_set.iter().map(|(k, _)| *k));
-        keys.extend(before.write_keys.iter().copied());
+        let keys: Vec<Key> = before.records().iter().map(|r| r.key()).collect();
         let frozen_before: Vec<[TsSet; 2]> = keys
             .iter()
             .map(|k| {
@@ -1127,19 +1072,17 @@ mod tests {
         let point = TsSet::from_point(commit_ts);
         let name = s.policy().name();
         for (key, [write_before, read_before]) in keys.into_iter().zip(frozen_before) {
-            let held = before.locks_on(key).cloned().unwrap_or_default();
-            let written = !abort && before.write_keys.contains(&key);
-            let read_run = before
-                .read_set
-                .iter()
-                .filter(|(k, v)| *k == key && v.succ() <= commit_ts)
-                .fold(TsSet::new(), |run, (_, v)| {
-                    run.union(&TsSet::from_range(TsRange::new(v.succ(), commit_ts)))
-                });
+            let record = before.record(key).expect("a record per key");
+            let held_read = TsSet::from_ranges(record.read_locks());
+            let written = !abort && record.is_written();
+            let read_run = record
+                .versions_read()
+                .and_then(|(low, _)| TsRange::checked(low.succ(), commit_ts))
+                .map_or_else(TsSet::new, TsSet::from_range);
             let frozen_read = match (abort, gc) {
                 (true, _) if s.policy().release_read_locks_on_abort() => TsSet::new(),
-                (true, _) | (false, false) => held.read.clone(),
-                (false, true) => held.read.intersection(&read_run),
+                (true, _) | (false, false) => held_read,
+                (false, true) => held_read.intersection(&read_run),
             };
             if gc && !abort && !written {
                 assert_eq!(frozen_read, read_run, "{key:?}: read run not fully held");

@@ -1,88 +1,118 @@
-//! Per-transaction state.
+//! Per-transaction state: one record per touched key.
 
-use mvtl_common::{Key, ProcessId, Timestamp, TsSet, TxId, TxStatus, TxnPin};
+use mvtl_common::{Key, ProcessId, Timestamp, TsRange, TsSet, TxId, TxStatus, TxnPin};
 
-/// Locks a transaction holds on one key, as recorded on the transaction side.
+/// What a transaction did to one key: the versions its reads anchored on,
+/// the locks it holds there and whether it wrote the key.
 ///
-/// The authoritative lock state lives in the per-key cell; this mirror exists
-/// so that commit (Algorithm 1 line 13) can compute the candidate timestamp set
-/// without re-latching every key, and so that abort/GC know what to release.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HeldLocks {
-    /// Timestamps read-locked on the key.
-    pub read: TsSet,
-    /// Timestamps write-locked on the key.
-    pub write: TsSet,
+/// The authoritative lock state lives in the per-key cell; this mirror
+/// exists so that commit (Algorithm 1 line 13) can compute the candidate
+/// timestamps without re-latching any key, and so that commit and abort
+/// know what to freeze and release. The written value sits in the
+/// [`MvtlTransaction`], at the record's index.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyRecord {
+    key: Key,
+    /// The lowest and the highest version a read of the key anchored on.
+    versions: Option<(Timestamp, Timestamp)>,
+    /// The read locks held on the key, one range (see
+    /// [`TxState::record_read`]).
+    read: Option<TsRange>,
+    /// The write locks held on the key.
+    write: TsSet,
+    written: bool,
 }
 
-impl HeldLocks {
-    /// Union of read- and write-locked timestamps.
-    #[must_use]
-    pub fn any(&self) -> TsSet {
-        self.read.union(&self.write)
-    }
-}
-
-/// The per-key lock mirror of one transaction: a small linear-scan vector.
-///
-/// Transactions touch a handful of keys (the benchmark's workloads run 4 to
-/// 16 ops), so a `Vec` probe beats a `HashMap` — no hashing, no bucket
-/// allocation, and the buffer's capacity is reused across the transaction's
-/// operations.
-#[derive(Debug, Clone, Default)]
-pub struct HeldMap {
-    entries: Vec<(Key, HeldLocks)>,
-}
-
-impl HeldMap {
-    /// An empty map with room for `keys` keys before it reallocates.
-    fn with_capacity(keys: usize) -> Self {
-        HeldMap {
-            entries: Vec::with_capacity(keys),
+impl KeyRecord {
+    fn new(key: Key) -> Self {
+        KeyRecord {
+            key,
+            versions: None,
+            read: None,
+            write: TsSet::new(),
+            written: false,
         }
     }
 
-    /// Locks recorded for `key`, if any.
+    /// The key.
     #[must_use]
-    pub fn get(&self, key: Key) -> Option<&HeldLocks> {
-        self.entries
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, held)| held)
+    pub fn key(&self) -> Key {
+        self.key
     }
 
-    /// Exclusive access to the locks recorded for `key`, inserting an empty
-    /// record when absent.
-    fn entry_mut(&mut self, key: Key) -> &mut HeldLocks {
-        if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
-            return &mut self.entries[i].1;
-        }
-        self.entries.push((key, HeldLocks::default()));
-        &mut self.entries.last_mut().expect("entry just pushed").1
-    }
-
-    /// Iterates over `(key, locks)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (Key, &HeldLocks)> {
-        self.entries.iter().map(|(k, held)| (*k, held))
-    }
-
-    /// Number of keys with recorded locks.
+    /// The lowest and the highest version the key's reads anchored on;
+    /// `None` if the transaction never read the key from the store.
     #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    pub fn versions_read(&self) -> Option<(Timestamp, Timestamp)> {
+        self.versions
     }
 
-    /// Whether no locks are recorded.
+    /// The read locks held on the key.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    pub fn read_locks(&self) -> Option<TsRange> {
+        self.read
     }
+
+    /// The write locks held on the key.
+    #[must_use]
+    pub fn write_locks(&self) -> &TsSet {
+        &self.write
+    }
+
+    /// Whether the transaction wrote the key.
+    #[must_use]
+    pub fn is_written(&self) -> bool {
+        self.written
+    }
+
+    /// Whether the record holds any lock.
+    pub(crate) fn holds_locks(&self) -> bool {
+        self.read.is_some() || !self.write.is_empty()
+    }
+
+    /// The timestamps this key lets the transaction commit at, as far as
+    /// its reads decide: from just above the highest version read up to the
+    /// end of the held run (read and write locks together) that starts just
+    /// above the lowest one. `None` when no such timestamp exists.
+    fn read_window(&self) -> Option<TsRange> {
+        let (low, high) = self.versions?;
+        let end = run_end(low.succ(), self.read, self.write.ranges())?;
+        TsRange::checked(high.succ(), end)
+    }
+}
+
+/// The end of the run of `read ∪ write` that contains `start`, with `write`
+/// sorted, disjoint and non-touching. The one read range is merged in at
+/// its place in start order.
+fn run_end(start: Timestamp, mut read: Option<TsRange>, write: &[TsRange]) -> Option<Timestamp> {
+    let mut writes = write.iter().copied().peekable();
+    let mut end: Option<Timestamp> = None;
+    loop {
+        let next = match (read, writes.peek()) {
+            (Some(r), Some(w)) if w.start < r.start => writes.next(),
+            (Some(_), _) => read.take(),
+            (None, _) => writes.next(),
+        };
+        let Some(range) = next else {
+            break;
+        };
+        end = match end {
+            None if range.contains(start) => Some(range.end),
+            None if range.start > start => return None,
+            None => None,
+            Some(e) if range.start <= e.succ() => Some(e.max(range.end)),
+            Some(e) => return Some(e),
+        };
+    }
+    end
 }
 
 /// The policy-visible state of a transaction.
 ///
 /// This corresponds to the `tx` record of Algorithm 1 plus the per-policy
 /// variables of §5 (`tx.TS`, `tx.PrefTS`, `tx.PossTS`, the priority flag).
+/// Its read set, write set and locks are one [`KeyRecord`] per key the
+/// transaction touched, in the order it first touched them.
 #[derive(Debug, Clone)]
 pub struct TxState {
     /// Unique transaction id (lock owner).
@@ -91,13 +121,13 @@ pub struct TxState {
     pub process: ProcessId,
     /// Lifecycle status.
     pub status: TxStatus,
-    /// `tx.readset`: keys read and the version timestamp each read returned.
-    pub read_set: Vec<(Key, Timestamp)>,
-    /// `tx.writeset` keys (values are kept by [`crate::MvtlTransaction`], which
-    /// owns the value type).
-    pub write_keys: Vec<Key>,
-    /// Locks held per key, mirrored from the per-key cells.
-    pub held: HeldMap,
+    records: Vec<KeyRecord>,
+    /// The written keys in the order first written: the order commit-time
+    /// write locks are taken in, and `CommitInfo::writes`.
+    writes: Vec<Key>,
+    /// Every read and the version it returned, in the order made: what
+    /// `CommitInfo::reads` reports, handed over at commit with no copy.
+    reads: Vec<(Key, Timestamp)>,
     /// The candidate timestamps the policy is still considering
     /// (`tx.TS` for ε-clock/MVTIL, `PossTS` for MVTL-Pref).
     pub ts_set: TsSet,
@@ -127,11 +157,15 @@ impl TxState {
             id: TxId::fresh(),
             process,
             status: TxStatus::Active,
-            read_set: Vec::with_capacity(8),
+            // Transactions touch a handful of keys (the benchmark's
+            // workloads run 4 to 16 ops): a linear scan of one vector finds
+            // a key without hashing, and its capacity is reused across the
+            // transaction's operations.
+            records: Vec::with_capacity(8),
             // Allocated by the first write: a read-only transaction never
             // needs it.
-            write_keys: Vec::new(),
-            held: HeldMap::with_capacity(8),
+            writes: Vec::new(),
+            reads: Vec::with_capacity(8),
             ts_set: TsSet::new(),
             start_ts: None,
             chosen_ts: None,
@@ -148,56 +182,167 @@ impl TxState {
         self.status == TxStatus::Active
     }
 
-    /// Records a committed read of `key` that observed `version`.
-    pub fn record_read(&mut self, key: Key, version: Timestamp) {
-        self.read_set.push((key, version));
+    /// One record per key the transaction touched, in the order it first
+    /// touched them.
+    #[must_use]
+    pub fn records(&self) -> &[KeyRecord] {
+        &self.records
     }
 
-    /// Records locks granted on `key`.
-    pub fn record_read_locks(&mut self, key: Key, granted: &TsSet) {
-        if granted.is_empty() {
+    /// The record of `key`, if the transaction touched it.
+    #[must_use]
+    pub fn record(&self, key: Key) -> Option<&KeyRecord> {
+        self.position(key).map(|index| &self.records[index])
+    }
+
+    /// The index of `key`'s record.
+    pub(crate) fn position(&self, key: Key) -> Option<usize> {
+        self.records.iter().position(|record| record.key == key)
+    }
+
+    /// The index of `key`'s record, pushing an empty one when absent.
+    fn index_of(&mut self, key: Key) -> usize {
+        self.position(key).unwrap_or_else(|| {
+            self.records.push(KeyRecord::new(key));
+            self.records.len() - 1
+        })
+    }
+
+    /// The written keys, in the order first written. Policies walk them
+    /// by index, since locking one needs `&mut self`.
+    #[must_use]
+    pub fn written_keys(&self) -> &[Key] {
+        &self.writes
+    }
+
+    /// Whether the transaction wrote any key.
+    #[must_use]
+    pub fn has_writes(&self) -> bool {
+        !self.writes.is_empty()
+    }
+
+    /// Records a read of `key` that anchored on `version` and was granted
+    /// the read locks `granted`, which start at `version.succ()`.
+    ///
+    /// A key's read locks are one range. Every read of a key anchors on the
+    /// same version: no other transaction installs a version inside a live
+    /// read lock, and every policy's next read of the key anchors below a
+    /// bound at most one past the end of its last grant there. So a key's
+    /// grants all start at one timestamp, and their union is one range.
+    /// Grants apart from each other need reads of one key anchored on
+    /// different versions with a version between them; such a transaction
+    /// has no commit timestamp, since no held run reaches from one
+    /// version's successor past the other, and its record keeps the range
+    /// it held first.
+    pub fn record_read(&mut self, key: Key, version: Timestamp, granted: Option<TsRange>) {
+        self.reads.push((key, version));
+        let index = self.index_of(key);
+        let record = &mut self.records[index];
+        record.versions = Some(match record.versions {
+            None => (version, version),
+            Some((low, high)) => (low.min(version), high.max(version)),
+        });
+        let Some(granted) = granted else {
             return;
-        }
-        let held = self.held.entry_mut(key);
-        held.read = held.read.union(granted);
+        };
+        record.read = Some(match record.read {
+            None => granted,
+            Some(held) if held.touches(&granted) => {
+                TsRange::new(held.start.min(granted.start), held.end.max(granted.end))
+            }
+            Some(held) => held,
+        });
     }
 
-    /// Records write locks granted on `key`.
+    /// Records write locks granted on `key`. An empty grant records
+    /// nothing.
     pub fn record_write_locks(&mut self, key: Key, granted: &TsSet) {
         if granted.is_empty() {
             return;
         }
-        let held = self.held.entry_mut(key);
-        held.write = held.write.union(granted);
+        let index = self.index_of(key);
+        let held = &mut self.records[index].write;
+        *held = if held.is_empty() {
+            granted.clone()
+        } else {
+            held.union(granted)
+        };
     }
 
     /// Forgets the unfrozen write locks recorded for every key (mirror of a
     /// "release all write locks" step in a policy).
     pub fn clear_write_locks(&mut self) {
-        for (_, held) in &mut self.held.entries {
-            held.write = TsSet::new();
+        for record in &mut self.records {
+            record.write = TsSet::new();
         }
     }
 
-    /// Locks held on `key`, if any.
-    #[must_use]
-    pub fn locks_on(&self, key: Key) -> Option<&HeldLocks> {
-        self.held.get(key)
-    }
-
-    /// Every key on which the transaction holds (or held) locks.
-    #[must_use]
-    pub fn locked_keys(&self) -> Vec<Key> {
-        let mut keys: Vec<Key> = self.held.iter().map(|(k, _)| k).collect();
-        keys.sort();
-        keys
-    }
-
-    /// Adds `key` to the write set if not already present.
-    pub fn note_write_key(&mut self, key: Key) {
-        if !self.write_keys.contains(&key) {
-            self.write_keys.push(key);
+    /// Adds `key` to the write set and returns its record's index.
+    pub(crate) fn note_write(&mut self, key: Key) -> usize {
+        let index = self.index_of(key);
+        let record = &mut self.records[index];
+        if !record.written {
+            record.written = true;
+            if self.writes.is_empty() {
+                // Room for every record so far, so later writes rarely
+                // grow it.
+                self.writes.reserve_exact(self.records.capacity());
+            }
+            self.writes.push(key);
         }
+        index
+    }
+
+    /// The candidate commit timestamps of Algorithm 1 line 13: timestamps `t`
+    /// such that every read key is covered contiguously from the version read
+    /// up to `t` by locks the transaction holds, and every written key is
+    /// write-locked at `t`.
+    ///
+    /// The reads narrow one range, one record at a time, with no search:
+    /// each record knows the versions it read and its locks. Only the
+    /// written keys' write locks, which may be cut into many ranges, are
+    /// intersected as sets.
+    #[must_use]
+    pub(crate) fn commit_candidates(&self) -> TsSet {
+        // Timestamp::ZERO is reserved for the initial ⊥ version, so no
+        // transaction may serialize there.
+        let mut window = TsRange::new(Timestamp::ZERO.succ(), Timestamp::MAX);
+        for record in &self.records {
+            if record.versions.is_none() {
+                continue;
+            }
+            let Some(narrowed) = record
+                .read_window()
+                .and_then(|read| window.intersection(&read))
+            else {
+                return TsSet::new();
+            };
+            window = narrowed;
+        }
+        let mut candidates = TsSet::from_range(window);
+        for record in self.records.iter().filter(|record| record.written) {
+            candidates = candidates.intersection(&record.write);
+            if candidates.is_empty() {
+                break;
+            }
+        }
+        candidates
+    }
+
+    /// Every read and the version it returned, in the order made.
+    #[must_use]
+    pub fn reads(&self) -> &[(Key, Timestamp)] {
+        &self.reads
+    }
+
+    /// `CommitInfo::reads`, moved out.
+    pub(crate) fn take_reads(&mut self) -> Vec<(Key, Timestamp)> {
+        std::mem::take(&mut self.reads)
+    }
+
+    /// `CommitInfo::writes`, moved out.
+    pub(crate) fn take_written_keys(&mut self) -> Vec<Key> {
+        std::mem::take(&mut self.writes)
     }
 }
 
@@ -215,8 +360,10 @@ impl TxState {
 pub struct MvtlTransaction<V> {
     /// Policy-visible state.
     pub(crate) state: TxState,
-    /// Buffered writes, last value per key wins.
-    pub(crate) write_values: Vec<(Key, V)>,
+    /// Buffered writes by record index: `values[i]` is the last value
+    /// written to the key of record `i`. Allocated at the first write, and
+    /// only as long as the last written record.
+    pub(crate) values: Vec<Option<V>>,
 }
 
 impl<V> Drop for MvtlTransaction<V> {
@@ -233,8 +380,7 @@ impl<V> MvtlTransaction<V> {
     pub(crate) fn new(state: TxState) -> Self {
         MvtlTransaction {
             state,
-            // Allocated by the first write, like `TxState::write_keys`.
-            write_values: Vec::new(),
+            values: Vec::new(),
         }
     }
 
@@ -257,87 +403,27 @@ impl<V> MvtlTransaction<V> {
     }
 
     pub(crate) fn buffer_write(&mut self, key: Key, value: V) {
-        if let Some(slot) = self.write_values.iter_mut().find(|(k, _)| *k == key) {
-            slot.1 = value;
-        } else {
-            self.write_values.push((key, value));
+        let index = self.state.note_write(key);
+        if self.values.is_empty() {
+            // Room for every record so far, so later writes rarely grow it.
+            self.values = Vec::with_capacity(self.state.records.capacity());
         }
-        self.state.note_write_key(key);
+        if self.values.len() <= index {
+            self.values.resize_with(index + 1, || None);
+        }
+        self.values[index] = Some(value);
     }
 
     /// The value this transaction has buffered for `key`, if it wrote it.
     #[must_use]
     pub fn pending_write(&self, key: Key) -> Option<&V> {
-        self.write_values
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v)
+        if self.values.is_empty() {
+            return None;
+        }
+        self.values.get(self.state.position(key)?)?.as_ref()
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use mvtl_common::TsRange;
-
-    #[test]
-    fn record_and_query_locks() {
-        let mut tx = TxState::new(ProcessId(1), None);
-        assert!(tx.is_active());
-        let r = TsSet::from_range(TsRange::new(Timestamp::at(1), Timestamp::at(5)));
-        tx.record_read_locks(Key(9), &r);
-        tx.record_write_locks(Key(9), &TsSet::from_point(Timestamp::at(7)));
-        let held = tx.locks_on(Key(9)).unwrap();
-        assert!(held.read.contains(Timestamp::at(3)));
-        assert!(held.write.contains(Timestamp::at(7)));
-        assert!(held.any().contains(Timestamp::at(3)));
-        assert!(held.any().contains(Timestamp::at(7)));
-        assert_eq!(tx.locked_keys(), vec![Key(9)]);
-
-        tx.clear_write_locks();
-        assert!(tx.locks_on(Key(9)).unwrap().write.is_empty());
-        assert!(!tx.locks_on(Key(9)).unwrap().read.is_empty());
-    }
-
-    #[test]
-    fn empty_grants_are_not_recorded() {
-        let mut tx = TxState::new(ProcessId(0), None);
-        tx.record_read_locks(Key(1), &TsSet::new());
-        assert!(tx.locks_on(Key(1)).is_none());
-    }
-
-    #[test]
-    fn held_map_is_keyed_not_ordered() {
-        let mut tx = TxState::new(ProcessId(0), None);
-        let point = TsSet::from_point(Timestamp::at(2));
-        tx.record_read_locks(Key(7), &point);
-        tx.record_read_locks(Key(3), &point);
-        tx.record_read_locks(Key(7), &TsSet::from_point(Timestamp::at(4)));
-        assert_eq!(tx.held.len(), 2);
-        assert_eq!(tx.locked_keys(), vec![Key(3), Key(7)]);
-        assert!(tx.locks_on(Key(7)).unwrap().read.contains(Timestamp::at(4)));
-    }
-
-    #[test]
-    fn write_buffer_upserts() {
-        let mut tx: MvtlTransaction<u64> = MvtlTransaction::new(TxState::new(ProcessId(0), None));
-        tx.buffer_write(Key(1), 10);
-        tx.buffer_write(Key(2), 20);
-        tx.buffer_write(Key(1), 11);
-        assert_eq!(tx.pending_write(Key(1)), Some(&11));
-        assert_eq!(tx.pending_write(Key(2)), Some(&20));
-        assert_eq!(tx.pending_write(Key(3)), None);
-        assert_eq!(tx.state().write_keys, vec![Key(1), Key(2)]);
-        assert_eq!(tx.write_values.len(), 2);
-        // No store began it, so none can abort it: end it by hand.
-        tx.state.status = TxStatus::Aborted;
-    }
-
-    #[test]
-    fn note_write_key_deduplicates() {
-        let mut tx = TxState::new(ProcessId(0), None);
-        tx.note_write_key(Key(4));
-        tx.note_write_key(Key(4));
-        assert_eq!(tx.write_keys, vec![Key(4)]);
-    }
-}
+#[path = "txn_tests.rs"]
+mod tests;

@@ -1,6 +1,23 @@
-//! Result of analysing a lock acquisition request against the current state.
+//! Results of analysing a lock acquisition request against the current state.
 
-use mvtl_common::{Timestamp, TsSet};
+use mvtl_common::{Timestamp, TsRange, TsSet};
+
+/// What a read of one window gets: the answer of
+/// [`KeyLockState::read_request`](crate::KeyLockState::read_request).
+///
+/// A read in the paper locks one interval starting just above the version
+/// it read (Algorithm 1's `read`), so the answer is one range, or a wait.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadRequest {
+    /// Nothing blocks the window: all of it can be granted.
+    Whole,
+    /// An unfrozen write lock of another transaction lies inside the window
+    /// and the caller waits; it asks again once that lock may be gone.
+    Wait,
+    /// The caller does not wait: the free part of the window below its
+    /// lowest blocker, `None` when the blocker covers the window's start.
+    Prefix(Option<TsRange>),
+}
 
 /// What would happen if a transaction tried to lock a set of timestamps.
 ///

@@ -16,6 +16,12 @@
 //! frozen)` entries. This is the "interval compression" of §6. All MVTL
 //! engines build on it.
 //!
+//! A read in the paper locks one interval starting just above the version
+//! it read, so a read asks [`KeyLockState::read_request`] about one window
+//! and gets one range back (the window, or its free prefix) or is told to
+//! wait; [`KeyLockState::analyze`] partitions an arbitrary request into
+//! grantable, blocked and frozen timestamps for the writes.
+//!
 //! A frozen entry blocks every conflicting request, its owner's included:
 //! no transaction acquires a lock after freezing one. A lock operation costs
 //! one scan of the key's entries.
@@ -37,15 +43,16 @@
 //!
 //! ```
 //! use mvtl_common::{LockMode, Timestamp, TsRange, TxId};
-//! use mvtl_locks::KeyLockState;
+//! use mvtl_locks::{KeyLockState, ReadRequest};
 //!
 //! let mut state = KeyLockState::new();
 //! let reader = TxId(1);
 //! let writer = TxId(2);
 //!
 //! // The reader locks timestamps [3, 6] (it read the version at 2).
-//! let analysis = state.analyze(reader, LockMode::Read, TsRange::new(Timestamp::at(3), Timestamp::at(6)));
-//! state.acquire(reader, LockMode::Read, &analysis.grantable);
+//! let window = TsRange::new(Timestamp::at(3), Timestamp::at(6));
+//! assert_eq!(state.read_request(reader, window, false), ReadRequest::Whole);
+//! state.acquire_range(reader, LockMode::Read, window);
 //!
 //! // A writer now cannot write-lock timestamp 5...
 //! let w = state.analyze(writer, LockMode::Write, TsRange::point(Timestamp::at(5)));
@@ -62,6 +69,6 @@ mod analysis;
 mod entry;
 mod table;
 
-pub use analysis::AcquireAnalysis;
+pub use analysis::{AcquireAnalysis, ReadRequest};
 pub use entry::LockEntry;
 pub use table::{KeyLockState, LockStateStats};

@@ -1,6 +1,6 @@
 //! The interval-compressed lock state of a single key.
 
-use crate::{AcquireAnalysis, LockEntry};
+use crate::{AcquireAnalysis, LockEntry, ReadRequest};
 use mvtl_common::{LockMode, Timestamp, TsRange, TsSet, TxId};
 
 /// Statistics about the lock state of a key (or, summed, of a whole store).
@@ -200,6 +200,63 @@ impl KeyLockState {
             grantable,
             blocked_unfrozen,
             frozen_conflicts,
+        }
+    }
+
+    /// What a read lock request of `owner` on `window` gets, in one scan of
+    /// the entries and with no set built: the lowest write lock of another
+    /// owner inside the window decides.
+    ///
+    /// * Nothing blocks the window: [`ReadRequest::Whole`].
+    /// * A blocker is unfrozen and `wait` is set: [`ReadRequest::Wait`].
+    /// * Otherwise [`ReadRequest::Prefix`], the window below the lowest
+    ///   blocker. A frozen write lock never goes away, so it blocks everyone,
+    ///   its owner included, and nobody waits for it.
+    ///
+    /// Without `wait` this is [`KeyLockState::analyze`] in read mode followed
+    /// by [`AcquireAnalysis::contiguous_grantable_end`] from the window's
+    /// start. With `wait` it is the same on a table without frozen entries,
+    /// the only tables `mvtl-core` keeps; where frozen write locks alone
+    /// block the window, `analyze` grants around them and this grants the
+    /// prefix below them.
+    #[must_use]
+    pub fn read_request(&self, owner: TxId, window: TsRange, wait: bool) -> ReadRequest {
+        let mut lowest: Option<Timestamp> = None;
+        let mut waitable = false;
+        for entry in self.entries() {
+            if !entry.mode.conflicts_with(LockMode::Read) || (!entry.frozen && entry.owner == owner)
+            {
+                continue;
+            }
+            let Some(overlap) = entry.overlap(&window) else {
+                continue;
+            };
+            waitable |= !entry.frozen;
+            lowest = Some(lowest.map_or(overlap.start, |low| low.min(overlap.start)));
+        }
+        match lowest {
+            None => ReadRequest::Whole,
+            Some(_) if wait && waitable => ReadRequest::Wait,
+            Some(blocked) => ReadRequest::Prefix(
+                (blocked > window.start).then(|| TsRange::new(window.start, blocked.pred())),
+            ),
+        }
+    }
+
+    /// Records that `owner` now holds locks in `mode` on `range`: the
+    /// one-range [`KeyLockState::acquire`]. An owner holding no live entry in
+    /// `mode` gets one pushed, and one whose entry already covers `range`
+    /// changes nothing; only a grant meeting other entries of the owner
+    /// builds a set.
+    pub fn acquire_range(&mut self, owner: TxId, mode: LockMode, range: TsRange) {
+        let mut live = self
+            .entries()
+            .iter()
+            .filter(|entry| entry.is_live(owner, mode));
+        match live.next() {
+            None => self.entries.push(LockEntry::new(owner, mode, range)),
+            Some(entry) if entry.range.contains_range(&range) => {}
+            Some(_) => self.acquire(owner, mode, &TsSet::from_range(range)),
         }
     }
 
@@ -563,6 +620,37 @@ mod tests {
         assert!(a.blocked_unfrozen.contains(ts(12)));
         assert!(a.grantable.contains(ts(15)));
         assert_eq!(a.contiguous_grantable_end(ts(1)), Some(ts(12).pred())); // ends right before 12
+    }
+
+    #[test]
+    fn a_read_request_is_one_range_or_a_wait() {
+        let mut s = KeyLockState::new();
+        // T1 read-locks [1,10]; T2 write-locks 12; T3 reads from 1.
+        s.acquire_range(T1, LockMode::Read, r(1, 10));
+        s.acquire_range(T2, LockMode::Write, r(12, 12));
+        assert_eq!(s.read_request(T3, r(1, 11), true), ReadRequest::Whole);
+        assert_eq!(s.read_request(T3, r(1, 15), true), ReadRequest::Wait);
+        assert_eq!(
+            s.read_request(T3, r(1, 15), false),
+            ReadRequest::Prefix(Some(TsRange::new(ts(1), ts(12).pred())))
+        );
+        assert_eq!(
+            s.read_request(T3, r(12, 15), false),
+            ReadRequest::Prefix(None)
+        );
+        // The writer reads its own lock; a frozen lock is never waited for.
+        assert_eq!(s.read_request(T2, r(1, 15), true), ReadRequest::Whole);
+        s.freeze(T2, LockMode::Write, r(12, 12));
+        assert_eq!(
+            s.read_request(T2, r(1, 15), true),
+            ReadRequest::Prefix(Some(TsRange::new(ts(1), ts(12).pred())))
+        );
+        // A grant inside an owner's entry adds nothing; one touching it
+        // merges into it.
+        s.acquire_range(T1, LockMode::Read, r(3, 4));
+        s.acquire_range(T1, LockMode::Read, TsRange::new(ts(10).succ(), ts(11)));
+        assert_eq!(s.held(T1, LockMode::Read).ranges(), &[r(1, 11)]);
+        assert_eq!(s.stats().entries, 2);
     }
 
     /// The buffer a spilled key holds: its capacity, or `None` inline.

@@ -6,7 +6,7 @@
 //! (Appendix A) relies on.
 
 use mvtl_common::{LockMode, Timestamp, TsRange, TsSet, TxId};
-use mvtl_locks::{KeyLockState, LockEntry};
+use mvtl_locks::{KeyLockState, LockEntry, ReadRequest};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -167,6 +167,64 @@ fn check_merged(
     Ok(())
 }
 
+/// What the engine's read made of [`KeyLockState::analyze`] before
+/// [`KeyLockState::read_request`]: the whole window when nothing conflicts,
+/// a wait on an unfrozen blocker when the reader waits, and otherwise the
+/// grantable run from the window's start.
+fn read_by_analysis(state: &KeyLockState, owner: TxId, window: TsRange, wait: bool) -> ReadRequest {
+    let analysis = state.analyze(owner, LockMode::Read, window);
+    if analysis.fully_grantable() {
+        ReadRequest::Whole
+    } else if wait && !analysis.blocked_unfrozen.is_empty() {
+        ReadRequest::Wait
+    } else {
+        ReadRequest::Prefix(
+            analysis
+                .contiguous_grantable_end(window.start)
+                .map(|end| TsRange::new(window.start, end)),
+        )
+    }
+}
+
+/// A read window: `(kind, a, b)` picks a plain range, one from an entry's
+/// start to another's end, one from just past an entry's end up to `+∞`, or
+/// one from just below an entry's start up to `+∞`.
+fn window(state: &KeyLockState, (kind, a, b): (u8, u64, u64)) -> TsRange {
+    let entries = state.entries();
+    let entry = |i: u64| entries[i as usize % entries.len()].range;
+    match kind {
+        _ if entries.is_empty() || kind == 0 => range(a % 48, b % 8),
+        1 => {
+            let (start, end) = (entry(a).start, entry(b).end);
+            TsRange::checked(start, end).unwrap_or_else(|| TsRange::new(end, start))
+        }
+        2 => TsRange::new(entry(a).end.succ(), Timestamp::MAX),
+        _ => TsRange::new(entry(a).start.pred(), Timestamp::MAX),
+    }
+}
+
+/// Live locks of owners 0 to 3, each taking what `analyze` grants; with
+/// `freeze`, every second grant is frozen at once.
+fn table(setup: &[(u8, bool, u64, u64)], freeze: bool) -> KeyLockState {
+    let mut state = KeyLockState::new();
+    for (i, &(tx, write, start, len)) in setup.iter().enumerate() {
+        let tx = TxId(u64::from(tx));
+        state.acquire_grantable(tx, mode(write), range(start, len));
+        if freeze && i % 2 == 0 {
+            state.freeze(tx, mode(write), range(start, len));
+        }
+    }
+    state
+}
+
+fn arb_setup() -> impl Strategy<Value = Vec<(u8, bool, u64, u64)>> {
+    proptest::collection::vec((0u8..4, any::<bool>(), 0u64..48, 0u64..8), 0..10)
+}
+
+fn arb_window() -> impl Strategy<Value = (u8, u64, u64)> {
+    (0u8..4, 0u64..64, 0u64..64)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -308,5 +366,60 @@ proptest! {
         prop_assert!(covered.contains_range(&req));
         prop_assert!(analysis.grantable.intersection(&analysis.blocked_unfrozen).is_empty());
         prop_assert!(analysis.grantable.intersection(&analysis.frozen_conflicts).is_empty());
+    }
+
+    /// The one-pass read request is `analyze` in read mode plus its
+    /// contiguous prefix, on live tables where the requester (owner 0 to 4)
+    /// may hold read and write entries of its own, with and without waiting,
+    /// on windows that start or end at entry ends and reach `+∞`. Granting
+    /// the answer with `acquire_range` holds what `acquire` of the one-range
+    /// set holds.
+    #[test]
+    fn one_pass_read_request_is_analyze_then_prefix(
+        setup in arb_setup(),
+        owner in 0u8..5,
+        window_of in arb_window(),
+    ) {
+        let state = table(&setup, false);
+        let owner = TxId(u64::from(owner));
+        let window = window(&state, window_of);
+        for wait in [false, true] {
+            let got = state.read_request(owner, window, wait);
+            prop_assert_eq!(got, read_by_analysis(&state, owner, window, wait),
+                "{:?} wait {} on {:?}", window, wait, state.entries());
+            let granted = match got {
+                ReadRequest::Whole => Some(window),
+                ReadRequest::Prefix(prefix) => prefix,
+                ReadRequest::Wait => continue,
+            };
+            let Some(granted) = granted else { continue };
+            let (mut by_range, mut by_set) = (state.clone(), state.clone());
+            by_range.acquire_range(owner, LockMode::Read, granted);
+            by_set.acquire(owner, LockMode::Read, &TsSet::from_range(granted));
+            let held = by_set.held(owner, LockMode::Read);
+            check_merged(&by_range, owner, LockMode::Read, &held)?;
+        }
+    }
+
+    /// With frozen write locks in the table, a request that does not wait
+    /// still gets `analyze`'s contiguous prefix: a frozen lock blocks its
+    /// owner too and is never waited for.
+    #[test]
+    fn a_read_request_stops_below_frozen_write_locks(
+        setup in arb_setup(),
+        owner in 0u8..5,
+        window_of in arb_window(),
+    ) {
+        let state = table(&setup, true);
+        let owner = TxId(u64::from(owner));
+        let window = window(&state, window_of);
+        prop_assert_eq!(
+            state.read_request(owner, window, false),
+            read_by_analysis(&state, owner, window, false),
+            "{:?} on {:?}", window, state.entries()
+        );
+        let waits = state.read_request(owner, window, true) == ReadRequest::Wait;
+        let blocked = !state.analyze(owner, LockMode::Read, window).blocked_unfrozen.is_empty();
+        prop_assert_eq!(waits, blocked);
     }
 }

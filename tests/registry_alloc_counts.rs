@@ -84,10 +84,10 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
 const KEYS: u64 = 8;
 
 /// Allocations of one read-only transaction of `KEYS` reads: the one boxed
-/// handle, the read set and the held-lock map, each sized for `KEYS` keys up
-/// front. The write buffers wait for a first write, and the commit report
-/// takes the read set over. A wrapper handle around the shard's handle
-/// would add one more.
+/// handle, the per-key records and the read log, each sized for `KEYS` keys
+/// up front. The write set and the value column wait for a first write,
+/// and the commit report takes the read log over. A wrapper handle around
+/// the shard's handle would add one more.
 const READ_ONLY_TXN_ALLOCS: u64 = 3;
 
 /// Begin, read every seeded key, commit.
@@ -129,11 +129,62 @@ fn one_shard_read_only_transaction_allocation_budget_holds() {
     );
 }
 
+/// Reads and writes of one transaction of the benchmark's `mem_readmostly`
+/// shape: 16 operations, one of them a write.
+const READ_MOSTLY_READS: u64 = 16;
+
+/// Allocations of one transaction of [`READ_MOSTLY_READS`] reads and then
+/// one write of a key it read: the one boxed handle, the per-key records
+/// and the read log (each sized for eight keys at `begin` and grown once),
+/// and the write set and the value column, each allocated once at the
+/// write. No read allocates beyond those: a grant is one range. The warm-up
+/// writes the same key, whose lock table spills to a buffer once it holds
+/// a read and a write entry, and keeps the buffer until a purge.
+const READ_MOSTLY_TXN_ALLOCS: u64 = 7;
+
+/// Begin, read [`READ_MOSTLY_READS`] seeded keys, write the first of them,
+/// commit.
+fn read_mostly_txn(engine: &dyn Engine<u64>, round: u64) -> u64 {
+    let mut tx = engine.begin(ProcessId(1));
+    let sum = (0..READ_MOSTLY_READS)
+        .map(|k| tx.read(Key(k)).expect("read").unwrap_or(0))
+        .sum();
+    tx.write(Key(0), round).expect("write");
+    tx.commit().expect("read-mostly commit");
+    sum
+}
+
+#[test]
+fn read_mostly_transaction_allocation_budget_holds() {
+    let _serial = SERIAL.lock();
+    let engine = mvtl_registry::build("mvtil-early?delta=1000").expect("spec builds");
+    let engine = engine.as_ref();
+    let mut seed = engine.begin(ProcessId(0));
+    for k in 0..READ_MOSTLY_READS {
+        seed.write(Key(k), k + 1).expect("seed write");
+    }
+    seed.commit().expect("seed commit");
+    for round in 0..4 {
+        read_mostly_txn(engine, round);
+    }
+    let (allocs, sum) = count_allocs(|| read_mostly_txn(engine, 4));
+    assert!(sum > 0, "reads returned the seeded values");
+    println!(
+        "read-mostly transaction of {READ_MOSTLY_READS} reads and one write: {allocs} allocations"
+    );
+    assert!(
+        allocs <= READ_MOSTLY_TXN_ALLOCS,
+        "a transaction of {READ_MOSTLY_READS} reads and one write made {allocs} allocations \
+         (budget {READ_MOSTLY_TXN_ALLOCS})"
+    );
+}
+
 /// Allocations of one logged one-shard write transaction of `KEYS` writes
 /// (`wal=tmp&fsync=off`): the one boxed handle, the shard transaction's
-/// write buffers and held-lock map, the logged write set, and the log
-/// record's encoding. A second box for the logged form would add one more.
-const LOGGED_WRITE_TXN_ALLOCS: u64 = 19;
+/// records, read log, write set and value column, the logged write set,
+/// and the log record's encoding. A second box for the logged form would
+/// add one more.
+const LOGGED_WRITE_TXN_ALLOCS: u64 = 17;
 
 /// Allocations of one two-shard transaction that reads and writes `KEYS`
 /// keys spread over both shards: the routed handle and its sub-transaction
