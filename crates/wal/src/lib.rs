@@ -9,10 +9,12 @@
 //! * [`log`] — the segmented log itself: [`Wal`] appends with an fsync
 //!   policy ([`FsyncMode`]: `always` / `off`); the first appender to find
 //!   records queued writes and syncs them for everyone queued (group
-//!   commit, on the appending threads — the log owns no thread), and
-//!   [`Wal::open`] scans existing segments on startup, stopping at the
-//!   first torn or corrupted frame and truncating the tail. Bytes of another
-//!   format are an error, not a tear, and stay on disk.
+//!   commit, on the appending threads — the log owns no thread), into
+//!   segments zero-filled when created, and [`Wal::open`] scans existing
+//!   segments on startup, stopping at the first torn or corrupted frame and
+//!   truncating the tail; zeros after the last frame are unwritten space,
+//!   not a tear. Bytes of another format are an error, not a tear, and stay
+//!   on disk.
 //!
 //! The log knows nothing of engines. `mvtl-shard`'s `ShardedStore` — which
 //! every registry spec builds — owns one log in `wal=<dir>`, however many

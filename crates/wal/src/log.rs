@@ -1,12 +1,16 @@
 //! The append-only segmented log: group-commit writer and recovery scanner.
 //!
-//! A log is a directory of segment files `wal-NNNNNN.log`, each opened with
-//! an 8-byte header (magic + format version) and otherwise holding a pure
-//! sequence of frames ([`crate::record`]). An appender queues its frame in a
-//! pending buffer and then waits for it to be written: the first waiter to
-//! find frames pending drains them all — one `fsync` for every record queued
-//! so far — which is the group commit that amortizes fsync under load. No
-//! background thread is involved. The fsync policy is [`FsyncMode`]:
+//! A log is a directory of segment files `wal-NNNNNN.log`. A segment is
+//! created whole: an 8-byte header (magic + format version), then zeros up
+//! to [`WalOptions::segment_bytes`]. Frames ([`crate::record`]) overwrite
+//! the zeros from the header on, so a segment is a sequence of frames and
+//! then, up to its preallocated end, zeros; a synced append flushes the
+//! record's blocks and never a new file size. An appender encodes its frame
+//! into a pending buffer and then waits for it to be written: the first
+//! waiter to find frames pending drains them all — one `fsync` for every
+//! record queued so far — which is the group commit that amortizes fsync
+//! under load. No background thread is involved. The fsync policy is
+//! [`FsyncMode`]:
 //!
 //! * `Always` — an append returns once its record is written and synced
 //!   (the default),
@@ -14,13 +18,17 @@
 //!   synced (testing / throwaway data).
 //!
 //! Recovery ([`Wal::open`]) scans the segments in order and stops at the
-//! first frame whose length or checksum does not verify: everything before
-//! the stop point replays, everything after is counted as
-//! [`Recovery::discarded_bytes`], the broken tail is truncated and later
-//! segments are deleted so new appends extend a log that is valid
-//! end-to-end. Bytes of another format are not a tear: a segment header with
-//! the right magic and another version, or a checksum-valid frame that does
-//! not decode, fails the open and leaves every byte on disk.
+//! first frame whose length or checksum does not verify. Everything before
+//! the stop point replays. If only zeros follow it, they are unwritten
+//! space and the scan goes on to the next segment. Anything else is a torn
+//! tail: it and every later segment are counted as
+//! [`Recovery::discarded_bytes`], the tail is truncated and the later
+//! segments deleted, so new appends extend a log that is valid end-to-end.
+//! The open then tops the segment it appends to up with zeros — a segment
+//! an older build wrote, with nothing after its last frame, included. Bytes
+//! of another format are not a tear: a segment header with the right magic
+//! and another version, or a checksum-valid frame that does not decode,
+//! fails the open and leaves every byte on disk.
 
 use crate::record::{
     decode_frame, WalRecord, WalValue, MAX_PAYLOAD, SEGMENT_HEADER, SEGMENT_MAGIC,
@@ -28,7 +36,8 @@ use crate::record::{
 use mvtl_common::{TempDir, Timestamp};
 use parking_lot::{Condvar, Mutex};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Read;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -60,7 +69,8 @@ impl FsyncMode {
 pub struct WalOptions {
     /// The fsync policy (see [`FsyncMode`]).
     pub fsync: FsyncMode,
-    /// Roll to a new segment file once the current one exceeds this size.
+    /// Roll to a new segment file once the current one's frames reach this
+    /// size. Every segment is zero-filled to it when created.
     pub segment_bytes: u64,
 }
 
@@ -98,7 +108,8 @@ pub struct Recovery<V> {
     pub records: Vec<WalRecord<V>>,
     /// Bytes after the last valid record that were discarded (a torn tail
     /// from a crash mid-write, or corruption): the remainder of the broken
-    /// segment plus any segments after it.
+    /// segment plus any segments after it. A remainder of zeros is a
+    /// segment's preallocated space, not a tear, and counts nothing.
     pub discarded_bytes: u64,
 }
 
@@ -117,8 +128,9 @@ impl<V> Recovery<V> {
 
 /// The append queue every appender shares.
 struct Flush {
-    /// Encoded frames no drain has taken yet.
-    pending: Vec<Vec<u8>>,
+    /// Encoded frames no drain has taken yet, back to back. A drain swaps
+    /// the buffer with `Segments::batch`, so both keep their capacity.
+    pending: Vec<u8>,
     /// Sequence number of the last record appended to `pending`.
     appended_seq: u64,
     /// Sequence number through which records are durable (or, under
@@ -134,8 +146,13 @@ struct Segments {
     dir: PathBuf,
     file: File,
     index: u64,
+    /// The segment's valid end, where the next frame goes. The file is at
+    /// least `segment_bytes` long, and zero from here on.
     len: u64,
     segment_bytes: u64,
+    /// The batch a drain writes, taken from `Flush::pending`; empty between
+    /// drains.
+    batch: Vec<u8>,
 }
 
 /// Syncs the directory itself, so files created or removed in it survive a
@@ -158,65 +175,96 @@ fn segment_index(name: &str) -> Option<u64> {
         .ok()
 }
 
+/// The block a segment's zero fill is written from.
+static ZEROS: [u8; 16 * 1024] = [0; 16 * 1024];
+
+/// Opens segment `index` to append at `valid_end`; a `valid_end` of 0
+/// creates the segment (emptying any file of that name) and writes its
+/// header. Returns the file and where the next frame goes.
+///
+/// The file is then zero-filled up to `segment_bytes`, so appends overwrite
+/// blocks that already exist and a synced append never has to make a new
+/// file size durable. With `sync` set, the fill — and a new file's directory
+/// entry — is durable before any record is appended.
+fn open_segment(
+    dir: &Path,
+    index: u64,
+    valid_end: u64,
+    segment_bytes: u64,
+    sync: bool,
+) -> Result<(File, u64), WalError> {
+    let create = valid_end == 0;
+    let file = OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(create)
+        .open(segment_path(dir, index))
+        .map_err(|e| io_err("opening segment", e))?;
+    if create {
+        file.write_all_at(&SEGMENT_HEADER, 0)
+            .map_err(|e| io_err("writing segment header", e))?;
+    }
+    let mut end = file
+        .metadata()
+        .map_err(|e| io_err("segment metadata", e))?
+        .len();
+    let filled = end < segment_bytes;
+    while end < segment_bytes {
+        let n = (segment_bytes - end).min(ZEROS.len() as u64);
+        file.write_all_at(&ZEROS[..n as usize], end)
+            .map_err(|e| io_err("zero-filling segment", e))?;
+        end += n;
+    }
+    if sync && (create || filled) {
+        file.sync_data().map_err(|e| io_err("fsync", e))?;
+    }
+    if sync && create {
+        sync_dir(dir)?;
+    }
+    Ok((file, valid_end.max(SEGMENT_HEADER.len() as u64)))
+}
+
 impl Segments {
-    /// Opens segment `index` for appending, writing the header if the file
-    /// is new (or shorter than a header — a tail torn inside the header).
-    /// With `sync` set, a new file's directory entry is made durable before
-    /// any commit appended to it can be acknowledged.
-    fn open_at(
-        dir: &Path,
-        index: u64,
-        segment_bytes: u64,
-        sync: bool,
-    ) -> Result<Segments, WalError> {
-        let path = segment_path(dir, index);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err("opening segment", e))?;
-        let len = file
-            .metadata()
-            .map_err(|e| io_err("segment metadata", e))?
-            .len();
-        let len = if len < SEGMENT_HEADER.len() as u64 {
-            file.set_len(0)
-                .map_err(|e| io_err("resetting segment", e))?;
-            file.write_all(&SEGMENT_HEADER)
-                .map_err(|e| io_err("writing segment header", e))?;
-            if sync {
-                sync_dir(dir)?;
-            }
-            SEGMENT_HEADER.len() as u64
-        } else {
-            len
-        };
-        Ok(Segments {
-            dir: dir.to_path_buf(),
-            file,
-            index,
-            len,
-            segment_bytes,
-        })
+    /// Writes the taken batch and empties it for the next drain.
+    fn write_batch(&mut self, sync: bool) -> Result<(), WalError> {
+        let mut batch = std::mem::take(&mut self.batch);
+        let result = self.write_frames(&batch, sync);
+        batch.clear();
+        self.batch = batch;
+        result
     }
 
-    /// Appends whole frames, rolling to a fresh segment between frames when
-    /// the current one is over budget. With `sync` set, every segment
-    /// written to is synced: a finished one before the roll, the current one
-    /// at the end.
-    fn write_frames(&mut self, frames: &[Vec<u8>], sync: bool) -> Result<(), WalError> {
-        for frame in frames {
+    /// Writes whole frames at the valid end, rolling to a fresh segment
+    /// between frames when the current one is full; a run of frames that
+    /// passes the preallocated end extends the file. With `sync` set, every
+    /// segment written to is synced: a finished one before the roll, the
+    /// current one at the end.
+    fn write_frames(&mut self, mut frames: &[u8], sync: bool) -> Result<(), WalError> {
+        while !frames.is_empty() {
             if self.len >= self.segment_bytes {
                 if sync {
                     self.sync()?;
                 }
-                *self = Segments::open_at(&self.dir, self.index + 1, self.segment_bytes, sync)?;
+                (self.file, self.len) =
+                    open_segment(&self.dir, self.index + 1, 0, self.segment_bytes, sync)?;
+                self.index += 1;
+            }
+            // Every frame that starts before the segment is full.
+            let mut run = 0;
+            while run < frames.len() && self.len + (run as u64) < self.segment_bytes {
+                let payload = u32::from_le_bytes([
+                    frames[run],
+                    frames[run + 1],
+                    frames[run + 2],
+                    frames[run + 3],
+                ]);
+                run += 8 + payload as usize;
             }
             self.file
-                .write_all(frame)
+                .write_all_at(&frames[..run], self.len)
                 .map_err(|e| io_err("appending frame", e))?;
-            self.len += frame.len() as u64;
+            self.len += run as u64;
+            frames = &frames[run..];
         }
         if sync {
             self.sync()?;
@@ -276,7 +324,8 @@ impl Wal {
             records: Vec::new(),
             discarded_bytes: 0,
         };
-        let mut last_valid: Option<(u64, u64)> = None; // (segment index, valid length)
+        // (segment index, valid end, whether non-zero bytes follow it)
+        let mut last_valid: Option<(u64, u64, bool)> = None;
         let mut torn = false;
         for (pos, &index) in indices.iter().enumerate() {
             let path = segment_path(dir, index);
@@ -312,9 +361,13 @@ impl Wal {
                 recovery.records.push(record);
                 offset += consumed;
             }
-            last_valid = Some((index, offset as u64));
-            if offset < bytes.len() {
-                recovery.discarded_bytes += (bytes.len() - offset) as u64;
+            // Zeros after the last frame are space preallocated for frames
+            // not yet written; anything else is a torn or corrupted tail.
+            let rest = &bytes[offset..];
+            let torn_tail = rest.iter().any(|&b| b != 0);
+            last_valid = Some((index, offset as u64, torn_tail));
+            if torn_tail {
+                recovery.discarded_bytes += rest.len() as u64;
                 torn = true;
             }
             // A later segment after a clean one continues the scan; `pos`
@@ -330,19 +383,13 @@ impl Wal {
 
         // Make the on-disk state match what the scan accepted: truncate the
         // broken tail, drop segments past it.
-        if let Some((index, valid_len)) = last_valid {
-            let path = segment_path(dir, index);
-            let file = OpenOptions::new()
-                .write(true)
-                .open(&path)
-                .map_err(|e| io_err("opening segment for truncation", e))?;
-            if file
-                .metadata()
-                .map_err(|e| io_err("segment metadata", e))?
-                .len()
-                > valid_len
-            {
-                file.set_len(valid_len)
+        if let Some((index, valid_end, torn_tail)) = last_valid {
+            if torn_tail {
+                let file = OpenOptions::new()
+                    .write(true)
+                    .open(segment_path(dir, index))
+                    .map_err(|e| io_err("opening segment for truncation", e))?;
+                file.set_len(valid_end)
                     .map_err(|e| io_err("truncating torn tail", e))?;
                 file.sync_data().map_err(|e| io_err("fsync", e))?;
             }
@@ -362,8 +409,19 @@ impl Wal {
             // Make the deletions above durable too.
             sync_dir(dir)?;
         }
-        let start_index = last_valid.map_or(1, |(index, _)| index);
-        let segments = Segments::open_at(dir, start_index, options.segment_bytes.max(64), sync)?;
+        // Appending resumes at the valid end, and the segment is topped up
+        // with zeros: one rule for new, recovered, torn and older segments.
+        let (index, valid_end) = last_valid.map_or((1, 0), |(index, end, _)| (index, end));
+        let segment_bytes = options.segment_bytes.max(64);
+        let (file, len) = open_segment(dir, index, valid_end, segment_bytes, sync)?;
+        let segments = Segments {
+            dir: dir.to_path_buf(),
+            file,
+            index,
+            len,
+            segment_bytes,
+            batch: Vec::new(),
+        };
         let max_seen_id = recovery.records.iter().map(WalRecord::id).max();
         Ok((
             Wal {
@@ -411,23 +469,29 @@ impl Wal {
     /// otherwise another appender's drain holds the record and this thread
     /// waits for that drain to publish.
     ///
+    /// The record encodes straight into the queue, so an append allocates
+    /// nothing once the queue's buffers have grown to the batch size.
+    ///
     /// # Errors
     ///
+    /// Returns an error, and queues nothing, when the record's payload
+    /// exceeds [`MAX_PAYLOAD`]: no decoder would read such a frame back.
     /// Returns the first drain failure once the log is poisoned; the record
     /// may or may not have reached the disk in that case.
     pub fn append<V: WalValue>(&self, record: &WalRecord<V>) -> Result<(), WalError> {
-        let frame = record.encode_frame();
-        assert!(
-            frame.len() as u64 <= 8 + u64::from(MAX_PAYLOAD),
-            "record exceeds the frame cap"
-        );
         let seq = {
             let mut flush = self.flush.lock();
             if let Some(e) = &flush.error {
                 return Err(e.clone());
             }
+            record
+                .put_frame(&mut flush.pending, MAX_PAYLOAD as usize)
+                .map_err(|len| {
+                    WalError(format!(
+                        "a {len}-byte record exceeds the {MAX_PAYLOAD}-byte frame cap"
+                    ))
+                })?;
             flush.appended_seq += 1;
-            flush.pending.push(frame);
             flush.appended_seq
         };
         self.wait_durable(seq)
@@ -478,14 +542,15 @@ impl Wal {
     /// failed drain poisons the log before any later batch is written.
     fn drain(&self) {
         let mut segments = self.segments.lock();
-        let (frames, last_seq) = {
+        let last_seq = {
             let mut flush = self.flush.lock();
             if flush.pending.is_empty() || flush.error.is_some() {
                 return;
             }
-            (std::mem::take(&mut flush.pending), flush.appended_seq)
+            std::mem::swap(&mut flush.pending, &mut segments.batch);
+            flush.appended_seq
         };
-        let result = segments.write_frames(&frames, self.fsync == FsyncMode::Always);
+        let result = segments.write_batch(self.fsync == FsyncMode::Always);
         {
             let mut flush = self.flush.lock();
             match result {
@@ -527,6 +592,30 @@ mod tests {
 
     fn reopen(dir: &Path, options: WalOptions) -> (Wal, Recovery<u64>) {
         Wal::open::<u64>(dir, options).expect("log opens")
+    }
+
+    /// The end of the frames that decode from the header on.
+    fn valid_end(bytes: &[u8]) -> usize {
+        let mut offset = SEGMENT_HEADER.len();
+        while let Some((_, consumed)) = decode_frame::<u64>(&bytes[offset..]).unwrap() {
+            offset += consumed;
+        }
+        offset
+    }
+
+    /// Writes five records to a fresh log in `dir` and returns the first
+    /// segment's bytes.
+    fn five_records(dir: &Path) -> Vec<u8> {
+        let (wal, _) = reopen(dir, WalOptions::default());
+        for i in 1..=5u64 {
+            wal.append(&commit(i, i, i)).unwrap();
+        }
+        drop(wal);
+        std::fs::read(segment_path(dir, 1)).unwrap()
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
     }
 
     #[test]
@@ -584,7 +673,10 @@ mod tests {
                     ids.push(record.id());
                     offset += consumed;
                 }
-                assert_eq!(offset, bytes.len(), "fsync={fsync:?}: trailing bytes");
+                assert!(
+                    bytes[offset..].iter().all(|&b| b == 0),
+                    "fsync={fsync:?}: non-zero bytes after the last frame"
+                );
                 assert_eq!(ids, (1..=i).collect::<Vec<_>>(), "fsync={fsync:?}");
             }
         }
@@ -644,30 +736,206 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_and_reported() {
         let dir = TempDir::new("wal-torn");
-        let (wal, _) = reopen(dir.path(), WalOptions::default());
-        for i in 1..=5u64 {
-            wal.append(&commit(i, i, i)).unwrap();
-        }
-        drop(wal);
+        let bytes = five_records(dir.path());
 
-        // Tear the last record in half, as a crash mid-write would.
+        // Tear the last record: a crash mid-write kept its first bytes and
+        // left the rest of the preallocated space zero.
         let path = segment_path(dir.path(), 1);
-        let bytes = std::fs::read(&path).unwrap();
-        let torn_len = bytes.len() - 7;
-        let file = OpenOptions::new().write(true).open(&path).unwrap();
-        file.set_len(torn_len as u64).unwrap();
-        drop(file);
+        let end = valid_end(&bytes);
+        let start = end - commit(5, 5, 5).encode_frame().len();
+        let mut torn = bytes.clone();
+        torn[(start + end) / 2..end].fill(0);
+        std::fs::write(&path, &torn).unwrap();
 
         let (wal, recovery) = reopen(dir.path(), WalOptions::default());
         assert_eq!(recovery.records.len(), 4, "the torn record is gone");
-        assert!(recovery.discarded_bytes > 0);
-        // The tail was truncated: appending continues from a valid log.
+        assert_eq!(recovery.discarded_bytes, (bytes.len() - start) as u64);
+        // The tail was truncated and zero-filled again: appending continues
+        // from a valid log.
+        let refilled = std::fs::read(&path).unwrap();
+        assert_eq!(refilled.len(), bytes.len());
+        assert!(refilled[start..].iter().all(|&b| b == 0));
         wal.append(&commit(99, 9, 9)).unwrap();
         drop(wal);
         let (_wal, recovery) = reopen(dir.path(), WalOptions::default());
         assert_eq!(recovery.records.len(), 5);
         assert_eq!(recovery.discarded_bytes, 0);
         assert_eq!(recovery.records[4].id(), 99);
+    }
+
+    #[test]
+    fn a_clean_zero_tail_is_unwritten_space() {
+        for fsync in MODES {
+            let dir = TempDir::new("wal-zero-tail");
+            let options = WalOptions {
+                fsync,
+                ..WalOptions::default()
+            };
+            let path = segment_path(dir.path(), 1);
+            let (wal, _) = reopen(dir.path(), options);
+            assert_eq!(file_len(&path), options.segment_bytes, "preallocated");
+            for i in 1..=3u64 {
+                wal.append(&commit(i, i, i)).unwrap();
+            }
+            drop(wal);
+            let bytes = std::fs::read(&path).unwrap();
+            let end = valid_end(&bytes);
+
+            let (wal, recovery) = reopen(dir.path(), options);
+            assert_eq!(recovery.records.len(), 3, "fsync={fsync:?}");
+            assert_eq!(recovery.discarded_bytes, 0, "fsync={fsync:?}");
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                bytes,
+                "the open kept the tail"
+            );
+            wal.append(&commit(4, 4, 4)).unwrap();
+            let after = std::fs::read(&path).unwrap();
+            assert_eq!(after.len() as u64, options.segment_bytes);
+            assert_eq!(after[..end], bytes[..end]);
+            let frame = commit(4, 4, 4).encode_frame();
+            assert_eq!(
+                &after[end..end + frame.len()],
+                &frame[..],
+                "at the valid end"
+            );
+            assert!(after[end + frame.len()..].iter().all(|&b| b == 0));
+        }
+    }
+
+    #[test]
+    fn a_torn_frame_followed_by_zeros_is_a_tear() {
+        let dir = TempDir::new("wal-torn-zeros");
+        let bytes = five_records(dir.path());
+        let end = valid_end(&bytes);
+        // A frame's length word and half its payload, then zeros.
+        let frame = commit(6, 6, 6).encode_frame();
+        let mut torn = bytes.clone();
+        torn[end..end + frame.len() / 2].copy_from_slice(&frame[..frame.len() / 2]);
+        std::fs::write(segment_path(dir.path(), 1), &torn).unwrap();
+
+        let (_wal, recovery) = reopen(dir.path(), WalOptions::default());
+        assert_eq!(recovery.records.len(), 5);
+        assert_eq!(recovery.discarded_bytes, (bytes.len() - end) as u64);
+        let (_wal, recovery) = reopen(dir.path(), WalOptions::default());
+        assert_eq!(recovery.records.len(), 5);
+        assert_eq!(recovery.discarded_bytes, 0, "the tear was truncated");
+    }
+
+    #[test]
+    fn non_zero_bytes_after_zeros_are_a_tear() {
+        let dir = TempDir::new("wal-zeros-then-bytes");
+        let bytes = five_records(dir.path());
+        let end = valid_end(&bytes);
+        for at in [end + 8, end + 4096, bytes.len() - 1] {
+            let mut torn = bytes.clone();
+            torn[at] = 0x5A;
+            std::fs::write(segment_path(dir.path(), 1), &torn).unwrap();
+            let (_wal, recovery) = reopen(dir.path(), WalOptions::default());
+            assert_eq!(recovery.records.len(), 5, "byte at {at}");
+            assert_eq!(recovery.discarded_bytes, (bytes.len() - end) as u64);
+            assert_eq!(
+                std::fs::read(segment_path(dir.path(), 1)).unwrap(),
+                bytes,
+                "truncated and zero-filled again"
+            );
+        }
+    }
+
+    #[test]
+    fn a_segment_without_a_zero_tail_recovers_and_is_topped_up() {
+        // What an older build writes: the header and frames, nothing after.
+        let dir = TempDir::new("wal-older-segment");
+        let mut older = SEGMENT_HEADER.to_vec();
+        for i in 1..=3u64 {
+            older.extend_from_slice(&commit(i, i, i).encode_frame());
+        }
+        let path = segment_path(dir.path(), 1);
+        std::fs::write(&path, &older).unwrap();
+
+        let (wal, recovery) = reopen(dir.path(), WalOptions::default());
+        assert_eq!(
+            recovery.records,
+            (1..=3).map(|i| commit(i, i, i)).collect::<Vec<_>>()
+        );
+        assert_eq!(recovery.discarded_bytes, 0);
+        let topped = std::fs::read(&path).unwrap();
+        assert_eq!(topped.len() as u64, WalOptions::default().segment_bytes);
+        assert_eq!(topped[..older.len()], older[..]);
+        assert!(topped[older.len()..].iter().all(|&b| b == 0));
+        wal.append(&commit(4, 4, 4)).unwrap();
+        drop(wal);
+        let (_wal, recovery) = reopen(dir.path(), WalOptions::default());
+        let ids: Vec<u64> = recovery.records.iter().map(WalRecord::id).collect();
+        assert_eq!(ids, [1, 2, 3, 4]);
+        assert_eq!(recovery.discarded_bytes, 0);
+    }
+
+    #[test]
+    fn a_roll_preallocates_the_next_segment() {
+        for fsync in MODES {
+            let dir = TempDir::new("wal-roll-prealloc");
+            let options = WalOptions {
+                fsync,
+                segment_bytes: 256,
+            };
+            let (wal, _) = reopen(dir.path(), options);
+            let mut i = 0;
+            while !segment_path(dir.path(), 2).exists() {
+                i += 1;
+                wal.append(&commit(i, i, i)).unwrap();
+            }
+            let bytes = std::fs::read(segment_path(dir.path(), 2)).unwrap();
+            assert_eq!(bytes.len(), 256, "fsync={fsync:?}");
+            let end = valid_end(&bytes);
+            assert_eq!(
+                end,
+                SEGMENT_HEADER.len() + commit(i, i, i).encode_frame().len()
+            );
+            assert!(bytes[end..].iter().all(|&b| b == 0));
+            // The full segment ends at its last frame, which ran past the
+            // preallocated end.
+            let full = std::fs::read(segment_path(dir.path(), 1)).unwrap();
+            assert_eq!(valid_end(&full), full.len());
+            assert!(full.len() >= 256);
+        }
+    }
+
+    #[test]
+    fn zeros_decode_as_no_frame() {
+        assert!(matches!(decode_frame::<u64>(&ZEROS), Ok(None)));
+        assert!(matches!(decode_frame::<u64>(&ZEROS[..8]), Ok(None)));
+        assert!(matches!(decode_frame::<u64>(&ZEROS[..3]), Ok(None)));
+    }
+
+    #[test]
+    fn an_oversized_record_is_an_error_and_queues_nothing() {
+        let dir = TempDir::new("wal-oversized");
+        let (wal, _) = reopen(dir.path(), WalOptions::default());
+        // kind, id, no timestamp, one write: 26 bytes besides the value.
+        let value = "x".repeat(MAX_PAYLOAD as usize + 1 - 26);
+        let record = WalRecord::Commit {
+            id: 1,
+            commit_ts: None,
+            writes: vec![(Key(1), value)],
+        };
+        let err = wal.append(&record).unwrap_err();
+        assert!(
+            err.0
+                .contains(&format!("{}-byte record", MAX_PAYLOAD as usize + 1)),
+            "{err}"
+        );
+        drop(record);
+        let fits = WalRecord::Commit {
+            id: 2,
+            commit_ts: None,
+            writes: vec![(Key(1), "y".to_string())],
+        };
+        wal.append(&fits).unwrap();
+        drop(wal);
+        let (_wal, recovery) = Wal::open::<String>(dir.path(), WalOptions::default()).unwrap();
+        assert_eq!(recovery.records, [fits]);
+        assert_eq!(recovery.discarded_bytes, 0);
     }
 
     #[test]
@@ -765,7 +1033,8 @@ mod tests {
             if bump_version {
                 bytes[SEGMENT_MAGIC.len()] = 2;
             } else {
-                bytes.extend_from_slice(&frame);
+                let end = valid_end(&bytes);
+                bytes[end..end + frame.len()].copy_from_slice(&frame);
             }
             std::fs::write(&path, &bytes).unwrap();
 

@@ -12,8 +12,9 @@
 //! transaction id, followed by kind-specific fields (all integers
 //! little-endian). The checksum lets recovery distinguish a cleanly written
 //! frame from a torn tail: scanning stops at the first frame whose length or
-//! checksum does not add up, and everything after that point is reported as
-//! discarded rather than replayed. A frame that passes both checks but whose
+//! checksum does not add up, and everything after that point — unless it is
+//! all zeros, a segment's preallocated space — is reported as discarded
+//! rather than replayed. A frame that passes both checks but whose
 //! payload does not decode was written by another format, not torn: that is
 //! an error, and recovery leaves it on disk.
 
@@ -141,13 +142,14 @@ fn put_ts(out: &mut Vec<u8>, ts: Timestamp) {
 
 fn put_writes<V: WalValue>(out: &mut Vec<u8>, writes: &[(Key, V)]) {
     put_u32(out, writes.len() as u32);
-    let mut scratch = Vec::new();
     for (key, value) in writes {
         put_u64(out, key.0);
-        scratch.clear();
-        value.encode(&mut scratch);
-        put_u32(out, scratch.len() as u32);
-        out.extend_from_slice(&scratch);
+        // The value encodes in place; its length fills the word before it.
+        let at = out.len();
+        put_u32(out, 0);
+        value.encode(out);
+        let len = (out.len() - at - 4) as u32;
+        out[at..at + 4].copy_from_slice(&len.to_le_bytes());
     }
 }
 
@@ -205,22 +207,27 @@ impl<V: WalValue> WalRecord<V> {
     /// Serializes the record payload (kind + id + fields, no frame header).
     #[must_use]
     pub fn encode_payload(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.put_payload(&mut out);
+        out
+    }
+
+    fn put_payload(&self, out: &mut Vec<u8>) {
         let WalRecord::Commit {
             id,
             commit_ts,
             writes,
         } = self;
-        let mut out = vec![KIND_COMMIT];
-        put_u64(&mut out, *id);
+        out.push(KIND_COMMIT);
+        put_u64(out, *id);
         match commit_ts {
             Some(ts) => {
                 out.push(1);
-                put_ts(&mut out, *ts);
+                put_ts(out, *ts);
             }
             None => out.push(0),
         }
-        put_writes(&mut out, writes);
-        out
+        put_writes(out, writes);
     }
 
     /// Rebuilds a record from a payload, rejecting unknown kinds and
@@ -249,15 +256,33 @@ impl<V: WalValue> WalRecord<V> {
     }
 
     /// Serializes the record as a complete frame (length + checksum +
-    /// payload), ready for appending to a segment.
+    /// payload), ready for appending to a segment. No decoder accepts the
+    /// frame of a payload over [`MAX_PAYLOAD`]; [`crate::Wal::append`]
+    /// refuses such a record.
     #[must_use]
     pub fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
+        let mut frame = Vec::new();
+        // Without a cap the encoding cannot fail.
+        let _ = self.put_frame(&mut frame, usize::MAX);
         frame
+    }
+
+    /// Appends the record's frame to `out`. A payload over `cap` bytes
+    /// leaves `out` as it was and returns its length, before any checksum
+    /// is computed.
+    pub(crate) fn put_frame(&self, out: &mut Vec<u8>, cap: usize) -> Result<(), usize> {
+        let start = out.len();
+        out.extend_from_slice(&[0; 8]);
+        self.put_payload(out);
+        let len = out.len() - start - 8;
+        if len > cap {
+            out.truncate(start);
+            return Err(len);
+        }
+        let crc = crc32(&out[start + 8..]);
+        out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+        Ok(())
     }
 }
 
@@ -265,8 +290,9 @@ impl<V: WalValue> WalRecord<V> {
 /// and the frame's total length; `Ok(None)` when the bytes do not hold a
 /// complete, checksum-valid frame (the torn-tail stop condition).
 ///
-/// An empty payload counts as torn: no record encodes to one, and eight zero
-/// bytes — a file extended but never written — checksum as exactly that.
+/// An empty payload is no frame: no record encodes to one, and eight zero
+/// bytes — the preallocated space after a segment's last frame — checksum
+/// as exactly that.
 ///
 /// # Errors
 ///

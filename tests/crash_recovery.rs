@@ -12,8 +12,10 @@ use mvtl::core::{MvtlConfig, MvtlStore};
 use mvtl::registry::SpecError;
 use mvtl::shard::{IntersectionPick, ShardedStore};
 use mvtl::verify::{check_serializable, History};
+use mvtl::wal::record::decode_frame;
 use mvtl::wal::{Wal, WalOptions, WalRecord};
 use std::collections::HashMap;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -207,12 +209,11 @@ fn torn_log_tails_recover_to_the_last_complete_record() {
 
     // A tear *inside* the final record: that record is discarded, every
     // record before it survives, and recovery still does not error.
-    let valid_len = std::fs::metadata(&segment).unwrap().len();
     let file = std::fs::OpenOptions::new()
         .write(true)
         .open(&segment)
         .unwrap();
-    file.set_len(valid_len - 5).unwrap();
+    file.set_len(valid_end(&segment) - 5).unwrap();
     drop(file);
     let engine = mvtl::registry::build(&spec).expect("mid-record tear must not fail recovery");
     let mut tx = engine.begin(ProcessId(2));
@@ -239,7 +240,19 @@ fn newest_segment(dir: &std::path::Path) -> std::path::PathBuf {
     segments.pop().expect("the log has at least one segment")
 }
 
-/// Every `*.log` file under `dir`, at any depth, with its length.
+/// Where the frames of the segment at `path` end: past the 8-byte header,
+/// at the first bytes that do not decode. A segment is zero from there to
+/// its preallocated end.
+fn valid_end(path: &Path) -> u64 {
+    let bytes = std::fs::read(path).unwrap();
+    let mut offset = 8;
+    while let Some((_, consumed)) = decode_frame::<u64>(&bytes[offset..]).unwrap() {
+        offset += consumed;
+    }
+    offset as u64
+}
+
+/// Every `*.log` file under `dir`, at any depth, with its valid end.
 fn log_files(dir: &Path) -> Vec<(PathBuf, u64)> {
     let mut files = Vec::new();
     for entry in std::fs::read_dir(dir).unwrap() {
@@ -247,8 +260,8 @@ fn log_files(dir: &Path) -> Vec<(PathBuf, u64)> {
         if path.is_dir() {
             files.extend(log_files(&path));
         } else if path.extension().is_some_and(|e| e == "log") {
-            let len = std::fs::metadata(&path).unwrap().len();
-            files.push((path, len));
+            let end = valid_end(&path);
+            files.push((path, end));
         }
     }
     files.sort();
@@ -312,34 +325,45 @@ fn a_cross_shard_commit_recovers_whole_or_not_at_all_at_every_crash_point() {
     tx.commit().unwrap();
     drop(engine);
 
-    // Cut each log the commit grew at every frame boundary and every byte
-    // of what it appended; the other logs keep everything.
+    // Crash each log the commit grew at every frame boundary and every byte
+    // of what it appended, in the two states a crash leaves behind: the rest
+    // of a preallocated segment zero, and an older build's segment cut short.
+    // The other logs keep everything.
     let mut cuts = 0;
     let mut split = Vec::new();
-    for (path, len) in log_files(dir.path()) {
+    for (path, end) in log_files(dir.path()) {
         let start = earlier
             .iter()
             .find(|(p, _)| *p == path)
-            .map_or(0, |(_, len)| *len);
-        for cut in start..=len {
-            let copy = TempDir::new("crash-sweep-cut");
-            copy_tree(dir.path(), copy.path());
-            let cut_path = copy.path().join(path.strip_prefix(dir.path()).unwrap());
-            std::fs::OpenOptions::new()
-                .write(true)
-                .open(&cut_path)
-                .unwrap()
-                .set_len(cut)
-                .unwrap();
-            let engine = mvtl::registry::build(&spec(copy.path())).expect("rebuild");
-            let (values, _) = read_back(engine.as_ref(), &keys);
-            if values != before && values != after {
-                split.push(format!("{} cut at {cut}: {values:?}", path.display()));
+            .map_or(0, |(_, end)| *end);
+        for cut in start..=end {
+            for zeroed in [true, false] {
+                let copy = TempDir::new("crash-sweep-cut");
+                copy_tree(dir.path(), copy.path());
+                let cut_path = copy.path().join(path.strip_prefix(dir.path()).unwrap());
+                let file = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&cut_path)
+                    .unwrap();
+                if zeroed {
+                    let len = file.metadata().unwrap().len();
+                    file.write_all_at(&vec![0; (len - cut) as usize], cut)
+                        .unwrap();
+                } else {
+                    file.set_len(cut).unwrap();
+                }
+                drop(file);
+                let engine = mvtl::registry::build(&spec(copy.path())).expect("rebuild");
+                let (values, _) = read_back(engine.as_ref(), &keys);
+                if values != before && values != after {
+                    let state = if zeroed { "zeroed" } else { "truncated" };
+                    split.push(format!("{} {state} from {cut}: {values:?}", path.display()));
+                }
+                cuts += 1;
             }
-            cuts += 1;
         }
     }
-    assert!(cuts > 1, "the commit appended nothing");
+    assert!(cuts > 2, "the commit appended nothing");
     assert!(
         split.is_empty(),
         "{} of {cuts} crash points split the transaction, e.g. {:?}",

@@ -181,10 +181,10 @@ fn read_mostly_transaction_allocation_budget_holds() {
 
 /// Allocations of one logged one-shard write transaction of `KEYS` writes
 /// (`wal=tmp&fsync=off`): the one boxed handle, the shard transaction's
-/// records, read log, write set and value column, the logged write set,
-/// and the log record's encoding. A second box for the logged form would
-/// add one more.
-const LOGGED_WRITE_TXN_ALLOCS: u64 = 17;
+/// records, read log, write set and value column, and the logged write set.
+/// The log record encodes into the log's reused queue buffer, so the append
+/// itself adds none. A second box for the logged form would add one more.
+const LOGGED_WRITE_TXN_ALLOCS: u64 = 7;
 
 /// Allocations of one two-shard transaction that reads and writes `KEYS`
 /// keys spread over both shards: the routed handle and its sub-transaction
